@@ -19,7 +19,6 @@ from .energy import (
     ProjectionDiagnostics,
     ReachabilityEllipsoid,
     average_min_energy_monte_carlo,
-    finite_horizon_gramian,
     min_energy,
     projection_operator_check,
     reachable_ellipsoid,
@@ -38,7 +37,6 @@ from .errors import (
     InfeasiblePoint,
     InvalidWeights,
     LyapunovSolveFailure,
-    MaxItersExceeded,
     NonConvexAmbiguous,
     NonSquare,
     NotCommuting,
@@ -55,6 +53,7 @@ from .linsys import (
     StableLTISystem,
     assemble_gramian,
     check_stability,
+    finite_horizon_gramian,
     gramian_family,
     node_gramian,
     top_eigenvalues,
@@ -80,7 +79,6 @@ from .scores import (
     ObjectiveKind,
     closed_form_optimum,
     evaluate,
-    finite_dim_scores,
 )
 from .simplex import SimplexWeights, central_point, project_capped_simplex
 from .spectral import (

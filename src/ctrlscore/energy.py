@@ -12,8 +12,9 @@ These computations give the scores their operational meaning.  With
   semi-axes ``sqrt(mu_k)`` along ``z_k``; its n-dimensional section volume is
   ``V_n * sqrt(mu_1 ... mu_n)`` with ``V_n`` the unit-ball volume.
 
-Finite-horizon objects live only here, as diagnostics: the horizon-T Gramian
-has the closed form ``W(p, T) = W(p) - exp(TA) W(p) exp(TA)^T``, and
+Eigenpairs and their state-space basis come from the model's methods.
+Finite horizons are diagnostics on Gramian families: ``W(p, T)`` comes from
+:func:`~ctrlscore.linsys.finite_horizon_gramian`, and
 :func:`projection_operator_check` verifies that the discretized input-space
 operator ``L^T W_n^+ L`` behaves as the orthogonal projection it should be.
 """
@@ -27,9 +28,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import IndexMismatch, RankDeficient, SingularGramian, TargetOutsideSpan
-from .linsys import NodeGramianFamily, assemble_gramian
+from .linsys import NodeGramianFamily, positive_floor
 from .simplex import weight_vector
-from .spectral import SpectralModel, positive_floor
 
 #: Relative tolerance for the target-in-span residual.
 SPAN_TOL = 1e-8
@@ -83,42 +83,6 @@ def unit_ball_log_volume(dim: int) -> float:
     return 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
 
 
-def finite_horizon_gramian(family: NodeGramianFamily, weights,
-                           horizon: float) -> np.ndarray:
-    """Horizon-T Gramian ``W(p, T) = W(p) - exp(TA) W(p) exp(TA)^T``."""
-    if not horizon > 0:
-        raise IndexMismatch("horizon must be positive")
-    mixed = assemble_gramian(family, weights)
-    if math.isinf(horizon):
-        return mixed
-    decay = expm(horizon * family.system.dynamics)
-    gram = mixed - decay @ mixed @ decay.T
-    return 0.5 * (gram + gram.T)
-
-
-def _top_eigenpairs(model, weights, count: int,
-                    horizon: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, Z): top ``count`` eigenvalues (descending) and eigenvectors.
-
-    For a spectral model the eigenvectors are the mode coordinates
-    themselves, so Z holds selector columns; ties take the lowest row first.
-    """
-    if isinstance(model, SpectralModel):
-        if not math.isinf(horizon):
-            raise IndexMismatch("spectral models support only horizon = inf")
-        p = weight_vector(weights, model.node_count)
-        values = model.eigen_table @ p
-        order = np.argsort(-values, kind="stable")[:count]
-        basis = np.zeros((values.size, count))
-        basis[order, np.arange(count)] = 1.0
-        return values[order], basis
-    family: NodeGramianFamily = model
-    gram = finite_horizon_gramian(family, weights, horizon)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
-    return eigvals[:count], eigvecs[:, :count]
-
-
 def min_energy(model, weights, query: EnergyQuery) -> float:
     """Minimum input energy to reach ``query.target``.
 
@@ -137,12 +101,13 @@ def min_energy(model, weights, query: EnergyQuery) -> float:
     norm = float(np.linalg.norm(target))
     if norm == 0.0:
         return 0.0
-    mu, basis = _top_eigenpairs(model, weights, query.rank, query.horizon)
+    pairs = model.eigenpairs(weights, query.rank, query.horizon)
+    mu, basis = pairs.values, model.state_basis(pairs)
     if target.size != basis.shape[0]:
         raise IndexMismatch(
             f"target has dimension {target.size}, state space has {basis.shape[0]}"
         )
-    if mu[-1] <= positive_floor(max(mu[0], 0.0)):
+    if not pairs.positive:
         raise SingularGramian(
             f"eigenvalue {query.rank} of the Gramian is not positive "
             f"({mu[-1]:.3e})"
@@ -168,11 +133,12 @@ def reachable_ellipsoid(model, weights, count: int) -> ReachabilityEllipsoid:
     RankDeficient
         If fewer than ``count`` eigenvalues are positive.
     """
-    mu, basis = _top_eigenpairs(model, weights, count)
-    if mu[-1] <= positive_floor(max(mu[0], 0.0)):
+    pairs = model.eigenpairs(weights, count)
+    if not pairs.positive:
         raise RankDeficient(
             f"Gramian has fewer than {count} positive eigenvalues"
         )
+    mu, basis = pairs.values, model.state_basis(pairs)
     log_volume = unit_ball_log_volume(count) + 0.5 * float(np.log(mu).sum())
     semi_axes = np.sqrt(mu)
     semi_axes.flags.writeable = False
@@ -190,9 +156,10 @@ def average_min_energy_monte_carlo(model, weights, count: int,
     The closed-form expectation is ``(1/n) * sum_k 1/mu_k``; this sampler
     exists to verify that identity independently.
     """
-    mu, _ = _top_eigenpairs(model, weights, count)
-    if mu[-1] <= positive_floor(max(mu[0], 0.0)):
+    pairs = model.eigenpairs(weights, count)
+    if not pairs.positive:
         raise SingularGramian("selected eigenvalues must be positive")
+    mu = pairs.values
     rng = np.random.default_rng(seed)
     normals = rng.standard_normal((num_samples, count))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
@@ -281,12 +248,10 @@ def projection_operator_check(family: NodeGramianFamily, weights, count: int,
     target = np.asarray(target, dtype=float)
     energy_discrete = float(target @ pseudo @ target)
 
-    exact_gram = finite_horizon_gramian(family, p, horizon)
-    exact_vals, exact_vecs = np.linalg.eigh(exact_gram)
-    exact_vals, exact_vecs = exact_vals[::-1], exact_vecs[:, ::-1]
-    if used and exact_vals[used - 1] > positive_floor(max(exact_vals[0], 0.0)):
-        coeffs = exact_vecs[:, :used].T @ target
-        energy_exact = float(np.sum(coeffs**2 / exact_vals[:used]))
+    exact = family.eigenpairs(p, used, horizon) if used else None
+    if exact is not None and exact.positive:
+        coeffs = family.state_basis(exact).T @ target
+        energy_exact = float(np.sum(coeffs**2 / exact.values))
         rel = abs(energy_discrete - energy_exact) / max(abs(energy_exact), 1e-300)
     else:
         energy_exact = math.inf

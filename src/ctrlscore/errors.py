@@ -72,11 +72,6 @@ class InfeasiblePoint(CtrlscoreError):
     """The supplied point lies outside the feasible region."""
 
 
-class MaxItersExceeded(CtrlscoreError):
-    """Iteration budget exhausted (solver returns the flagged best iterate
-    instead of raising; this type exists for callers who want to re-raise)."""
-
-
 class NonConvexAmbiguous(CtrlscoreError):
     """Multi-start solves disagree on the optimal value.
 

@@ -9,14 +9,18 @@ the unique solution of the continuous Lyapunov equation
 ``A W_i + W_i A^T + P_i P_i^T = 0`` and is computed with the dense
 Schur-based solver; the defining integral is kept only as a test oracle.
 The mixed Gramian for a weight vector ``p`` is ``W(p) = sum_i p_i W_i``.
+
+``NodeGramianFamily`` carries the eigen methods of ``W(p)`` that
+:class:`~ctrlscore.spectral.SpectralModel` also has.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import (
     EigenFailure,
@@ -30,6 +34,49 @@ from .simplex import weight_vector
 
 #: Default absolute tolerance for residuals, symmetry and eigenvalue clamping.
 DEFAULT_TOL = 1e-10
+
+#: Relative eigenvalue gap below which eigenvalues are treated as degenerate.
+DEGENERACY_GAP = 1e-8
+
+#: An eigenvalue counts as positive only above this relative floor.
+POSITIVE_FLOOR = 1e-12
+
+
+def positive_floor(top_eigenvalue: float) -> float:
+    """Threshold below which an eigenvalue is treated as zero."""
+    return POSITIVE_FLOOR * max(1.0, float(top_eigenvalue))
+
+
+@dataclass(frozen=True)
+class Eigenpairs:
+    """The ``count`` largest eigenvalues of one ``W(p)`` and their modes.
+
+    ``values`` are descending.  ``following`` is eigenvalue ``count + 1``, or
+    None when the selection is the whole spectrum.  A spectral model names
+    its modes by the selected table rows (``selected``); a Gramian family by
+    the eigenvectors (``vectors``, one column per eigenvalue).
+    """
+
+    values: np.ndarray
+    following: float | None
+    selected: np.ndarray | None = None
+    vectors: np.ndarray | None = None
+
+    @property
+    def positive(self) -> bool:
+        """Whether the smallest selected eigenvalue clears the positive floor."""
+        return self.values[-1] > positive_floor(max(self.values[0], 0.0))
+
+    @property
+    def near_degenerate(self) -> bool:
+        """A (near-)tie between eigenvalues ``count`` and ``count + 1``."""
+        last = self.values[-1]
+        return (self.following is not None
+                and last - self.following <= DEGENERACY_GAP * max(abs(last), 1e-300))
+
+    @property
+    def active_rows(self) -> tuple[int, ...] | None:
+        return None if self.selected is None else tuple(int(k) for k in self.selected)
 
 
 @dataclass(frozen=True)
@@ -80,12 +127,15 @@ class NodeGramianFamily:
     columns (identity for standard-basis nodes).  Each Gramian must be
     symmetric and positive semidefinite within tolerance; objects built by
     :func:`gramian_family` additionally satisfy the Lyapunov residual bound.
+    ``stack`` holds the Gramians along axis 0, shape (m, n, n), and
+    ``gramians`` are read-only views into it.
     """
 
     system: StableLTISystem
     node_indices: tuple[int, ...]
     gramians: tuple[np.ndarray, ...]
     basis: np.ndarray | None = None
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.node_indices) == 0:
@@ -95,7 +145,7 @@ class NodeGramianFamily:
         if len(self.gramians) != len(self.node_indices):
             raise IndexMismatch("one Gramian per node index is required")
         n = self.system.n_dim
-        frozen = []
+        arrays = []
         for idx, gram in zip(self.node_indices, self.gramians):
             arr = np.asarray(gram, dtype=float)
             if arr.shape != (n, n):
@@ -105,9 +155,11 @@ class NodeGramianFamily:
                 raise EigenFailure(f"Gramian for node {idx} is not symmetric")
             if float(np.linalg.eigvalsh(arr)[0]) < -DEFAULT_TOL * scale:
                 raise EigenFailure(f"Gramian for node {idx} is not PSD")
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "gramians", tuple(frozen))
+            arrays.append(arr)
+        stack = np.stack(arrays)
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "gramians", tuple(stack))
         object.__setattr__(self, "node_indices", tuple(int(i) for i in self.node_indices))
         if self.basis is not None:
             basis = np.asarray(self.basis, dtype=float)
@@ -118,9 +170,53 @@ class NodeGramianFamily:
     def node_count(self) -> int:
         return len(self.node_indices)
 
-    def stacked(self) -> np.ndarray:
-        """Gramians stacked along axis 0, shape (m, n, n)."""
-        return np.stack(self.gramians)
+    @property
+    def mode_count(self) -> int:
+        return self.system.n_dim
+
+    @property
+    def score_order(self) -> int:
+        """Default number of selected eigenvalues: the whole spectrum."""
+        return self.system.n_dim
+
+    def eigenvalues(self, weights) -> np.ndarray:
+        """All eigenvalues of ``W(p)``, descending; a 2-d ``weights`` is a
+        batch of points, one per row."""
+        if np.ndim(weights) == 2:
+            mixed = np.einsum("bi,inm->bnm", np.asarray(weights, dtype=float), self.stack)
+            return np.linalg.eigvalsh(mixed)[:, ::-1]
+        return top_eigenvalues(assemble_gramian(self, weights), self.mode_count)
+
+    def eigenpairs(self, weights, count: int,
+                   horizon: float = math.inf) -> Eigenpairs:
+        """Top ``count`` eigenpairs of ``W(p)``, or of ``W(p, T)`` for a
+        finite ``horizon``."""
+        if not 1 <= count <= self.mode_count:
+            raise IndexMismatch(f"count {count} out of range 1..{self.mode_count}")
+        eigvals, eigvecs = np.linalg.eigh(finite_horizon_gramian(self, weights, horizon))
+        eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+        following = float(eigvals[count]) if count < eigvals.size else None
+        return Eigenpairs(eigvals[:count], following, vectors=eigvecs[:, :count])
+
+    def derivative_rows(self, pairs: Eigenpairs) -> np.ndarray:
+        """``rows[k, i] = d mu_k / d p_i = z_k^T W_i z_k``."""
+        return np.einsum("nk,inm,mk->ki", pairs.vectors, self.stack, pairs.vectors)
+
+    def state_basis(self, pairs: Eigenpairs) -> np.ndarray:
+        """The selected eigenvectors as state-space columns."""
+        return pairs.vectors
+
+    def hessian(self, pairs: Eigenpairs, divided) -> np.ndarray | None:
+        """Hessian of ``sum_k phi(mu_k(p))`` from the divided difference
+        ``divided(a, b)`` of ``phi'``: with ``Q_i = Z^T W_i Z``,
+        ``H[i, j] = sum_kl divided(mu_k, mu_l) Q_i[k, l] Q_j[k, l]``, the
+        trace identities.  Exact only for the whole spectrum, else None."""
+        if pairs.following is not None:
+            return None
+        mu = pairs.values
+        weights = divided(mu[:, None], mu[None, :]).reshape(-1)
+        coords = (pairs.vectors.T @ self.stack @ pairs.vectors).reshape(self.node_count, -1)
+        return (coords * weights) @ coords.T
 
 
 def node_direction(system: StableLTISystem, node: int, basis=None) -> np.ndarray:
@@ -197,7 +293,20 @@ def assemble_gramian(family: NodeGramianFamily, weights) -> np.ndarray:
         raise IndexMismatch(
             f"{family.node_count} node weights expected, got {p.size}"
         )
-    return np.tensordot(p, family.stacked(), axes=1)
+    return np.tensordot(p, family.stack, axes=1)
+
+
+def finite_horizon_gramian(family: NodeGramianFamily, weights,
+                           horizon: float) -> np.ndarray:
+    """Horizon-T Gramian ``W(p, T) = W(p) - exp(TA) W(p) exp(TA)^T``."""
+    if not horizon > 0:
+        raise IndexMismatch("horizon must be positive")
+    mixed = assemble_gramian(family, weights)
+    if math.isinf(horizon):
+        return mixed
+    decay = expm(horizon * family.system.dynamics)
+    gram = mixed - decay @ mixed @ decay.T
+    return 0.5 * (gram + gram.T)
 
 
 def top_eigenvalues(matrix, count: int, tol: float = DEFAULT_TOL) -> np.ndarray:

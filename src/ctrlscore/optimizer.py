@@ -23,7 +23,6 @@ attached).  ``CTRLSCORE_THREADS`` caps how many starts run concurrently
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -103,10 +102,6 @@ class KKTReport:
     objective: float
 
 
-def attach_warning(result: ScoreResult, message: str) -> ScoreResult:
-    return dataclasses.replace(result, warnings=result.warnings + (message,))
-
-
 def _thread_limit(n_tasks: int) -> int:
     raw = os.environ.get("CTRLSCORE_THREADS", "0")
     try:
@@ -151,13 +146,11 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
     prev_point: np.ndarray | None = None
     prev_grad: np.ndarray | None = None
     iterations = 0
-    converged = False
 
     for _ in range(config.max_iters):
         grad = current.gradient
         residual = _pg_residual(point, grad, caps)
         if residual <= config.grad_tol:
-            converged = True
             break
         iterations += 1
 
@@ -227,9 +220,10 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
             if not selections or selections[-1] != rows:
                 selections.append(rows)
     else:
+        # Only this exit has moved the point since the last residual.
         warnings.append("MaxItersExceeded: returning best iterate")
+        residual = _pg_residual(point, current.gradient, caps)
 
-    residual = _pg_residual(point, current.gradient, caps)
     converged = residual <= config.grad_tol
     return _Trajectory(point, current.value, residual, iterations, converged,
                        tuple(selections), tuple(warnings))

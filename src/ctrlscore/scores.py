@@ -8,21 +8,24 @@ the mixed Gramian ``W(p)``:
 
 Minimizing f maximizes the volume of the reachable-ellipsoid section spanned
 by the top eigenmodes; minimizing g minimizes the average energy needed to
-reach unit-sphere targets in that span.  On a spectral model the selected
-eigenvalues are affine in ``p`` (``nu_k = table[k] @ p``), giving exact
-derivatives:
+reach unit-sphere targets in that span.
 
-    df/dp_i   = - sum_k  table[k, i] / nu_k
-    dg/dp_i   = - sum_k  table[k, i] / nu_k**2
-    d2f/didj  =   sum_k  table[k, i] table[k, j] / nu_k**2
-    d2g/didj  = 2 sum_k  table[k, i] table[k, j] / nu_k**3
+The eigenvalues and their derivative rows ``rows[k, i] = d mu_k / d p_i``
+come from the model's methods (``SpectralModel`` in :mod:`ctrlscore.spectral`,
+``NodeGramianFamily`` in :mod:`ctrlscore.linsys`), so value and gradient are
+one formula for every model kind:
 
+    df/dp_i   = - sum_k  rows[k, i] / mu_k
+    dg/dp_i   = - sum_k  rows[k, i] / mu_k**2
+
+Only :func:`evaluate` computes the Hessian; the solver never reads it.
 Points where the n-th eigenvalue vanishes evaluate to ``+inf`` with no
 gradient, so boundary infeasibility acts as a barrier inside line searches.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,9 +33,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapsBind, IndexMismatch, NotDiagonal
-from .linsys import NodeGramianFamily
+from .linsys import Eigenpairs, positive_floor
 from .simplex import SimplexWeights, validate_caps, weight_vector
-from .spectral import DEGENERACY_GAP, SpectralModel, positive_floor
+from .spectral import SpectralModel
 
 
 class ObjectiveKind(Enum):
@@ -54,7 +57,8 @@ class ObjectiveEvaluation:
     """Objective value with derivatives at one weight vector.
 
     ``value`` is ``+inf`` (and ``gradient`` is None) when the n-th eigenvalue
-    is not positive.  ``active_rows`` holds the table rows achieving the top-n
+    is not positive.  ``hessian`` is filled in only by :func:`evaluate`.
+    ``active_rows`` holds the table rows achieving the top-n
     eigenvalues for spectral models (None for matrix families, where the
     selection is simply the top of the spectrum).  ``near_degenerate`` flags a
     (near-)tie between eigenvalues n and n+1, where the selection gradient is
@@ -73,114 +77,40 @@ class ObjectiveEvaluation:
 
 
 class _Objective:
-    """Reusable evaluator; precomputes stacked Gramians for matrix families."""
+    """Reusable evaluator of one score objective on one model."""
 
     def __init__(self, kind: ObjectiveKind, model, count: int | None = None):
         self.kind = kind
         self.model = model
-        if isinstance(model, SpectralModel):
-            self.spectral = True
-            self.table = model.eigen_table
-            self.count = model.score_order if count is None else int(count)
-            self.node_count = model.node_count
-            if not 1 <= self.count <= self.table.shape[0]:
-                raise IndexMismatch(
-                    f"score order {self.count} out of range 1..{self.table.shape[0]}"
-                )
-        elif isinstance(model, NodeGramianFamily):
-            self.spectral = False
-            self.stack = model.stacked()
-            self.n_dim = model.system.n_dim
-            self.count = self.n_dim if count is None else int(count)
-            self.node_count = model.node_count
-            if not 1 <= self.count <= self.n_dim:
-                raise IndexMismatch(
-                    f"score order {self.count} out of range 1..{self.n_dim}"
-                )
-        else:
-            raise TypeError(f"unsupported model type {type(model).__name__}")
-
-    # -- single-point evaluation ------------------------------------------
+        self.count = model.score_order if count is None else int(count)
+        self.node_count = model.node_count
+        limit = model.mode_count
+        if not 1 <= self.count <= limit:
+            raise IndexMismatch(f"score order {self.count} out of range 1..{limit}")
 
     def __call__(self, weights) -> ObjectiveEvaluation:
         p = weight_vector(weights, self.node_count)
-        if self.spectral:
-            return self._eval_spectral(p)
-        return self._eval_matrix(p)
+        return self.at(self.model.eigenpairs(p, self.count))
 
-    def _eval_spectral(self, p: np.ndarray) -> ObjectiveEvaluation:
-        values = self.table @ p
-        order = np.argsort(-values, kind="stable")
-        selected = order[: self.count]
-        mu = values[selected]
-        active = tuple(int(k) for k in selected)
-        near = False
-        if self.count < values.size:
-            gap = mu[-1] - values[order[self.count]]
-            near = gap <= DEGENERACY_GAP * max(abs(mu[-1]), 1e-300)
-        if mu[-1] <= positive_floor(mu[0]):
+    def at(self, pairs: Eigenpairs) -> ObjectiveEvaluation:
+        """Value and gradient from the selected eigenpairs (no Hessian)."""
+        active, near = pairs.active_rows, pairs.near_degenerate
+        if not pairs.positive:
             return ObjectiveEvaluation(math.inf, None, None, active, near)
-        rows = self.table[selected]
+        mu = pairs.values
+        rows = self.model.derivative_rows(pairs)
         if self.kind is ObjectiveKind.VCS:
             value = -float(np.log(mu).sum())
             grad = -(rows / mu[:, None]).sum(axis=0)
-            hess = rows.T @ (rows / mu[:, None] ** 2)
         else:
             value = float((1.0 / mu).sum())
             grad = -(rows / mu[:, None] ** 2).sum(axis=0)
-            hess = 2.0 * rows.T @ (rows / mu[:, None] ** 3)
-        hess = 0.5 * (hess + hess.T)
-        return ObjectiveEvaluation(value, grad, hess, active, near)
-
-    def _eval_matrix(self, p: np.ndarray) -> ObjectiveEvaluation:
-        mixed = np.tensordot(p, self.stack, axes=1)
-        eigvals, eigvecs = np.linalg.eigh(mixed)
-        eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
-        mu = eigvals[: self.count]
-        near = False
-        if self.count < self.n_dim:
-            gap = mu[-1] - eigvals[self.count]
-            near = gap <= DEGENERACY_GAP * max(abs(mu[-1]), 1e-300)
-        if mu[-1] <= positive_floor(max(mu[0], 0.0)):
-            return ObjectiveEvaluation(math.inf, None, None, None, near)
-        span = eigvecs[:, : self.count]
-        # quad[k, i] = z_k^T W_i z_k  (derivative of eigenvalue k w.r.t. p_i)
-        quad = np.einsum("nk,inm,mk->ki", span, self.stack, span)
-        if self.kind is ObjectiveKind.VCS:
-            value = -float(np.log(mu).sum())
-            grad = -(quad / mu[:, None]).sum(axis=0)
-        else:
-            value = float((1.0 / mu).sum())
-            grad = -(quad / mu[:, None] ** 2).sum(axis=0)
-        hess = self._matrix_hessian(eigvals, eigvecs) if self.count == self.n_dim else None
-        return ObjectiveEvaluation(value, grad, hess, None, near)
-
-    def _matrix_hessian(self, eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
-        # Full-spectrum case: f = -log det W and g = tr(W^{-1}) are smooth, so
-        # the trace identities give the exact Hessian even at eigenvalue ties.
-        inv = (eigvecs / eigvals) @ eigvecs.T
-        prods = np.einsum("ab,ibc->iac", inv, self.stack)  # W^{-1} W_i
-        if self.kind is ObjectiveKind.VCS:
-            # H[i, j] = tr(W^{-1} W_i W^{-1} W_j)
-            hess = np.einsum("iab,jba->ij", prods, prods)
-        else:
-            # H[i, j] = 2 tr(W^{-1} W_i W^{-1} W_j W^{-1})
-            right = np.einsum("iab,bc->iac", prods, inv)  # W^{-1} W_i W^{-1}
-            hess = 2.0 * np.einsum("iab,jab->ij", right, prods)
-        return 0.5 * (hess + hess.T)
-
-    # -- batched values (used by the grid oracle) -------------------------
+        return ObjectiveEvaluation(value, grad, None, active, near)
 
     def batch_values(self, batch: np.ndarray) -> np.ndarray:
         """Objective value at every row of ``batch`` (+inf where infeasible)."""
         batch = np.asarray(batch, dtype=float)
-        if self.spectral:
-            values = batch @ self.table.T
-            top = -np.sort(-values, axis=1)[:, : self.count]
-        else:
-            mixed = np.einsum("bi,inm->bnm", batch, self.stack)
-            eigvals = np.linalg.eigvalsh(mixed)
-            top = eigvals[:, ::-1][:, : self.count]
+        top = self.model.eigenvalues(batch)[:, : self.count]
         floor = positive_floor(1.0) * np.maximum(1.0, top[:, 0])
         feasible = top[:, -1] > np.maximum(floor, 0.0)
         out = np.full(batch.shape[0], math.inf)
@@ -201,9 +131,23 @@ def evaluate(kind: ObjectiveKind, model, weights,
     ``count`` overrides the number of selected eigenvalues (defaults to the
     model's score order, or the full dimension for matrix families).  The
     Hessian is exact for spectral models and, for matrix families, available
-    when the selection covers the whole spectrum.
+    when the selection covers the whole spectrum.  It comes from the divided
+    differences of ``phi'`` for the objective ``sum_k phi(mu_k)``:
+    ``1 / (mu_k mu_l)`` for VCS and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS.
     """
-    return _Objective(kind, model, count)(weights)
+    objective = _Objective(kind, model, count)
+    pairs = model.eigenpairs(weight_vector(weights, objective.node_count),
+                             objective.count)
+    evaluation = objective.at(pairs)
+    if not evaluation.feasible:
+        return evaluation
+    if kind is ObjectiveKind.VCS:
+        hess = model.hessian(pairs, lambda a, b: 1.0 / (a * b))
+    else:
+        hess = model.hessian(pairs, lambda a, b: (a + b) / (a * b) ** 2)
+    if hess is not None:
+        hess = 0.5 * (hess + hess.T)
+    return dataclasses.replace(evaluation, hessian=hess)
 
 
 def closed_form_optimum(kind: ObjectiveKind, model: SpectralModel,
@@ -252,33 +196,3 @@ def closed_form_optimum(kind: ObjectiveKind, model: SpectralModel,
     if np.any(values > caps_arr):
         raise CapsBind("closed-form optimum violates a cap; use the solver")
     return SimplexWeights(values, caps_arr)
-
-
-def finite_dim_scores(family: NodeGramianFamily, kind: ObjectiveKind,
-                      count: int | None = None, config=None, caps=None):
-    """Solve the score problem for a finite-dimensional family.
-
-    Delegates to :func:`ctrlscore.optimizer.solve`.  When the selection covers
-    the full spectrum the optimal value is cross-checked against the direct
-    log-determinant / trace-of-inverse form; a mismatch is attached to the
-    result's warnings.
-    """
-    from . import optimizer  # deferred: optimizer depends on this module
-    from .linsys import assemble_gramian
-
-    n = family.system.n_dim if count is None else int(count)
-    result = optimizer.solve(kind, family, n, config=config, caps=caps)
-    if n == family.system.n_dim:
-        mixed = assemble_gramian(family, result.weights)
-        if kind is ObjectiveKind.VCS:
-            sign, logdet = np.linalg.slogdet(mixed)
-            direct = -logdet if sign > 0 else math.inf
-        else:
-            direct = float(np.trace(np.linalg.inv(mixed)))
-        scale = max(1.0, abs(direct))
-        if abs(direct - result.objective) > 1e-8 * scale:
-            result = optimizer.attach_warning(
-                result,
-                f"full-spectrum cross-check mismatch: {result.objective!r} vs {direct!r}",
-            )
-    return result

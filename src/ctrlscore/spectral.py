@@ -12,10 +12,16 @@ structural assumptions behind the uniqueness guarantee:
 * feasibility -- some weight vector keeps the n-th eigenvalue positive;
 * commutation -- ``W_i W_j = W_j W_i`` for all pairs;
 * n-spectrum  -- every ``W_i`` vanishes outside one fixed n-dimensional span.
+
+The eigen logic lives on the model classes: ``SpectralModel`` and
+:class:`~ctrlscore.linsys.NodeGramianFamily` have the same methods
+(``eigenvalues``, ``eigenpairs``, ``derivative_rows``, ``state_basis``,
+``hessian``), so their callers never branch on the model type.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,22 +33,22 @@ from .errors import (
     IndexMismatch,
     NotCommuting,
 )
-from .linsys import NodeGramianFamily, assemble_gramian, top_eigenvalues
+from .linsys import (
+    DEGENERACY_GAP,
+    Eigenpairs,
+    NodeGramianFamily,
+    positive_floor,
+)
 from .simplex import SimplexWeights, central_point, validate_caps, weight_vector
 
 #: Default relative tolerance for the assumption checkers.
 CHECK_TOL = 1e-8
 
-#: Relative eigenvalue gap below which eigenvalues are treated as degenerate.
-DEGENERACY_GAP = 1e-8
 
-#: An eigenvalue counts as positive only above this relative floor.
-POSITIVE_FLOOR = 1e-12
-
-
-def positive_floor(top_eigenvalue: float) -> float:
-    """Threshold below which an eigenvalue is treated as zero."""
-    return POSITIVE_FLOOR * max(1.0, float(top_eigenvalue))
+def _select_rows(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` largest values, ties broken by lowest index."""
+    order = np.argsort(-values, kind="stable")
+    return order[:count]
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,46 @@ class SpectralModel:
     @property
     def node_count(self) -> int:
         return len(self.node_indices)
+
+    def eigenvalues(self, weights) -> np.ndarray:
+        """All ``K`` eigenvalues of ``W(p)``, descending; a 2-d ``weights``
+        is a batch of points, one per row."""
+        if np.ndim(weights) == 2:
+            values = np.asarray(weights, dtype=float) @ self.eigen_table.T
+        else:
+            values = self.eigen_table @ weight_vector(weights, self.node_count)
+        return np.sort(values, axis=-1)[..., ::-1]
+
+    def eigenpairs(self, weights, count: int,
+                   horizon: float = math.inf) -> Eigenpairs:
+        """Top ``count`` eigenvalues of ``W(p)`` and the table rows giving
+        them; only the infinite horizon has a table."""
+        if not math.isinf(horizon):
+            raise IndexMismatch("spectral models support only horizon = inf")
+        if not 1 <= count <= self.mode_count:
+            raise IndexMismatch(f"count {count} out of range 1..{self.mode_count}")
+        values = self.eigen_table @ weight_vector(weights, self.node_count)
+        order = _select_rows(values, count + 1)
+        following = float(values[order[count]]) if count < order.size else None
+        selected = order[:count]
+        return Eigenpairs(values[selected], following, selected=selected)
+
+    def derivative_rows(self, pairs: Eigenpairs) -> np.ndarray:
+        """``rows[k, i] = d mu_k / d p_i``: the selected table rows."""
+        return self.eigen_table[pairs.selected]
+
+    def state_basis(self, pairs: Eigenpairs) -> np.ndarray:
+        """Selector columns: the eigenvectors are the mode coordinates."""
+        basis = np.zeros((self.mode_count, pairs.selected.size))
+        basis[pairs.selected, np.arange(pairs.selected.size)] = 1.0
+        return basis
+
+    def hessian(self, pairs: Eigenpairs, divided) -> np.ndarray:
+        """Hessian of ``sum_k phi(mu_k(p))`` from the divided difference
+        ``divided(a, b)`` of ``phi'``.  The eigenvalues are affine in ``p``,
+        so ``H = rows^T diag(phi''(mu)) rows`` with ``phi''(mu) = divided(mu, mu)``."""
+        rows = self.derivative_rows(pairs)
+        return rows.T @ (rows * divided(pairs.values, pairs.values)[:, None])
 
 
 @dataclass(frozen=True)
@@ -152,17 +198,9 @@ def heat_dirichlet_model(node_indices, score_order: int | None = None) -> Spectr
     return SpectralModel(indices, table, score_order)
 
 
-def model_eigenvalues(model: SpectralModel, weights) -> np.ndarray:
-    """All ``K`` eigenvalues of ``W(p)``, sorted descending."""
-    p = weight_vector(weights, model.node_count)
-    values = model.eigen_table @ p
-    return np.sort(values)[::-1]
-
-
-def _select_rows(values: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` largest values, ties broken by lowest index."""
-    order = np.argsort(-values, kind="stable")
-    return order[:count]
+def model_eigenvalues(model, weights) -> np.ndarray:
+    """All eigenvalues of ``W(p)``, sorted descending."""
+    return model.eigenvalues(weights)
 
 
 def check_commuting(family, tol: float = CHECK_TOL) -> tuple[bool, float]:
@@ -196,11 +234,11 @@ def check_n_spectrum(model, count: int | None = None,
     ``max_i ||W_i - Pi W_i Pi||_F / max(1, ||W_i||_F)`` for the orthogonal
     projection ``Pi`` onto the span.
     """
+    n = model.score_order if count is None else int(count)
+    if n >= model.mode_count:
+        return True, 0.0
     if isinstance(model, SpectralModel):
-        n = model.score_order if count is None else int(count)
         table = model.eigen_table
-        if n >= table.shape[0]:
-            return True, 0.0
         selected = _select_rows(table.sum(axis=1), n)
         outside = np.ones(table.shape[0], dtype=bool)
         outside[selected] = False
@@ -208,10 +246,7 @@ def check_n_spectrum(model, count: int | None = None,
         return residual <= tol, residual
 
     family: NodeGramianFamily = model
-    n = family.system.n_dim if count is None else int(count)
-    if n >= family.system.n_dim:
-        return True, 0.0
-    total = np.sum(family.stacked(), axis=0)
+    total = np.sum(family.stack, axis=0)
     _, vecs = np.linalg.eigh(total)
     span = vecs[:, ::-1][:, :n]
     projector = span @ span.T
@@ -223,15 +258,6 @@ def check_n_spectrum(model, count: int | None = None,
             float(np.linalg.norm(gram - kept) / max(1.0, np.linalg.norm(gram))),
         )
     return worst <= tol, worst
-
-
-def _nth_eigenvalue(model, weights, count: int) -> tuple[float, float]:
-    """(mu_n, mu_1) of ``W(p)`` for either model kind."""
-    if isinstance(model, SpectralModel):
-        values = model_eigenvalues(model, weights)
-    else:
-        values = top_eigenvalues(assemble_gramian(model, weights), model.system.n_dim)
-    return float(values[count - 1]), float(values[0])
 
 
 def _witness_candidates(caps: np.ndarray):
@@ -259,22 +285,17 @@ def check_feasibility(model, count: int | None = None, caps=None,
     cap-saturating pattern, accepting the first weights with a strictly
     positive n-th eigenvalue.  Infeasibility is reported, never raised.
     """
-    if isinstance(model, SpectralModel):
-        m = model.node_count
-        n = model.score_order if count is None else int(count)
-        limit = model.mode_count
-    else:
-        m = model.node_count
-        n = model.system.n_dim if count is None else int(count)
-        limit = model.system.n_dim
-    if not 1 <= n <= limit:
-        raise IndexMismatch(f"score order {n} out of range 1..{limit}")
+    m = model.node_count
+    n = model.score_order if count is None else int(count)
+    if not 1 <= n <= model.mode_count:
+        raise IndexMismatch(f"score order {n} out of range 1..{model.mode_count}")
     caps_arr = np.ones(m) if caps is None else validate_caps(caps)
 
     witness = None
     best_mu = -np.inf
     for candidate in _witness_candidates(caps_arr):
-        mu_n, mu_1 = _nth_eigenvalue(model, candidate, n)
+        values = model.eigenvalues(candidate)
+        mu_n, mu_1 = float(values[n - 1]), float(values[0])
         best_mu = max(best_mu, mu_n)
         if mu_n > positive_floor(mu_1):
             witness = candidate
@@ -344,7 +365,7 @@ def spectral_model_from_gramians(family: NodeGramianFamily,
     n_dim = family.system.n_dim
     n = n_dim if score_order is None else int(score_order)
 
-    total = np.sum(family.stacked(), axis=0)
+    total = np.sum(family.stack, axis=0)
     total = 0.5 * (total + total.T)
     vals, vecs = np.linalg.eigh(total)
     vals, vecs = vals[::-1], vecs[:, ::-1]

@@ -52,6 +52,21 @@ def test_singular_gramian():
         cs.min_energy(model, [1.0, 0.0], EnergyQuery(np.array([1.0, 1.0]), 2))
 
 
+def test_rank_beyond_the_spectrum_is_rejected():
+    family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0])), [1, 2])
+    for model in (cs.heat_dirichlet_model([1, 2]), family):
+        with pytest.raises(cs.IndexMismatch):
+            cs.reachable_ellipsoid(model, [0.5, 0.5], 3)
+        with pytest.raises(cs.IndexMismatch):
+            cs.min_energy(model, [0.5, 0.5], EnergyQuery(np.ones(2), 3))
+
+
+def test_finite_horizon_is_rejected_on_spectral_models():
+    model = cs.heat_dirichlet_model([1, 2])
+    with pytest.raises(cs.IndexMismatch):
+        cs.min_energy(model, [0.5, 0.5], EnergyQuery(np.ones(2), 2, horizon=1.0))
+
+
 def test_ellipsoid_diagonal_example():
     # mixed Gramian diag(0.25, 0.04)
     family = cs.NodeGramianFamily(

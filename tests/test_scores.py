@@ -175,20 +175,33 @@ def test_closed_form_errors():
         cs.closed_form_optimum(ObjectiveKind.AECS, heat, caps=[0.05, 1, 1, 1])
 
 
+def _assert_full_spectrum_cross_check(family, kind, result):
+    # direct log-determinant / trace-of-inverse form of the full-spectrum score
+    mixed = cs.assemble_gramian(family, result.weights)
+    if kind is ObjectiveKind.VCS:
+        sign, logdet = np.linalg.slogdet(mixed)
+        direct = -logdet if sign > 0 else math.inf
+    else:
+        direct = float(np.trace(np.linalg.inv(mixed)))
+    assert abs(direct - result.objective) <= 1e-8 * max(1.0, abs(direct))
+
+
 def test_finite_dim_scores_examples(rng):
     sym = cs.gramian_family(cs.check_stability(np.diag([-1.0, -1.0])), [1, 2])
-    result = cs.finite_dim_scores(sym, ObjectiveKind.VCS)
+    result = cs.solve(ObjectiveKind.VCS, sym)
     np.testing.assert_allclose(result.weights.values, [0.5, 0.5], atol=1e-8)
+    _assert_full_spectrum_cross_check(sym, ObjectiveKind.VCS, result)
 
     family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0])), [1, 2])
-    aecs = cs.finite_dim_scores(family, ObjectiveKind.AECS)
+    aecs = cs.solve(ObjectiveKind.AECS, family)
     root2 = math.sqrt(2.0)
     want = np.array([root2 / (root2 + 2.0), 2.0 / (root2 + 2.0)])
     np.testing.assert_allclose(aecs.weights.values, want, atol=1e-7)
+    _assert_full_spectrum_cross_check(family, ObjectiveKind.AECS, aecs)
     best, best_value = cs.grid_oracle(ObjectiveKind.AECS, family, step=0.01)
     assert aecs.objective <= best_value + 1e-9
     assert np.max(np.abs(aecs.weights.values - best.values)) <= 0.01
 
-    vcs = cs.finite_dim_scores(family, ObjectiveKind.VCS)
+    vcs = cs.solve(ObjectiveKind.VCS, family)
     np.testing.assert_allclose(vcs.weights.values, [0.5, 0.5], atol=1e-7)
-    assert not vcs.warnings or all("cross-check" not in w for w in vcs.warnings)
+    _assert_full_spectrum_cross_check(family, ObjectiveKind.VCS, vcs)
