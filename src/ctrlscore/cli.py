@@ -380,9 +380,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except BadIndexSet as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CtrlscoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

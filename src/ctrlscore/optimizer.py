@@ -196,20 +196,6 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
             break
         trial, candidate = accepted
 
-        # A change in the selected eigen-rows means the objective switched
-        # branch; damp the step once to limit oscillation at the crossing.
-        if (candidate.active_rows is not None
-                and current.active_rows is not None
-                and set(candidate.active_rows) != set(current.active_rows)):
-            half = project_capped_simplex(point - 0.5 * size * grad, caps)
-            half_dir = half.values - point
-            half_eval = objective(half.values)
-            if (half_eval.feasible and np.any(half_dir)
-                    and half_eval.value
-                    <= current.value + config.armijo_c * float(grad @ half_dir)):
-                trial, candidate = half, half_eval
-                size *= 0.5
-
         point = trial.values
         current = candidate
         step = size

@@ -75,12 +75,6 @@ class SimplexWeights:
     def __len__(self) -> int:
         return self.values.size
 
-    @staticmethod
-    def uniform(size: int, caps=None) -> "SimplexWeights":
-        """The projection of the uniform vector onto the capped simplex."""
-        caps_arr = np.ones(size) if caps is None else validate_caps(caps)
-        return project_capped_simplex(np.full(size, 1.0 / size), caps_arr)
-
 
 def central_point(caps) -> SimplexWeights:
     """Interior starting point: projection of the uniform vector onto the set."""
@@ -92,11 +86,15 @@ def project_capped_simplex(point, caps) -> SimplexWeights:
     """Euclidean projection onto ``{x : sum(x) = 1, 0 <= x <= caps}``.
 
     The projection is ``x_i = clip(v_i - tau, 0, a_i)`` for the unique dual
-    shift ``tau`` making the result sum to one.  ``tau`` is located by
-    bisection on the monotone map ``tau -> sum(clip(v - tau, 0, a))`` and then
-    polished with one exact linear solve on the identified free set, so the
-    result is a fixed point for feasible input and sums to one at machine
-    precision.
+    shift ``tau`` making the result sum to one.  The mass
+    ``tau -> sum(clip(v - tau, 0, a))`` is nonincreasing and piecewise linear
+    with breakpoints at ``v - a`` and ``v`` (Wang & Lu, arXiv:1503.01002;
+    Condat, Math. Prog. 2016), so one sort of the ``2m`` breakpoints and a
+    cumulative sum of the slopes give the mass at every breakpoint.  On the
+    segment where the mass crosses one, the active sets are fixed and ``tau``
+    solves a linear equation.  Feasible input is returned unchanged, and a
+    final repair spreads rounding error over the free coordinates so the
+    result sums to one at machine precision.
 
     Raises
     ------
@@ -112,32 +110,24 @@ def project_capped_simplex(point, caps) -> SimplexWeights:
     if abs(v.sum() - 1.0) <= SUM_TOL and np.all(v >= 0.0) and np.all(v <= a):
         return SimplexWeights(v.copy(), a.copy())
 
-    def mass(tau: float) -> float:
-        return float(np.minimum(np.maximum(v - tau, 0.0), a).sum())
-
-    lo = float(np.min(v - a))  # mass(lo) = sum(a) >= 1
-    hi = float(np.max(v))      # mass(hi) = 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mass(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-18 * max(1.0, abs(lo)):
-            break
-    tau = 0.5 * (lo + hi)
-
-    # Polish: with the active sets fixed by tau, tau solves a linear equation.
-    shifted = v - tau
-    free = (shifted > 0.0) & (shifted < a)
-    capped = shifted >= a
-    if np.any(free):
-        tau_exact = (v[free].sum() + a[capped].sum() - 1.0) / free.sum()
-        shifted_exact = v - tau_exact
-        free_exact = (shifted_exact > 0.0) & (shifted_exact < a)
-        capped_exact = shifted_exact >= a
-        if np.array_equal(free_exact, free) and np.array_equal(capped_exact, capped):
-            tau = tau_exact
+    m = v.size
+    breakpoints = np.concatenate((v - a, v))
+    # Passing v_i - a_i frees coordinate i; passing v_i sends it to zero.  The
+    # stable sort keeps every v_i - a_i ahead of an equal v_j, so the first
+    # segment always has a free coordinate.
+    order = np.argsort(breakpoints, kind="stable")
+    free_counts = np.cumsum(np.where(order < m, 1, -1))[:-1]
+    drops = free_counts * np.diff(breakpoints[order])
+    # Mass at every breakpoint but the last, where it is zero.
+    mass = a.sum() - np.concatenate(([0.0], np.cumsum(drops[:-1])))
+    # The segment after breakpoint k holds the crossing.  Index 0 also covers
+    # caps summing to just under one, which validate_caps accepts.
+    k = max(np.count_nonzero(mass >= 1.0) - 1, 0)
+    rank = np.empty(2 * m, dtype=int)
+    rank[order] = np.arange(2 * m)
+    capped = rank[:m] > k
+    free = ~capped & (rank[m:] > k)
+    tau = (v[free].sum() + a[capped].sum() - 1.0) / free.sum()
 
     x = np.minimum(np.maximum(v - tau, 0.0), a)
     # Distribute residual rounding mass over the free coordinates.  The

@@ -201,6 +201,16 @@ def test_selection_history_tracks_crossings():
                           SolveConfig(), trace=trace)
     assert trajectory.selections  # at least the initial selection is recorded
 
+    # Here the top row switches on the way to the optimum [0, 1].
+    crossing = cs.SpectralModel((1, 2), np.array([[0.0, 1.0], [0.5, 1.0]]), 1)
+    for kind in (ObjectiveKind.VCS, ObjectiveKind.AECS):
+        result = cs.solve(kind, crossing, config=SolveConfig(starts=1))
+        assert len(result.selection_history) >= 2
+        assert result.converged
+        best, best_value = cs.grid_oracle(kind, crossing, step=0.05)
+        np.testing.assert_allclose(result.weights.values, best.values, atol=1e-9)
+        assert result.objective <= best_value + 1e-12
+
 
 def test_solve_config_validation():
     with pytest.raises(ValueError):

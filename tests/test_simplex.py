@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import project_by_active_set
 
 import ctrlscore as cs
-from ctrlscore.simplex import project_capped_simplex, central_point, SimplexWeights
+from ctrlscore.simplex import SUM_TOL, project_capped_simplex, central_point, SimplexWeights
 
 
 def test_feasible_point_is_fixed():
@@ -80,3 +80,36 @@ def test_projection_properties(raw_point, raw_caps, salt):
     # agrees with the brute-force QP oracle
     oracle = project_by_active_set(point, caps)
     np.testing.assert_allclose(projected.values, oracle, atol=1e-9)
+
+
+@pytest.mark.parametrize("size", [50, 1000])
+@pytest.mark.parametrize("shape", ["random", "tied", "cap-binding"])
+def test_projection_optimality_conditions_large(size, shape):
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        point = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=size)
+        caps = np.ones(size)
+        if shape == "tied":
+            point = np.round(point, 1)
+        elif shape == "cap-binding":
+            point = np.abs(point) + 1.0
+            caps = rng.uniform(1.0, 2.0, size) / size
+        x = project_capped_simplex(point, caps).values
+        # Free coordinates share one shift v_i - x_i; coordinates at zero lie
+        # at or below it and coordinates at their cap at or above it.
+        slack = 64.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(point)))
+        shifts = (point - x)[(x > 0.0) & (x < caps)]
+        highest = max([*shifts, *point[x == 0.0]], default=-np.inf)
+        lowest = min([*shifts, *(point - caps)[x == caps]], default=np.inf)
+        assert highest <= lowest + slack
+        assert abs(x.sum() - 1.0) <= SUM_TOL
+        assert np.array_equal(project_capped_simplex(x, caps).values, x)
+        if shape == "cap-binding":
+            assert np.any(x == caps)
+
+
+def test_projection_caps_sum_just_below_one():
+    caps = np.array([0.5, 0.5 - 5e-13])
+    with np.errstate(all="raise"):
+        projected = project_capped_simplex([2.0, 3.0], caps)
+    assert np.array_equal(projected.values, caps)
