@@ -88,7 +88,6 @@ from .spectral import (
     check_feasibility,
     check_n_spectrum,
     heat_dirichlet_model,
-    model_eigenvalues,
     spectral_model_from_gramians,
 )
 

@@ -377,10 +377,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CtrlscoreError as exc:
+    except (OSError, CtrlscoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -42,9 +42,9 @@ DEGENERACY_GAP = 1e-8
 POSITIVE_FLOOR = 1e-12
 
 
-def positive_floor(top_eigenvalue: float) -> float:
-    """Threshold below which an eigenvalue is treated as zero."""
-    return POSITIVE_FLOOR * max(1.0, float(top_eigenvalue))
+def positive_floor(top_eigenvalue):
+    """Threshold below which an eigenvalue is treated as zero (elementwise)."""
+    return POSITIVE_FLOOR * np.maximum(1.0, top_eigenvalue)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Model file format: parsing, validation, serialization.
 
 A model file is a line-oriented text format with an explicit schema version.
-``#`` starts a comment, blank lines are ignored, tokens are whitespace
-separated.  Grammar (EBNF, also documented in the README):
+``#`` starts a comment that runs to the end of the line, on statement and
+payload rows alike; blank lines are ignored.  Tokens are separated by any
+whitespace, tabs included.  Grammar (EBNF, also documented in the README):
 
     file    = header { line } ;
     header  = "ctrlscore-model" "v" INT EOL ;
@@ -20,12 +21,15 @@ Exactly one payload kind per file: ``dense_lti`` carries a square dynamics
 matrix (row-major), ``spectral_table`` a K x m nonnegative eigenvalue table,
 ``heat_dirichlet`` only the node indices.  ``caps`` is optional and must
 match the node count.  Parse and consistency failures raise
-:class:`~ctrlscore.errors.ParseError` with a 1-based line and column.
+:class:`~ctrlscore.errors.ParseError` with a 1-based line and column; the
+column is a 1-based character offset (a tab counts as one character).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -79,34 +83,12 @@ class ModelFile:
         return gramian_family(system, self.node_indices)
 
 
-class _Lines:
-    """Token stream over comment-stripped lines with position tracking."""
+_TOKEN = re.compile(r"\S+")
 
-    def __init__(self, text: str):
-        self.rows: list[tuple[int, list[tuple[str, int]]]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0]
-            tokens = []
-            col = 0
-            while col < len(body):
-                if body[col].isspace():
-                    col += 1
-                    continue
-                start = col
-                while col < len(body) and not body[col].isspace():
-                    col += 1
-                tokens.append((body[start:col], start + 1))
-            if tokens:
-                self.rows.append((lineno, tokens))
-        self.cursor = 0
 
-    def peek(self):
-        return self.rows[self.cursor] if self.cursor < len(self.rows) else None
-
-    def advance(self):
-        row = self.rows[self.cursor]
-        self.cursor += 1
-        return row
+def _tokens(body: str) -> list[tuple[str, int]]:
+    """Each whitespace-separated token of a line with its 1-based column."""
+    return [(match.group(), match.start() + 1) for match in _TOKEN.finditer(body)]
 
 
 def _to_int(token: str, line: int, col: int) -> int:
@@ -123,32 +105,43 @@ def _to_float(token: str, line: int, col: int) -> float:
         raise ParseError(f"expected number, got {token!r}", line, col)
 
 
-def _read_rows(lines: _Lines, nrows: int, ncols: int, what: str):
+def _read_rows(lines, nrows: int, ncols: int, what: str, last_line: int):
+    """Take the next ``nrows`` lines of ``lines`` as rows of ``ncols`` numbers.
+
+    Token columns are only worked out for the error message.
+    """
     data = []
-    for _ in range(nrows):
-        row = lines.peek()
-        if row is None:
+    for lineno, body in islice(lines, nrows):
+        values = body.split()
+        if len(values) != ncols:
             raise ParseError(
-                f"{what}: expected {nrows} rows, file ended after {len(data)}",
-                lines.rows[-1][0] if lines.rows else 1, 1,
+                f"{what}: expected {ncols} entries per row, got {len(values)}",
+                lineno, _tokens(body)[0][1],
             )
-        lineno, tokens = lines.advance()
-        if len(tokens) != ncols:
-            raise ParseError(
-                f"{what}: expected {ncols} entries per row, got {len(tokens)}",
-                lineno, tokens[0][1],
-            )
-        data.append(tuple(_to_float(t, lineno, c) for t, c in tokens))
+        try:
+            data.append(tuple(map(float, values)))
+        except ValueError:
+            for token, col in _tokens(body):
+                _to_float(token, lineno, col)  # raises at the first bad token
+    if len(data) < nrows:
+        raise ParseError(
+            f"{what}: expected {nrows} rows, file ended after {len(data)}",
+            last_line, 1,
+        )
     return tuple(data)
 
 
 def parse_model_text(text: str) -> ModelFile:
     """Parse and validate a model file; raises ParseError on any defect."""
-    lines = _Lines(text)
-    header = lines.peek()
-    if header is None:
+    bodies = (raw.split("#", 1)[0] for raw in text.splitlines())
+    numbered = [(lineno, body) for lineno, body in enumerate(bodies, start=1)
+                if body.strip()]
+    if not numbered:
         raise ParseError("empty model file", 1, 1)
-    lineno, tokens = lines.advance()
+    last_line = numbered[-1][0]
+    lines = iter(numbered)
+    lineno, body = next(lines)
+    tokens = _tokens(body)
     if tokens[0][0] != "ctrlscore-model":
         raise ParseError("expected header 'ctrlscore-model v<INT>'",
                          lineno, tokens[0][1])
@@ -168,8 +161,8 @@ def parse_model_text(text: str) -> ModelFile:
     table = None
     positions: dict[str, tuple[int, int]] = {}
 
-    while lines.peek() is not None:
-        lineno, tokens = lines.advance()
+    for lineno, body in lines:
+        tokens = _tokens(body)
         word, col = tokens[0]
         seen_before = word in positions
         positions[word] = (lineno, col)
@@ -202,7 +195,7 @@ def parse_model_text(text: str) -> ModelFile:
             dim = _to_int(tokens[1][0], lineno, tokens[1][1])
             if dim < 1:
                 raise ParseError("matrix dimension must be >= 1", lineno, tokens[1][1])
-            matrix = _read_rows(lines, dim, dim, "matrix")
+            matrix = _read_rows(lines, dim, dim, "matrix", last_line)
         elif word == "table":
             if len(tokens) != 3:
                 raise ParseError("table takes row and column counts", lineno, col)
@@ -210,7 +203,7 @@ def parse_model_text(text: str) -> ModelFile:
             ncols = _to_int(tokens[2][0], lineno, tokens[2][1])
             if nrows < 1 or ncols < 1:
                 raise ParseError("table dimensions must be >= 1", lineno, tokens[1][1])
-            table = _read_rows(lines, nrows, ncols, "table")
+            table = _read_rows(lines, nrows, ncols, "table", last_line)
         else:
             raise ParseError(f"unknown statement {word!r}", lineno, col)
 

@@ -111,8 +111,7 @@ class _Objective:
         """Objective value at every row of ``batch`` (+inf where infeasible)."""
         batch = np.asarray(batch, dtype=float)
         top = self.model.eigenvalues(batch)[:, : self.count]
-        floor = positive_floor(1.0) * np.maximum(1.0, top[:, 0])
-        feasible = top[:, -1] > np.maximum(floor, 0.0)
+        feasible = top[:, -1] > positive_floor(top[:, 0])
         out = np.full(batch.shape[0], math.inf)
         good = top[feasible]
         if good.size:

@@ -198,11 +198,6 @@ def heat_dirichlet_model(node_indices, score_order: int | None = None) -> Spectr
     return SpectralModel(indices, table, score_order)
 
 
-def model_eigenvalues(model, weights) -> np.ndarray:
-    """All eigenvalues of ``W(p)``, sorted descending."""
-    return model.eigenvalues(weights)
-
-
 def check_commuting(family, tol: float = CHECK_TOL) -> tuple[bool, float]:
     """Largest normalized pairwise commutator residual of the family.
 
@@ -319,7 +314,11 @@ def check_feasibility(model, count: int | None = None, caps=None,
 
 def _refine_block(block_vectors: np.ndarray, grams, gram_index: int,
                   gap: float) -> np.ndarray:
-    """Rotate a degenerate eigenblock to diagonalize the remaining Gramians."""
+    """Rotate ``block_vectors`` to diagonalize ``grams[gram_index:]`` on their span.
+
+    The block is split where the eigenvalues of ``grams[gram_index]`` restricted
+    to it have a gap, and each tied group is refined by the next matrix.
+    """
     if block_vectors.shape[1] <= 1 or gram_index >= len(grams):
         return block_vectors
     restricted = block_vectors.T @ grams[gram_index] @ block_vectors
@@ -366,19 +365,7 @@ def spectral_model_from_gramians(family: NodeGramianFamily,
     n = n_dim if score_order is None else int(score_order)
 
     total = np.sum(family.stack, axis=0)
-    total = 0.5 * (total + total.T)
-    vals, vecs = np.linalg.eigh(total)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    scale = max(1.0, float(abs(vals[0])))
-    pieces = []
-    start = 0
-    for stop in range(1, vals.size + 1):
-        if stop == vals.size or vals[stop - 1] - vals[stop] > DEGENERACY_GAP * scale:
-            pieces.append(
-                _refine_block(vecs[:, start:stop], family.gramians, 0, DEGENERACY_GAP)
-            )
-            start = stop
-    basis = np.hstack(pieces)
+    basis = _refine_block(np.eye(n_dim), (total,) + family.gramians, 0, DEGENERACY_GAP)
 
     table = np.empty((n_dim, family.node_count))
     for col, gram in enumerate(family.gramians):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctrlscore as cs
 from ctrlscore.modelfile import dump_model_text, parse_model_text
@@ -88,6 +90,14 @@ def test_unstable_dense_raises_on_build():
         ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2\ntable 1 2\n1 0 0\n", 5, 1),
         ("ctrlscore-model v1\nkind heat_dirichlet\nnodes 1 2\ncaps 1\n", 4, 1),
         ("ctrlscore-model v1\nkind heat_dirichlet\nnodes 1 2\nn 2\nn 2\n", 5, 1),
+        ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2 3\ntable 1 3\n"
+         "1.0 0.5 x\n", 5, 9),
+        ("ctrlscore-model v1\nkind dense_lti\nnodes 1 2\nmatrix 2\n-1\t1\n"
+         "0\t\t-2e\n", 6, 4),
+        ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2\ntable 2 2\n1 0\n"
+         "   0.5\n", 6, 4),
+        ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2\ntable 1 2\n"
+         " 1 #0\n", 5, 2),
     ],
 )
 def test_parse_errors_carry_position(text, line, column):
@@ -95,6 +105,30 @@ def test_parse_errors_carry_position(text, line, column):
         parse_model_text(text)
     assert info.value.line == line
     assert info.value.column == column
+
+
+_FUZZ_PIECES = ["0", "1", "-2", "0.5", "1e-3", "nan", "x", "#", "v", "v1", " ",
+                "\t", "\n", "\r\n", "\x0c", "\u3000", "kind", "nodes", "n",
+                "caps", "matrix", "table", "dense_lti", "spectral_table"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([HEAT_TEXT, DENSE_TEXT, TABLE_TEXT]),
+       st.lists(st.tuples(st.floats(0, 1), st.integers(0, 3),
+                          st.sampled_from(_FUZZ_PIECES)), max_size=6))
+def test_parse_fuzz_returns_model_or_parse_error(seed, edits):
+    """Mutated files either parse or raise ParseError at a real position."""
+    text = seed
+    for where, cut, piece in edits:
+        at = int(where * len(text))
+        text = text[:at] + piece + text[at + cut:]
+    try:
+        parsed = parse_model_text(text)
+    except cs.ParseError as exc:
+        assert 1 <= exc.line <= max(1, len(text.splitlines()))
+        assert exc.column >= 1
+    else:
+        assert isinstance(parsed, cs.ModelFile)
 
 
 def test_missing_payload_rejected():
