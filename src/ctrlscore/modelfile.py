@@ -20,13 +20,16 @@ whitespace, tabs included.  Grammar (EBNF, also documented in the README):
 Exactly one payload kind per file: ``dense_lti`` carries a square dynamics
 matrix (row-major), ``spectral_table`` a K x m nonnegative eigenvalue table,
 ``heat_dirichlet`` only the node indices.  ``caps`` is optional and must
-match the node count.  Parse and consistency failures raise
+match the node count.  Numbers must be finite: ``nan``, ``inf`` and
+overflowing literals such as ``1e999`` are rejected where they stand.
+Parse and consistency failures raise
 :class:`~ctrlscore.errors.ParseError` with a 1-based line and column; the
 column is a 1-based character offset (a tab counts as one character).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import islice
@@ -100,9 +103,12 @@ def _to_int(token: str, line: int, col: int) -> int:
 
 def _to_float(token: str, line: int, col: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"expected number, got {token!r}", line, col)
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {token!r}", line, col)
+    return value
 
 
 def _read_rows(lines, nrows: int, ncols: int, what: str, last_line: int):
@@ -119,10 +125,14 @@ def _read_rows(lines, nrows: int, ncols: int, what: str, last_line: int):
                 lineno, _tokens(body)[0][1],
             )
         try:
-            data.append(tuple(map(float, values)))
+            row = tuple(map(float, values))
+            finite = all(map(math.isfinite, row))
         except ValueError:
+            finite = False
+        if not finite:
             for token, col in _tokens(body):
                 _to_float(token, lineno, col)  # raises at the first bad token
+        data.append(row)
     if len(data) < nrows:
         raise ParseError(
             f"{what}: expected {nrows} rows, file ended after {len(data)}",

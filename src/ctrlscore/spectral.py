@@ -37,6 +37,7 @@ from .linsys import (
     DEGENERACY_GAP,
     Eigenpairs,
     NodeGramianFamily,
+    _quadratic_rows,
     positive_floor,
 )
 from .simplex import SimplexWeights, central_point, validate_caps, weight_vector
@@ -367,9 +368,7 @@ def spectral_model_from_gramians(family: NodeGramianFamily,
     total = np.sum(family.stack, axis=0)
     basis = _refine_block(np.eye(n_dim), (total,) + family.gramians, 0, DEGENERACY_GAP)
 
-    table = np.empty((n_dim, family.node_count))
-    for col, gram in enumerate(family.gramians):
-        table[:, col] = np.einsum("kn,nm,mk->k", basis.T, gram, basis)
+    table = _quadratic_rows(basis, family.stack)
     table[(table < 0) & (table > -tol)] = 0.0
 
     worst = 0.0

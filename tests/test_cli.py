@@ -139,6 +139,20 @@ def test_score_parse_error_exits_1(tmp_path, capsys):
     assert "line 2" in err and "column 6" in err
 
 
+@pytest.mark.parametrize("text,where", [
+    ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2\ntable 2 2\n1 0\n0 nan\n",
+     "line 6, column 3"),
+    ("ctrlscore-model v1\nkind dense_lti\nnodes 1\nmatrix 1\nnan\n",
+     "line 5, column 1"),
+])
+def test_score_non_finite_entry_exits_1(tmp_path, capsys, text, where):
+    path = write(tmp_path, "nonfinite.csm", text)
+    code = main(["score", path, "--kind", "vcs"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"parse error: {where}: expected a finite number, got 'nan'\n"
+
+
 def test_score_missing_file_exits_1(capsys):
     code = main(["score", "/no/such/file.csm", "--kind", "vcs"])
     assert code == 1

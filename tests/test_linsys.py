@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gramian_by_quadrature, random_stable_family, random_stable_matrix
+from conftest import (
+    gramian_by_quadrature,
+    interior_point,
+    random_stable_family,
+    random_stable_matrix,
+)
 
 import ctrlscore as cs
 from ctrlscore import linsys
@@ -164,3 +169,50 @@ def test_custom_basis_gramian(rng):
 
 def test_default_tol_constant():
     assert linsys.DEFAULT_TOL == 1e-10
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["count<K", "count=K"])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 30), st.booleans(), st.booleans(), st.integers(0, 2**31 - 1))
+def test_derivative_rows_match_explicit_quadratic_forms(full, dim, subset, rotated, seed):
+    # All nodes or a random proper subset; standard or random orthonormal basis.
+    rng = np.random.default_rng(seed)
+    system = cs.check_stability(random_stable_matrix(rng, dim))
+    nodes = np.arange(1, dim + 1)
+    if subset and dim > 1:
+        nodes = np.sort(rng.choice(nodes, int(rng.integers(1, dim)), replace=False))
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if rotated else None
+    family = cs.gramian_family(system, nodes, basis=basis)
+    count = dim if full or dim == 1 else int(rng.integers(1, dim))
+    pairs = family.eigenpairs(rng.dirichlet(np.ones(family.node_count)), count)
+    rows = family.derivative_rows(pairs)
+    z = pairs.vectors
+    want = np.array([[z[:, k] @ gram @ z[:, k] for gram in family.gramians]
+                     for k in range(count)])
+    assert rows.shape == (count, family.node_count)
+    # Relative to |W_i|: z_k is a unit vector, so z_k^T W_i z_k is a sum of
+    # terms no larger than |W_i|, and an entry near 0 carries that rounding.
+    scale = np.array([np.linalg.norm(gram, 2) for gram in family.gramians])
+    assert np.all(np.abs(rows - want) <= 1e-12 * scale)
+
+
+def test_derivative_rows_match_finite_differences(rng):
+    # d mu_k / d p_i by central differences of the top eigenvalues, on a
+    # d = 12 system with five of its nodes and a rotated basis.
+    system = cs.check_stability(random_stable_matrix(rng, 12))
+    basis = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    family = cs.gramian_family(system, [2, 3, 5, 8, 11], basis=basis)
+    count, step = 6, 1e-6
+    point = interior_point(rng, family.node_count)
+    pairs = family.eigenpairs(point, count)
+    # Simple eigenvalues, also at the selection edge, so mu_k is smooth here.
+    assert np.all(-np.diff(np.append(pairs.values, pairs.following))
+                  > 1e-6 * pairs.values[0])
+    fd = np.empty((count, family.node_count))
+    for i in range(family.node_count):
+        bump = np.zeros(family.node_count)
+        bump[i] = step
+        fd[:, i] = (family.eigenpairs(point + bump, count).values
+                    - family.eigenpairs(point - bump, count).values) / (2 * step)
+    got = family.derivative_rows(pairs)
+    assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(got)

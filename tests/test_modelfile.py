@@ -98,6 +98,14 @@ def test_unstable_dense_raises_on_build():
          "   0.5\n", 6, 4),
         ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2\ntable 1 2\n"
          " 1 #0\n", 5, 2),
+        ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2\ntable 1 2\n1 nan\n",
+         5, 3),
+        ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2\ntable 2 2\n1 0\n"
+         "1e999 x\n", 6, 1),
+        ("ctrlscore-model v1\nkind dense_lti\nnodes 1 2\nmatrix 2\n-1 0\n"
+         "0  -inf\n", 6, 4),
+        ("ctrlscore-model v1\nkind dense_lti\nnodes 1\nmatrix 1\n\tinf\n", 5, 2),
+        ("ctrlscore-model v1\nkind heat_dirichlet\nnodes 1 2\ncaps 1 nan\n", 4, 8),
     ],
 )
 def test_parse_errors_carry_position(text, line, column):
