@@ -25,6 +25,7 @@ from .energy import (
     unit_ball_log_volume,
 )
 from .errors import (
+    BadGridStep,
     BadIndexSet,
     CapsBind,
     CtrlscoreError,
@@ -69,7 +70,6 @@ from .optimizer import (
     KKTReport,
     ScoreResult,
     SolveConfig,
-    diagonal_optimum,
     grid_oracle,
     kkt_report,
     solve,

@@ -36,7 +36,7 @@ from .errors import (
     UnstableSystem,
 )
 from .modelfile import ModelFile, parse_model_text
-from .optimizer import SolveConfig, grid_oracle, solve
+from .optimizer import SolveConfig, grid_oracle, grid_units, solve
 from .scores import ObjectiveKind, closed_form_optimum
 from .simplex import SimplexWeights
 from .spectral import AssumptionReport, check_feasibility, heat_dirichlet_model
@@ -182,6 +182,8 @@ def _parse_float_list(text: str, what: str) -> np.ndarray:
 
 
 def _cmd_score(args) -> int:
+    if args.grid_check is not None:
+        grid_units(args.grid_check)  # a bad step fails before any output
     kind = ObjectiveKind.from_string(args.kind)
     model_file, digest = _load(args.model)
     try:
@@ -327,8 +329,14 @@ def _cmd_energy(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 1, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctrlscore",
         description="Controllability scores for stable linear systems.",
     )

@@ -84,6 +84,10 @@ class NonConvexAmbiguous(CtrlscoreError):
         self.result = result
 
 
+class BadGridStep(CtrlscoreError, ValueError):
+    """A lattice step is not finite, not in (0, 1] or does not divide 1."""
+
+
 class TooLarge(CtrlscoreError):
     """Requested grid enumeration exceeds the point budget."""
 

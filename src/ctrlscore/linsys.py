@@ -251,8 +251,7 @@ def node_direction(system: StableLTISystem, node: int, basis=None) -> np.ndarray
     return basis[:, node - 1].copy()
 
 
-def node_gramian(system: StableLTISystem, node: int, basis=None,
-                 tol: float = DEFAULT_TOL) -> np.ndarray:
+def node_gramian(system: StableLTISystem, node: int, basis=None) -> np.ndarray:
     """Solve ``A W + W A^T = -d d^T`` for node direction ``d``.
 
     Parameters
@@ -264,8 +263,6 @@ def node_gramian(system: StableLTISystem, node: int, basis=None,
     basis : ndarray, optional
         Orthonormal matrix whose columns are the node directions.  Defaults
         to the standard basis.
-    tol : float
-        Relative bound on the Lyapunov residual.
 
     Returns
     -------
@@ -275,7 +272,7 @@ def node_gramian(system: StableLTISystem, node: int, basis=None,
     Raises
     ------
     LyapunovSolveFailure
-        If the residual exceeds ``tol * max(1, ||W||_F)``.
+        If the residual exceeds ``DEFAULT_TOL * max(1, ||W||_F)``.
     """
     direction = node_direction(system, node, basis)
     rhs = -np.outer(direction, direction)
@@ -286,20 +283,20 @@ def node_gramian(system: StableLTISystem, node: int, basis=None,
         raise LyapunovSolveFailure(f"Lyapunov solve failed for node {node}: {exc}")
     gram = 0.5 * (gram + gram.T)
     residual = np.linalg.norm(a @ gram + gram @ a.T - rhs)
-    if residual > tol * max(1.0, float(np.linalg.norm(gram))):
+    if residual > DEFAULT_TOL * max(1.0, float(np.linalg.norm(gram))):
         raise LyapunovSolveFailure(
             f"Lyapunov residual {residual:.3e} exceeds tolerance for node {node}"
         )
     return gram
 
 
-def gramian_family(system: StableLTISystem, node_indices, basis=None,
-                   tol: float = DEFAULT_TOL) -> NodeGramianFamily:
+def gramian_family(system: StableLTISystem, node_indices,
+                   basis=None) -> NodeGramianFamily:
     """Compute the node Gramians for every index in ``node_indices``."""
     indices = tuple(int(i) for i in node_indices)
     if len(indices) == 0:
         raise EmptyIndexSet("node index set is empty")
-    grams = tuple(node_gramian(system, i, basis, tol) for i in indices)
+    grams = tuple(node_gramian(system, i, basis) for i in indices)
     return NodeGramianFamily(system, indices, grams, basis)
 
 
@@ -326,10 +323,10 @@ def finite_horizon_gramian(family: NodeGramianFamily, weights,
     return 0.5 * (gram + gram.T)
 
 
-def top_eigenvalues(matrix, count: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def top_eigenvalues(matrix, count: int) -> np.ndarray:
     """The ``count`` largest eigenvalues of a symmetric PSD matrix, descending.
 
-    Eigenvalues within ``-tol * max(1, mu_max)`` of zero are clamped to zero;
+    Eigenvalues within ``-DEFAULT_TOL * max(1, mu_max)`` of zero are clamped to zero;
     anything more negative raises, since that indicates a modeling bug rather
     than roundoff.
     """
@@ -339,14 +336,14 @@ def top_eigenvalues(matrix, count: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not 0 < count <= arr.shape[0]:
         raise IndexMismatch(f"count {count} out of range 1..{arr.shape[0]}")
     scale = max(1.0, float(np.linalg.norm(arr)))
-    if np.linalg.norm(arr - arr.T) > tol * scale:
+    if np.linalg.norm(arr - arr.T) > DEFAULT_TOL * scale:
         raise EigenFailure("matrix is not symmetric within tolerance")
     try:
         eigvals = np.linalg.eigvalsh(arr)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigendecomposition failed: {exc}")
     eigvals = eigvals[::-1]
-    floor = -tol * max(1.0, float(eigvals[0]) if eigvals.size else 1.0)
+    floor = -DEFAULT_TOL * max(1.0, float(eigvals[0]) if eigvals.size else 1.0)
     if float(eigvals[-1]) < floor:
         raise EigenFailure(
             f"matrix has eigenvalue {eigvals[-1]:.3e} below the PSD tolerance"

@@ -9,7 +9,8 @@ is declared on the projected-gradient residual
     r(p) = || p - project(p - grad h(p)) ||_inf,
 
 which is the KKT stationarity measure for this constraint set.  A brute-force
-lattice enumeration (:func:`grid_oracle`) provides an independent check of
+lattice enumeration (:func:`grid_oracle`, built in numpy one column at a time
+and capped at :data:`GRID_BUDGET` points) provides an independent check of
 the optimizer on small node sets.
 
 Multi-start behaviour: models that pass the commutation, n-spectrum and
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, InfeasiblePoint, NonConvexAmbiguous, TooLarge
+from .errors import (BadGridStep, Infeasible, InfeasiblePoint, NonConvexAmbiguous,
+                     TooLarge)
 from .scores import ObjectiveKind, _Objective
 from .simplex import (
     SimplexWeights,
@@ -42,12 +44,19 @@ from .simplex import (
 from .spectral import AssumptionReport, check_feasibility
 
 _EPS = float(np.finfo(float).eps)
+#: The line search shrinks a rejected trial step by this factor.
+STEP_SHRINK = 0.5
+#: Armijo sufficient-decrease constant of the line search.
+ARMIJO_C = 1e-4
+#: Most lattice points :func:`grid_oracle` enumerates.
+GRID_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver knobs.
+    """Solver settings; the line search constants are module constants.
 
+    Each descent stops at residual ``grad_tol`` or after ``max_iters`` steps.
     ``starts=None`` means automatic: one start when the model is certified
     convex by the assumption checks, eight otherwise.  ``seed`` makes the
     extra starts (and therefore the whole solve) reproducible.
@@ -55,18 +64,12 @@ class SolveConfig:
 
     max_iters: int = 5000
     grad_tol: float = 1e-9
-    step_shrink: float = 0.5
-    armijo_c: float = 1e-4
     starts: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters <= 0 or self.grad_tol <= 0:
             raise ValueError("max_iters and grad_tol must be positive")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
         if self.starts is not None and self.starts <= 0:
             raise ValueError("starts must be positive")
 
@@ -130,14 +133,12 @@ class _Trajectory:
 
 
 def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
-             config: SolveConfig, trace: list | None = None) -> _Trajectory:
+             config: SolveConfig) -> _Trajectory:
     point = start.copy()
     current = objective(point)
     if not current.feasible:
         return _Trajectory(point, math.inf, math.inf, 0, False, (),
                            ("start point infeasible",))
-    if trace is not None:
-        trace.append(current.value)
     selections: list[tuple[int, ...]] = []
     if current.active_rows is not None:
         selections.append(tuple(sorted(current.active_rows)))
@@ -176,10 +177,10 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
             trial = project_capped_simplex(point - size * grad, caps)
             direction = trial.values - point
             if not np.any(direction):
-                size *= config.step_shrink
+                size *= STEP_SHRINK
                 continue
             candidate = objective(trial.values)
-            predicted = config.armijo_c * float(grad @ direction)
+            predicted = ARMIJO_C * float(grad @ direction)
             if abs(predicted) >= plateau_tol:
                 ok = candidate.feasible and candidate.value <= current.value + predicted
             else:
@@ -190,7 +191,7 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
             if ok:
                 accepted = (trial, candidate)
                 break
-            size *= config.step_shrink
+            size *= STEP_SHRINK
         if accepted is None:
             warnings.append("line search stalled before reaching grad_tol")
             break
@@ -199,8 +200,6 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
         point = trial.values
         current = candidate
         step = size
-        if trace is not None:
-            trace.append(current.value)
         if current.active_rows is not None:
             rows = tuple(sorted(current.active_rows))
             if not selections or selections[-1] != rows:
@@ -240,8 +239,7 @@ def _starting_points(objective: _Objective, count: int, caps: np.ndarray,
 
 
 def solve(kind: ObjectiveKind, model, count: int | None = None,
-          config: SolveConfig | None = None, caps=None,
-          warm_start=None) -> ScoreResult:
+          config: SolveConfig | None = None, caps=None) -> ScoreResult:
     """Minimize a score objective over the capped simplex.
 
     Parameters
@@ -256,9 +254,6 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
     config : SolveConfig, optional
     caps : array-like, optional
         Per-node upper bounds (defaults to all ones).
-    warm_start : array-like, optional
-        Replaces the central point as the first start (projected onto the
-        feasible set first).
 
     Raises
     ------
@@ -286,10 +281,6 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
     n_starts = config.starts if config.starts is not None else (1 if certified else 8)
     starts = _starting_points(objective, n_starts, caps_arr, config.seed,
                               report.witness)
-    if warm_start is not None:
-        starts[0] = project_capped_simplex(
-            weight_vector(warm_start, caps_arr.size), caps_arr
-        ).values.copy()
 
     if n_starts == 1 or _thread_limit(n_starts) == 1:
         trajectories = [_descend(objective, s, caps_arr, config) for s in starts]
@@ -358,85 +349,70 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
     return result
 
 
-def diagonal_optimum(kind: ObjectiveKind, model, caps=None,
-                     config: SolveConfig | None = None) -> SimplexWeights:
-    """Closed-form optimum of a diagonal model, falling back to the solver
-    when a cap binds.
+def grid_units(step: float) -> int:
+    """``1 / step`` for a lattice step; raises :class:`BadGridStep` unless
+    ``step`` is finite, in ``(0, 1]`` and divides 1, and :class:`TooLarge`
+    if it splits 1 into more than :data:`GRID_BUDGET` parts."""
+    if not (math.isfinite(step) and 0.0 < step <= 1.0):
+        raise BadGridStep(f"grid step {step!r} must be a finite number in (0, 1]")
+    if 1.0 / step > GRID_BUDGET + 0.5:
+        raise TooLarge(f"grid step {step!r} splits 1 into more than "
+                       f"{GRID_BUDGET} parts")
+    units = round(1.0 / step)
+    if abs(units * step - 1.0) > 1e-9:
+        raise BadGridStep(f"grid step {step!r} must divide 1")
+    return units
 
-    The fallback warm-starts the solver at the projection of the
-    unconstrained closed form onto the capped simplex, which already has the
-    binding caps active.
+
+def _lattice(units: int, cap_units: np.ndarray) -> np.ndarray:
+    """Every integer row ``0 <= k <= cap_units`` with ``sum(k) == units``,
+    in lexicographic order.
+
+    Each prefix row takes every value its remainder ``left`` allows, from
+    ``max(0, left - caps after this column)`` to ``min(cap, left)``.  So
+    every prefix completes to at least one row, the row count never falls,
+    and it is checked against the budget before each column is allocated.
     """
-    from .errors import CapsBind
-    from .scores import closed_form_optimum
-
-    try:
-        return closed_form_optimum(kind, model, caps)
-    except CapsBind:
-        unconstrained = closed_form_optimum(kind, model)
-        result = solve(kind, model, config=config, caps=caps,
-                       warm_start=unconstrained.values)
-        return result.weights
-
-
-def _lattice_count(total: int, cap_units: np.ndarray) -> int:
-    ways = np.zeros(total + 1, dtype=object)
-    ways[0] = 1
-    for cap in cap_units:
-        new = np.zeros(total + 1, dtype=object)
-        for r in range(total + 1):
-            if ways[r]:
-                for k in range(0, min(int(cap), total - r) + 1):
-                    new[r + k] += ways[r]
-        ways = new
-    return int(ways[total])
-
-
-def _compositions(total: int, cap_units: np.ndarray):
-    m = len(cap_units)
-    suffix = np.concatenate([np.cumsum(cap_units[::-1])[::-1][1:], [0]])
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == m - 1:
-            if remaining <= cap_units[i]:
-                yield prefix + (remaining,)
-            return
-        low = max(0, remaining - int(suffix[i]))
-        high = min(int(cap_units[i]), remaining)
-        for k in range(low, high + 1):
-            yield from rec(i + 1, remaining - k, prefix + (k,))
-
-    yield from rec(0, total, ())
+    after = np.concatenate([np.cumsum(cap_units[::-1])[::-1][1:], [0]])
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([units], dtype=np.int64)
+    for cap, rest in zip(cap_units, after):
+        low = np.maximum(left - rest, 0)
+        counts = np.maximum(np.minimum(left, cap) - low + 1, 0)
+        total = int(counts.sum())
+        if total == 0:
+            raise Infeasible("no lattice point lies inside the capped simplex")
+        if total > GRID_BUDGET:
+            raise TooLarge(f"lattice has at least {total} points, "
+                           f"budget is {GRID_BUDGET}")
+        first = np.cumsum(counts) - counts
+        column = np.repeat(low - first, counts) + np.arange(total)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), column])
+        left = np.repeat(left, counts) - column
+    return rows
 
 
 def grid_oracle(kind: ObjectiveKind, model, count: int | None = None,
-                step: float = 0.01, caps=None,
-                budget: int = 2_000_000) -> tuple[SimplexWeights, float]:
+                step: float = 0.01, caps=None) -> tuple[SimplexWeights, float]:
     """Exhaustive lattice minimization over the capped simplex.
 
     Enumerates every point of the lattice with spacing ``step`` inside the
-    feasible polytope and returns the minimizer and its objective value.
-    ``step`` must divide 1.  This is deliberately independent of the
+    feasible polytope and returns the minimizer and its objective value
+    (the first minimizer in lexicographic order).  ``step`` must divide 1
+    (see :func:`grid_units`).  This is deliberately independent of the
     projected-gradient path so it can serve as a correctness oracle.
 
     Raises
     ------
     TooLarge
-        If the lattice holds more than ``budget`` points.
+        If the lattice holds more than :data:`GRID_BUDGET` points.
     """
     objective = _Objective(kind, model, count)
     m = objective.node_count
     caps_arr = np.ones(m) if caps is None else validate_caps(caps)
-    units = round(1.0 / step)
-    if units <= 0 or abs(units * step - 1.0) > 1e-9:
-        raise ValueError(f"step {step!r} must divide 1")
+    units = grid_units(step)
     cap_units = np.minimum(np.floor(caps_arr * units + 1e-9), units).astype(int)
-    total = _lattice_count(units, cap_units)
-    if total == 0:
-        raise Infeasible("no lattice point lies inside the capped simplex")
-    if total > budget:
-        raise TooLarge(f"lattice has {total} points, budget is {budget}")
-    points = np.array(list(_compositions(units, cap_units)), dtype=float) * step
+    points = _lattice(units, cap_units) * step
     values = objective.batch_values(points)
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):

@@ -146,7 +146,7 @@ class SpectralModel:
 class AssumptionReport:
     """Outcome of the executable assumption checks for one model.
 
-    ``residual <= tol`` is what the booleans encode; residuals are kept so a
+    ``residual <= CHECK_TOL`` is what the booleans encode; residuals are kept so a
     near-miss is visible.  ``witness`` is the first weight vector found with
     ``mu_n > 0`` (None when infeasible), and ``nth_eigenvalue`` is ``mu_n``
     there (the best value seen when infeasible).
@@ -199,10 +199,10 @@ def heat_dirichlet_model(node_indices, score_order: int | None = None) -> Spectr
     return SpectralModel(indices, table, score_order)
 
 
-def check_commuting(family, tol: float = CHECK_TOL) -> tuple[bool, float]:
+def check_commuting(family) -> tuple[bool, float]:
     """Largest normalized pairwise commutator residual of the family.
 
-    Returns ``(residual <= tol, residual)`` with
+    Returns ``(residual <= CHECK_TOL, residual)`` with
     ``residual = max_{i<j} ||W_i W_j - W_j W_i||_F / max(1, ||W_i||_F ||W_j||_F)``.
     Spectral models commute by construction and report residual 0.
     """
@@ -216,11 +216,10 @@ def check_commuting(family, tol: float = CHECK_TOL) -> tuple[bool, float]:
             num = np.linalg.norm(cross - cross.T)
             den = max(1.0, float(np.linalg.norm(grams[i]) * np.linalg.norm(grams[j])))
             worst = max(worst, float(num / den))
-    return worst <= tol, worst
+    return worst <= CHECK_TOL, worst
 
 
-def check_n_spectrum(model, count: int | None = None,
-                     tol: float = CHECK_TOL) -> tuple[bool, float]:
+def check_n_spectrum(model, count: int | None = None) -> tuple[bool, float]:
     """Whether every node Gramian vanishes outside one fixed n-mode span.
 
     For a spectral model the candidate span is the ``count`` rows with the
@@ -239,7 +238,7 @@ def check_n_spectrum(model, count: int | None = None,
         outside = np.ones(table.shape[0], dtype=bool)
         outside[selected] = False
         residual = float(table[outside].max(initial=0.0))
-        return residual <= tol, residual
+        return residual <= CHECK_TOL, residual
 
     family: NodeGramianFamily = model
     total = np.sum(family.stack, axis=0)
@@ -253,7 +252,7 @@ def check_n_spectrum(model, count: int | None = None,
             worst,
             float(np.linalg.norm(gram - kept) / max(1.0, np.linalg.norm(gram))),
         )
-    return worst <= tol, worst
+    return worst <= CHECK_TOL, worst
 
 
 def _witness_candidates(caps: np.ndarray):
@@ -273,8 +272,7 @@ def _witness_candidates(caps: np.ndarray):
             yield SimplexWeights(values, caps.copy())
 
 
-def check_feasibility(model, count: int | None = None, caps=None,
-                      tol: float = CHECK_TOL) -> AssumptionReport:
+def check_feasibility(model, count: int | None = None, caps=None) -> AssumptionReport:
     """Run all assumption checks and search for a feasibility witness.
 
     Tries the central point of the capped simplex and then each greedy
@@ -298,8 +296,8 @@ def check_feasibility(model, count: int | None = None, caps=None,
             best_mu = mu_n
             break
 
-    commuting, comm_residual = check_commuting(model, tol)
-    n_spec, spec_residual = check_n_spectrum(model, n, tol)
+    commuting, comm_residual = check_commuting(model)
+    n_spec, spec_residual = check_n_spectrum(model, n)
     return AssumptionReport(
         feasible=witness is not None,
         witness=witness,
@@ -340,8 +338,7 @@ def _refine_block(block_vectors: np.ndarray, grams, gram_index: int,
 
 
 def spectral_model_from_gramians(family: NodeGramianFamily,
-                                 score_order: int | None = None,
-                                 tol: float = CHECK_TOL) -> SpectralModel:
+                                 score_order: int | None = None) -> SpectralModel:
     """Jointly diagonalize a commuting family into a spectral model.
 
     The shared eigenbasis is the eigenbasis of ``sum_i W_i``, refined inside
@@ -353,14 +350,15 @@ def spectral_model_from_gramians(family: NodeGramianFamily,
     Raises
     ------
     NotCommuting
-        If the family's commutator residual exceeds ``tol``.
+        If the family's commutator residual exceeds :data:`CHECK_TOL`.
     DiagonalizationResidualTooLarge
-        If any reconstruction residual exceeds ``tol``.
+        If any reconstruction residual exceeds :data:`CHECK_TOL`.
     """
-    commuting, residual = check_commuting(family, tol)
+    commuting, residual = check_commuting(family)
     if not commuting:
         raise NotCommuting(
-            f"family commutator residual {residual:.3e} exceeds tolerance {tol:.1e}"
+            f"family commutator residual {residual:.3e} "
+            f"exceeds tolerance {CHECK_TOL:.1e}"
         )
     n_dim = family.system.n_dim
     n = n_dim if score_order is None else int(score_order)
@@ -369,7 +367,7 @@ def spectral_model_from_gramians(family: NodeGramianFamily,
     basis = _refine_block(np.eye(n_dim), (total,) + family.gramians, 0, DEGENERACY_GAP)
 
     table = _quadratic_rows(basis, family.stack)
-    table[(table < 0) & (table > -tol)] = 0.0
+    table[(table < 0) & (table > -CHECK_TOL)] = 0.0
 
     worst = 0.0
     for col, gram in enumerate(family.gramians):
@@ -378,8 +376,9 @@ def spectral_model_from_gramians(family: NodeGramianFamily,
             worst,
             float(np.linalg.norm(gram - rebuilt) / max(1.0, np.linalg.norm(gram))),
         )
-    if worst > tol or np.any(table < 0):
+    if worst > CHECK_TOL or np.any(table < 0):
         raise DiagonalizationResidualTooLarge(
-            f"joint diagonalization residual {worst:.3e} exceeds tolerance {tol:.1e}"
+            f"joint diagonalization residual {worst:.3e} "
+            f"exceeds tolerance {CHECK_TOL:.1e}"
         )
     return SpectralModel(family.node_indices, table, n)

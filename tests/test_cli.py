@@ -194,6 +194,35 @@ def test_score_grid_check_line(tmp_path, capsys):
     assert "agreement=pass" in out
 
 
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "0.03", "-0.5", "1e-300"])
+def test_score_bad_grid_step_exits_1_before_the_report(tmp_path, capsys, step):
+    path = write(tmp_path, "heat2.csm", HEAT2)
+    code = main(["score", path, "--kind", "aecs", "--format", "csv",
+                 "--grid-check=" + step])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid step")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["score", "m.csm", "--kind", "bogus"],
+                                  ["score", "m.csm"],
+                                  ["energy", "m.csm", "--p", "1"]])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["score", "--help"])
+    assert info.value.code == 0
+    assert "--grid-check" in capsys.readouterr().out
+
+
 def test_score_dense_noncommuting_succeeds_uncertified(tmp_path, capsys):
     path = write(tmp_path, "noncomm.csm", NON_COMMUTING)
     code = main(["score", path, "--kind", "aecs", "--format", "json-lines"])

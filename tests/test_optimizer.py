@@ -1,13 +1,18 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_diagonal_model, random_stable_family
 
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind, SolveConfig
-from ctrlscore.optimizer import _descend
+from ctrlscore import optimizer
+from ctrlscore.optimizer import _descend, _lattice
 from ctrlscore.scores import _Objective
 from ctrlscore.simplex import central_point
 
@@ -117,9 +122,15 @@ def test_descent_is_monotone_within_float_tolerance():
     objective = _Objective(ObjectiveKind.AECS, model)
     caps = np.ones(4)
     start = np.array([0.7, 0.1, 0.1, 0.1])
-    trace: list = []
-    _descend(objective, start, caps, SolveConfig(), trace=trace)
-    values = np.asarray(trace)
+    full = _descend(objective, start, caps, SolveConfig())
+    assert full.converged and full.iterations > 10
+    # The descent is deterministic, so stopping after k steps replays the
+    # k-th iterate of the full run.
+    values = np.array([objective(start).value] + [
+        _descend(objective, start, caps, SolveConfig(max_iters=k)).value
+        for k in range(1, full.iterations + 1)
+    ])
+    assert values[-1] == full.value
     tol = 64 * np.finfo(float).eps * (1.0 + np.abs(values[:-1]))
     assert np.all(np.diff(values) <= tol)
 
@@ -196,9 +207,8 @@ def test_selection_history_tracks_crossings():
     table = np.array([[1.0, 0.0], [0.0, 1.0]])
     model = cs.SpectralModel((1, 2), table, 1)
     objective = _Objective(ObjectiveKind.AECS, model, 1)
-    trace: list = []
     trajectory = _descend(objective, np.array([0.45, 0.55]), np.ones(2),
-                          SolveConfig(), trace=trace)
+                          SolveConfig())
     assert trajectory.selections  # at least the initial selection is recorded
 
     # Here the top row switches on the way to the optimum [0, 1].
@@ -216,27 +226,58 @@ def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
     with pytest.raises(ValueError):
-        SolveConfig(step_shrink=1.5)
-    with pytest.raises(ValueError):
-        SolveConfig(armijo_c=2.0)
-    with pytest.raises(ValueError):
         SolveConfig(starts=0)
 
 
-def test_diagonal_optimum_cap_binding_fallback():
-    model = cs.heat_dirichlet_model([1, 2, 3, 4])
-    caps = [1.0, 1.0, 1.0, 0.3]
-    got = cs.diagonal_optimum(ObjectiveKind.AECS, model, caps=caps)
-    # cap binds at node 4; the rest keep the proportional-to-k shape
-    want = np.array([0.7 / 6.0, 1.4 / 6.0, 2.1 / 6.0, 0.3])
-    np.testing.assert_allclose(got.values, want, atol=1e-7)
-    best, best_value = cs.grid_oracle(ObjectiveKind.AECS, model, step=0.01,
-                                      caps=caps)
-    value = cs.evaluate(ObjectiveKind.AECS, model, got).value
-    assert value <= best_value + 1e-9
-    # without binding caps it is just the closed form
-    free = cs.diagonal_optimum(ObjectiveKind.AECS, model)
-    np.testing.assert_allclose(free.values, [0.1, 0.2, 0.3, 0.4], atol=1e-15)
+@pytest.mark.parametrize("size, cap, step", [(4, 0.3, 0.01), (8, 0.15, 0.05),
+                                              (12, 0.1, None)])
+def test_capped_solve_matches_closed_form(size, cap, step):
+    # With the last cap binding, the other nodes keep AECS's proportional-to-k
+    # shape on the remaining mass: p_k = (1 - a) k / sum_{j<m} j, p_m = a.
+    model = cs.heat_dirichlet_model(range(1, size + 1))
+    caps = [1.0] * (size - 1) + [cap]
+    result = cs.solve(ObjectiveKind.AECS, model, caps=caps)
+    assert result.converged
+    head = np.arange(1, size, dtype=float)
+    want = np.append((1.0 - cap) * head / head.sum(), cap)
+    np.testing.assert_allclose(result.weights.values, want, rtol=0, atol=1e-12)
+    # A 0.01 lattice over 8 or 12 nodes is far over the oracle's budget, so
+    # m = 8 uses the finest step that fits; at m = 12 none that fits has a
+    # point with every weight positive, where AECS is finite.
+    if step is not None:
+        _, best_value = cs.grid_oracle(ObjectiveKind.AECS, model, step=step,
+                                       caps=caps)
+        assert result.objective <= best_value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda units: st.tuples(st.just(units),
+                            st.lists(st.integers(0, units), min_size=1, max_size=5))))
+def test_lattice_matches_brute_force(case):
+    units, caps = case
+    want = [k for k in itertools.product(*(range(c + 1) for c in caps))
+            if sum(k) == units]
+    if sum(caps) < units:
+        assert not want
+        with pytest.raises(cs.Infeasible):
+            _lattice(units, np.array(caps))
+    else:
+        got = _lattice(units, np.array(caps))
+        assert got.tolist() == [list(k) for k in want]
+
+
+def test_lattice_too_large_before_allocation(monkeypatch):
+    monkeypatch.setattr(optimizer, "GRID_BUDGET", 5000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(cs.TooLarge):
+            _lattice(1000, np.full(4, 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The second column alone would hold 501501 rows.
+    assert peak < 8 * 4 * 5000
 
 
 def test_uncertified_solve_carries_warning(rng):
