@@ -4,7 +4,9 @@
 For each requested node set the average-energy score has the closed form
 ``p_k = k / sum(I)`` and the volumetric score is uniform.  With ``--verify``
 each row is additionally recomputed by the projected-gradient solver and
-cross-checked against the brute-force lattice oracle.
+cross-checked against the brute-force lattice oracle; the script then exits
+1 if any row has ``max|dp| > 1e-9``, an unconverged solve or an oracle gap
+above ``1e-9``.
 
 Run:
     python scripts/heat_table.py
@@ -41,6 +43,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     begin = time.perf_counter()
+    failed = 0
     for indices in _parse_demo_rows(args.rows):
         model = heat_dirichlet_model(indices)
         aecs = closed_form_optimum(ObjectiveKind.AECS, model)
@@ -57,14 +60,19 @@ def main(argv=None) -> int:
             gap = float(np.max(np.abs(result.weights.values - aecs.values)))
             line = (f"  solver agreement: max|dp|={gap:.2e} "
                     f"kkt={result.kkt_residual:.2e}")
+            bad = gap > 1e-9 or not result.converged
             if len(indices) <= 4:
                 _, oracle_value = grid_oracle(ObjectiveKind.AECS, model,
                                               step=0.02)
-                line += (f"  oracle gap={result.objective - oracle_value:+.2e}"
-                         " (<= 0 expected)")
-            print(line)
+                oracle_gap = result.objective - oracle_value
+                line += f"  oracle gap={oracle_gap:+.2e} (<= 0 expected)"
+                bad = bad or oracle_gap > 1e-9
+            print(line + ("  FAIL" if bad else ""))
+            failed += bad
     print(f"done in {time.perf_counter() - begin:.2f}s")
-    return 0
+    if failed:
+        print(f"{failed} row(s) failed verification", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

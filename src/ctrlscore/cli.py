@@ -205,6 +205,18 @@ def _cmd_score(args) -> int:
         result = exc.result
         exit_code = EXIT_AMBIGUOUS
         print(f"warning: {exc}", file=sys.stderr)
+    grid_line = ""
+    if args.grid_check is not None:  # an oracle failure fails before the report
+        grid_weights, grid_value = grid_oracle(kind, model, count,
+                                               step=args.grid_check, caps=caps)
+        gap = result.objective - grid_value
+        distance = float(np.max(np.abs(result.weights.values - grid_weights.values)))
+        agree = result.objective <= grid_value + 1e-9 and distance <= args.grid_check
+        grid_line = (
+            f"grid-check: step={args.grid_check:g} oracle_objective={grid_value:.9g} "
+            f"objective_gap={gap:.3e} weight_distance={distance:.3e} "
+            f"agreement={'pass' if agree else 'FAIL'}\n"
+        )
 
     report = _build_report(digest, model_file.kind, kind,
                            model_file.node_indices, result)
@@ -215,18 +227,7 @@ def _cmd_score(args) -> int:
     else:
         text = report.to_json_line() + "\n"
     _emit(text, args.out)
-
-    if args.grid_check is not None:
-        grid_weights, grid_value = grid_oracle(kind, model, count,
-                                               step=args.grid_check, caps=caps)
-        gap = result.objective - grid_value
-        distance = float(np.max(np.abs(result.weights.values - grid_weights.values)))
-        agree = result.objective <= grid_value + 1e-9 and distance <= args.grid_check
-        sys.stdout.write(
-            f"grid-check: step={args.grid_check:g} oracle_objective={grid_value:.9g} "
-            f"objective_gap={gap:.3e} weight_distance={distance:.3e} "
-            f"agreement={'pass' if agree else 'FAIL'}\n"
-        )
+    sys.stdout.write(grid_line)
     return exit_code
 
 
@@ -329,6 +330,13 @@ def _cmd_energy(args) -> int:
     return EXIT_OK
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -350,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--out", default=None, help="write the report here")
     score.add_argument("--format", default="table",
                        choices=["table", "csv", "json-lines"])
-    score.add_argument("--seed", type=int, default=0)
+    score.add_argument("--seed", type=nonnegative_int, default=0)
     score.add_argument("--grid-check", type=float, default=None, metavar="STEP",
                        help="verify against the lattice oracle at this spacing")
     score.set_defaults(handler=_cmd_score)

@@ -47,6 +47,11 @@ def positive_floor(top_eigenvalue):
     return POSITIVE_FLOOR * np.maximum(1.0, top_eigenvalue)
 
 
+def nth_positive(top):
+    """Whether ``top[..., -1]`` clears the positive floor of ``top[..., 0]``."""
+    return top[..., -1] > positive_floor(top[..., 0])
+
+
 @dataclass(frozen=True)
 class Eigenpairs:
     """The ``count`` largest eigenvalues of one ``W(p)`` and their modes.
@@ -65,7 +70,7 @@ class Eigenpairs:
     @property
     def positive(self) -> bool:
         """Whether the smallest selected eigenvalue clears the positive floor."""
-        return self.values[-1] > positive_floor(max(self.values[0], 0.0))
+        return nth_positive(self.values)
 
     @property
     def near_degenerate(self) -> bool:
@@ -73,10 +78,6 @@ class Eigenpairs:
         last = self.values[-1]
         return (self.following is not None
                 and last - self.following <= DEGENERACY_GAP * max(abs(last), 1e-300))
-
-    @property
-    def active_rows(self) -> tuple[int, ...] | None:
-        return None if self.selected is None else tuple(int(k) for k in self.selected)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,13 @@ the optimizer on small node sets.
 
 Multi-start behaviour: models that pass the commutation, n-spectrum and
 feasibility checks have a provably unique optimum and default to a single
-start from the central point; anything else defaults to eight seeded starts,
-and starts that disagree on the optimal value by more than ``1e-6`` raise
-:class:`~ctrlscore.errors.NonConvexAmbiguous` (with the merged result
-attached).  ``CTRLSCORE_THREADS`` caps how many starts run concurrently
-(0 or unset picks the CPU count).
+start; anything else defaults to eight.  Start 0 is the witness of
+:func:`~ctrlscore.spectral.check_feasibility`, the rest are seeded Dirichlet
+samples projected onto the set; a start with an infinite objective is
+dropped with a warning.  Starts that disagree on the optimal value by more
+than ``1e-6`` raise :class:`~ctrlscore.errors.NonConvexAmbiguous` (with the
+merged result attached).  ``CTRLSCORE_THREADS`` caps how many starts run
+concurrently (0 or unset picks the CPU count).
 """
 
 from __future__ import annotations
@@ -34,13 +36,8 @@ import numpy as np
 from .errors import (BadGridStep, Infeasible, InfeasiblePoint, NonConvexAmbiguous,
                      TooLarge)
 from .scores import ObjectiveKind, _Objective
-from .simplex import (
-    SimplexWeights,
-    central_point,
-    project_capped_simplex,
-    validate_caps,
-    weight_vector,
-)
+from .simplex import (SimplexWeights, project_capped_simplex, validate_caps,
+                      weight_vector)
 from .spectral import AssumptionReport, check_feasibility
 
 _EPS = float(np.finfo(float).eps)
@@ -59,7 +56,8 @@ class SolveConfig:
     Each descent stops at residual ``grad_tol`` or after ``max_iters`` steps.
     ``starts=None`` means automatic: one start when the model is certified
     convex by the assumption checks, eight otherwise.  ``seed`` makes the
-    extra starts (and therefore the whole solve) reproducible.
+    extra starts (and therefore the whole solve) reproducible; it must be
+    nonnegative.
     """
 
     max_iters: int = 5000
@@ -72,6 +70,8 @@ class SolveConfig:
             raise ValueError("max_iters and grad_tol must be positive")
         if self.starts is not None and self.starts <= 0:
             raise ValueError("starts must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ class ScoreResult:
     iterations: int
     assumption_report: AssumptionReport
     uniqueness_certified: bool
-    selection_history: tuple[tuple[int, ...], ...]
     converged: bool
     warnings: tuple[str, ...]
     start_objectives: tuple[float, ...]
@@ -128,7 +127,6 @@ class _Trajectory:
     residual: float
     iterations: int
     converged: bool
-    selections: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...]
 
 
@@ -137,11 +135,8 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
     point = start.copy()
     current = objective(point)
     if not current.feasible:
-        return _Trajectory(point, math.inf, math.inf, 0, False, (),
+        return _Trajectory(point, math.inf, math.inf, 0, False,
                            ("start point infeasible",))
-    selections: list[tuple[int, ...]] = []
-    if current.active_rows is not None:
-        selections.append(tuple(sorted(current.active_rows)))
     warnings: list[str] = []
     step = 1.0 / (1.0 + float(np.max(np.abs(current.gradient))))
     prev_point: np.ndarray | None = None
@@ -200,10 +195,6 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
         point = trial.values
         current = candidate
         step = size
-        if current.active_rows is not None:
-            rows = tuple(sorted(current.active_rows))
-            if not selections or selections[-1] != rows:
-                selections.append(rows)
     else:
         # Only this exit has moved the point since the last residual.
         warnings.append("MaxItersExceeded: returning best iterate")
@@ -211,31 +202,17 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
 
     converged = residual <= config.grad_tol
     return _Trajectory(point, current.value, residual, iterations, converged,
-                       tuple(selections), tuple(warnings))
+                       tuple(warnings))
 
 
-def _starting_points(objective: _Objective, count: int, caps: np.ndarray,
-                     seed: int, witness: SimplexWeights) -> list[np.ndarray]:
-    points = [central_point(caps).values.copy()]
+def _starting_points(count: int, caps: np.ndarray, seed: int,
+                     witness: SimplexWeights) -> list[np.ndarray]:
+    points = [witness.values.copy()]
     rng = np.random.default_rng(seed)
     while len(points) < count:
         sample = rng.dirichlet(np.ones(caps.size))
         points.append(project_capped_simplex(sample, caps).values.copy())
-    # Pull any infeasible start toward the witness until the objective is
-    # finite, so every trajectory begins inside the feasible region.
-    usable = []
-    for candidate in points:
-        value = candidate
-        for _ in range(60):
-            if objective(value).feasible:
-                break
-            value = project_capped_simplex(
-                0.5 * (value + witness.values), caps
-            ).values
-        else:
-            value = witness.values.copy()
-        usable.append(value)
-    return usable
+    return points
 
 
 def solve(kind: ObjectiveKind, model, count: int | None = None,
@@ -257,6 +234,8 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
 
     Raises
     ------
+    InvalidWeights
+        If ``caps`` is not a nonnegative vector with one entry per node.
     Infeasible
         If no candidate weight vector keeps the n-th eigenvalue positive.
     NonConvexAmbiguous
@@ -265,12 +244,7 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
     """
     config = config or SolveConfig()
     objective = _Objective(kind, model, count)
-    caps_arr = (np.ones(objective.node_count) if caps is None
-                else validate_caps(caps))
-    if caps_arr.size != objective.node_count:
-        raise InfeasiblePoint(
-            f"caps length {caps_arr.size} != node count {objective.node_count}"
-        )
+    caps_arr = validate_caps(caps, objective.node_count)
     report = check_feasibility(model, objective.count, caps_arr)
     if not report.feasible:
         raise Infeasible(
@@ -279,8 +253,7 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
         )
     certified = report.all_pass()
     n_starts = config.starts if config.starts is not None else (1 if certified else 8)
-    starts = _starting_points(objective, n_starts, caps_arr, config.seed,
-                              report.witness)
+    starts = _starting_points(n_starts, caps_arr, config.seed, report.witness)
 
     if n_starts == 1 or _thread_limit(n_starts) == 1:
         trajectories = [_descend(objective, s, caps_arr, config) for s in starts]
@@ -317,12 +290,6 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
             f"solver did not reach grad_tol (residual {best.residual:.3e})"
         )
 
-    selection_union: list[tuple[int, ...]] = []
-    for i in finite_idx:
-        for rows in trajectories[i].selections:
-            if rows not in selection_union:
-                selection_union.append(rows)
-
     result = ScoreResult(
         weights=SimplexWeights(best.point, caps_arr.copy()),
         objective=float(best.value),
@@ -330,7 +297,6 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
         iterations=best.iterations,
         assumption_report=report,
         uniqueness_certified=certified,
-        selection_history=tuple(selection_union),
         converged=best.converged,
         warnings=tuple(warnings),
         start_objectives=tuple(float(t.value) for t in trajectories),
@@ -408,8 +374,7 @@ def grid_oracle(kind: ObjectiveKind, model, count: int | None = None,
         If the lattice holds more than :data:`GRID_BUDGET` points.
     """
     objective = _Objective(kind, model, count)
-    m = objective.node_count
-    caps_arr = np.ones(m) if caps is None else validate_caps(caps)
+    caps_arr = validate_caps(caps, objective.node_count)
     units = grid_units(step)
     cap_units = np.minimum(np.floor(caps_arr * units + 1e-9), units).astype(int)
     points = _lattice(units, cap_units) * step
@@ -436,10 +401,8 @@ def kkt_report(kind: ObjectiveKind, model, weights, count: int | None = None,
     """
     objective = _Objective(kind, model, count)
     if isinstance(weights, SimplexWeights) and caps is None:
-        caps_arr = weights.caps.copy()
-    else:
-        caps_arr = (np.ones(objective.node_count) if caps is None
-                    else validate_caps(caps))
+        caps = weights.caps
+    caps_arr = validate_caps(caps, objective.node_count)
     p = weight_vector(weights, objective.node_count)
     if (abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-9)
             or np.any(p > caps_arr + 1e-9)):

@@ -12,11 +12,11 @@ reach unit-sphere targets in that span.
 
 The eigenvalues and their derivative rows ``rows[k, i] = d mu_k / d p_i``
 come from the model's methods (``SpectralModel`` in :mod:`ctrlscore.spectral`,
-``NodeGramianFamily`` in :mod:`ctrlscore.linsys`), so value and gradient are
-one formula for every model kind:
+``NodeGramianFamily`` in :mod:`ctrlscore.linsys`).  Each score is
+``sum_k phi(mu_k)`` with ``phi'(mu) = -1 / s(mu)``, defined once in
+:data:`SCORES`, so value and gradient are one formula for every model and score:
 
-    df/dp_i   = - sum_k  rows[k, i] / mu_k
-    dg/dp_i   = - sum_k  rows[k, i] / mu_k**2
+    d/dp_i sum_k phi(mu_k)  =  - sum_k  rows[k, i] / s(mu_k)
 
 Only :func:`evaluate` computes the Hessian; the solver never reads it.
 Points where the n-th eigenvalue vanishes evaluate to ``+inf`` with no
@@ -28,12 +28,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
 
 from .errors import CapsBind, IndexMismatch, NotDiagonal
-from .linsys import Eigenpairs, positive_floor
+from .linsys import Eigenpairs, nth_positive
 from .simplex import SimplexWeights, validate_caps, weight_vector
 from .spectral import SpectralModel
 
@@ -52,23 +53,31 @@ class ObjectiveKind(Enum):
             raise ValueError(f"unknown score kind {text!r}; expected vcs or aecs")
 
 
+Score = namedtuple("Score", "phi s divided")
+#: Each score kind once: objective ``sum_k phi(mu_k)``, ``phi'(mu) = -1 / s(mu)``
+#: and ``divided(a, b)``, the divided difference of ``phi'`` for ``model.hessian``.
+SCORES = {
+    ObjectiveKind.VCS: Score(lambda mu: -np.log(mu), lambda mu: mu,
+                             lambda a, b: 1.0 / (a * b)),
+    ObjectiveKind.AECS: Score(lambda mu: 1.0 / mu, lambda mu: mu**2,
+                              lambda a, b: (a + b) / (a * b) ** 2),
+}
+
+
 @dataclass(frozen=True)
 class ObjectiveEvaluation:
     """Objective value with derivatives at one weight vector.
 
     ``value`` is ``+inf`` (and ``gradient`` is None) when the n-th eigenvalue
     is not positive.  ``hessian`` is filled in only by :func:`evaluate`.
-    ``active_rows`` holds the table rows achieving the top-n
-    eigenvalues for spectral models (None for matrix families, where the
-    selection is simply the top of the spectrum).  ``near_degenerate`` flags a
-    (near-)tie between eigenvalues n and n+1, where the selection gradient is
-    only approximate.
+    ``near_degenerate`` flags a (near-)tie between eigenvalues n and n+1,
+    where the selection gradient is only approximate; the selection itself
+    is ``Eigenpairs.selected`` (spectral models) or ``Eigenpairs.vectors``.
     """
 
     value: float
     gradient: np.ndarray | None
     hessian: np.ndarray | None
-    active_rows: tuple[int, ...] | None
     near_degenerate: bool = False
 
     @property
@@ -80,7 +89,7 @@ class _Objective:
     """Reusable evaluator of one score objective on one model."""
 
     def __init__(self, kind: ObjectiveKind, model, count: int | None = None):
-        self.kind = kind
+        self.score = SCORES[kind]
         self.model = model
         self.count = model.score_order if count is None else int(count)
         self.node_count = model.node_count
@@ -94,31 +103,21 @@ class _Objective:
 
     def at(self, pairs: Eigenpairs) -> ObjectiveEvaluation:
         """Value and gradient from the selected eigenpairs (no Hessian)."""
-        active, near = pairs.active_rows, pairs.near_degenerate
         if not pairs.positive:
-            return ObjectiveEvaluation(math.inf, None, None, active, near)
+            return ObjectiveEvaluation(math.inf, None, None, pairs.near_degenerate)
         mu = pairs.values
         rows = self.model.derivative_rows(pairs)
-        if self.kind is ObjectiveKind.VCS:
-            value = -float(np.log(mu).sum())
-            grad = -(rows / mu[:, None]).sum(axis=0)
-        else:
-            value = float((1.0 / mu).sum())
-            grad = -(rows / mu[:, None] ** 2).sum(axis=0)
-        return ObjectiveEvaluation(value, grad, None, active, near)
+        value = float(self.score.phi(mu).sum())
+        grad = -(rows / self.score.s(mu)[:, None]).sum(axis=0)
+        return ObjectiveEvaluation(value, grad, None, pairs.near_degenerate)
 
     def batch_values(self, batch: np.ndarray) -> np.ndarray:
         """Objective value at every row of ``batch`` (+inf where infeasible)."""
         batch = np.asarray(batch, dtype=float)
         top = self.model.eigenvalues(batch)[:, : self.count]
-        feasible = top[:, -1] > positive_floor(top[:, 0])
+        feasible = nth_positive(top)
         out = np.full(batch.shape[0], math.inf)
-        good = top[feasible]
-        if good.size:
-            if self.kind is ObjectiveKind.VCS:
-                out[feasible] = -np.log(good).sum(axis=1)
-            else:
-                out[feasible] = (1.0 / good).sum(axis=1)
+        out[feasible] = self.score.phi(top[feasible]).sum(axis=1)
         return out
 
 
@@ -131,8 +130,8 @@ def evaluate(kind: ObjectiveKind, model, weights,
     model's score order, or the full dimension for matrix families).  The
     Hessian is exact for spectral models and, for matrix families, available
     when the selection covers the whole spectrum.  It comes from the divided
-    differences of ``phi'`` for the objective ``sum_k phi(mu_k)``:
-    ``1 / (mu_k mu_l)`` for VCS and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS.
+    differences of ``phi'`` in :data:`SCORES`: ``1 / (mu_k mu_l)`` for VCS
+    and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS.
     """
     objective = _Objective(kind, model, count)
     pairs = model.eigenpairs(weight_vector(weights, objective.node_count),
@@ -140,10 +139,7 @@ def evaluate(kind: ObjectiveKind, model, weights,
     evaluation = objective.at(pairs)
     if not evaluation.feasible:
         return evaluation
-    if kind is ObjectiveKind.VCS:
-        hess = model.hessian(pairs, lambda a, b: 1.0 / (a * b))
-    else:
-        hess = model.hessian(pairs, lambda a, b: (a + b) / (a * b) ** 2)
+    hess = model.hessian(pairs, objective.score.divided)
     if hess is not None:
         hess = 0.5 * (hess + hess.T)
     return dataclasses.replace(evaluation, hessian=hess)
@@ -186,7 +182,7 @@ def closed_form_optimum(kind: ObjectiveKind, model: SpectralModel,
             raise NotDiagonal(f"row {row} is shared by several columns")
         used_rows.add(row)
         diag_coeffs[col] = table[row, col]
-    caps_arr = np.ones(m) if caps is None else validate_caps(caps)
+    caps_arr = validate_caps(caps, m)
     if kind is ObjectiveKind.VCS:
         values = np.full(m, 1.0 / m)
     else:

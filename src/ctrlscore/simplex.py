@@ -29,9 +29,17 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def validate_caps(caps) -> np.ndarray:
-    """Return caps as an array, requiring caps >= 0 and sum(caps) >= 1."""
+def validate_caps(caps, size: int | None = None) -> np.ndarray:
+    """Return caps as an array, requiring caps >= 0 and sum(caps) >= 1.
+
+    ``None`` means no caps: all ones of length ``size``.  A caps vector whose
+    length is not ``size`` raises :class:`InvalidWeights`.
+    """
+    if caps is None and size is not None:
+        return np.ones(size)
     arr = _as_vector(caps, "caps")
+    if size is not None and arr.size != size:
+        raise InvalidWeights(f"caps length {arr.size} != node count {size}")
     if np.any(arr < 0):
         raise InvalidWeights("caps must be nonnegative")
     if arr.sum() < 1.0 - SUM_TOL:
@@ -58,9 +66,7 @@ class SimplexWeights:
 
     def __post_init__(self):
         values = _as_vector(self.values, "values")
-        caps = np.ones_like(values) if self.caps is None else validate_caps(self.caps)
-        if caps.shape != values.shape:
-            raise InvalidWeights("values and caps must have the same length")
+        caps = validate_caps(self.caps, values.size)
         total = values.sum()
         if abs(total - 1.0) > SUM_TOL:
             raise InvalidWeights(f"weights sum to {total!r}, expected 1 within {SUM_TOL}")
@@ -102,9 +108,7 @@ def project_capped_simplex(point, caps) -> SimplexWeights:
         If ``sum(caps) < 1``.
     """
     v = _as_vector(point, "point")
-    a = validate_caps(caps)
-    if a.shape != v.shape:
-        raise InvalidWeights("point and caps must have the same length")
+    a = validate_caps(caps, v.size)
 
     # Feasible input is returned unchanged (idempotency, bitwise).
     if abs(v.sum() - 1.0) <= SUM_TOL and np.all(v >= 0.0) and np.all(v <= a):

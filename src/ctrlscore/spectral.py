@@ -38,7 +38,7 @@ from .linsys import (
     Eigenpairs,
     NodeGramianFamily,
     _quadratic_rows,
-    positive_floor,
+    nth_positive,
 )
 from .simplex import SimplexWeights, central_point, validate_caps, weight_vector
 
@@ -283,18 +283,17 @@ def check_feasibility(model, count: int | None = None, caps=None) -> AssumptionR
     n = model.score_order if count is None else int(count)
     if not 1 <= n <= model.mode_count:
         raise IndexMismatch(f"score order {n} out of range 1..{model.mode_count}")
-    caps_arr = np.ones(m) if caps is None else validate_caps(caps)
+    caps_arr = validate_caps(caps, m)
 
     witness = None
     best_mu = -np.inf
     for candidate in _witness_candidates(caps_arr):
-        values = model.eigenvalues(candidate)
-        mu_n, mu_1 = float(values[n - 1]), float(values[0])
-        best_mu = max(best_mu, mu_n)
-        if mu_n > positive_floor(mu_1):
-            witness = candidate
-            best_mu = mu_n
+        top = model.eigenvalues(candidate)[:n]
+        mu_n = float(top[-1])
+        if nth_positive(top):
+            witness, best_mu = candidate, mu_n
             break
+        best_mu = max(best_mu, mu_n)
 
     commuting, comm_residual = check_commuting(model)
     n_spec, spec_residual = check_n_spectrum(model, n)

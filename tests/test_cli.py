@@ -63,6 +63,24 @@ matrix 1
 -1
 """
 
+HEAT8 = """\
+ctrlscore-model v1
+kind heat_dirichlet
+nodes 1 2 3 4 5 6 7 8
+"""
+
+DENSE5 = """\
+ctrlscore-model v1
+kind dense_lti
+nodes 1 2 3 4 5
+matrix 5
+-2 1 0 0 0
+0 -2 1 0 0
+0 0 -2 1 0
+0 0 0 -2 1
+0 0 0 0 -2
+"""
+
 HEAT2 = """\
 ctrlscore-model v1
 kind heat_dirichlet
@@ -204,6 +222,34 @@ def test_score_bad_grid_step_exits_1_before_the_report(tmp_path, capsys, step):
     assert captured.out == ""
     assert captured.err.startswith("error: grid step")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, text, step, message", [
+    ("heat8.csm", HEAT8, "0.01", "lattice has at least"),
+    ("heat4.csm", HEAT4, "0.5", "objective is infinite on the whole lattice"),
+], ids=["heat8-lattice-too-large", "heat4-infinite-on-lattice"])
+def test_score_grid_check_failure_exits_1_without_a_report(tmp_path, capsys, name,
+                                                           text, step, message):
+    path = write(tmp_path, name, text)
+    code = main(["score", path, "--kind", "aecs", "--format", "csv",
+                 "--grid-check", step])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, text", [("heat4.csm", HEAT4), ("dense5.csm", DENSE5)],
+                         ids=["heat4", "dense5"])
+def test_score_negative_seed_is_a_usage_error(tmp_path, capsys, name, text):
+    path = write(tmp_path, name, text)
+    with pytest.raises(SystemExit) as info:
+        main(["score", path, "--kind", "vcs", "--seed", "-1"])
+    assert info.value.code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["ctrlscore score: error: argument --seed: must be >= 0, got -1"]
+    assert main(["score", path, "--kind", "vcs", "--seed", "0"]) == 0
 
 
 @pytest.mark.parametrize("argv", [["score", "m.csm", "--kind", "bogus"],

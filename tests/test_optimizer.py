@@ -202,20 +202,15 @@ def test_max_iters_flagged_not_raised():
     assert math.isfinite(result.objective)
 
 
-def test_selection_history_tracks_crossings():
-    # n = 1 over two rows: the active row flips as weight moves across 0.5
-    table = np.array([[1.0, 0.0], [0.0, 1.0]])
-    model = cs.SpectralModel((1, 2), table, 1)
-    objective = _Objective(ObjectiveKind.AECS, model, 1)
-    trajectory = _descend(objective, np.array([0.45, 0.55]), np.ones(2),
-                          SolveConfig())
-    assert trajectory.selections  # at least the initial selection is recorded
-
-    # Here the top row switches on the way to the optimum [0, 1].
+def test_solver_follows_a_crossing_selection():
+    # n = 1 over two rows: the top row at the start (row 1) is not the top
+    # row at the optimum [0, 1], where the rows tie and row 0 is selected.
     crossing = cs.SpectralModel((1, 2), np.array([[0.0, 1.0], [0.5, 1.0]]), 1)
+    start = central_point(np.ones(2))
+    assert list(crossing.eigenpairs(start, 1).selected) == [1]
     for kind in (ObjectiveKind.VCS, ObjectiveKind.AECS):
         result = cs.solve(kind, crossing, config=SolveConfig(starts=1))
-        assert len(result.selection_history) >= 2
+        assert list(crossing.eigenpairs(result.weights, 1).selected) == [0]
         assert result.converged
         best, best_value = cs.grid_oracle(kind, crossing, step=0.05)
         np.testing.assert_allclose(result.weights.values, best.values, atol=1e-9)
@@ -227,6 +222,8 @@ def test_solve_config_validation():
         SolveConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolveConfig(starts=0)
+    with pytest.raises(ValueError):
+        SolveConfig(seed=-1)
 
 
 @pytest.mark.parametrize("size, cap, step", [(4, 0.3, 0.01), (8, 0.15, 0.05),
@@ -293,3 +290,38 @@ def test_projection_reexport():
     assert optimizer.project_capped_simplex is cs.project_capped_simplex
     start = central_point(np.ones(3))
     assert abs(start.values.sum() - 1.0) <= 1e-12
+
+
+_HEAT4 = cs.heat_dirichlet_model([1, 2, 3, 4])
+_CAPS3 = np.array([0.5, 0.5, 0.5])
+_QUARTERS = np.full(4, 0.25)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cs.SimplexWeights(_QUARTERS, _CAPS3),
+    lambda: cs.project_capped_simplex(_QUARTERS, _CAPS3),
+    lambda: cs.solve(ObjectiveKind.AECS, _HEAT4, caps=_CAPS3),
+    lambda: cs.grid_oracle(ObjectiveKind.AECS, _HEAT4, step=0.25, caps=_CAPS3),
+    lambda: cs.kkt_report(ObjectiveKind.AECS, _HEAT4, _QUARTERS, caps=_CAPS3),
+    lambda: cs.check_feasibility(_HEAT4, caps=_CAPS3),
+    lambda: cs.closed_form_optimum(ObjectiveKind.AECS, _HEAT4, caps=_CAPS3),
+], ids=["SimplexWeights", "project_capped_simplex", "solve", "grid_oracle",
+        "kkt_report", "check_feasibility", "closed_form_optimum"])
+def test_caps_of_the_wrong_length_raise_invalid_weights(call):
+    with pytest.raises(cs.InvalidWeights, match="caps length 3 != node count 4"):
+        call()
+
+
+@pytest.mark.parametrize("kind", [ObjectiveKind.VCS, ObjectiveKind.AECS])
+def test_solve_starts_at_the_feasibility_witness(kind):
+    # The central point (0.5, 0.5) has mu_2 / mu_1 = 1e-13, under the
+    # positive floor, so the witness is the greedy pattern (1e-8, 1 - 1e-8).
+    model = cs.SpectralModel((1, 2), np.array([[1e6, 0.0], [0.0, 1e-7]]), 2)
+    caps = np.array([1.0, 1.0 - 1e-8])
+    assert not cs.evaluate(kind, model, central_point(caps)).feasible
+    witness = cs.check_feasibility(model, caps=caps).witness
+    at_witness = cs.evaluate(kind, model, witness).value
+    result = cs.solve(kind, model, caps=caps)
+    assert cs.evaluate(kind, model, result.weights).feasible
+    assert math.isfinite(result.objective)
+    assert result.objective <= at_witness
