@@ -76,12 +76,24 @@ def gramian_by_quadrature(a_matrix: np.ndarray, direction: np.ndarray,
 
 
 def project_by_active_set(point: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Tiny-QP projection oracle: enumerate all lower/upper active sets."""
+    """Tiny-QP projection oracle: enumerate all lower/upper active sets.
+
+    A pattern is kept only when its point is feasible and the KKT multiplier
+    signs hold: some shift ``tau`` has ``point_i - tau = x_i`` on free
+    coordinates, ``point_i <= tau`` at zero and ``point_i - caps_i >= tau`` at
+    the cap.  Comparing squared distances alone cannot pick the projection:
+    two patterns can differ by 5e-9 entrywise while their distances agree to
+    the last bit.
+    """
     m = point.size
+    slack = 1e-12 * max(1.0, float(np.max(np.abs(point))))
     best, best_dist = None, np.inf
     for pattern in itertools.product((0, 1, 2), repeat=m):  # 0 free, 1 at 0, 2 at cap
         fixed = sum(caps[i] for i in range(m) if pattern[i] == 2)
         free = [i for i in range(m) if pattern[i] == 0]
+        # Bounds on the shift from the zero and capped coordinates.
+        low = max((point[i] for i in range(m) if pattern[i] == 1), default=-np.inf)
+        high = min((point[i] - caps[i] for i in range(m) if pattern[i] == 2), default=np.inf)
         x = np.zeros(m)
         for i in range(m):
             if pattern[i] == 2:
@@ -90,6 +102,9 @@ def project_by_active_set(point: np.ndarray, caps: np.ndarray) -> np.ndarray:
             tau = (sum(point[i] for i in free) + fixed - 1.0) / len(free)
             for i in free:
                 x[i] = point[i] - tau
+            low, high = max(low, tau), min(high, tau)
+        if low > high + slack:
+            continue
         if abs(x.sum() - 1.0) > 1e-9:
             continue
         if np.any(x < -1e-12) or np.any(x > caps + 1e-12):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import project_by_active_set
@@ -63,6 +63,7 @@ vectors = st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=4)
 @settings(max_examples=200, deadline=None)
 @given(vectors, st.lists(st.floats(0.05, 2.0), min_size=2, max_size=4),
        st.integers(0, 10**6))
+@example([0.0, 1.0, 1e-8], [1.0, 1.0, 1.0], 0)
 def test_projection_properties(raw_point, raw_caps, salt):
     size = min(len(raw_point), len(raw_caps))
     point = np.asarray(raw_point[:size])
