@@ -23,7 +23,6 @@ import numpy as np
 
 from ctrlscore import (
     ObjectiveKind,
-    SolveConfig,
     closed_form_optimum,
     grid_oracle,
     heat_dirichlet_model,
@@ -39,7 +38,6 @@ def main(argv=None) -> int:
     parser.add_argument("--verify", action="store_true",
                         help="re-solve each row and cross-check with the "
                              "lattice oracle (step 0.02)")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     begin = time.perf_counter()
@@ -55,8 +53,7 @@ def main(argv=None) -> int:
         print("  vcs  (closed form): "
               + "  ".join(f"{w:.6f}" for w in vcs.values))
         if args.verify:
-            result = solve(ObjectiveKind.AECS, model,
-                           config=SolveConfig(seed=args.seed))
+            result = solve(ObjectiveKind.AECS, model)
             gap = float(np.max(np.abs(result.weights.values - aecs.values)))
             line = (f"  solver agreement: max|dp|={gap:.2e} "
                     f"kkt={result.kkt_residual:.2e}")

@@ -62,16 +62,14 @@ from .linsys import (
 from .modelfile import (
     ModelFile,
     dump_model_text,
-    load_model_file,
     model_file_from_spectral,
     parse_model_text,
 )
 from .optimizer import (
-    KKTReport,
     ScoreResult,
     SolveConfig,
     grid_oracle,
-    kkt_report,
+    kkt_residual,
     solve,
 )
 from .scores import (

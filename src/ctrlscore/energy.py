@@ -12,11 +12,12 @@ These computations give the scores their operational meaning.  With
   semi-axes ``sqrt(mu_k)`` along ``z_k``; its n-dimensional section volume is
   ``V_n * sqrt(mu_1 ... mu_n)`` with ``V_n`` the unit-ball volume.
 
-Eigenpairs and their state-space basis come from the model's methods.
-Finite horizons are diagnostics on Gramian families: ``W(p, T)`` comes from
-:func:`~ctrlscore.linsys.finite_horizon_gramian`, and
+Eigenpairs and their state-space basis come from the model's methods, at the
+infinite horizon.  A finite horizon is one diagnostic on Gramian families:
 :func:`projection_operator_check` verifies that the discretized input-space
-operator ``L^T W_n^+ L`` behaves as the orthogonal projection it should be.
+operator ``L^T W_n^+ L`` behaves as the orthogonal projection it should be,
+against the exact ``W(p, T)`` of
+:func:`~ctrlscore.linsys.finite_horizon_gramian`.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ SPAN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EnergyQuery:
-    """A minimum-energy question: target state, horizon, selection rank."""
+    """A minimum-energy question: target state and selection rank."""
 
     target: np.ndarray
     rank: int
-    horizon: float = math.inf
 
     def __post_init__(self):
         target = np.asarray(self.target, dtype=float)
@@ -49,8 +49,6 @@ class EnergyQuery:
             raise IndexMismatch("target must be a finite 1-d vector")
         if self.rank < 1:
             raise IndexMismatch("rank must be >= 1")
-        if not (self.horizon == math.inf or self.horizon > 0):
-            raise IndexMismatch("horizon must be positive or inf")
         target.flags.writeable = False
         object.__setattr__(self, "target", target)
 
@@ -101,7 +99,7 @@ def min_energy(model, weights, query: EnergyQuery) -> float:
     norm = float(np.linalg.norm(target))
     if norm == 0.0:
         return 0.0
-    pairs = model.eigenpairs(weights, query.rank, query.horizon)
+    pairs = model.eigenpairs(weights, query.rank)
     mu, basis = pairs.values, model.state_basis(pairs)
     if target.size != basis.shape[0]:
         raise IndexMismatch(

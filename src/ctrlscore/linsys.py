@@ -11,7 +11,12 @@ Schur-based solver; the defining integral is kept only as a test oracle.
 The mixed Gramian for a weight vector ``p`` is ``W(p) = sum_i p_i W_i``.
 
 ``NodeGramianFamily`` carries the eigen methods of ``W(p)`` that
-:class:`~ctrlscore.spectral.SpectralModel` also has.
+:class:`~ctrlscore.spectral.SpectralModel` also has: ``eigenpairs`` is the
+one decomposition of ``W(p)`` at a single point (``eigh``), which the
+feasibility check, the objective and the energy diagnostics all read, and
+``eigenvalues`` is the batch path of the lattice oracle (``eigvalsh``).
+:func:`top_eigenvalues` is an independent reference for tests; no program
+code calls it.
 """
 
 from __future__ import annotations
@@ -180,18 +185,17 @@ class NodeGramianFamily:
         """Default number of selected eigenvalues: the whole spectrum."""
         return self.system.n_dim
 
-    def eigenvalues(self, weights) -> np.ndarray:
-        """All eigenvalues of ``W(p)``, descending; a 2-d ``weights`` is a
-        batch of points, one per row."""
-        if np.ndim(weights) == 2:
-            mixed = np.einsum("bi,inm->bnm", np.asarray(weights, dtype=float), self.stack)
-            return np.linalg.eigvalsh(mixed)[:, ::-1]
-        return top_eigenvalues(assemble_gramian(self, weights), self.mode_count)
+    def eigenvalues(self, batch) -> np.ndarray:
+        """All eigenvalues of ``W(p)`` for each row ``p`` of ``batch``,
+        descending along the last axis."""
+        mixed = np.einsum("bi,inm->bnm", np.asarray(batch, dtype=float), self.stack)
+        return np.linalg.eigvalsh(mixed)[:, ::-1]
 
     def eigenpairs(self, weights, count: int,
                    horizon: float = math.inf) -> Eigenpairs:
         """Top ``count`` eigenpairs of ``W(p)``, or of ``W(p, T)`` for a
-        finite ``horizon``."""
+        finite ``horizon``; only
+        :func:`~ctrlscore.energy.projection_operator_check` passes one."""
         if not 1 <= count <= self.mode_count:
             raise IndexMismatch(f"count {count} out of range 1..{self.mode_count}")
         eigvals, eigvecs = np.linalg.eigh(finite_horizon_gramian(self, weights, horizon))
@@ -327,9 +331,10 @@ def finite_horizon_gramian(family: NodeGramianFamily, weights,
 def top_eigenvalues(matrix, count: int) -> np.ndarray:
     """The ``count`` largest eigenvalues of a symmetric PSD matrix, descending.
 
-    Eigenvalues within ``-DEFAULT_TOL * max(1, mu_max)`` of zero are clamped to zero;
-    anything more negative raises, since that indicates a modeling bug rather
-    than roundoff.
+    An independent reference for the models' eigen methods; the program
+    reads ``eigenpairs``.  Eigenvalues within ``-DEFAULT_TOL * max(1, mu_max)``
+    of zero are clamped to zero; anything more negative raises, since that
+    indicates a modeling bug rather than roundoff.
     """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -287,11 +287,6 @@ def parse_model_text(text: str) -> ModelFile:
     )
 
 
-def load_model_file(path) -> ModelFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_model_text(handle.read())
-
-
 def model_file_from_spectral(model: SpectralModel, caps=None) -> ModelFile:
     """Wrap a spectral model as a serializable ``spectral_table`` file."""
     caps_tuple = None if caps is None else tuple(float(c) for c in caps)

@@ -8,10 +8,11 @@ is declared on the projected-gradient residual
 
     r(p) = || p - project(p - grad h(p)) ||_inf,
 
-which is the KKT stationarity measure for this constraint set.  A brute-force
-lattice enumeration (:func:`grid_oracle`, built in numpy one column at a time
-and capped at :data:`GRID_BUDGET` points) provides an independent check of
-the optimizer on small node sets.
+which is the KKT stationarity measure for this constraint set and the only
+one the package computes (:func:`kkt_residual` reports it at any feasible
+point).  A brute-force lattice enumeration (:func:`grid_oracle`, built in
+numpy one column at a time and capped at :data:`GRID_BUDGET` points)
+provides an independent check of the optimizer on small node sets.
 
 Multi-start behaviour: models that pass the commutation, n-spectrum and
 feasibility checks have a provably unique optimum and default to a single
@@ -20,8 +21,9 @@ start; anything else defaults to eight.  Start 0 is the witness of
 samples projected onto the set; a start with an infinite objective is
 dropped with a warning.  Starts that disagree on the optimal value by more
 than ``1e-6`` raise :class:`~ctrlscore.errors.NonConvexAmbiguous` (with the
-merged result attached).  ``CTRLSCORE_THREADS`` caps how many starts run
-concurrently (0 or unset picks the CPU count).
+merged result attached).  Several starts run on a thread pool with one
+worker per CPU, at most one per start; each start's descent is the same
+serial computation either way.
 """
 
 from __future__ import annotations
@@ -90,29 +92,6 @@ class ScoreResult:
     start_weights: tuple[tuple[float, ...], ...]
     kind: ObjectiveKind
     score_order: int
-
-
-@dataclass(frozen=True)
-class KKTReport:
-    """Stationarity diagnostics at a feasible point."""
-
-    residual: float
-    multiplier: float
-    stationarity_gaps: np.ndarray
-    lower_active: tuple[int, ...]
-    upper_active: tuple[int, ...]
-    objective: float
-
-
-def _thread_limit(n_tasks: int) -> int:
-    raw = os.environ.get("CTRLSCORE_THREADS", "0")
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit <= 0:
-        limit = os.cpu_count() or 1
-    return max(1, min(limit, n_tasks))
 
 
 def _pg_residual(point: np.ndarray, grad: np.ndarray, caps: np.ndarray) -> float:
@@ -255,10 +234,11 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
     n_starts = config.starts if config.starts is not None else (1 if certified else 8)
     starts = _starting_points(n_starts, caps_arr, config.seed, report.witness)
 
-    if n_starts == 1 or _thread_limit(n_starts) == 1:
+    workers = min(os.cpu_count() or 1, n_starts)
+    if workers == 1:
         trajectories = [_descend(objective, s, caps_arr, config) for s in starts]
     else:
-        with ThreadPoolExecutor(max_workers=_thread_limit(n_starts)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             trajectories = list(
                 pool.map(lambda s: _descend(objective, s, caps_arr, config), starts)
             )
@@ -385,14 +365,10 @@ def grid_oracle(kind: ObjectiveKind, model, count: int | None = None,
     return SimplexWeights(points[best], caps_arr.copy()), float(values[best])
 
 
-def kkt_report(kind: ObjectiveKind, model, weights, count: int | None = None,
-               caps=None) -> KKTReport:
-    """Stationarity diagnostics at a given feasible point.
-
-    Reports the projected-gradient residual, an estimate of the equality
-    multiplier (mean gradient over coordinates strictly inside the box), and
-    per-coordinate stationarity gaps: ``|g_i - nu|`` for free coordinates,
-    ``max(0, nu - g_i)`` at the lower bound and ``max(0, g_i - nu)`` at a cap.
+def kkt_residual(kind: ObjectiveKind, model, weights, count: int | None = None,
+                 caps=None) -> float:
+    """The projected-gradient residual ``r(p)`` at a given feasible point,
+    the stationarity measure the solver stops on.
 
     Raises
     ------
@@ -410,25 +386,4 @@ def kkt_report(kind: ObjectiveKind, model, weights, count: int | None = None,
     evaluation = objective(p)
     if not evaluation.feasible:
         raise InfeasiblePoint("objective is infinite at this point")
-    grad = evaluation.gradient
-    residual = _pg_residual(p, grad, caps_arr)
-
-    act_tol = 1e-10
-    lower = p <= act_tol
-    upper = p >= caps_arr - act_tol
-    free = ~lower & ~upper
-    multiplier = float(np.mean(grad[free])) if np.any(free) else float(np.median(grad))
-    gaps = np.where(
-        free,
-        np.abs(grad - multiplier),
-        np.where(lower, np.maximum(0.0, multiplier - grad),
-                 np.maximum(0.0, grad - multiplier)),
-    )
-    return KKTReport(
-        residual=residual,
-        multiplier=multiplier,
-        stationarity_gaps=gaps,
-        lower_active=tuple(int(i) for i in np.nonzero(lower)[0]),
-        upper_active=tuple(int(i) for i in np.nonzero(upper)[0]),
-        objective=float(evaluation.value),
-    )
+    return _pg_residual(p, evaluation.gradient, caps_arr)

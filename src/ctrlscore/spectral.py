@@ -17,11 +17,12 @@ The eigen logic lives on the model classes: ``SpectralModel`` and
 :class:`~ctrlscore.linsys.NodeGramianFamily` have the same methods
 (``eigenvalues``, ``eigenpairs``, ``derivative_rows``, ``state_basis``,
 ``hessian``), so their callers never branch on the model type.
+``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
+batch of points, one per row, for the lattice oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ from .linsys import (
     Eigenpairs,
     NodeGramianFamily,
     _quadratic_rows,
-    nth_positive,
 )
 from .simplex import SimplexWeights, central_point, validate_caps, weight_vector
 
@@ -101,21 +101,15 @@ class SpectralModel:
     def node_count(self) -> int:
         return len(self.node_indices)
 
-    def eigenvalues(self, weights) -> np.ndarray:
-        """All ``K`` eigenvalues of ``W(p)``, descending; a 2-d ``weights``
-        is a batch of points, one per row."""
-        if np.ndim(weights) == 2:
-            values = np.asarray(weights, dtype=float) @ self.eigen_table.T
-        else:
-            values = self.eigen_table @ weight_vector(weights, self.node_count)
-        return np.sort(values, axis=-1)[..., ::-1]
+    def eigenvalues(self, batch) -> np.ndarray:
+        """All ``K`` eigenvalues of ``W(p)`` for each row ``p`` of ``batch``,
+        descending along the last axis."""
+        values = np.asarray(batch, dtype=float) @ self.eigen_table.T
+        return np.sort(values, axis=-1)[:, ::-1]
 
-    def eigenpairs(self, weights, count: int,
-                   horizon: float = math.inf) -> Eigenpairs:
+    def eigenpairs(self, weights, count: int) -> Eigenpairs:
         """Top ``count`` eigenvalues of ``W(p)`` and the table rows giving
-        them; only the infinite horizon has a table."""
-        if not math.isinf(horizon):
-            raise IndexMismatch("spectral models support only horizon = inf")
+        them."""
         if not 1 <= count <= self.mode_count:
             raise IndexMismatch(f"count {count} out of range 1..{self.mode_count}")
         values = self.eigen_table @ weight_vector(weights, self.node_count)
@@ -277,7 +271,10 @@ def check_feasibility(model, count: int | None = None, caps=None) -> AssumptionR
 
     Tries the central point of the capped simplex and then each greedy
     cap-saturating pattern, accepting the first weights with a strictly
-    positive n-th eigenvalue.  Infeasibility is reported, never raised.
+    positive n-th eigenvalue.  The eigenvalues come from
+    ``model.eigenpairs``, the decomposition the objective reads, so the
+    witness and ``nth_eigenvalue`` are what the solver sees at that point.
+    Infeasibility is reported, never raised.
     """
     m = model.node_count
     n = model.score_order if count is None else int(count)
@@ -288,9 +285,9 @@ def check_feasibility(model, count: int | None = None, caps=None) -> AssumptionR
     witness = None
     best_mu = -np.inf
     for candidate in _witness_candidates(caps_arr):
-        top = model.eigenvalues(candidate)[:n]
-        mu_n = float(top[-1])
-        if nth_positive(top):
+        pairs = model.eigenpairs(candidate, n)
+        mu_n = float(pairs.values[-1])
+        if pairs.positive:
             witness, best_mu = candidate, mu_n
             break
         best_mu = max(best_mu, mu_n)

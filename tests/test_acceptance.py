@@ -169,7 +169,7 @@ def test_criterion_7_energy_identities():
     mean, std_error = cs.average_min_energy_monte_carlo(
         model, weights, 4, num_samples=100_000, seed=2024
     )
-    mu = model.eigenvalues(weights)
+    mu = model.eigenpairs(weights, 4).values
     expected = float(np.mean(1.0 / mu))
     sigma_gap = abs(mean - expected) / std_error
     assert sigma_gap <= 3.0

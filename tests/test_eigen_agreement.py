@@ -3,7 +3,9 @@
 All three read the model's eigen methods, with different numerics on purpose
 (single points assemble ``W(p)`` with ``tensordot`` and use ``eigh``, batches
 use ``einsum`` and ``eigvalsh``), so values may differ in the last bits but
-must agree to 1e-12 and be infinite together.  Dense points keep every
+must agree to 1e-12 and be infinite together.  The feasibility check reads
+the single-point path, so its verdict and ``mu_n`` at the witness equal the
+objective's bit for bit.  Dense points keep every
 weight at least 0.05 and the selected spectrum within a condition number of
 1e3, where two LAPACK eigensolvers differ by about ``1e3 * eps`` relative.
 """
@@ -35,6 +37,12 @@ def _simplex_points(rng, count: int, size: int, floor: float,
 
 
 def _check_agreement(model, count: int, points: np.ndarray) -> None:
+    report = cs.check_feasibility(model, count)
+    witness = (report.witness if report.feasible
+               else cs.central_point(np.ones(model.node_count)))
+    pairs = model.eigenpairs(witness, count)
+    assert report.feasible == pairs.positive and (
+        not report.feasible or report.nth_eigenvalue == pairs.values[-1])
     for kind in KINDS:
         objective = _Objective(kind, model, count)
         batch = objective.batch_values(points)

@@ -61,12 +61,6 @@ def test_rank_beyond_the_spectrum_is_rejected():
             cs.min_energy(model, [0.5, 0.5], EnergyQuery(np.ones(2), 3))
 
 
-def test_finite_horizon_is_rejected_on_spectral_models():
-    model = cs.heat_dirichlet_model([1, 2])
-    with pytest.raises(cs.IndexMismatch):
-        cs.min_energy(model, [0.5, 0.5], EnergyQuery(np.ones(2), 2, horizon=1.0))
-
-
 def test_ellipsoid_diagonal_example():
     # mixed Gramian diag(0.25, 0.04)
     family = cs.NodeGramianFamily(
@@ -83,7 +77,7 @@ def test_ellipsoid_diagonal_example():
 def test_interval_volume_for_rank_one():
     model = cs.heat_dirichlet_model([1, 2])
     ellipsoid = cs.reachable_ellipsoid(model, [0.5, 0.5], 1)
-    mu1 = model.eigenvalues([0.5, 0.5])[0]
+    mu1 = model.eigenpairs([0.5, 0.5], 2).values[0]
     assert ellipsoid.log_volume == pytest.approx(
         math.log(2.0 * math.sqrt(mu1)), rel=1e-12
     )
@@ -121,7 +115,7 @@ def test_vcs_objective_equals_ellipsoid_log_volume_identity(rng):
 def test_aecs_objective_equals_scaled_sphere_expectation():
     model = cs.heat_dirichlet_model([1, 2, 3])
     weights = [0.25, 0.35, 0.4]
-    mu = model.eigenvalues(weights)
+    mu = model.eigenpairs(weights, 3).values
     expectation = float(np.mean(1.0 / mu))  # closed form for sphere targets
     objective = cs.evaluate(ObjectiveKind.AECS, model, weights).value
     assert 3.0 * expectation == pytest.approx(objective, rel=1e-14)
@@ -133,7 +127,7 @@ def test_monte_carlo_average_energy_within_three_sigma():
     mean, std_error = cs.average_min_energy_monte_carlo(
         model, weights, 4, num_samples=100_000, seed=7
     )
-    mu = model.eigenvalues(weights)
+    mu = model.eigenpairs(weights, 4).values
     expected = float(np.mean(1.0 / mu))
     assert abs(mean - expected) <= 3.0 * std_error
     # spot check the sampler against the scalar API

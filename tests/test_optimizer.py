@@ -12,7 +12,7 @@ from conftest import random_diagonal_model, random_stable_family
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind, SolveConfig
 from ctrlscore import optimizer
-from ctrlscore.optimizer import _descend, _lattice
+from ctrlscore.optimizer import _descend, _lattice, _starting_points
 from ctrlscore.scores import _Objective
 from ctrlscore.simplex import central_point
 
@@ -91,30 +91,28 @@ def test_oracle_agreement_small_models(rng):
                 assert np.max(np.abs(result.weights.values - best.values)) <= 0.01
 
 
-def test_kkt_report_at_closed_form_optimum():
+def test_kkt_residual_at_closed_form_optimum():
     model = cs.heat_dirichlet_model([1, 2, 3, 4])
     closed = cs.closed_form_optimum(ObjectiveKind.AECS, model)
-    report = cs.kkt_report(ObjectiveKind.AECS, model, closed)
-    assert report.residual <= 1e-9
+    assert cs.kkt_residual(ObjectiveKind.AECS, model, closed) <= 1e-9
 
     uniform = cs.SimplexWeights(np.full(4, 0.25))
-    report = cs.kkt_report(ObjectiveKind.VCS, model, uniform)
-    assert report.residual <= 1e-9
+    assert cs.kkt_residual(ObjectiveKind.VCS, model, uniform) <= 1e-9
 
 
-def test_kkt_report_uniform_is_not_aecs_optimum():
+def test_kkt_residual_uniform_is_not_aecs_optimum():
     model = cs.heat_dirichlet_model([1, 2])
-    report = cs.kkt_report(ObjectiveKind.AECS, model,
-                           cs.SimplexWeights(np.array([0.5, 0.5])))
-    assert report.residual > 0.01
+    residual = cs.kkt_residual(ObjectiveKind.AECS, model,
+                               cs.SimplexWeights(np.array([0.5, 0.5])))
+    assert residual > 0.01
 
 
-def test_kkt_report_rejects_infeasible_point():
+def test_kkt_residual_rejects_infeasible_point():
     model = cs.heat_dirichlet_model([1, 2])
     with pytest.raises(cs.InfeasiblePoint):
-        cs.kkt_report(ObjectiveKind.AECS, model, np.array([0.8, 0.8]))
+        cs.kkt_residual(ObjectiveKind.AECS, model, np.array([0.8, 0.8]))
     with pytest.raises(cs.InfeasiblePoint):
-        cs.kkt_report(ObjectiveKind.AECS, model, np.array([1.0, 0.0]))
+        cs.kkt_residual(ObjectiveKind.AECS, model, np.array([1.0, 0.0]))
 
 
 def test_descent_is_monotone_within_float_tolerance():
@@ -155,14 +153,20 @@ def test_solve_deterministic_given_seed():
     assert first.objective == second.objective
 
 
-def test_threaded_solve_matches_serial(monkeypatch):
+def test_pooled_starts_match_serial_descents():
+    # With more than one CPU the eight starts run on the thread pool; each
+    # must still be the serial descent from its own starting point.
     family = random_stable_family(np.random.default_rng(6), 3)
-    monkeypatch.setenv("CTRLSCORE_THREADS", "1")
-    serial = cs.solve(ObjectiveKind.VCS, family, config=SolveConfig(seed=3))
-    monkeypatch.setenv("CTRLSCORE_THREADS", "4")
-    threaded = cs.solve(ObjectiveKind.VCS, family, config=SolveConfig(seed=3))
-    assert serial.weights.values.tobytes() == threaded.weights.values.tobytes()
-    assert serial.start_objectives == threaded.start_objectives
+    config = SolveConfig(starts=8, seed=3)
+    result = cs.solve(ObjectiveKind.VCS, family, config=config)
+    caps = np.ones(3)
+    objective = _Objective(ObjectiveKind.VCS, family)
+    witness = cs.check_feasibility(family).witness
+    serial = [_descend(objective, start, caps, config)
+              for start in _starting_points(8, caps, 3, witness)]
+    assert result.start_objectives == tuple(t.value for t in serial)
+    best = min(range(8), key=lambda i: (not serial[i].converged, serial[i].value, i))
+    assert result.weights.values.tobytes() == serial[best].point.tobytes()
 
 
 def test_multistart_agreement_when_certified():
@@ -302,11 +306,11 @@ _QUARTERS = np.full(4, 0.25)
     lambda: cs.project_capped_simplex(_QUARTERS, _CAPS3),
     lambda: cs.solve(ObjectiveKind.AECS, _HEAT4, caps=_CAPS3),
     lambda: cs.grid_oracle(ObjectiveKind.AECS, _HEAT4, step=0.25, caps=_CAPS3),
-    lambda: cs.kkt_report(ObjectiveKind.AECS, _HEAT4, _QUARTERS, caps=_CAPS3),
+    lambda: cs.kkt_residual(ObjectiveKind.AECS, _HEAT4, _QUARTERS, caps=_CAPS3),
     lambda: cs.check_feasibility(_HEAT4, caps=_CAPS3),
     lambda: cs.closed_form_optimum(ObjectiveKind.AECS, _HEAT4, caps=_CAPS3),
 ], ids=["SimplexWeights", "project_capped_simplex", "solve", "grid_oracle",
-        "kkt_report", "check_feasibility", "closed_form_optimum"])
+        "kkt_residual", "check_feasibility", "closed_form_optimum"])
 def test_caps_of_the_wrong_length_raise_invalid_weights(call):
     with pytest.raises(cs.InvalidWeights, match="caps length 3 != node count 4"):
         call()
