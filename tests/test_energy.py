@@ -178,6 +178,17 @@ def test_projection_diagnostics_report_rank_deficiency():
     assert diag.gramian_rank == 1
 
 
+def test_projection_check_rejects_a_horizon_that_is_not_finite_and_positive():
+    family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0])), [1, 2])
+    for horizon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(cs.IndexMismatch):
+            cs.projection_operator_check(
+                family, [0.5, 0.5], 2, horizon=horizon, time_steps=10
+            )
+    with pytest.raises(cs.IndexMismatch):
+        cs.projection_operator_check(family, [0.5, 0.5], 2, horizon=5.0, time_steps=0)
+
+
 def test_unit_ball_log_volume_values():
     assert cs.unit_ball_log_volume(1) == pytest.approx(math.log(2.0))
     assert cs.unit_ball_log_volume(2) == pytest.approx(math.log(math.pi))
