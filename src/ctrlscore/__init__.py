@@ -67,7 +67,6 @@ from .modelfile import (
 )
 from .optimizer import (
     ScoreResult,
-    SolveConfig,
     grid_oracle,
     kkt_residual,
     solve,

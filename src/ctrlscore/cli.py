@@ -36,7 +36,7 @@ from .errors import (
     UnstableSystem,
 )
 from .modelfile import ModelFile, parse_model_text
-from .optimizer import SolveConfig, grid_oracle, grid_units, solve
+from .optimizer import grid_oracle, grid_units, solve
 from .scores import ObjectiveKind, closed_form_optimum
 from .simplex import SimplexWeights
 from .spectral import AssumptionReport, check_feasibility, heat_dirichlet_model
@@ -193,11 +193,10 @@ def _cmd_score(args) -> int:
         return EXIT_INFEASIBLE
     count = args.n if args.n is not None else model_file.default_score_order()
     caps = model_file.caps_vector()
-    config = SolveConfig(seed=args.seed)
 
     exit_code = EXIT_OK
     try:
-        result = solve(kind, model, count, config, caps)
+        result = solve(kind, model, count, caps, seed=args.seed)
     except Infeasible as exc:
         print(f"error: infeasible model: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -307,12 +307,8 @@ def gramian_family(system: StableLTISystem, node_indices,
 
 def assemble_gramian(family: NodeGramianFamily, weights) -> np.ndarray:
     """Mixed Gramian ``W(p) = sum_i p_i W_i`` for the given weights."""
-    p = weight_vector(weights)
-    if p.size != family.node_count:
-        raise IndexMismatch(
-            f"{family.node_count} node weights expected, got {p.size}"
-        )
-    return np.tensordot(p, family.stack, axes=1)
+    return np.tensordot(weight_vector(weights, family.node_count), family.stack,
+                        axes=1)
 
 
 def finite_horizon_gramian(family: NodeGramianFamily, weights,

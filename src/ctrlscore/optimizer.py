@@ -15,8 +15,8 @@ numpy one column at a time and capped at :data:`GRID_BUDGET` points)
 provides an independent check of the optimizer on small node sets.
 
 Multi-start behaviour: models that pass the commutation, n-spectrum and
-feasibility checks have a provably unique optimum and default to a single
-start; anything else defaults to eight.  Start 0 is the witness of
+feasibility checks have a provably unique optimum and run a single start;
+anything else runs :data:`UNCERTIFIED_STARTS`.  Start 0 is the witness of
 :func:`~ctrlscore.spectral.check_feasibility`, the rest are seeded Dirichlet
 samples projected onto the set; a start with an infinite objective is
 dropped with a warning.  Starts that disagree on the optimal value by more
@@ -43,37 +43,18 @@ from .simplex import (SimplexWeights, project_capped_simplex, validate_caps,
 from .spectral import AssumptionReport, check_feasibility
 
 _EPS = float(np.finfo(float).eps)
+#: A descent stops once the projected-gradient residual is at most this.
+GRAD_TOL = 1e-9
+#: A descent that has not converged stops after this many steps.
+MAX_ITERS = 5000
+#: Starts run on a model whose uniqueness is not certified (else one).
+UNCERTIFIED_STARTS = 8
 #: The line search shrinks a rejected trial step by this factor.
 STEP_SHRINK = 0.5
 #: Armijo sufficient-decrease constant of the line search.
 ARMIJO_C = 1e-4
 #: Most lattice points :func:`grid_oracle` enumerates.
 GRID_BUDGET = 2_000_000
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Solver settings; the line search constants are module constants.
-
-    Each descent stops at residual ``grad_tol`` or after ``max_iters`` steps.
-    ``starts=None`` means automatic: one start when the model is certified
-    convex by the assumption checks, eight otherwise.  ``seed`` makes the
-    extra starts (and therefore the whole solve) reproducible; it must be
-    nonnegative.
-    """
-
-    max_iters: int = 5000
-    grad_tol: float = 1e-9
-    starts: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iters <= 0 or self.grad_tol <= 0:
-            raise ValueError("max_iters and grad_tol must be positive")
-        if self.starts is not None and self.starts <= 0:
-            raise ValueError("starts must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -89,14 +70,12 @@ class ScoreResult:
     converged: bool
     warnings: tuple[str, ...]
     start_objectives: tuple[float, ...]
-    start_weights: tuple[tuple[float, ...], ...]
-    kind: ObjectiveKind
     score_order: int
 
 
 def _pg_residual(point: np.ndarray, grad: np.ndarray, caps: np.ndarray) -> float:
     stepped = project_capped_simplex(point - grad, caps)
-    return float(np.max(np.abs(point - stepped.values)))
+    return float(np.max(np.abs(point - stepped)))
 
 
 @dataclass(eq=False)
@@ -109,8 +88,8 @@ class _Trajectory:
     warnings: tuple[str, ...]
 
 
-def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
-             config: SolveConfig) -> _Trajectory:
+def _descend(objective: _Objective, start: np.ndarray,
+             caps: np.ndarray) -> _Trajectory:
     point = start.copy()
     current = objective(point)
     if not current.feasible:
@@ -122,10 +101,10 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
     prev_grad: np.ndarray | None = None
     iterations = 0
 
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         grad = current.gradient
         residual = _pg_residual(point, grad, caps)
-        if residual <= config.grad_tol:
+        if residual <= GRAD_TOL:
             break
         iterations += 1
 
@@ -149,18 +128,18 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
         size = min(step * 2.0, 1e12)
         while size > 1e-18:
             trial = project_capped_simplex(point - size * grad, caps)
-            direction = trial.values - point
+            direction = trial - point
             if not np.any(direction):
                 size *= STEP_SHRINK
                 continue
-            candidate = objective(trial.values)
+            candidate = objective(trial)
             predicted = ARMIJO_C * float(grad @ direction)
             if abs(predicted) >= plateau_tol:
                 ok = candidate.feasible and candidate.value <= current.value + predicted
             else:
                 ok = (candidate.feasible
                       and candidate.value <= current.value + plateau_tol
-                      and _pg_residual(trial.values, candidate.gradient, caps)
+                      and _pg_residual(trial, candidate.gradient, caps)
                       < residual)
             if ok:
                 accepted = (trial, candidate)
@@ -169,33 +148,30 @@ def _descend(objective: _Objective, start: np.ndarray, caps: np.ndarray,
         if accepted is None:
             warnings.append("line search stalled before reaching grad_tol")
             break
-        trial, candidate = accepted
-
-        point = trial.values
-        current = candidate
+        point, current = accepted
         step = size
     else:
         # Only this exit has moved the point since the last residual.
         warnings.append("MaxItersExceeded: returning best iterate")
         residual = _pg_residual(point, current.gradient, caps)
 
-    converged = residual <= config.grad_tol
+    converged = residual <= GRAD_TOL
     return _Trajectory(point, current.value, residual, iterations, converged,
                        tuple(warnings))
 
 
 def _starting_points(count: int, caps: np.ndarray, seed: int,
                      witness: SimplexWeights) -> list[np.ndarray]:
-    points = [witness.values.copy()]
+    points = [witness.values]
     rng = np.random.default_rng(seed)
     while len(points) < count:
         sample = rng.dirichlet(np.ones(caps.size))
-        points.append(project_capped_simplex(sample, caps).values.copy())
+        points.append(project_capped_simplex(sample, caps))
     return points
 
 
-def solve(kind: ObjectiveKind, model, count: int | None = None,
-          config: SolveConfig | None = None, caps=None) -> ScoreResult:
+def solve(kind: ObjectiveKind, model, count: int | None = None, caps=None,
+          seed: int = 0) -> ScoreResult:
     """Minimize a score objective over the capped simplex.
 
     Parameters
@@ -207,9 +183,11 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
     count : int, optional
         Number of selected eigenvalues (defaults to the model's score order,
         or the full dimension for matrix families).
-    config : SolveConfig, optional
     caps : array-like, optional
         Per-node upper bounds (defaults to all ones).
+    seed : int, optional
+        Seeds the extra starts of an uncertified model, and therefore the
+        whole solve; a negative seed raises ``ValueError``.
 
     Raises
     ------
@@ -221,7 +199,6 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
         If multi-starts disagree on the optimal value by more than 1e-6.
         The merged result is attached to the exception.
     """
-    config = config or SolveConfig()
     objective = _Objective(kind, model, count)
     caps_arr = validate_caps(caps, objective.node_count)
     report = check_feasibility(model, objective.count, caps_arr)
@@ -231,16 +208,16 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
             f"{report.nth_eigenvalue:.3e}"
         )
     certified = report.all_pass()
-    n_starts = config.starts if config.starts is not None else (1 if certified else 8)
-    starts = _starting_points(n_starts, caps_arr, config.seed, report.witness)
+    n_starts = 1 if certified else UNCERTIFIED_STARTS
+    starts = _starting_points(n_starts, caps_arr, seed, report.witness)
 
     workers = min(os.cpu_count() or 1, n_starts)
     if workers == 1:
-        trajectories = [_descend(objective, s, caps_arr, config) for s in starts]
+        trajectories = [_descend(objective, s, caps_arr) for s in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             trajectories = list(
-                pool.map(lambda s: _descend(objective, s, caps_arr, config), starts)
+                pool.map(lambda s: _descend(objective, s, caps_arr), starts)
             )
 
     finite_idx = [i for i, t in enumerate(trajectories) if math.isfinite(t.value)]
@@ -280,8 +257,6 @@ def solve(kind: ObjectiveKind, model, count: int | None = None,
         converged=best.converged,
         warnings=tuple(warnings),
         start_objectives=tuple(float(t.value) for t in trajectories),
-        start_weights=tuple(tuple(float(x) for x in t.point) for t in trajectories),
-        kind=kind,
         score_order=objective.count,
     )
 

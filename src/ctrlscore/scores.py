@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CapsBind, IndexMismatch, NotDiagonal
 from .linsys import Eigenpairs, nth_positive
-from .simplex import SimplexWeights, validate_caps, weight_vector
+from .simplex import SimplexWeights, validate_caps
 from .spectral import SpectralModel
 
 
@@ -98,8 +98,7 @@ class _Objective:
             raise IndexMismatch(f"score order {self.count} out of range 1..{limit}")
 
     def __call__(self, weights) -> ObjectiveEvaluation:
-        p = weight_vector(weights, self.node_count)
-        return self.at(self.model.eigenpairs(p, self.count))
+        return self.at(self.model.eigenpairs(weights, self.count))
 
     def at(self, pairs: Eigenpairs) -> ObjectiveEvaluation:
         """Value and gradient from the selected eigenpairs (no Hessian)."""
@@ -134,8 +133,7 @@ def evaluate(kind: ObjectiveKind, model, weights,
     and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS.
     """
     objective = _Objective(kind, model, count)
-    pairs = model.eigenpairs(weight_vector(weights, objective.node_count),
-                             objective.count)
+    pairs = model.eigenpairs(weights, objective.count)
     evaluation = objective.at(pairs)
     if not evaluation.feasible:
         return evaluation

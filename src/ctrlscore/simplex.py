@@ -85,10 +85,12 @@ class SimplexWeights:
 def central_point(caps) -> SimplexWeights:
     """Interior starting point: projection of the uniform vector onto the set."""
     caps_arr = validate_caps(caps)
-    return project_capped_simplex(np.full(caps_arr.size, 1.0 / caps_arr.size), caps_arr)
+    return SimplexWeights(
+        project_capped_simplex(np.full(caps_arr.size, 1.0 / caps_arr.size), caps_arr),
+        caps_arr.copy())
 
 
-def project_capped_simplex(point, caps) -> SimplexWeights:
+def project_capped_simplex(point, caps) -> np.ndarray:
     """Euclidean projection onto ``{x : sum(x) = 1, 0 <= x <= caps}``.
 
     The projection is ``x_i = clip(v_i - tau, 0, a_i)`` for the unique dual
@@ -100,7 +102,7 @@ def project_capped_simplex(point, caps) -> SimplexWeights:
     segment where the mass crosses one, the active sets are fixed and ``tau``
     solves a linear equation.  Feasible input is returned unchanged, and a
     final repair spreads rounding error over the free coordinates so the
-    result sums to one at machine precision.
+    result sums to one at machine precision.  The result is a new array.
 
     Raises
     ------
@@ -112,7 +114,7 @@ def project_capped_simplex(point, caps) -> SimplexWeights:
 
     # Feasible input is returned unchanged (idempotency, bitwise).
     if abs(v.sum() - 1.0) <= SUM_TOL and np.all(v >= 0.0) and np.all(v <= a):
-        return SimplexWeights(v.copy(), a.copy())
+        return v.copy()
 
     m = v.size
     breakpoints = np.concatenate((v - a, v))
@@ -147,7 +149,7 @@ def project_capped_simplex(point, caps) -> SimplexWeights:
             break
         x[free] += residual / free.sum()
         x = np.minimum(np.maximum(x, 0.0), a)
-    return SimplexWeights(x, a.copy())
+    return x
 
 
 def weight_vector(weights, size: int | None = None) -> np.ndarray:

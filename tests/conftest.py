@@ -15,6 +15,8 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 import ctrlscore as cs
+from ctrlscore.optimizer import _descend, _starting_points
+from ctrlscore.scores import _Objective
 
 
 @pytest.fixture
@@ -133,3 +135,14 @@ def central_hessian(grad_func, point: np.ndarray, h: float = 1e-6) -> np.ndarray
         bump[j] = h
         hess[:, j] = (grad_func(point + bump) - grad_func(point - bump)) / (2.0 * h)
     return 0.5 * (hess + hess.T)
+
+
+def serial_descents(kind, model, seed: int) -> list:
+    """The solver's own descents from eight seeded starts, run one after
+    another.  A certified model gets one start from ``solve``; this replays
+    the starts an uncertified one would get, to check that they agree."""
+    objective = _Objective(kind, model)
+    caps = np.ones(model.node_count)
+    witness = cs.check_feasibility(model).witness
+    return [_descend(objective, start, caps)
+            for start in _starting_points(8, caps, seed, witness)]

@@ -15,10 +15,11 @@ from conftest import (
     random_commuting_family,
     random_diagonal_model,
     random_stable_family,
+    serial_descents,
 )
 
 import ctrlscore as cs
-from ctrlscore import ObjectiveKind, SolveConfig
+from ctrlscore import ObjectiveKind
 from ctrlscore.cli import main
 
 REFERENCE_HEAT_ROWS = {
@@ -79,7 +80,7 @@ def test_criterion_3_oracle_equivalence():
         dense = random_stable_family(rng, int(rng.integers(2, 4)))
         kind = ObjectiveKind.VCS if trial % 2 == 0 else ObjectiveKind.AECS
         for model in (diagonal, dense):
-            result = cs.solve(kind, model, config=SolveConfig(seed=trial))
+            result = cs.solve(kind, model, seed=trial)
             best, best_value = cs.grid_oracle(kind, model, step=0.01)
             assert result.objective <= best_value + 1e-9
             assert np.max(np.abs(result.weights.values - best.values)) <= 0.01
@@ -229,10 +230,9 @@ def test_criterion_10_uniqueness_certification():
     worst = 0.0
     for model in (cs.heat_dirichlet_model([1, 2, 3, 4]),
                   random_diagonal_model(np.random.default_rng(9), 3)):
-        result = cs.solve(ObjectiveKind.AECS, model,
-                          config=SolveConfig(starts=8, seed=5))
-        assert result.uniqueness_certified
-        stacked = np.asarray(result.start_weights)
+        assert cs.solve(ObjectiveKind.AECS, model).uniqueness_certified
+        stacked = np.array([t.point for t in
+                            serial_descents(ObjectiveKind.AECS, model, seed=5)])
         assert len(stacked) == 8
         spread = float(np.max(np.max(stacked, axis=0) - np.min(stacked, axis=0)))
         worst = max(worst, spread)

@@ -380,3 +380,11 @@ def test_energy_bad_weight_sum(tmp_path, capsys):
     path = write(tmp_path, "heat2.csm", HEAT2)
     code = main(["energy", path, "--p", "0.4,0.4", "--target", "1,0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("text", [NON_COMMUTING, HEAT2], ids=["dense_lti", "heat"])
+def test_energy_wrong_weight_count_same_error(tmp_path, capsys, text):
+    path = write(tmp_path, "m.csm", text)
+    code = main(["energy", path, "--p", "0.5,0.3,0.2", "--target", "1,1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: expected 2 weights, got 3\n"

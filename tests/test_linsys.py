@@ -93,7 +93,7 @@ def test_assemble_matches_single_lyapunov_solve(rng):
 def test_assemble_index_mismatch():
     system = cs.check_stability(np.diag([-1.0, -2.0]))
     family = cs.gramian_family(system, [1, 2])
-    with pytest.raises(cs.IndexMismatch):
+    with pytest.raises(cs.InvalidWeights, match="expected 2 weights, got 3"):
         cs.assemble_gramian(family, [1.0, 0.0, 0.0])
 
 

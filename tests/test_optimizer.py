@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_diagonal_model, random_stable_family
+from conftest import random_diagonal_model, random_stable_family, serial_descents
 
 import ctrlscore as cs
-from ctrlscore import ObjectiveKind, SolveConfig
+from ctrlscore import ObjectiveKind
 from ctrlscore import optimizer
-from ctrlscore.optimizer import _descend, _lattice, _starting_points
+from ctrlscore.optimizer import _descend, _lattice
 from ctrlscore.scores import _Objective
 from ctrlscore.simplex import central_point
 
@@ -85,7 +85,7 @@ def test_oracle_agreement_small_models(rng):
         family = random_stable_family(rng, 2)
         for kind in (ObjectiveKind.VCS, ObjectiveKind.AECS):
             for target in (model, family):
-                result = cs.solve(kind, target, config=SolveConfig(seed=trial))
+                result = cs.solve(kind, target, seed=trial)
                 best, best_value = cs.grid_oracle(kind, target, step=0.01)
                 assert result.objective <= best_value + 1e-9
                 assert np.max(np.abs(result.weights.values - best.values)) <= 0.01
@@ -115,19 +115,20 @@ def test_kkt_residual_rejects_infeasible_point():
         cs.kkt_residual(ObjectiveKind.AECS, model, np.array([1.0, 0.0]))
 
 
-def test_descent_is_monotone_within_float_tolerance():
+def test_descent_is_monotone_within_float_tolerance(monkeypatch):
     model = cs.heat_dirichlet_model([1, 2, 3, 4])
     objective = _Objective(ObjectiveKind.AECS, model)
     caps = np.ones(4)
     start = np.array([0.7, 0.1, 0.1, 0.1])
-    full = _descend(objective, start, caps, SolveConfig())
+    full = _descend(objective, start, caps)
     assert full.converged and full.iterations > 10
     # The descent is deterministic, so stopping after k steps replays the
     # k-th iterate of the full run.
-    values = np.array([objective(start).value] + [
-        _descend(objective, start, caps, SolveConfig(max_iters=k)).value
-        for k in range(1, full.iterations + 1)
-    ])
+    values = [objective(start).value]
+    for k in range(1, full.iterations + 1):
+        monkeypatch.setattr(optimizer, "MAX_ITERS", k)
+        values.append(_descend(objective, start, caps).value)
+    values = np.array(values)
     assert values[-1] == full.value
     tol = 64 * np.finfo(float).eps * (1.0 + np.abs(values[:-1]))
     assert np.all(np.diff(values) <= tol)
@@ -135,19 +136,17 @@ def test_descent_is_monotone_within_float_tolerance():
 
 def test_iterates_stay_feasible():
     model = cs.heat_dirichlet_model([1, 2, 3])
-    result = cs.solve(ObjectiveKind.AECS, model,
-                      config=SolveConfig(starts=4, seed=11))
-    for weights in result.start_weights:
-        arr = np.asarray(weights)
+    for trajectory in serial_descents(ObjectiveKind.AECS, model, seed=11):
+        arr = trajectory.point
         assert abs(arr.sum() - 1.0) <= 1e-12
         assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
-    assert math.isfinite(result.objective)
+        assert math.isfinite(trajectory.value)
 
 
 def test_solve_deterministic_given_seed():
     family = random_stable_family(np.random.default_rng(5), 3)
-    first = cs.solve(ObjectiveKind.AECS, family, config=SolveConfig(seed=42))
-    second = cs.solve(ObjectiveKind.AECS, family, config=SolveConfig(seed=42))
+    first = cs.solve(ObjectiveKind.AECS, family, seed=42)
+    second = cs.solve(ObjectiveKind.AECS, family, seed=42)
     assert first.weights.values.tobytes() == second.weights.values.tobytes()
     assert first.start_objectives == second.start_objectives
     assert first.objective == second.objective
@@ -157,13 +156,9 @@ def test_pooled_starts_match_serial_descents():
     # With more than one CPU the eight starts run on the thread pool; each
     # must still be the serial descent from its own starting point.
     family = random_stable_family(np.random.default_rng(6), 3)
-    config = SolveConfig(starts=8, seed=3)
-    result = cs.solve(ObjectiveKind.VCS, family, config=config)
-    caps = np.ones(3)
-    objective = _Objective(ObjectiveKind.VCS, family)
-    witness = cs.check_feasibility(family).witness
-    serial = [_descend(objective, start, caps, config)
-              for start in _starting_points(8, caps, 3, witness)]
+    result = cs.solve(ObjectiveKind.VCS, family, seed=3)
+    assert not result.uniqueness_certified
+    serial = serial_descents(ObjectiveKind.VCS, family, seed=3)
     assert result.start_objectives == tuple(t.value for t in serial)
     best = min(range(8), key=lambda i: (not serial[i].converged, serial[i].value, i))
     assert result.weights.values.tobytes() == serial[best].point.tobytes()
@@ -171,10 +166,9 @@ def test_pooled_starts_match_serial_descents():
 
 def test_multistart_agreement_when_certified():
     model = cs.heat_dirichlet_model([1, 2, 3, 4])
-    result = cs.solve(ObjectiveKind.AECS, model,
-                      config=SolveConfig(starts=8, seed=0))
-    assert result.uniqueness_certified
-    stacked = np.asarray(result.start_weights)
+    assert cs.solve(ObjectiveKind.AECS, model).uniqueness_certified
+    stacked = np.array([t.point for t in
+                        serial_descents(ObjectiveKind.AECS, model, seed=0)])
     spread = np.max(stacked, axis=0) - np.min(stacked, axis=0)
     assert np.max(spread) <= 1e-6
 
@@ -183,7 +177,7 @@ def test_nonconvex_ambiguous_detected():
     table = np.array([[1.0, 0.0], [0.0, 1.2]])
     model = cs.SpectralModel((1, 2), table, 1)
     with pytest.raises(cs.NonConvexAmbiguous) as info:
-        cs.solve(ObjectiveKind.AECS, model, config=SolveConfig(starts=8, seed=1))
+        cs.solve(ObjectiveKind.AECS, model, seed=1)
     result = info.value.result
     assert result is not None
     assert max(result.start_objectives) - min(result.start_objectives) > 1e-6
@@ -197,10 +191,11 @@ def test_infeasible_model_raises():
         cs.solve(ObjectiveKind.AECS, model)
 
 
-def test_max_iters_flagged_not_raised():
+def test_max_iters_flagged_not_raised(monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_ITERS", 2)
+    monkeypatch.setattr(optimizer, "GRAD_TOL", 1e-14)
     model = cs.heat_dirichlet_model([1, 2, 3, 4])
-    result = cs.solve(ObjectiveKind.AECS, model,
-                      config=SolveConfig(max_iters=2, grad_tol=1e-14))
+    result = cs.solve(ObjectiveKind.AECS, model)
     assert not result.converged
     assert any("MaxItersExceeded" in w or "grad_tol" in w for w in result.warnings)
     assert math.isfinite(result.objective)
@@ -213,7 +208,7 @@ def test_solver_follows_a_crossing_selection():
     start = central_point(np.ones(2))
     assert list(crossing.eigenpairs(start, 1).selected) == [1]
     for kind in (ObjectiveKind.VCS, ObjectiveKind.AECS):
-        result = cs.solve(kind, crossing, config=SolveConfig(starts=1))
+        result = cs.solve(kind, crossing)
         assert list(crossing.eigenpairs(result.weights, 1).selected) == [0]
         assert result.converged
         best, best_value = cs.grid_oracle(kind, crossing, step=0.05)
@@ -221,13 +216,9 @@ def test_solver_follows_a_crossing_selection():
         assert result.objective <= best_value + 1e-12
 
 
-def test_solve_config_validation():
+def test_solve_rejects_a_negative_seed():
     with pytest.raises(ValueError):
-        SolveConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolveConfig(starts=0)
-    with pytest.raises(ValueError):
-        SolveConfig(seed=-1)
+        cs.solve(ObjectiveKind.AECS, cs.heat_dirichlet_model([1, 2]), seed=-1)
 
 
 @pytest.mark.parametrize("size, cap, step", [(4, 0.3, 0.01), (8, 0.15, 0.05),
@@ -283,7 +274,7 @@ def test_lattice_too_large_before_allocation(monkeypatch):
 
 def test_uncertified_solve_carries_warning(rng):
     family = random_stable_family(rng, 3)
-    result = cs.solve(ObjectiveKind.AECS, family, config=SolveConfig(seed=2))
+    result = cs.solve(ObjectiveKind.AECS, family, seed=2)
     assert not result.uniqueness_certified
     assert any("uniqueness not certified" in w for w in result.warnings)
 

@@ -11,18 +11,18 @@ from ctrlscore.simplex import SUM_TOL, project_capped_simplex, central_point, Si
 
 def test_feasible_point_is_fixed():
     w = project_capped_simplex([0.5, 0.5], [1.0, 1.0])
-    assert w.values.tolist() == [0.5, 0.5]
+    assert w.tolist() == [0.5, 0.5]
 
 
 def test_cap_and_simplex_corner():
     w = project_capped_simplex([2.0, 0.0], [1.0, 1.0])
-    assert w.values.tolist() == [1.0, 0.0]
+    assert w.tolist() == [1.0, 0.0]
 
 
 def test_symmetric_point_loose_cap_matches_qp_oracle():
     point = np.array([0.9, 0.9, 0.9])
     caps = np.array([0.5, 1.0, 1.0])
-    got = project_capped_simplex(point, caps).values
+    got = project_capped_simplex(point, caps)
     want = project_by_active_set(point, caps)
     np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_allclose(got, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
@@ -31,7 +31,7 @@ def test_symmetric_point_loose_cap_matches_qp_oracle():
 def test_binding_cap_matches_qp_oracle():
     point = np.array([0.9, 0.9, 0.9])
     caps = np.array([0.25, 1.0, 1.0])
-    got = project_capped_simplex(point, caps).values
+    got = project_capped_simplex(point, caps)
     want = project_by_active_set(point, caps)
     np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_allclose(got, [0.25, 0.375, 0.375], atol=1e-12)
@@ -72,15 +72,15 @@ def test_projection_properties(raw_point, raw_caps, salt):
         caps = caps + (1.0 - caps.sum() + 0.1) / size
     projected = project_capped_simplex(point, caps)
     # lands in the feasible set
-    assert abs(projected.values.sum() - 1.0) <= 1e-12
-    assert np.all(projected.values >= 0.0)
-    assert np.all(projected.values <= caps)
+    assert abs(projected.sum() - 1.0) <= SUM_TOL
+    assert np.all(projected >= 0.0)
+    assert np.all(projected <= caps)
     # idempotent
-    again = project_capped_simplex(projected.values, caps)
-    np.testing.assert_allclose(again.values, projected.values, atol=1e-12)
+    again = project_capped_simplex(projected, caps)
+    np.testing.assert_allclose(again, projected, atol=1e-12)
     # agrees with the brute-force QP oracle
     oracle = project_by_active_set(point, caps)
-    np.testing.assert_allclose(projected.values, oracle, atol=1e-9)
+    np.testing.assert_allclose(projected, oracle, atol=1e-9)
 
 
 @pytest.mark.parametrize("size", [50, 1000])
@@ -95,7 +95,7 @@ def test_projection_optimality_conditions_large(size, shape):
         elif shape == "cap-binding":
             point = np.abs(point) + 1.0
             caps = rng.uniform(1.0, 2.0, size) / size
-        x = project_capped_simplex(point, caps).values
+        x = project_capped_simplex(point, caps)
         # Free coordinates share one shift v_i - x_i; coordinates at zero lie
         # at or below it and coordinates at their cap at or above it.
         slack = 64.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(point)))
@@ -104,7 +104,7 @@ def test_projection_optimality_conditions_large(size, shape):
         lowest = min([*shifts, *(point - caps)[x == caps]], default=np.inf)
         assert highest <= lowest + slack
         assert abs(x.sum() - 1.0) <= SUM_TOL
-        assert np.array_equal(project_capped_simplex(x, caps).values, x)
+        assert np.array_equal(project_capped_simplex(x, caps), x)
         if shape == "cap-binding":
             assert np.any(x == caps)
 
@@ -113,4 +113,4 @@ def test_projection_caps_sum_just_below_one():
     caps = np.array([0.5, 0.5 - 5e-13])
     with np.errstate(all="raise"):
         projected = project_capped_simplex([2.0, 3.0], caps)
-    assert np.array_equal(projected.values, caps)
+    assert np.array_equal(projected, caps)
