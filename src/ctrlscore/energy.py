@@ -17,7 +17,9 @@ infinite horizon.  A finite horizon is one diagnostic on Gramian families:
 :func:`projection_operator_check` verifies that the discretized input-space
 operator ``L^T W_n^+ L`` behaves as the orthogonal projection it should be,
 against the exact ``W(p, T)`` of
-:func:`~ctrlscore.linsys.finite_horizon_gramian`.
+:func:`~ctrlscore.linsys.finite_horizon_gramian`.  Only that check needs
+the matrix exponential, so it imports ``scipy.linalg.expm`` itself and
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import IndexMismatch, RankDeficient, SingularGramian, TargetOutsideSpan
 from .linsys import NodeGramianFamily, positive_floor
@@ -211,6 +212,8 @@ def projection_operator_check(family: NodeGramianFamily, weights, count: int,
     basis = family.basis if family.basis is not None else np.eye(n_dim)
     columns = np.array([basis[:, idx - 1] for idx in family.node_indices]).T
     input_matrix = columns * np.sqrt(p)
+
+    from scipy.linalg import expm
 
     dt = horizon / time_steps
     stepper = expm(a * dt)

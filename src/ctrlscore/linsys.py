@@ -6,9 +6,14 @@ For an exponentially stable ``A`` the Gramian of node ``i`` is
 
 with ``P_i`` the rank-one projection onto node i's basis vector.  ``W_i`` is
 the unique solution of the continuous Lyapunov equation
-``A W_i + W_i A^T + P_i P_i^T = 0`` and is computed with the dense
-Schur-based solver; the defining integral is kept only as a test oracle.
-The mixed Gramian for a weight vector ``p`` is ``W(p) = sum_i p_i W_i``.
+``A W_i + W_i A^T + P_i P_i^T = 0``.  :func:`check_stability` factors
+``A = Z T Z^T`` once (real Schur form), and each node Gramian is one
+triangular Sylvester solve on that factor (Bartels-Stewart); the defining
+integral is kept only as a test oracle.  The mixed Gramian for a weight
+vector ``p`` is ``W(p) = sum_i p_i W_i``.
+
+scipy is imported inside the functions that need it (the Schur factor, the
+triangular solve and ``expm``), so heat and table models never load it.
 
 ``NodeGramianFamily`` carries the eigen methods of ``W(p)`` that
 :class:`~ctrlscore.spectral.SpectralModel` also has: ``eigenpairs`` is the
@@ -25,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import (
     EigenFailure,
@@ -87,15 +91,24 @@ class Eigenpairs:
 
 @dataclass(frozen=True)
 class StableLTISystem:
-    """An exponentially stable dynamics matrix with its spectral abscissa."""
+    """An exponentially stable dynamics matrix with its real Schur factor.
+
+    ``dynamics = schur_vectors @ schur_form @ schur_vectors.T``, with
+    ``schur_form`` quasi-upper triangular and ``schur_vectors`` orthogonal;
+    :func:`check_stability` computes the factor once and every node Gramian
+    reuses it.  The three arrays are read-only.
+    """
 
     dynamics: np.ndarray
     spectral_abscissa: float
+    schur_form: np.ndarray
+    schur_vectors: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.dynamics, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "dynamics", arr)
+        for name in ("dynamics", "schur_form", "schur_vectors"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_dim(self) -> int:
@@ -103,7 +116,11 @@ class StableLTISystem:
 
 
 def check_stability(a_matrix) -> StableLTISystem:
-    """Validate stability of ``A`` and return it with its spectral abscissa.
+    """Validate stability of ``A`` and return it with its real Schur factor.
+
+    The spectral abscissa is the largest diagonal entry of the Schur form:
+    in LAPACK's standardized real Schur form a 2x2 block carries the real
+    part of its eigenvalue pair on both diagonal entries.
 
     Raises
     ------
@@ -117,12 +134,15 @@ def check_stability(a_matrix) -> StableLTISystem:
         raise NonSquare(f"dynamics matrix must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise UnstableSystem("dynamics matrix has non-finite entries")
-    abscissa = float(np.max(np.linalg.eigvals(arr).real))
+    from scipy.linalg import schur
+
+    form, vectors = schur(arr, output="real")
+    abscissa = float(np.max(np.diag(form)))
     if abscissa >= 0.0:
         raise UnstableSystem(
             f"UnstableSystem: spectral abscissa {abscissa:.6g} >= 0"
         )
-    return StableLTISystem(arr, abscissa)
+    return StableLTISystem(arr, abscissa, form, vectors)
 
 
 @dataclass(frozen=True)
@@ -156,13 +176,19 @@ class NodeGramianFamily:
             arr = np.asarray(gram, dtype=float)
             if arr.shape != (n, n):
                 raise IndexMismatch(f"Gramian for node {idx} has shape {arr.shape}")
-            scale = max(1.0, float(np.linalg.norm(arr)))
-            if np.linalg.norm(arr - arr.T) > DEFAULT_TOL * scale:
-                raise EigenFailure(f"Gramian for node {idx} is not symmetric")
-            if float(np.linalg.eigvalsh(arr)[0]) < -DEFAULT_TOL * scale:
-                raise EigenFailure(f"Gramian for node {idx} is not PSD")
             arrays.append(arr)
         stack = np.stack(arrays)
+        # The PSD test is one batched eigvalsh.  The norms stay per node:
+        # batched, they cost two stack-sized temporaries and were slower.
+        # The first failing node is reported, symmetry before PSD.
+        tol = DEFAULT_TOL * np.array([max(1.0, float(np.linalg.norm(g))) for g in stack])
+        asymmetric = np.array([np.linalg.norm(g - g.T) for g in stack]) > tol
+        indefinite = np.linalg.eigvalsh(stack)[:, 0] < -tol
+        failed = np.flatnonzero(asymmetric | indefinite)
+        if failed.size:
+            first = failed[0]
+            problem = "not symmetric" if asymmetric[first] else "not PSD"
+            raise EigenFailure(f"Gramian for node {self.node_indices[first]} is {problem}")
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "gramians", tuple(stack))
@@ -274,18 +300,35 @@ def node_gramian(system: StableLTISystem, node: int, basis=None) -> np.ndarray:
     ndarray
         The symmetric PSD node Gramian.
 
+    Notes
+    -----
+    With ``A = Z T Z^T`` the stored Schur factor, this solves the
+    quasi-triangular equation ``T Y + Y T^T = Z^T (-d d^T) Z`` with LAPACK's
+    ``dtrsyl`` and returns ``W = Z Y Z^T``.  These are the steps scipy's
+    dense Lyapunov solver takes after its own ``schur`` call, so the result
+    is the same to the bit, without re-factoring ``A`` for every node.
+    ``dtrsyl`` reports ``info == 1`` when it had to perturb near-singular
+    eigenvalue sums; such a solution is accepted only if it passes the
+    residual check below, and nothing is printed.
+
     Raises
     ------
     LyapunovSolveFailure
-        If the residual exceeds ``DEFAULT_TOL * max(1, ||W||_F)``.
+        If ``dtrsyl`` rejects an argument, or the residual exceeds
+        ``DEFAULT_TOL * max(1, ||W||_F)``.
     """
+    from scipy.linalg.lapack import dtrsyl
+
     direction = node_direction(system, node, basis)
     rhs = -np.outer(direction, direction)
-    a = system.dynamics
-    try:
-        gram = solve_continuous_lyapunov(a, rhs)
-    except Exception as exc:  # scipy raises LinAlgError / ValueError
-        raise LyapunovSolveFailure(f"Lyapunov solve failed for node {node}: {exc}")
+    a, form, vectors = system.dynamics, system.schur_form, system.schur_vectors
+    solved, scale, info = dtrsyl(form, form, vectors.T @ (rhs @ vectors), tranb="T")
+    if info < 0:
+        raise LyapunovSolveFailure(
+            f"Lyapunov solve failed for node {node}: dtrsyl argument {-info} is illegal"
+        )
+    solved *= scale
+    gram = vectors @ solved @ vectors.T
     gram = 0.5 * (gram + gram.T)
     residual = np.linalg.norm(a @ gram + gram @ a.T - rhs)
     if residual > DEFAULT_TOL * max(1.0, float(np.linalg.norm(gram))):
@@ -319,6 +362,8 @@ def finite_horizon_gramian(family: NodeGramianFamily, weights,
     mixed = assemble_gramian(family, weights)
     if math.isinf(horizon):
         return mixed
+    from scipy.linalg import expm
+
     decay = expm(horizon * family.system.dynamics)
     gram = mixed - decay @ mixed @ decay.T
     return 0.5 * (gram + gram.T)

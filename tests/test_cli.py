@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ctrlscore
+from ctrlscore import linsys
 from ctrlscore.cli import (
     DEFAULT_DEMO_ROWS,
     RunReport,
@@ -388,3 +393,72 @@ def test_energy_wrong_weight_count_same_error(tmp_path, capsys, text):
     code = main(["energy", path, "--p", "0.5,0.3,0.2", "--target", "1,1"])
     assert code == 1
     assert capsys.readouterr().err == "error: expected 2 weights, got 3\n"
+
+
+TABLE2 = """\
+ctrlscore-model v1
+kind spectral_table
+nodes 1 2
+n 2
+table 2 2
+1 0
+0 2
+"""
+
+NON_NORMAL3 = """\
+ctrlscore-model v1
+kind dense_lti
+nodes 1 2 3
+matrix 3
+-1 5 0
+0 -2 7
+0 0 -3
+"""
+
+# Runs in a fresh interpreter: this test process has scipy loaded already.
+COLD_START = """\
+import contextlib, io, json, sys
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+heat, table, dense = sys.argv[1:]
+seen = {}
+import ctrlscore
+seen["import ctrlscore"] = scipy_loaded()
+from ctrlscore import cli
+seen["import ctrlscore.cli"] = scipy_loaded()
+for label, argv in (("score heat", ["score", heat, "--kind", "vcs"]),
+                    ("check table", ["check", table]),
+                    ("score dense", ["score", dense, "--kind", "vcs"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[label] = (cli.main(argv), scipy_loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_heat_and_table_requests_never_load_scipy(tmp_path):
+    paths = [write(tmp_path, name, text) for name, text in
+             (("heat4.csm", HEAT4), ("table2.csm", TABLE2), ("dense5.csm", DENSE5))]
+    src = os.path.dirname(os.path.dirname(ctrlscore.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", COLD_START, *paths], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(run.stdout) == {
+        "import ctrlscore": False,
+        "import ctrlscore.cli": False,
+        "score heat": [0, False],
+        "check table": [0, False],
+        # The positive control: a dense system needs the Schur factor.
+        "score dense": [0, True],
+    }
+
+
+def test_lyapunov_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(linsys, "DEFAULT_TOL", 0.0)
+    path = write(tmp_path, "nonnormal.csm", NON_NORMAL3)
+    code = main(["score", path, "--kind", "vcs"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: Lyapunov residual ")
+    assert err.endswith(" exceeds tolerance for node 2\n")

@@ -216,3 +216,93 @@ def test_derivative_rows_match_finite_differences(rng):
                     - family.eigenpairs(point - bump, count).values) / (2 * step)
     got = family.derivative_rows(pairs)
     assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(got)
+
+
+def _stable_with_rotations(rng, dim: int) -> np.ndarray:
+    """Stable ``A = Q (D + N) Q^T``: D holds 2x2 rotation blocks (complex
+    eigenvalue pairs) and a 1x1 block for odd ``dim``, N is strictly upper
+    triangular coupling and Q a random orthogonal matrix."""
+    core = np.triu(rng.standard_normal((dim, dim)), 1)
+    for k in range(0, dim - 1, 2):
+        re, im = -rng.uniform(0.2, 3.0), rng.uniform(0.1, 5.0)
+        core[k:k + 2, k:k + 2] = [[re, im], [-im, re]]
+    if dim % 2:
+        core[-1, -1] = -rng.uniform(0.2, 3.0)
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    return q @ core @ q.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.booleans(), st.integers(0, 2**31 - 1))
+def test_node_gramian_is_bit_identical_to_scipy(dim, pairs, rotated, seed):
+    # The stored Schur factor gives the same bits as scipy's own solver,
+    # which re-factors A on every call.
+    from scipy.linalg import solve_continuous_lyapunov
+
+    rng = np.random.default_rng(seed)
+    a = _stable_with_rotations(rng, dim) if pairs else random_stable_matrix(rng, dim)
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if rotated else None
+    system = cs.check_stability(a)
+    for node in range(1, dim + 1):
+        direction = np.eye(dim)[:, node - 1] if basis is None else basis[:, node - 1]
+        want = solve_continuous_lyapunov(a, -np.outer(direction, direction))
+        assert np.array_equal(cs.node_gramian(system, node, basis),
+                              0.5 * (want + want.T))
+
+
+def test_gramian_family_factors_the_dynamics_once(rng, monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return schur(*args, **kwargs)
+
+    def refactoring(*args, **kwargs):
+        raise AssertionError("the node Gramians must reuse the stored factor")
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", refactoring)
+    system = cs.check_stability(random_stable_matrix(rng, 6))
+    family = cs.gramian_family(system, range(1, 7))
+    assert len(calls) == 1
+    assert family.node_count == 6
+    assert not system.schur_form.flags.writeable
+    assert not system.schur_vectors.flags.writeable
+    np.testing.assert_allclose(
+        system.schur_vectors @ system.schur_form @ system.schur_vectors.T,
+        system.dynamics, atol=1e-12)
+
+
+def test_spectral_abscissa_matches_eigenvalues(rng):
+    for trial in range(300):
+        dim = 1 + trial % 12
+        a = (_stable_with_rotations(rng, dim) if trial % 2
+             else random_stable_matrix(rng, dim))
+        want = float(np.max(np.linalg.eigvals(a).real))
+        got = cs.check_stability(a).spectral_abscissa
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+NON_NORMAL = np.array([[-1.0, 5.0, 0.0], [0.0, -2.0, 7.0], [0.0, 0.0, -3.0]])
+
+
+def test_lyapunov_residual_failure_names_the_node(monkeypatch):
+    # With no tolerance any rounding in the residual fails the check.
+    monkeypatch.setattr(linsys, "DEFAULT_TOL", 0.0)
+    system = cs.check_stability(NON_NORMAL)
+    with pytest.raises(cs.LyapunovSolveFailure,
+                       match=r"Lyapunov residual .* exceeds tolerance for node 2"):
+        cs.node_gramian(system, 2)
+
+
+def test_family_validation_names_the_first_failing_node():
+    system = cs.check_stability(np.diag([-1.0, -2.0, -3.0]))
+    good, skew, negative = np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.25, 0.0]), -np.eye(3)
+    skew[0, 1] = 1.0
+    with pytest.raises(cs.EigenFailure, match="Gramian for node 2 is not symmetric"):
+        cs.NodeGramianFamily(system, (1, 2, 3), (good, skew, negative))
+    with pytest.raises(cs.EigenFailure, match="Gramian for node 2 is not PSD"):
+        cs.NodeGramianFamily(system, (1, 2, 3), (good, negative, skew))
