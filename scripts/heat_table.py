@@ -3,7 +3,7 @@
 
 For each requested node set the average-energy score has the closed form
 ``p_k = k / sum(I)`` and the volumetric score is uniform.  With ``--verify``
-each row is additionally recomputed by the projected-gradient solver and
+each row is additionally recomputed by the solver and
 cross-checked against the brute-force lattice oracle; the script then exits
 1 if any row has ``max|dp| > 1e-9``, an unconverged solve or an oracle gap
 above ``1e-9``.

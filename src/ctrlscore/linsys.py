@@ -96,7 +96,8 @@ class StableLTISystem:
     ``dynamics = schur_vectors @ schur_form @ schur_vectors.T``, with
     ``schur_form`` quasi-upper triangular and ``schur_vectors`` orthogonal;
     :func:`check_stability` computes the factor once and every node Gramian
-    reuses it.  The three arrays are read-only.
+    reuses it.  The three arrays are read-only copies, so the caller's own
+    arrays stay writeable.
     """
 
     dynamics: np.ndarray
@@ -106,7 +107,7 @@ class StableLTISystem:
 
     def __post_init__(self):
         for name in ("dynamics", "schur_form", "schur_vectors"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -154,7 +155,7 @@ class NodeGramianFamily:
     symmetric and positive semidefinite within tolerance; objects built by
     :func:`gramian_family` additionally satisfy the Lyapunov residual bound.
     ``stack`` holds the Gramians along axis 0, shape (m, n, n), and
-    ``gramians`` are read-only views into it.
+    ``gramians`` are read-only views into it; ``basis`` is a read-only copy.
     """
 
     system: StableLTISystem
@@ -194,7 +195,7 @@ class NodeGramianFamily:
         object.__setattr__(self, "gramians", tuple(stack))
         object.__setattr__(self, "node_indices", tuple(int(i) for i in self.node_indices))
         if self.basis is not None:
-            basis = np.asarray(self.basis, dtype=float)
+            basis = np.array(self.basis, dtype=float)
             basis.flags.writeable = False
             object.__setattr__(self, "basis", basis)
 
@@ -249,9 +250,24 @@ class NodeGramianFamily:
         if pairs.following is not None:
             return None
         mu = pairs.values
-        weights = divided(mu[:, None], mu[None, :]).reshape(-1)
-        coords = (pairs.vectors.T @ self.stack @ pairs.vectors).reshape(self.node_count, -1)
-        return (coords * weights) @ coords.T
+        vectors = pairs.vectors
+        # Row i of C holds the upper triangle of the symmetric Q_i, scaled
+        # in place by sqrt(divided), doubled off the diagonal, so H = C C^T.
+        # One node at a time keeps the temporaries at n x n.
+        upper = np.triu_indices(mu.size)
+        weights = divided(mu[:, None], mu[None, :]) * (2.0 - np.eye(mu.size))
+        coords = np.empty((self.node_count, upper[0].size))
+        for i, gram in enumerate(self.stack):
+            coords[i] = (vectors.T @ (gram @ vectors))[upper]
+        coords *= np.sqrt(weights[upper])
+        return coords @ coords.T
+
+    def hessian_product(self, pairs: Eigenpairs, divided):
+        """``(matvec, diagonal)`` of :meth:`hessian`; None where it is None."""
+        hess = self.hessian(pairs, divided)
+        if hess is None:
+            return None
+        return hess.__matmul__, hess.diagonal()
 
 
 def _quadratic_rows(vectors: np.ndarray, stack: np.ndarray) -> np.ndarray:

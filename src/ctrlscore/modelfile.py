@@ -77,12 +77,9 @@ class ModelFile:
         if self.kind == "heat_dirichlet":
             return heat_dirichlet_model(self.node_indices)
         if self.kind == "spectral_table":
-            return SpectralModel(
-                self.node_indices,
-                np.asarray(self.table, dtype=float),
-                self.default_score_order(),
-            )
-        system = check_stability(np.asarray(self.dynamics, dtype=float))
+            return SpectralModel(self.node_indices, self.table,
+                                 self.default_score_order())
+        system = check_stability(self.dynamics)
         return gramian_family(system, self.node_indices)
 
 

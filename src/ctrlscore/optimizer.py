@@ -1,18 +1,33 @@
 """Capped-simplex solver for the score problems, plus independent oracles.
 
-The solver is projected gradient descent with Armijo backtracking.  Trial
-points are always projected back onto the feasible polytope, and any trial
-that evaluates to ``+inf`` (eigenvalue rank loss) simply fails the acceptance
-test, so the boundary of the feasible region acts as a barrier.  Convergence
-is declared on the projected-gradient residual
+Each descent step first tries projected Newton (Bertsekas, SIAM J. Control
+Optim. 1982): coordinates held on a bound stay there, and on the free face
+the Newton system ``min s^T H s / 2 + g^T s`` subject to ``sum(s) = 0`` is
+solved by a projected preconditioned CG in numpy (Gould, Hribar & Nocedal,
+SIAM J. Sci. Comput. 2001) with the Jacobi preconditioner.  The Hessian
+enters only as products read from the evaluation's own eigenpairs
+(:meth:`~ctrlscore.scores._Objective.hessian_product`).  Where the model
+gives no Hessian (a Gramian family scored on fewer than all its
+eigenvalues) or eigenvalues n and n + 1 (nearly) tie, and whenever the
+Newton line search fails, the step is projected gradient with a
+Barzilai-Borwein first trial.  Both line searches project each trial point
+back onto the feasible polytope and backtrack under one Armijo rule; a trial
+that evaluates to ``+inf`` (eigenvalue rank loss) simply fails it, so the
+boundary of the feasible region acts as a barrier.  Convergence is declared
+on the projected-gradient residual
 
-    r(p) = || p - project(p - grad h(p)) ||_inf,
+    r(p) = || p - project(p - grad h(p)) ||_inf
 
-which is the KKT stationarity measure for this constraint set and the only
-one the package computes (:func:`kkt_residual` reports it at any feasible
-point).  A brute-force lattice enumeration (:func:`grid_oracle`, built in
-numpy one column at a time and capped at :data:`GRID_BUDGET` points)
-provides an independent check of the optimizer on small node sets.
+of the scale-free objective ``h``: ``h = f`` for VCS and ``h = log g`` for
+AECS, whose gradient is ``grad g / g``.  Scaling every Gramian by a constant
+leaves ``r`` unchanged, so the stopping test does not depend on the units
+of the model.  ``r`` is the KKT stationarity measure for this constraint set
+and the only one the package computes (:func:`kkt_residual` reports it at
+any feasible point).  A Newton step that reaches :data:`GRAD_TOL` is
+followed by one more, which lands on the optimum to rounding.  A
+brute-force lattice enumeration (:func:`grid_oracle`, built in numpy one
+column at a time and capped at :data:`GRID_BUDGET` points) provides an
+independent check of the optimizer on small node sets.
 
 Multi-start behaviour: models that pass the commutation, n-spectrum and
 feasibility checks have a provably unique optimum and run a single start;
@@ -43,7 +58,8 @@ from .simplex import (SimplexWeights, project_capped_simplex, validate_caps,
 from .spectral import AssumptionReport, check_feasibility
 
 _EPS = float(np.finfo(float).eps)
-#: A descent stops once the projected-gradient residual is at most this.
+#: A descent stops once the scale-free projected-gradient residual is at most
+#: this.
 GRAD_TOL = 1e-9
 #: A descent that has not converged stops after this many steps.
 MAX_ITERS = 5000
@@ -53,6 +69,10 @@ UNCERTIFIED_STARTS = 8
 STEP_SHRINK = 0.5
 #: Armijo sufficient-decrease constant of the line search.
 ARMIJO_C = 1e-4
+#: Relative stop of the Newton step's CG: ``r^T z`` falls by this squared.
+CG_RTOL = 1e-10
+#: The Newton line search gives up below this fraction of the full step.
+NEWTON_MIN_STEP = 1e-3
 #: Most lattice points :func:`grid_oracle` enumerates.
 GRID_BUDGET = 2_000_000
 
@@ -73,9 +93,85 @@ class ScoreResult:
     score_order: int
 
 
+def _pg_target(point: np.ndarray, grad: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """The projected-gradient point ``project(p - grad)``."""
+    return project_capped_simplex(point - grad, caps)
+
+
 def _pg_residual(point: np.ndarray, grad: np.ndarray, caps: np.ndarray) -> float:
-    stepped = project_capped_simplex(point - grad, caps)
-    return float(np.max(np.abs(point - stepped)))
+    return float(np.max(np.abs(point - _pg_target(point, grad, caps))))
+
+
+def _projected_cg(matvec, diagonal: np.ndarray, grad: np.ndarray,
+                  free: np.ndarray) -> np.ndarray | None:
+    """Newton step on the free face: approximately minimize
+    ``s^T H s / 2 + grad^T s`` over ``s`` with ``sum(s) == 0`` and ``s`` zero
+    off ``free``.
+
+    Projected preconditioned CG (Gould, Hribar & Nocedal, SIAM J. Sci.
+    Comput. 2001) with the Jacobi preconditioner ``D = diag H``: the
+    preconditioned residual ``z = D^-1 (r - nu 1)`` takes the multiplier
+    ``nu = 1^T D^-1 r / 1^T D^-1 1`` of the sum constraint, so every search
+    direction keeps ``sum == 0``.  The residual is reset by ``nu`` each step,
+    starting from ``grad - nu_0 1``: near the optimum ``grad`` is almost
+    parallel to ``1``, and an unreset residual loses the small part that
+    matters to cancellation.  The iteration stops once ``r^T z`` has fallen
+    by :data:`CG_RTOL` squared, or on a direction without positive
+    curvature.  Returns None when no step was made.
+    """
+    inverse = 1.0 / diagonal[free]
+    weight = float(inverse.sum())
+    face_grad = grad[free]
+    residual = face_grad - float(inverse @ face_grad) / weight
+    precond = inverse * residual
+    rz = float(residual @ precond)
+    stop = CG_RTOL**2 * rz
+    step = np.zeros(residual.size)
+    search = -precond
+    probe = np.zeros(grad.size)
+    for _ in range(residual.size):
+        probe[free] = search
+        product = matvec(probe)[free]
+        curvature = float(search @ product)
+        if not curvature > 0.0:
+            break
+        alpha = rz / curvature
+        step += alpha * search
+        residual = residual + alpha * product
+        residual -= float(inverse @ residual) / weight
+        precond = inverse * residual
+        rz_next = float(residual @ precond)
+        if rz_next <= stop:
+            break
+        search = (rz_next / rz) * search - precond
+        rz = rz_next
+    if not np.any(step):
+        return None
+    full = np.zeros(grad.size)
+    full[free] = step
+    return full
+
+
+def _newton_direction(objective: _Objective, evaluation, point: np.ndarray,
+                      target: np.ndarray, caps: np.ndarray) -> np.ndarray | None:
+    """Projected-Newton direction (Bertsekas, SIAM J. Control Optim. 1982).
+
+    ``target`` is the projected-gradient point of the scale-free gradient.
+    A coordinate that sits on a bound which ``target`` keeps it on is held
+    there; the others form the free face, where :func:`_projected_cg` takes
+    the Newton step.  Iterates come out of the projection, which clips to the
+    bounds exactly, so exact comparisons find the held coordinates.  None
+    where the objective gives no Hessian, the face has no room, or a free
+    coordinate has no curvature."""
+    product = objective.hessian_product(evaluation)
+    if product is None:
+        return None
+    matvec, diagonal = product
+    free = ~(((point == 0.0) & (target == 0.0))
+             | ((point == caps) & (target == caps)))
+    if np.count_nonzero(free) < 2 or not np.all(diagonal[free] > 0.0):
+        return None
+    return _projected_cg(matvec, diagonal, evaluation.gradient, free)
 
 
 @dataclass(eq=False)
@@ -101,15 +197,61 @@ def _descend(objective: _Objective, start: np.ndarray,
     prev_grad: np.ndarray | None = None
     iterations = 0
 
+    def residual_at(p, evaluation):
+        return _pg_residual(p, objective.stationarity_gradient(evaluation), caps)
+
+    def line_search(direction, size, smallest):
+        """``(trial, evaluation, size)`` for the first trial point
+        ``project(p + size * direction)`` that passes, halving ``size`` down
+        to ``smallest``; None if none passes.
+
+        Armijo with a float-plateau safeguard: once the predicted decrease
+        falls below the resolution of the objective value, Armijo can no
+        longer certify progress (equal floats pass the test even for
+        overshooting steps), so acceptance switches to a strict decrease of
+        the stationarity residual."""
+        plateau_tol = 64.0 * _EPS * (1.0 + abs(current.value))
+        while size > smallest:
+            trial = project_capped_simplex(point + size * direction, caps)
+            moved = trial - point
+            if np.any(moved):
+                candidate = objective(trial)
+                predicted = ARMIJO_C * float(current.gradient @ moved)
+                if not candidate.feasible:
+                    ok = False
+                elif abs(predicted) >= plateau_tol:
+                    ok = candidate.value <= current.value + predicted
+                else:
+                    ok = (candidate.value <= current.value + plateau_tol
+                          and residual_at(trial, candidate) < residual)
+                if ok:
+                    return trial, candidate, size
+            size *= STEP_SHRINK
+        return None
+
+    newton_step = finishing = False
     for _ in range(MAX_ITERS):
         grad = current.gradient
-        residual = _pg_residual(point, grad, caps)
-        if residual <= GRAD_TOL:
+        target = _pg_target(point, objective.stationarity_gradient(current), caps)
+        residual = float(np.max(np.abs(point - target)))
+        # A Newton step that reached the tolerance is inside the quadratic
+        # region, so one more lands on the optimum to rounding: the finish.
+        if residual <= GRAD_TOL and (finishing or not newton_step):
             break
+        finishing = residual <= GRAD_TOL
         iterations += 1
 
+        # Projected Newton first; if its line search fails, the
+        # projected-gradient step below is taken from the same point.
+        newton = _newton_direction(objective, current, point, target, caps)
+        accepted = (None if newton is None
+                    else line_search(newton, 1.0, NEWTON_MIN_STEP))
+        newton_step = accepted is not None
+        if finishing and not newton_step:
+            break
+
         # Barzilai-Borwein spectral step as the first trial size; Armijo
-        # backtracking below still decides acceptance, so descent is kept.
+        # backtracking still decides acceptance, so descent is kept.
         if prev_point is not None:
             dp = point - prev_point
             dg = grad - prev_grad
@@ -117,43 +259,17 @@ def _descend(objective: _Objective, start: np.ndarray,
             if curvature > 0.0:
                 step = float(dp @ dp) / curvature
         prev_point, prev_grad = point, grad
-
-        # Backtracking line search with a float-plateau safeguard: once the
-        # predicted decrease falls below the resolution of the objective
-        # value, Armijo can no longer certify progress (equal floats pass the
-        # test even for overshooting steps), so acceptance switches to a
-        # strict decrease of the KKT residual.
-        plateau_tol = 64.0 * _EPS * (1.0 + abs(current.value))
-        accepted = None
-        size = min(step * 2.0, 1e12)
-        while size > 1e-18:
-            trial = project_capped_simplex(point - size * grad, caps)
-            direction = trial - point
-            if not np.any(direction):
-                size *= STEP_SHRINK
-                continue
-            candidate = objective(trial)
-            predicted = ARMIJO_C * float(grad @ direction)
-            if abs(predicted) >= plateau_tol:
-                ok = candidate.feasible and candidate.value <= current.value + predicted
-            else:
-                ok = (candidate.feasible
-                      and candidate.value <= current.value + plateau_tol
-                      and _pg_residual(trial, candidate.gradient, caps)
-                      < residual)
-            if ok:
-                accepted = (trial, candidate)
-                break
-            size *= STEP_SHRINK
         if accepted is None:
-            warnings.append("line search stalled before reaching grad_tol")
-            break
-        point, current = accepted
-        step = size
+            accepted = line_search(-grad, min(step * 2.0, 1e12), 1e-18)
+            if accepted is None:
+                warnings.append("line search stalled before reaching grad_tol")
+                break
+            step = accepted[2]
+        point, current, _ = accepted
     else:
         # Only this exit has moved the point since the last residual.
         warnings.append("MaxItersExceeded: returning best iterate")
-        residual = _pg_residual(point, current.gradient, caps)
+        residual = residual_at(point, current)
 
     converged = residual <= GRAD_TOL
     return _Trajectory(point, current.value, residual, iterations, converged,
@@ -321,7 +437,7 @@ def grid_oracle(kind: ObjectiveKind, model, count: int | None = None,
     feasible polytope and returns the minimizer and its objective value
     (the first minimizer in lexicographic order).  ``step`` must divide 1
     (see :func:`grid_units`).  This is deliberately independent of the
-    projected-gradient path so it can serve as a correctness oracle.
+    descent so it can serve as a correctness oracle.
 
     Raises
     ------
@@ -342,8 +458,9 @@ def grid_oracle(kind: ObjectiveKind, model, count: int | None = None,
 
 def kkt_residual(kind: ObjectiveKind, model, weights, count: int | None = None,
                  caps=None) -> float:
-    """The projected-gradient residual ``r(p)`` at a given feasible point,
-    the stationarity measure the solver stops on.
+    """The scale-free projected-gradient residual ``r(p)`` at a given
+    feasible point (on ``grad f`` for VCS, ``grad g / g`` for AECS), the
+    stationarity measure the solver stops on.
 
     Raises
     ------
@@ -361,4 +478,4 @@ def kkt_residual(kind: ObjectiveKind, model, weights, count: int | None = None,
     evaluation = objective(p)
     if not evaluation.feasible:
         raise InfeasiblePoint("objective is infinite at this point")
-    return _pg_residual(p, evaluation.gradient, caps_arr)
+    return _pg_residual(p, objective.stationarity_gradient(evaluation), caps_arr)

@@ -18,7 +18,9 @@ come from the model's methods (``SpectralModel`` in :mod:`ctrlscore.spectral`,
 
     d/dp_i sum_k phi(mu_k)  =  - sum_k  rows[k, i] / s(mu_k)
 
-Only :func:`evaluate` computes the Hessian; the solver never reads it.
+:func:`evaluate` returns the Hessian as a matrix.  The solver's Newton step
+reads it through :meth:`_Objective.hessian_product`, from the eigenpairs the
+evaluation already holds, as a product ``v -> H v`` and its diagonal.
 Points where the n-th eigenvalue vanishes evaluate to ``+inf`` with no
 gradient, so boundary infeasibility acts as a barrier inside line searches.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections import namedtuple
 from enum import Enum
 
@@ -53,14 +55,18 @@ class ObjectiveKind(Enum):
             raise ValueError(f"unknown score kind {text!r}; expected vcs or aecs")
 
 
-Score = namedtuple("Score", "phi s divided")
-#: Each score kind once: objective ``sum_k phi(mu_k)``, ``phi'(mu) = -1 / s(mu)``
-#: and ``divided(a, b)``, the divided difference of ``phi'`` for ``model.hessian``.
+Score = namedtuple("Score", "phi s divided relative")
+#: Each score kind once: objective ``sum_k phi(mu_k)``, ``phi'(mu) = -1 / s(mu)``,
+#: ``divided(a, b)``, the divided difference of ``phi'`` for ``model.hessian``
+#: and ``model.hessian_product``, and ``relative``: whether stationarity is
+#: measured on ``grad / value``.
+#: Scaling every Gramian by ``c`` shifts VCS by ``-n log c`` and divides AECS
+#: by ``c``, so ``grad f`` and ``grad g / g`` are the scale-free gradients.
 SCORES = {
     ObjectiveKind.VCS: Score(lambda mu: -np.log(mu), lambda mu: mu,
-                             lambda a, b: 1.0 / (a * b)),
+                             lambda a, b: 1.0 / (a * b), False),
     ObjectiveKind.AECS: Score(lambda mu: 1.0 / mu, lambda mu: mu**2,
-                              lambda a, b: (a + b) / (a * b) ** 2),
+                              lambda a, b: (a + b) / (a * b) ** 2, True),
 }
 
 
@@ -72,13 +78,14 @@ class ObjectiveEvaluation:
     is not positive.  ``hessian`` is filled in only by :func:`evaluate`.
     ``near_degenerate`` flags a (near-)tie between eigenvalues n and n+1,
     where the selection gradient is only approximate; the selection itself
-    is ``Eigenpairs.selected`` (spectral models) or ``Eigenpairs.vectors``.
+    is ``pairs.selected`` (spectral models) or ``pairs.vectors``.
     """
 
     value: float
     gradient: np.ndarray | None
     hessian: np.ndarray | None
     near_degenerate: bool = False
+    pairs: Eigenpairs | None = field(default=None, repr=False, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -103,12 +110,28 @@ class _Objective:
     def at(self, pairs: Eigenpairs) -> ObjectiveEvaluation:
         """Value and gradient from the selected eigenpairs (no Hessian)."""
         if not pairs.positive:
-            return ObjectiveEvaluation(math.inf, None, None, pairs.near_degenerate)
+            return ObjectiveEvaluation(math.inf, None, None, pairs.near_degenerate,
+                                       pairs)
         mu = pairs.values
         rows = self.model.derivative_rows(pairs)
         value = float(self.score.phi(mu).sum())
         grad = -(rows / self.score.s(mu)[:, None]).sum(axis=0)
-        return ObjectiveEvaluation(value, grad, None, pairs.near_degenerate)
+        return ObjectiveEvaluation(value, grad, None, pairs.near_degenerate, pairs)
+
+    def stationarity_gradient(self, evaluation: ObjectiveEvaluation) -> np.ndarray:
+        """The scale-free gradient the solver stops on: ``grad f`` for VCS
+        and ``grad g / g`` for AECS (see :data:`SCORES`)."""
+        if self.score.relative:
+            return evaluation.gradient / evaluation.value
+        return evaluation.gradient
+
+    def hessian_product(self, evaluation: ObjectiveEvaluation):
+        """``(matvec, diagonal)`` of the Hessian at a feasible evaluation,
+        read from its own eigenpairs, or None where the model gives no
+        Hessian or eigenvalues ``n`` and ``n + 1`` (nearly) tie."""
+        if evaluation.near_degenerate:
+            return None
+        return self.model.hessian_product(evaluation.pairs, self.score.divided)
 
     def batch_values(self, batch: np.ndarray) -> np.ndarray:
         """Objective value at every row of ``batch`` (+inf where infeasible)."""

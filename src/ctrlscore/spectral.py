@@ -16,7 +16,8 @@ structural assumptions behind the uniqueness guarantee:
 The eigen logic lives on the model classes: ``SpectralModel`` and
 :class:`~ctrlscore.linsys.NodeGramianFamily` have the same methods
 (``eigenvalues``, ``eigenpairs``, ``derivative_rows``, ``state_basis``,
-``hessian``), so their callers never branch on the model type.
+``hessian``, ``hessian_product``), so their callers never branch on the
+model type.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.
 """
@@ -62,7 +63,7 @@ class SpectralModel:
         The evaluated nodes (1-based labels, order fixes the columns).
     eigen_table : ndarray, shape (K, m)
         Nonnegative entries; row ``k`` holds the eigenvalue contributed by
-        every node to shared eigenmode ``k``.
+        every node to shared eigenmode ``k``.  Stored as a read-only copy.
     score_order : int
         How many of the largest eigenvalues the score objectives use (n <= K).
     """
@@ -77,7 +78,7 @@ class SpectralModel:
             raise EmptyIndexSet("node index set is empty")
         if len(set(indices)) != len(indices):
             raise BadIndexSet("node indices must be distinct")
-        table = np.asarray(self.eigen_table, dtype=float)
+        table = np.array(self.eigen_table, dtype=float)
         if table.ndim != 2 or table.shape[1] != len(indices):
             raise IndexMismatch(
                 f"eigen table must have {len(indices)} columns, got shape {table.shape}"
@@ -134,6 +135,14 @@ class SpectralModel:
         so ``H = rows^T diag(phi''(mu)) rows`` with ``phi''(mu) = divided(mu, mu)``."""
         rows = self.derivative_rows(pairs)
         return rows.T @ (rows * divided(pairs.values, pairs.values)[:, None])
+
+    def hessian_product(self, pairs: Eigenpairs, divided):
+        """``(matvec, diagonal)`` of :meth:`hessian` without forming it:
+        ``H v = rows^T (phi''(mu) * (rows v))``, O(n m) per product."""
+        rows = self.derivative_rows(pairs)
+        curvature = divided(pairs.values, pairs.values)
+        return (lambda v: (curvature * (rows @ v)) @ rows,
+                np.einsum("ki,k,ki->i", rows, curvature, rows))
 
 
 @dataclass(frozen=True)

@@ -306,3 +306,22 @@ def test_family_validation_names_the_first_failing_node():
         cs.NodeGramianFamily(system, (1, 2, 3), (good, skew, negative))
     with pytest.raises(cs.EigenFailure, match="Gramian for node 2 is not PSD"):
         cs.NodeGramianFamily(system, (1, 2, 3), (good, negative, skew))
+
+
+def test_check_stability_leaves_the_callers_matrix_writeable():
+    a = np.diag([-1.0, -2.0, -3.0])
+    system = cs.check_stability(a)
+    assert a.flags.writeable
+    assert not system.dynamics.flags.writeable
+    a[0, 0] = 5.0
+    assert system.dynamics[0, 0] == -1.0
+
+
+def test_gramian_family_leaves_the_callers_basis_writeable():
+    basis = np.eye(3)[:, ::-1].copy()
+    family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0, -3.0])),
+                               [1, 2], basis=basis)
+    assert basis.flags.writeable
+    assert not family.basis.flags.writeable
+    basis[:] = 0.0
+    assert family.basis[2, 0] == 1.0

@@ -115,11 +115,67 @@ def test_kkt_residual_rejects_infeasible_point():
         cs.kkt_residual(ObjectiveKind.AECS, model, np.array([1.0, 0.0]))
 
 
+def _diagonal_model(m):
+    return cs.SpectralModel(range(1, m + 1), np.diag(np.logspace(-1.0, 1.0, m)), m)
+
+
+@pytest.mark.parametrize("kind", [ObjectiveKind.VCS, ObjectiveKind.AECS])
+@pytest.mark.parametrize("size", [40, 200, 1000])
+@pytest.mark.parametrize("build", [lambda m: cs.heat_dirichlet_model(range(1, m + 1)),
+                                   _diagonal_model], ids=["heat", "diagonal"])
+def test_large_separable_solves_match_closed_form(build, size, kind):
+    model = build(size)
+    result = cs.solve(kind, model)
+    assert result.converged
+    closed = cs.closed_form_optimum(kind, model)
+    np.testing.assert_allclose(result.weights.values, closed.values, rtol=0, atol=1e-12)
+
+
+def _banded_table(rng, m, width):
+    table = np.zeros((m, m))
+    for k in range(m):
+        for i in range(max(0, k - width), min(m, k + width + 1)):
+            table[k, i] = rng.uniform(0.5, 1.5) if i == k else rng.uniform(0.0, 0.3)
+    return table
+
+
+@pytest.mark.parametrize("kind", [ObjectiveKind.VCS, ObjectiveKind.AECS])
+def test_rescaled_tables_give_the_same_solve(kind):
+    tables = (cs.heat_dirichlet_model(range(1, 13)).eigen_table,
+              _banded_table(np.random.default_rng(0), 30, 2))
+    for table in tables:
+        labels = range(1, table.shape[1] + 1)
+        base = cs.solve(kind, cs.SpectralModel(labels, table, table.shape[0]))
+        for scale in 10.0 ** np.arange(-4, 5):
+            result = cs.solve(kind, cs.SpectralModel(labels, scale * table,
+                                                     table.shape[0]))
+            assert result.converged == base.converged
+            np.testing.assert_allclose(result.weights.values, base.weights.values,
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e4])
+def test_aecs_stopping_test_does_not_depend_on_units(scale):
+    # The residual on grad g stopped 2.6e-7 from the optimum at scale 1e4 and
+    # could not reach the tolerance at all at 1e-11; grad g / g is unitless.
+    model = cs.SpectralModel((1, 2, 3), scale * np.diag([1.0, 2.0, 3.0]), 3)
+    result = cs.solve(ObjectiveKind.AECS, model)
+    assert result.converged
+    closed = cs.closed_form_optimum(ObjectiveKind.AECS, model)
+    np.testing.assert_allclose(result.weights.values, closed.values, rtol=0, atol=1e-12)
+    unit = cs.SpectralModel((1, 2, 3), np.diag([1.0, 2.0, 3.0]), 3)
+    point = [0.5, 0.3, 0.2]
+    assert cs.kkt_residual(ObjectiveKind.AECS, model, point) == pytest.approx(
+        cs.kkt_residual(ObjectiveKind.AECS, unit, point), rel=1e-12)
+
+
 def test_descent_is_monotone_within_float_tolerance(monkeypatch):
-    model = cs.heat_dirichlet_model([1, 2, 3, 4])
+    # Six modes: Newton finishes four modes from this kind of start in ten
+    # steps, and the replay below needs a longer descent.
+    model = cs.heat_dirichlet_model(range(1, 7))
     objective = _Objective(ObjectiveKind.AECS, model)
-    caps = np.ones(4)
-    start = np.array([0.7, 0.1, 0.1, 0.1])
+    caps = np.ones(6)
+    start = np.array([0.7, 0.06, 0.06, 0.06, 0.06, 0.06])
     full = _descend(objective, start, caps)
     assert full.converged and full.iterations > 10
     # The descent is deterministic, so stopping after k steps replays the
@@ -320,3 +376,20 @@ def test_solve_starts_at_the_feasibility_witness(kind):
     assert cs.evaluate(kind, model, result.weights).feasible
     assert math.isfinite(result.objective)
     assert result.objective <= at_witness
+
+
+def test_projected_cg_solves_the_newton_system_on_the_free_face(rng):
+    # Dense KKT reference: [H_FF 1; 1^T 0] [s; nu] = [-g_F; 0].
+    factor = rng.standard_normal((8, 8))
+    hess = factor @ factor.T + 0.1 * np.eye(8)
+    grad = rng.standard_normal(8)
+    free = np.array([True, True, False, True, True, True, False, True])
+    size = int(free.sum())
+    kkt = np.zeros((size + 1, size + 1))
+    kkt[:size, :size] = hess[np.ix_(free, free)]
+    kkt[:size, size] = kkt[size, :size] = 1.0
+    want = np.linalg.solve(kkt, np.append(-grad[free], 0.0))[:size]
+    got = optimizer._projected_cg(hess.__matmul__, np.diag(hess).copy(), grad, free)
+    assert np.all(got[~free] == 0.0)
+    assert abs(got.sum()) <= 1e-12
+    np.testing.assert_allclose(got[free], want, rtol=0, atol=1e-9 * np.abs(want).max())

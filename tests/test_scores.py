@@ -14,6 +14,7 @@ from conftest import (
 
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind
+from ctrlscore.scores import _Objective
 
 TWO_PI_SQ = 2.0 * np.pi**2
 
@@ -206,3 +207,26 @@ def test_finite_dim_scores_examples(rng):
     vcs = cs.solve(ObjectiveKind.VCS, family)
     np.testing.assert_allclose(vcs.weights.values, [0.5, 0.5], atol=1e-7)
     _assert_full_spectrum_cross_check(family, ObjectiveKind.VCS, vcs)
+
+
+def test_hessian_product_matches_the_hessian(rng):
+    table = rng.uniform(0.1, 2.0, (5, 4))
+    cases = [(cs.SpectralModel((1, 2, 3, 4), table, 3), 3),
+             (random_stable_family(rng, 4), 4)]
+    for model, count in cases:
+        for kind in (ObjectiveKind.VCS, ObjectiveKind.AECS):
+            objective = _Objective(kind, model, count)
+            point = interior_point(rng, 4)
+            evaluation = objective(point)
+            matvec, diagonal = objective.hessian_product(evaluation)
+            hess = cs.evaluate(kind, model, point, count).hessian
+            for v in rng.standard_normal((2, 4)):
+                np.testing.assert_allclose(matvec(v), hess @ v, rtol=1e-10,
+                                           atol=1e-12 * np.abs(hess).max())
+            np.testing.assert_allclose(diagonal, np.diag(hess), rtol=1e-12)
+
+
+def test_no_hessian_product_for_a_partial_family_selection(rng):
+    family = random_stable_family(rng, 4)
+    objective = _Objective(ObjectiveKind.AECS, family, 2)
+    assert objective.hessian_product(objective(interior_point(rng, 4))) is None

@@ -184,3 +184,12 @@ def test_spectral_model_validation():
         cs.SpectralModel((1, 2), np.ones((2, 3)), 2)
     with pytest.raises(cs.IndexMismatch):
         cs.SpectralModel((1, 2), np.ones((2, 2)), 3)
+
+
+def test_spectral_model_leaves_the_callers_table_writeable():
+    table = np.diag([1.0, 2.0, 3.0])
+    model = cs.SpectralModel((1, 2, 3), table, 3)
+    assert table.flags.writeable
+    assert not model.eigen_table.flags.writeable
+    table[0, 0] = 9.0
+    assert model.eigen_table[0, 0] == 1.0
