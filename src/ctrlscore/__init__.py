@@ -16,11 +16,8 @@ checkers for the assumptions behind existence and uniqueness.
 
 from .energy import (
     EnergyQuery,
-    ProjectionDiagnostics,
     ReachabilityEllipsoid,
-    average_min_energy_monte_carlo,
     min_energy,
-    projection_operator_check,
     reachable_ellipsoid,
     unit_ball_log_volume,
 )
@@ -54,15 +51,11 @@ from .linsys import (
     StableLTISystem,
     assemble_gramian,
     check_stability,
-    finite_horizon_gramian,
     gramian_family,
     node_gramian,
-    top_eigenvalues,
 )
 from .modelfile import (
     ModelFile,
-    dump_model_text,
-    model_file_from_spectral,
     parse_model_text,
 )
 from .optimizer import (
@@ -85,7 +78,6 @@ from .spectral import (
     check_feasibility,
     check_n_spectrum,
     heat_dirichlet_model,
-    spectral_model_from_gramians,
 )
 
 __version__ = "0.1.0"

@@ -12,14 +12,9 @@ These computations give the scores their operational meaning.  With
   semi-axes ``sqrt(mu_k)`` along ``z_k``; its n-dimensional section volume is
   ``V_n * sqrt(mu_1 ... mu_n)`` with ``V_n`` the unit-ball volume.
 
-Eigenpairs and their state-space basis come from the model's methods, at the
-infinite horizon.  A finite horizon is one diagnostic on Gramian families:
-:func:`projection_operator_check` verifies that the discretized input-space
-operator ``L^T W_n^+ L`` behaves as the orthogonal projection it should be,
-against the exact ``W(p, T)`` of
-:func:`~ctrlscore.linsys.finite_horizon_gramian`.  Only that check needs
-the matrix exponential, so it imports ``scipy.linalg.expm`` itself and
-importing this module loads no scipy.
+Eigenpairs and their state-space basis come from the model's methods
+(``eigenpairs`` and ``state_basis``), so the same code serves dense Gramian
+families and eigenvalue tables.  This module loads no scipy.
 """
 
 from __future__ import annotations
@@ -30,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexMismatch, RankDeficient, SingularGramian, TargetOutsideSpan
-from .linsys import NodeGramianFamily, positive_floor
-from .simplex import weight_vector
 
 #: Relative tolerance for the target-in-span residual.
 SPAN_TOL = 1e-8
@@ -144,127 +137,3 @@ def reachable_ellipsoid(model, weights, count: int) -> ReachabilityEllipsoid:
     mu = mu.copy()
     mu.flags.writeable = False
     return ReachabilityEllipsoid(semi_axes, basis, log_volume, mu)
-
-
-def average_min_energy_monte_carlo(model, weights, count: int,
-                                   num_samples: int = 100_000,
-                                   seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo mean (and standard error) of the minimum energy over
-    uniformly random unit-sphere targets in the top-``count`` span.
-
-    The closed-form expectation is ``(1/n) * sum_k 1/mu_k``; this sampler
-    exists to verify that identity independently.
-    """
-    pairs = model.eigenpairs(weights, count)
-    if not pairs.positive:
-        raise SingularGramian("selected eigenvalues must be positive")
-    mu = pairs.values
-    rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((num_samples, count))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    energies = (normals**2 / mu).sum(axis=1)
-    mean = float(energies.mean())
-    std_error = float(energies.std(ddof=1) / math.sqrt(num_samples))
-    return mean, std_error
-
-
-@dataclass(frozen=True)
-class ProjectionDiagnostics:
-    """Residuals of the discretized input-space projection operator."""
-
-    idempotency_residual: float
-    symmetry_residual: float
-    energy_discrete: float
-    energy_exact: float
-    energy_relative_error: float
-    gramian_rank: int
-    time_steps: int
-    horizon: float
-
-
-def projection_operator_check(family: NodeGramianFamily, weights, count: int,
-                              horizon: float, time_steps: int,
-                              target=None) -> ProjectionDiagnostics:
-    """Check that ``P = L^T W_n^+ L`` acts as an orthogonal projection.
-
-    The reachability operator over ``[0, T]`` is discretized on a midpoint
-    grid: block ``j`` of ``L`` is ``exp((T - t_j) A) B sqrt(dt)`` with
-    ``t_j = (j + 1/2) dt``, so ``L L^T`` is the midpoint-rule Gramian (the
-    midpoint rule keeps the quadrature error at O(dt^2), which the energy
-    comparison below needs).  The Frobenius norms of ``P^2 - P`` and
-    ``P^T - P`` are evaluated through the factorization
-    ``||L^T M L||_F^2 = tr(M W M^T W)``, never forming the large operator.
-
-    The discretized minimum energy ``x_f^T W_n^+ x_f`` is compared against
-    the exact ``x_f^T W(p, T)^{-1} x_f`` (full-rank selection) or its
-    eigenvalue form.  This is a diagnostic: rank deficiency is reported, not
-    raised.
-    """
-    if time_steps < 1:
-        raise IndexMismatch("time_steps must be >= 1")
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise IndexMismatch("projection check needs a finite positive horizon")
-    a = family.system.dynamics
-    n_dim = family.system.n_dim
-    p = weight_vector(weights, family.node_count)
-
-    # Input matrix: node directions scaled by sqrt(p_i).
-    basis = family.basis if family.basis is not None else np.eye(n_dim)
-    columns = np.array([basis[:, idx - 1] for idx in family.node_indices]).T
-    input_matrix = columns * np.sqrt(p)
-
-    from scipy.linalg import expm
-
-    dt = horizon / time_steps
-    stepper = expm(a * dt)
-    block = expm(a * (0.5 * dt))  # exp((T - t_{N-1}) A), t_{N-1} = T - dt/2
-    discrete = np.zeros((n_dim, n_dim))
-    for _ in range(time_steps):
-        scaled = block @ input_matrix
-        discrete += scaled @ scaled.T * dt
-        block = stepper @ block
-    discrete = 0.5 * (discrete + discrete.T)
-
-    eigvals, eigvecs = np.linalg.eigh(discrete)
-    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
-    floor = positive_floor(max(eigvals[0], 0.0))
-    rank = int(np.sum(eigvals > floor))
-    used = min(count, rank) if rank else 0
-
-    if used:
-        sel_vals = eigvals[:used]
-        sel_vecs = eigvecs[:, :used]
-        pseudo = (sel_vecs / sel_vals) @ sel_vecs.T
-    else:
-        pseudo = np.zeros((n_dim, n_dim))
-
-    def factored_norm(middle: np.ndarray) -> float:
-        return float(math.sqrt(abs(np.trace(middle @ discrete @ middle.T @ discrete))))
-
-    idem = factored_norm(pseudo @ discrete @ pseudo - pseudo)
-    sym = factored_norm(pseudo.T - pseudo)
-
-    if target is None:
-        target = np.ones(n_dim) / math.sqrt(n_dim)
-    target = np.asarray(target, dtype=float)
-    energy_discrete = float(target @ pseudo @ target)
-
-    exact = family.eigenpairs(p, used, horizon) if used else None
-    if exact is not None and exact.positive:
-        coeffs = family.state_basis(exact).T @ target
-        energy_exact = float(np.sum(coeffs**2 / exact.values))
-        rel = abs(energy_discrete - energy_exact) / max(abs(energy_exact), 1e-300)
-    else:
-        energy_exact = math.inf
-        rel = math.inf
-
-    return ProjectionDiagnostics(
-        idempotency_residual=idem,
-        symmetry_residual=sym,
-        energy_discrete=energy_discrete,
-        energy_exact=energy_exact,
-        energy_relative_error=rel,
-        gramian_rank=rank,
-        time_steps=time_steps,
-        horizon=horizon,
-    )

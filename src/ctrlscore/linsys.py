@@ -12,21 +12,22 @@ triangular Sylvester solve on that factor (Bartels-Stewart); the defining
 integral is kept only as a test oracle.  The mixed Gramian for a weight
 vector ``p`` is ``W(p) = sum_i p_i W_i``.
 
-scipy is imported inside the functions that need it (the Schur factor, the
-triangular solve and ``expm``), so heat and table models never load it.
+scipy is imported inside the functions that need it (the Schur factor and
+the triangular solve), so heat and table models never load it.
 
 ``NodeGramianFamily`` carries the eigen methods of ``W(p)`` that
-:class:`~ctrlscore.spectral.SpectralModel` also has: ``eigenpairs`` is the
-one decomposition of ``W(p)`` at a single point (``eigh``), which the
-feasibility check, the objective and the energy diagnostics all read, and
-``eigenvalues`` is the batch path of the lattice oracle (``eigvalsh``).
-:func:`top_eigenvalues` is an independent reference for tests; no program
-code calls it.
+:class:`~ctrlscore.spectral.SpectralModel` also has, with the same
+arguments: ``eigenpairs(weights, count)`` is the one decomposition of
+``W(p)`` at a single point (``eigh``), which the feasibility check, the
+objective and the energy diagnostics all read; ``eigenvalues`` is the batch
+path of the lattice oracle (``eigvalsh``); ``hessian_product`` is the one
+Hessian build.  :func:`resolve_score_order` is the one rule for how many
+eigenvalues a score selects.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,14 +52,30 @@ DEGENERACY_GAP = 1e-8
 POSITIVE_FLOOR = 1e-12
 
 
-def positive_floor(top_eigenvalue):
-    """Threshold below which an eigenvalue is treated as zero (elementwise)."""
-    return POSITIVE_FLOOR * np.maximum(1.0, top_eigenvalue)
-
-
 def nth_positive(top):
-    """Whether ``top[..., -1]`` clears the positive floor of ``top[..., 0]``."""
-    return top[..., -1] > positive_floor(top[..., 0])
+    """Whether ``top[..., -1]`` clears the positive floor
+    ``POSITIVE_FLOOR * max(1, top[..., 0])``."""
+    return top[..., -1] > POSITIVE_FLOOR * np.maximum(1.0, top[..., 0])
+
+
+def resolve_score_order(model, count=None) -> int:
+    """The number of eigenvalues a score selects on ``model``: ``count``, or
+    ``model.score_order`` when it is None.
+
+    Raises
+    ------
+    IndexMismatch
+        Unless it is an integer (``operator.index``, so numpy integers pass
+        and ``2.5`` does not) in ``1..model.mode_count``.
+    """
+    order = model.score_order if count is None else count
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise IndexMismatch(f"score order must be an integer, got {order!r}") from None
+    if not 1 <= order <= model.mode_count:
+        raise IndexMismatch(f"score order {order} out of range 1..{model.mode_count}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -218,14 +235,11 @@ class NodeGramianFamily:
         mixed = np.einsum("bi,inm->bnm", np.asarray(batch, dtype=float), self.stack)
         return np.linalg.eigvalsh(mixed)[:, ::-1]
 
-    def eigenpairs(self, weights, count: int,
-                   horizon: float = math.inf) -> Eigenpairs:
-        """Top ``count`` eigenpairs of ``W(p)``, or of ``W(p, T)`` for a
-        finite ``horizon``; only
-        :func:`~ctrlscore.energy.projection_operator_check` passes one."""
+    def eigenpairs(self, weights, count: int) -> Eigenpairs:
+        """Top ``count`` eigenpairs of ``W(p)``."""
         if not 1 <= count <= self.mode_count:
             raise IndexMismatch(f"count {count} out of range 1..{self.mode_count}")
-        eigvals, eigvecs = np.linalg.eigh(finite_horizon_gramian(self, weights, horizon))
+        eigvals, eigvecs = np.linalg.eigh(assemble_gramian(self, weights))
         eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
         following = float(eigvals[count]) if count < eigvals.size else None
         return Eigenpairs(eigvals[:count], following, vectors=eigvecs[:, :count])
@@ -242,9 +256,10 @@ class NodeGramianFamily:
         """The selected eigenvectors as state-space columns."""
         return pairs.vectors
 
-    def hessian(self, pairs: Eigenpairs, divided) -> np.ndarray | None:
-        """Hessian of ``sum_k phi(mu_k(p))`` from the divided difference
-        ``divided(a, b)`` of ``phi'``: with ``Q_i = Z^T W_i Z``,
+    def hessian_product(self, pairs: Eigenpairs, divided):
+        """``(matvec, diagonal)`` of the Hessian ``H`` of ``sum_k phi(mu_k(p))``
+        from the divided difference ``divided(a, b)`` of ``phi'``: with
+        ``Q_i = Z^T W_i Z``,
         ``H[i, j] = sum_kl divided(mu_k, mu_l) Q_i[k, l] Q_j[k, l]``, the
         trace identities.  Exact only for the whole spectrum, else None."""
         if pairs.following is not None:
@@ -260,13 +275,7 @@ class NodeGramianFamily:
         for i, gram in enumerate(self.stack):
             coords[i] = (vectors.T @ (gram @ vectors))[upper]
         coords *= np.sqrt(weights[upper])
-        return coords @ coords.T
-
-    def hessian_product(self, pairs: Eigenpairs, divided):
-        """``(matvec, diagonal)`` of :meth:`hessian`; None where it is None."""
-        hess = self.hessian(pairs, divided)
-        if hess is None:
-            return None
+        hess = coords @ coords.T
         return hess.__matmul__, hess.diagonal()
 
 
@@ -368,47 +377,3 @@ def assemble_gramian(family: NodeGramianFamily, weights) -> np.ndarray:
     """Mixed Gramian ``W(p) = sum_i p_i W_i`` for the given weights."""
     return np.tensordot(weight_vector(weights, family.node_count), family.stack,
                         axes=1)
-
-
-def finite_horizon_gramian(family: NodeGramianFamily, weights,
-                           horizon: float) -> np.ndarray:
-    """Horizon-T Gramian ``W(p, T) = W(p) - exp(TA) W(p) exp(TA)^T``."""
-    if not horizon > 0:
-        raise IndexMismatch("horizon must be positive")
-    mixed = assemble_gramian(family, weights)
-    if math.isinf(horizon):
-        return mixed
-    from scipy.linalg import expm
-
-    decay = expm(horizon * family.system.dynamics)
-    gram = mixed - decay @ mixed @ decay.T
-    return 0.5 * (gram + gram.T)
-
-
-def top_eigenvalues(matrix, count: int) -> np.ndarray:
-    """The ``count`` largest eigenvalues of a symmetric PSD matrix, descending.
-
-    An independent reference for the models' eigen methods; the program
-    reads ``eigenpairs``.  Eigenvalues within ``-DEFAULT_TOL * max(1, mu_max)``
-    of zero are clamped to zero; anything more negative raises, since that
-    indicates a modeling bug rather than roundoff.
-    """
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NonSquare(f"matrix must be square, got shape {arr.shape}")
-    if not 0 < count <= arr.shape[0]:
-        raise IndexMismatch(f"count {count} out of range 1..{arr.shape[0]}")
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    if np.linalg.norm(arr - arr.T) > DEFAULT_TOL * scale:
-        raise EigenFailure("matrix is not symmetric within tolerance")
-    try:
-        eigvals = np.linalg.eigvalsh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigendecomposition failed: {exc}")
-    eigvals = eigvals[::-1]
-    floor = -DEFAULT_TOL * max(1.0, float(eigvals[0]) if eigvals.size else 1.0)
-    if float(eigvals[-1]) < floor:
-        raise EigenFailure(
-            f"matrix has eigenvalue {eigvals[-1]:.3e} below the PSD tolerance"
-        )
-    return np.maximum(eigvals[:count], 0.0)

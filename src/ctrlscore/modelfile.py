@@ -1,4 +1,4 @@
-"""Model file format: parsing, validation, serialization.
+"""Model file format: parsing and validation.
 
 A model file is a line-oriented text format with an explicit schema version.
 ``#`` starts a comment that runs to the end of the line, on statement and
@@ -282,34 +282,3 @@ def parse_model_text(text: str) -> ModelFile:
         dynamics=matrix,
         table=table,
     )
-
-
-def model_file_from_spectral(model: SpectralModel, caps=None) -> ModelFile:
-    """Wrap a spectral model as a serializable ``spectral_table`` file."""
-    caps_tuple = None if caps is None else tuple(float(c) for c in caps)
-    return ModelFile(
-        schema_version=SCHEMA_VERSION,
-        kind="spectral_table",
-        node_indices=model.node_indices,
-        score_order=model.score_order,
-        caps=caps_tuple,
-        table=tuple(tuple(float(x) for x in row) for row in model.eigen_table),
-    )
-
-
-def dump_model_text(model: ModelFile) -> str:
-    """Serialize a ModelFile back to the text format (full float precision)."""
-    out = [f"ctrlscore-model v{model.schema_version}"]
-    out.append(f"kind {model.kind}")
-    out.append("nodes " + " ".join(str(i) for i in model.node_indices))
-    if model.score_order is not None:
-        out.append(f"n {model.score_order}")
-    if model.caps is not None:
-        out.append("caps " + " ".join(repr(c) for c in model.caps))
-    if model.dynamics is not None:
-        out.append(f"matrix {len(model.dynamics)}")
-        out.extend(" ".join(repr(x) for x in row) for row in model.dynamics)
-    if model.table is not None:
-        out.append(f"table {len(model.table)} {len(model.table[0])}")
-        out.extend(" ".join(repr(x) for x in row) for row in model.table)
-    return "\n".join(out) + "\n"

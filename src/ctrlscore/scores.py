@@ -18,9 +18,11 @@ come from the model's methods (``SpectralModel`` in :mod:`ctrlscore.spectral`,
 
     d/dp_i sum_k phi(mu_k)  =  - sum_k  rows[k, i] / s(mu_k)
 
-:func:`evaluate` returns the Hessian as a matrix.  The solver's Newton step
-reads it through :meth:`_Objective.hessian_product`, from the eigenpairs the
-evaluation already holds, as a product ``v -> H v`` and its diagonal.
+The Hessian has one build per model, ``model.hessian_product``: a product
+``v -> H v`` and its diagonal, read from the eigenpairs an evaluation
+already holds.  The solver's Newton step reads it through
+:meth:`_Objective.hessian_product`; :func:`evaluate` forms the matrix from
+it, one column per node.
 Points where the n-th eigenvalue vanishes evaluate to ``+inf`` with no
 gradient, so boundary infeasibility acts as a barrier inside line searches.
 """
@@ -35,8 +37,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapsBind, IndexMismatch, NotDiagonal
-from .linsys import Eigenpairs, nth_positive
+from .errors import CapsBind, NotDiagonal
+from .linsys import Eigenpairs, nth_positive, resolve_score_order
 from .simplex import SimplexWeights, validate_caps
 from .spectral import SpectralModel
 
@@ -57,8 +59,8 @@ class ObjectiveKind(Enum):
 
 Score = namedtuple("Score", "phi s divided relative")
 #: Each score kind once: objective ``sum_k phi(mu_k)``, ``phi'(mu) = -1 / s(mu)``,
-#: ``divided(a, b)``, the divided difference of ``phi'`` for ``model.hessian``
-#: and ``model.hessian_product``, and ``relative``: whether stationarity is
+#: ``divided(a, b)``, the divided difference of ``phi'`` for
+#: ``model.hessian_product``, and ``relative``: whether stationarity is
 #: measured on ``grad / value``.
 #: Scaling every Gramian by ``c`` shifts VCS by ``-n log c`` and divides AECS
 #: by ``c``, so ``grad f`` and ``grad g / g`` are the scale-free gradients.
@@ -98,11 +100,8 @@ class _Objective:
     def __init__(self, kind: ObjectiveKind, model, count: int | None = None):
         self.score = SCORES[kind]
         self.model = model
-        self.count = model.score_order if count is None else int(count)
+        self.count = resolve_score_order(model, count)
         self.node_count = model.node_count
-        limit = model.mode_count
-        if not 1 <= self.count <= limit:
-            raise IndexMismatch(f"score order {self.count} out of range 1..{limit}")
 
     def __call__(self, weights) -> ObjectiveEvaluation:
         return self.at(self.model.eigenpairs(weights, self.count))
@@ -151,19 +150,23 @@ def evaluate(kind: ObjectiveKind, model, weights,
     ``count`` overrides the number of selected eigenvalues (defaults to the
     model's score order, or the full dimension for matrix families).  The
     Hessian is exact for spectral models and, for matrix families, available
-    when the selection covers the whole spectrum.  It comes from the divided
+    when the selection covers the whole spectrum, also where eigenvalues
+    ``n`` and ``n + 1`` (nearly) tie.  It comes from the divided
     differences of ``phi'`` in :data:`SCORES`: ``1 / (mu_k mu_l)`` for VCS
-    and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS.
+    and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS, and is built column by
+    column from ``model.hessian_product``, then symmetrized.
     """
     objective = _Objective(kind, model, count)
     pairs = model.eigenpairs(weights, objective.count)
     evaluation = objective.at(pairs)
     if not evaluation.feasible:
         return evaluation
-    hess = model.hessian(pairs, objective.score.divided)
-    if hess is not None:
-        hess = 0.5 * (hess + hess.T)
-    return dataclasses.replace(evaluation, hessian=hess)
+    product = model.hessian_product(pairs, objective.score.divided)
+    if product is None:
+        return evaluation
+    matvec, _ = product
+    hess = np.column_stack([matvec(unit) for unit in np.eye(objective.node_count)])
+    return dataclasses.replace(evaluation, hessian=0.5 * (hess + hess.T))
 
 
 def closed_form_optimum(kind: ObjectiveKind, model: SpectralModel,

