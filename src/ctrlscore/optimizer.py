@@ -5,8 +5,10 @@ Optim. 1982): coordinates held on a bound stay there, and on the free face
 the Newton system ``min s^T H s / 2 + g^T s`` subject to ``sum(s) = 0`` is
 solved by a projected preconditioned CG in numpy (Gould, Hribar & Nocedal,
 SIAM J. Sci. Comput. 2001) with the Jacobi preconditioner.  The Hessian
-enters only as products read from the evaluation's own eigenpairs
-(:meth:`~ctrlscore.scores._Objective.hessian_product`).  Where the model
+enters only as products at the evaluation's own point
+(:meth:`~ctrlscore.scores._Objective.hessian_product`): the matrix a
+Gramian family's evaluation formed, or a table's product read from the
+evaluation's eigenpairs.  Where the model
 gives no Hessian (a Gramian family scored on fewer than all its
 eigenvalues) or eigenvalues n and n + 1 (nearly) tie, and whenever the
 Newton line search fails, the step is projected gradient with a

@@ -18,11 +18,14 @@ come from the model's methods (``SpectralModel`` in :mod:`ctrlscore.spectral`,
 
     d/dp_i sum_k phi(mu_k)  =  - sum_k  rows[k, i] / s(mu_k)
 
-The Hessian has one build per model, ``model.hessian_product``: a product
-``v -> H v`` and its diagonal, read from the eigenpairs an evaluation
-already holds.  The solver's Newton step reads it through
-:meth:`_Objective.hessian_product`; :func:`evaluate` forms the matrix from
-it, one column per node.
+An evaluation takes its rows from ``model.derivatives``.  For a Gramian
+family scored on its whole spectrum that one pass over the node Gramians
+also forms the m x m Hessian, which the evaluation keeps and the solver's
+Newton step reads through :meth:`_Objective.hessian_product`.  A table's
+Hessian is read later, from the eigenpairs the evaluation holds, through
+``model.hessian_product``: a product ``v -> H v`` and its diagonal, never
+formed.  :func:`evaluate` returns the family's matrix, or builds a
+table's from the product, one column per node.
 Points where the n-th eigenvalue vanishes evaluate to ``+inf`` with no
 gradient, so boundary infeasibility acts as a barrier inside line searches.
 """
@@ -60,8 +63,8 @@ class ObjectiveKind(Enum):
 Score = namedtuple("Score", "phi s divided relative")
 #: Each score kind once: objective ``sum_k phi(mu_k)``, ``phi'(mu) = -1 / s(mu)``,
 #: ``divided(a, b)``, the divided difference of ``phi'`` for
-#: ``model.hessian_product``, and ``relative``: whether stationarity is
-#: measured on ``grad / value``.
+#: ``model.derivatives`` and ``model.hessian_product``, and ``relative``:
+#: whether stationarity is measured on ``grad / value``.
 #: Scaling every Gramian by ``c`` shifts VCS by ``-n log c`` and divides AECS
 #: by ``c``, so ``grad f`` and ``grad g / g`` are the scale-free gradients.
 SCORES = {
@@ -77,7 +80,10 @@ class ObjectiveEvaluation:
     """Objective value with derivatives at one weight vector.
 
     ``value`` is ``+inf`` (and ``gradient`` is None) when the n-th eigenvalue
-    is not positive.  ``hessian`` is filled in only by :func:`evaluate`.
+    is not positive.  ``hessian`` is the m x m Hessian where the model forms
+    it with the gradient (a Gramian family scored on its whole spectrum,
+    see ``model.derivatives``); :func:`evaluate` fills it in for every model
+    that gives one.
     ``near_degenerate`` flags a (near-)tie between eigenvalues n and n+1,
     where the selection gradient is only approximate; the selection itself
     is ``pairs.selected`` (spectral models) or ``pairs.vectors``.
@@ -107,15 +113,16 @@ class _Objective:
         return self.at(self.model.eigenpairs(weights, self.count))
 
     def at(self, pairs: Eigenpairs) -> ObjectiveEvaluation:
-        """Value and gradient from the selected eigenpairs (no Hessian)."""
+        """Value and gradient from the selected eigenpairs, with the Hessian
+        where ``model.derivatives`` forms it in the same pass."""
         if not pairs.positive:
             return ObjectiveEvaluation(math.inf, None, None, pairs.near_degenerate,
                                        pairs)
         mu = pairs.values
-        rows = self.model.derivative_rows(pairs)
+        rows, hessian = self.model.derivatives(pairs, self.score.divided)
         value = float(self.score.phi(mu).sum())
         grad = -(rows / self.score.s(mu)[:, None]).sum(axis=0)
-        return ObjectiveEvaluation(value, grad, None, pairs.near_degenerate, pairs)
+        return ObjectiveEvaluation(value, grad, hessian, pairs.near_degenerate, pairs)
 
     def stationarity_gradient(self, evaluation: ObjectiveEvaluation) -> np.ndarray:
         """The scale-free gradient the solver stops on: ``grad f`` for VCS
@@ -125,11 +132,15 @@ class _Objective:
         return evaluation.gradient
 
     def hessian_product(self, evaluation: ObjectiveEvaluation):
-        """``(matvec, diagonal)`` of the Hessian at a feasible evaluation,
-        read from its own eigenpairs, or None where the model gives no
-        Hessian or eigenvalues ``n`` and ``n + 1`` (nearly) tie."""
+        """``(matvec, diagonal)`` of the Hessian at a feasible evaluation:
+        the matrix the evaluation formed, else the model's product read from
+        its eigenpairs.  None where the model gives no Hessian or
+        eigenvalues ``n`` and ``n + 1`` (nearly) tie."""
         if evaluation.near_degenerate:
             return None
+        hess = evaluation.hessian
+        if hess is not None:
+            return hess.__matmul__, hess.diagonal()
         return self.model.hessian_product(evaluation.pairs, self.score.divided)
 
     def batch_values(self, batch: np.ndarray) -> np.ndarray:
@@ -153,19 +164,21 @@ def evaluate(kind: ObjectiveKind, model, weights,
     when the selection covers the whole spectrum, also where eigenvalues
     ``n`` and ``n + 1`` (nearly) tie.  It comes from the divided
     differences of ``phi'`` in :data:`SCORES`: ``1 / (mu_k mu_l)`` for VCS
-    and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS, and is built column by
-    column from ``model.hessian_product``, then symmetrized.
+    and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS.  It is the matrix the
+    evaluation formed, or else is built column by column from
+    ``model.hessian_product``, and is then symmetrized.
     """
     objective = _Objective(kind, model, count)
-    pairs = model.eigenpairs(weights, objective.count)
-    evaluation = objective.at(pairs)
+    evaluation = objective(weights)
     if not evaluation.feasible:
         return evaluation
-    product = model.hessian_product(pairs, objective.score.divided)
-    if product is None:
-        return evaluation
-    matvec, _ = product
-    hess = np.column_stack([matvec(unit) for unit in np.eye(objective.node_count)])
+    hess = evaluation.hessian
+    if hess is None:
+        product = model.hessian_product(evaluation.pairs, objective.score.divided)
+        if product is None:
+            return evaluation
+        matvec, _ = product
+        hess = np.column_stack([matvec(unit) for unit in np.eye(objective.node_count)])
     return dataclasses.replace(evaluation, hessian=0.5 * (hess + hess.T))
 
 

@@ -15,8 +15,8 @@ checkers for the structural assumptions behind the uniqueness guarantee:
 The eigen logic lives on the model classes: ``SpectralModel`` and
 :class:`~ctrlscore.linsys.NodeGramianFamily` have the same methods with the
 same arguments (``eigenvalues``, ``eigenpairs``, ``derivative_rows``,
-``state_basis``, ``hessian_product``), so their callers never branch on the
-model type.
+``derivatives``, ``state_basis``, ``hessian_product``), so their callers
+never branch on the model type.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.  Every score order is
 read through :func:`~ctrlscore.linsys.resolve_score_order`.
@@ -96,9 +96,8 @@ class SpectralModel:
 
     def eigenpairs(self, weights, count: int) -> Eigenpairs:
         """Top ``count`` eigenvalues of ``W(p)`` and the table rows giving
-        them."""
-        if not 1 <= count <= self.mode_count:
-            raise IndexMismatch(f"count {count} out of range 1..{self.mode_count}")
+        them; ``count`` is read by :func:`~ctrlscore.linsys.resolve_score_order`."""
+        count = resolve_score_order(self, count)
         values = self.eigen_table @ weight_vector(weights, self.node_count)
         order = _select_rows(values, count + 1)
         following = float(values[order[count]]) if count < order.size else None
@@ -108,6 +107,13 @@ class SpectralModel:
     def derivative_rows(self, pairs: Eigenpairs) -> np.ndarray:
         """``rows[k, i] = d mu_k / d p_i``: the selected table rows."""
         return self.eigen_table[pairs.selected]
+
+    def derivatives(self, pairs: Eigenpairs, divided):
+        """``(rows, None)``: the :meth:`derivative_rows`, and no Hessian.
+        A table's Hessian is read only through :meth:`hessian_product`, so
+        an evaluation never holds a copy of its rows (n x m, 8 MB at
+        n = m = 1000)."""
+        return self.derivative_rows(pairs), None
 
     def state_basis(self, pairs: Eigenpairs) -> np.ndarray:
         """Selector columns: the eigenvectors are the mode coordinates."""

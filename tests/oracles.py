@@ -6,8 +6,9 @@ the projection property of the discretized reachability operator, the top
 eigenvalues of a plain matrix, a Monte-Carlo average of the minimum energy,
 a joint diagonalizer that turns a commuting Gramian family into an
 eigenvalue table, the dense Hessians that ``hessian_product`` must agree
-with, and a writer for the model-file format that the parser must read
-back.
+with, the node-by-node derivative rows and Hessian that the blocked
+evaluation pass must match to the bit, and a writer for the model-file
+format that the parser must read back.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from ctrlscore.linsys import (
     DEGENERACY_GAP,
     POSITIVE_FLOOR,
     NodeGramianFamily,
-    _quadratic_rows,
     assemble_gramian,
     nth_positive,
 )
@@ -97,6 +97,25 @@ def reference_hessian(model, pairs, divided) -> np.ndarray:
     quadratic = np.array([z.T @ gram @ z for gram in model.gramians])
     return np.einsum("kl,ikl,jkl->ij", divided(mu[:, None], mu[None, :]),
                      quadratic, quadratic)
+
+
+def node_quadratic_rows(vectors, stack) -> np.ndarray:
+    """``rows[k, i] = z_k^T W_i z_k`` for the columns ``z_k`` of ``vectors``
+    and ``W_i = stack[i]``, one ``((W_i @ Z) * Z).sum(axis=0)`` per node."""
+    return np.stack([((gram @ vectors) * vectors).sum(axis=0) for gram in stack],
+                    axis=1)
+
+
+def node_hessian(family: NodeGramianFamily, pairs, divided) -> np.ndarray:
+    """The whole-spectrum Hessian ``C C^T``, one node at a time: row i of
+    ``C`` is the upper triangle of ``Q_i = Z^T W_i Z``, scaled by
+    ``sqrt(divided(mu_k, mu_l))`` and doubled off the diagonal."""
+    mu, vectors = pairs.values, pairs.vectors
+    upper = np.triu_indices(mu.size)
+    coords = np.array([(vectors.T @ (gram @ vectors))[upper] for gram in family.stack])
+    weights = divided(mu[:, None], mu[None, :]) * (2.0 - np.eye(mu.size))
+    coords *= np.sqrt(weights[upper])
+    return coords @ coords.T
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +303,7 @@ def spectral_model_from_gramians(family: NodeGramianFamily,
     total = np.sum(family.stack, axis=0)
     basis = _refine_block(np.eye(n_dim), (total,) + family.gramians, 0, DEGENERACY_GAP)
 
-    table = _quadratic_rows(basis, family.stack)
+    table = node_quadratic_rows(basis, family.stack)
     table[(table < 0) & (table > -CHECK_TOL)] = 0.0
 
     worst = 0.0

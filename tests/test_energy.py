@@ -66,6 +66,25 @@ def test_rank_beyond_the_spectrum_is_rejected():
             cs.min_energy(model, [0.5, 0.5], EnergyQuery(np.ones(2), 3))
 
 
+@pytest.mark.parametrize("rank", [2.5, 0, 4], ids=["float", "zero", "mode_count+1"])
+@pytest.mark.parametrize("query", ["min_energy", "reachable_ellipsoid"])
+@pytest.mark.parametrize("table", [True, False], ids=["heat", "gramian"])
+def test_a_rank_outside_the_score_order_rule_is_rejected(table, query, rank):
+    # Both models read the rank through resolve_score_order, so a float or
+    # out-of-range rank raises IndexMismatch, not a numpy indexing error.
+    if table:
+        model = cs.heat_dirichlet_model([1, 2, 3])
+    else:
+        model = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0, -3.0])),
+                                  [1, 2, 3])
+    weights = np.full(3, 1.0 / 3.0)
+    with pytest.raises(cs.IndexMismatch):
+        if query == "min_energy":
+            cs.min_energy(model, weights, EnergyQuery(np.ones(3), rank))
+        else:
+            cs.reachable_ellipsoid(model, weights, rank)
+
+
 def test_ellipsoid_diagonal_example():
     # mixed Gramian diag(0.25, 0.04)
     family = cs.NodeGramianFamily(

@@ -9,10 +9,11 @@ from conftest import (
     random_stable_family,
     random_stable_matrix,
 )
-from oracles import top_eigenvalues
+from oracles import node_hessian, node_quadratic_rows, top_eigenvalues
 
 import ctrlscore as cs
 from ctrlscore import linsys
+from ctrlscore.scores import SCORES
 
 
 def test_scalar_system_accepted():
@@ -217,6 +218,28 @@ def test_derivative_rows_match_finite_differences(rng):
                     - family.eigenpairs(point - bump, count).values) / (2 * step)
     got = family.derivative_rows(pairs)
     assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(got)
+
+
+@pytest.mark.parametrize("nodes", [1, 7, 8, 9, 17])
+def test_blocked_pass_matches_the_node_by_node_build_to_the_bit(rng, nodes):
+    # Node counts below, on and across the edges of the 8-node blocks, each
+    # on a system with one state per node: the full selection and, past one
+    # node, a partial one.
+    family = random_stable_family(rng, nodes)
+    point = interior_point(rng, nodes, floor=0.5 / nodes)
+    divided = SCORES[cs.ObjectiveKind.AECS].divided
+    for count in sorted({max(nodes // 2, 1), nodes}):
+        pairs = family.eigenpairs(point, count)
+        assert pairs.positive and pairs.vectors.flags.c_contiguous
+        want = node_quadratic_rows(pairs.vectors, family.stack)
+        rows, hessian = family.derivatives(pairs, divided)
+        assert np.array_equal(family.derivative_rows(pairs), want)
+        assert np.array_equal(rows, want)
+        assert rows.flags.c_contiguous
+        if count < nodes:
+            assert hessian is None
+        else:
+            assert np.array_equal(hessian, node_hessian(family, pairs, divided))
 
 
 def _stable_with_rotations(rng, dim: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,26 @@ def test_no_hessian_product_for_a_partial_family_selection(rng):
     family = random_stable_family(rng, 4)
     objective = _Objective(ObjectiveKind.AECS, family, 2)
     assert objective.hessian_product(objective(interior_point(rng, 4))) is None
+
+
+def test_an_evaluation_holds_one_node_block_beyond_its_hessian_coordinates(rng):
+    # 60 nodes, 60 states: the Hessian coordinates (one upper triangle of
+    # Z^T W_i Z per node) take 60 * 1830 * 8 bytes = 0.88 MB.  One evaluation
+    # and its Hessian product may add a block's temporaries on top, not a
+    # product over all nodes at once (a 5.3 MB peak).
+    family = random_stable_family(rng, 60)
+    objective = _Objective(ObjectiveKind.AECS, family)
+    point = np.full(60, 1.0 / 60.0)
+    coordinates = 60 * (60 * 61 // 2) * 8
+    objective.hessian_product(objective(point))
+    tracemalloc.start()
+    try:
+        evaluation = objective(point)
+        assert objective.hessian_product(evaluation) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * coordinates
 
 
 def test_evaluate_gives_a_hessian_at_a_near_degenerate_point():
