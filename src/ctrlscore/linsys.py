@@ -250,26 +250,24 @@ class NodeGramianFamily:
         vectors = np.ascontiguousarray(eigvecs[:, ::-1][:, :count])
         return Eigenpairs(eigvals[:count], following, vectors=vectors)
 
-    def derivative_rows(self, pairs: Eigenpairs) -> np.ndarray:
-        """``rows[k, i] = d mu_k / d p_i = z_k^T W_i z_k``, shape (K, m),
-        from the blocked pass of :func:`_quadratic_forms`: O(m n^2 K) for m
-        nodes, state dimension n and K selected eigenvectors."""
-        return _quadratic_forms(pairs.vectors, self.stack)[0]
-
     def state_basis(self, pairs: Eigenpairs) -> np.ndarray:
         """The selected eigenvectors as state-space columns."""
         return pairs.vectors
 
     def derivatives(self, pairs: Eigenpairs, divided):
-        """``(rows, hessian)`` from one pass over the node Gramians: the
-        :meth:`derivative_rows` and, for the whole spectrum, the m x m
-        Hessian ``H`` of ``sum_k phi(mu_k(p))`` from the divided difference
-        ``divided(a, b)`` of ``phi'``.  With ``Q_i = Z^T W_i Z``,
+        """``(rows, hessian)`` from one pass over the node Gramians
+        (:func:`_quadratic_forms`, O(m n^2 K) for m nodes, state dimension n
+        and K selected eigenvectors).
+
+        ``rows[k, i] = d mu_k / d p_i = z_k^T W_i z_k``, shape (K, m).  For
+        the whole spectrum, ``hessian`` is the m x m Hessian ``H`` of
+        ``sum_k phi(mu_k(p))`` from the divided difference ``divided(a, b)``
+        of ``phi'``: with ``Q_i = Z^T W_i Z``,
         ``H[i, j] = sum_kl divided(mu_k, mu_l) Q_i[k, l] Q_j[k, l]``, the
-        trace identities.  ``hessian`` is None for a partial selection,
-        where this formula is not the Hessian."""
+        trace identities.  It is None for a partial selection, where this
+        formula is not the Hessian."""
         if pairs.following is not None:
-            return self.derivative_rows(pairs), None
+            return _quadratic_forms(pairs.vectors, self.stack)[0], None
         mu = pairs.values
         # Row i of C holds the upper triangle of the symmetric Q_i, scaled
         # in place by sqrt(divided), doubled off the diagonal, so H = C C^T.
@@ -280,21 +278,19 @@ class NodeGramianFamily:
         return rows, coords @ coords.T
 
     def hessian_product(self, pairs: Eigenpairs, divided):
-        """``(matvec, diagonal)`` of the Hessian of :meth:`derivatives`, or
-        None unless the selection is the whole spectrum.  The objective
-        reads the Hessian its evaluation already formed instead."""
-        if pairs.following is not None:
-            return None
-        hess = self.derivatives(pairs, divided)[1]
-        return hess.__matmul__, hess.diagonal()
+        """None: a family's Hessian is the matrix its evaluation forms in
+        :meth:`derivatives`, for the whole spectrum only."""
+        return None
 
 
 #: Nodes per block in :func:`_quadratic_forms`.  The pool runs two starts at
 #: once, and each holds one block's ``W_i @ Z`` and ``Z^T W_i Z``.  On the
-#: dense-lti benchmark (d = 30 and 60, seed 0, 2 vCPUs, three alternating
-#: runs) one batch over all nodes took no less CPU time than blocks of 8 and
-#: peaked at 75.6-80.1 MB RSS, against 68.3-68.6 MB for blocks of 8 and
-#: 67.2 MB for the node-by-node build.
+#: dense-lti benchmark (d = 30 and 60, seed 0, 2 vCPUs, 10 alternating runs)
+#: blocks of 8 took a median 2.96 CPU-s per pass at 68.6 MB peak RSS; a loop
+#: taking the same rows and triangles from one ``W_i @ Z`` per node took
+#: 3.63 CPU-s (10 of 10 runs slower) at 68.8 MB, and one d = 60 evaluation
+#: 3.28 against 1.93 ms.  One batch over all nodes took no less CPU time
+#: than blocks of 8 and peaked at 75.6-80.1 MB RSS.
 _NODE_BLOCK = 8
 
 

@@ -14,8 +14,8 @@ checkers for the structural assumptions behind the uniqueness guarantee:
 
 The eigen logic lives on the model classes: ``SpectralModel`` and
 :class:`~ctrlscore.linsys.NodeGramianFamily` have the same methods with the
-same arguments (``eigenvalues``, ``eigenpairs``, ``derivative_rows``,
-``derivatives``, ``state_basis``, ``hessian_product``), so their callers
+same arguments (``eigenvalues``, ``eigenpairs``, ``derivatives``,
+``state_basis``, ``hessian_product``), so their callers
 never branch on the model type.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.  Every score order is
@@ -104,16 +104,12 @@ class SpectralModel:
         selected = order[:count]
         return Eigenpairs(values[selected], following, selected=selected)
 
-    def derivative_rows(self, pairs: Eigenpairs) -> np.ndarray:
-        """``rows[k, i] = d mu_k / d p_i``: the selected table rows."""
-        return self.eigen_table[pairs.selected]
-
     def derivatives(self, pairs: Eigenpairs, divided):
-        """``(rows, None)``: the :meth:`derivative_rows`, and no Hessian.
-        A table's Hessian is read only through :meth:`hessian_product`, so
-        an evaluation never holds a copy of its rows (n x m, 8 MB at
-        n = m = 1000)."""
-        return self.derivative_rows(pairs), None
+        """``(rows, None)``: ``rows[k, i] = d mu_k / d p_i``, the selected
+        table rows, and no Hessian.  A table's Hessian is read only through
+        :meth:`hessian_product`, so an evaluation never holds a copy of its
+        rows (n x m, 8 MB at n = m = 1000)."""
+        return self.eigen_table[pairs.selected], None
 
     def state_basis(self, pairs: Eigenpairs) -> np.ndarray:
         """Selector columns: the eigenvectors are the mode coordinates."""
@@ -128,7 +124,7 @@ class SpectralModel:
         ``H = rows^T diag(phi''(mu)) rows`` with
         ``phi''(mu) = divided(mu, mu)``; it is never formed:
         ``H v = rows^T (phi''(mu) * (rows v))``, O(n m) per product."""
-        rows = self.derivative_rows(pairs)
+        rows = self.eigen_table[pairs.selected]
         curvature = divided(pairs.values, pairs.values)
         return (lambda v: (curvature * (rows @ v)) @ rows,
                 np.einsum("ki,k,ki->i", rows, curvature, rows))

@@ -187,7 +187,7 @@ def test_derivative_rows_match_explicit_quadratic_forms(full, dim, subset, rotat
     family = cs.gramian_family(system, nodes, basis=basis)
     count = dim if full or dim == 1 else int(rng.integers(1, dim))
     pairs = family.eigenpairs(rng.dirichlet(np.ones(family.node_count)), count)
-    rows = family.derivative_rows(pairs)
+    rows = family.derivatives(pairs, SCORES[cs.ObjectiveKind.VCS].divided)[0]
     z = pairs.vectors
     want = np.array([[z[:, k] @ gram @ z[:, k] for gram in family.gramians]
                      for k in range(count)])
@@ -216,7 +216,7 @@ def test_derivative_rows_match_finite_differences(rng):
         bump[i] = step
         fd[:, i] = (family.eigenpairs(point + bump, count).values
                     - family.eigenpairs(point - bump, count).values) / (2 * step)
-    got = family.derivative_rows(pairs)
+    got = family.derivatives(pairs, SCORES[cs.ObjectiveKind.VCS].divided)[0]
     assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(got)
 
 
@@ -233,7 +233,6 @@ def test_blocked_pass_matches_the_node_by_node_build_to_the_bit(rng, nodes):
         assert pairs.positive and pairs.vectors.flags.c_contiguous
         want = node_quadratic_rows(pairs.vectors, family.stack)
         rows, hessian = family.derivatives(pairs, divided)
-        assert np.array_equal(family.derivative_rows(pairs), want)
         assert np.array_equal(rows, want)
         assert rows.flags.c_contiguous
         if count < nodes:
