@@ -26,7 +26,6 @@ from .errors import (
     BadIndexSet,
     CapsBind,
     CtrlscoreError,
-    DiagonalizationResidualTooLarge,
     EigenFailure,
     EmptyFeasibleSet,
     EmptyIndexSet,
@@ -37,7 +36,6 @@ from .errors import (
     LyapunovSolveFailure,
     NonConvexAmbiguous,
     NonSquare,
-    NotCommuting,
     NotDiagonal,
     ParseError,
     RankDeficient,

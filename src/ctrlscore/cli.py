@@ -168,7 +168,14 @@ def _load(path: str) -> tuple[ModelFile, str]:
     with open(path, "rb") as handle:
         raw = handle.read()
     digest = hashlib.sha256(raw).hexdigest()
-    return parse_model_text(raw.decode("utf-8")), digest
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the sentinel makes the last piece the bad byte's line up to it
+        head = (raw[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"invalid UTF-8 byte 0x{raw[exc.start]:02x}",
+                         len(head), len(head[-1])) from None
+    return parse_model_text(text), digest
 
 
 def _parse_float_list(text: str, what: str) -> np.ndarray:

@@ -40,14 +40,6 @@ class BadIndexSet(CtrlscoreError, ValueError):
     """A node index set contains invalid (non-positive or repeated) entries."""
 
 
-class NotCommuting(CtrlscoreError):
-    """The Gramian family does not commute within tolerance."""
-
-
-class DiagonalizationResidualTooLarge(CtrlscoreError):
-    """Joint diagonalization failed to reconstruct the family within tolerance."""
-
-
 class NotDiagonal(CtrlscoreError):
     """The spectral model is not diagonal (one nonzero row per node)."""
 

@@ -20,11 +20,18 @@ whitespace, tabs included.  Grammar (EBNF, also documented in the README):
 Exactly one payload kind per file: ``dense_lti`` carries a square dynamics
 matrix (row-major), ``spectral_table`` a K x m nonnegative eigenvalue table,
 ``heat_dirichlet`` only the node indices.  ``caps`` is optional and must
-match the node count.  Numbers must be finite: ``nan``, ``inf`` and
-overflowing literals such as ``1e999`` are rejected where they stand.
-Parse and consistency failures raise
-:class:`~ctrlscore.errors.ParseError` with a 1-based line and column; the
-column is a 1-based character offset (a tab counts as one character).
+match the node count.  A number is any token Python's ``float()`` accepts
+whose value is finite: ``nan``, ``inf`` and overflowing literals such as
+``1e999`` are rejected where they stand.  Parse and consistency failures
+raise :class:`~ctrlscore.errors.ParseError` with a 1-based line and column;
+the column is a 1-based character offset (a tab counts as one character).
+
+A ``matrix`` or ``table`` payload becomes one read-only float64 array, read
+by a single ``np.loadtxt`` call over the block's rows.  When that call
+fails or its result is the wrong shape or not finite, a row-by-row loop
+reads the same rows again: it finds the error's line and column, and it
+reads the spellings that only ``float()`` takes (``1_000``, non-ASCII
+digits).
 """
 
 from __future__ import annotations
@@ -44,17 +51,29 @@ SCHEMA_VERSION = 1
 MODEL_KINDS = ("dense_lti", "spectral_table", "heat_dirichlet")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelFile:
-    """Parsed, validated model file content."""
+    """Parsed, validated model file content.
+
+    ``dynamics`` and ``table`` are read-only float64 arrays.  Equality
+    compares them by value, and a ``ModelFile`` is not hashable.
+    """
 
     schema_version: int
     kind: str
     node_indices: tuple[int, ...]
     score_order: int | None = None
     caps: tuple[float, ...] | None = None
-    dynamics: tuple[tuple[float, ...], ...] | None = None
-    table: tuple[tuple[float, ...], ...] | None = None
+    dynamics: np.ndarray | None = None
+    table: np.ndarray | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, ModelFile):
+            return NotImplemented
+        scalars = ("schema_version", "kind", "node_indices", "score_order", "caps")
+        return (all(getattr(self, name) == getattr(other, name) for name in scalars)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("dynamics", "table")))
 
     def default_score_order(self) -> int:
         if self.score_order is not None:
@@ -108,13 +127,29 @@ def _to_float(token: str, line: int, col: int) -> float:
     return value
 
 
-def _read_rows(lines, nrows: int, ncols: int, what: str, last_line: int):
-    """Take the next ``nrows`` lines of ``lines`` as rows of ``ncols`` numbers.
+def _read_rows(lines, nrows: int, ncols: int, what: str,
+               last_line: int) -> np.ndarray:
+    """Take the next ``nrows`` lines of ``lines`` as a read-only
+    ``(nrows, ncols)`` array.
 
-    Token columns are only worked out for the error message.
+    One ``np.loadtxt`` call reads a well-formed block.  Any other block goes
+    through the row loop, which raises at the first bad row or token, or
+    returns the values of tokens that only ``float()`` reads.  Token columns
+    are only worked out for the error message.
     """
-    data = []
-    for lineno, body in islice(lines, nrows):
+    block = list(islice(lines, nrows))
+    if len(block) == nrows:
+        try:
+            data = np.loadtxt([body for _, body in block], dtype=float,
+                              comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if (data is not None and data.shape == (nrows, ncols)
+                and np.isfinite(data).all()):
+            data.flags.writeable = False
+            return data
+    rows = []
+    for lineno, body in block:
         values = body.split()
         if len(values) != ncols:
             raise ParseError(
@@ -129,13 +164,15 @@ def _read_rows(lines, nrows: int, ncols: int, what: str, last_line: int):
         if not finite:
             for token, col in _tokens(body):
                 _to_float(token, lineno, col)  # raises at the first bad token
-        data.append(row)
-    if len(data) < nrows:
+        rows.append(row)
+    if len(rows) < nrows:
         raise ParseError(
-            f"{what}: expected {nrows} rows, file ended after {len(data)}",
+            f"{what}: expected {nrows} rows, file ended after {len(rows)}",
             last_line, 1,
         )
-    return tuple(data)
+    data = np.array(rows, dtype=float)
+    data.flags.writeable = False
+    return data
 
 
 def parse_model_text(text: str) -> ModelFile:
@@ -243,12 +280,12 @@ def parse_model_text(text: str) -> ModelFile:
             raise ParseError(
                 "spectral_table cannot carry a 'matrix' block", *where("matrix")
             )
-        if len(table[0]) != len(nodes):
+        if table.shape[1] != len(nodes):
             raise ParseError(
-                f"table has {len(table[0])} columns but {len(nodes)} nodes",
+                f"table has {table.shape[1]} columns but {len(nodes)} nodes",
                 *where("table"),
             )
-        if any(entry < 0 for row in table for entry in row):
+        if (table < 0).any():
             raise ParseError("table entries must be >= 0", *where("table"))
         if order is not None and not 1 <= order <= len(table):
             raise ParseError(f"n must lie in 1..{len(table)}", *where("n"))

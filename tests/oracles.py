@@ -5,10 +5,10 @@ or checks a property the package relies on: the finite-horizon Gramian and
 the projection property of the discretized reachability operator, the top
 eigenvalues of a plain matrix, a Monte-Carlo average of the minimum energy,
 a joint diagonalizer that turns a commuting Gramian family into an
-eigenvalue table, the dense Hessians that ``hessian_product`` must agree
-with, the node-by-node derivative rows and Hessian that the blocked
-evaluation pass must match to the bit, and a writer for the model-file
-format that the parser must read back.
+eigenvalue table (with the two errors only it raises), the dense Hessians
+that ``hessian_product`` must agree with, the node-by-node derivative rows
+and Hessian that the blocked evaluation pass must match to the bit, and a
+writer for the model-file format that the parser must read back.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from ctrlscore.errors import (
-    DiagonalizationResidualTooLarge,
+    CtrlscoreError,
     EigenFailure,
     IndexMismatch,
     NonSquare,
-    NotCommuting,
     SingularGramian,
 )
 from ctrlscore.linsys import (
@@ -274,6 +273,14 @@ def _refine_block(block_vectors: np.ndarray, grams, gram_index: int,
     return np.hstack(pieces)
 
 
+class NotCommuting(CtrlscoreError):
+    """The Gramian family does not commute within tolerance."""
+
+
+class DiagonalizationResidualTooLarge(CtrlscoreError):
+    """Joint diagonalization failed to reconstruct the family within tolerance."""
+
+
 def spectral_model_from_gramians(family: NodeGramianFamily,
                                  score_order: int | None = None) -> SpectralModel:
     """Jointly diagonalize a commuting family into a spectral model.
@@ -334,7 +341,7 @@ def model_file_from_spectral(model: SpectralModel, caps=None) -> ModelFile:
         node_indices=model.node_indices,
         score_order=model.score_order,
         caps=caps_tuple,
-        table=tuple(tuple(float(x) for x in row) for row in model.eigen_table),
+        table=model.eigen_table,
     )
 
 
@@ -349,8 +356,8 @@ def dump_model_text(model: ModelFile) -> str:
         out.append("caps " + " ".join(repr(c) for c in model.caps))
     if model.dynamics is not None:
         out.append(f"matrix {len(model.dynamics)}")
-        out.extend(" ".join(repr(x) for x in row) for row in model.dynamics)
+        out.extend(" ".join(repr(float(x)) for x in row) for row in model.dynamics)
     if model.table is not None:
         out.append(f"table {len(model.table)} {len(model.table[0])}")
-        out.extend(" ".join(repr(x) for x in row) for row in model.table)
+        out.extend(" ".join(repr(float(x)) for x in row) for row in model.table)
     return "\n".join(out) + "\n"

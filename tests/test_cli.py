@@ -176,6 +176,22 @@ def test_score_non_finite_entry_exits_1(tmp_path, capsys, text, where):
     assert err == f"parse error: {where}: expected a finite number, got 'nan'\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["score", "--kind", "vcs"],
+    ["check"],
+    ["energy", "--p", "0.5,0.5", "--target", "1,0"],
+])
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.csm"
+    path.write_bytes(b"ctrlscore-model v1\nkind heat_dirichlet\nnodes 1 2\xff\n")
+    code = main([command[0], str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("parse error: line 3, column 10: "
+                            "invalid UTF-8 byte 0xff\n")
+
+
 def test_score_missing_file_exits_1(capsys):
     code = main(["score", "/no/such/file.csm", "--kind", "vcs"])
     assert code == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,7 +52,8 @@ def test_parse_heat():
 def test_parse_dense():
     parsed = parse_model_text(DENSE_TEXT)
     assert parsed.kind == "dense_lti"
-    assert parsed.dynamics == ((-1.0, 1.0), (0.0, -2.0))
+    assert np.array_equal(parsed.dynamics, [[-1.0, 1.0], [0.0, -2.0]])
+    assert not parsed.dynamics.flags.writeable
     family = parsed.build()
     assert isinstance(family, cs.NodeGramianFamily)
     assert parsed.default_score_order() == 2
@@ -77,6 +80,13 @@ def test_unstable_dense_raises_on_build():
     parsed = parse_model_text(text)
     with pytest.raises(cs.UnstableSystem):
         parsed.build()
+
+
+def _table_text(ncols: int, rows) -> str:
+    """A spectral_table file with nodes 1..ncols and the given row lines."""
+    nodes = " ".join(str(i) for i in range(1, ncols + 1))
+    return (f"ctrlscore-model v1\nkind spectral_table\nnodes {nodes}\n"
+            f"table {len(rows)} {ncols}\n" + "".join(row + "\n" for row in rows))
 
 
 @pytest.mark.parametrize(
@@ -108,6 +118,11 @@ def test_unstable_dense_raises_on_build():
          "0  -inf\n", 6, 4),
         ("ctrlscore-model v1\nkind dense_lti\nnodes 1\nmatrix 1\n\tinf\n", 5, 2),
         ("ctrlscore-model v1\nkind heat_dirichlet\nnodes 1 2\ncaps 1 nan\n", 4, 8),
+        # wide blocks: the fallback finds the same place at scale
+        (_table_text(400, [" ".join(["1.0"] * 249 + ["x"] + ["1.0"] * 150)]),
+         5, 997),
+        (_table_text(3, ["1 2 3"] * 699 + ["  1 2"] + ["1 2 3"] * 300), 704, 3),
+        (_table_text(400, [" ".join(["1.0"] * 399 + ["1e999"])]), 5, 1597),
     ],
 )
 def test_parse_errors_carry_position(text, line, column):
@@ -139,6 +154,94 @@ def test_parse_fuzz_returns_model_or_parse_error(seed, edits):
         assert exc.column >= 1
     else:
         assert isinstance(parsed, cs.ModelFile)
+
+
+_GOOD_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0.0", "-0.0", "5e-324", "2.225e-308", "1e308", "-1e308"]),
+    st.floats(-1e6, 1e6).map(lambda x: "%e" % x),
+    st.floats(-1e6, 1e6).map(lambda x: "%.3f" % x),
+    st.sampled_from(["+.5", "5.", "1_0", "\u0661", "\uff11"]),
+)
+_BAD_TOKENS = st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "1,0",
+                               "1\x002", "'1'", '"2"'])
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x1f", "\xa0",
+                               "\u2000", "\u3000"])
+
+
+def _reference_payload(rows, ncols, nonnegative):
+    """The README rule: ``ncols`` tokens per row, each finite under
+    ``float()`` (and >= 0 in a table); None where it rejects."""
+    if any(len(row) != ncols for row in rows):
+        return None
+    try:
+        values = np.array([[float(token) for token in row] for row in rows])
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or (nonnegative and (values < 0).any()):
+        return None
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_payload_parse_matches_the_float_rule(data):
+    """A block parses exactly when every row has ``ncols`` tokens that
+    ``float()`` reads as finite, and then to the same bits."""
+    table = data.draw(st.booleans(), label="table")
+    nrows = data.draw(st.integers(1, 4), label="nrows")
+    ncols = data.draw(st.integers(1, 4), label="ncols") if table else nrows
+    rows = [data.draw(st.lists(_GOOD_TOKENS, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    for _ in range(data.draw(st.integers(0, 2), label="defects")):
+        row = rows[data.draw(st.integers(0, nrows - 1))]
+        at = data.draw(st.integers(0, len(row)))
+        defect = data.draw(st.sampled_from(["bad", "extra", "drop"]))
+        if defect == "bad" and at < len(row):
+            row[at] = data.draw(_BAD_TOKENS)
+        elif defect == "extra":
+            row.insert(at, data.draw(_GOOD_TOKENS))
+        elif len(row) > 1:
+            row.pop(at % len(row))
+    if table:
+        # drop minus signs except on -0.0, so the tokens decide, not the sign rule
+        rows = [[t.lstrip("-") if t.startswith("-") and t != "-0.0" else t
+                 for t in row] for row in rows]
+    lines = []
+    for row in rows:
+        seps = data.draw(st.lists(_SEPARATORS, min_size=len(row) + 1,
+                                  max_size=len(row) + 1))
+        lines.append(seps[0] + "".join(t + s for t, s in zip(row, seps[1:])))
+    if table:
+        text = _table_text(ncols, lines)
+    else:
+        text = ("ctrlscore-model v1\nkind dense_lti\nnodes 1\n"
+                f"matrix {nrows}\n" + "".join(line + "\n" for line in lines))
+
+    expected = _reference_payload(rows, ncols, nonnegative=table)
+    try:
+        parsed = parse_model_text(text)
+    except cs.ParseError:
+        assert expected is None
+        return
+    assert expected is not None
+    payload = parsed.table if table else parsed.dynamics
+    assert payload.dtype == np.float64 and not payload.flags.writeable
+    assert np.array_equal(payload.view(np.uint64), expected.view(np.uint64))
+
+
+def test_parsed_table_holds_little_more_than_its_array():
+    values = np.random.default_rng(0).random((200, 200))
+    text = _table_text(200, [" ".join(map(repr, row.tolist())) for row in values])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_model_text(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(parsed.table, values)
+    assert held <= 1.25 * parsed.table.nbytes
 
 
 def test_missing_payload_rejected():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_commuting_family, random_diagonal_model
-from oracles import spectral_model_from_gramians, top_eigenvalues
+from oracles import NotCommuting, spectral_model_from_gramians, top_eigenvalues
 
 import ctrlscore as cs
 
@@ -164,7 +164,7 @@ def test_joint_diagonalization_rejects_noncommuting():
     family = cs.gramian_family(
         cs.check_stability(np.array([[-1.0, 1.0], [0.0, -2.0]])), [1, 2]
     )
-    with pytest.raises(cs.NotCommuting):
+    with pytest.raises(NotCommuting):
         spectral_model_from_gramians(family, 2)
 
 
