@@ -20,12 +20,12 @@ the triangular solve), so heat and table models never load it.
 arguments: ``eigenpairs(weights, count)`` is the one decomposition of
 ``W(p)`` at a single point (``eigh``), which the feasibility check, the
 objective and the energy diagnostics all read; ``eigenvalues`` is the batch
-path of the lattice oracle (``eigvalsh``); ``derivatives`` is the one pass
-over the node Gramians per evaluation.  It forms ``W_i @ Z`` for a block of
-nodes at a time and takes from each product both the derivative rows and,
-for the whole spectrum, the Hessian coordinates, so the objective gets its
-gradient and its Newton Hessian together.  :func:`resolve_score_order` is
-the one rule for how many eigenvalues a score selects.
+path of the lattice oracle (``eigvalsh``); ``derivatives`` returns both
+derivatives, ``(rows, hessian)``, from one pass over the node Gramians per
+evaluation.  It forms ``W_i @ Z`` for a block of nodes at a time and takes
+from each product the derivative rows and, for the whole spectrum, the m x
+m Hessian, which ``hessian`` wraps.  :func:`resolve_score_order` is the one
+rule for how many eigenvalues a score selects.
 """
 
 from __future__ import annotations
@@ -259,14 +259,16 @@ class NodeGramianFamily:
         (:func:`_quadratic_forms`, O(m n^2 K) for m nodes, state dimension n
         and K selected eigenvectors).
 
-        ``rows[k, i] = d mu_k / d p_i = z_k^T W_i z_k``, shape (K, m).  For
-        the whole spectrum, ``hessian`` is the m x m Hessian ``H`` of
-        ``sum_k phi(mu_k(p))`` from the divided difference ``divided(a, b)``
-        of ``phi'``: with ``Q_i = Z^T W_i Z``,
+        ``rows[k, i] = d mu_k / d p_i = z_k^T W_i z_k``, a fresh (K, m)
+        array.  For the whole spectrum, ``hessian()`` gives ``(matvec,
+        diagonal)`` of the m x m Hessian ``H`` of ``sum_k phi(mu_k(p))``,
+        formed here from the divided difference ``divided(a, b)`` of
+        ``phi'``: with ``Q_i = Z^T W_i Z``,
         ``H[i, j] = sum_kl divided(mu_k, mu_l) Q_i[k, l] Q_j[k, l]``, the
-        trace identities.  It is None for a partial selection, where this
-        formula is not the Hessian."""
-        if pairs.following is not None:
+        trace identities.  ``hessian`` is None for a partial selection,
+        where this formula is not the Hessian, and where ``mu_n`` is not
+        positive, where ``divided`` may be negative."""
+        if pairs.following is not None or not pairs.positive:
             return _quadratic_forms(pairs.vectors, self.stack)[0], None
         mu = pairs.values
         # Row i of C holds the upper triangle of the symmetric Q_i, scaled
@@ -275,12 +277,8 @@ class NodeGramianFamily:
         rows, coords = _quadratic_forms(pairs.vectors, self.stack, upper)
         weights = divided(mu[:, None], mu[None, :]) * (2.0 - np.eye(mu.size))
         coords *= np.sqrt(weights[upper])
-        return rows, coords @ coords.T
-
-    def hessian_product(self, pairs: Eigenpairs, divided):
-        """None: a family's Hessian is the matrix its evaluation forms in
-        :meth:`derivatives`, for the whole spectrum only."""
-        return None
+        hessian = coords @ coords.T
+        return rows, lambda: (hessian.__matmul__, hessian.diagonal())
 
 
 #: Nodes per block in :func:`_quadratic_forms`.  The pool runs two starts at

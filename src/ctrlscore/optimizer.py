@@ -5,12 +5,11 @@ Optim. 1982): coordinates held on a bound stay there, and on the free face
 the Newton system ``min s^T H s / 2 + g^T s`` subject to ``sum(s) = 0`` is
 solved by a projected preconditioned CG in numpy (Gould, Hribar & Nocedal,
 SIAM J. Sci. Comput. 2001) with the Jacobi preconditioner.  The Hessian
-enters only as products at the evaluation's own point
-(:meth:`~ctrlscore.scores._Objective.hessian_product`): the matrix a
-Gramian family's evaluation formed, or a table's product read from the
-evaluation's eigenpairs.  Where the model
-gives no Hessian (a Gramian family scored on fewer than all its
-eigenvalues) or eigenvalues n and n + 1 (nearly) tie, and whenever the
+enters only as ``(matvec, diagonal)`` at the evaluation's own point, from
+the callable that ``model.derivatives`` handed the evaluation
+(``ObjectiveEvaluation.curvature``); the solver never asks how it is made.
+Where the model gives no Hessian (a Gramian family scored on fewer than all
+its eigenvalues) or eigenvalues n and n + 1 (nearly) tie, and whenever the
 Newton line search fails, the step is projected gradient with a
 Barzilai-Borwein first trial.  Both line searches project each trial point
 back onto the feasible polytope and backtrack under one Armijo rule; a trial
@@ -95,13 +94,14 @@ class ScoreResult:
     score_order: int
 
 
-def _pg_target(point: np.ndarray, grad: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """The projected-gradient point ``project(p - grad)``."""
-    return project_capped_simplex(point - grad, caps)
-
-
-def _pg_residual(point: np.ndarray, grad: np.ndarray, caps: np.ndarray) -> float:
-    return float(np.max(np.abs(point - _pg_target(point, grad, caps))))
+def _kkt(objective: _Objective, evaluation, point: np.ndarray,
+         caps: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(target, residual)`` at a feasible evaluation: the projected-gradient
+    point ``target = project(p - g)`` of the scale-free gradient ``g`` and
+    the KKT residual ``max|p - target|``."""
+    target = project_capped_simplex(
+        point - objective.stationarity_gradient(evaluation), caps)
+    return target, float(np.max(np.abs(point - target)))
 
 
 def _projected_cg(matvec, diagonal: np.ndarray, grad: np.ndarray,
@@ -154,8 +154,8 @@ def _projected_cg(matvec, diagonal: np.ndarray, grad: np.ndarray,
     return full
 
 
-def _newton_direction(objective: _Objective, evaluation, point: np.ndarray,
-                      target: np.ndarray, caps: np.ndarray) -> np.ndarray | None:
+def _newton_direction(evaluation, point: np.ndarray, target: np.ndarray,
+                      caps: np.ndarray) -> np.ndarray | None:
     """Projected-Newton direction (Bertsekas, SIAM J. Control Optim. 1982).
 
     ``target`` is the projected-gradient point of the scale-free gradient.
@@ -163,12 +163,12 @@ def _newton_direction(objective: _Objective, evaluation, point: np.ndarray,
     there; the others form the free face, where :func:`_projected_cg` takes
     the Newton step.  Iterates come out of the projection, which clips to the
     bounds exactly, so exact comparisons find the held coordinates.  None
-    where the objective gives no Hessian, the face has no room, or a free
-    coordinate has no curvature."""
-    product = objective.hessian_product(evaluation)
-    if product is None:
+    where the model gives no Hessian, eigenvalues ``n`` and ``n + 1``
+    (nearly) tie, the face has no room, or a free coordinate has no
+    curvature."""
+    if evaluation.near_degenerate or evaluation.curvature is None:
         return None
-    matvec, diagonal = product
+    matvec, diagonal = evaluation.curvature()
     free = ~(((point == 0.0) & (target == 0.0))
              | ((point == caps) & (target == caps)))
     if np.count_nonzero(free) < 2 or not np.all(diagonal[free] > 0.0):
@@ -199,9 +199,6 @@ def _descend(objective: _Objective, start: np.ndarray,
     prev_grad: np.ndarray | None = None
     iterations = 0
 
-    def residual_at(p, evaluation):
-        return _pg_residual(p, objective.stationarity_gradient(evaluation), caps)
-
     def line_search(direction, size, smallest):
         """``(trial, evaluation, size)`` for the first trial point
         ``project(p + size * direction)`` that passes, halving ``size`` down
@@ -225,7 +222,7 @@ def _descend(objective: _Objective, start: np.ndarray,
                     ok = candidate.value <= current.value + predicted
                 else:
                     ok = (candidate.value <= current.value + plateau_tol
-                          and residual_at(trial, candidate) < residual)
+                          and _kkt(objective, candidate, trial, caps)[1] < residual)
                 if ok:
                     return trial, candidate, size
             size *= STEP_SHRINK
@@ -234,8 +231,7 @@ def _descend(objective: _Objective, start: np.ndarray,
     newton_step = finishing = False
     for _ in range(MAX_ITERS):
         grad = current.gradient
-        target = _pg_target(point, objective.stationarity_gradient(current), caps)
-        residual = float(np.max(np.abs(point - target)))
+        target, residual = _kkt(objective, current, point, caps)
         # A Newton step that reached the tolerance is inside the quadratic
         # region, so one more lands on the optimum to rounding: the finish.
         if residual <= GRAD_TOL and (finishing or not newton_step):
@@ -245,7 +241,7 @@ def _descend(objective: _Objective, start: np.ndarray,
 
         # Projected Newton first; if its line search fails, the
         # projected-gradient step below is taken from the same point.
-        newton = _newton_direction(objective, current, point, target, caps)
+        newton = _newton_direction(current, point, target, caps)
         accepted = (None if newton is None
                     else line_search(newton, 1.0, NEWTON_MIN_STEP))
         newton_step = accepted is not None
@@ -271,7 +267,7 @@ def _descend(objective: _Objective, start: np.ndarray,
     else:
         # Only this exit has moved the point since the last residual.
         warnings.append("MaxItersExceeded: returning best iterate")
-        residual = residual_at(point, current)
+        residual = _kkt(objective, current, point, caps)[1]
 
     converged = residual <= GRAD_TOL
     return _Trajectory(point, current.value, residual, iterations, converged,
@@ -480,4 +476,4 @@ def kkt_residual(kind: ObjectiveKind, model, weights, count: int | None = None,
     evaluation = objective(p)
     if not evaluation.feasible:
         raise InfeasiblePoint("objective is infinite at this point")
-    return _pg_residual(p, objective.stationarity_gradient(evaluation), caps_arr)
+    return _kkt(objective, evaluation, p, caps_arr)[1]

@@ -18,14 +18,14 @@ come from the model's methods (``SpectralModel`` in :mod:`ctrlscore.spectral`,
 
     d/dp_i sum_k phi(mu_k)  =  - sum_k  rows[k, i] / s(mu_k)
 
-An evaluation takes its rows from ``model.derivatives``.  For a Gramian
-family scored on its whole spectrum that one pass over the node Gramians
-also forms the m x m Hessian, which the evaluation keeps and the solver's
-Newton step reads through :meth:`_Objective.hessian_product`.  A table's
-Hessian is read later, from the eigenpairs the evaluation holds, through
-``model.hessian_product``: a product ``v -> H v`` and its diagonal, never
-formed.  :func:`evaluate` returns the family's matrix, or builds a
-table's from the product, one column per node.
+An evaluation takes both derivatives from ``model.derivatives``: the rows,
+and the Hessian as None or a zero-argument callable giving
+``(matvec, diagonal)``.  The evaluation keeps the callable (``curvature``),
+the solver's Newton step calls it, and :func:`evaluate` builds every
+model's matrix from it the same way, one ``matvec`` column per node.  How
+the Hessian is made is the model's business: a Gramian family scored on its
+whole spectrum forms the m x m matrix in its one pass over the node
+Gramians, and a table's callable builds a product that is never formed.
 Points where the n-th eigenvalue vanishes evaluate to ``+inf`` with no
 gradient, so boundary infeasibility acts as a barrier inside line searches.
 """
@@ -36,6 +36,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
 
 import numpy as np
@@ -63,7 +64,7 @@ class ObjectiveKind(Enum):
 Score = namedtuple("Score", "phi s divided relative")
 #: Each score kind once: objective ``sum_k phi(mu_k)``, ``phi'(mu) = -1 / s(mu)``,
 #: ``divided(a, b)``, the divided difference of ``phi'`` for
-#: ``model.derivatives`` and ``model.hessian_product``, and ``relative``:
+#: ``model.derivatives``, and ``relative``:
 #: whether stationarity is measured on ``grad / value``.
 #: Scaling every Gramian by ``c`` shifts VCS by ``-n log c`` and divides AECS
 #: by ``c``, so ``grad f`` and ``grad g / g`` are the scale-free gradients.
@@ -80,20 +81,19 @@ class ObjectiveEvaluation:
     """Objective value with derivatives at one weight vector.
 
     ``value`` is ``+inf`` (and ``gradient`` is None) when the n-th eigenvalue
-    is not positive.  ``hessian`` is the m x m Hessian where the model forms
-    it with the gradient (a Gramian family scored on its whole spectrum,
-    see ``model.derivatives``); :func:`evaluate` fills it in for every model
-    that gives one.
+    is not positive.  ``curvature`` is the Hessian callable of
+    ``model.derivatives``, which gives ``(matvec, diagonal)``, or None where
+    the model gives no Hessian.  ``hessian`` is the m x m matrix, which only
+    :func:`evaluate` builds.
     ``near_degenerate`` flags a (near-)tie between eigenvalues n and n+1,
-    where the selection gradient is only approximate; the selection itself
-    is ``pairs.selected`` (spectral models) or ``pairs.vectors``.
+    where the selection gradient is only approximate.
     """
 
     value: float
     gradient: np.ndarray | None
     hessian: np.ndarray | None
     near_degenerate: bool = False
-    pairs: Eigenpairs | None = field(default=None, repr=False, compare=False)
+    curvature: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -113,16 +113,18 @@ class _Objective:
         return self.at(self.model.eigenpairs(weights, self.count))
 
     def at(self, pairs: Eigenpairs) -> ObjectiveEvaluation:
-        """Value and gradient from the selected eigenpairs, with the Hessian
-        where ``model.derivatives`` forms it in the same pass."""
+        """Value, gradient and Hessian callable from the selected eigenpairs,
+        all read from ``model.derivatives``."""
         if not pairs.positive:
-            return ObjectiveEvaluation(math.inf, None, None, pairs.near_degenerate,
-                                       pairs)
+            return ObjectiveEvaluation(math.inf, None, None, pairs.near_degenerate)
         mu = pairs.values
-        rows, hessian = self.model.derivatives(pairs, self.score.divided)
+        rows, curvature = self.model.derivatives(pairs, self.score.divided)
         value = float(self.score.phi(mu).sum())
-        grad = -(rows / self.score.s(mu)[:, None]).sum(axis=0)
-        return ObjectiveEvaluation(value, grad, hessian, pairs.near_degenerate, pairs)
+        # The rows are a fresh array on both models: dividing them in place
+        # gives the same bits without an n x m temporary (8 MB at n = m = 1000).
+        rows /= self.score.s(mu)[:, None]
+        grad = -rows.sum(axis=0)
+        return ObjectiveEvaluation(value, grad, None, pairs.near_degenerate, curvature)
 
     def stationarity_gradient(self, evaluation: ObjectiveEvaluation) -> np.ndarray:
         """The scale-free gradient the solver stops on: ``grad f`` for VCS
@@ -130,18 +132,6 @@ class _Objective:
         if self.score.relative:
             return evaluation.gradient / evaluation.value
         return evaluation.gradient
-
-    def hessian_product(self, evaluation: ObjectiveEvaluation):
-        """``(matvec, diagonal)`` of the Hessian at a feasible evaluation:
-        the matrix the evaluation formed, else the model's product read from
-        its eigenpairs.  None where the model gives no Hessian or
-        eigenvalues ``n`` and ``n + 1`` (nearly) tie."""
-        if evaluation.near_degenerate:
-            return None
-        hess = evaluation.hessian
-        if hess is not None:
-            return hess.__matmul__, hess.diagonal()
-        return self.model.hessian_product(evaluation.pairs, self.score.divided)
 
     def batch_values(self, batch: np.ndarray) -> np.ndarray:
         """Objective value at every row of ``batch`` (+inf where infeasible)."""
@@ -164,21 +154,15 @@ def evaluate(kind: ObjectiveKind, model, weights,
     when the selection covers the whole spectrum, also where eigenvalues
     ``n`` and ``n + 1`` (nearly) tie.  It comes from the divided
     differences of ``phi'`` in :data:`SCORES`: ``1 / (mu_k mu_l)`` for VCS
-    and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS.  It is the matrix the
-    evaluation formed, or else is built column by column from
-    ``model.hessian_product``, and is then symmetrized.
+    and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS.  It is built from the
+    evaluation's ``curvature``, one ``matvec`` column per node, and is then
+    symmetrized.
     """
-    objective = _Objective(kind, model, count)
-    evaluation = objective(weights)
-    if not evaluation.feasible:
+    evaluation = _Objective(kind, model, count)(weights)
+    if evaluation.curvature is None:
         return evaluation
-    hess = evaluation.hessian
-    if hess is None:
-        product = model.hessian_product(evaluation.pairs, objective.score.divided)
-        if product is None:
-            return evaluation
-        matvec, _ = product
-        hess = np.column_stack([matvec(unit) for unit in np.eye(objective.node_count)])
+    matvec, _ = evaluation.curvature()
+    hess = np.column_stack([matvec(unit) for unit in np.eye(model.node_count)])
     return dataclasses.replace(evaluation, hessian=0.5 * (hess + hess.T))
 
 

@@ -15,11 +15,13 @@ checkers for the structural assumptions behind the uniqueness guarantee:
 The eigen logic lives on the model classes: ``SpectralModel`` and
 :class:`~ctrlscore.linsys.NodeGramianFamily` have the same methods with the
 same arguments (``eigenvalues``, ``eigenpairs``, ``derivatives``,
-``state_basis``, ``hessian_product``), so their callers
-never branch on the model type.
+``state_basis``), so the objective, the solver and the energy code never
+branch on the model type; the assumption checkers and the closed form do.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
-batch of points, one per row, for the lattice oracle.  Every score order is
-read through :func:`~ctrlscore.linsys.resolve_score_order`.
+batch of points, one per row, for the lattice oracle.  ``derivatives`` gives
+the rows and the Hessian, as a callable that builds a table's product only
+when it is called.  Every score order is read through
+:func:`~ctrlscore.linsys.resolve_score_order`.
 """
 
 from __future__ import annotations
@@ -105,29 +107,30 @@ class SpectralModel:
         return Eigenpairs(values[selected], following, selected=selected)
 
     def derivatives(self, pairs: Eigenpairs, divided):
-        """``(rows, None)``: ``rows[k, i] = d mu_k / d p_i``, the selected
-        table rows, and no Hessian.  A table's Hessian is read only through
-        :meth:`hessian_product`, so an evaluation never holds a copy of its
-        rows (n x m, 8 MB at n = m = 1000)."""
-        return self.eigen_table[pairs.selected], None
+        """``(rows, hessian)``: ``rows[k, i] = d mu_k / d p_i``, a fresh copy
+        of the selected table rows, and ``hessian()``, which gives
+        ``(matvec, diagonal)`` of the Hessian ``H`` of ``sum_k phi(mu_k(p))``
+        from the divided difference ``divided(a, b)`` of ``phi'``.  The
+        eigenvalues are affine in ``p``, so ``H = rows^T diag(phi''(mu)) rows``
+        with ``phi''(mu) = divided(mu, mu)``; it is never formed:
+        ``H v = rows^T (phi''(mu) * (rows v))``, O(n m) per product.
+        ``hessian`` takes its own rows when called, so an evaluation that
+        keeps it holds no rows (n x m, 8 MB at n = m = 1000)."""
+        table = self.eigen_table
+
+        def hessian():
+            rows = table[pairs.selected]
+            curvature = divided(pairs.values, pairs.values)
+            return (lambda v: (curvature * (rows @ v)) @ rows,
+                    np.einsum("ki,k,ki->i", rows, curvature, rows))
+
+        return table[pairs.selected], hessian
 
     def state_basis(self, pairs: Eigenpairs) -> np.ndarray:
         """Selector columns: the eigenvectors are the mode coordinates."""
         basis = np.zeros((self.mode_count, pairs.selected.size))
         basis[pairs.selected, np.arange(pairs.selected.size)] = 1.0
         return basis
-
-    def hessian_product(self, pairs: Eigenpairs, divided):
-        """``(matvec, diagonal)`` of the Hessian ``H`` of
-        ``sum_k phi(mu_k(p))`` from the divided difference ``divided(a, b)``
-        of ``phi'``.  The eigenvalues are affine in ``p``, so
-        ``H = rows^T diag(phi''(mu)) rows`` with
-        ``phi''(mu) = divided(mu, mu)``; it is never formed:
-        ``H v = rows^T (phi''(mu) * (rows v))``, O(n m) per product."""
-        rows = self.eigen_table[pairs.selected]
-        curvature = divided(pairs.values, pairs.values)
-        return (lambda v: (curvature * (rows @ v)) @ rows,
-                np.einsum("ki,k,ki->i", rows, curvature, rows))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ the projection property of the discretized reachability operator, the top
 eigenvalues of a plain matrix, a Monte-Carlo average of the minimum energy,
 a joint diagonalizer that turns a commuting Gramian family into an
 eigenvalue table (with the two errors only it raises), the dense Hessians
-that ``hessian_product`` must agree with, the node-by-node derivative rows
-and Hessian that the blocked evaluation pass must match to the bit, and a
-writer for the model-file format that the parser must read back.
+that the models' Hessian callables must agree with, the node-by-node
+derivative rows and Hessian that the blocked evaluation pass must match to
+the bit, and a writer for the model-file format that the parser must read
+back.
 """
 
 from __future__ import annotations

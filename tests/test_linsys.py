@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,7 +240,34 @@ def test_blocked_pass_matches_the_node_by_node_build_to_the_bit(rng, nodes):
         if count < nodes:
             assert hessian is None
         else:
-            assert np.array_equal(hessian, node_hessian(family, pairs, divided))
+            matvec, diagonal = hessian()
+            dense = np.column_stack([matvec(unit) for unit in np.eye(nodes)])
+            want = node_hessian(family, pairs, divided)
+            assert np.array_equal(dense, want)
+            assert np.array_equal(diagonal, np.diag(want))
+
+
+def test_no_hessian_where_an_eigenvalue_is_not_positive():
+    # Two 3-state blocks in a random orthonormal basis, both nodes inside
+    # the first block: W(p) has rank 3, so its three smallest eigenvalues
+    # round to about +-1e-17, where the divided differences turn negative.
+    # The whole spectrum is selected; the rows stay finite, the Hessian is
+    # None and no square root of a negative number is taken.
+    rng = np.random.default_rng(0)
+    core = np.zeros((6, 6))
+    for block in (slice(0, 3), slice(3, 6)):
+        core[block, block] = -np.eye(3) + np.triu(rng.standard_normal((3, 3)), 1)
+    basis = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    system = cs.check_stability(basis @ core @ basis.T)
+    family = cs.gramian_family(system, [1, 2], basis=basis)
+    pairs = family.eigenpairs([0.5, 0.5], 6)
+    assert not pairs.positive and pairs.following is None
+    for score in SCORES.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, hessian = family.derivatives(pairs, score.divided)
+        assert rows.shape == (6, 2) and np.all(np.isfinite(rows))
+        assert hessian is None
 
 
 def _stable_with_rotations(rng, dim: int) -> np.ndarray:

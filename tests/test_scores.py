@@ -212,19 +212,19 @@ def test_finite_dim_scores_examples(rng):
     _assert_full_spectrum_cross_check(family, ObjectiveKind.VCS, vcs)
 
 
-def test_hessian_product_matches_the_hessian(rng):
-    # The product and its diagonal against the dense reference formulas, and
-    # evaluate's matrix (built from the product) against the same reference.
+def test_derivatives_hessian_matches_the_reference(rng):
+    # The Hessian callable's product and diagonal against the dense reference
+    # formulas, and evaluate's matrix (built from the product) against the
+    # same reference.
     table = rng.uniform(0.1, 2.0, (5, 4))
     cases = [(cs.SpectralModel((1, 2, 3, 4), table, 3), 3),
              (random_stable_family(rng, 4), 4)]
     for model, count in cases:
         for kind in (ObjectiveKind.VCS, ObjectiveKind.AECS):
-            objective = _Objective(kind, model, count)
             point = interior_point(rng, 4)
-            evaluation = objective(point)
-            matvec, diagonal = objective.hessian_product(evaluation)
-            hess = reference_hessian(model, evaluation.pairs, SCORES[kind].divided)
+            pairs = model.eigenpairs(point, count)
+            matvec, diagonal = _Objective(kind, model, count)(point).curvature()
+            hess = reference_hessian(model, pairs, SCORES[kind].divided)
             for v in rng.standard_normal((2, 4)):
                 np.testing.assert_allclose(matvec(v), hess @ v, rtol=1e-10,
                                            atol=1e-12 * np.abs(hess).max())
@@ -234,30 +234,53 @@ def test_hessian_product_matches_the_hessian(rng):
                                        atol=1e-12 * np.abs(hess).max())
 
 
-def test_no_hessian_product_for_a_partial_family_selection(rng):
+def test_no_hessian_for_a_partial_family_selection(rng):
     family = random_stable_family(rng, 4)
     objective = _Objective(ObjectiveKind.AECS, family, 2)
-    assert objective.hessian_product(objective(interior_point(rng, 4))) is None
+    assert objective(interior_point(rng, 4)).curvature is None
 
 
 def test_an_evaluation_holds_one_node_block_beyond_its_hessian_coordinates(rng):
     # 60 nodes, 60 states: the Hessian coordinates (one upper triangle of
     # Z^T W_i Z per node) take 60 * 1830 * 8 bytes = 0.88 MB.  One evaluation
-    # and its Hessian product may add a block's temporaries on top, not a
+    # and its Hessian callable may add a block's temporaries on top, not a
     # product over all nodes at once (a 5.3 MB peak).
     family = random_stable_family(rng, 60)
     objective = _Objective(ObjectiveKind.AECS, family)
     point = np.full(60, 1.0 / 60.0)
     coordinates = 60 * (60 * 61 // 2) * 8
-    objective.hessian_product(objective(point))
+    objective(point).curvature()
     tracemalloc.start()
     try:
         evaluation = objective(point)
-        assert objective.hessian_product(evaluation) is not None
+        assert evaluation.curvature() is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * coordinates
+
+
+def test_a_table_evaluation_holds_no_copy_of_its_rows(rng):
+    # 300 rows of a 300-node table, the whole spectrum selected: the rows
+    # copy is 300 * 300 * 8 bytes = 0.72 MB.  The gradient divides that copy
+    # in place, so the call peaks below two copies.  The evaluation keeps its
+    # Hessian callable, which takes its own rows only when it is called, so
+    # what stays alive after the call is far less than one copy.
+    size = 300
+    model = cs.SpectralModel(range(1, size + 1),
+                             rng.uniform(0.1, 1.0, (size, size)), size)
+    objective = _Objective(ObjectiveKind.AECS, model)
+    point = np.full(size, 1.0 / size)
+    objective(point).curvature()
+    tracemalloc.start()
+    try:
+        evaluation = objective(point)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert evaluation.curvature is not None
+    assert held < size * size * 8
+    assert peak < 2 * size * size * 8
 
 
 def test_evaluate_gives_a_hessian_at_a_near_degenerate_point():
