@@ -10,12 +10,18 @@ energy     minimum energy and reachable-ellipsoid data for given weights
 Exit codes: 0 success, 1 parse/usage error, 2 infeasible or unstable model
 (or failed checks for ``check``), 3 ambiguous non-convex result (report still
 emitted), 4 target outside the reachable span (``energy``).
+
+Each command runs with numpy's OpenBLAS on one thread (restored afterwards).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import hashlib
+import importlib
 import json
 import math
 import sys
@@ -391,11 +397,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _blas_thread_calls():
+    """``(set, get)`` for the thread count of the OpenBLAS that numpy links,
+    or None where it links another BLAS or the library cannot be opened.
+
+    These are the documented OpenBLAS calls that threadpoolctl also uses.
+    They are looked up through numpy's own extension module, whose
+    dependencies ``dlsym`` searches, so a bundled copy is found too.
+    """
+    try:
+        try:
+            core = importlib.import_module("numpy._core._multiarray_umath")
+        except ImportError:  # numpy 1.x
+            core = importlib.import_module("numpy.core._multiarray_umath")
+        lib = ctypes.CDLL(core.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        try:
+            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    previous count; a no-op where :func:`_blas_thread_calls` finds none.
+
+    A command's matrices are small.  From order 26 up, OpenBLAS puts a
+    second thread on ``eigh``, which gives no wall-time gain at these sizes
+    and spin-waits, so a dense solve used about twice the CPU time.  Output
+    is the same either way.  Only the CLI does this: library calls keep
+    their caller's BLAS threading.  The count is process-wide, so commands
+    run at once on threads of one process share it.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with _one_blas_thread():
+            return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

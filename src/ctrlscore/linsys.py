@@ -283,12 +283,13 @@ class NodeGramianFamily:
 
 #: Nodes per block in :func:`_quadratic_forms`.  The pool runs two starts at
 #: once, and each holds one block's ``W_i @ Z`` and ``Z^T W_i Z``.  On the
-#: dense-lti benchmark (d = 30 and 60, seed 0, 2 vCPUs, 10 alternating runs)
-#: blocks of 8 took a median 2.96 CPU-s per pass at 68.6 MB peak RSS; a loop
-#: taking the same rows and triangles from one ``W_i @ Z`` per node took
-#: 3.63 CPU-s (10 of 10 runs slower) at 68.8 MB, and one d = 60 evaluation
-#: 3.28 against 1.93 ms.  One batch over all nodes took no less CPU time
-#: than blocks of 8 and peaked at 75.6-80.1 MB RSS.
+#: dense-lti benchmark (d = 30 and 60, seed 0, 2 vCPUs, 5 alternating 10-s
+#: runs, the CLI on one BLAS thread) blocks of 8 took a median 1.30 CPU-s
+#: per pass (1.22-1.41) at 68.1-68.6 MB peak RSS; one block per node took
+#: 1.98 (1.91-2.05, 5 of 5 runs slower) at 67.2-72.3 MB, and one block of
+#: all nodes 1.53 (1.44-1.58, 5 of 5 slower) at 75.3-80.5 MB.  One d = 60
+#: evaluation on one BLAS thread took 3.2-3.6 ms in blocks of 8, 4.5 ms per
+#: node and 5.4-5.6 ms in one block.
 _NODE_BLOCK = 8
 
 

@@ -39,7 +39,9 @@ dropped with a warning.  Starts that disagree on the optimal value by more
 than ``1e-6`` raise :class:`~ctrlscore.errors.NonConvexAmbiguous` (with the
 merged result attached).  Several starts run on a thread pool with one
 worker per CPU, at most one per start; each start's descent is the same
-serial computation either way.
+serial computation either way.  The pool is the only parallelism of a CLI
+command, which runs numpy's BLAS on one thread (:mod:`ctrlscore.cli`); a
+library call keeps whatever BLAS threading its caller set.
 """
 
 from __future__ import annotations

@@ -200,12 +200,13 @@ def check_commuting(family) -> tuple[bool, float]:
     if isinstance(family, SpectralModel):
         return True, 0.0
     grams = family.gramians
+    norms = [np.linalg.norm(gram) for gram in grams]
     worst = 0.0
     for i in range(len(grams)):
         for j in range(i + 1, len(grams)):
             cross = grams[i] @ grams[j]
             num = np.linalg.norm(cross - cross.T)
-            den = max(1.0, float(np.linalg.norm(grams[i]) * np.linalg.norm(grams[j])))
+            den = max(1.0, float(norms[i] * norms[j]))
             worst = max(worst, float(num / den))
     return worst <= CHECK_TOL, worst
 

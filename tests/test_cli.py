@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ctrlscore
-from ctrlscore import linsys
+from ctrlscore import cli, linsys
 from ctrlscore.cli import (
     DEFAULT_DEMO_ROWS,
     RunReport,
@@ -478,3 +479,93 @@ def test_lyapunov_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert err.startswith("error: Lyapunov residual ")
     assert err.endswith(" exceeds tolerance for node 2\n")
+
+
+def blas_threads():
+    """``(set, get)`` of numpy's OpenBLAS thread count; skips elsewhere."""
+    calls = cli._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy does not link OpenBLAS here")
+    return calls
+
+
+@pytest.fixture
+def outer_threads():
+    """Set numpy's OpenBLAS to more than one thread for the test and
+    restore the count after it; yields the count the library accepted."""
+    set_threads, get_threads = blas_threads()
+    before = get_threads()
+    set_threads(3)
+    try:
+        count = get_threads()
+        assert count > 1
+        yield count
+    finally:
+        set_threads(before)
+
+
+def test_commands_run_on_one_blas_thread_and_restore_the_count(
+        outer_threads, monkeypatch, capsys):
+    seen = []
+
+    def handler(args):
+        seen.append(cli._blas_thread_calls()[1]())
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "_cmd_heat_demo", handler)
+    assert main(["heat-demo"]) == 0
+    assert seen == [1]
+    assert cli._blas_thread_calls()[1]() == outer_threads
+
+
+@pytest.mark.parametrize("error", [ctrlscore.ParseError("bad token"), RuntimeError("boom")])
+def test_blas_thread_count_restored_when_the_handler_raises(
+        outer_threads, monkeypatch, capsys, error):
+    def handler(args):
+        assert cli._blas_thread_calls()[1]() == 1
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_heat_demo", handler)
+    if isinstance(error, ctrlscore.CtrlscoreError):
+        assert main(["heat-demo"]) == cli.EXIT_PARSE
+    else:
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["heat-demo"])
+    assert cli._blas_thread_calls()[1]() == outer_threads
+
+
+def _refuse_to_load(path):
+    raise OSError(f"cannot open {path}")
+
+
+# The first loader stands for a library without the OpenBLAS thread calls.
+@pytest.mark.parametrize("loader", [lambda path: object(), _refuse_to_load])
+def test_blas_lookup_without_openblas_finds_none(monkeypatch, loader):
+    monkeypatch.setattr(cli.ctypes, "CDLL", loader)
+    assert cli._blas_thread_calls.__wrapped__() is None
+
+
+def test_commands_leave_the_blas_alone_without_the_thread_calls(
+        outer_threads, monkeypatch, capsys):
+    get_threads = cli._blas_thread_calls()[1]
+    seen = []
+
+    def handler(args):
+        seen.append(get_threads())
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
+    monkeypatch.setattr(cli, "_cmd_heat_demo", handler)
+    assert main(["heat-demo"]) == 0
+    assert seen == [outer_threads]
+
+
+def test_openblas_builds_find_the_thread_setter():
+    # A silent no-op would hide the gain on the Linux wheels CI installs.
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no machine-readable config
+        pytest.skip("numpy does not report its BLAS")
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy links {blas}")
+    assert cli._blas_thread_calls() is not None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_commuting_family, random_diagonal_model
+from conftest import random_commuting_family, random_diagonal_model, random_stable_matrix
 from oracles import NotCommuting, spectral_model_from_gramians, top_eigenvalues
 
 import ctrlscore as cs
@@ -82,6 +82,36 @@ def test_commuting_for_selfadjoint_eigenvector_nodes(rng):
     ok, residual = cs.check_commuting(family)
     assert ok
     assert residual <= 1e-12
+
+
+def slow_commuting_family(rng, dim):
+    """Commuting family whose Gramian norm products lie on both sides of 1."""
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    dynamics = (basis * -rng.uniform(0.1, 1.0, dim)) @ basis.T
+    return cs.gramian_family(cs.check_stability(dynamics), range(1, dim + 1),
+                             basis=basis)
+
+
+@pytest.mark.parametrize("commuting", [False, True])
+def test_check_commuting_matches_the_pairwise_formula_to_the_bit(rng, commuting):
+    if commuting:
+        family = slow_commuting_family(rng, 6)
+    else:
+        slow = 0.4 * random_stable_matrix(rng, 6)
+        family = cs.gramian_family(cs.check_stability(slow), range(1, 7))
+    grams = family.gramians
+    norms = sorted(float(np.linalg.norm(g)) for g in grams)
+    assert norms[0] * norms[1] < 1.0 < norms[-2] * norms[-1]  # both sides of max
+    want = 0.0
+    for i in range(len(grams)):
+        for j in range(i + 1, len(grams)):
+            cross = grams[i] @ grams[j]
+            num = np.linalg.norm(cross - cross.T)
+            den = max(1.0, float(np.linalg.norm(grams[i]) * np.linalg.norm(grams[j])))
+            want = max(want, float(num / den))
+    ok, residual = cs.check_commuting(family)
+    assert residual == want
+    assert ok == commuting
 
 
 def test_n_spectrum_heat_full_and_reduced():
