@@ -41,6 +41,7 @@ from .errors import (
     TargetOutsideSpan,
     UnstableSystem,
 )
+from .linsys import resolve_score_order
 from .modelfile import ModelFile, parse_model_text
 from .optimizer import grid_oracle, grid_units, solve
 from .scores import ObjectiveKind, closed_form_optimum
@@ -204,8 +205,8 @@ def _cmd_score(args) -> int:
     except UnstableSystem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    count = args.n if args.n is not None else model_file.default_score_order()
-    caps = model_file.caps_vector()
+    count = args.n if args.n is not None else model_file.score_order
+    caps = model_file.caps
 
     exit_code = EXIT_OK
     try:
@@ -250,8 +251,8 @@ def _cmd_check(args) -> int:
     except UnstableSystem as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    count = args.n if args.n is not None else model_file.default_score_order()
-    report = check_feasibility(model, count, model_file.caps_vector())
+    count = args.n if args.n is not None else model_file.score_order
+    report = check_feasibility(model, count, model_file.caps)
     witness = (
         " ".join(f"{w:.6f}" for w in report.witness.values)
         if report.witness is not None
@@ -322,12 +323,13 @@ def _cmd_energy(args) -> int:
         print(f"error: weights sum to {total:.6g}, expected 1", file=sys.stderr)
         return EXIT_PARSE
     values = values / total
-    weights = SimplexWeights(values, model_file.caps_vector())
+    weights = SimplexWeights(values, model_file.caps)
     target = _parse_float_list(args.target, "--target")
-    count = args.n if args.n is not None else model_file.default_score_order()
+    count = args.n if args.n is not None else model_file.score_order
+    rank = resolve_score_order(model, count)
     try:
-        energy_value = min_energy(model, weights, EnergyQuery(target, count))
-        ellipsoid = reachable_ellipsoid(model, weights, count)
+        energy_value = min_energy(model, weights, EnergyQuery(target, rank))
+        ellipsoid = reachable_ellipsoid(model, weights, rank)
     except TargetOutsideSpan as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TARGET

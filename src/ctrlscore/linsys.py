@@ -4,7 +4,7 @@ For an exponentially stable ``A`` the Gramian of node ``i`` is
 
     W_i = integral_0^inf  exp(t A) P_i P_i^T exp(t A)^T dt,
 
-with ``P_i`` the rank-one projection onto node i's basis vector.  ``W_i`` is
+with ``P_i`` the rank-one projection onto standard basis vector i.  ``W_i`` is
 the unique solution of the continuous Lyapunov equation
 ``A W_i + W_i A^T + P_i P_i^T = 0``.  :func:`check_stability` factors
 ``A = Z T Z^T`` once (real Schur form), and each node Gramian is one
@@ -15,9 +15,12 @@ vector ``p`` is ``W(p) = sum_i p_i W_i``.
 scipy is imported inside the functions that need it (the Schur factor and
 the triangular solve), so heat and table models never load it.
 
-``NodeGramianFamily`` carries the eigen methods of ``W(p)`` that
-:class:`~ctrlscore.spectral.SpectralModel` also has, with the same
-arguments: ``eigenpairs(weights, count)`` is the one decomposition of
+A :class:`NodeGramianFamily` is its node labels and its (m, d, d) stack of
+Gramians, nothing more: :func:`gramian_family` builds one from a
+:class:`StableLTISystem`, and closed-form Gramians build one directly,
+without dynamics and without scipy.  It carries the eigen methods of
+``W(p)`` that :class:`~ctrlscore.spectral.SpectralModel` also has, with the
+same arguments: ``eigenpairs(weights, count)`` is the one decomposition of
 ``W(p)`` at a single point (``eigh``), which the feasibility check, the
 objective and the energy diagnostics all read; ``eigenvalues`` is the batch
 path of the lattice oracle (``eigvalsh``); ``derivatives`` returns both
@@ -31,7 +34,7 @@ rule for how many eigenvalues a score selects.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,36 +171,31 @@ def check_stability(a_matrix) -> StableLTISystem:
 
 @dataclass(frozen=True)
 class NodeGramianFamily:
-    """A stable system with one controllability Gramian per node.
+    """One controllability Gramian per node, and nothing else.
 
-    ``node_indices`` are 1-based.  ``basis`` holds the node directions as
-    columns (identity for standard-basis nodes).  Each Gramian must be
-    symmetric and positive semidefinite within tolerance; objects built by
-    :func:`gramian_family` additionally satisfy the Lyapunov residual bound.
-    ``stack`` holds the Gramians along axis 0, shape (m, n, n), and
-    ``gramians`` are read-only views into it; ``basis`` is a read-only copy.
+    ``node_indices`` are 1-based labels.  ``gramians`` is a read-only
+    float64 copy of the input, shape (m, d, d): ``gramians[i]`` belongs to
+    node ``node_indices[i]``.  Each must be symmetric and positive
+    semidefinite within tolerance; families built by :func:`gramian_family`
+    additionally satisfy the Lyapunov residual bound.  No dynamics are kept,
+    so a family can come from closed-form Gramians as well.
     """
 
-    system: StableLTISystem
     node_indices: tuple[int, ...]
-    gramians: tuple[np.ndarray, ...]
-    basis: np.ndarray | None = None
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    gramians: np.ndarray
 
     def __post_init__(self):
         if len(self.node_indices) == 0:
             raise EmptyIndexSet("node index set is empty")
         if len(set(self.node_indices)) != len(self.node_indices):
             raise IndexMismatch("node indices must be distinct")
-        if len(self.gramians) != len(self.node_indices):
+        arrays = [np.asarray(gram, dtype=float) for gram in self.gramians]
+        if len(arrays) != len(self.node_indices):
             raise IndexMismatch("one Gramian per node index is required")
-        n = self.system.n_dim
-        arrays = []
-        for idx, gram in zip(self.node_indices, self.gramians):
-            arr = np.asarray(gram, dtype=float)
-            if arr.shape != (n, n):
+        n = arrays[0].shape[0] if arrays[0].ndim else 0
+        for idx, arr in zip(self.node_indices, arrays):
+            if n == 0 or arr.shape != (n, n):
                 raise IndexMismatch(f"Gramian for node {idx} has shape {arr.shape}")
-            arrays.append(arr)
         stack = np.stack(arrays)
         # The PSD test is one batched eigvalsh.  The norms stay per node:
         # batched, they cost two stack-sized temporaries and were slower.
@@ -211,13 +209,8 @@ class NodeGramianFamily:
             problem = "not symmetric" if asymmetric[first] else "not PSD"
             raise EigenFailure(f"Gramian for node {self.node_indices[first]} is {problem}")
         stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "gramians", tuple(stack))
+        object.__setattr__(self, "gramians", stack)
         object.__setattr__(self, "node_indices", tuple(int(i) for i in self.node_indices))
-        if self.basis is not None:
-            basis = np.array(self.basis, dtype=float)
-            basis.flags.writeable = False
-            object.__setattr__(self, "basis", basis)
 
     @property
     def node_count(self) -> int:
@@ -225,17 +218,17 @@ class NodeGramianFamily:
 
     @property
     def mode_count(self) -> int:
-        return self.system.n_dim
+        return self.gramians.shape[1]
 
     @property
     def score_order(self) -> int:
         """Default number of selected eigenvalues: the whole spectrum."""
-        return self.system.n_dim
+        return self.gramians.shape[1]
 
     def eigenvalues(self, batch) -> np.ndarray:
         """All eigenvalues of ``W(p)`` for each row ``p`` of ``batch``,
         descending along the last axis."""
-        mixed = np.einsum("bi,inm->bnm", np.asarray(batch, dtype=float), self.stack)
+        mixed = np.einsum("bi,inm->bnm", np.asarray(batch, dtype=float), self.gramians)
         return np.linalg.eigvalsh(mixed)[:, ::-1]
 
     def eigenpairs(self, weights, count: int) -> Eigenpairs:
@@ -269,12 +262,12 @@ class NodeGramianFamily:
         where this formula is not the Hessian, and where ``mu_n`` is not
         positive, where ``divided`` may be negative."""
         if pairs.following is not None or not pairs.positive:
-            return _quadratic_forms(pairs.vectors, self.stack)[0], None
+            return _quadratic_forms(pairs.vectors, self.gramians)[0], None
         mu = pairs.values
         # Row i of C holds the upper triangle of the symmetric Q_i, scaled
         # in place by sqrt(divided), doubled off the diagonal, so H = C C^T.
         upper = np.triu_indices(mu.size)
-        rows, coords = _quadratic_forms(pairs.vectors, self.stack, upper)
+        rows, coords = _quadratic_forms(pairs.vectors, self.gramians, upper)
         weights = divided(mu[:, None], mu[None, :]) * (2.0 - np.eye(mu.size))
         coords *= np.sqrt(weights[upper])
         hessian = coords @ coords.T
@@ -319,33 +312,16 @@ def _quadratic_forms(vectors: np.ndarray, stack: np.ndarray, upper=None):
     return np.ascontiguousarray(rows.T), coords
 
 
-def node_direction(system: StableLTISystem, node: int, basis=None) -> np.ndarray:
-    """Unit vector of node ``node`` (1-based), standard basis by default."""
-    n = system.n_dim
-    if not 1 <= node <= n:
-        raise IndexMismatch(f"node {node} out of range 1..{n}")
-    if basis is None:
-        direction = np.zeros(n)
-        direction[node - 1] = 1.0
-        return direction
-    basis = np.asarray(basis, dtype=float)
-    if basis.shape != (n, n):
-        raise IndexMismatch(f"basis must be {n}x{n}, got {basis.shape}")
-    return basis[:, node - 1].copy()
-
-
-def node_gramian(system: StableLTISystem, node: int, basis=None) -> np.ndarray:
-    """Solve ``A W + W A^T = -d d^T`` for node direction ``d``.
+def node_gramian(system: StableLTISystem, node: int) -> np.ndarray:
+    """Solve ``A W + W A^T = -e e^T`` for the unit vector ``e`` of node
+    ``node``.
 
     Parameters
     ----------
     system : StableLTISystem
         The (stable) dynamics.
     node : int
-        1-based node index.
-    basis : ndarray, optional
-        Orthonormal matrix whose columns are the node directions.  Defaults
-        to the standard basis.
+        1-based node index: ``e`` is standard basis vector ``node``.
 
     Returns
     -------
@@ -365,13 +341,19 @@ def node_gramian(system: StableLTISystem, node: int, basis=None) -> np.ndarray:
 
     Raises
     ------
+    IndexMismatch
+        If ``node`` is not in ``1..n``.
     LyapunovSolveFailure
         If ``dtrsyl`` rejects an argument, or the residual exceeds
         ``DEFAULT_TOL * max(1, ||W||_F)``.
     """
     from scipy.linalg.lapack import dtrsyl
 
-    direction = node_direction(system, node, basis)
+    n = system.n_dim
+    if not 1 <= node <= n:
+        raise IndexMismatch(f"node {node} out of range 1..{n}")
+    direction = np.zeros(n)
+    direction[node - 1] = 1.0
     rhs = -np.outer(direction, direction)
     a, form, vectors = system.dynamics, system.schur_form, system.schur_vectors
     solved, scale, info = dtrsyl(form, form, vectors.T @ (rhs @ vectors), tranb="T")
@@ -390,17 +372,13 @@ def node_gramian(system: StableLTISystem, node: int, basis=None) -> np.ndarray:
     return gram
 
 
-def gramian_family(system: StableLTISystem, node_indices,
-                   basis=None) -> NodeGramianFamily:
-    """Compute the node Gramians for every index in ``node_indices``."""
+def gramian_family(system: StableLTISystem, node_indices) -> NodeGramianFamily:
+    """The family of :func:`node_gramian` for every index in ``node_indices``."""
     indices = tuple(int(i) for i in node_indices)
-    if len(indices) == 0:
-        raise EmptyIndexSet("node index set is empty")
-    grams = tuple(node_gramian(system, i, basis) for i in indices)
-    return NodeGramianFamily(system, indices, grams, basis)
+    return NodeGramianFamily(indices, [node_gramian(system, i) for i in indices])
 
 
 def assemble_gramian(family: NodeGramianFamily, weights) -> np.ndarray:
     """Mixed Gramian ``W(p) = sum_i p_i W_i`` for the given weights."""
-    return np.tensordot(weight_vector(weights, family.node_count), family.stack,
+    return np.tensordot(weight_vector(weights, family.node_count), family.gramians,
                         axes=1)

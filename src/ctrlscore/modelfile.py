@@ -19,8 +19,10 @@ whitespace, tabs included.  Grammar (EBNF, also documented in the README):
 
 Exactly one payload kind per file: ``dense_lti`` carries a square dynamics
 matrix (row-major), ``spectral_table`` a K x m nonnegative eigenvalue table,
-``heat_dirichlet`` only the node indices.  ``caps`` is optional and must
-match the node count.  A number is any token Python's ``float()`` accepts
+``heat_dirichlet`` only the node indices.  ``n`` is optional and must lie
+in ``1..d`` for a matrix and in ``1..K`` for a table; a heat model is an
+m x m diagonal table, so ``1..m``.  ``caps`` is optional and must match the
+node count.  A number is any token Python's ``float()`` accepts
 whose value is finite: ``nan``, ``inf`` and overflowing literals such as
 ``1e999`` are rejected where they stand.  Parse and consistency failures
 raise :class:`~ctrlscore.errors.ParseError` with a 1-based line and column;
@@ -75,29 +77,19 @@ class ModelFile:
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
                         for name in ("dynamics", "table")))
 
-    def default_score_order(self) -> int:
-        if self.score_order is not None:
-            return self.score_order
-        if self.kind == "spectral_table":
-            return min(len(self.node_indices), len(self.table))
-        if self.kind == "dense_lti":
-            return len(self.dynamics)
-        return len(self.node_indices)
-
-    def caps_vector(self) -> np.ndarray | None:
-        return None if self.caps is None else np.asarray(self.caps, dtype=float)
-
     def build(self) -> SpectralModel | NodeGramianFamily:
         """Construct the solver-side model object.
 
-        Stability of a ``dense_lti`` matrix is checked here and
-        :class:`~ctrlscore.errors.UnstableSystem` propagates to the caller.
+        A table or heat model gets the file's ``n`` as its score order (its
+        own default when there is none); a Gramian family's is always the
+        whole spectrum.  Stability of a ``dense_lti`` matrix is checked here
+        and :class:`~ctrlscore.errors.UnstableSystem` propagates to the
+        caller.
         """
         if self.kind == "heat_dirichlet":
-            return heat_dirichlet_model(self.node_indices)
+            return heat_dirichlet_model(self.node_indices, self.score_order)
         if self.kind == "spectral_table":
-            return SpectralModel(self.node_indices, self.table,
-                                 self.default_score_order())
+            return SpectralModel(self.node_indices, self.table, self.score_order)
         system = check_stability(self.dynamics)
         return gramian_family(system, self.node_indices)
 
@@ -294,10 +286,8 @@ def parse_model_text(text: str) -> ModelFile:
             raise ParseError(
                 "heat_dirichlet carries no matrix or table payload", *where("kind")
             )
-        if order is not None and order != len(nodes):
-            raise ParseError(
-                f"heat_dirichlet requires n == node count ({len(nodes)})", *where("n")
-            )
+        if order is not None and not 1 <= order <= len(nodes):
+            raise ParseError(f"n must lie in 1..{len(nodes)}", *where("n"))
 
     if caps is not None:
         if len(caps) != len(nodes):

@@ -17,11 +17,15 @@ The eigen logic lives on the model classes: ``SpectralModel`` and
 same arguments (``eigenvalues``, ``eigenpairs``, ``derivatives``,
 ``state_basis``), so the objective, the solver and the energy code never
 branch on the model type; the assumption checkers and the closed form do.
+The checkers read a family only through its (m, d, d) ``gramians``, so a
+family of closed-form Gramians is checked like one from Lyapunov solves.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.  ``derivatives`` gives
 the rows and the Hessian, as a callable that builds a table's product only
 when it is called.  Every score order is read through
-:func:`~ctrlscore.linsys.resolve_score_order`.
+:func:`~ctrlscore.linsys.resolve_score_order`; a table's default is
+``min(K, m)``, and the heat model, an m x m diagonal table, takes any order
+in ``1..m``.
 """
 
 from __future__ import annotations
@@ -55,13 +59,14 @@ class SpectralModel:
     eigen_table : ndarray, shape (K, m)
         Nonnegative entries; row ``k`` holds the eigenvalue contributed by
         every node to shared eigenmode ``k``.  Stored as a read-only copy.
-    score_order : int
-        How many of the largest eigenvalues the score objectives use (n <= K).
+    score_order : int, optional
+        How many of the largest eigenvalues the score objectives use
+        (``1 <= n <= K``); ``min(K, m)`` when omitted.
     """
 
     node_indices: tuple[int, ...]
     eigen_table: np.ndarray
-    score_order: int
+    score_order: int | None = None
 
     def __post_init__(self):
         indices = tuple(int(i) for i in self.node_indices)
@@ -79,8 +84,8 @@ class SpectralModel:
         table.flags.writeable = False
         object.__setattr__(self, "eigen_table", table)
         object.__setattr__(self, "node_indices", indices)
-        object.__setattr__(self, "score_order",
-                           resolve_score_order(self, self.score_order))
+        order = min(table.shape) if self.score_order is None else self.score_order
+        object.__setattr__(self, "score_order", resolve_score_order(self, order))
 
     @property
     def mode_count(self) -> int:
@@ -167,8 +172,8 @@ def heat_dirichlet_model(node_indices, score_order: int | None = None) -> Spectr
     unlisted modes carry exactly zero, so truncation at ``K = len(I)`` rows
     is lossless.
 
-    ``score_order`` must equal the number of nodes (the regime in which the
-    optimum is unique); it defaults to that.
+    ``score_order`` lies in ``1..len(I)``, as for any table; it defaults to
+    the node count, the regime in which the optimum is unique.
     """
     indices = tuple(int(i) for i in node_indices)
     if len(indices) == 0:
@@ -178,12 +183,6 @@ def heat_dirichlet_model(node_indices, score_order: int | None = None) -> Spectr
     if len(set(indices)) != len(indices):
         raise BadIndexSet(f"heat mode numbers must be distinct, got {indices}")
     m = len(indices)
-    if score_order is None:
-        score_order = m
-    if score_order != m:
-        raise IndexMismatch(
-            f"heat model requires score order == node count ({m}), got {score_order}"
-        )
     table = np.zeros((m, m))
     for row, k in enumerate(indices):
         table[row, row] = 1.0 / (2.0 * np.pi**2 * k**2)
@@ -235,7 +234,7 @@ def check_n_spectrum(model, count: int | None = None) -> tuple[bool, float]:
         return residual <= CHECK_TOL, residual
 
     family: NodeGramianFamily = model
-    total = np.sum(family.stack, axis=0)
+    total = np.sum(family.gramians, axis=0)
     _, vecs = np.linalg.eigh(total)
     span = vecs[:, ::-1][:, :n]
     projector = span @ span.T

@@ -43,14 +43,18 @@ def random_diagonal_model(rng, size: int, low: float = 0.3,
     return cs.SpectralModel(tuple(range(1, size + 1)), table, size)
 
 
+def eigenvector_family(basis, decay) -> cs.NodeGramianFamily:
+    """The Gramians of symmetric dynamics ``A = Q diag(d) Q^T`` with node i
+    entering along ``q_i``: ``q_i q_i^T / (2 |d_i|)``, which commute."""
+    grams = np.einsum("ji,ki->ijk", basis, basis) / (2.0 * np.abs(decay))[:, None, None]
+    return cs.NodeGramianFamily(tuple(range(1, len(decay) + 1)), grams)
+
+
 def random_commuting_family(rng, dim: int) -> cs.NodeGramianFamily:
-    """Genuine Gramian family with commuting members: symmetric dynamics,
-    nodes along its eigenvectors."""
+    """Genuine Gramian family with commuting members
+    (:func:`eigenvector_family` of a random orthogonal basis)."""
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    decay = -rng.uniform(0.5, 3.0, dim)
-    dynamics = (basis * decay) @ basis.T
-    system = cs.check_stability(dynamics)
-    return cs.gramian_family(system, range(1, dim + 1), basis=basis)
+    return eigenvector_family(basis, -rng.uniform(0.5, 3.0, dim))
 
 
 def interior_point(rng, size: int, floor: float = 0.08) -> np.ndarray:

@@ -32,6 +32,7 @@ from ctrlscore.linsys import (
     DEGENERACY_GAP,
     POSITIVE_FLOOR,
     NodeGramianFamily,
+    StableLTISystem,
     assemble_gramian,
     nth_positive,
 )
@@ -72,11 +73,12 @@ def top_eigenvalues(matrix, count: int) -> np.ndarray:
     return np.maximum(eigvals[:count], 0.0)
 
 
-def finite_horizon_gramian(family: NodeGramianFamily, weights,
-                           horizon: float) -> np.ndarray:
-    """Horizon-T Gramian ``W(p, T) = W(p) - exp(TA) W(p) exp(TA)^T``."""
+def finite_horizon_gramian(system: StableLTISystem, family: NodeGramianFamily,
+                           weights, horizon: float) -> np.ndarray:
+    """Horizon-T Gramian ``W(p, T) = W(p) - exp(TA) W(p) exp(TA)^T`` of the
+    family of ``system``."""
     mixed = assemble_gramian(family, weights)
-    decay = expm(horizon * family.system.dynamics)
+    decay = expm(horizon * system.dynamics)
     gram = mixed - decay @ mixed @ decay.T
     return 0.5 * (gram + gram.T)
 
@@ -112,7 +114,7 @@ def node_hessian(family: NodeGramianFamily, pairs, divided) -> np.ndarray:
     ``sqrt(divided(mu_k, mu_l))`` and doubled off the diagonal."""
     mu, vectors = pairs.values, pairs.vectors
     upper = np.triu_indices(mu.size)
-    coords = np.array([(vectors.T @ (gram @ vectors))[upper] for gram in family.stack])
+    coords = np.array([(vectors.T @ (gram @ vectors))[upper] for gram in family.gramians])
     weights = divided(mu[:, None], mu[None, :]) * (2.0 - np.eye(mu.size))
     coords *= np.sqrt(weights[upper])
     return coords @ coords.T
@@ -158,10 +160,11 @@ class ProjectionDiagnostics:
     horizon: float
 
 
-def projection_operator_check(family: NodeGramianFamily, weights, count: int,
-                              horizon: float, time_steps: int,
+def projection_operator_check(system: StableLTISystem, family: NodeGramianFamily,
+                              weights, count: int, horizon: float, time_steps: int,
                               target=None) -> ProjectionDiagnostics:
-    """Check that ``P = L^T W_n^+ L`` acts as an orthogonal projection.
+    """Check that ``P = L^T W_n^+ L`` acts as an orthogonal projection, for
+    the family of ``system`` (nodes along the standard basis).
 
     The reachability operator over ``[0, T]`` is discretized on a midpoint
     grid: block ``j`` of ``L`` is ``exp((T - t_j) A) B sqrt(dt)`` with
@@ -180,13 +183,12 @@ def projection_operator_check(family: NodeGramianFamily, weights, count: int,
         raise IndexMismatch("time_steps must be >= 1")
     if not (horizon > 0 and math.isfinite(horizon)):
         raise IndexMismatch("projection check needs a finite positive horizon")
-    a = family.system.dynamics
-    n_dim = family.system.n_dim
+    a = system.dynamics
+    n_dim = system.n_dim
     p = weight_vector(weights, family.node_count)
 
     # Input matrix: node directions scaled by sqrt(p_i).
-    basis = family.basis if family.basis is not None else np.eye(n_dim)
-    columns = np.array([basis[:, idx - 1] for idx in family.node_indices]).T
+    columns = np.eye(n_dim)[:, [idx - 1 for idx in family.node_indices]]
     input_matrix = columns * np.sqrt(p)
 
     dt = horizon / time_steps
@@ -225,7 +227,7 @@ def projection_operator_check(family: NodeGramianFamily, weights, count: int,
 
     energy_exact = rel = math.inf
     if used:
-        exact_vals, exact_vecs = np.linalg.eigh(finite_horizon_gramian(family, p, horizon))
+        exact_vals, exact_vecs = np.linalg.eigh(finite_horizon_gramian(system, family, p, horizon))
         exact_vals, exact_vecs = exact_vals[::-1][:used], exact_vecs[:, ::-1][:, :used]
         if nth_positive(exact_vals):
             coeffs = exact_vecs.T @ target
@@ -305,13 +307,13 @@ def spectral_model_from_gramians(family: NodeGramianFamily,
             f"family commutator residual {residual:.3e} "
             f"exceeds tolerance {CHECK_TOL:.1e}"
         )
-    n_dim = family.system.n_dim
+    n_dim = family.mode_count
     n = n_dim if score_order is None else int(score_order)
 
-    total = np.sum(family.stack, axis=0)
-    basis = _refine_block(np.eye(n_dim), (total,) + family.gramians, 0, DEGENERACY_GAP)
+    total = np.sum(family.gramians, axis=0)
+    basis = _refine_block(np.eye(n_dim), (total, *family.gramians), 0, DEGENERACY_GAP)
 
-    table = node_quadratic_rows(basis, family.stack)
+    table = node_quadratic_rows(basis, family.gramians)
     table[(table < 0) & (table > -CHECK_TOL)] = 0.0
 
     worst = 0.0

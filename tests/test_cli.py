@@ -446,10 +446,19 @@ seen["import ctrlscore"] = scipy_loaded()
 from ctrlscore import cli
 seen["import ctrlscore.cli"] = scipy_loaded()
 for label, argv in (("score heat", ["score", heat, "--kind", "vcs"]),
-                    ("check table", ["check", table]),
-                    ("score dense", ["score", dense, "--kind", "vcs"])):
+                    ("check table", ["check", table])):
     with contextlib.redirect_stdout(io.StringIO()):
         seen[label] = (cli.main(argv), scipy_loaded())
+# A family of closed-form Gramians has no dynamics to factor.
+import numpy as np
+modes = np.arange(1, 6)
+grams = np.einsum("ki,kj->kij", np.eye(5), np.eye(5)) / (2 * np.pi**2 * modes**2)[:, None, None]
+result = ctrlscore.solve(ctrlscore.ObjectiveKind.AECS,
+                         ctrlscore.NodeGramianFamily(tuple(modes), grams))
+seen["solve Gramian family"] = (result.converged and result.uniqueness_certified,
+                                scipy_loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["score dense"] = (cli.main(["score", dense, "--kind", "vcs"]), scipy_loaded())
 print(json.dumps(seen))
 """
 
@@ -466,9 +475,25 @@ def test_heat_and_table_requests_never_load_scipy(tmp_path):
         "import ctrlscore.cli": False,
         "score heat": [0, False],
         "check table": [0, False],
+        "solve Gramian family": [True, False],
         # The positive control: a dense system needs the Schur factor.
         "score dense": [0, True],
     }
+
+
+def test_heat_n_flag_and_file_n_give_the_same_report(tmp_path, capsys):
+    # A heat model is a diagonal table: any n in 1..m, from the flag or the file.
+    flagged = write(tmp_path, "heat4.csm", HEAT4.replace("n 4\n", ""))
+    in_file = write(tmp_path, "heat4n2.csm", HEAT4.replace("n 4\n", "n 2\n"))
+    runs = []
+    for argv in ([flagged, "--n", "2"], [in_file]):
+        code = main(["score", *argv, "--kind", "vcs", "--format", "json-lines"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        del report["input_digest"]
+        runs.append((code, report, captured.err))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["score_order"] == 2
 
 
 def test_lyapunov_failure_exits_1(tmp_path, capsys, monkeypatch):

@@ -46,7 +46,8 @@ def test_energy_equals_quadratic_form_of_inverse(rng):
 
 
 def test_target_outside_span():
-    family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0])), [1, 2])
+    system = cs.check_stability(np.diag([-1.0, -2.0]))
+    family = cs.gramian_family(system, [1, 2])
     with pytest.raises(cs.TargetOutsideSpan):
         cs.min_energy(family, [1.0, 0.0], EnergyQuery(np.array([0.0, 1.0]), 1))
 
@@ -58,7 +59,8 @@ def test_singular_gramian():
 
 
 def test_rank_beyond_the_spectrum_is_rejected():
-    family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0])), [1, 2])
+    system = cs.check_stability(np.diag([-1.0, -2.0]))
+    family = cs.gramian_family(system, [1, 2])
     for model in (cs.heat_dirichlet_model([1, 2]), family):
         with pytest.raises(cs.IndexMismatch):
             cs.reachable_ellipsoid(model, [0.5, 0.5], 3)
@@ -87,10 +89,7 @@ def test_a_rank_outside_the_score_order_rule_is_rejected(table, query, rank):
 
 def test_ellipsoid_diagonal_example():
     # mixed Gramian diag(0.25, 0.04)
-    family = cs.NodeGramianFamily(
-        cs.check_stability(np.diag([-1.0, -2.0])), (1, 2),
-        (np.diag([0.5, 0.0]), np.diag([0.0, 0.08])),
-    )
+    family = cs.NodeGramianFamily((1, 2), (np.diag([0.5, 0.0]), np.diag([0.0, 0.08])))
     ellipsoid = cs.reachable_ellipsoid(family, [0.5, 0.5], 2)
     np.testing.assert_allclose(ellipsoid.semi_axes, [0.5, 0.2], atol=1e-12)
     assert ellipsoid.log_volume == pytest.approx(
@@ -164,10 +163,11 @@ def test_monte_carlo_average_energy_within_three_sigma():
 
 def test_finite_horizon_gramian_matches_quadrature(rng):
     a = np.array([[-1.0, 0.5], [0.0, -2.0]])
-    family = cs.gramian_family(cs.check_stability(a), [1, 2])
+    system = cs.check_stability(a)
+    family = cs.gramian_family(system, [1, 2])
     weights = np.array([0.3, 0.7])
     horizon = 2.5
-    got = finite_horizon_gramian(family, weights, horizon)
+    got = finite_horizon_gramian(system, family, weights, horizon)
 
     def integrand(t):
         phi = expm(t * a)
@@ -178,11 +178,12 @@ def test_finite_horizon_gramian_matches_quadrature(rng):
 
 
 def test_projection_operator_diagnostics():
-    family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0])), [1, 2])
+    system = cs.check_stability(np.diag([-1.0, -2.0]))
+    family = cs.gramian_family(system, [1, 2])
     rng = np.random.default_rng(12)
     target = rng.standard_normal(2)
     diag = projection_operator_check(
-        family, [0.5, 0.5], 2, horizon=5.0, time_steps=2000, target=target
+        system, family, [0.5, 0.5], 2, horizon=5.0, time_steps=2000, target=target
     )
     assert diag.idempotency_residual <= 1e-6
     assert diag.symmetry_residual <= 1e-6
@@ -195,22 +196,24 @@ def test_projection_operator_diagnostics():
 
 
 def test_projection_diagnostics_report_rank_deficiency():
-    family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0])), [1, 2])
+    system = cs.check_stability(np.diag([-1.0, -2.0]))
+    family = cs.gramian_family(system, [1, 2])
     diag = projection_operator_check(
-        family, [1.0, 0.0], 2, horizon=5.0, time_steps=200
+        system, family, [1.0, 0.0], 2, horizon=5.0, time_steps=200
     )
     assert diag.gramian_rank == 1
 
 
 def test_projection_check_rejects_a_horizon_that_is_not_finite_and_positive():
-    family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0])), [1, 2])
+    system = cs.check_stability(np.diag([-1.0, -2.0]))
+    family = cs.gramian_family(system, [1, 2])
     for horizon in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(cs.IndexMismatch):
             projection_operator_check(
-                family, [0.5, 0.5], 2, horizon=horizon, time_steps=10
+                system, family, [0.5, 0.5], 2, horizon=horizon, time_steps=10
             )
     with pytest.raises(cs.IndexMismatch):
-        projection_operator_check(family, [0.5, 0.5], 2, horizon=5.0, time_steps=0)
+        projection_operator_check(system, family, [0.5, 0.5], 2, horizon=5.0, time_steps=0)
 
 
 def test_unit_ball_log_volume_values():

@@ -62,8 +62,8 @@ def test_gramian_matches_quadrature_oracle():
 
 def test_lyapunov_residual_bound(rng):
     for dim in (2, 3, 5, 8):
-        family = random_stable_family(rng, dim)
-        a = family.system.dynamics
+        a = random_stable_matrix(rng, dim)
+        family = cs.gramian_family(cs.check_stability(a), range(1, dim + 1))
         for idx, gram in zip(family.node_indices, family.gramians):
             direction = np.zeros(dim)
             direction[idx - 1] = 1.0
@@ -159,20 +159,14 @@ def test_eigenvalue_weyl_continuity(rng):
         assert np.all(np.abs(mu_p - mu_q) <= gap + 1e-10)
 
 
-def test_custom_basis_gramian(rng):
-    # Nodes along the eigenvectors of a symmetric stable matrix give
-    # rank-one Gramians q q^T / (-2 lambda).
-    basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    decay = np.array([-1.0, -2.0, -3.0])
-    a = (basis * decay) @ basis.T
-    system = cs.check_stability(a)
-    gram = cs.node_gramian(system, 2, basis=basis)
-    want = np.outer(basis[:, 1], basis[:, 1]) / 4.0
-    np.testing.assert_allclose(gram, want, atol=1e-12)
-
-
 def test_default_tol_constant():
     assert linsys.DEFAULT_TOL == 1e-10
+
+
+def rotated_family(family, basis) -> cs.NodeGramianFamily:
+    """The family ``B W_i B^T``: for the system ``B A B^T``, node i entering
+    along column i of the orthogonal ``B``."""
+    return cs.NodeGramianFamily(family.node_indices, basis @ family.gramians @ basis.T)
 
 
 @pytest.mark.parametrize("full", [False, True], ids=["count<K", "count=K"])
@@ -185,8 +179,9 @@ def test_derivative_rows_match_explicit_quadratic_forms(full, dim, subset, rotat
     nodes = np.arange(1, dim + 1)
     if subset and dim > 1:
         nodes = np.sort(rng.choice(nodes, int(rng.integers(1, dim)), replace=False))
-    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if rotated else None
-    family = cs.gramian_family(system, nodes, basis=basis)
+    family = cs.gramian_family(system, nodes)
+    if rotated:
+        family = rotated_family(family, np.linalg.qr(rng.standard_normal((dim, dim)))[0])
     count = dim if full or dim == 1 else int(rng.integers(1, dim))
     pairs = family.eigenpairs(rng.dirichlet(np.ones(family.node_count)), count)
     rows = family.derivatives(pairs, SCORES[cs.ObjectiveKind.VCS].divided)[0]
@@ -205,7 +200,7 @@ def test_derivative_rows_match_finite_differences(rng):
     # d = 12 system with five of its nodes and a rotated basis.
     system = cs.check_stability(random_stable_matrix(rng, 12))
     basis = np.linalg.qr(rng.standard_normal((12, 12)))[0]
-    family = cs.gramian_family(system, [2, 3, 5, 8, 11], basis=basis)
+    family = rotated_family(cs.gramian_family(system, [2, 3, 5, 8, 11]), basis)
     count, step = 6, 1e-6
     point = interior_point(rng, family.node_count)
     pairs = family.eigenpairs(point, count)
@@ -233,7 +228,7 @@ def test_blocked_pass_matches_the_node_by_node_build_to_the_bit(rng, nodes):
     for count in sorted({max(nodes // 2, 1), nodes}):
         pairs = family.eigenpairs(point, count)
         assert pairs.positive and pairs.vectors.flags.c_contiguous
-        want = node_quadratic_rows(pairs.vectors, family.stack)
+        want = node_quadratic_rows(pairs.vectors, family.gramians)
         rows, hessian = family.derivatives(pairs, divided)
         assert np.array_equal(rows, want)
         assert rows.flags.c_contiguous
@@ -258,8 +253,7 @@ def test_no_hessian_where_an_eigenvalue_is_not_positive():
     for block in (slice(0, 3), slice(3, 6)):
         core[block, block] = -np.eye(3) + np.triu(rng.standard_normal((3, 3)), 1)
     basis = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-    system = cs.check_stability(basis @ core @ basis.T)
-    family = cs.gramian_family(system, [1, 2], basis=basis)
+    family = rotated_family(cs.gramian_family(cs.check_stability(core), [1, 2]), basis)
     pairs = family.eigenpairs([0.5, 0.5], 6)
     assert not pairs.positive and pairs.following is None
     for score in SCORES.values():
@@ -285,20 +279,19 @@ def _stable_with_rotations(rng, dim: int) -> np.ndarray:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.booleans(), st.booleans(), st.integers(0, 2**31 - 1))
-def test_node_gramian_is_bit_identical_to_scipy(dim, pairs, rotated, seed):
+@given(st.integers(1, 12), st.booleans(), st.integers(0, 2**31 - 1))
+def test_node_gramian_is_bit_identical_to_scipy(dim, pairs, seed):
     # The stored Schur factor gives the same bits as scipy's own solver,
     # which re-factors A on every call.
     from scipy.linalg import solve_continuous_lyapunov
 
     rng = np.random.default_rng(seed)
     a = _stable_with_rotations(rng, dim) if pairs else random_stable_matrix(rng, dim)
-    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if rotated else None
     system = cs.check_stability(a)
     for node in range(1, dim + 1):
-        direction = np.eye(dim)[:, node - 1] if basis is None else basis[:, node - 1]
+        direction = np.eye(dim)[:, node - 1]
         want = solve_continuous_lyapunov(a, -np.outer(direction, direction))
-        assert np.array_equal(cs.node_gramian(system, node, basis),
+        assert np.array_equal(cs.node_gramian(system, node),
                               0.5 * (want + want.T))
 
 
@@ -351,13 +344,44 @@ def test_lyapunov_residual_failure_names_the_node(monkeypatch):
 
 
 def test_family_validation_names_the_first_failing_node():
-    system = cs.check_stability(np.diag([-1.0, -2.0, -3.0]))
     good, skew, negative = np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.25, 0.0]), -np.eye(3)
     skew[0, 1] = 1.0
     with pytest.raises(cs.EigenFailure, match="Gramian for node 2 is not symmetric"):
-        cs.NodeGramianFamily(system, (1, 2, 3), (good, skew, negative))
+        cs.NodeGramianFamily((1, 2, 3), (good, skew, negative))
     with pytest.raises(cs.EigenFailure, match="Gramian for node 2 is not PSD"):
-        cs.NodeGramianFamily(system, (1, 2, 3), (good, negative, skew))
+        cs.NodeGramianFamily((1, 2, 3), (good, negative, skew))
+
+
+def test_family_rejects_gramians_that_are_not_square_or_of_one_shape():
+    with pytest.raises(cs.IndexMismatch, match=r"Gramian for node 7 has shape \(2, 3\)"):
+        cs.NodeGramianFamily((7, 8), (np.zeros((2, 3)), np.eye(2)))
+    with pytest.raises(cs.IndexMismatch, match=r"Gramian for node 8 has shape \(3, 3\)"):
+        cs.NodeGramianFamily((7, 8), (np.eye(2), np.eye(3)))
+    with pytest.raises(cs.IndexMismatch, match="one Gramian per node index"):
+        cs.NodeGramianFamily((7, 8), (np.eye(2),))
+
+
+def test_family_holds_a_read_only_copy_of_its_gramians():
+    grams = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 2.0])])
+    family = cs.NodeGramianFamily((1, 2), grams)
+    assert family.gramians.shape == (2, 2, 2) and family.gramians.dtype == np.float64
+    assert (family.mode_count, family.score_order) == (2, 2)
+    assert grams.flags.writeable and not family.gramians.flags.writeable
+    grams[0, 0, 0] = 9.0
+    assert family.gramians[0, 0, 0] == 1.0
+
+
+def test_closed_form_heat_gramians_solve_to_the_heat_table_weights():
+    # W_k = e_k e_k^T / (2 pi^2 k^2) are the heat equation's modal Gramians:
+    # a family of them, built with no dynamics, scores like the heat table.
+    modes = np.arange(1, 6)
+    grams = [np.outer(unit, unit) / (2 * np.pi**2 * k**2)
+             for unit, k in zip(np.eye(5), modes)]
+    family = cs.NodeGramianFamily(tuple(modes), grams)
+    got = cs.solve(cs.ObjectiveKind.AECS, family)
+    want = cs.solve(cs.ObjectiveKind.AECS, cs.heat_dirichlet_model(modes))
+    assert got.converged and got.uniqueness_certified
+    np.testing.assert_allclose(got.weights.values, want.weights.values, rtol=0, atol=1e-12)
 
 
 def test_check_stability_leaves_the_callers_matrix_writeable():
@@ -367,13 +391,3 @@ def test_check_stability_leaves_the_callers_matrix_writeable():
     assert not system.dynamics.flags.writeable
     a[0, 0] = 5.0
     assert system.dynamics[0, 0] == -1.0
-
-
-def test_gramian_family_leaves_the_callers_basis_writeable():
-    basis = np.eye(3)[:, ::-1].copy()
-    family = cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0, -3.0])),
-                               [1, 2], basis=basis)
-    assert basis.flags.writeable
-    assert not family.basis.flags.writeable
-    basis[:] = 0.0
-    assert family.basis[2, 0] == 1.0

@@ -44,9 +44,17 @@ def test_parse_heat():
     parsed = parse_model_text(HEAT_TEXT)
     assert parsed.kind == "heat_dirichlet"
     assert parsed.node_indices == (1, 2, 3, 4)
-    assert parsed.default_score_order() == 4
+    assert parsed.score_order == 4
     model = parsed.build()
     assert isinstance(model, cs.SpectralModel)
+    assert model.score_order == 4
+
+
+def test_heat_n_is_any_order_up_to_the_node_count():
+    for order in (1, 2, None):
+        line = "" if order is None else f"n {order}\n"
+        model = parse_model_text(HEAT_TEXT.replace("n 4\n", line)).build()
+        assert model.score_order == (4 if order is None else order)
 
 
 def test_parse_dense():
@@ -56,7 +64,7 @@ def test_parse_dense():
     assert not parsed.dynamics.flags.writeable
     family = parsed.build()
     assert isinstance(family, cs.NodeGramianFamily)
-    assert parsed.default_score_order() == 2
+    assert family.score_order == 2
 
 
 def test_parse_table_with_caps():
@@ -65,7 +73,15 @@ def test_parse_table_with_caps():
     assert parsed.score_order == 2
     model = parsed.build()
     assert model.mode_count == 3
-    np.testing.assert_allclose(parsed.caps_vector(), [0.8, 0.9])
+    assert model.score_order == 2
+
+
+def test_table_without_n_selects_min_of_rows_and_nodes():
+    parsed = parse_model_text(TABLE_TEXT.replace("n 2\n", ""))
+    assert parsed.score_order is None
+    assert parsed.build().score_order == 2
+    wide = "ctrlscore-model v1\nkind spectral_table\nnodes 1 2 3\ntable 2 3\n1 0 1\n0 1 1\n"
+    assert parse_model_text(wide).build().score_order == 2
 
 
 def test_round_trip():

@@ -14,4 +14,4 @@ def test_readme_library_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {})
-    assert out.getvalue().count("\n") == 2
+    assert out.getvalue().count("\n") == 3

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_commuting_family, random_diagonal_model, random_stable_matrix
+from conftest import (
+    eigenvector_family,
+    random_commuting_family,
+    random_diagonal_model,
+    random_stable_matrix,
+)
 from oracles import NotCommuting, spectral_model_from_gramians, top_eigenvalues
 
 import ctrlscore as cs
@@ -36,7 +41,15 @@ def test_empty_and_bad_index_sets():
     with pytest.raises(cs.BadIndexSet):
         cs.heat_dirichlet_model([2, 2])
     with pytest.raises(cs.IndexMismatch):
-        cs.heat_dirichlet_model([1, 2], score_order=1)
+        cs.heat_dirichlet_model([1, 2], score_order=3)
+    with pytest.raises(cs.IndexMismatch):
+        cs.heat_dirichlet_model([1, 2], score_order=0)
+
+
+def test_heat_score_order_is_any_table_order():
+    model = cs.heat_dirichlet_model([1, 2, 3], score_order=2)
+    assert model.score_order == 2
+    assert cs.heat_dirichlet_model([1, 2, 3]).score_order == 3
 
 
 def test_model_eigenvalues_heat_pair():
@@ -87,9 +100,7 @@ def test_commuting_for_selfadjoint_eigenvector_nodes(rng):
 def slow_commuting_family(rng, dim):
     """Commuting family whose Gramian norm products lie on both sides of 1."""
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    dynamics = (basis * -rng.uniform(0.1, 1.0, dim)) @ basis.T
-    return cs.gramian_family(cs.check_stability(dynamics), range(1, dim + 1),
-                             basis=basis)
+    return eigenvector_family(basis, -rng.uniform(0.1, 1.0, dim))
 
 
 @pytest.mark.parametrize("commuting", [False, True])
@@ -175,9 +186,7 @@ def test_joint_diagonalization_shared_eigenvectors():
     mix = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     first = mix @ np.diag([0.3, 0.1]) @ mix.T
     second = mix @ np.diag([0.2, 0.4]) @ mix.T
-    family = cs.NodeGramianFamily(
-        cs.check_stability(-np.eye(2)), (1, 2), (first, second)
-    )
+    family = cs.NodeGramianFamily((1, 2), (first, second))
     model = spectral_model_from_gramians(family, 2)
     rows = {tuple(np.round(row, 12)) for row in model.eigen_table}
     assert rows == {(0.3, 0.2), (0.1, 0.4)}
