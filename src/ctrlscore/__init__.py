@@ -15,7 +15,6 @@ checkers for the assumptions behind existence and uniqueness.
 """
 
 from .energy import (
-    EnergyQuery,
     ReachabilityEllipsoid,
     min_energy,
     reachable_ellipsoid,

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .energy import EnergyQuery, min_energy, reachable_ellipsoid
+from .energy import min_energy, reachable_ellipsoid
 from .errors import (
     BadIndexSet,
     CtrlscoreError,
@@ -41,7 +41,6 @@ from .errors import (
     TargetOutsideSpan,
     UnstableSystem,
 )
-from .linsys import resolve_score_order
 from .modelfile import ModelFile, parse_model_text
 from .optimizer import grid_oracle, grid_units, solve
 from .scores import ObjectiveKind, closed_form_optimum
@@ -201,16 +200,15 @@ def _cmd_score(args) -> int:
     kind = ObjectiveKind.from_string(args.kind)
     model_file, digest = _load(args.model)
     try:
-        model = model_file.build()
+        model = model_file.build(args.n)
     except UnstableSystem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    count = args.n if args.n is not None else model_file.score_order
     caps = model_file.caps
 
     exit_code = EXIT_OK
     try:
-        result = solve(kind, model, count, caps, seed=args.seed)
+        result = solve(kind, model, caps=caps, seed=args.seed)
     except Infeasible as exc:
         print(f"error: infeasible model: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -220,8 +218,8 @@ def _cmd_score(args) -> int:
         print(f"warning: {exc}", file=sys.stderr)
     grid_line = ""
     if args.grid_check is not None:  # an oracle failure fails before the report
-        grid_weights, grid_value = grid_oracle(kind, model, count,
-                                               step=args.grid_check, caps=caps)
+        grid_weights, grid_value = grid_oracle(kind, model, step=args.grid_check,
+                                               caps=caps)
         gap = result.objective - grid_value
         distance = float(np.max(np.abs(result.weights.values - grid_weights.values)))
         agree = result.objective <= grid_value + 1e-9 and distance <= args.grid_check
@@ -247,12 +245,11 @@ def _cmd_score(args) -> int:
 def _cmd_check(args) -> int:
     model_file, digest = _load(args.model)
     try:
-        model = model_file.build()
+        model = model_file.build(args.n)
     except UnstableSystem as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    count = args.n if args.n is not None else model_file.score_order
-    report = check_feasibility(model, count, model_file.caps)
+    report = check_feasibility(model, caps=model_file.caps)
     witness = (
         " ".join(f"{w:.6f}" for w in report.witness.values)
         if report.witness is not None
@@ -313,7 +310,7 @@ def _cmd_heat_demo(args) -> int:
 def _cmd_energy(args) -> int:
     model_file, _ = _load(args.model)
     try:
-        model = model_file.build()
+        model = model_file.build(args.n)
     except UnstableSystem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -325,11 +322,9 @@ def _cmd_energy(args) -> int:
     values = values / total
     weights = SimplexWeights(values, model_file.caps)
     target = _parse_float_list(args.target, "--target")
-    count = args.n if args.n is not None else model_file.score_order
-    rank = resolve_score_order(model, count)
     try:
-        energy_value = min_energy(model, weights, EnergyQuery(target, rank))
-        ellipsoid = reachable_ellipsoid(model, weights, rank)
+        energy_value = min_energy(model, weights, target)
+        ellipsoid = reachable_ellipsoid(model, weights)
     except TargetOutsideSpan as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TARGET

@@ -1,7 +1,8 @@
 """Minimum-energy control and reachable-ellipsoid diagnostics.
 
 These computations give the scores their operational meaning.  With
-``mu_1 >= ... >= mu_n > 0`` the top eigenvalues of the mixed Gramian and
+``mu_1 >= ... >= mu_n > 0`` the top eigenvalues of the mixed Gramian, ``n``
+the model's ``score_order``, and
 ``z_1, ..., z_n`` the matching eigenvectors:
 
 * the minimum input energy driving the origin to a target
@@ -28,23 +29,6 @@ from .errors import IndexMismatch, RankDeficient, SingularGramian, TargetOutside
 
 #: Relative tolerance for the target-in-span residual.
 SPAN_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class EnergyQuery:
-    """A minimum-energy question: target state and selection rank."""
-
-    target: np.ndarray
-    rank: int
-
-    def __post_init__(self):
-        target = np.asarray(self.target, dtype=float)
-        if target.ndim != 1 or not np.all(np.isfinite(target)):
-            raise IndexMismatch("target must be a finite 1-d vector")
-        if self.rank < 1:
-            raise IndexMismatch("rank must be >= 1")
-        target.flags.writeable = False
-        object.__setattr__(self, "target", target)
 
 
 @dataclass(frozen=True)
@@ -75,25 +59,30 @@ def unit_ball_log_volume(dim: int) -> float:
     return 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
 
 
-def min_energy(model, weights, query: EnergyQuery) -> float:
-    """Minimum input energy to reach ``query.target``.
+def min_energy(model, weights, target) -> float:
+    """Minimum input energy to reach the state ``target``.
 
-    The target must lie in the span of the top ``query.rank`` eigenvectors
-    (projection residual below ``SPAN_TOL * ||x_f||``) and those eigenvalues
-    must be positive.  The zero target costs zero energy.
+    The target must be a finite 1-d vector in the span of the top
+    ``model.score_order`` eigenvectors (projection residual below
+    ``SPAN_TOL * ||x_f||``) and those eigenvalues must be positive.  The zero
+    target costs zero energy.
 
     Raises
     ------
+    IndexMismatch
+        If the target is not a finite 1-d vector of the state dimension.
     SingularGramian
         If a selected eigenvalue is not positive.
     TargetOutsideSpan
         If the target sticks out of the selected span.
     """
-    target = np.asarray(query.target, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if target.ndim != 1 or not np.all(np.isfinite(target)):
+        raise IndexMismatch("target must be a finite 1-d vector")
     norm = float(np.linalg.norm(target))
     if norm == 0.0:
         return 0.0
-    pairs = model.eigenpairs(weights, query.rank)
+    pairs = model.eigenpairs(weights)
     mu, basis = pairs.values, model.state_basis(pairs)
     if target.size != basis.shape[0]:
         raise IndexMismatch(
@@ -101,21 +90,22 @@ def min_energy(model, weights, query: EnergyQuery) -> float:
         )
     if not pairs.positive:
         raise SingularGramian(
-            f"eigenvalue {query.rank} of the Gramian is not positive "
+            f"eigenvalue {model.score_order} of the Gramian is not positive "
             f"({mu[-1]:.3e})"
         )
     coeffs = basis.T @ target
     residual = float(np.linalg.norm(target - basis @ coeffs))
     if residual > SPAN_TOL * norm:
         raise TargetOutsideSpan(
-            f"target leaves the top-{query.rank} span "
+            f"target leaves the top-{model.score_order} span "
             f"(residual {residual:.3e} > {SPAN_TOL:g} * ||x_f||)"
         )
     return float(np.sum(coeffs**2 / mu))
 
 
-def reachable_ellipsoid(model, weights, count: int) -> ReachabilityEllipsoid:
-    """Ellipsoid section of the reachable set spanned by the top eigenmodes.
+def reachable_ellipsoid(model, weights) -> ReachabilityEllipsoid:
+    """Ellipsoid section of the reachable set spanned by the top
+    ``n = model.score_order`` eigenmodes.
 
     ``log_volume`` is ``log V_n + 0.5 * sum_k log mu_k``; the volumetric score
     objective equals ``-2 * (log_volume - log V_n)`` by construction.
@@ -123,15 +113,16 @@ def reachable_ellipsoid(model, weights, count: int) -> ReachabilityEllipsoid:
     Raises
     ------
     RankDeficient
-        If fewer than ``count`` eigenvalues are positive.
+        If fewer than ``n`` eigenvalues are positive.
     """
-    pairs = model.eigenpairs(weights, count)
+    n = model.score_order
+    pairs = model.eigenpairs(weights)
     if not pairs.positive:
         raise RankDeficient(
-            f"Gramian has fewer than {count} positive eigenvalues"
+            f"Gramian has fewer than {n} positive eigenvalues"
         )
     mu, basis = pairs.values, model.state_basis(pairs)
-    log_volume = unit_ball_log_volume(count) + 0.5 * float(np.log(mu).sum())
+    log_volume = unit_ball_log_volume(n) + 0.5 * float(np.log(mu).sum())
     semi_axes = np.sqrt(mu)
     semi_axes.flags.writeable = False
     mu = mu.copy()

@@ -15,20 +15,25 @@ vector ``p`` is ``W(p) = sum_i p_i W_i``.
 scipy is imported inside the functions that need it (the Schur factor and
 the triangular solve), so heat and table models never load it.
 
-A :class:`NodeGramianFamily` is its node labels and its (m, d, d) stack of
-Gramians, nothing more: :func:`gramian_family` builds one from a
-:class:`StableLTISystem`, and closed-form Gramians build one directly,
-without dynamics and without scipy.  It carries the eigen methods of
-``W(p)`` that :class:`~ctrlscore.spectral.SpectralModel` also has, with the
-same arguments: ``eigenpairs(weights, count)`` is the one decomposition of
-``W(p)`` at a single point (``eigh``), which the feasibility check, the
-objective and the energy diagnostics all read; ``eigenvalues`` is the batch
-path of the lattice oracle (``eigvalsh``); ``derivatives`` returns both
-derivatives, ``(rows, hessian)``, from one pass over the node Gramians per
-evaluation.  It forms ``W_i @ Z`` for a block of nodes at a time and takes
-from each product the derivative rows and, for the whole spectrum, the m x
-m Hessian, which ``hessian`` wraps.  :func:`resolve_score_order` is the one
-rule for how many eigenvalues a score selects.
+A :class:`NodeGramianFamily` is its node labels, its (m, d, d) stack of
+Gramians and its score order, nothing more: :func:`gramian_family` builds
+one from a :class:`StableLTISystem`, and closed-form Gramians build one
+directly, without dynamics and without scipy.  It carries the eigen methods
+of ``W(p)`` that :class:`~ctrlscore.spectral.SpectralModel` also has, with
+the same arguments: ``eigenpairs(weights)``, the top ``score_order``
+eigenpairs, is the one decomposition of ``W(p)`` at a single point
+(``eigh``), which the feasibility check, the objective and the energy
+diagnostics all read; ``eigenvalues`` is the batch path of the lattice
+oracle (``eigvalsh``); ``derivatives`` returns both derivatives, ``(rows,
+hessian)``, from one pass over the node Gramians per evaluation.  It forms
+``W_i @ Z`` for a block of nodes at a time and takes from each product the
+derivative rows and, for the whole spectrum, the m x m Hessian, which
+``hessian`` wraps.
+
+The score order ``n``, how many eigenvalues a score selects, is a field of
+the model and is set nowhere else: both model constructors check it with
+:func:`resolve_score_order`, and every other function reads
+``model.score_order``.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadIndexSet,
     EigenFailure,
     EmptyIndexSet,
     IndexMismatch,
@@ -64,9 +70,9 @@ def nth_positive(top):
     return top[..., -1] > POSITIVE_FLOOR * np.maximum(1.0, top[..., 0])
 
 
-def resolve_score_order(model, count=None) -> int:
-    """The number of eigenvalues a score selects on ``model``: ``count``, or
-    ``model.score_order`` when it is None.
+def resolve_score_order(model, order) -> int:
+    """``order`` as the number of eigenvalues a score selects on ``model``,
+    whose ``mode_count`` is already set; the model constructors call this.
 
     Raises
     ------
@@ -74,7 +80,6 @@ def resolve_score_order(model, count=None) -> int:
         Unless it is an integer (``operator.index``, so numpy integers pass
         and ``2.5`` does not) in ``1..model.mode_count``.
     """
-    order = model.score_order if count is None else count
     try:
         order = operator.index(order)
     except TypeError:
@@ -86,9 +91,9 @@ def resolve_score_order(model, count=None) -> int:
 
 @dataclass(frozen=True)
 class Eigenpairs:
-    """The ``count`` largest eigenvalues of one ``W(p)`` and their modes.
+    """The ``n`` largest eigenvalues of one ``W(p)`` and their modes.
 
-    ``values`` are descending.  ``following`` is eigenvalue ``count + 1``, or
+    ``values`` are descending.  ``following`` is eigenvalue ``n + 1``, or
     None when the selection is the whole spectrum.  A spectral model names
     its modes by the selected table rows (``selected``); a Gramian family by
     the eigenvectors (``vectors``, one column per eigenvalue).
@@ -106,7 +111,7 @@ class Eigenpairs:
 
     @property
     def near_degenerate(self) -> bool:
-        """A (near-)tie between eigenvalues ``count`` and ``count + 1``."""
+        """A (near-)tie between eigenvalues ``n`` and ``n + 1``."""
         last = self.values[-1]
         return (self.following is not None
                 and last - self.following <= DEGENERACY_GAP * max(abs(last), 1e-300))
@@ -171,24 +176,28 @@ def check_stability(a_matrix) -> StableLTISystem:
 
 @dataclass(frozen=True)
 class NodeGramianFamily:
-    """One controllability Gramian per node, and nothing else.
+    """One controllability Gramian per node, and the score order.
 
     ``node_indices`` are 1-based labels.  ``gramians`` is a read-only
     float64 copy of the input, shape (m, d, d): ``gramians[i]`` belongs to
-    node ``node_indices[i]``.  Each must be symmetric and positive
+    node ``node_indices[i]``.  Each must be finite, symmetric and positive
     semidefinite within tolerance; families built by :func:`gramian_family`
     additionally satisfy the Lyapunov residual bound.  No dynamics are kept,
     so a family can come from closed-form Gramians as well.
+    ``score_order`` is how many of the largest eigenvalues of ``W(p)`` the
+    scores select (``1 <= n <= d``); the whole spectrum, ``d``, when
+    omitted.
     """
 
     node_indices: tuple[int, ...]
     gramians: np.ndarray
+    score_order: int | None = None
 
     def __post_init__(self):
         if len(self.node_indices) == 0:
             raise EmptyIndexSet("node index set is empty")
         if len(set(self.node_indices)) != len(self.node_indices):
-            raise IndexMismatch("node indices must be distinct")
+            raise BadIndexSet("node indices must be distinct")
         arrays = [np.asarray(gram, dtype=float) for gram in self.gramians]
         if len(arrays) != len(self.node_indices):
             raise IndexMismatch("one Gramian per node index is required")
@@ -197,6 +206,10 @@ class NodeGramianFamily:
             if n == 0 or arr.shape != (n, n):
                 raise IndexMismatch(f"Gramian for node {idx} has shape {arr.shape}")
         stack = np.stack(arrays)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            node = self.node_indices[np.argmin(finite)]
+            raise EigenFailure(f"Gramian for node {node} is not finite")
         # The PSD test is one batched eigvalsh.  The norms stay per node:
         # batched, they cost two stack-sized temporaries and were slower.
         # The first failing node is reported, symmetry before PSD.
@@ -211,6 +224,8 @@ class NodeGramianFamily:
         stack.flags.writeable = False
         object.__setattr__(self, "gramians", stack)
         object.__setattr__(self, "node_indices", tuple(int(i) for i in self.node_indices))
+        order = self.mode_count if self.score_order is None else self.score_order
+        object.__setattr__(self, "score_order", resolve_score_order(self, order))
 
     @property
     def node_count(self) -> int:
@@ -220,28 +235,22 @@ class NodeGramianFamily:
     def mode_count(self) -> int:
         return self.gramians.shape[1]
 
-    @property
-    def score_order(self) -> int:
-        """Default number of selected eigenvalues: the whole spectrum."""
-        return self.gramians.shape[1]
-
     def eigenvalues(self, batch) -> np.ndarray:
         """All eigenvalues of ``W(p)`` for each row ``p`` of ``batch``,
         descending along the last axis."""
         mixed = np.einsum("bi,inm->bnm", np.asarray(batch, dtype=float), self.gramians)
         return np.linalg.eigvalsh(mixed)[:, ::-1]
 
-    def eigenpairs(self, weights, count: int) -> Eigenpairs:
-        """Top ``count`` eigenpairs of ``W(p)``; ``count`` is read by
-        :func:`resolve_score_order`.  ``vectors`` is a C-contiguous copy:
-        numpy's matmul is slower on the reversed-column view ``eigh``
-        leaves, and the products are the same to the bit."""
-        count = resolve_score_order(self, count)
+    def eigenpairs(self, weights) -> Eigenpairs:
+        """Top ``score_order`` eigenpairs of ``W(p)``.  ``vectors`` is a
+        C-contiguous copy: numpy's matmul is slower on the reversed-column
+        view ``eigh`` leaves, and the products are the same to the bit."""
+        n = self.score_order
         eigvals, eigvecs = np.linalg.eigh(assemble_gramian(self, weights))
         eigvals = eigvals[::-1]
-        following = float(eigvals[count]) if count < eigvals.size else None
-        vectors = np.ascontiguousarray(eigvecs[:, ::-1][:, :count])
-        return Eigenpairs(eigvals[:count], following, vectors=vectors)
+        following = float(eigvals[n]) if n < eigvals.size else None
+        vectors = np.ascontiguousarray(eigvecs[:, ::-1][:, :n])
+        return Eigenpairs(eigvals[:n], following, vectors=vectors)
 
     def state_basis(self, pairs: Eigenpairs) -> np.ndarray:
         """The selected eigenvectors as state-space columns."""
@@ -372,10 +381,13 @@ def node_gramian(system: StableLTISystem, node: int) -> np.ndarray:
     return gram
 
 
-def gramian_family(system: StableLTISystem, node_indices) -> NodeGramianFamily:
-    """The family of :func:`node_gramian` for every index in ``node_indices``."""
+def gramian_family(system: StableLTISystem, node_indices,
+                   score_order: int | None = None) -> NodeGramianFamily:
+    """The family of :func:`node_gramian` for every index in ``node_indices``,
+    scored on its top ``score_order`` eigenvalues (default: all)."""
     indices = tuple(int(i) for i in node_indices)
-    return NodeGramianFamily(indices, [node_gramian(system, i) for i in indices])
+    return NodeGramianFamily(indices, [node_gramian(system, i) for i in indices],
+                             score_order)
 
 
 def assemble_gramian(family: NodeGramianFamily, weights) -> np.ndarray:

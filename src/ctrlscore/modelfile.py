@@ -77,21 +77,23 @@ class ModelFile:
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
                         for name in ("dynamics", "table")))
 
-    def build(self) -> SpectralModel | NodeGramianFamily:
+    def build(self, score_order: int | None = None) -> SpectralModel | NodeGramianFamily:
         """Construct the solver-side model object.
 
-        A table or heat model gets the file's ``n`` as its score order (its
-        own default when there is none); a Gramian family's is always the
-        whole spectrum.  Stability of a ``dense_lti`` matrix is checked here
-        and :class:`~ctrlscore.errors.UnstableSystem` propagates to the
-        caller.
+        Its score order is ``score_order`` when given, else the file's
+        ``n``, else the model's own default; the model's constructor checks
+        it, so an order out of range raises
+        :class:`~ctrlscore.errors.IndexMismatch`.  Stability of a
+        ``dense_lti`` matrix is checked first and
+        :class:`~ctrlscore.errors.UnstableSystem` propagates to the caller.
         """
+        order = self.score_order if score_order is None else score_order
         if self.kind == "heat_dirichlet":
-            return heat_dirichlet_model(self.node_indices, self.score_order)
+            return heat_dirichlet_model(self.node_indices, order)
         if self.kind == "spectral_table":
-            return SpectralModel(self.node_indices, self.table, self.score_order)
+            return SpectralModel(self.node_indices, self.table, order)
         system = check_stability(self.dynamics)
-        return gramian_family(system, self.node_indices)
+        return gramian_family(system, self.node_indices, order)
 
 
 _TOKEN = re.compile(r"\S+")

@@ -286,8 +286,7 @@ def _starting_points(count: int, caps: np.ndarray, seed: int,
     return points
 
 
-def solve(kind: ObjectiveKind, model, count: int | None = None, caps=None,
-          seed: int = 0) -> ScoreResult:
+def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResult:
     """Minimize a score objective over the capped simplex.
 
     Parameters
@@ -295,10 +294,8 @@ def solve(kind: ObjectiveKind, model, count: int | None = None, caps=None,
     kind : ObjectiveKind
         Which score to compute.
     model : SpectralModel or NodeGramianFamily
-        The system under evaluation.
-    count : int, optional
-        Number of selected eigenvalues (defaults to the model's score order,
-        or the full dimension for matrix families).
+        The system under evaluation, scored on its top ``model.score_order``
+        eigenvalues.
     caps : array-like, optional
         Per-node upper bounds (defaults to all ones).
     seed : int, optional
@@ -315,12 +312,12 @@ def solve(kind: ObjectiveKind, model, count: int | None = None, caps=None,
         If multi-starts disagree on the optimal value by more than 1e-6.
         The merged result is attached to the exception.
     """
-    objective = _Objective(kind, model, count)
+    objective = _Objective(kind, model)
     caps_arr = validate_caps(caps, objective.node_count)
-    report = check_feasibility(model, objective.count, caps_arr)
+    report = check_feasibility(model, caps=caps_arr)
     if not report.feasible:
         raise Infeasible(
-            f"no feasible weights found: best mu_{objective.count} = "
+            f"no feasible weights found: best mu_{model.score_order} = "
             f"{report.nth_eigenvalue:.3e}"
         )
     certified = report.all_pass()
@@ -373,7 +370,7 @@ def solve(kind: ObjectiveKind, model, count: int | None = None, caps=None,
         converged=best.converged,
         warnings=tuple(warnings),
         start_objectives=tuple(float(t.value) for t in trajectories),
-        score_order=objective.count,
+        score_order=model.score_order,
     )
 
     values = [trajectories[i].value for i in candidate_idx]
@@ -429,8 +426,8 @@ def _lattice(units: int, cap_units: np.ndarray) -> np.ndarray:
     return rows
 
 
-def grid_oracle(kind: ObjectiveKind, model, count: int | None = None,
-                step: float = 0.01, caps=None) -> tuple[SimplexWeights, float]:
+def grid_oracle(kind: ObjectiveKind, model, *, step: float = 0.01,
+                caps=None) -> tuple[SimplexWeights, float]:
     """Exhaustive lattice minimization over the capped simplex.
 
     Enumerates every point of the lattice with spacing ``step`` inside the
@@ -444,7 +441,7 @@ def grid_oracle(kind: ObjectiveKind, model, count: int | None = None,
     TooLarge
         If the lattice holds more than :data:`GRID_BUDGET` points.
     """
-    objective = _Objective(kind, model, count)
+    objective = _Objective(kind, model)
     caps_arr = validate_caps(caps, objective.node_count)
     units = grid_units(step)
     cap_units = np.minimum(np.floor(caps_arr * units + 1e-9), units).astype(int)
@@ -456,8 +453,7 @@ def grid_oracle(kind: ObjectiveKind, model, count: int | None = None,
     return SimplexWeights(points[best], caps_arr.copy()), float(values[best])
 
 
-def kkt_residual(kind: ObjectiveKind, model, weights, count: int | None = None,
-                 caps=None) -> float:
+def kkt_residual(kind: ObjectiveKind, model, weights, *, caps=None) -> float:
     """The scale-free projected-gradient residual ``r(p)`` at a given
     feasible point (on ``grad f`` for VCS, ``grad g / g`` for AECS), the
     stationarity measure the solver stops on.
@@ -467,7 +463,7 @@ def kkt_residual(kind: ObjectiveKind, model, weights, count: int | None = None,
     InfeasiblePoint
         If the point leaves the capped simplex or the objective is infinite.
     """
-    objective = _Objective(kind, model, count)
+    objective = _Objective(kind, model)
     if isinstance(weights, SimplexWeights) and caps is None:
         caps = weights.caps
     caps_arr = validate_caps(caps, objective.node_count)

@@ -1,7 +1,7 @@
 """Score objectives: values, analytic gradients and Hessians, closed forms.
 
 Both scores act on the ``n`` largest eigenvalues ``mu_1 >= ... >= mu_n`` of
-the mixed Gramian ``W(p)``:
+the mixed Gramian ``W(p)``, with ``n`` the model's ``score_order``:
 
 * volumetric score objective:      f(p) = -log(mu_1 * ... * mu_n)
 * average-energy score objective:  g(p) = 1/mu_1 + ... + 1/mu_n
@@ -42,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapsBind, NotDiagonal
-from .linsys import Eigenpairs, nth_positive, resolve_score_order
+from .linsys import Eigenpairs, nth_positive
 from .simplex import SimplexWeights, validate_caps
 from .spectral import SpectralModel
 
@@ -103,14 +103,13 @@ class ObjectiveEvaluation:
 class _Objective:
     """Reusable evaluator of one score objective on one model."""
 
-    def __init__(self, kind: ObjectiveKind, model, count: int | None = None):
+    def __init__(self, kind: ObjectiveKind, model):
         self.score = SCORES[kind]
         self.model = model
-        self.count = resolve_score_order(model, count)
         self.node_count = model.node_count
 
     def __call__(self, weights) -> ObjectiveEvaluation:
-        return self.at(self.model.eigenpairs(weights, self.count))
+        return self.at(self.model.eigenpairs(weights))
 
     def at(self, pairs: Eigenpairs) -> ObjectiveEvaluation:
         """Value, gradient and Hessian callable from the selected eigenpairs,
@@ -136,29 +135,27 @@ class _Objective:
     def batch_values(self, batch: np.ndarray) -> np.ndarray:
         """Objective value at every row of ``batch`` (+inf where infeasible)."""
         batch = np.asarray(batch, dtype=float)
-        top = self.model.eigenvalues(batch)[:, : self.count]
+        top = self.model.eigenvalues(batch)[:, : self.model.score_order]
         feasible = nth_positive(top)
         out = np.full(batch.shape[0], math.inf)
         out[feasible] = self.score.phi(top[feasible]).sum(axis=1)
         return out
 
 
-def evaluate(kind: ObjectiveKind, model, weights,
-             count: int | None = None) -> ObjectiveEvaluation:
+def evaluate(kind: ObjectiveKind, model, weights) -> ObjectiveEvaluation:
     """Evaluate a score objective with derivatives at one weight vector.
 
-    ``model`` is a :class:`SpectralModel` or :class:`NodeGramianFamily`;
-    ``count`` overrides the number of selected eigenvalues (defaults to the
-    model's score order, or the full dimension for matrix families).  The
-    Hessian is exact for spectral models and, for matrix families, available
-    when the selection covers the whole spectrum, also where eigenvalues
-    ``n`` and ``n + 1`` (nearly) tie.  It comes from the divided
+    ``model`` is a :class:`SpectralModel` or :class:`NodeGramianFamily`,
+    scored on its top ``model.score_order`` eigenvalues.  The Hessian is
+    exact for spectral models and, for matrix families, available when the
+    selection covers the whole spectrum, also where eigenvalues ``n`` and
+    ``n + 1`` (nearly) tie.  It comes from the divided
     differences of ``phi'`` in :data:`SCORES`: ``1 / (mu_k mu_l)`` for VCS
     and ``(mu_k + mu_l) / (mu_k mu_l)^2`` for AECS.  It is built from the
     evaluation's ``curvature``, one ``matvec`` column per node, and is then
     symmetrized.
     """
-    evaluation = _Objective(kind, model, count)(weights)
+    evaluation = _Objective(kind, model)(weights)
     if evaluation.curvature is None:
         return evaluation
     matvec, _ = evaluation.curvature()

@@ -22,8 +22,9 @@ family of closed-form Gramians is checked like one from Lyapunov solves.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.  ``derivatives`` gives
 the rows and the Hessian, as a callable that builds a table's product only
-when it is called.  Every score order is read through
-:func:`~ctrlscore.linsys.resolve_score_order`; a table's default is
+when it is called.  The score order is a field of the model, checked by
+:func:`~ctrlscore.linsys.resolve_score_order` in the constructor and read
+by ``eigenpairs`` and every checker here; a table's default is
 ``min(K, m)``, and the heat model, an m x m diagonal table, takes any order
 in ``1..m``.
 """
@@ -101,14 +102,14 @@ class SpectralModel:
         values = np.asarray(batch, dtype=float) @ self.eigen_table.T
         return np.sort(values, axis=-1)[:, ::-1]
 
-    def eigenpairs(self, weights, count: int) -> Eigenpairs:
-        """Top ``count`` eigenvalues of ``W(p)`` and the table rows giving
-        them; ``count`` is read by :func:`~ctrlscore.linsys.resolve_score_order`."""
-        count = resolve_score_order(self, count)
+    def eigenpairs(self, weights) -> Eigenpairs:
+        """Top ``score_order`` eigenvalues of ``W(p)`` and the table rows
+        giving them."""
+        n = self.score_order
         values = self.eigen_table @ weight_vector(weights, self.node_count)
-        order = _select_rows(values, count + 1)
-        following = float(values[order[count]]) if count < order.size else None
-        selected = order[:count]
+        order = _select_rows(values, n + 1)
+        following = float(values[order[n]]) if n < order.size else None
+        selected = order[:n]
         return Eigenpairs(values[selected], following, selected=selected)
 
     def derivatives(self, pairs: Eigenpairs, divided):
@@ -210,19 +211,18 @@ def check_commuting(family) -> tuple[bool, float]:
     return worst <= CHECK_TOL, worst
 
 
-def check_n_spectrum(model, count: int | None = None) -> tuple[bool, float]:
-    """Whether every node Gramian vanishes outside one fixed n-mode span.
+def check_n_spectrum(model) -> tuple[bool, float]:
+    """Whether every node Gramian vanishes outside one fixed n-mode span,
+    for ``n = model.score_order``.
 
-    For a spectral model the candidate span is the ``count`` rows with the
+    For a spectral model the candidate span is the ``n`` rows with the
     largest row sums (ties to the lowest row index) and the residual is the
     largest table entry outside them.  For a matrix family the span is the
     top eigenspace of ``sum_i W_i`` and the residual is
     ``max_i ||W_i - Pi W_i Pi||_F / max(1, ||W_i||_F)`` for the orthogonal
-    projection ``Pi`` onto the span.  ``count`` is read by
-    :func:`~ctrlscore.linsys.resolve_score_order`, so an order outside
-    ``1..mode_count`` raises ``IndexMismatch``.
+    projection ``Pi`` onto the span.
     """
-    n = resolve_score_order(model, count)
+    n = model.score_order
     if n == model.mode_count:
         return True, 0.0
     if isinstance(model, SpectralModel):
@@ -265,8 +265,9 @@ def _witness_candidates(caps: np.ndarray):
             yield SimplexWeights(values, caps.copy())
 
 
-def check_feasibility(model, count: int | None = None, caps=None) -> AssumptionReport:
-    """Run all assumption checks and search for a feasibility witness.
+def check_feasibility(model, *, caps=None) -> AssumptionReport:
+    """Run all assumption checks on ``model`` at its score order and search
+    for a feasibility witness.
 
     Tries the central point of the capped simplex and then each greedy
     cap-saturating pattern, accepting the first weights with a strictly
@@ -276,13 +277,12 @@ def check_feasibility(model, count: int | None = None, caps=None) -> AssumptionR
     Infeasibility is reported, never raised.
     """
     m = model.node_count
-    n = resolve_score_order(model, count)
     caps_arr = validate_caps(caps, m)
 
     witness = None
     best_mu = -np.inf
     for candidate in _witness_candidates(caps_arr):
-        pairs = model.eigenpairs(candidate, n)
+        pairs = model.eigenpairs(candidate)
         mu_n = float(pairs.values[-1])
         if pairs.positive:
             witness, best_mu = candidate, mu_n
@@ -290,7 +290,7 @@ def check_feasibility(model, count: int | None = None, caps=None) -> AssumptionR
         best_mu = max(best_mu, mu_n)
 
     commuting, comm_residual = check_commuting(model)
-    n_spec, spec_residual = check_n_spectrum(model, n)
+    n_spec, spec_residual = check_n_spectrum(model)
     return AssumptionReport(
         feasible=witness is not None,
         witness=witness,
@@ -300,5 +300,5 @@ def check_feasibility(model, count: int | None = None, caps=None) -> AssumptionR
         n_spectrum=n_spec,
         n_spectrum_residual=spec_residual,
         node_count=m,
-        score_order=n,
+        score_order=model.score_order,
     )

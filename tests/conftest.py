@@ -57,6 +57,22 @@ def random_commuting_family(rng, dim: int) -> cs.NodeGramianFamily:
     return eigenvector_family(basis, -rng.uniform(0.5, 3.0, dim))
 
 
+#: A dense file of three decoupled states, Gramians diag(1/2, 1/4, 1/6),
+#: with its own ``n`` for ``build(score_order)`` to override.
+DENSE_DIAGONAL_FILE = ("ctrlscore-model v1\nkind dense_lti\nnodes 1 2 3\nn 1\n"
+                       "matrix 3\n-1 0 0\n0 -2 0\n0 0 -3\n")
+
+#: Every way to give a model its score order: ``order -> model``, each with
+#: three nodes and three modes, mode 1 the largest at equal weights.
+ORDER_BUILDERS = {
+    "heat": lambda order: cs.heat_dirichlet_model([1, 2, 3], order),
+    "table": lambda order: cs.SpectralModel((1, 2, 3), np.diag([3.0, 2.0, 1.0]), order),
+    "family": lambda order: cs.NodeGramianFamily(
+        (1, 2, 3), [np.diag(row) for row in np.diag([3.0, 2.0, 1.0])], score_order=order),
+    "dense_file": lambda order: cs.parse_model_text(DENSE_DIAGONAL_FILE).build(order),
+}
+
+
 def interior_point(rng, size: int, floor: float = 0.08) -> np.ndarray:
     """Random simplex point with every coordinate >= roughly ``floor``."""
     sample = rng.dirichlet(np.ones(size))

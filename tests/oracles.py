@@ -124,21 +124,21 @@ def node_hessian(family: NodeGramianFamily, pairs, divided) -> np.ndarray:
 # minimum energy
 # ---------------------------------------------------------------------------
 
-def average_min_energy_monte_carlo(model, weights, count: int,
-                                   num_samples: int = 100_000,
+def average_min_energy_monte_carlo(model, weights, num_samples: int = 100_000,
                                    seed: int = 0) -> tuple[float, float]:
     """Monte-Carlo mean (and standard error) of the minimum energy over
-    uniformly random unit-sphere targets in the top-``count`` span.
+    uniformly random unit-sphere targets in the top-``model.score_order``
+    span.
 
     The closed-form expectation is ``(1/n) * sum_k 1/mu_k``; this sampler
     exists to verify that identity independently.
     """
-    pairs = model.eigenpairs(weights, count)
+    pairs = model.eigenpairs(weights)
     if not pairs.positive:
         raise SingularGramian("selected eigenvalues must be positive")
     mu = pairs.values
     rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((num_samples, count))
+    normals = rng.standard_normal((num_samples, mu.size))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     energies = (normals**2 / mu).sum(axis=1)
     mean = float(energies.mean())

@@ -174,14 +174,14 @@ def test_criterion_7_energy_identities():
     model = cs.heat_dirichlet_model([1, 2, 3, 4])
     weights = [0.1, 0.2, 0.3, 0.4]
     mean, std_error = average_min_energy_monte_carlo(
-        model, weights, 4, num_samples=100_000, seed=2024
+        model, weights, num_samples=100_000, seed=2024
     )
-    mu = model.eigenpairs(weights, 4).values
+    mu = model.eigenpairs(weights).values
     expected = float(np.mean(1.0 / mu))
     sigma_gap = abs(mean - expected) / std_error
     assert sigma_gap <= 3.0
 
-    ellipsoid = cs.reachable_ellipsoid(model, weights, 4)
+    ellipsoid = cs.reachable_ellipsoid(model, weights)
     objective = cs.evaluate(ObjectiveKind.VCS, model, weights).value
     identity_gap = abs(
         -2.0 * (ellipsoid.log_volume - cs.unit_ball_log_volume(4)) - objective

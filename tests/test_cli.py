@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -481,19 +482,52 @@ def test_heat_and_table_requests_never_load_scipy(tmp_path):
     }
 
 
-def test_heat_n_flag_and_file_n_give_the_same_report(tmp_path, capsys):
-    # A heat model is a diagonal table: any n in 1..m, from the flag or the file.
-    flagged = write(tmp_path, "heat4.csm", HEAT4.replace("n 4\n", ""))
-    in_file = write(tmp_path, "heat4n2.csm", HEAT4.replace("n 4\n", "n 2\n"))
-    runs = []
-    for argv in ([flagged, "--n", "2"], [in_file]):
-        code = main(["score", *argv, "--kind", "vcs", "--format", "json-lines"])
+TABLE3 = """\
+ctrlscore-model v1
+kind spectral_table
+nodes 1 2 3
+table 3 3
+1 0.2 0
+0.1 1 0.3
+0 0.2 2
+"""
+
+#: Files without ``n``: (text, mode count, ``--p``, ``--target``).
+ORDER_FILES = {
+    "heat": (HEAT4.replace("n 4\n", ""), 4, "0.25,0.25,0.25,0.25", "1,0,0,0"),
+    "table": (TABLE3, 3, "0.3,0.3,0.4", "0,0,1"),
+    "dense": (DENSE5, 5, "0.2,0.2,0.2,0.2,0.2", "0,0,0,0,0"),
+}
+
+
+def _order_commands(path, weights, target):
+    return {"score": ["score", path, "--kind", "vcs", "--format", "json-lines"],
+            "check": ["check", path],
+            "energy": ["energy", path, "--p", weights, "--target", target]}
+
+
+@pytest.mark.parametrize("kind", ORDER_FILES)
+def test_n_flag_and_file_n_give_the_same_output(tmp_path, capsys, kind):
+    # The flag and the file both set the order through ModelFile.build, on
+    # every model kind; only the digest of the file differs.
+    text, modes, weights, target = ORDER_FILES[kind]
+    flagged = write(tmp_path, "flagged.csm", text)
+    in_file = write(tmp_path, "in_file.csm", text.replace("\nnodes", "\nn 2\nnodes"))
+    for command, argv in _order_commands(flagged, weights, target).items():
+        runs = []
+        for extra, path in ((["--n", "2"], flagged), ([], in_file)):
+            code = main([argv[0], path, *argv[2:], *extra])
+            captured = capsys.readouterr()
+            out = re.sub(r'"input_digest":"[0-9a-f]+",|digest [0-9a-f]+', "", captured.out)
+            runs.append((code, out, captured.err))
+        assert runs[0] == runs[1]
+        assert command != "score" or json.loads(runs[0][1])["score_order"] == 2
+        assert command != "check" or "n=2)" in runs[0][1]
+    for argv in _order_commands(flagged, weights, target).values():
+        assert main([*argv, "--n", "99"]) == 1
         captured = capsys.readouterr()
-        report = json.loads(captured.out)
-        del report["input_digest"]
-        runs.append((code, report, captured.err))
-    assert runs[0] == runs[1]
-    assert runs[0][1]["score_order"] == 2
+        assert (captured.out, captured.err) == (
+            "", f"error: score order 99 out of range 1..{modes}\n")
 
 
 def test_lyapunov_failure_exits_1(tmp_path, capsys, monkeypatch):

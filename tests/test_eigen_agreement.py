@@ -36,19 +36,19 @@ def _simplex_points(rng, count: int, size: int, floor: float,
     return points / points.sum(axis=1, keepdims=True)
 
 
-def _check_agreement(model, count: int, points: np.ndarray) -> None:
-    report = cs.check_feasibility(model, count)
+def _check_agreement(model, points: np.ndarray) -> None:
+    report = cs.check_feasibility(model)
     witness = (report.witness if report.feasible
                else cs.central_point(np.ones(model.node_count)))
-    pairs = model.eigenpairs(witness, count)
+    pairs = model.eigenpairs(witness)
     assert report.feasible == pairs.positive and (
         not report.feasible or report.nth_eigenvalue == pairs.values[-1])
     for kind in KINDS:
-        objective = _Objective(kind, model, count)
+        objective = _Objective(kind, model)
         batch = objective.batch_values(points)
         for j, point in enumerate(points):
             single = objective(point)
-            pairs = model.eigenpairs(point, count)
+            pairs = model.eigenpairs(point)
             mu_n, mu_1 = pairs.values[-1], pairs.values[0]
             if 0.0 < mu_n <= 1e-6 * max(1.0, mu_1):
                 continue  # at the positivity floor either side may win
@@ -56,7 +56,7 @@ def _check_agreement(model, count: int, points: np.ndarray) -> None:
             if not single.feasible:
                 continue
             assert batch[j] == pytest.approx(single.value, rel=1e-12, abs=1e-12)
-            ellipsoid = cs.reachable_ellipsoid(model, point, count)
+            ellipsoid = cs.reachable_ellipsoid(model, point)
             np.testing.assert_array_equal(ellipsoid.axis_eigenvalues, pairs.values)
 
 
@@ -69,9 +69,9 @@ def test_table_paths_agree(full, modes, nodes, seed):
     rng = np.random.default_rng(seed)
     table = rng.uniform(0.05, 3.0, (modes, nodes))
     table[rng.random((modes, nodes)) < 0.4] = 0.0
-    model = cs.SpectralModel(tuple(range(1, nodes + 1)), table, 1)
     count = modes if full else int(rng.integers(1, modes))
-    _check_agreement(model, count, _simplex_points(rng, 12, nodes, 0.0, True))
+    model = cs.SpectralModel(tuple(range(1, nodes + 1)), table, count)
+    _check_agreement(model, _simplex_points(rng, 12, nodes, 0.0, True))
 
 
 @pytest.mark.parametrize("full", [False, True], ids=["count<K", "count=K"])
@@ -80,9 +80,9 @@ def test_table_paths_agree(full, modes, nodes, seed):
 def test_dense_paths_agree(full, dim, seed):
     rng = np.random.default_rng(seed)
     system = cs.check_stability(random_stable_matrix(rng, dim, margin=1.0))
-    family = cs.gramian_family(system, range(1, dim + 1))
     count = dim if full else int(rng.integers(1, dim))
+    family = cs.gramian_family(system, range(1, dim + 1), count)
     points = _simplex_points(rng, 12, dim, 0.05, False)
-    spread = [family.eigenpairs(p, count).values for p in points]
+    spread = [family.eigenpairs(p).values for p in points]
     points = points[[mu[0] <= 1e3 * mu[-1] for mu in spread]]
-    _check_agreement(family, count, points)
+    _check_agreement(family, points)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -166,7 +168,8 @@ def test_default_tol_constant():
 def rotated_family(family, basis) -> cs.NodeGramianFamily:
     """The family ``B W_i B^T``: for the system ``B A B^T``, node i entering
     along column i of the orthogonal ``B``."""
-    return cs.NodeGramianFamily(family.node_indices, basis @ family.gramians @ basis.T)
+    return cs.NodeGramianFamily(family.node_indices, basis @ family.gramians @ basis.T,
+                                family.score_order)
 
 
 @pytest.mark.parametrize("full", [False, True], ids=["count<K", "count=K"])
@@ -183,7 +186,8 @@ def test_derivative_rows_match_explicit_quadratic_forms(full, dim, subset, rotat
     if rotated:
         family = rotated_family(family, np.linalg.qr(rng.standard_normal((dim, dim)))[0])
     count = dim if full or dim == 1 else int(rng.integers(1, dim))
-    pairs = family.eigenpairs(rng.dirichlet(np.ones(family.node_count)), count)
+    family = dataclasses.replace(family, score_order=count)
+    pairs = family.eigenpairs(rng.dirichlet(np.ones(family.node_count)))
     rows = family.derivatives(pairs, SCORES[cs.ObjectiveKind.VCS].divided)[0]
     z = pairs.vectors
     want = np.array([[z[:, k] @ gram @ z[:, k] for gram in family.gramians]
@@ -200,10 +204,10 @@ def test_derivative_rows_match_finite_differences(rng):
     # d = 12 system with five of its nodes and a rotated basis.
     system = cs.check_stability(random_stable_matrix(rng, 12))
     basis = np.linalg.qr(rng.standard_normal((12, 12)))[0]
-    family = rotated_family(cs.gramian_family(system, [2, 3, 5, 8, 11]), basis)
     count, step = 6, 1e-6
+    family = rotated_family(cs.gramian_family(system, [2, 3, 5, 8, 11], count), basis)
     point = interior_point(rng, family.node_count)
-    pairs = family.eigenpairs(point, count)
+    pairs = family.eigenpairs(point)
     # Simple eigenvalues, also at the selection edge, so mu_k is smooth here.
     assert np.all(-np.diff(np.append(pairs.values, pairs.following))
                   > 1e-6 * pairs.values[0])
@@ -211,8 +215,8 @@ def test_derivative_rows_match_finite_differences(rng):
     for i in range(family.node_count):
         bump = np.zeros(family.node_count)
         bump[i] = step
-        fd[:, i] = (family.eigenpairs(point + bump, count).values
-                    - family.eigenpairs(point - bump, count).values) / (2 * step)
+        fd[:, i] = (family.eigenpairs(point + bump).values
+                    - family.eigenpairs(point - bump).values) / (2 * step)
     got = family.derivatives(pairs, SCORES[cs.ObjectiveKind.VCS].divided)[0]
     assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(got)
 
@@ -222,11 +226,12 @@ def test_blocked_pass_matches_the_node_by_node_build_to_the_bit(rng, nodes):
     # Node counts below, on and across the edges of the 8-node blocks, each
     # on a system with one state per node: the full selection and, past one
     # node, a partial one.
-    family = random_stable_family(rng, nodes)
+    whole = random_stable_family(rng, nodes)
     point = interior_point(rng, nodes, floor=0.5 / nodes)
     divided = SCORES[cs.ObjectiveKind.AECS].divided
     for count in sorted({max(nodes // 2, 1), nodes}):
-        pairs = family.eigenpairs(point, count)
+        family = dataclasses.replace(whole, score_order=count)
+        pairs = family.eigenpairs(point)
         assert pairs.positive and pairs.vectors.flags.c_contiguous
         want = node_quadratic_rows(pairs.vectors, family.gramians)
         rows, hessian = family.derivatives(pairs, divided)
@@ -254,7 +259,7 @@ def test_no_hessian_where_an_eigenvalue_is_not_positive():
         core[block, block] = -np.eye(3) + np.triu(rng.standard_normal((3, 3)), 1)
     basis = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     family = rotated_family(cs.gramian_family(cs.check_stability(core), [1, 2]), basis)
-    pairs = family.eigenpairs([0.5, 0.5], 6)
+    pairs = family.eigenpairs([0.5, 0.5])
     assert not pairs.positive and pairs.following is None
     for score in SCORES.values():
         with warnings.catch_warnings():
@@ -350,6 +355,20 @@ def test_family_validation_names_the_first_failing_node():
         cs.NodeGramianFamily((1, 2, 3), (good, skew, negative))
     with pytest.raises(cs.EigenFailure, match="Gramian for node 2 is not PSD"):
         cs.NodeGramianFamily((1, 2, 3), (good, negative, skew))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_family_rejects_a_gramian_that_is_not_finite(bad):
+    # Checked before symmetry, so no norm of a non-finite matrix is taken
+    # and no RuntimeWarning is emitted on the way to the error.
+    gram = np.eye(2)
+    gram[0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cs.EigenFailure, match="^Gramian for node 1 is not finite$"):
+            cs.NodeGramianFamily((1, 2), (gram, np.eye(2)))
+        with pytest.raises(cs.EigenFailure, match="^Gramian for node 7 is not finite$"):
+            cs.NodeGramianFamily((3, 7), (np.eye(2), gram.T))
 
 
 def test_family_rejects_gramians_that_are_not_square_or_of_one_shape():

@@ -84,6 +84,18 @@ def test_table_without_n_selects_min_of_rows_and_nodes():
     assert parse_model_text(wide).build().score_order == 2
 
 
+@pytest.mark.parametrize("text", [HEAT_TEXT, DENSE_TEXT.replace("matrix", "n 2\nmatrix"),
+                                  TABLE_TEXT], ids=["heat", "dense", "table"])
+def test_build_takes_the_given_order_over_the_files_n(text):
+    # The file's n reaches every kind, a dense family included; an order
+    # given to build replaces it, and the model checks either one.
+    parsed = parse_model_text(text)
+    assert parsed.build().score_order == parsed.score_order
+    assert parsed.build(1).score_order == 1
+    with pytest.raises(cs.IndexMismatch, match="score order 0 out of range"):
+        parsed.build(0)
+
+
 def test_round_trip():
     for text in (HEAT_TEXT, DENSE_TEXT, TABLE_TEXT):
         parsed = parse_model_text(text)

@@ -48,7 +48,7 @@ def test_solve_separable_vcs_uniform():
     family = cs.gramian_family(
         cs.check_stability(np.diag([-1.0, -2.0, -3.0])), [1, 2, 3]
     )
-    result = cs.solve(ObjectiveKind.VCS, family, 3)
+    result = cs.solve(ObjectiveKind.VCS, family)
     np.testing.assert_allclose(result.weights.values, 1.0 / 3.0, atol=1e-6)
 
 
@@ -262,10 +262,10 @@ def test_solver_follows_a_crossing_selection():
     # row at the optimum [0, 1], where the rows tie and row 0 is selected.
     crossing = cs.SpectralModel((1, 2), np.array([[0.0, 1.0], [0.5, 1.0]]), 1)
     start = central_point(np.ones(2))
-    assert list(crossing.eigenpairs(start, 1).selected) == [1]
+    assert list(crossing.eigenpairs(start).selected) == [1]
     for kind in (ObjectiveKind.VCS, ObjectiveKind.AECS):
         result = cs.solve(kind, crossing)
-        assert list(crossing.eigenpairs(result.weights, 1).selected) == [0]
+        assert list(crossing.eigenpairs(result.weights).selected) == [0]
         assert result.converged
         best, best_value = cs.grid_oracle(kind, crossing, step=0.05)
         np.testing.assert_allclose(result.weights.values, best.values, atol=1e-9)

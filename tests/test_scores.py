@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ORDER_BUILDERS,
     central_gradient,
     central_hessian,
     interior_point,
@@ -54,15 +56,15 @@ def test_near_degenerate_flagged():
     assert got.near_degenerate
 
 
-def _fd_check(kind, model, count, points, grad_rtol=1e-5, hess_rtol=1e-4):
+def _fd_check(kind, model, points, grad_rtol=1e-5, hess_rtol=1e-4):
     for point in points:
-        got = cs.evaluate(kind, model, point, count)
+        got = cs.evaluate(kind, model, point)
 
-        def value_at(x, _kind=kind, _model=model, _count=count):
-            return cs.evaluate(_kind, _model, x, _count).value
+        def value_at(x, _kind=kind, _model=model):
+            return cs.evaluate(_kind, _model, x).value
 
-        def grad_at(x, _kind=kind, _model=model, _count=count):
-            return cs.evaluate(_kind, _model, x, _count).gradient
+        def grad_at(x, _kind=kind, _model=model):
+            return cs.evaluate(_kind, _model, x).gradient
 
         fd_grad = central_gradient(value_at, np.asarray(point, dtype=float))
         scale = np.linalg.norm(got.gradient)
@@ -81,20 +83,20 @@ def test_gradients_and_hessians_match_finite_differences(rng):
     diag_points = [interior_point(rng, 4) for _ in range(5)]
     fam_points = [interior_point(rng, 3) for _ in range(5)]
     for kind in (ObjectiveKind.VCS, ObjectiveKind.AECS):
-        _fd_check(kind, diag_model, 4, diag_points)
-        _fd_check(kind, family, 3, fam_points)
+        _fd_check(kind, diag_model, diag_points)
+        _fd_check(kind, family, fam_points)
 
 
 def test_matrix_gradient_with_partial_selection(rng):
-    family = random_stable_family(rng, 4)
+    family = dataclasses.replace(random_stable_family(rng, 4), score_order=2)
     point = interior_point(rng, 4)
     for kind in (ObjectiveKind.VCS, ObjectiveKind.AECS):
-        got = cs.evaluate(kind, family, point, 2)
+        got = cs.evaluate(kind, family, point)
         if got.near_degenerate:
             pytest.skip("random system produced a degenerate gap")
 
         def value_at(x, _kind=kind):
-            return cs.evaluate(_kind, family, x, 2).value
+            return cs.evaluate(_kind, family, x).value
 
         fd = central_gradient(value_at, point)
         assert np.linalg.norm(got.gradient - fd) <= 1e-5 * np.linalg.norm(fd)
@@ -125,11 +127,11 @@ def test_full_spectrum_reduction_identities(rng):
     for _ in range(5):
         point = interior_point(rng, 3)
         mixed = cs.assemble_gramian(family, point)
-        vcs = cs.evaluate(ObjectiveKind.VCS, family, point, 3).value
+        vcs = cs.evaluate(ObjectiveKind.VCS, family, point).value
         sign, logdet = np.linalg.slogdet(mixed)
         assert sign > 0
         assert vcs == pytest.approx(-logdet, rel=1e-8)
-        aecs = cs.evaluate(ObjectiveKind.AECS, family, point, 3).value
+        aecs = cs.evaluate(ObjectiveKind.AECS, family, point).value
         assert aecs == pytest.approx(np.trace(np.linalg.inv(mixed)), rel=1e-8)
 
 
@@ -137,14 +139,14 @@ def test_aecs_value_decreases_when_selected_eigenvalue_grows(rng):
     model = random_diagonal_model(rng, 3)
     point = interior_point(rng, 3)
     base = cs.evaluate(ObjectiveKind.AECS, model, point)
-    selected = model.eigenpairs(point, 3).selected
+    selected = model.eigenpairs(point).selected
     bumped_table = model.eigen_table.copy()
     row = selected[0]
     col = int(np.argmax(bumped_table[row]))
     bumped_table[row, col] *= 1.05
     bumped = cs.SpectralModel(model.node_indices, bumped_table, 3)
     after = cs.evaluate(ObjectiveKind.AECS, bumped, point)
-    if np.array_equal(bumped.eigenpairs(point, 3).selected, selected):
+    if np.array_equal(bumped.eigenpairs(point).selected, selected):
         assert after.value <= base.value
 
 
@@ -217,26 +219,24 @@ def test_derivatives_hessian_matches_the_reference(rng):
     # formulas, and evaluate's matrix (built from the product) against the
     # same reference.
     table = rng.uniform(0.1, 2.0, (5, 4))
-    cases = [(cs.SpectralModel((1, 2, 3, 4), table, 3), 3),
-             (random_stable_family(rng, 4), 4)]
-    for model, count in cases:
+    for model in (cs.SpectralModel((1, 2, 3, 4), table, 3), random_stable_family(rng, 4)):
         for kind in (ObjectiveKind.VCS, ObjectiveKind.AECS):
             point = interior_point(rng, 4)
-            pairs = model.eigenpairs(point, count)
-            matvec, diagonal = _Objective(kind, model, count)(point).curvature()
+            pairs = model.eigenpairs(point)
+            matvec, diagonal = _Objective(kind, model)(point).curvature()
             hess = reference_hessian(model, pairs, SCORES[kind].divided)
             for v in rng.standard_normal((2, 4)):
                 np.testing.assert_allclose(matvec(v), hess @ v, rtol=1e-10,
                                            atol=1e-12 * np.abs(hess).max())
             np.testing.assert_allclose(diagonal, np.diag(hess), rtol=1e-12)
-            np.testing.assert_allclose(cs.evaluate(kind, model, point, count).hessian,
+            np.testing.assert_allclose(cs.evaluate(kind, model, point).hessian,
                                        hess, rtol=1e-10,
                                        atol=1e-12 * np.abs(hess).max())
 
 
 def test_no_hessian_for_a_partial_family_selection(rng):
-    family = random_stable_family(rng, 4)
-    objective = _Objective(ObjectiveKind.AECS, family, 2)
+    family = dataclasses.replace(random_stable_family(rng, 4), score_order=2)
+    objective = _Objective(ObjectiveKind.AECS, family)
     assert objective(interior_point(rng, 4)).curvature is None
 
 
@@ -291,26 +291,37 @@ def test_evaluate_gives_a_hessian_at_a_near_degenerate_point():
     np.testing.assert_array_equal(got.hessian, [[16.0, 0.0], [0.0, 0.0]])
 
 
-@pytest.mark.parametrize("order", [2.5, 3.9, 0, -1, np.int64(2)])
-def test_one_score_order_rule(order):
-    # Every entry point resolves the order the same way: an integer in
-    # 1..mode_count (numpy integers included), never a truncated float.
-    table = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-    model = cs.SpectralModel((1, 2), table, 2)
-    if isinstance(order, np.integer):
-        assert type(cs.SpectralModel((1, 2), table, order).score_order) is int
-        assert cs.check_feasibility(model, order).score_order == 2
-        assert cs.check_n_spectrum(model, order) == (True, 0.0)
-        assert cs.solve(ObjectiveKind.VCS, model, order).score_order == 2
-        assert cs.kkt_residual(ObjectiveKind.VCS, model, [0.5, 0.5], order) <= 1e-9
-        return
-    entry_points = [
-        lambda: cs.SpectralModel((1, 2), table, order),
-        lambda: cs.check_feasibility(model, order),
-        lambda: cs.check_n_spectrum(model, order),
-        lambda: cs.solve(ObjectiveKind.VCS, model, order),
-        lambda: cs.kkt_residual(ObjectiveKind.VCS, model, [0.5, 0.5], order),
-    ]
-    for call in entry_points:
+@pytest.mark.parametrize("order", [2.5, 3.9, 0, -1, 4, np.int64(2)])
+@pytest.mark.parametrize("builder", ORDER_BUILDERS)
+def test_one_score_order_rule(builder, order):
+    # The order is set only where a model is made, and every way of making
+    # one reads it the same way: an integer in 1..mode_count (numpy integers
+    # included), never a truncated float.  Everything else reads the field.
+    if not isinstance(order, np.integer):
         with pytest.raises(cs.IndexMismatch, match="score order"):
+            ORDER_BUILDERS[builder](order)
+        return
+    model = ORDER_BUILDERS[builder](order)
+    point = [0.5, 0.3, 0.2]
+    assert type(model.score_order) is int and model.score_order == 2
+    assert cs.check_feasibility(model).score_order == 2
+    mu = model.eigenpairs(point).values
+    assert mu.size == 2
+    assert cs.evaluate(ObjectiveKind.VCS, model, point).value == -np.log(mu).sum()
+    assert cs.reachable_ellipsoid(model, point).semi_axes.size == 2
+
+
+def test_a_stale_positional_count_is_a_type_error():
+    # caps and seed are keyword-only, so an order passed where a count used
+    # to go cannot be read as caps.
+    model = cs.heat_dirichlet_model([1, 2, 3])
+    for call in (lambda: cs.solve(ObjectiveKind.VCS, model, 3),
+                 lambda: cs.grid_oracle(ObjectiveKind.VCS, model, 3),
+                 lambda: cs.kkt_residual(ObjectiveKind.VCS, model, [0.5, 0.3, 0.2], 3),
+                 lambda: cs.check_feasibility(model, 3),
+                 lambda: cs.evaluate(ObjectiveKind.VCS, model, [0.5, 0.3, 0.2], 3),
+                 lambda: cs.check_n_spectrum(model, 3),
+                 lambda: model.eigenpairs([0.5, 0.3, 0.2], 3),
+                 lambda: cs.reachable_ellipsoid(model, [0.5, 0.3, 0.2], 3)):
+        with pytest.raises(TypeError):
             call()

@@ -46,6 +46,16 @@ def test_empty_and_bad_index_sets():
         cs.heat_dirichlet_model([1, 2], score_order=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda nodes: cs.SpectralModel(nodes, np.eye(3)),
+    lambda nodes: cs.heat_dirichlet_model(nodes),
+    lambda nodes: cs.NodeGramianFamily(nodes, np.stack([np.eye(2)] * 3)),
+], ids=["table", "heat", "family"])
+def test_repeated_node_labels_are_a_bad_index_set(make):
+    with pytest.raises(cs.BadIndexSet, match="must be distinct"):
+        make((1, 2, 1))
+
+
 def test_heat_score_order_is_any_table_order():
     model = cs.heat_dirichlet_model([1, 2, 3], score_order=2)
     assert model.score_order == 2
@@ -54,10 +64,10 @@ def test_heat_score_order_is_any_table_order():
 
 def test_model_eigenvalues_heat_pair():
     model = cs.heat_dirichlet_model([1, 2])
-    got = model.eigenpairs([0.5, 0.5], 2).values
+    got = model.eigenpairs([0.5, 0.5]).values
     np.testing.assert_allclose(got, [0.025330295910584444, 0.006332573977646111],
                                rtol=1e-12)
-    got = model.eigenpairs([1.0, 0.0], 2).values
+    got = model.eigenpairs([1.0, 0.0]).values
     np.testing.assert_allclose(got, [1.0 / TWO_PI_SQ, 0.0], rtol=1e-15)
 
 
@@ -126,10 +136,9 @@ def test_check_commuting_matches_the_pairwise_formula_to_the_bit(rng, commuting)
 
 
 def test_n_spectrum_heat_full_and_reduced():
-    model = cs.heat_dirichlet_model([1, 2, 3])
-    ok, residual = cs.check_n_spectrum(model, 3)
+    ok, residual = cs.check_n_spectrum(cs.heat_dirichlet_model([1, 2, 3]))
     assert ok and residual == 0.0
-    ok, residual = cs.check_n_spectrum(model, 2)
+    ok, residual = cs.check_n_spectrum(cs.heat_dirichlet_model([1, 2, 3], 2))
     assert not ok
     assert residual == pytest.approx(1.0 / (9.0 * TWO_PI_SQ), rel=1e-12)
 
@@ -138,7 +147,7 @@ def test_n_spectrum_excess_rows_fixture():
     # Two selected rows, a third row whose largest entry is the residual.
     table = np.array([[1.0, 0.2], [0.1, 0.9], [0.03, 0.01]])
     model = cs.SpectralModel((1, 2), table, 2)
-    ok, residual = cs.check_n_spectrum(model, 2)
+    ok, residual = cs.check_n_spectrum(model)
     assert not ok
     assert residual == pytest.approx(0.03)
 
