@@ -38,7 +38,6 @@ from .errors import (
     NotDiagonal,
     ParseError,
     RankDeficient,
-    SingularGramian,
     TargetOutsideSpan,
     TooLarge,
     UnstableSystem,

@@ -36,11 +36,11 @@ from .errors import (
     Infeasible,
     NonConvexAmbiguous,
     ParseError,
-    SingularGramian,
     RankDeficient,
     TargetOutsideSpan,
     UnstableSystem,
 )
+from .linsys import node_labels
 from .modelfile import ModelFile, parse_model_text
 from .optimizer import grid_oracle, grid_units, solve
 from .scores import ObjectiveKind, closed_form_optimum
@@ -275,14 +275,9 @@ def _parse_demo_rows(text: str) -> list[tuple[int, ...]]:
         if not chunk:
             continue
         try:
-            indices = tuple(int(tok) for tok in chunk.split(","))
-        except ValueError:
-            raise BadIndexSet(f"bad index set {chunk!r}")
-        if not indices or any(i < 1 for i in indices):
-            raise BadIndexSet(f"bad index set {chunk!r}: indices must be >= 1")
-        if len(set(indices)) != len(indices):
-            raise BadIndexSet(f"bad index set {chunk!r}: repeated index")
-        sets.append(indices)
+            sets.append(node_labels([int(tok) for tok in chunk.split(",")]))
+        except ValueError as exc:
+            raise BadIndexSet(f"bad index set {chunk!r}: {exc}") from None
     if not sets:
         raise BadIndexSet("no index sets given")
     return sets
@@ -328,7 +323,7 @@ def _cmd_energy(args) -> int:
     except TargetOutsideSpan as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TARGET
-    except (SingularGramian, RankDeficient) as exc:
+    except RankDeficient as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     sys.stdout.write(

@@ -15,7 +15,10 @@ the model's ``score_order``, and
 
 Eigenpairs and their state-space basis come from the model's methods
 (``eigenpairs`` and ``state_basis``), so the same code serves dense Gramian
-families and eigenvalue tables.  This module loads no scipy.
+families and eigenvalue tables.  :func:`min_energy` is the one energy
+formula: whether a target lies in the ellipsoid is ``min_energy(...) <= 1``.
+Both functions raise :class:`~ctrlscore.errors.RankDeficient` when a
+selected eigenvalue fails the positive floor.  This module loads no scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexMismatch, RankDeficient, SingularGramian, TargetOutsideSpan
+from .errors import IndexMismatch, RankDeficient, TargetOutsideSpan
 
 #: Relative tolerance for the target-in-span residual.
 SPAN_TOL = 1e-8
@@ -33,25 +36,12 @@ SPAN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReachabilityEllipsoid:
-    """Top-n section of the unit-energy reachable set.
-
-    ``axis_eigenvalues`` are the selected Gramian eigenvalues (the squared
-    semi-axes, kept so membership uses the exact same arithmetic as
-    :func:`min_energy`).
-    """
+    """Top-n section of the unit-energy reachable set: semi-axes
+    ``sqrt(mu_k)`` along the columns of ``axis_directions``."""
 
     semi_axes: np.ndarray
     axis_directions: np.ndarray
     log_volume: float
-    axis_eigenvalues: np.ndarray
-
-    def energy(self, target) -> float:
-        """``sum_k <x, z_k>^2 / mu_k`` -- the membership quadratic form."""
-        coeffs = self.axis_directions.T @ np.asarray(target, dtype=float)
-        return float(np.sum(coeffs**2 / self.axis_eigenvalues))
-
-    def contains(self, target) -> bool:
-        return self.energy(target) <= 1.0
 
 
 def unit_ball_log_volume(dim: int) -> float:
@@ -65,13 +55,13 @@ def min_energy(model, weights, target) -> float:
     The target must be a finite 1-d vector in the span of the top
     ``model.score_order`` eigenvectors (projection residual below
     ``SPAN_TOL * ||x_f||``) and those eigenvalues must be positive.  The zero
-    target costs zero energy.
+    target of the right length costs zero energy, whatever the eigenvalues.
 
     Raises
     ------
     IndexMismatch
         If the target is not a finite 1-d vector of the state dimension.
-    SingularGramian
+    RankDeficient
         If a selected eigenvalue is not positive.
     TargetOutsideSpan
         If the target sticks out of the selected span.
@@ -79,17 +69,17 @@ def min_energy(model, weights, target) -> float:
     target = np.asarray(target, dtype=float)
     if target.ndim != 1 or not np.all(np.isfinite(target)):
         raise IndexMismatch("target must be a finite 1-d vector")
-    norm = float(np.linalg.norm(target))
-    if norm == 0.0:
-        return 0.0
     pairs = model.eigenpairs(weights)
     mu, basis = pairs.values, model.state_basis(pairs)
     if target.size != basis.shape[0]:
         raise IndexMismatch(
             f"target has dimension {target.size}, state space has {basis.shape[0]}"
         )
+    norm = float(np.linalg.norm(target))
+    if norm == 0.0:
+        return 0.0
     if not pairs.positive:
-        raise SingularGramian(
+        raise RankDeficient(
             f"eigenvalue {model.score_order} of the Gramian is not positive "
             f"({mu[-1]:.3e})"
         )
@@ -125,6 +115,4 @@ def reachable_ellipsoid(model, weights) -> ReachabilityEllipsoid:
     log_volume = unit_ball_log_volume(n) + 0.5 * float(np.log(mu).sum())
     semi_axes = np.sqrt(mu)
     semi_axes.flags.writeable = False
-    mu = mu.copy()
-    mu.flags.writeable = False
-    return ReachabilityEllipsoid(semi_axes, basis, log_volume, mu)
+    return ReachabilityEllipsoid(semi_axes, basis, log_volume)

@@ -88,12 +88,9 @@ class TargetOutsideSpan(CtrlscoreError):
     """Target state is not in the span of the selected eigenvectors."""
 
 
-class SingularGramian(CtrlscoreError):
-    """A selected Gramian eigenvalue is zero; the energy is unbounded."""
-
-
 class RankDeficient(CtrlscoreError):
-    """The Gramian has fewer positive eigenvalues than requested."""
+    """The Gramian has fewer positive eigenvalues than the score order: the
+    reachable ellipsoid is flat and the minimum energy unbounded."""
 
 
 class ParseError(CtrlscoreError):

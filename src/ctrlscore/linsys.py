@@ -30,10 +30,13 @@ hessian)``, from one pass over the node Gramians per evaluation.  It forms
 derivative rows and, for the whole spectrum, the m x m Hessian, which
 ``hessian`` wraps.
 
-The score order ``n``, how many eigenvalues a score selects, is a field of
-the model and is set nowhere else: both model constructors check it with
-:func:`resolve_score_order`, and every other function reads
-``model.score_order``.
+Node labels have one rule, :func:`node_labels`, which every model
+constructor and :func:`gramian_family` call.  The score order ``n``, how
+many eigenvalues a score selects, is a field of the model and is set
+nowhere else: both model constructors check it with
+:func:`resolve_score_order`, which takes the mode count, so
+:func:`gramian_family` and the model-file parser apply the same rule before
+any Gramian exists.  Every other function reads ``model.score_order``.
 """
 
 from __future__ import annotations
@@ -70,22 +73,47 @@ def nth_positive(top):
     return top[..., -1] > POSITIVE_FLOOR * np.maximum(1.0, top[..., 0])
 
 
-def resolve_score_order(model, order) -> int:
-    """``order`` as the number of eigenvalues a score selects on ``model``,
-    whose ``mode_count`` is already set; the model constructors call this.
+def node_labels(indices) -> tuple[int, ...]:
+    """``indices`` as node labels: a nonempty tuple of distinct integers
+    ``>= 1``.
+
+    Raises
+    ------
+    EmptyIndexSet
+        If there is no label.
+    BadIndexSet
+        If a label is not an integer (``operator.index``, so numpy integers
+        pass and ``1.0`` does not), is below 1 or is repeated.
+    """
+    try:
+        labels = tuple(map(operator.index, indices))
+    except TypeError:
+        raise BadIndexSet(f"node indices must be integers, got {tuple(indices)}") from None
+    if not labels:
+        raise EmptyIndexSet("node index set is empty")
+    if min(labels) < 1:
+        raise BadIndexSet(f"node indices must be >= 1, got {labels}")
+    if len(set(labels)) != len(labels):
+        raise BadIndexSet(f"node indices must be distinct, got {labels}")
+    return labels
+
+
+def resolve_score_order(order, mode_count: int) -> int:
+    """``order`` as the number of eigenvalues a score selects among
+    ``mode_count`` modes.
 
     Raises
     ------
     IndexMismatch
         Unless it is an integer (``operator.index``, so numpy integers pass
-        and ``2.5`` does not) in ``1..model.mode_count``.
+        and ``2.5`` does not) in ``1..mode_count``.
     """
     try:
         order = operator.index(order)
     except TypeError:
         raise IndexMismatch(f"score order must be an integer, got {order!r}") from None
-    if not 1 <= order <= model.mode_count:
-        raise IndexMismatch(f"score order {order} out of range 1..{model.mode_count}")
+    if not 1 <= order <= mode_count:
+        raise IndexMismatch(f"score order {order} out of range 1..{mode_count}")
     return order
 
 
@@ -174,19 +202,19 @@ def check_stability(a_matrix) -> StableLTISystem:
     return StableLTISystem(arr, abscissa, form, vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeGramianFamily:
     """One controllability Gramian per node, and the score order.
 
-    ``node_indices`` are 1-based labels.  ``gramians`` is a read-only
-    float64 copy of the input, shape (m, d, d): ``gramians[i]`` belongs to
-    node ``node_indices[i]``.  Each must be finite, symmetric and positive
-    semidefinite within tolerance; families built by :func:`gramian_family`
-    additionally satisfy the Lyapunov residual bound.  No dynamics are kept,
-    so a family can come from closed-form Gramians as well.
-    ``score_order`` is how many of the largest eigenvalues of ``W(p)`` the
-    scores select (``1 <= n <= d``); the whole spectrum, ``d``, when
-    omitted.
+    ``node_indices`` are 1-based labels (:func:`node_labels`).  ``gramians``
+    is a read-only float64 copy of the input, shape (m, d, d): ``gramians[i]``
+    belongs to node ``node_indices[i]``.  Each must be finite, symmetric and
+    positive semidefinite within tolerance; families built by
+    :func:`gramian_family` additionally satisfy the Lyapunov residual bound.
+    No dynamics are kept, so a family can come from closed-form Gramians as
+    well.  ``score_order`` is how many of the largest eigenvalues of ``W(p)``
+    the scores select (``1 <= n <= d``); the whole spectrum, ``d``, when
+    omitted.  Two families are equal only if they are the same object.
     """
 
     node_indices: tuple[int, ...]
@@ -194,21 +222,18 @@ class NodeGramianFamily:
     score_order: int | None = None
 
     def __post_init__(self):
-        if len(self.node_indices) == 0:
-            raise EmptyIndexSet("node index set is empty")
-        if len(set(self.node_indices)) != len(self.node_indices):
-            raise BadIndexSet("node indices must be distinct")
+        labels = node_labels(self.node_indices)
         arrays = [np.asarray(gram, dtype=float) for gram in self.gramians]
-        if len(arrays) != len(self.node_indices):
+        if len(arrays) != len(labels):
             raise IndexMismatch("one Gramian per node index is required")
         n = arrays[0].shape[0] if arrays[0].ndim else 0
-        for idx, arr in zip(self.node_indices, arrays):
+        for idx, arr in zip(labels, arrays):
             if n == 0 or arr.shape != (n, n):
                 raise IndexMismatch(f"Gramian for node {idx} has shape {arr.shape}")
         stack = np.stack(arrays)
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
-            node = self.node_indices[np.argmin(finite)]
+            node = labels[np.argmin(finite)]
             raise EigenFailure(f"Gramian for node {node} is not finite")
         # The PSD test is one batched eigvalsh.  The norms stay per node:
         # batched, they cost two stack-sized temporaries and were slower.
@@ -220,12 +245,12 @@ class NodeGramianFamily:
         if failed.size:
             first = failed[0]
             problem = "not symmetric" if asymmetric[first] else "not PSD"
-            raise EigenFailure(f"Gramian for node {self.node_indices[first]} is {problem}")
+            raise EigenFailure(f"Gramian for node {labels[first]} is {problem}")
         stack.flags.writeable = False
         object.__setattr__(self, "gramians", stack)
-        object.__setattr__(self, "node_indices", tuple(int(i) for i in self.node_indices))
-        order = self.mode_count if self.score_order is None else self.score_order
-        object.__setattr__(self, "score_order", resolve_score_order(self, order))
+        object.__setattr__(self, "node_indices", labels)
+        order = n if self.score_order is None else self.score_order
+        object.__setattr__(self, "score_order", resolve_score_order(order, n))
 
     @property
     def node_count(self) -> int:
@@ -384,8 +409,11 @@ def node_gramian(system: StableLTISystem, node: int) -> np.ndarray:
 def gramian_family(system: StableLTISystem, node_indices,
                    score_order: int | None = None) -> NodeGramianFamily:
     """The family of :func:`node_gramian` for every index in ``node_indices``,
-    scored on its top ``score_order`` eigenvalues (default: all)."""
-    indices = tuple(int(i) for i in node_indices)
+    scored on its top ``score_order`` eigenvalues (default: all).  The labels
+    and the order are checked before the first Lyapunov solve."""
+    indices = node_labels(node_indices)
+    if score_order is not None:
+        resolve_score_order(score_order, system.n_dim)
     return NodeGramianFamily(indices, [node_gramian(system, i) for i in indices],
                              score_order)
 

@@ -19,14 +19,19 @@ whitespace, tabs included.  Grammar (EBNF, also documented in the README):
 
 Exactly one payload kind per file: ``dense_lti`` carries a square dynamics
 matrix (row-major), ``spectral_table`` a K x m nonnegative eigenvalue table,
-``heat_dirichlet`` only the node indices.  ``n`` is optional and must lie
-in ``1..d`` for a matrix and in ``1..K`` for a table; a heat model is an
-m x m diagonal table, so ``1..m``.  ``caps`` is optional and must match the
-node count.  A number is any token Python's ``float()`` accepts
+``heat_dirichlet`` only the node indices.  ``nodes``, ``n`` and ``caps``
+are checked by the library's own rules, so a file and a library call
+reject the same values with the same message:
+:func:`~ctrlscore.linsys.node_labels`,
+:func:`~ctrlscore.linsys.resolve_score_order` (``n`` lies in ``1..d`` for
+a matrix and ``1..K`` for a table; a heat model is an m x m diagonal table,
+so ``1..m``) and :func:`~ctrlscore.simplex.validate_caps`.  ``n`` and
+``caps`` are optional.  A number is any token Python's ``float()`` accepts
 whose value is finite: ``nan``, ``inf`` and overflowing literals such as
 ``1e999`` are rejected where they stand.  Parse and consistency failures
-raise :class:`~ctrlscore.errors.ParseError` with a 1-based line and column;
-the column is a 1-based character offset (a tab counts as one character).
+raise :class:`~ctrlscore.errors.ParseError` with a 1-based line and column,
+those of the statement when a rule fails; the column is a 1-based
+character offset (a tab counts as one character).
 
 A ``matrix`` or ``table`` payload becomes one read-only float64 array, read
 by a single ``np.loadtxt`` call over the block's rows.  When that call
@@ -45,8 +50,10 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ParseError
-from .linsys import NodeGramianFamily, check_stability, gramian_family
+from .errors import CtrlscoreError, ParseError
+from .linsys import (NodeGramianFamily, check_stability, gramian_family, node_labels,
+                     resolve_score_order)
+from .simplex import validate_caps
 from .spectral import SpectralModel, heat_dirichlet_model
 
 SCHEMA_VERSION = 1
@@ -248,25 +255,29 @@ def parse_model_text(text: str) -> ModelFile:
     def where(name: str) -> tuple[int, int]:
         return positions.get(name, (1, 1))
 
+    def checked(name: str, rule, *args):
+        """``rule(*args)``; its error becomes a ParseError at statement ``name``."""
+        try:
+            return rule(*args)
+        except CtrlscoreError as exc:
+            raise ParseError(str(exc), *where(name)) from None
+
     if kind is None:
         raise ParseError("missing 'kind' statement", *where("kind"))
     if nodes is None:
         raise ParseError("missing 'nodes' statement", *where("nodes"))
-    if len(set(nodes)) != len(nodes) or any(i < 1 for i in nodes):
-        raise ParseError("node indices must be distinct and >= 1", *where("nodes"))
+    checked("nodes", node_labels, nodes)
 
     if kind == "dense_lti":
         if matrix is None:
             raise ParseError("dense_lti requires a 'matrix' block", *where("kind"))
         if table is not None:
             raise ParseError("dense_lti cannot carry a 'table' block", *where("table"))
-        dim = len(matrix)
-        if any(i > dim for i in nodes):
+        modes = len(matrix)
+        if any(i > modes for i in nodes):
             raise ParseError(
-                f"node indices must be <= matrix dimension {dim}", *where("nodes")
+                f"node indices must be <= matrix dimension {modes}", *where("nodes")
             )
-        if order is not None and not 1 <= order <= dim:
-            raise ParseError(f"n must lie in 1..{dim}", *where("n"))
     elif kind == "spectral_table":
         if table is None:
             raise ParseError("spectral_table requires a 'table' block", *where("kind"))
@@ -281,26 +292,17 @@ def parse_model_text(text: str) -> ModelFile:
             )
         if (table < 0).any():
             raise ParseError("table entries must be >= 0", *where("table"))
-        if order is not None and not 1 <= order <= len(table):
-            raise ParseError(f"n must lie in 1..{len(table)}", *where("n"))
+        modes = len(table)
     else:  # heat_dirichlet
         if matrix is not None or table is not None:
             raise ParseError(
                 "heat_dirichlet carries no matrix or table payload", *where("kind")
             )
-        if order is not None and not 1 <= order <= len(nodes):
-            raise ParseError(f"n must lie in 1..{len(nodes)}", *where("n"))
-
+        modes = len(nodes)
+    if order is not None:
+        checked("n", resolve_score_order, order, modes)
     if caps is not None:
-        if len(caps) != len(nodes):
-            raise ParseError(
-                f"caps has {len(caps)} entries but there are {len(nodes)} nodes",
-                *where("caps"),
-            )
-        if any(c < 0 for c in caps):
-            raise ParseError("caps must be nonnegative", *where("caps"))
-        if sum(caps) < 1.0 - 1e-12:
-            raise ParseError("caps must sum to at least 1", *where("caps"))
+        checked("caps", validate_caps, caps, len(nodes))
 
     return ModelFile(
         schema_version=version,

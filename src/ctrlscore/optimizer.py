@@ -343,8 +343,7 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
 
     warnings: list[str] = []
     if not certified:
-        failed = [name for name, ok in (("feasibility", report.feasible),
-                                        ("commuting", report.commuting),
+        failed = [name for name, ok in (("commuting", report.commuting),
                                         ("n-spectrum", report.n_spectrum))
                   if not ok]
         warnings.append(

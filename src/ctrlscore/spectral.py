@@ -22,7 +22,9 @@ family of closed-form Gramians is checked like one from Lyapunov solves.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.  ``derivatives`` gives
 the rows and the Hessian, as a callable that builds a table's product only
-when it is called.  The score order is a field of the model, checked by
+when it is called.  Node labels are checked by
+:func:`~ctrlscore.linsys.node_labels`, the heat model's too.  The score
+order is a field of the model, checked by
 :func:`~ctrlscore.linsys.resolve_score_order` in the constructor and read
 by ``eigenpairs`` and every checker here; a table's default is
 ``min(K, m)``, and the heat model, an m x m diagonal table, takes any order
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndexSet, EmptyIndexSet, IndexMismatch
-from .linsys import Eigenpairs, NodeGramianFamily, resolve_score_order
+from .errors import IndexMismatch
+from .linsys import Eigenpairs, NodeGramianFamily, node_labels, resolve_score_order
 from .simplex import SimplexWeights, central_point, validate_caps, weight_vector
 
 #: Default relative tolerance for the assumption checkers.
@@ -49,7 +51,7 @@ def _select_rows(values: np.ndarray, count: int) -> np.ndarray:
     return order[:count]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Eigenvalue table of a commuting node-Gramian family.
 
@@ -63,6 +65,8 @@ class SpectralModel:
     score_order : int, optional
         How many of the largest eigenvalues the score objectives use
         (``1 <= n <= K``); ``min(K, m)`` when omitted.
+
+    Two models are equal only if they are the same object.
     """
 
     node_indices: tuple[int, ...]
@@ -70,11 +74,7 @@ class SpectralModel:
     score_order: int | None = None
 
     def __post_init__(self):
-        indices = tuple(int(i) for i in self.node_indices)
-        if len(indices) == 0:
-            raise EmptyIndexSet("node index set is empty")
-        if len(set(indices)) != len(indices):
-            raise BadIndexSet("node indices must be distinct")
+        indices = node_labels(self.node_indices)
         table = np.array(self.eigen_table, dtype=float)
         if table.ndim != 2 or table.shape[1] != len(indices):
             raise IndexMismatch(
@@ -86,7 +86,7 @@ class SpectralModel:
         object.__setattr__(self, "eigen_table", table)
         object.__setattr__(self, "node_indices", indices)
         order = min(table.shape) if self.score_order is None else self.score_order
-        object.__setattr__(self, "score_order", resolve_score_order(self, order))
+        object.__setattr__(self, "score_order", resolve_score_order(order, len(table)))
 
     @property
     def mode_count(self) -> int:
@@ -176,17 +176,8 @@ def heat_dirichlet_model(node_indices, score_order: int | None = None) -> Spectr
     ``score_order`` lies in ``1..len(I)``, as for any table; it defaults to
     the node count, the regime in which the optimum is unique.
     """
-    indices = tuple(int(i) for i in node_indices)
-    if len(indices) == 0:
-        raise EmptyIndexSet("heat model needs at least one node index")
-    if any(i < 1 for i in indices):
-        raise BadIndexSet(f"heat mode numbers must be >= 1, got {indices}")
-    if len(set(indices)) != len(indices):
-        raise BadIndexSet(f"heat mode numbers must be distinct, got {indices}")
-    m = len(indices)
-    table = np.zeros((m, m))
-    for row, k in enumerate(indices):
-        table[row, row] = 1.0 / (2.0 * np.pi**2 * k**2)
+    indices = node_labels(node_indices)
+    table = np.diag(1.0 / (2.0 * np.pi**2 * np.array(indices, dtype=float)**2))
     return SpectralModel(indices, table, score_order)
 
 

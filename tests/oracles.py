@@ -25,7 +25,7 @@ from ctrlscore.errors import (
     EigenFailure,
     IndexMismatch,
     NonSquare,
-    SingularGramian,
+    RankDeficient,
 )
 from ctrlscore.linsys import (
     DEFAULT_TOL,
@@ -135,7 +135,7 @@ def average_min_energy_monte_carlo(model, weights, num_samples: int = 100_000,
     """
     pairs = model.eigenpairs(weights)
     if not pairs.positive:
-        raise SingularGramian("selected eigenvalues must be positive")
+        raise RankDeficient("selected eigenvalues must be positive")
     mu = pairs.values
     rng = np.random.default_rng(seed)
     normals = rng.standard_normal((num_samples, mu.size))

@@ -530,6 +530,24 @@ def test_n_flag_and_file_n_give_the_same_output(tmp_path, capsys, kind):
             "", f"error: score order 99 out of range 1..{modes}\n")
 
 
+def test_out_of_range_n_on_a_dense_file_fails_before_any_lyapunov_solve(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = linsys.node_gramian
+
+    def counted(system, node):
+        calls.append(node)
+        return solve(system, node)
+
+    monkeypatch.setattr(linsys, "node_gramian", counted)
+    path = write(tmp_path, "dense5.csm", DENSE5)
+    assert main(["check", path, "--n", "99"]) == 1
+    assert capsys.readouterr() == ("", "error: score order 99 out of range 1..5\n")
+    assert calls == []
+    main(["check", path, "--n", "5"])  # the positive control: one solve per node
+    assert calls == [1, 2, 3, 4, 5]
+
+
 def test_lyapunov_failure_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(linsys, "DEFAULT_TOL", 0.0)
     path = write(tmp_path, "nonnormal.csm", NON_NORMAL3)

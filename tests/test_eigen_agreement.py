@@ -57,7 +57,7 @@ def _check_agreement(model, points: np.ndarray) -> None:
                 continue
             assert batch[j] == pytest.approx(single.value, rel=1e-12, abs=1e-12)
             ellipsoid = cs.reachable_ellipsoid(model, point)
-            np.testing.assert_array_equal(ellipsoid.axis_eigenvalues, pairs.values)
+            np.testing.assert_array_equal(ellipsoid.semi_axes, np.sqrt(pairs.values))
 
 
 @pytest.mark.parametrize("full", [False, True], ids=["count<K", "count=K"])

@@ -33,6 +33,11 @@ def test_heat_mode_energy():
 def test_zero_target_costs_nothing():
     model = cs.heat_dirichlet_model([1, 2])
     assert cs.min_energy(model, [0.5, 0.5], np.zeros(2)) == 0.0
+    assert cs.min_energy(model, [1.0, 0.0], np.zeros(2)) == 0.0  # rank deficient
+    with pytest.raises(cs.IndexMismatch, match="target has dimension 3"):
+        cs.min_energy(model, [0.5, 0.5], np.zeros(3))
+    with pytest.raises(cs.InvalidWeights, match="expected 2 weights, got 3"):
+        cs.min_energy(model, [0.2, 0.3, 0.5], np.zeros(2))
 
 
 @pytest.mark.parametrize("target", [[1.0, math.nan], [1.0, math.inf], [[1.0, 0.0]]],
@@ -54,16 +59,27 @@ def test_energy_equals_quadratic_form_of_inverse(rng):
         assert energy == pytest.approx(want, rel=1e-10)
 
 
-def test_target_outside_span():
-    system = cs.check_stability(np.diag([-1.0, -2.0]))
-    family = cs.gramian_family(system, [1, 2], score_order=1)
+@pytest.mark.parametrize("make,weights,target", [
+    (lambda: cs.gramian_family(cs.check_stability(np.diag([-1.0, -2.0])), [1, 2], 1),
+     [1.0, 0.0], [0.0, 1.0]),
+    # The top mode at equal weights is mode 1, and the target lies on mode 2.
+    (lambda: dataclasses.replace(cs.heat_dirichlet_model([1, 2]), score_order=1),
+     [0.5, 0.5], [0.0, 5.0]),
+], ids=["family", "heat"])
+def test_target_outside_span(make, weights, target):
     with pytest.raises(cs.TargetOutsideSpan):
-        cs.min_energy(family, [1.0, 0.0], np.array([0.0, 1.0]))
+        cs.min_energy(make(), weights, target)
+
+
+def test_a_target_of_the_wrong_length_is_rejected():
+    model = cs.heat_dirichlet_model([1, 2])
+    with pytest.raises(cs.IndexMismatch, match="target has dimension 3, state space has 2"):
+        cs.min_energy(model, [0.5, 0.5], [0.0, 5.0, 0.0])
 
 
 def test_singular_gramian():
     model = cs.heat_dirichlet_model([1, 2])
-    with pytest.raises(cs.SingularGramian):
+    with pytest.raises(cs.RankDeficient, match="eigenvalue 2 of the Gramian"):
         cs.min_energy(model, [1.0, 0.0], np.array([1.0, 1.0]))
 
 
@@ -73,7 +89,8 @@ def test_singular_gramian():
 def test_a_rank_outside_the_score_order_rule_is_rejected(builder, rank):
     # The energy code reads its rank from the model, so a float or
     # out-of-range rank is rejected where the model is made, by
-    # resolve_score_order; an accepted one sets the ellipsoid's dimension.
+    # resolve_score_order; an accepted one sets the ellipsoid's dimension
+    # and the modes the energy sums over.
     if rank not in (1, 3):
         with pytest.raises(cs.IndexMismatch, match="score order"):
             ORDER_BUILDERS[builder](rank)
@@ -83,7 +100,9 @@ def test_a_rank_outside_the_score_order_rule_is_rejected(builder, rank):
     ellipsoid = cs.reachable_ellipsoid(model, weights)
     assert ellipsoid.semi_axes.size == rank
     target = [1.0, 0.0, 0.0]
-    assert cs.min_energy(model, weights, target) == ellipsoid.energy(target)
+    pairs = model.eigenpairs(weights)
+    coeffs = model.state_basis(pairs).T @ target
+    assert cs.min_energy(model, weights, target) == float(np.sum(coeffs**2 / pairs.values))
 
 
 def test_ellipsoid_diagonal_example():
@@ -110,20 +129,6 @@ def test_rank_deficient_ellipsoid():
     model = cs.heat_dirichlet_model([1, 2])
     with pytest.raises(cs.RankDeficient):
         cs.reachable_ellipsoid(model, [1.0, 0.0])
-
-
-def test_membership_and_energy_share_arithmetic(rng):
-    model = cs.heat_dirichlet_model([1, 2, 3])
-    weights = [0.2, 0.3, 0.5]
-    ellipsoid = cs.reachable_ellipsoid(model, weights)
-    for _ in range(25):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        scale = rng.uniform(0.0, 2.0)
-        target = scale * direction
-        energy = cs.min_energy(model, weights, target)
-        assert energy == ellipsoid.energy(target)
-        assert (energy <= 1.0) == ellipsoid.contains(target)
 
 
 def test_vcs_objective_equals_ellipsoid_log_volume_identity(rng):

@@ -326,6 +326,22 @@ def test_gramian_family_factors_the_dynamics_once(rng, monkeypatch):
         system.dynamics, atol=1e-12)
 
 
+@pytest.mark.parametrize("nodes,order,error", [
+    ((1, 2, 3), 4, cs.IndexMismatch),
+    ((1, 2, 3), 0, cs.IndexMismatch),
+    ((1, 2, 3), 2.5, cs.IndexMismatch),
+    ((1, 2, 1), None, cs.BadIndexSet),
+    ((0, 1), None, cs.BadIndexSet),
+], ids=["order-high", "order-zero", "order-float", "repeated", "zero-label"])
+def test_gramian_family_rejects_bad_input_before_any_solve(monkeypatch, nodes, order, error):
+    def refused(system, node):
+        raise AssertionError("a Lyapunov solve ran before the input check")
+
+    monkeypatch.setattr(linsys, "node_gramian", refused)
+    with pytest.raises(error):
+        cs.gramian_family(cs.check_stability(-np.eye(3)), nodes, order)
+
+
 def test_spectral_abscissa_matches_eigenvalues(rng):
     for trial in range(300):
         dim = 1 + trial % 12

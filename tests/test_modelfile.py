@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import dump_model_text, model_file_from_spectral
 
 import ctrlscore as cs
+from ctrlscore import cli, linsys, simplex
 from ctrlscore.modelfile import parse_model_text
 
 HEAT_TEXT = """\
@@ -270,6 +271,42 @@ def test_parsed_table_holds_little_more_than_its_array():
         tracemalloc.stop()
     assert np.array_equal(parsed.table, values)
     assert held <= 1.25 * parsed.table.nbytes
+
+
+HEADER = "ctrlscore-model v1\n"
+
+
+@pytest.mark.parametrize("body,line,column,rule", [
+    ("kind heat_dirichlet\nnodes 1 1\n", 3, 1, lambda: linsys.node_labels((1, 1))),
+    ("kind heat_dirichlet\n  nodes 0 1\n", 3, 3, lambda: linsys.node_labels((0, 1))),
+    ("kind heat_dirichlet\nnodes 1 2\nn 3\n", 4, 1,
+     lambda: linsys.resolve_score_order(3, 2)),
+    ("kind spectral_table\nnodes 1 2\n\tn 0\ntable 3 2\n1 0\n0 1\n1 1\n", 4, 2,
+     lambda: linsys.resolve_score_order(0, 3)),
+    ("kind dense_lti\nnodes 1 2\nn 5\nmatrix 2\n-1 0\n0 -2\n", 4, 1,
+     lambda: linsys.resolve_score_order(5, 2)),
+    ("kind heat_dirichlet\nnodes 1 2\ncaps 1\n", 4, 1,
+     lambda: simplex.validate_caps((1.0,), 2)),
+    ("kind heat_dirichlet\nnodes 1 2\ncaps 1.5 -0.5\n", 4, 1,
+     lambda: simplex.validate_caps((1.5, -0.5), 2)),
+    ("kind heat_dirichlet\nnodes 1 2\ncaps 0.2 0.2\n", 4, 1,
+     lambda: simplex.validate_caps((0.2, 0.2), 2)),
+], ids=["repeated-node", "node-zero", "heat-n", "table-n", "dense-n", "few-caps",
+        "negative-cap", "caps-below-one"])
+def test_a_statement_that_breaks_a_model_rule_is_a_parse_error_there(
+        tmp_path, capsys, body, line, column, rule):
+    # The parser applies the models' own rules, so the message is the
+    # rule's, placed at the statement, and the CLI exits 1 with it.
+    with pytest.raises(cs.CtrlscoreError) as expected:
+        rule()
+    message = f"line {line}, column {column}: {expected.value}"
+    with pytest.raises(cs.ParseError) as info:
+        parse_model_text(HEADER + body)
+    assert (info.value.line, info.value.column, str(info.value)) == (line, column, message)
+    path = tmp_path / "model.csm"
+    path.write_text(HEADER + body)
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 def test_missing_payload_rejected():

@@ -31,6 +31,9 @@ def test_mode_squared_scaling():
     model = cs.heat_dirichlet_model([1, 2])
     want = np.diag([1.0 / TWO_PI_SQ, 1.0 / (4.0 * TWO_PI_SQ)])
     np.testing.assert_allclose(model.eigen_table, want, rtol=1e-15)
+    modes = [3, 1, 40, 7, 1000]
+    entries = [1.0 / (2.0 * np.pi**2 * k**2) for k in modes]  # one mode at a time
+    assert np.array_equal(cs.heat_dirichlet_model(modes).eigen_table, np.diag(entries))
 
 
 def test_empty_and_bad_index_sets():
@@ -46,14 +49,44 @@ def test_empty_and_bad_index_sets():
         cs.heat_dirichlet_model([1, 2], score_order=0)
 
 
+LABEL_MAKERS = {
+    "table": lambda nodes: cs.SpectralModel(nodes, np.eye(3)[:, :len(nodes)]),
+    "heat": lambda nodes: cs.heat_dirichlet_model(nodes),
+    "family": lambda nodes: cs.NodeGramianFamily(nodes, [np.eye(2)] * len(nodes)),
+    "lti": lambda nodes: cs.gramian_family(cs.check_stability(-np.eye(3)), nodes),
+}
+
+
+@pytest.mark.parametrize("labels,error,message", [
+    ((1, 2, 1), cs.BadIndexSet, r"node indices must be distinct, got \(1, 2, 1\)"),
+    ((0, 1, 2), cs.BadIndexSet, r"node indices must be >= 1, got \(0, 1, 2\)"),
+    ((2, -1, 3), cs.BadIndexSet, r"node indices must be >= 1, got \(2, -1, 3\)"),
+    ((1.5, 2, 3), cs.BadIndexSet, r"node indices must be integers, got \(1.5, 2, 3\)"),
+    ((1.0, 2, 3), cs.BadIndexSet, "node indices must be integers"),
+    ((), cs.EmptyIndexSet, "node index set is empty"),
+], ids=["repeated", "zero", "negative", "fraction", "float", "empty"])
+@pytest.mark.parametrize("make", LABEL_MAKERS)
+def test_every_constructor_applies_the_one_label_rule(make, labels, error, message):
+    with pytest.raises(error, match=message):
+        LABEL_MAKERS[make](labels)
+
+
+def test_numpy_integer_labels_become_python_ints():
+    for make in LABEL_MAKERS.values():
+        labels = make(np.arange(1, 4)).node_indices
+        assert labels == (1, 2, 3) and all(type(i) is int for i in labels)
+
+
 @pytest.mark.parametrize("make", [
-    lambda nodes: cs.SpectralModel(nodes, np.eye(3)),
-    lambda nodes: cs.heat_dirichlet_model(nodes),
-    lambda nodes: cs.NodeGramianFamily(nodes, np.stack([np.eye(2)] * 3)),
-], ids=["table", "heat", "family"])
-def test_repeated_node_labels_are_a_bad_index_set(make):
-    with pytest.raises(cs.BadIndexSet, match="must be distinct"):
-        make((1, 2, 1))
+    lambda: cs.SpectralModel((1, 2), np.eye(2)),
+    lambda: cs.NodeGramianFamily((1, 2), [np.eye(2), np.eye(2)]),
+], ids=["table", "family"])
+def test_models_compare_by_identity(make):
+    model, twin = make(), make()
+    assert model == model
+    assert model != twin
+    keyed = {model: "a", twin: "b"}
+    assert (keyed[model], keyed[twin], len({model, twin, model})) == ("a", "b", 2)
 
 
 def test_heat_score_order_is_any_table_order():
