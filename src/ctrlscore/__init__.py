@@ -14,66 +14,80 @@ Works on dense matrix systems and on spectrally truncated operator models
 checkers for the assumptions behind existence and uniqueness.
 """
 
-from .energy import (
-    ReachabilityEllipsoid,
-    min_energy,
-    reachable_ellipsoid,
-    unit_ball_log_volume,
-)
-from .errors import (
-    BadGridStep,
-    BadIndexSet,
-    CapsBind,
-    CtrlscoreError,
-    EigenFailure,
-    EmptyFeasibleSet,
-    EmptyIndexSet,
-    IndexMismatch,
-    Infeasible,
-    InfeasiblePoint,
-    InvalidWeights,
-    LyapunovSolveFailure,
-    NonConvexAmbiguous,
-    NonSquare,
-    NotDiagonal,
-    ParseError,
-    RankDeficient,
-    TargetOutsideSpan,
-    TooLarge,
-    UnstableSystem,
-)
-from .linsys import (
-    NodeGramianFamily,
-    StableLTISystem,
-    assemble_gramian,
-    check_stability,
-    gramian_family,
-    node_gramian,
-)
-from .modelfile import (
-    ModelFile,
-    parse_model_text,
-)
-from .optimizer import (
-    ScoreResult,
-    grid_oracle,
-    kkt_residual,
-    solve,
-)
-from .scores import (
-    ObjectiveEvaluation,
-    ObjectiveKind,
-    closed_form_optimum,
-    evaluate,
-)
-from .simplex import SimplexWeights, central_point, project_capped_simplex
-from .spectral import (
-    AssumptionReport,
-    SpectralModel,
-    check_commuting,
-    check_feasibility,
-    check_n_spectrum,
-    heat_dirichlet_model,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: Each public name and the submodule that defines it.  A name is imported
+#: on first use, so ``import ctrlscore`` loads neither numpy nor scipy; the
+#: CLI entry point relies on this to set the BLAS threading before numpy
+#: loads (see ``__main__``).
+_MODULE_OF = {
+    "ReachabilityEllipsoid": "energy",
+    "min_energy": "energy",
+    "reachable_ellipsoid": "energy",
+    "unit_ball_log_volume": "energy",
+    "BadGridStep": "errors",
+    "BadIndexSet": "errors",
+    "CapsBind": "errors",
+    "CtrlscoreError": "errors",
+    "EigenFailure": "errors",
+    "EmptyFeasibleSet": "errors",
+    "EmptyIndexSet": "errors",
+    "IndexMismatch": "errors",
+    "Infeasible": "errors",
+    "InfeasiblePoint": "errors",
+    "InvalidWeights": "errors",
+    "LyapunovSolveFailure": "errors",
+    "NonConvexAmbiguous": "errors",
+    "NonSquare": "errors",
+    "NotDiagonal": "errors",
+    "ParseError": "errors",
+    "RankDeficient": "errors",
+    "TargetOutsideSpan": "errors",
+    "TooLarge": "errors",
+    "UnstableSystem": "errors",
+    "NodeGramianFamily": "linsys",
+    "StableLTISystem": "linsys",
+    "assemble_gramian": "linsys",
+    "check_stability": "linsys",
+    "gramian_family": "linsys",
+    "node_gramian": "linsys",
+    "ModelFile": "modelfile",
+    "parse_model_text": "modelfile",
+    "ScoreResult": "optimizer",
+    "grid_oracle": "optimizer",
+    "kkt_residual": "optimizer",
+    "solve": "optimizer",
+    "ObjectiveEvaluation": "scores",
+    "ObjectiveKind": "scores",
+    "closed_form_optimum": "scores",
+    "evaluate": "scores",
+    "SimplexWeights": "simplex",
+    "central_point": "simplex",
+    "project_capped_simplex": "simplex",
+    "AssumptionReport": "spectral",
+    "SpectralModel": "spectral",
+    "check_commuting": "spectral",
+    "check_feasibility": "spectral",
+    "check_n_spectrum": "spectral",
+    "heat_dirichlet_model": "spectral",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import a public name from its submodule on first use (PEP 562) and
+    keep it in the package namespace, so later lookups skip this hook."""
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -11,7 +11,13 @@ Exit codes: 0 success, 1 parse/usage error, 2 infeasible or unstable model
 (or failed checks for ``check``), 3 ambiguous non-convex result (report still
 emitted), 4 target outside the reachable span (``energy``).
 
-Each command runs with numpy's OpenBLAS on one thread (restored afterwards).
+Each command runs its BLAS on one thread.  A process started as ``python -m
+ctrlscore`` or as the ``ctrlscore`` script sets ``OPENBLAS_NUM_THREADS=1``
+before numpy loads, unless the environment sets it (see ``__main__``), which
+reaches both OpenBLAS copies: numpy's and the one scipy loads for
+``dense_lti`` models.  Where numpy is loaded already, :func:`main` sets
+numpy's copy alone to one thread for the command and restores its count
+afterwards.
 """
 
 from __future__ import annotations
@@ -430,6 +436,12 @@ def _one_blas_thread():
     is the same either way.  Only the CLI does this: library calls keep
     their caller's BLAS threading.  The count is process-wide, so commands
     run at once on threads of one process share it.
+
+    This is the lever for callers of :func:`main` whose numpy is loaded
+    already (tests, benchmark workers).  It comes too late to stop the
+    worker thread that OpenBLAS starts when it loads, and it does not reach
+    scipy's own OpenBLAS copy; a cold process gets both from
+    ``OPENBLAS_NUM_THREADS=1``, which ``__main__.run`` sets first.
     """
     calls = _blas_thread_calls()
     if calls is None:
@@ -456,7 +468,3 @@ def main(argv=None) -> int:
     except (OSError, CtrlscoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +445,7 @@ heat, table, dense = sys.argv[1:]
 seen = {}
 import ctrlscore
 seen["import ctrlscore"] = scipy_loaded()
+seen["numpy after import ctrlscore"] = "numpy" in sys.modules
 from ctrlscore import cli
 seen["import ctrlscore.cli"] = scipy_loaded()
 for label, argv in (("score heat", ["score", heat, "--kind", "vcs"]),
@@ -473,6 +475,7 @@ def test_heat_and_table_requests_never_load_scipy(tmp_path):
                          capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(run.stdout) == {
         "import ctrlscore": False,
+        "numpy after import ctrlscore": False,
         "import ctrlscore.cli": False,
         "score heat": [0, False],
         "check table": [0, False],
@@ -646,3 +649,92 @@ def test_openblas_builds_find_the_thread_setter():
     if blas != "scipy-openblas":
         pytest.skip(f"numpy links {blas}")
     assert cli._blas_thread_calls() is not None
+
+
+#: Starts the CLI the way ``LAUNCH`` says, on this script's arguments, in a
+#: fresh interpreter; then prints numpy's OpenBLAS thread count, whether
+#: scipy loaded, the process's thread count and ``OPENBLAS_NUM_THREADS``.
+BLAS_COLD_START = """\
+import contextlib, io, json, os, re, runpy, sys
+sys.argv = ["ctrlscore", *sys.argv[1:]]
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        LAUNCH
+except SystemExit as exc:
+    code = exc.code
+from ctrlscore import cli
+calls = cli._blas_thread_calls()
+try:
+    with open("/proc/self/status", encoding="ascii") as status:
+        threads = int(re.search(r"^Threads:\\s*(\\d+)", status.read(), re.M).group(1))
+except OSError:
+    threads = None
+print(json.dumps({"exit": code, "blas": calls and calls[1](), "scipy": "scipy" in sys.modules,
+                  "threads": threads, "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+#: Commuting node Gramians: the solve is certified and runs its one start on
+#: the main thread, so no pool thread is alive to count.
+DIAGONAL_DENSE = """\
+ctrlscore-model v1
+kind dense_lti
+nodes 1 2
+matrix 2
+-1 0
+0 -2
+"""
+
+
+def _script_launch():
+    """The line the installed ``ctrlscore`` script runs, from pyproject."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    module, func = tomllib.loads(pyproject.read_text())["project"]["scripts"][
+        "ctrlscore"].split(":")
+    return f"from {module} import {func}; sys.exit({func}())"
+
+
+def _cold_start(line, argv, blas_env):
+    """Run ``BLAS_COLD_START`` with ``line`` as its launch, the BLAS thread
+    variables removed and ``blas_env`` added; return what it printed."""
+    src = os.path.dirname(os.path.dirname(ctrlscore.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(blas_env, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", BLAS_COLD_START.replace("LAUNCH", line), *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(run.stdout)
+    if seen["blas"] is None:
+        pytest.skip("numpy does not link OpenBLAS here")
+    return seen
+
+
+PYTHON_M = 'runpy.run_module("ctrlscore", run_name="__main__")'
+
+
+@pytest.mark.parametrize("launch", ["python -m", "script"])
+@pytest.mark.parametrize("command", ["heat-demo", "score dense"])
+def test_a_cold_cli_process_starts_no_blas_thread(tmp_path, launch, command):
+    # OpenBLAS sizes its thread pool when it loads; a count set after that
+    # (as ``cli._one_blas_thread`` does) leaves its spinning worker behind.
+    # A dense model also loads scipy's own OpenBLAS, which that lever never
+    # reaches.
+    line = PYTHON_M if launch == "python -m" else _script_launch()
+    argv = (["heat-demo"] if command == "heat-demo" else
+            ["score", write(tmp_path, "diag2.csm", DIAGONAL_DENSE), "--kind", "vcs"])
+    seen = _cold_start(line, argv, {})
+    assert (seen["exit"], seen["scipy"]) == (0, command == "score dense")
+    assert seen["blas"] == 1
+    if sys.platform.startswith("linux"):
+        assert seen["threads"] == 1
+
+
+def test_a_cold_cli_process_keeps_a_blas_thread_count_the_user_set():
+    # The variable is a default: a count in the environment reaches OpenBLAS
+    # as it would without the CLI (which caps it at the CPU count), and
+    # numpy's copy is back at it after the command.
+    user = {"OPENBLAS_NUM_THREADS": "2"}
+    plain = _cold_start("sys.exit(0)", [], user)
+    seen = _cold_start(PYTHON_M, ["heat-demo"], user)
+    assert (seen["exit"], seen["env"], seen["blas"]) == (0, "2", plain["blas"])
