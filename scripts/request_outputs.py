@@ -13,7 +13,16 @@ script); the generator is only read.
 Run, for a change against its parent checked out at ``../parent``:
     python3 scripts/request_outputs.py change.json
     python3 scripts/request_outputs.py --root ../parent parent.json
-    cmp parent.json change.json
+    python3 scripts/request_outputs.py --compare parent.json change.json
+
+``--compare A B`` sorts every request into one of three classes and prints
+one line each, then the counts: ``identical`` (byte for byte), ``equal``
+(same exit code and stderr; every stdout line the same text apart from its
+numbers, each number within :data:`TOLERANCE` of the other, relative to
+``max(1, |a|, |b|)``, and a report's iteration count free to differ, in
+JSON and in table form) or ``different``.  An ``equal`` line gives the
+largest weight and objective change.  It exits 1 when a request differs or
+is missing from one file.
 """
 
 from __future__ import annotations
@@ -23,11 +32,17 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 
 SEEDS = (0, 1)
+
+#: Relative tolerance of ``--compare``, about 4500 units in the last place:
+#: far above the rounding a reordered sum leaves, far below a changed answer.
+TOLERANCE = 1e-12
 
 
 def _load_gen(root: str):
@@ -50,13 +65,94 @@ def _run(main, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+#: A number as the CLI prints it: JSON floats, ``%.6f``, ``%.3e``, ``%g``.
+#: Digits inside a word (a digest, ``mu_2``) and ``inf`` are text.
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?!\w)")
+
+#: The line of a table report that holds its iteration count.
+_TABLE_ITERATIONS = "iterations: "
+
+
+def _line_gaps(old: str, new: str):
+    """``(weight, objective)`` changes between two stdout lines that agree
+    within :data:`TOLERANCE`, else None.  A report's ``iterations`` may
+    differ: a JSON key, or a table line of its own."""
+    if old.startswith(_TABLE_ITERATIONS) and new.startswith(_TABLE_ITERATIONS):
+        return 0.0, 0.0
+    try:
+        reports = json.loads(old), json.loads(new)
+    except ValueError:
+        reports = None
+    if reports and all(isinstance(r, dict) for r in reports):
+        for report in reports:
+            report.pop("iterations", None)
+        old, new = (json.dumps(r, sort_keys=True) for r in reports)
+    texts = _NUMBER.split(old), _NUMBER.split(new)
+    numbers = [[float(x) for x in _NUMBER.findall(line)] for line in (old, new)]
+    if texts[0] != texts[1] or len(numbers[0]) != len(numbers[1]):
+        return None
+    for a, b in zip(*numbers):
+        if abs(a - b) > TOLERANCE * max(1.0, abs(a), abs(b)):
+            return None
+    if not reports:
+        return 0.0, 0.0
+    weights = max((abs(a - b) for a, b in zip(reports[0].get("weights", ()),
+                                             reports[1].get("weights", ()))),
+                  default=0.0)
+    objectives = [r.get("objective", 0.0) for r in reports]
+    scale = max(abs(objectives[0]), abs(objectives[1]), math.ulp(0.0))
+    return weights, abs(objectives[0] - objectives[1]) / scale
+
+
+def _classify(old, new):
+    """``("identical" | "equal" | "different", (weight, objective) gaps)``
+    of one request's ``[exit, stdout, stderr]`` in two runs."""
+    if old == new:
+        return "identical", None
+    lines = old[1].splitlines(), new[1].splitlines()
+    if old[0] != new[0] or old[2] != new[2] or len(lines[0]) != len(lines[1]):
+        return "different", None
+    gaps = [_line_gaps(a, b) for a, b in zip(*lines)]
+    if None in gaps:
+        return "different", None
+    return "equal", tuple(max(g[i] for g in gaps) for i in (0, 1))
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print the class of every request of two output files; 1 if any
+    request differs or is missing from one of them."""
+    runs = []
+    for path in (old_path, new_path):
+        with open(path, encoding="utf-8") as handle:
+            runs.append(json.load(handle))
+    counts = {"identical": 0, "equal": 0, "different": 0, "missing": 0}
+    for key in sorted(runs[0].keys() | runs[1].keys()):
+        if key not in runs[0] or key not in runs[1]:
+            label, gaps = "missing", None
+        else:
+            label, gaps = _classify(runs[0][key], runs[1][key])
+        counts[label] += 1
+        detail = ("" if gaps is None else
+                  f"  weights {gaps[0]:.2e}  objective {gaps[1]:.2e} relative")
+        print(f"{label:<9}  {key}{detail}")
+    print(", ".join(f"{n} {label}" for label, n in counts.items())
+          + f" (tolerance {TOLERANCE:g})")
+    return 1 if counts["different"] or counts["missing"] else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", help="JSON file to write")
+    parser.add_argument("out", nargs="?", help="JSON file to write")
     parser.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))),
                         help="checkout to run (default: this script's)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="classify every request of two output files instead")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("an output file or --compare is required")
 
     root = os.path.abspath(args.root)
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS

@@ -9,7 +9,9 @@ energy     minimum energy and reachable-ellipsoid data for given weights
 
 Exit codes: 0 success, 1 parse/usage error, 2 infeasible or unstable model
 (or failed checks for ``check``), 3 ambiguous non-convex result (report still
-emitted), 4 target outside the reachable span (``energy``).
+emitted), 4 target outside the reachable span (``energy``), 141 stdout closed
+before the output was written (``| head``; 128 + SIGPIPE, the status a shell
+reports for a process that the signal ended), with nothing printed.
 
 Each command runs its BLAS on one thread.  A process started as ``python -m
 ctrlscore`` or as the ``ctrlscore`` script sets ``OPENBLAS_NUM_THREADS=1``
@@ -58,6 +60,7 @@ EXIT_PARSE = 1
 EXIT_INFEASIBLE = 2
 EXIT_AMBIGUOUS = 3
 EXIT_TARGET = 4
+EXIT_BROKEN_PIPE = 141
 
 #: The demo's default node sets (four sine modes each).
 DEFAULT_DEMO_ROWS = "1,2,3,4;1,2,3,5;1,2,3,6;2,3,4,5;2,3,4,6;3,4,5,6"
@@ -462,6 +465,8 @@ def main(argv=None) -> int:
     try:
         with _one_blas_thread():
             return args.handler(args)
+    except BrokenPipeError:  # the reader has gone: nobody to tell
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

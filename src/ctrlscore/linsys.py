@@ -25,10 +25,22 @@ eigenpairs, is the one decomposition of ``W(p)`` at a single point
 (``eigh``), which the feasibility check, the objective and the energy
 diagnostics all read; ``eigenvalues`` is the batch path of the lattice
 oracle (``eigvalsh``); ``derivatives`` returns both derivatives, ``(rows,
-hessian)``, from one pass over the node Gramians per evaluation.  It forms
-``W_i @ Z`` for a block of nodes at a time and takes from each product the
-derivative rows and, for the whole spectrum, the m x m Hessian, which
-``hessian`` wraps.
+hessian)``, from one pass over low-rank factors of the node Gramians per
+evaluation.  The Gramian of one input has fast-decaying eigenvalues (Penzl
+2000; Antoulas, Sorensen & Zhou 2002): on the benchmark's dense systems
+every ``W_i`` has numerical rank at most 8 of d = 30 or 60.  So the first
+call factors each ``W_i ~= F_i^T S_i F_i`` with ``eigh`` (:func:`node_factors`)
+and keeps the factor, which is within ``d eps ||W_i||`` of ``W_i``
+(:data:`FACTOR_FLOOR`), no more than the rounding of a dense product.  Per
+block of nodes, ``M_i = F_i @ Z`` and ``Q_i = M_i^T S_i M_i = Z^T W_i Z``
+give the derivative rows and, for the whole spectrum, the m x m Hessian,
+which ``hessian`` wraps: O(m d K r + m K^2 r) for rank r, in place of
+O(m d^2 K + m d K^2).  The family keeps the factor, m x r x d floats for
+the largest node rank r, as long as it lives; as r nears d the factor takes
+as much memory as the Gramian stack and the pass gains nothing over the
+dense one.  The dense ``gramians`` stay the only source: ``W(p)``,
+its eigenpairs, the checks and the energy code read them and never the
+factor, so ``check`` and ``energy`` never build it.
 
 Node labels have one rule, :func:`node_labels`, which every model
 constructor and :func:`gramian_family` call.  The score order ``n``, how
@@ -42,6 +54,7 @@ any Gramian exists.  Every other function reads ``model.score_order``.
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,9 +295,9 @@ class NodeGramianFamily:
         return pairs.vectors
 
     def derivatives(self, pairs: Eigenpairs, divided):
-        """``(rows, hessian)`` from one pass over the node Gramians
-        (:func:`_quadratic_forms`, O(m n^2 K) for m nodes, state dimension n
-        and K selected eigenvectors).
+        """``(rows, hessian)`` from one pass over the low-rank node factors
+        (:func:`_quadratic_forms`, O(m d K r + m K^2 r) for m nodes, state
+        dimension d, K selected eigenvectors and factor rank r).
 
         ``rows[k, i] = d mu_k / d p_i = z_k^T W_i z_k``, a fresh (K, m)
         array.  For the whole spectrum, ``hessian()`` gives ``(matvec,
@@ -294,52 +307,121 @@ class NodeGramianFamily:
         ``H[i, j] = sum_kl divided(mu_k, mu_l) Q_i[k, l] Q_j[k, l]``, the
         trace identities.  ``hessian`` is None for a partial selection,
         where this formula is not the Hessian, and where ``mu_n`` is not
-        positive, where ``divided`` may be negative."""
+        positive, where ``divided`` may be negative.
+
+        The first call factors every node Gramian (:func:`node_factors`)
+        and keeps the factor, m x r x d floats for the largest node rank
+        r, for the life of the family; nothing else reads it.  The pass
+        gains nothing over dense products as r nears d."""
+        factor = self._factor()
         if pairs.following is not None or not pairs.positive:
-            return _quadratic_forms(pairs.vectors, self.gramians)[0], None
+            return _quadratic_forms(pairs.vectors, factor)[0], None
         mu = pairs.values
         # Row i of C holds the upper triangle of the symmetric Q_i, scaled
         # in place by sqrt(divided), doubled off the diagonal, so H = C C^T.
         upper = np.triu_indices(mu.size)
-        rows, coords = _quadratic_forms(pairs.vectors, self.gramians, upper)
+        rows, coords = _quadratic_forms(pairs.vectors, factor, upper)
         weights = divided(mu[:, None], mu[None, :]) * (2.0 - np.eye(mu.size))
         coords *= np.sqrt(weights[upper])
         hessian = coords @ coords.T
         return rows, lambda: (hessian.__matmul__, hessian.diagonal())
 
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`node_factors` of the Gramians, built on the first call and
+        kept.  The lock keeps two starts of the pool that make the first
+        call together from factoring twice; later calls do not take it."""
+        factor = self.__dict__.get("_node_factor")
+        if factor is None:
+            with _FACTOR_LOCK:
+                factor = self.__dict__.get("_node_factor")
+                if factor is None:
+                    factor = node_factors(self.gramians)
+                    object.__setattr__(self, "_node_factor", factor)
+        return factor
+
+
+#: Eigenvalues of a node Gramian ``W_i`` (order d) at or below
+#: ``d * FACTOR_FLOOR * max|lambda|`` are left out of its factor.  That is
+#: the scale of ``eigh``'s own backward error (Golub & Van Loan, section
+#: 8.1), so the factor differs from ``W_i`` by at most
+#: ``d * eps * ||W_i||_2``, no more than the rounding of a dense product.
+FACTOR_FLOOR = float(np.finfo(float).eps)
+
+_FACTOR_LOCK = threading.Lock()
+
+
+def node_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(loadings, signs)``, a signed low-rank factor of each symmetric
+    ``W_i = stack[i]`` (m, d, d):
+    ``W_i ~= loadings[i].T @ diag(signs[i]) @ loadings[i]``.
+
+    Row a of ``loadings[i]`` (m, r, d) is ``sqrt|lambda_a| v_a`` for an
+    eigenpair of ``W_i`` above the floor (:data:`FACTOR_FLOOR`), and
+    ``signs[i, a]`` (m, r) is the sign of ``lambda_a``, so an eigenvalue
+    inside the PSD tolerance but below zero keeps its sign.  ``r`` is the
+    largest rank over the nodes; a node of lower rank is padded with zero
+    rows of sign 0, so one node of full rank makes ``loadings`` as large as
+    ``stack``.  One ``eigh`` per node keeps the temporaries at d x d.
+    Both arrays are read-only.
+    """
+    count, dim = stack.shape[:2]
+    kept = []
+    for gram in stack:
+        values, vectors = np.linalg.eigh(gram)
+        size = np.abs(values)
+        keep = size > dim * FACTOR_FLOOR * size.max()
+        kept.append((values[keep], vectors[:, keep]))
+    loadings = np.zeros((count, max(values.size for values, _ in kept), dim))
+    signs = np.zeros(loadings.shape[:2])
+    for node, (values, vectors) in enumerate(kept):
+        loadings[node, :values.size] = vectors.T * np.sqrt(np.abs(values))[:, None]
+        signs[node, :values.size] = np.sign(values)
+    loadings.flags.writeable = False
+    signs.flags.writeable = False
+    return loadings, signs
+
 
 #: Nodes per block in :func:`_quadratic_forms`.  The pool runs two starts at
-#: once, and each holds one block's ``W_i @ Z`` and ``Z^T W_i Z``.  On the
-#: dense-lti benchmark (d = 30 and 60, seed 0, 2 vCPUs, 5 alternating 10-s
-#: runs, the CLI on one BLAS thread) blocks of 8 took a median 1.30 CPU-s
-#: per pass (1.22-1.41) at 68.1-68.6 MB peak RSS; one block per node took
-#: 1.98 (1.91-2.05, 5 of 5 runs slower) at 67.2-72.3 MB, and one block of
-#: all nodes 1.53 (1.44-1.58, 5 of 5 slower) at 75.3-80.5 MB.  One d = 60
-#: evaluation on one BLAS thread took 3.2-3.6 ms in blocks of 8, 4.5 ms per
-#: node and 5.4-5.6 ms in one block.
+#: once, and each holds one block's ``M_i = F_i @ Z`` and ``Q_i``, 8 x K x K
+#: for the Hessian.  On the d = 60 benchmark system (K = 60, rank 7), one
+#: derivative pass on one BLAS thread took 1.07 ms in blocks of 8 (min of 7
+#: x 100 calls, 2 vCPUs), 0.95 in blocks of 16, 1.64 per node and 2.19 in
+#: one block.  Blocks of 12 or more
+#: break the memory bound of
+#: ``test_an_evaluation_holds_one_node_block_beyond_its_hessian_coordinates``
+#: (a 1.91 MB peak at 12 against 1.76 MB; 1.60 at 8).
 _NODE_BLOCK = 8
 
 
-def _quadratic_forms(vectors: np.ndarray, stack: np.ndarray, upper=None):
-    """``(rows, coords)`` for the columns ``z_k`` of ``vectors`` (n, K) and
-    the matrices ``W_i = stack[i]`` (m, n, n).
+def _quadratic_forms(vectors: np.ndarray, factor, upper=None):
+    """``(rows, coords)`` for the columns ``z_k`` of ``vectors`` (d, K) and
+    the node factors ``factor = (loadings, signs)`` of :func:`node_factors`.
 
     ``rows[k, i] = z_k^T W_i z_k``, shape (K, m), C-contiguous.  With the
     index pair ``upper`` of a K x K triangle, row i of ``coords`` holds
-    ``Q_i = Z^T W_i Z`` at ``upper``; else ``coords`` is None.  Both come
-    from one product ``stack[block] @ Z`` per block of :data:`_NODE_BLOCK`
-    nodes, which bounds the temporaries at ``_NODE_BLOCK`` x n x K.  Each
-    entry is the one the same products give node by node, to the bit.
+    ``Q_i = Z^T W_i Z`` at ``upper``; else ``coords`` is None.  A block of
+    :data:`_NODE_BLOCK` nodes takes ``M_i = F_i @ Z`` for each node, then
+    ``Q_i = M_i^T S_i M_i``; ``rows`` is its diagonal, or
+    ``sum_a s_a M_i[a]**2`` without ``upper``.  Temporaries are bounded by
+    ``_NODE_BLOCK`` x K x max(r, K).  The products are one matmul over the
+    block's stack, which numpy runs node by node, so no entry depends on
+    the block size, to the bit (a single product of the stacked factor
+    rows would give other bits for other block sizes).
     """
-    m = len(stack)
+    loadings, signs = factor
+    m = len(loadings)
     rows = np.empty((m, vectors.shape[1]))
     coords = None if upper is None else np.empty((m, upper[0].size))
     for start in range(0, m, _NODE_BLOCK):
         block = slice(start, start + _NODE_BLOCK)
-        products = stack[block] @ vectors
-        rows[block] = (products * vectors).sum(axis=1)
-        if coords is not None:
-            coords[block] = (vectors.T @ products)[:, upper[0], upper[1]]
+        products = loadings[block] @ vectors
+        signed = products * signs[block, :, None]
+        if coords is None:
+            rows[block] = (signed * products).sum(axis=1)
+        else:
+            forms = signed.transpose(0, 2, 1) @ products
+            rows[block] = np.diagonal(forms, axis1=1, axis2=2)
+            coords[block] = forms[:, upper[0], upper[1]]
     # The gradient sums rows over axis 0.  On the transposed view that axis
     # is contiguous and numpy would sum it pairwise; the C-contiguous copy
     # keeps the node-by-node order, and so the bits.

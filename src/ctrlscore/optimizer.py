@@ -47,6 +47,7 @@ library call keeps whatever BLAS threading its caller set.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -278,11 +279,15 @@ def _descend(objective: _Objective, start: np.ndarray,
 
 def _starting_points(count: int, caps: np.ndarray, seed: int,
                      witness: SimplexWeights) -> list[np.ndarray]:
+    """The witness, then ``count - 1`` seeded Dirichlet samples projected
+    onto the set.  A single start draws nothing, so a certified solve never
+    imports ``numpy.random``."""
     points = [witness.values]
-    rng = np.random.default_rng(seed)
-    while len(points) < count:
-        sample = rng.dirichlet(np.ones(caps.size))
-        points.append(project_capped_simplex(sample, caps))
+    if count > 1:
+        rng = np.random.default_rng(seed)
+        while len(points) < count:
+            sample = rng.dirichlet(np.ones(caps.size))
+            points.append(project_capped_simplex(sample, caps))
     return points
 
 
@@ -300,10 +305,13 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         Per-node upper bounds (defaults to all ones).
     seed : int, optional
         Seeds the extra starts of an uncertified model, and therefore the
-        whole solve; a negative seed raises ``ValueError``.
+        whole solve.
 
     Raises
     ------
+    ValueError
+        If ``seed`` is not an integer ``>= 0`` (``operator.index``, so
+        numpy integers pass), whether or not the solve draws from it.
     InvalidWeights
         If ``caps`` is not a nonnegative vector with one entry per node.
     Infeasible
@@ -312,6 +320,12 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         If multi-starts disagree on the optimal value by more than 1e-6.
         The merged result is attached to the exception.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     objective = _Objective(kind, model)
     caps_arr = validate_caps(caps, objective.node_count)
     report = check_feasibility(model, caps=caps_arr)

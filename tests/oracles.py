@@ -7,9 +7,9 @@ eigenvalues of a plain matrix, a Monte-Carlo average of the minimum energy,
 a joint diagonalizer that turns a commuting Gramian family into an
 eigenvalue table (with the two errors only it raises), the dense Hessians
 that the models' Hessian callables must agree with, the node-by-node
-derivative rows and Hessian that the blocked evaluation pass must match to
-the bit, and a writer for the model-file format that the parser must read
-back.
+derivative rows and Hessian from the dense Gramians that the factored
+evaluation pass must match to rounding, and a writer for the model-file
+format that the parser must read back.
 """
 
 from __future__ import annotations

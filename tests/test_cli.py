@@ -448,10 +448,11 @@ seen["import ctrlscore"] = scipy_loaded()
 seen["numpy after import ctrlscore"] = "numpy" in sys.modules
 from ctrlscore import cli
 seen["import ctrlscore.cli"] = scipy_loaded()
+# A certified solve runs one start and draws no random numbers.
 for label, argv in (("score heat", ["score", heat, "--kind", "vcs"]),
                     ("check table", ["check", table])):
     with contextlib.redirect_stdout(io.StringIO()):
-        seen[label] = (cli.main(argv), scipy_loaded())
+        seen[label] = (cli.main(argv), scipy_loaded(), "numpy.random" in sys.modules)
 # A family of closed-form Gramians has no dynamics to factor.
 import numpy as np
 modes = np.arange(1, 6)
@@ -477,8 +478,8 @@ def test_heat_and_table_requests_never_load_scipy(tmp_path):
         "import ctrlscore": False,
         "numpy after import ctrlscore": False,
         "import ctrlscore.cli": False,
-        "score heat": [0, False],
-        "check table": [0, False],
+        "score heat": [0, False, False],
+        "check table": [0, False, False],
         "solve Gramian family": [True, False],
         # The positive control: a dense system needs the Schur factor.
         "score dense": [0, True],
@@ -738,3 +739,24 @@ def test_a_cold_cli_process_keeps_a_blas_thread_count_the_user_set():
     plain = _cold_start("sys.exit(0)", [], user)
     seen = _cold_start(PYTHON_M, ["heat-demo"], user)
     assert (seen["exit"], seen["env"], seen["blas"]) == (0, "2", plain["blas"])
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["heat-demo", "score"])
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path, buffered, command):
+    # The read end is closed before the child starts, so the child's first
+    # write fails (unbuffered) or its last flush does (buffered), always.
+    argv = (["heat-demo"] if command == "heat-demo" else
+            ["score", write(tmp_path, "heat4.csm", HEAT4), "--kind", "vcs"])
+    src = os.path.dirname(os.path.dirname(ctrlscore.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONPATH": src} if buffered else
+               {"PYTHONPATH": src, "PYTHONUNBUFFERED": "1"})
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        run = subprocess.run([sys.executable, "-m", "ctrlscore", *argv], stdout=writer,
+                             stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(writer)
+    assert (run.returncode, run.stderr) == (cli.EXIT_BROKEN_PIPE, b"")

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    eigenvector_family,
     gramian_by_quadrature,
     interior_point,
     random_stable_family,
@@ -221,30 +225,154 @@ def test_derivative_rows_match_finite_differences(rng):
     assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(got)
 
 
-@pytest.mark.parametrize("nodes", [1, 7, 8, 9, 17])
-def test_blocked_pass_matches_the_node_by_node_build_to_the_bit(rng, nodes):
+def _signed_family(rng, dim: int = 6, scale: float = 1.0) -> cs.NodeGramianFamily:
+    """Random Lyapunov Gramians, node 2's smallest eigenvalue replaced by
+    ``-1e-12 ||W_2||``: inside the PSD tolerance, above the factor floor."""
+    grams = random_stable_family(rng, dim).gramians.copy()
+    values, vectors = np.linalg.eigh(grams[1])
+    values[0] = -1e-12 * values[-1]
+    grams[1] = (vectors * values) @ vectors.T
+    grams[1] = 0.5 * (grams[1] + grams[1].T)
+    return cs.NodeGramianFamily(range(1, dim + 1), scale * grams)
+
+
+def _zero_gramian_family(rng) -> cs.NodeGramianFamily:
+    grams = random_stable_family(rng, 6).gramians.copy()
+    grams[3] = 0.0
+    return cs.NodeGramianFamily(range(1, 7), grams)
+
+
+#: Families whose factors cover the cases of :func:`linsys.node_factors`.
+FACTOR_FAMILIES = {
+    "random d=60": lambda rng: random_stable_family(rng, 60),
+    "rank one": lambda rng: eigenvector_family(np.linalg.qr(rng.standard_normal((8, 8)))[0],
+                                               -rng.uniform(0.5, 3.0, 8)),
+    "zero Gramian": _zero_gramian_family,
+    "signed": _signed_family,
+    "signed x 1e12": lambda rng: _signed_family(rng, scale=1e12),
+    "signed x 1e-12": lambda rng: _signed_family(rng, scale=1e-12),
+}
+
+
+@pytest.mark.parametrize("name", FACTOR_FAMILIES)
+def test_factored_pass_matches_the_dense_node_by_node_reference(name):
+    # The same seed for every family, so the signed ones differ only in scale.
+    rng = np.random.default_rng(7)
+    whole = FACTOR_FAMILIES[name](rng)
+    dim, nodes = whole.mode_count, whole.node_count
+    loadings, signs = linsys.node_factors(whole.gramians)
+    ranks = np.count_nonzero(signs, axis=1)
+    norms = np.linalg.norm(whole.gramians, 2, axis=(1, 2))
+    rebuilt = np.einsum("iak,ia,ial->ikl", loadings, signs, loadings)
+    error = np.linalg.norm(rebuilt - whole.gramians, 2, axis=(1, 2))
+    assert np.all(error <= 4 * dim * np.finfo(float).eps * norms)
+    if name == "random d=60":
+        assert 1 < ranks.max() < dim
+    elif name == "rank one":
+        assert np.all(ranks == 1)
+    elif name == "zero Gramian":
+        assert ranks[3] == 0 and np.all(loadings[3] == 0.0)
+    else:
+        assert np.count_nonzero(signs < 0) == 1 and signs[1].min() == -1.0
+        unscaled = linsys.node_factors(_signed_family(np.random.default_rng(7)).gramians)[1]
+        assert np.array_equal(signs, unscaled)
+    point = interior_point(rng, nodes, floor=0.5 / nodes)
+    divided = SCORES[cs.ObjectiveKind.AECS].divided
+    for count in (dim // 2, dim):
+        family = dataclasses.replace(whole, score_order=count)
+        pairs = family.eigenpairs(point)
+        # mu_n of the 1e-12 family is under the absolute positive floor.
+        assert pairs.positive == (name != "signed x 1e-12")
+        rows, hessian = family.derivatives(pairs, divided)
+        want = node_quadratic_rows(pairs.vectors, family.gramians)
+        assert np.abs(rows - want).max() <= 1e-12 * np.abs(want).max()
+        if count < dim or not pairs.positive:
+            assert hessian is None
+            continue
+        matvec, diagonal = hessian()
+        dense = np.column_stack([matvec(unit) for unit in np.eye(nodes)])
+        want = node_hessian(family, pairs, divided)
+        assert np.abs(dense - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(diagonal, np.diag(dense))
+
+
+@pytest.mark.parametrize("nodes", [1, 7, 8, 9, 17, 60])
+def test_blocked_and_single_block_factored_passes_agree_to_the_bit(rng, monkeypatch, nodes):
     # Node counts below, on and across the edges of the 8-node blocks, each
     # on a system with one state per node: the full selection and, past one
-    # node, a partial one.
+    # node, a partial one, which gives no Hessian.  At 60 nodes one product
+    # of a block's stacked factor rows would give other bits than one of
+    # all nodes' rows.
     whole = random_stable_family(rng, nodes)
     point = interior_point(rng, nodes, floor=0.5 / nodes)
     divided = SCORES[cs.ObjectiveKind.AECS].divided
+    blocks = (linsys._NODE_BLOCK, nodes)
     for count in sorted({max(nodes // 2, 1), nodes}):
         family = dataclasses.replace(whole, score_order=count)
         pairs = family.eigenpairs(point)
         assert pairs.positive and pairs.vectors.flags.c_contiguous
-        want = node_quadratic_rows(pairs.vectors, family.gramians)
-        rows, hessian = family.derivatives(pairs, divided)
-        assert np.array_equal(rows, want)
-        assert rows.flags.c_contiguous
+        passes = []
+        for block in blocks:
+            monkeypatch.setattr(linsys, "_NODE_BLOCK", block)
+            rows, hessian = family.derivatives(pairs, divided)
+            assert rows.flags.c_contiguous
+            passes.append((rows, None if hessian is None else hessian()[0].__self__))
+        (blocked, blocked_hessian), (single, single_hessian) = passes
+        assert np.array_equal(blocked, single)
         if count < nodes:
-            assert hessian is None
+            assert blocked_hessian is None and single_hessian is None
         else:
-            matvec, diagonal = hessian()
-            dense = np.column_stack([matvec(unit) for unit in np.eye(nodes)])
-            want = node_hessian(family, pairs, divided)
-            assert np.array_equal(dense, want)
-            assert np.array_equal(diagonal, np.diag(want))
+            assert np.array_equal(blocked_hessian, single_hessian)
+
+
+def test_two_threads_making_the_first_call_share_one_factor(rng, monkeypatch):
+    family = random_stable_family(rng, 12)
+    pairs = family.eigenpairs(interior_point(rng, 12))
+    divided = SCORES[cs.ObjectiveKind.VCS].divided
+    built = []
+    factor = linsys.node_factors
+
+    def slow_factor(stack):
+        built.append(stack)
+        time.sleep(0.05)  # both threads are past their first look by now
+        return factor(stack)
+
+    monkeypatch.setattr(linsys, "node_factors", slow_factor)
+    start = threading.Barrier(2)
+    seen = []
+
+    def first_call():
+        start.wait()
+        rows, hessian = family.derivatives(pairs, divided)
+        seen.append((family._factor(), rows, hessian()[0].__self__))
+
+    threads = [threading.Thread(target=first_call) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(built) == 1 and len(seen) == 2
+    (factor_a, rows_a, hessian_a), (factor_b, rows_b, hessian_b) = seen
+    assert factor_a is factor_b
+    assert np.array_equal(rows_a, rows_b) and np.array_equal(hessian_a, hessian_b)
+
+
+def test_a_family_keeps_only_its_factor_of_the_largest_node_rank(rng):
+    # What the first call leaves behind, for the life of the family, is the
+    # m x r x d loadings and m x r signs for the largest node rank r (22 of
+    # 60 here), none of eigh's temporaries.  A family whose ranks near d
+    # would keep as much again as its Gramian stack.
+    family = random_stable_family(rng, 60)
+    tracemalloc.start()
+    try:
+        loadings, signs = family._factor()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    rank = max(np.count_nonzero(node) for node in signs)
+    assert loadings.shape == (60, rank, 60) and signs.shape == (60, rank)
+    assert held < loadings.nbytes + signs.nbytes + 4096
+    assert held < family.gramians.nbytes / 2
 
 
 def test_no_hessian_where_an_eigenvalue_is_not_positive():

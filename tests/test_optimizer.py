@@ -277,6 +277,15 @@ def test_solve_rejects_a_negative_seed():
         cs.solve(ObjectiveKind.AECS, cs.heat_dirichlet_model([1, 2]), seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.0, None, "3", -np.int64(2)])
+def test_solve_checks_the_seed_even_where_it_draws_nothing(seed):
+    # A heat model is certified and runs one start, which draws no numbers.
+    with pytest.raises(ValueError, match="seed"):
+        cs.solve(ObjectiveKind.AECS, cs.heat_dirichlet_model([1, 2]), seed=seed)
+    assert cs.solve(ObjectiveKind.AECS, cs.heat_dirichlet_model([1, 2]),
+                    seed=np.int64(3)).converged
+
+
 @pytest.mark.parametrize("size, cap, step", [(4, 0.3, 0.01), (8, 0.15, 0.05),
                                               (12, 0.1, None)])
 def test_capped_solve_matches_closed_form(size, cap, step):
