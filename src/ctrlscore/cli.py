@@ -9,7 +9,10 @@ energy     minimum energy and reachable-ellipsoid data for given weights
 
 Exit codes: 0 success, 1 parse/usage error, 2 infeasible or unstable model
 (or failed checks for ``check``), 3 ambiguous non-convex result (report still
-emitted), 4 target outside the reachable span (``energy``), 141 stdout closed
+emitted), 4 target outside the reachable span (``energy``), 5 the solver did
+not converge (report still emitted; it wins over 3 when a result is both,
+since an unconverged answer is not even a local optimum), 6 numerical
+failure (a Lyapunov solve or a Gramian failed its check), 141 stdout closed
 before the output was written (``| head``; 128 + SIGPIPE, the status a shell
 reports for a process that the signal ended), with nothing printed.
 
@@ -41,7 +44,9 @@ from .energy import min_energy, reachable_ellipsoid
 from .errors import (
     BadIndexSet,
     CtrlscoreError,
+    EigenFailure,
     Infeasible,
+    LyapunovSolveFailure,
     NonConvexAmbiguous,
     ParseError,
     RankDeficient,
@@ -60,6 +65,8 @@ EXIT_PARSE = 1
 EXIT_INFEASIBLE = 2
 EXIT_AMBIGUOUS = 3
 EXIT_TARGET = 4
+EXIT_UNCONVERGED = 5
+EXIT_NUMERICAL = 6
 EXIT_BROKEN_PIPE = 141
 
 #: The demo's default node sets (four sine modes each).
@@ -225,6 +232,8 @@ def _cmd_score(args) -> int:
         result = exc.result
         exit_code = EXIT_AMBIGUOUS
         print(f"warning: {exc}", file=sys.stderr)
+    if not result.converged:
+        exit_code = EXIT_UNCONVERGED
     grid_line = ""
     if args.grid_check is not None:  # an oracle failure fails before the report
         grid_weights, grid_value = grid_oracle(kind, model, step=args.grid_check,
@@ -314,7 +323,7 @@ def _cmd_heat_demo(args) -> int:
 def _cmd_energy(args) -> int:
     model_file, _ = _load(args.model)
     try:
-        model = model_file.build(args.n)
+        model_at = model_file.energy_model(args.n)
     except UnstableSystem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -326,6 +335,7 @@ def _cmd_energy(args) -> int:
     values = values / total
     weights = SimplexWeights(values, model_file.caps)
     target = _parse_float_list(args.target, "--target")
+    model, weights = model_at(weights)
     try:
         energy_value = min_energy(model, weights, target)
         ellipsoid = reachable_ellipsoid(model, weights)
@@ -470,6 +480,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (LyapunovSolveFailure, EigenFailure) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (OSError, CtrlscoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

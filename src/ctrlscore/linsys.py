@@ -7,10 +7,16 @@ For an exponentially stable ``A`` the Gramian of node ``i`` is
 with ``P_i`` the rank-one projection onto standard basis vector i.  ``W_i`` is
 the unique solution of the continuous Lyapunov equation
 ``A W_i + W_i A^T + P_i P_i^T = 0``.  :func:`check_stability` factors
-``A = Z T Z^T`` once (real Schur form), and each node Gramian is one
-triangular Sylvester solve on that factor (Bartels-Stewart); the defining
-integral is kept only as a test oracle.  The mixed Gramian for a weight
-vector ``p`` is ``W(p) = sum_i p_i W_i``.
+``A = Z T Z^T`` once (real Schur form), and every Gramian is one triangular
+Sylvester solve on that factor (Bartels-Stewart), made in one place,
+:func:`_solve_lyapunov`, for a diagonal input weighting
+``A W + W A^T = -diag(q)``; the defining integral is kept only as a test
+oracle.  The mixed Gramian for a weight vector ``p`` is
+``W(p) = sum_i p_i W_i``.  A node Gramian is the weighting ``q = e_i``
+(:func:`node_gramian`); by linearity ``W(p)`` itself is the weighting
+``q[k_i - 1] = p_i``, one solve in place of m
+(:func:`weighted_gramian_family`), which is what the ``energy`` command
+reads.
 
 scipy is imported inside the functions that need it (the Schur factor and
 the triangular solve), so heat and table models never load it.
@@ -40,7 +46,8 @@ the largest node rank r, as long as it lives; as r nears d the factor takes
 as much memory as the Gramian stack and the pass gains nothing over the
 dense one.  The dense ``gramians`` stay the only source: ``W(p)``,
 its eigenpairs, the checks and the energy code read them and never the
-factor, so ``check`` and ``energy`` never build it.
+factor, so ``check`` never builds it, and ``energy`` builds no family of
+node Gramians at all.
 
 Node labels have one rule, :func:`node_labels`, which every model
 constructor and :func:`gramian_family` call.  The score order ``n``, how
@@ -428,6 +435,69 @@ def _quadratic_forms(vectors: np.ndarray, factor, upper=None):
     return np.ascontiguousarray(rows.T), coords
 
 
+def _solve_lyapunov(system: StableLTISystem, input_weights: np.ndarray,
+                    subject: str) -> np.ndarray:
+    """Solve ``A W + W A^T = -diag(q)`` for the input weighting
+    ``q = input_weights`` (length d, nonnegative): the Gramian of the input
+    matrix ``diag(sqrt q)``.  ``subject`` names the Gramian in errors.
+
+    With ``A = Z T Z^T`` the stored Schur factor, this solves the
+    quasi-triangular equation ``T Y + Y T^T = Z^T (-diag q) Z`` with
+    LAPACK's ``dtrsyl`` and returns ``W = Z Y Z^T``.  These are the steps
+    scipy's dense Lyapunov solver takes after its own ``schur`` call, so the
+    result is the same to the bit, without re-factoring ``A`` for every
+    solve.  ``dtrsyl`` reports ``info == 1`` when it had to perturb
+    near-singular eigenvalue sums; such a solution is accepted only if it
+    passes the residual check below, and nothing is printed.
+
+    Raises
+    ------
+    LyapunovSolveFailure
+        If ``dtrsyl`` rejects an argument, or the residual exceeds
+        ``DEFAULT_TOL * max(1, ||W||_F)``.
+    """
+    from scipy.linalg.lapack import dtrsyl
+
+    rhs = -np.diag(input_weights)
+    a, form, vectors = system.dynamics, system.schur_form, system.schur_vectors
+    solved, scale, info = dtrsyl(form, form, vectors.T @ (rhs @ vectors), tranb="T")
+    if info < 0:
+        raise LyapunovSolveFailure(
+            f"Lyapunov solve failed for {subject}: dtrsyl argument {-info} is illegal"
+        )
+    solved *= scale
+    gram = vectors @ solved @ vectors.T
+    gram = 0.5 * (gram + gram.T)
+    residual = np.linalg.norm(a @ gram + gram @ a.T - rhs)
+    if residual > DEFAULT_TOL * max(1.0, float(np.linalg.norm(gram))):
+        raise LyapunovSolveFailure(
+            f"Lyapunov residual {residual:.3e} exceeds tolerance for {subject}"
+        )
+    return gram
+
+
+def _state(system: StableLTISystem, node: int) -> int:
+    """The 0-based state of 1-based node ``node``; raises
+    :class:`IndexMismatch` unless it is in ``1..n``."""
+    n = system.n_dim
+    if not 1 <= node <= n:
+        raise IndexMismatch(f"node {node} out of range 1..{n}")
+    return node - 1
+
+
+def _checked_nodes(system: StableLTISystem, node_indices,
+                   score_order: int | None) -> tuple[int, ...]:
+    """The labels of ``node_indices`` (:func:`node_labels`), after checking
+    ``score_order`` (when given) and that each node is a state of
+    ``system``; nothing is solved."""
+    indices = node_labels(node_indices)
+    if score_order is not None:
+        resolve_score_order(score_order, system.n_dim)
+    for node in indices:
+        _state(system, node)
+    return indices
+
+
 def node_gramian(system: StableLTISystem, node: int) -> np.ndarray:
     """Solve ``A W + W A^T = -e e^T`` for the unit vector ``e`` of node
     ``node``.
@@ -446,57 +516,67 @@ def node_gramian(system: StableLTISystem, node: int) -> np.ndarray:
 
     Notes
     -----
-    With ``A = Z T Z^T`` the stored Schur factor, this solves the
-    quasi-triangular equation ``T Y + Y T^T = Z^T (-d d^T) Z`` with LAPACK's
-    ``dtrsyl`` and returns ``W = Z Y Z^T``.  These are the steps scipy's
-    dense Lyapunov solver takes after its own ``schur`` call, so the result
-    is the same to the bit, without re-factoring ``A`` for every node.
-    ``dtrsyl`` reports ``info == 1`` when it had to perturb near-singular
-    eigenvalue sums; such a solution is accepted only if it passes the
-    residual check below, and nothing is printed.
+    ``e e^T = diag(e)``, so this is the Lyapunov solve of the input
+    weighting ``q = e`` (:func:`_solve_lyapunov`), with the same
+    right-hand-side matrix to the bit.
 
     Raises
     ------
     IndexMismatch
         If ``node`` is not in ``1..n``.
     LyapunovSolveFailure
-        If ``dtrsyl`` rejects an argument, or the residual exceeds
-        ``DEFAULT_TOL * max(1, ||W||_F)``.
+        If the solve fails (see :func:`_solve_lyapunov`); the message names
+        the node.
     """
-    from scipy.linalg.lapack import dtrsyl
-
-    n = system.n_dim
-    if not 1 <= node <= n:
-        raise IndexMismatch(f"node {node} out of range 1..{n}")
-    direction = np.zeros(n)
-    direction[node - 1] = 1.0
-    rhs = -np.outer(direction, direction)
-    a, form, vectors = system.dynamics, system.schur_form, system.schur_vectors
-    solved, scale, info = dtrsyl(form, form, vectors.T @ (rhs @ vectors), tranb="T")
-    if info < 0:
-        raise LyapunovSolveFailure(
-            f"Lyapunov solve failed for node {node}: dtrsyl argument {-info} is illegal"
-        )
-    solved *= scale
-    gram = vectors @ solved @ vectors.T
-    gram = 0.5 * (gram + gram.T)
-    residual = np.linalg.norm(a @ gram + gram @ a.T - rhs)
-    if residual > DEFAULT_TOL * max(1.0, float(np.linalg.norm(gram))):
-        raise LyapunovSolveFailure(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance for node {node}"
-        )
-    return gram
+    direction = np.zeros(system.n_dim)
+    direction[_state(system, node)] = 1.0
+    return _solve_lyapunov(system, direction, f"node {node}")
 
 
 def gramian_family(system: StableLTISystem, node_indices,
                    score_order: int | None = None) -> NodeGramianFamily:
     """The family of :func:`node_gramian` for every index in ``node_indices``,
-    scored on its top ``score_order`` eigenvalues (default: all).  The labels
-    and the order are checked before the first Lyapunov solve."""
-    indices = node_labels(node_indices)
-    if score_order is not None:
-        resolve_score_order(score_order, system.n_dim)
+    scored on its top ``score_order`` eigenvalues (default: all).  The labels,
+    the order and the node range are checked before the first Lyapunov
+    solve."""
+    indices = _checked_nodes(system, node_indices, score_order)
     return NodeGramianFamily(indices, [node_gramian(system, i) for i in indices],
+                             score_order)
+
+
+#: The weight at which a :func:`weighted_gramian_family` is evaluated.
+UNIT_WEIGHT = (1.0,)
+
+
+def weighted_gramian_family(system: StableLTISystem, node_indices, weights,
+                            score_order: int | None = None) -> NodeGramianFamily:
+    """The mixed Gramian ``W(p) = sum_i p_i W_i`` of the nodes
+    ``node_indices`` at ``weights``, as a family of one Gramian, from one
+    Lyapunov solve.
+
+    By linearity ``W(p)`` solves ``A W + W A^T = -diag(q)`` with
+    ``q[k_i - 1] = p_i`` for node ``k_i``: it is the Gramian of the one
+    input group ``diag(sqrt q)``, the family's only node, labelled 1.
+    Evaluated at the weight :data:`UNIT_WEIGHT`, the family has the
+    eigenpairs of ``W(p)``, so the energy diagnostics read it like any
+    model, and ``W(p)`` gets the family's finite, symmetric and PSD checks.
+    It differs from ``assemble_gramian(gramian_family(system, node_indices),
+    weights)``, which solves once per node, by rounding only.  The labels,
+    the order, the node range and the weight count are checked before the
+    solve.
+
+    Raises
+    ------
+    InvalidWeights
+        If there is not one weight per node (:func:`assemble_gramian`'s
+        message).
+    LyapunovSolveFailure
+        If the solve fails; the message names ``W(p)``.
+    """
+    indices = _checked_nodes(system, node_indices, score_order)
+    weighting = np.zeros(system.n_dim)
+    weighting[np.asarray(indices) - 1] = weight_vector(weights, len(indices))
+    return NodeGramianFamily((1,), [_solve_lyapunov(system, weighting, "W(p)")],
                              score_order)
 
 

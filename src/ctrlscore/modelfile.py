@@ -51,9 +51,9 @@ from itertools import islice
 import numpy as np
 
 from .errors import CtrlscoreError, ParseError
-from .linsys import (NodeGramianFamily, check_stability, gramian_family, node_labels,
-                     resolve_score_order)
-from .simplex import validate_caps
+from .linsys import (UNIT_WEIGHT, NodeGramianFamily, check_stability, gramian_family,
+                     node_labels, resolve_score_order, weighted_gramian_family)
+from .simplex import SimplexWeights, validate_caps
 from .spectral import SpectralModel, heat_dirichlet_model
 
 SCHEMA_VERSION = 1
@@ -101,6 +101,33 @@ class ModelFile:
             return SpectralModel(self.node_indices, self.table, order)
         system = check_stability(self.dynamics)
         return gramian_family(system, self.node_indices, order)
+
+    def energy_model(self, score_order: int | None = None):
+        """``at(weights) -> (model, weights)``, on which the energy
+        diagnostics read ``W(p)`` for node weights ``weights``.
+
+        What :meth:`build` checks before any Lyapunov solve is checked here,
+        in the same order and with the same errors.  A heat or table model
+        is built here and handed back with ``weights`` unchanged.  On a
+        ``dense_lti`` file each ``at`` solves one Lyapunov equation, not one
+        per node: it returns the one-Gramian family of ``W(p)``
+        (:func:`~ctrlscore.linsys.weighted_gramian_family`, which raises
+        :class:`~ctrlscore.errors.InvalidWeights` unless there is one weight
+        per node) with the weight :data:`~ctrlscore.linsys.UNIT_WEIGHT`.
+        """
+        if self.kind != "dense_lti":
+            model = self.build(score_order)
+            return lambda weights: (model, weights)
+        order = self.score_order if score_order is None else score_order
+        system = check_stability(self.dynamics)
+        if order is not None:
+            resolve_score_order(order, system.n_dim)
+
+        def at(weights):
+            family = weighted_gramian_family(system, self.node_indices, weights, order)
+            return family, SimplexWeights(UNIT_WEIGHT)
+
+        return at
 
 
 _TOKEN = re.compile(r"\S+")

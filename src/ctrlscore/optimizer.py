@@ -11,7 +11,12 @@ the callable that ``model.derivatives`` handed the evaluation
 Where the model gives no Hessian (a Gramian family scored on fewer than all
 its eigenvalues) or eigenvalues n and n + 1 (nearly) tie, and whenever the
 Newton line search fails, the step is projected gradient with a
-Barzilai-Borwein first trial.  Both line searches project each trial point
+Barzilai-Borwein first trial.  The Newton line search starts at the full
+step, or where that moves a weight by more than the simplex's width of 1,
+at the step that moves the largest weight by 1: along a direction of
+near-zero curvature, such as between two nearly identical nodes, the full
+step can be longer than the simplex by orders of magnitude, and every
+trial would overshoot.  Both line searches project each trial point
 back onto the feasible polytope and backtrack under one Armijo rule; a trial
 that evaluates to ``+inf`` (eigenvalue rank loss) simply fails it, so the
 boundary of the feasible region acts as a barrier.  Convergence is declared
@@ -75,7 +80,9 @@ STEP_SHRINK = 0.5
 ARMIJO_C = 1e-4
 #: Relative stop of the Newton step's CG: ``r^T z`` falls by this squared.
 CG_RTOL = 1e-10
-#: The Newton line search gives up below this fraction of the full step.
+#: The Newton line search gives up below this fraction of its first trial,
+#: the full step or, where that moves a weight by more than 1, the step
+#: that moves the largest weight by 1.
 NEWTON_MIN_STEP = 1e-3
 #: Most lattice points :func:`grid_oracle` enumerates.
 GRID_BUDGET = 2_000_000
@@ -245,8 +252,10 @@ def _descend(objective: _Objective, start: np.ndarray,
         # Projected Newton first; if its line search fails, the
         # projected-gradient step below is taken from the same point.
         newton = _newton_direction(current, point, target, caps)
-        accepted = (None if newton is None
-                    else line_search(newton, 1.0, NEWTON_MIN_STEP))
+        accepted = None
+        if newton is not None:
+            first = min(1.0, 1.0 / float(np.max(np.abs(newton))))
+            accepted = line_search(newton, first, NEWTON_MIN_STEP * first)
         newton_step = accepted is not None
         if finishing and not newton_step:
             break

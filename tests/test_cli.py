@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ctrlscore
-from ctrlscore import cli, linsys
+from ctrlscore import cli, linsys, optimizer
 from ctrlscore.cli import (
     DEFAULT_DEMO_ROWS,
     RunReport,
@@ -552,14 +552,129 @@ def test_out_of_range_n_on_a_dense_file_fails_before_any_lyapunov_solve(
     assert calls == [1, 2, 3, 4, 5]
 
 
-def test_lyapunov_failure_exits_1(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, subject", [
+    (["score", "--kind", "vcs"], "node 2"),
+    (["check"], "node 2"),
+    (["energy", "--p", "0.2,0.3,0.5", "--target", "1,0,0"], "W(p)"),
+], ids=["score", "check", "energy"])
+def test_lyapunov_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch,
+                                                 argv, subject):
+    # With no tolerance any rounding in the residual fails the check.
     monkeypatch.setattr(linsys, "DEFAULT_TOL", 0.0)
     path = write(tmp_path, "nonnormal.csm", NON_NORMAL3)
-    code = main(["score", path, "--kind", "vcs"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: Lyapunov residual ")
-    assert err.endswith(" exceeds tolerance for node 2\n")
+    code = main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERICAL == 6
+    assert captured.out == ""
+    assert captured.err.startswith("error: Lyapunov residual ")
+    assert captured.err.endswith(f" exceeds tolerance for {subject}\n")
+
+
+def test_a_gramian_that_fails_its_check_is_a_numerical_failure(tmp_path, capsys,
+                                                               monkeypatch):
+    solve = linsys.node_gramian
+
+    def not_finite(system, node):
+        gram = solve(system, node)
+        gram[0, 0] = math.nan if node == 2 else gram[0, 0]
+        return gram
+
+    monkeypatch.setattr(linsys, "node_gramian", not_finite)
+    path = write(tmp_path, "dense5.csm", DENSE5)
+    assert main(["score", path, "--kind", "aecs"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", "error: Gramian for node 2 is not finite\n")
+
+
+def test_an_unconverged_score_exits_5_with_its_report(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "heat4.csm", HEAT4)
+    monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
+    code = main(["score", path, "--kind", "aecs", "--format", "json-lines"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_UNCONVERGED == 5
+    report = RunReport.from_json_line(captured.out.strip())
+    assert report.uniqueness_certified and report.iterations == 1
+    assert any(w.startswith("solver did not reach grad_tol") for w in report.warnings)
+    assert captured.err == ""
+    # The positive control: the same request converges and exits 0.
+    monkeypatch.undo()
+    assert main(["score", path, "--kind", "aecs", "--format", "json-lines"]) == 0
+
+
+def test_unconverged_wins_over_ambiguous(tmp_path, capsys, monkeypatch):
+    # A dense family that does not commute runs eight starts; after one
+    # step none has converged, and their values still disagree.
+    path = write(tmp_path, "noncomm.csm", NON_COMMUTING)
+    monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
+    code = main(["score", path, "--kind", "aecs", "--format", "json-lines"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_UNCONVERGED
+    assert captured.err.startswith("warning: starts disagree on the optimal value")
+    report = RunReport.from_json_line(captured.out.strip())
+    assert any(w.startswith("solver did not reach grad_tol") for w in report.warnings)
+
+
+def test_a_dense_energy_request_makes_one_lyapunov_solve(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = linsys._solve_lyapunov
+
+    def counted(system, weighting, subject):
+        calls.append((weighting.copy(), subject))
+        return solve(system, weighting, subject)
+
+    monkeypatch.setattr(linsys, "_solve_lyapunov", counted)
+    # Node 5 reaches every state of the chain, so W(p) has full rank.
+    path = write(tmp_path, "dense5.csm", DENSE5.replace("nodes 1 2 3 4 5",
+                                                        "nodes 2 5"))
+    code = main(["energy", path, "--p", "0.25,0.75", "--target", "1,-1,2,0.5,1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(calls) == 1
+    weighting, subject = calls[0]
+    assert subject == "W(p)"
+    assert weighting.tolist() == [0.0, 0.25, 0.0, 0.0, 0.75]
+    # The same request on the node Gramians prints the same figures.
+    system = linsys.check_stability(np.diag([-2.0] * 5) + np.eye(5, k=1))
+    family = linsys.gramian_family(system, (2, 5))
+    energy = ctrlscore.min_energy(family, [0.25, 0.75], [1, -1, 2, 0.5, 1])
+    assert out.splitlines()[0] == f"energy {energy:.6f}"
+
+
+DENSE2_CAPS = NON_COMMUTING.replace("matrix 2", "caps 0.6 0.6\nmatrix 2")
+
+
+@pytest.mark.parametrize("text, argv, code, solves, message", [
+    (DENSE5, ["--p", "0.2,0.2,0.2,0.2,0.2", "--target", "1,0,0,0,0", "--n", "99"], 1, 0,
+     r"error: score order 99 out of range 1\.\.5"),
+    (UNSTABLE, ["--p", "0.4,0.4", "--target", "1,0", "--n", "99"], 2, 0,
+     r"error: UnstableSystem: spectral abscissa 0 >= 0"),
+    (DENSE5, ["--p", "0.4,0.4", "--target", "1,0,0,0,0"], 1, 0,
+     r"error: weights sum to 0\.8, expected 1"),
+    (NON_COMMUTING, ["--p", "0.5,0.3,0.2", "--target", "1,1"], 1, 0,
+     r"error: expected 2 weights, got 3"),
+    (DENSE2_CAPS, ["--p", "0.5,0.3,0.2", "--target", "1,1"], 1, 0,
+     r"error: caps length 2 != node count 3"),
+    (DENSE2_CAPS, ["--p", "0.9,0.1", "--target", "1,1"], 1, 0,
+     r"error: weights violate 0 <= p_i <= a_i"),
+    (NON_COMMUTING, ["--p", "1,0", "--target", "0,1", "--n", "1"], 4, 1,
+     r"error: target leaves the top-1 span \(residual \S+ > 1e-08 \* \|\|x_f\|\|\)"),
+    (NON_COMMUTING, ["--p", "1,0", "--target", "0,1"], 2, 1,
+     r"error: eigenvalue 2 of the Gramian is not positive \(\S+\)"),
+], ids=["bad-n", "unstable", "weight-sum", "weight-count", "caps-count", "caps-bound",
+        "outside-span", "rank-deficient"])
+def test_dense_energy_errors_keep_their_messages_and_exit_codes(
+        tmp_path, capsys, monkeypatch, text, argv, code, solves, message):
+    # Input errors are found before the one Lyapunov solve, in the order
+    # they were found when energy solved one equation per node.
+    calls = []
+    solve = linsys._solve_lyapunov
+    monkeypatch.setattr(linsys, "_solve_lyapunov",
+                        lambda *args: calls.append(args) or solve(*args))
+    path = write(tmp_path, "m.csm", text)
+    assert main(["energy", path, *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(message + "\n", captured.err)
+    assert len(calls) == solves
 
 
 def blas_threads():

@@ -470,6 +470,85 @@ def test_gramian_family_rejects_bad_input_before_any_solve(monkeypatch, nodes, o
         cs.gramian_family(cs.check_stability(-np.eye(3)), nodes, order)
 
 
+def _outer_product_node_gramian(system, node):
+    """The node Gramian as the package computed it before the shared
+    diagonal-weighting solve: the right-hand side ``-e e^T`` built as an
+    outer product."""
+    from scipy.linalg.lapack import dtrsyl
+
+    direction = np.zeros(system.n_dim)
+    direction[node - 1] = 1.0
+    rhs = -np.outer(direction, direction)
+    form, vectors = system.schur_form, system.schur_vectors
+    solved, scale, _ = dtrsyl(form, form, vectors.T @ (rhs @ vectors), tranb="T")
+    solved *= scale
+    gram = vectors @ solved @ vectors.T
+    return 0.5 * (gram + gram.T)
+
+
+@pytest.mark.parametrize("dim", [1, 5, 30])
+def test_node_gramian_keeps_its_bits(rng, dim):
+    system = cs.check_stability(random_stable_matrix(rng, dim))
+    for node in range(1, dim + 1):
+        assert np.array_equal(cs.node_gramian(system, node),
+                              _outer_product_node_gramian(system, node))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+@pytest.mark.parametrize("nodes, weights", [
+    ((1, 2, 3, 4, 5), (0.1, 0.3, 0.2, 0.15, 0.25)),
+    ((2, 4), (0.35, 0.65)),
+    ((1, 3, 5), (0.0, 0.4, 0.6)),
+], ids=["all", "subset", "zero-weight"])
+def test_one_solve_for_w_p_matches_the_node_gramians(rng, nodes, weights, scale):
+    # Scaling A by c scales every Gramian by 1 / c.
+    system = cs.check_stability(scale * random_stable_matrix(rng, 5))
+    mixed = linsys.weighted_gramian_family(system, nodes, weights, 3)
+    assert mixed.node_indices == (1,)
+    assert mixed.score_order == 3
+    want = cs.assemble_gramian(cs.gramian_family(system, nodes), weights)
+    got = cs.assemble_gramian(mixed, linsys.UNIT_WEIGHT)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    pairs = mixed.eigenpairs(linsys.UNIT_WEIGHT)
+    np.testing.assert_allclose(pairs.values, np.linalg.eigvalsh(want)[::-1][:3],
+                               rtol=1e-11)
+
+
+@pytest.mark.parametrize("nodes, weights, order, error, match", [
+    ((1, 2), (0.5, 0.3, 0.2), None, cs.InvalidWeights, "expected 2 weights, got 3"),
+    ((1, 4), (0.5, 0.5), None, cs.IndexMismatch, r"node 4 out of range 1\.\.3"),
+    ((1, 2), (0.5, 0.5), 4, cs.IndexMismatch, r"score order 4 out of range 1\.\.3"),
+    ((1, 1), (0.5, 0.5), None, cs.BadIndexSet, "distinct"),
+], ids=["weight-count", "node-range", "order", "repeated"])
+def test_weighted_gramian_family_checks_its_input_before_the_solve(
+        monkeypatch, nodes, weights, order, error, match):
+    def refused(*args):
+        raise AssertionError("a Lyapunov solve ran before the input check")
+
+    monkeypatch.setattr(linsys, "_solve_lyapunov", refused)
+    with pytest.raises(error, match=match):
+        linsys.weighted_gramian_family(cs.check_stability(-np.eye(3)), nodes, weights,
+                                       order)
+
+
+def test_a_node_outside_the_system_costs_no_solve(monkeypatch):
+    solves = []
+    solve = linsys._solve_lyapunov
+    monkeypatch.setattr(linsys, "_solve_lyapunov",
+                        lambda *args: solves.append(args) or solve(*args))
+    with pytest.raises(cs.IndexMismatch, match=r"node 4 out of range 1\.\.3"):
+        cs.gramian_family(cs.check_stability(-np.eye(3)), (1, 2, 4))
+    assert solves == []
+
+
+def test_w_p_residual_failure_names_w_p(monkeypatch):
+    monkeypatch.setattr(linsys, "DEFAULT_TOL", 0.0)
+    system = cs.check_stability(NON_NORMAL)
+    with pytest.raises(cs.LyapunovSolveFailure,
+                       match=r"Lyapunov residual .* exceeds tolerance for W\(p\)$"):
+        linsys.weighted_gramian_family(system, (1, 2, 3), (0.2, 0.3, 0.5))
+
+
 def test_spectral_abscissa_matches_eigenvalues(rng):
     for trial in range(300):
         dim = 1 + trial % 12

@@ -257,6 +257,20 @@ def test_max_iters_flagged_not_raised(monkeypatch):
     assert math.isfinite(result.objective)
 
 
+@pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("eps", [1e-8, -1e-8, 1e-4, -1e-4])
+def test_newton_steps_sized_to_the_simplex_on_near_identical_nodes(kind, eps):
+    # Nodes 1 and 3 differ by eps in one entry, so the curvature along
+    # (-1, 0, 1) is O(eps^2) and the Newton direction is far longer than the
+    # simplex is wide.  The node with the smaller entry gets no weight.
+    table = np.array([[1.0, 2.0, 1.0], [2.0, 1.0, 2.0 + eps]])
+    result = cs.solve(kind, cs.SpectralModel((1, 2, 3), table, 2))
+    assert result.converged
+    assert result.iterations <= 15
+    assert result.weights.values[0 if eps > 0 else 2] == 0.0
+    assert result.weights.values[1] == pytest.approx(0.5, abs=1e-4)
+
+
 def test_solver_follows_a_crossing_selection():
     # n = 1 over two rows: the top row at the start (row 1) is not the top
     # row at the optimum [0, 1], where the rows tie and row 0 is selected.
