@@ -36,7 +36,7 @@ import importlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class RunReport:
     warnings: tuple[str, ...]
 
     def to_json_line(self) -> str:
-        payload = asdict(self)
+        payload = {field.name: getattr(self, field.name) for field in fields(self)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
@@ -336,9 +336,10 @@ def _cmd_energy(args) -> int:
     weights = SimplexWeights(values, model_file.caps)
     target = _parse_float_list(args.target, "--target")
     model, weights = model_at(weights)
+    pairs = model.eigenpairs(weights)
     try:
-        energy_value = min_energy(model, weights, target)
-        ellipsoid = reachable_ellipsoid(model, weights)
+        energy_value = min_energy(model, weights, target, pairs=pairs)
+        ellipsoid = reachable_ellipsoid(model, weights, pairs=pairs)
     except TargetOutsideSpan as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TARGET

@@ -15,8 +15,10 @@ the model's ``score_order``, and
 
 Eigenpairs and their state-space basis come from the model's methods
 (``eigenpairs`` and ``state_basis``), so the same code serves dense Gramian
-families and eigenvalue tables.  :func:`min_energy` is the one energy
-formula: whether a target lies in the ellipsoid is ``min_energy(...) <= 1``.
+families and eigenvalue tables.  A caller that needs both diagnostics at one
+point decomposes ``W(p)`` once and hands the result to each as ``pairs``.
+:func:`min_energy` is the one energy formula: whether a target lies in the
+ellipsoid is ``min_energy(...) <= 1``.
 Both functions raise :class:`~ctrlscore.errors.RankDeficient` when a
 selected eigenvalue fails the positive floor.  This module loads no scipy.
 """
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexMismatch, RankDeficient, TargetOutsideSpan
+from .linsys import Eigenpairs
 
 #: Relative tolerance for the target-in-span residual.
 SPAN_TOL = 1e-8
@@ -49,13 +52,15 @@ def unit_ball_log_volume(dim: int) -> float:
     return 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
 
 
-def min_energy(model, weights, target) -> float:
+def min_energy(model, weights, target, *, pairs: Eigenpairs | None = None) -> float:
     """Minimum input energy to reach the state ``target``.
 
     The target must be a finite 1-d vector in the span of the top
     ``model.score_order`` eigenvectors (projection residual below
     ``SPAN_TOL * ||x_f||``) and those eigenvalues must be positive.  The zero
     target of the right length costs zero energy, whatever the eigenvalues.
+    ``pairs`` is ``model.eigenpairs(weights)`` when the caller holds it
+    already; it is computed when omitted.
 
     Raises
     ------
@@ -69,7 +74,8 @@ def min_energy(model, weights, target) -> float:
     target = np.asarray(target, dtype=float)
     if target.ndim != 1 or not np.all(np.isfinite(target)):
         raise IndexMismatch("target must be a finite 1-d vector")
-    pairs = model.eigenpairs(weights)
+    if pairs is None:
+        pairs = model.eigenpairs(weights)
     mu, basis = pairs.values, model.state_basis(pairs)
     if target.size != basis.shape[0]:
         raise IndexMismatch(
@@ -93,12 +99,15 @@ def min_energy(model, weights, target) -> float:
     return float(np.sum(coeffs**2 / mu))
 
 
-def reachable_ellipsoid(model, weights) -> ReachabilityEllipsoid:
+def reachable_ellipsoid(model, weights, *,
+                        pairs: Eigenpairs | None = None) -> ReachabilityEllipsoid:
     """Ellipsoid section of the reachable set spanned by the top
     ``n = model.score_order`` eigenmodes.
 
     ``log_volume`` is ``log V_n + 0.5 * sum_k log mu_k``; the volumetric score
     objective equals ``-2 * (log_volume - log V_n)`` by construction.
+    ``pairs`` is ``model.eigenpairs(weights)`` when the caller holds it
+    already; it is computed when omitted.
 
     Raises
     ------
@@ -106,7 +115,8 @@ def reachable_ellipsoid(model, weights) -> ReachabilityEllipsoid:
         If fewer than ``n`` eigenvalues are positive.
     """
     n = model.score_order
-    pairs = model.eigenpairs(weights)
+    if pairs is None:
+        pairs = model.eigenpairs(weights)
     if not pairs.positive:
         raise RankDeficient(
             f"Gramian has fewer than {n} positive eigenvalues"

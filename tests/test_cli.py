@@ -639,6 +639,24 @@ def test_a_dense_energy_request_makes_one_lyapunov_solve(tmp_path, capsys, monke
     assert out.splitlines()[0] == f"energy {energy:.6f}"
 
 
+@pytest.mark.parametrize("text, argv, code", [
+    (DENSE5, ["--p", "0.1,0.2,0.3,0.25,0.15", "--target", "1,-0.5,0.25,0,2"], 0),
+    (NON_COMMUTING, ["--p", "1,0", "--target", "0,1", "--n", "1"], 4),
+    (NON_COMMUTING, ["--p", "1,0", "--target", "0,1"], 2),
+], ids=["ok", "outside-span", "rank-deficient"])
+def test_a_dense_energy_request_decomposes_w_of_p_once(tmp_path, capsys, monkeypatch,
+                                                        text, argv, code):
+    calls = []
+    eigenpairs = linsys.NodeGramianFamily.eigenpairs
+    monkeypatch.setattr(linsys.NodeGramianFamily, "eigenpairs",
+                        lambda family, weights: calls.append(weights) or
+                        eigenpairs(family, weights))
+    path = write(tmp_path, "m.csm", text)
+    assert main(["energy", path, *argv]) == code
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 DENSE2_CAPS = NON_COMMUTING.replace("matrix 2", "caps 0.6 0.6\nmatrix 2")
 
 

@@ -6,7 +6,9 @@ every output format on a heat model, a diagonal table, a banded
 (non-diagonal) table and a random dense system (eight threaded starts), the
 lattice grid check, and ``check`` and ``energy`` on spectral and dense
 models.  The banded table has a fifth, empty mode, so its score selects
-four of five eigenvalues.
+four of five eigenvalues.  ``check-dense24`` checks a dense family of 24
+nodes, where the commutator check computes only the pairs its bound cannot
+rule out.
 
 The output formats only differ in how one solver result is printed, and a
 solve is deterministic (``test_cli.py`` checks that), so each model and
@@ -83,6 +85,30 @@ matrix 3
 }
 
 
+def _dense_text(d: int) -> str:
+    """A stable ``dense_lti`` model with every one of its ``d`` states a node.
+
+    Off-diagonal entries are ``k / 1000`` for integers ``k`` in -300..300
+    from a linear congruential generator, and each diagonal entry makes its
+    row strictly dominant.  Integer arithmetic gives the same text on every
+    platform.
+    """
+    state = 12345
+    lines = ["ctrlscore-model v1", "kind dense_lti",
+             "nodes " + " ".join(str(i) for i in range(1, d + 1)), f"matrix {d}"]
+    for i in range(d):
+        row = []
+        for _ in range(d):
+            state = (1103515245 * state + 12345) % 2**31
+            row.append((state >> 8) % 601 - 300)
+        row[i] = -(sum(abs(k) for j, k in enumerate(row) if j != i) + 500 + row[i] % 500)
+        lines.append(" ".join(f"{k / 1000:.3f}" for k in row))
+    return "\n".join(lines) + "\n"
+
+
+MODELS["dense24"] = _dense_text(24)
+
+
 def _cases() -> dict[str, tuple[str, list[str]]]:
     """Case id -> (model name, CLI arguments after the model path)."""
     cases = {}
@@ -97,6 +123,7 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
                                            "--format", "csv", "--grid-check", "0.05"])
     cases["check-banded"] = ("banded", ["check"])
     cases["check-dense5"] = ("dense5", ["check"])
+    cases["check-dense24"] = ("dense24", ["check"])
     cases["energy-banded"] = ("banded", ["energy", "--p", "0.4,0.3,0.2,0.1",
                                          "--target", "0.5,-0.25,0.75,0.1,0"])
     cases["energy-dense5"] = ("dense5", ["energy", "--p", "0.1,0.2,0.3,0.25,0.15",

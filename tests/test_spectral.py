@@ -10,6 +10,7 @@ from conftest import (
 from oracles import NotCommuting, spectral_model_from_gramians, top_eigenvalues
 
 import ctrlscore as cs
+from ctrlscore import spectral
 
 TWO_PI_SQ = 2.0 * np.pi**2
 
@@ -146,6 +147,18 @@ def slow_commuting_family(rng, dim):
     return eigenvector_family(basis, -rng.uniform(0.1, 1.0, dim))
 
 
+def pairwise_residual(grams) -> float:
+    """The commutator residual from all m(m-1)/2 products, pair by pair."""
+    want = 0.0
+    for i in range(len(grams)):
+        for j in range(i + 1, len(grams)):
+            cross = grams[i] @ grams[j]
+            num = np.linalg.norm(cross - cross.T)
+            den = max(1.0, float(np.linalg.norm(grams[i]) * np.linalg.norm(grams[j])))
+            want = max(want, float(num / den))
+    return want
+
+
 @pytest.mark.parametrize("commuting", [False, True])
 def test_check_commuting_matches_the_pairwise_formula_to_the_bit(rng, commuting):
     if commuting:
@@ -156,16 +169,125 @@ def test_check_commuting_matches_the_pairwise_formula_to_the_bit(rng, commuting)
     grams = family.gramians
     norms = sorted(float(np.linalg.norm(g)) for g in grams)
     assert norms[0] * norms[1] < 1.0 < norms[-2] * norms[-1]  # both sides of max
-    want = 0.0
-    for i in range(len(grams)):
-        for j in range(i + 1, len(grams)):
-            cross = grams[i] @ grams[j]
-            num = np.linalg.norm(cross - cross.T)
-            den = max(1.0, float(np.linalg.norm(grams[i]) * np.linalg.norm(grams[j])))
-            want = max(want, float(num / den))
     ok, residual = cs.check_commuting(family)
-    assert residual == want
+    assert residual == pairwise_residual(grams)
     assert ok == commuting
+
+
+def dominant_family(rng, dim: int) -> cs.NodeGramianFamily:
+    """Node Gramians of a dense system like the benchmark's: Gaussian
+    coupling of scale 1/sqrt(d), each row made strictly dominant by its
+    diagonal, so the Gramians do not commute."""
+    dynamics = rng.normal(0.0, 1.0 / np.sqrt(dim), (dim, dim))
+    np.fill_diagonal(dynamics, 0.0)
+    dynamics -= np.diag(np.abs(dynamics).sum(axis=1) + rng.uniform(0.5, 1.5, dim))
+    return cs.gramian_family(cs.check_stability(dynamics), range(1, dim + 1))
+
+
+def near_tolerance_family(rng, dim: int) -> cs.NodeGramianFamily:
+    """Gramians on one shared eigenbasis, but the first also holds a
+    rank-one term along a random direction, sized so that the residual
+    lands just below CHECK_TOL."""
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    grams = np.einsum("ak,ik,bk->iab", basis, rng.uniform(0.5, 1.0, (dim, dim)), basis)
+    grams = 0.5 * (grams + grams.transpose(0, 2, 1))
+    direction = rng.standard_normal(dim)
+    direction /= np.linalg.norm(direction)
+    grams[0] += 40.0 * spectral.CHECK_TOL * np.outer(direction, direction)
+    return family_of(grams)
+
+
+def family_of(grams) -> cs.NodeGramianFamily:
+    return cs.NodeGramianFamily(tuple(range(1, len(grams) + 1)), grams)
+
+
+def with_zero_gramian(family) -> cs.NodeGramianFamily:
+    grams = family.gramians.copy()
+    grams[2] = 0.0
+    return family_of(grams)
+
+
+def with_asymmetric_gramian(family) -> cs.NodeGramianFamily:
+    """The family with Gramian 2 symmetric within tolerance, not exactly."""
+    grams = family.gramians.copy()
+    grams[1, 0, 1] += 1e-13
+    return family_of(grams)
+
+
+def scaled_family(rng, scale: float) -> cs.NodeGramianFamily:
+    return family_of(scale * dominant_family(rng, 8).gramians)
+
+
+#: Families for the pruned commutator check, each from the test's rng.
+#: Scaled by 1e150 every product overflows; by 1e-78 the residual's sum of
+#: squares underflows in part, inside the range where bounds prune.
+PRUNED_CHECK_FAMILIES = {
+    "commuting": lambda rng: slow_commuting_family(rng, 6),
+    "noncommuting": lambda rng: dominant_family(rng, 12),
+    "near-tolerance": lambda rng: near_tolerance_family(rng, 6),
+    "zero-gramian": lambda rng: with_zero_gramian(dominant_family(rng, 8)),
+    "asymmetric": lambda rng: with_asymmetric_gramian(dominant_family(rng, 8)),
+    "one-node": lambda rng: family_of(dominant_family(rng, 4).gramians[:1]),
+    "two-nodes": lambda rng: cs.gramian_family(
+        cs.check_stability(0.4 * random_stable_matrix(rng, 3)), [1, 3]),
+    "scaled-1e150": lambda rng: scaled_family(rng, 1e150),
+    "scaled-1e-150": lambda rng: scaled_family(rng, 1e-150),
+    "scaled-1e60": lambda rng: scaled_family(rng, 1e60),
+    "scaled-1e-60": lambda rng: scaled_family(rng, 1e-60),
+    "scaled-1e-78": lambda rng: scaled_family(rng, 1e-78),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_CHECK_FAMILIES))
+def test_pruned_check_matches_the_pairwise_loop_to_the_bit(rng, name):
+    family = PRUNED_CHECK_FAMILIES[name](rng)
+    with np.errstate(over="ignore"):  # 1e150: both sides overflow alike
+        want = pairwise_residual(family.gramians)
+        ok, residual = cs.check_commuting(family)
+    assert residual == want
+    assert ok == (want <= spectral.CHECK_TOL)
+    if name == "near-tolerance":
+        assert 0.5 * spectral.CHECK_TOL < residual <= spectral.CHECK_TOL
+    if name == "commuting":
+        assert ok
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_CHECK_FAMILIES))
+def test_every_exact_residual_is_at_most_its_bound(rng, name):
+    grams = PRUNED_CHECK_FAMILIES[name](rng).gramians
+    norms, den = spectral._commutator_scales(grams)
+    bounds = spectral._commutator_bounds(grams, norms, den)
+    with np.errstate(over="ignore"):
+        for i in range(len(grams)):
+            for j in range(i + 1, len(grams)):
+                assert spectral._pair_residual(grams, i, j, den[i, j]) <= bounds[i, j]
+    if name in ("noncommuting", "zero-gramian", "scaled-1e-78"):
+        assert np.isfinite(bounds).all()
+    if name == "asymmetric":  # only Gramian 2 takes an exact product per pair
+        assert np.isinf(bounds[1]).all() and np.isinf(bounds[:, 1]).all()
+        assert np.isfinite(np.delete(np.delete(bounds, 1, 0), 1, 1)).all()
+
+
+def test_pruned_check_multiplies_few_pairs_of_a_dense_family(rng, monkeypatch):
+    family = dominant_family(rng, 80)
+    exact = spectral._pair_residual
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return exact(*args)
+
+    monkeypatch.setattr(spectral, "_pair_residual", counted)
+    ok, residual = cs.check_commuting(family)
+    assert not ok
+    assert len(calls) < 0.05 * (80 * 79 // 2)
+    assert residual == pairwise_residual(family.gramians)
+    # Each pair left out has a bound below the residual found.
+    grams = family.gramians
+    bounds = spectral._commutator_bounds(grams, *spectral._commutator_scales(grams))
+    skipped = np.triu(np.ones((80, 80), dtype=bool), 1)
+    skipped[tuple(np.array(calls).T)] = False
+    assert (bounds[skipped] < residual).all()
 
 
 def test_n_spectrum_heat_full_and_reduced():
