@@ -298,24 +298,32 @@ def check_commuting(family) -> tuple[bool, float]:
     order d), and the pairs are visited in descending bound order, each
     computed exactly as ``W_i @ W_j`` with ``i < j``, until a bound falls
     below the largest residual found.  The maximizing pair is always
-    computed, and a maximum does not depend on order (a NaN residual never
-    becomes it), so the residual is the one the m(m-1)/2 products give, to
-    the bit.  On a dense non-commuting family a few percent of the pairs
+    computed, and a maximum does not depend on order, so the residual is the
+    one the m(m-1)/2 products give, to the bit.  A pair whose residual is
+    not finite (its sum of squares overflows past Gramian norms of about
+    1e77, its product past about 1e154) ends the check: it fails, with that
+    residual.  On a dense non-commuting family a few percent of the pairs
     are computed; a commuting family has large bounds and computes them
     all.
     """
     if isinstance(family, SpectralModel):
         return True, 0.0
     grams = family.gramians
-    norms, den = _commutator_scales(grams)
-    rows, cols = np.triu_indices(len(grams), 1)
-    bounds = _commutator_bounds(grams, norms, den)[rows, cols]
-    worst = 0.0
-    for pair in np.argsort(-bounds, kind="stable"):
-        if bounds[pair] < worst:
-            break
-        i, j = int(rows[pair]), int(cols[pair])
-        worst = max(worst, _pair_residual(grams, i, j, den[i, j]))
+    # Past Gramian norms of about 1e77 a residual can overflow to inf, and
+    # past about 1e154 to NaN; such a residual fails the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms, den = _commutator_scales(grams)
+        rows, cols = np.triu_indices(len(grams), 1)
+        bounds = _commutator_bounds(grams, norms, den)[rows, cols]
+        worst = 0.0
+        for pair in np.argsort(-bounds, kind="stable"):
+            if bounds[pair] < worst:
+                break
+            i, j = int(rows[pair]), int(cols[pair])
+            residual = _pair_residual(grams, i, j, den[i, j])
+            if not np.isfinite(residual):
+                return False, residual
+            worst = max(worst, residual)
     return worst <= CHECK_TOL, worst
 
 

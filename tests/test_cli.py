@@ -17,6 +17,7 @@ from ctrlscore.cli import (
     main,
     truncate_toward_zero,
 )
+from ctrlscore.scores import _Objective
 
 HEAT4 = """\
 ctrlscore-model v1
@@ -264,6 +265,21 @@ def test_score_grid_check_failure_exits_1_without_a_report(tmp_path, capsys, nam
     assert captured.err.count("\n") == 1
 
 
+def test_score_grid_check_over_budget_evaluates_no_point(tmp_path, capsys, monkeypatch):
+    def no_evaluation(self, batch):
+        raise AssertionError("a lattice point was evaluated")
+
+    monkeypatch.setattr(_Objective, "batch_values", no_evaluation)
+    path = write(tmp_path, "heat8.csm", HEAT8)
+    code = main(["score", path, "--kind", "aecs", "--grid-check", "0.01"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: lattice has at least ")
+    assert captured.err.endswith(" points, budget is 2000000\n")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name, text", [("heat4.csm", HEAT4), ("dense5.csm", DENSE5)],
                          ids=["heat4", "dense5"])
 def test_score_negative_seed_is_a_usage_error(tmp_path, capsys, name, text):
@@ -323,6 +339,21 @@ def test_check_noncommuting_fails(tmp_path, capsys):
     assert "commuting: no" in out
     residual = float(out.split("commuting: no (residual ")[1].split(")")[0])
     assert residual > 0.0
+
+
+@pytest.mark.parametrize("unit, printed", [("1e-100", "inf"), ("1e-200", "nan")])
+def test_check_fails_a_commutator_residual_that_is_not_finite(tmp_path, capsys, unit,
+                                                              printed):
+    # The non-commuting system in slow time units: Gramian norms near 1e100
+    # or 1e200, where the residual overflows.
+    text = NON_COMMUTING.replace("-1 1\n0 -2", f"-{unit} {unit}\n0 -2{unit[1:]}")
+    assert f"0 -2{unit[1:]}" in text
+    path = write(tmp_path, "slow.csm", text)
+    code = main(["check", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"commuting: no (residual {printed})" in captured.out
+    assert captured.err == ""
 
 
 def test_check_rank_deficient_feasibility_fails(tmp_path, capsys):

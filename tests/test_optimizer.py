@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -324,18 +325,86 @@ def test_capped_solve_matches_closed_form(size, cap, step):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 20).flatmap(
     lambda units: st.tuples(st.just(units),
-                            st.lists(st.integers(0, units), min_size=1, max_size=5))))
-def test_lattice_matches_brute_force(case):
+                            st.lists(st.integers(0, units), min_size=1, max_size=5))),
+       st.sampled_from([1, 2, 3, 7, 1 << 14]))
+def test_lattice_matches_brute_force(case, block):
     units, caps = case
     want = [k for k in itertools.product(*(range(c + 1) for c in caps))
             if sum(k) == units]
-    if sum(caps) < units:
-        assert not want
-        with pytest.raises(cs.Infeasible):
-            _lattice(units, np.array(caps))
+    with mock.patch.object(optimizer, "_BLOCK_ROWS", block):
+        if sum(caps) < units:
+            assert not want
+            with pytest.raises(cs.Infeasible):
+                _lattice(units, np.array(caps))
+        else:
+            size, blocks = _lattice(units, np.array(caps))
+            blocks = list(blocks)
+            assert size == len(want)
+            assert all(0 < len(rows) <= block for rows in blocks)
+            assert np.concatenate(blocks).tolist() == [list(k) for k in want]
+
+
+def brute_force_oracle(kind, model, step, caps):
+    """The first lattice minimizer in lexicographic order, from one batch
+    over the whole lattice, built with ``itertools.product``; None if no
+    lattice point lies inside the caps."""
+    units = round(1 / step)
+    cap_units = np.minimum(np.floor(np.asarray(caps) * units + 1e-9), units)
+    rows = [k for k in itertools.product(*(range(int(c) + 1) for c in cap_units))
+            if sum(k) == units]
+    if not rows:
+        return None
+    points = np.array(rows) * step
+    values = _Objective(kind, model).batch_values(points)
+    best = int(np.argmin(values))
+    return points[best], values[best]
+
+
+#: The tied table: every lattice point (a, 0.5, 0.5 - a) has the optimal
+#: value, so the first of them in lexicographic order must come back.
+_TIED = cs.SpectralModel((1, 2, 3), np.array([[1.0, 2.0, 1.0], [2.0, 1.0, 2.0]]), 2)
+
+
+def _check_blocked_oracle(kind, model, step, caps, block) -> float:
+    """The oracle's value, after checking its point and value against
+    :func:`brute_force_oracle` with blocks of ``block`` rows."""
+    want_point, want_value = brute_force_oracle(kind, model, step, caps)
+    with mock.patch.object(optimizer, "_BLOCK_ROWS", block):
+        got, value = cs.grid_oracle(kind, model, step=step, caps=caps)
+    assert got.values.tolist() == want_point.tolist()
+    assert value == want_value
+    return value
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 14])
+@pytest.mark.parametrize("step", [0.25, 0.1, 0.05, 0.01])
+@pytest.mark.parametrize("caps", [None, (0.3, 1.0, 0.45)], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("kind", [ObjectiveKind.VCS, ObjectiveKind.AECS])
+def test_blocked_oracle_keeps_the_first_of_tied_minimizers(kind, caps, step, block):
+    caps = np.ones(3) if caps is None else np.array(caps)
+    value = _check_blocked_oracle(kind, _TIED, step, caps, block)
+    optimum = {ObjectiveKind.VCS: -math.log(1.5) - math.log(1.5),
+               ObjectiveKind.AECS: 2 / 1.5}[kind]
+    assert value == pytest.approx(optimum, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.5, 0.25, 0.2, 0.1, 0.05]), st.sampled_from([1, 2, 3, 5, 64]),
+       st.booleans(), st.sampled_from(list(ObjectiveKind)))
+def test_blocked_oracle_matches_brute_force(size, seed, step, block, capped, kind):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 4, (size + 1, size)) * rng.uniform(0.5, 2.0)
+    model = cs.SpectralModel(tuple(range(1, size + 1)), table, int(rng.integers(1, size + 1)))
+    caps = rng.uniform(1.0 / size, 1.0, size) if capped else np.ones(size)
+    want = brute_force_oracle(kind, model, step, caps)
+    if want is None or not math.isfinite(want[1]):
+        message = "no lattice point" if want is None else "infinite on the whole lattice"
+        with mock.patch.object(optimizer, "_BLOCK_ROWS", block), \
+                pytest.raises(cs.Infeasible, match=message):
+            cs.grid_oracle(kind, model, step=step, caps=caps)
     else:
-        got = _lattice(units, np.array(caps))
-        assert got.tolist() == [list(k) for k in want]
+        _check_blocked_oracle(kind, model, step, caps, block)
 
 
 def test_lattice_too_large_before_allocation(monkeypatch):
@@ -349,6 +418,32 @@ def test_lattice_too_large_before_allocation(monkeypatch):
         tracemalloc.stop()
     # The second column alone would hold 501501 rows.
     assert peak < 8 * 4 * 5000
+
+
+def test_grid_oracle_memory_is_bounded_by_a_block():
+    # One batch over the 316,251 points of this lattice peaked at 43.4 MiB.
+    model = cs.heat_dirichlet_model([1, 2, 3, 4, 5])
+    tracemalloc.start()
+    try:
+        cs.grid_oracle(ObjectiveKind.AECS, model, step=0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_grid_oracle_counts_before_it_evaluates(monkeypatch):
+    def no_evaluation(self, batch):
+        raise AssertionError("a lattice point was evaluated")
+
+    monkeypatch.setattr(_Objective, "batch_values", no_evaluation)
+    monkeypatch.setattr(optimizer, "GRID_BUDGET", 1000)
+    with pytest.raises(cs.TooLarge, match="budget is 1000"):
+        cs.grid_oracle(ObjectiveKind.AECS, _HEAT4, step=0.05)  # 1771 points
+    # Caps of 2, 1 and 0 quarters cannot make up 4 quarters.
+    with pytest.raises(cs.Infeasible, match="no lattice point"):
+        cs.grid_oracle(ObjectiveKind.AECS, cs.heat_dirichlet_model([1, 2, 3]),
+                       step=0.25, caps=[0.6, 0.45, 0.2])
 
 
 def test_uncertified_solve_carries_warning(rng):

@@ -155,7 +155,10 @@ def pairwise_residual(grams) -> float:
             cross = grams[i] @ grams[j]
             num = np.linalg.norm(cross - cross.T)
             den = max(1.0, float(np.linalg.norm(grams[i]) * np.linalg.norm(grams[j])))
-            want = max(want, float(num / den))
+            residual = float(num / den)
+            if not np.isfinite(residual):  # overflow: the check fails with it
+                return residual
+            want = max(want, residual)
     return want
 
 
@@ -266,6 +269,36 @@ def test_every_exact_residual_is_at_most_its_bound(rng, name):
     if name == "asymmetric":  # only Gramian 2 takes an exact product per pair
         assert np.isinf(bounds[1]).all() and np.isinf(bounds[:, 1]).all()
         assert np.isfinite(np.delete(np.delete(bounds, 1, 0), 1, 1)).all()
+
+
+def slow_noncommuting_family(time_unit: float) -> cs.NodeGramianFamily:
+    """The non-commuting pair ``A = [[-1, 1], [0, -2]]`` with time measured
+    in ``time_unit``: its Gramians scale by ``1 / time_unit``."""
+    a = time_unit * np.array([[-1.0, 1.0], [0.0, -2.0]])
+    return cs.gramian_family(cs.check_stability(a), [1, 2])
+
+
+@pytest.mark.parametrize("time_unit, nan", [(1e-100, False), (1e-200, True)],
+                         ids=["sum-of-squares-overflows", "product-overflows"])
+def test_a_residual_that_is_not_finite_fails_the_check(time_unit, nan):
+    # Gramian norms near 1e100 overflow the residual's sum of squares (inf);
+    # near 1e200 the product itself, and inf - inf is NaN.  Either way the
+    # check fails with that residual, and numpy warns of nothing.
+    family = slow_noncommuting_family(time_unit)
+    ok, residual = cs.check_commuting(family)
+    assert not ok
+    assert np.isnan(residual) if nan else residual == np.inf
+    report = cs.check_feasibility(family)
+    assert not report.commuting and not report.all_pass()
+    assert np.isnan(report.commutator_residual) == nan
+    assert cs.check_commuting(slow_noncommuting_family(1.0))[0] is False
+
+
+def test_a_solve_with_an_overflowing_commutator_is_not_certified():
+    result = cs.solve(cs.ObjectiveKind.VCS, slow_noncommuting_family(1e-100))
+    assert result.converged
+    assert not result.uniqueness_certified
+    assert result.assumption_report.commutator_residual == np.inf
 
 
 def test_pruned_check_multiplies_few_pairs_of_a_dense_family(rng, monkeypatch):
