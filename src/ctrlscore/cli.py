@@ -8,11 +8,14 @@ heat-demo  closed-form scores for sine-mode node sets of the heat equation
 energy     minimum energy and reachable-ellipsoid data for given weights
 
 Exit codes: 0 success, 1 parse/usage error, 2 infeasible or unstable model
-(or failed checks for ``check``), 3 ambiguous non-convex result (report still
-emitted), 4 target outside the reachable span (``energy``), 5 the solver did
-not converge (report still emitted; it wins over 3 when a result is both,
-since an unconverged answer is not even a local optimum), 6 numerical
-failure (a Lyapunov solve or a Gramian failed its check), 141 stdout closed
+(or failed checks for ``check``), 3 ambiguous result: starts that disagree
+on a non-convex model, or a ``--grid-check`` FAIL, where a lattice point
+beats the answer or a lattice minimizer lies more than a step from it
+(report still emitted), 4 target outside the reachable span (``energy``), 5
+the solver did not converge (report still emitted; it wins over 3 when a
+result is both, since an unconverged answer is not even a local optimum), 6
+numerical failure (a Lyapunov solve or a Gramian failed its check, or the
+Gramian eigenvalues are large enough to overflow the score), 141 stdout closed
 before the output was written (``| head``; 128 + SIGPIPE, the status a shell
 reports for a process that the signal ended), with nothing printed.
 
@@ -241,6 +244,8 @@ def _cmd_score(args) -> int:
         gap = result.objective - grid_value
         distance = float(np.max(np.abs(result.weights.values - grid_weights.values)))
         agree = result.objective <= grid_value + 1e-9 and distance <= args.grid_check
+        if not agree and exit_code == EXIT_OK:
+            exit_code = EXIT_AMBIGUOUS
         grid_line = (
             f"grid-check: step={args.grid_check:g} oracle_objective={grid_value:.9g} "
             f"objective_gap={gap:.3e} weight_distance={distance:.3e} "

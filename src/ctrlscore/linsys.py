@@ -86,6 +86,10 @@ DEGENERACY_GAP = 1e-8
 #: An eigenvalue counts as positive only above this relative floor.
 POSITIVE_FLOOR = 1e-12
 
+#: Bytes of the ``W(p)`` stack that :meth:`NodeGramianFamily.eigenvalues`
+#: holds at once.
+_STACK_BYTES = 1 << 20
+
 
 def nth_positive(top):
     """Whether ``top[..., -1]`` clears the positive floor
@@ -285,9 +289,18 @@ class NodeGramianFamily:
 
     def eigenvalues(self, batch) -> np.ndarray:
         """All eigenvalues of ``W(p)`` for each row ``p`` of ``batch``,
-        descending along the last axis."""
-        mixed = np.einsum("bi,inm->bnm", np.asarray(batch, dtype=float), self.gramians)
-        return np.linalg.eigvalsh(mixed)[:, ::-1]
+        descending along the last axis.  The ``W(p)`` are formed and
+        decomposed in slices of rows that fill at most :data:`_STACK_BYTES`,
+        so a batch costs ``8 d`` bytes a row beyond its input, not
+        ``8 d^2``; every row gets the same bits in any slice."""
+        batch = np.asarray(batch, dtype=float)
+        dim = self.mode_count
+        out = np.empty((batch.shape[0], dim))
+        rows = max(1, _STACK_BYTES // (8 * dim * dim))
+        for start in range(0, batch.shape[0], rows):
+            mixed = np.einsum("bi,inm->bnm", batch[start:start + rows], self.gramians)
+            out[start:start + rows] = np.linalg.eigvalsh(mixed)[:, ::-1]
+        return out
 
     def eigenpairs(self, weights) -> Eigenpairs:
         """Top ``score_order`` eigenpairs of ``W(p)``.  ``vectors`` is a

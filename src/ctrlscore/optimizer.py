@@ -34,9 +34,12 @@ followed by one more, which lands on the optimum to rounding.  A
 brute-force lattice enumeration (:func:`grid_oracle`) provides an
 independent check of the optimizer on small node sets.  It counts the
 lattice first and refuses one of more than :data:`GRID_BUDGET` points, then
-builds it in numpy one column at a time and evaluates it in blocks of at
-most :data:`_BLOCK_ROWS` points, so its memory is bounded by a block, not
-by the lattice.
+unranks it from those counts in blocks of :data:`_BLOCK_ROWS` points and
+evaluates one block at a time, so its memory is bounded by a block, not by
+the lattice.  Before any descent, :func:`solve` refuses a model whose
+eigenvalues could overflow the score's arithmetic
+(:func:`_check_score_range`), where a zero gradient read from an infinite
+term would stop the descent at a wrong point.
 
 Multi-start behaviour: models that pass the commutation, n-spectrum and
 feasibility checks have a provably unique optimum and run a single start;
@@ -62,12 +65,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadGridStep, Infeasible, InfeasiblePoint, NonConvexAmbiguous,
-                     TooLarge)
+from .errors import (BadGridStep, EigenFailure, Infeasible, InfeasiblePoint,
+                     NonConvexAmbiguous, TooLarge)
 from .scores import ObjectiveKind, _Objective
 from .simplex import (SimplexWeights, project_capped_simplex, validate_caps,
                       weight_vector)
-from .spectral import AssumptionReport, check_feasibility
+from .spectral import AssumptionReport, SpectralModel, check_feasibility
 
 _EPS = float(np.finfo(float).eps)
 #: A descent stops once the scale-free projected-gradient residual is at most
@@ -89,11 +92,12 @@ CG_RTOL = 1e-10
 NEWTON_MIN_STEP = 1e-3
 #: Most lattice points :func:`grid_oracle` enumerates.
 GRID_BUDGET = 2_000_000
-#: Most lattice points :func:`grid_oracle` builds and evaluates at once.
-#: On heat 1..5 at step 0.02 (316,251 points, one BLAS thread, min of 7),
-#: blocks of 2^12, 2^14 and 2^16 rows took 45-48, 44-46 and 45-49 ms CPU
-#: against 54-62 ms for one batch over the lattice, with traced peaks of
-#: 0.9, 3.5 and 13.6 MiB against 43.4 MiB.
+#: Most lattice points :func:`grid_oracle` builds and evaluates at once:
+#: enough to spread numpy's per-call cost, few enough to bound memory.  On
+#: heat 1..5 at step 0.02 (316,251 points), blocks of 2^12, 2^14 and 2^16
+#: rows peak at 0.9, 3.7 and 14.4 MiB traced, against 64.7 MiB for one
+#: block over the lattice; their CPU times overlapped within the noise of
+#: a shared 2-vCPU host.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -309,6 +313,38 @@ def _starting_points(count: int, caps: np.ndarray, seed: int,
     return points
 
 
+def _check_score_range(kind: ObjectiveKind, objective: _Objective) -> None:
+    """Raise :class:`EigenFailure` where an eigenvalue of ``W(p)`` could
+    overflow a formula of the score.
+
+    On the simplex every eigenvalue of ``W(p)`` is at most the largest
+    table entry, or the largest Gramian 2-norm, itself at most ``d`` times
+    the largest Gramian entry.  Above 1 the magnitudes inside the formulas
+    of :data:`~ctrlscore.scores.SCORES` grow with the eigenvalues, so one
+    evaluation at that bound decides for every point; below 1 the positive
+    floor keeps them finite.  VCS overflows past about 1e154 and AECS past
+    about 1e77: there the descent would read an infinite term as a zero
+    gradient and stop at a wrong point.
+    """
+    model, score = objective.model, objective.score
+    if isinstance(model, SpectralModel):
+        bound = float(model.eigen_table.max())
+    else:
+        grams = model.gramians
+        bound = model.mode_count * float(max(grams.max(), -grams.min()))
+    top = np.float64(max(bound, 1.0))
+    with np.errstate(over="raise", invalid="raise"):  # inf / inf is invalid
+        try:
+            score.phi(top), score.s(top), score.divided(top, top)
+            finite = math.isfinite(bound)
+        except FloatingPointError:
+            finite = False
+    if not finite:
+        raise EigenFailure(
+            f"Gramian eigenvalues up to {bound:.3e} overflow the "
+            f"{kind.value.upper()} arithmetic; rescale the model's time unit")
+
+
 def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResult:
     """Minimize a score objective over the capped simplex.
 
@@ -332,6 +368,9 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         numpy integers pass), whether or not the solve draws from it.
     InvalidWeights
         If ``caps`` is not a nonnegative vector with one entry per node.
+    EigenFailure
+        If an eigenvalue of ``W(p)`` could overflow the score's arithmetic
+        (:func:`_check_score_range`), before any point is evaluated.
     Infeasible
         If no candidate weight vector keeps the n-th eigenvalue positive.
     NonConvexAmbiguous
@@ -346,6 +385,7 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         raise ValueError(f"seed must be >= 0, got {seed}")
     objective = _Objective(kind, model)
     caps_arr = validate_caps(caps, objective.node_count)
+    _check_score_range(kind, objective)
     report = check_feasibility(model, caps=caps_arr)
     if not report.feasible:
         raise Infeasible(
@@ -432,15 +472,15 @@ def grid_units(step: float) -> int:
 def _completions(units: int, cap_units: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Count the lattice before any row is built.
 
-    Entry ``c`` is ``(low, ways)``: a prefix of ``c`` columns that leaves
-    ``left`` units completes to ``ways[left - low]`` rows, for every ``left``
-    a prefix can leave and a completion can take up, from
-    ``low = max(0, units - caps before c)`` to ``min(units, caps from c on)``,
-    and to no row outside.  Each column is a window sum of the next, by
-    prefix sums, O(units) per column, clipped at ``GRID_BUDGET + 1`` so that
-    no count overflows.  Every ``left`` in the range is left by some prefix,
-    so a column whose counts sum past the budget raises :class:`TooLarge`
-    at once; entry 0 holds the lattice's size.
+    Entry ``c`` is ``(low, totals)``: ``totals[left - low]`` is the number
+    of rows that a prefix of ``c`` columns completes to when it leaves
+    ``low``, ``low + 1``, ... or ``left`` units, for ``left`` from
+    ``low = max(0, units - caps before c)`` to ``min(units, caps from c on)``;
+    no other remainder completes.  Each column's counts are window sums of
+    the next column's, O(units) per column.  Every remainder in range is
+    left by some prefix, so a column whose counts sum past
+    :data:`GRID_BUDGET` raises :class:`TooLarge` at once, and no count
+    overflows.  Entry 0 holds the lattice's size.
     """
     total = int(cap_units.sum())
     if total < units:
@@ -450,77 +490,54 @@ def _completions(units: int, cap_units: np.ndarray) -> list[tuple[int, np.ndarra
     for c in range(cap_units.size - 1, -1, -1):
         low = max(0, units - int(before[c]))
         high = min(units, total - int(before[c]))
-        next_low, ways = counts[-1]
-        sums = np.concatenate([[0], np.cumsum(ways)])
+        next_low, totals = counts[-1]
+        sums = np.concatenate([[0], totals])
         left = np.arange(low, high + 1)
-        top = np.minimum(left, next_low + ways.size - 1) - next_low + 1
+        top = np.minimum(left, next_low + totals.size - 1) - next_low + 1
         bottom = np.maximum(left - cap_units[c], next_low) - next_low
-        ways = np.minimum(sums[top] - sums[bottom], GRID_BUDGET + 1)
-        found = int(ways.sum())
-        if found > GRID_BUDGET:
-            raise TooLarge(f"lattice has at least {found} points, "
+        totals = np.cumsum(sums[top] - sums[bottom])
+        if totals[-1] > GRID_BUDGET:
+            raise TooLarge(f"lattice has at least {totals[-1]} points, "
                            f"budget is {GRID_BUDGET}")
-        counts.append((low, ways))
+        counts.append((low, totals))
     return counts[::-1]
-
-
-def _extend(rows: np.ndarray, left: np.ndarray, cap_units, after):
-    """Append one column per cap to the prefix rows, each prefix in turn
-    taking every value its remainder ``left`` allows, from
-    ``max(0, left - caps after this column)`` to ``min(cap, left)``, so the
-    rows stay in lexicographic order.  Every prefix must complete to a row,
-    as those :func:`_lattice` keeps do.  Returns the new rows and
-    remainders."""
-    for cap, rest in zip(cap_units, after):
-        low = np.maximum(left - rest, 0)
-        counts = np.minimum(left, cap) - low + 1
-        total = int(counts.sum())
-        first = np.cumsum(counts) - counts
-        column = np.repeat(low - first, counts) + np.arange(total)
-        rows = np.column_stack([np.repeat(rows, counts, axis=0), column])
-        left = np.repeat(left, counts) - column
-    return rows, left
 
 
 def _lattice(units: int, cap_units: np.ndarray):
     """``(size, blocks)``: the number of integer rows ``0 <= k <= cap_units``
     with ``sum(k) == units``, and an iterator over those rows in
-    lexicographic order, in blocks of at most :data:`_BLOCK_ROWS` rows.
+    lexicographic order, in blocks of :data:`_BLOCK_ROWS` (the last holds
+    the rest).
 
     The lattice is counted first (:func:`_completions`), so
     :class:`Infeasible` and :class:`TooLarge` are raised by the call, before
-    any row exists.  Consecutive prefixes of one length whose completions
-    fit in a block are completed together by :func:`_extend`; a prefix with
-    more completions than a block is split on its next column.  Memory is
-    then bounded by one block, not by the lattice.
+    any row exists.  Each block is unranked from its ranks (Nijenhuis &
+    Wilf, *Combinatorial Algorithms*, 1978), a column at a time by one
+    ``searchsorted`` over the next column's running totals: a row takes the
+    value whose completions, in value order, cover what is left of its
+    rank, and the last column takes the remainder.
     """
     counts = _completions(units, cap_units)
-    after = np.concatenate([np.cumsum(cap_units[::-1])[::-1][1:], [0]])
+    size = int(counts[0][1][-1])
 
     def blocks():
-        # Each frame: prefixes of one length, their remainders, the running
-        # sum of their completions, and the first prefix not yet yielded.
-        stack = [(np.zeros((1, 0), dtype=np.int64), np.array([units]),
-                  counts[0][1], 0)]
-        while stack:
-            rows, left, ends, i = stack.pop()
-            done = rows.shape[1]
-            start = int(ends[i - 1]) if i else 0
-            split = ends[i] - start > _BLOCK_ROWS
-            stop = i + 1 if split else int(np.searchsorted(
-                ends, start + _BLOCK_ROWS, side="right"))
-            if stop < ends.size:
-                stack.append((rows, left, ends, stop))
-            if split:
-                rows, left = _extend(rows[i:stop], left[i:stop],
-                                     cap_units[done:done + 1], after[done:done + 1])
-                low, ways = counts[done + 1]
-                stack.append((rows, left, np.cumsum(ways[left - low]), 0))
-            else:
-                yield _extend(rows[i:stop], left[i:stop],
-                              cap_units[done:], after[done:])[0]
+        for first in range(0, size, _BLOCK_ROWS):
+            rank = np.arange(first, min(first + _BLOCK_ROWS, size))
+            left = np.full(rank.size, units)
+            rows = np.empty((rank.size, cap_units.size), dtype=np.int64)
+            for c, (low, totals) in enumerate(counts[1:-1]):
+                # Uncapped, the rows that leave at most ``k`` units are the
+                # last ``totals[k - low]``; ``target`` is the row's rank from
+                # that end, so it leaves the least ``k`` whose total reaches it.
+                target = totals[np.minimum(left - low, totals.size - 1)] - rank
+                index = np.searchsorted(totals, target)
+                rows[:, c] = left - low - index
+                left = low + index
+                rank = totals[index] - target
+            rows[:, -1] = left
+            yield rows
 
-    return int(counts[0][1][0]), blocks()
+    return size, blocks()
 
 
 def grid_oracle(kind: ObjectiveKind, model, *, step: float = 0.01,
@@ -532,9 +549,9 @@ def grid_oracle(kind: ObjectiveKind, model, *, step: float = 0.01,
     (the first minimizer in lexicographic order).  ``step`` must divide 1
     (see :func:`grid_units`).  This is deliberately independent of the
     descent so it can serve as a correctness oracle.  The lattice is
-    counted before any point is evaluated, then built and evaluated in
-    blocks of at most :data:`_BLOCK_ROWS` points (:func:`_lattice`), so its
-    memory is bounded by a block, not by the lattice.
+    counted before any point is evaluated, then unranked and evaluated in
+    blocks of :data:`_BLOCK_ROWS` points (:func:`_lattice`), so its memory
+    is bounded by a block, not by the lattice.
 
     Raises
     ------

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,19 @@ ctrlscore-model v1
 kind heat_dirichlet
 nodes 1 2
 n 2
+"""
+
+
+#: Nodes 1 and 3 are identical: every (a, 0.5, 0.5 - a) is optimal.  On the
+#: 0.05 lattice rounding picks (0.35, 0.5, 0.15), 0.1 from the answer.
+TIED = """\
+ctrlscore-model v1
+kind spectral_table
+nodes 1 2 3
+n 2
+table 2 3
+1 2 1
+2 1 2
 """
 
 
@@ -237,6 +251,17 @@ def test_score_grid_check_line(tmp_path, capsys):
     assert "agreement=pass" in out
 
 
+@pytest.mark.parametrize("kind", ["vcs", "aecs"])
+def test_score_grid_check_fail_exits_3_after_the_report(tmp_path, capsys, kind):
+    path = write(tmp_path, "tied.csm", TIED)
+    code = main(["score", path, "--kind", kind, "--grid-check", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "\n   2  0.500000\n" in captured.out
+    assert captured.out.endswith(" weight_distance=1.000e-01 agreement=FAIL\n")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("step", ["0", "nan", "inf", "0.03", "-0.5", "1e-300"])
 def test_score_bad_grid_step_exits_1_before_the_report(tmp_path, capsys, step):
     path = write(tmp_path, "heat2.csm", HEAT2)
@@ -354,6 +379,35 @@ def test_check_fails_a_commutator_residual_that_is_not_finite(tmp_path, capsys, 
     assert code == 2
     assert f"commuting: no (residual {printed})" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("kind", ["vcs", "aecs"])
+@pytest.mark.parametrize("unit", ["1e-50", "1e-100", "1e-200"])
+def test_score_in_slow_time_units_is_right_or_exits_6(tmp_path, capsys, unit, kind):
+    # Gramian norms near 1/unit: past about 1e77 (AECS) or 1e154 (VCS) the
+    # score's arithmetic overflows, and AECS stopped at a wrong point.
+    def run(text):
+        path = write(tmp_path, "slow.csm", text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["score", path, "--kind", kind, "--format", "json-lines"])
+        captured = capsys.readouterr()
+        assert not caught
+        return code, captured
+
+    code, captured = run(NON_COMMUTING)
+    assert code == 0
+    want = json.loads(captured.out)["weights"]
+    code, captured = run(NON_COMMUTING.replace("-1 1\n0 -2",
+                                               f"-{unit} {unit}\n0 -2{unit[1:]}"))
+    assert code in (0, 6)
+    if code == 0:
+        np.testing.assert_allclose(json.loads(captured.out)["weights"], want,
+                                   rtol=0, atol=1e-6)
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: Gramian eigenvalues up to ")
+        assert captured.err.count("\n") == 1
 
 
 def test_check_rank_deficient_feasibility_fails(tmp_path, capsys):

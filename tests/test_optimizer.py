@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_diagonal_model, random_stable_family, serial_descents
+from conftest import (random_diagonal_model, random_stable_family, random_stable_matrix,
+                      serial_descents)
 
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind
@@ -340,7 +341,8 @@ def test_lattice_matches_brute_force(case, block):
             size, blocks = _lattice(units, np.array(caps))
             blocks = list(blocks)
             assert size == len(want)
-            assert all(0 < len(rows) <= block for rows in blocks)
+            assert all(len(rows) == block for rows in blocks[:-1])
+            assert 0 < len(blocks[-1]) <= block
             assert np.concatenate(blocks).tolist() == [list(k) for k in want]
 
 
@@ -432,6 +434,20 @@ def test_grid_oracle_memory_is_bounded_by_a_block():
     assert peak < 10 * 2**20
 
 
+def test_grid_oracle_on_a_family_holds_eigenvalues_not_matrices(rng):
+    # 23,426 points; a block of W(p) matrices (16,384 x 30 x 30) peaked at
+    # 116.8 MiB.  Batch values hold a few (block, d) arrays of eigenvalues.
+    system = cs.check_stability(random_stable_matrix(rng, 30))
+    family = cs.gramian_family(system, [1, 2, 3, 4])
+    tracemalloc.start()
+    try:
+        cs.grid_oracle(ObjectiveKind.VCS, family, step=0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * 30 * optimizer._BLOCK_ROWS
+
+
 def test_grid_oracle_counts_before_it_evaluates(monkeypatch):
     def no_evaluation(self, batch):
         raise AssertionError("a lattice point was evaluated")
@@ -444,6 +460,23 @@ def test_grid_oracle_counts_before_it_evaluates(monkeypatch):
     with pytest.raises(cs.Infeasible, match="no lattice point"):
         cs.grid_oracle(ObjectiveKind.AECS, cs.heat_dirichlet_model([1, 2, 3]),
                        step=0.25, caps=[0.6, 0.45, 0.2])
+
+
+@pytest.mark.parametrize("model, refused", [
+    (cs.SpectralModel((1, 2), np.diag([1e100, 2e100]), 2), {ObjectiveKind.AECS}),
+    (cs.NodeGramianFamily((1, 2), np.stack([np.eye(3) * 1e300, np.eye(3)])),
+     set(ObjectiveKind)),
+    # d times the largest entry is inf: no probe of the formulas can pass.
+    (cs.NodeGramianFamily((1, 2), np.stack([np.eye(3) * 1.5e308, np.eye(3)])),
+     set(ObjectiveKind)),
+], ids=["table-1e100", "family-1e300", "family-past-max"])
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_solve_refuses_eigenvalues_that_overflow_the_score(kind, model, refused):
+    if kind in refused:
+        with pytest.raises(cs.EigenFailure, match=f"overflow the {kind.value.upper()} "):
+            cs.solve(kind, model)
+    else:
+        np.testing.assert_allclose(cs.solve(kind, model).weights.values, [0.5, 0.5])
 
 
 def test_uncertified_solve_carries_warning(rng):
