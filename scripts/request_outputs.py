@@ -21,7 +21,10 @@ one line each, then the counts: ``identical`` (byte for byte), ``equal``
 numbers, each number within :data:`TOLERANCE` of the other, relative to
 ``max(1, |a|, |b|)``, and a report's iteration count free to differ, in
 JSON and in table form) or ``different``.  An ``equal`` line gives the
-largest weight and objective change.  It exits 1 when a request differs or
+largest weight and objective change.  A ``different`` line names what
+moved: the exit code, stderr, the keys of a JSON report that differ beyond
+the tolerance, or the text before the first number of a stdout line that
+does (``commuting: no (residual``).  It exits 1 when a request differs or
 is missing from one file.
 """
 
@@ -73,28 +76,50 @@ _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?!\w)
 _TABLE_ITERATIONS = "iterations: "
 
 
-def _line_gaps(old: str, new: str):
-    """``(weight, objective)`` changes between two stdout lines that agree
-    within :data:`TOLERANCE`, else None.  A report's ``iterations`` may
-    differ: a JSON key, or a table line of its own."""
-    if old.startswith(_TABLE_ITERATIONS) and new.startswith(_TABLE_ITERATIONS):
-        return 0.0, 0.0
-    try:
-        reports = json.loads(old), json.loads(new)
-    except ValueError:
-        reports = None
-    if reports and all(isinstance(r, dict) for r in reports):
-        for report in reports:
-            report.pop("iterations", None)
-        old, new = (json.dumps(r, sort_keys=True) for r in reports)
+def _close(old: str, new: str) -> bool:
+    """Whether two texts are the same apart from numbers, each within
+    :data:`TOLERANCE` of the other."""
     texts = _NUMBER.split(old), _NUMBER.split(new)
-    numbers = [[float(x) for x in _NUMBER.findall(line)] for line in (old, new)]
-    if texts[0] != texts[1] or len(numbers[0]) != len(numbers[1]):
+    numbers = [[float(x) for x in _NUMBER.findall(text)] for text in (old, new)]
+    return (texts[0] == texts[1] and len(numbers[0]) == len(numbers[1])
+            and all(abs(a - b) <= TOLERANCE * max(1.0, abs(a), abs(b))
+                    for a, b in zip(*numbers)))
+
+
+def _report(line: str) -> dict | None:
+    """The JSON report on a stdout line, without its iteration count."""
+    try:
+        report = json.loads(line)
+    except ValueError:
         return None
-    for a, b in zip(*numbers):
-        if abs(a - b) > TOLERANCE * max(1.0, abs(a), abs(b)):
-            return None
-    if not reports:
+    if not isinstance(report, dict):
+        return None
+    report.pop("iterations", None)
+    return report
+
+
+def _moved(old: str, new: str) -> list[str]:
+    """What differs beyond :data:`TOLERANCE` between two stdout lines: the
+    keys of a JSON report, or a text line's text before its first number
+    (the whole line where that is empty).  A report's ``iterations`` may differ: a JSON key, or a table line of its
+    own."""
+    if old.startswith(_TABLE_ITERATIONS) and new.startswith(_TABLE_ITERATIONS):
+        return []
+    reports = _report(old), _report(new)
+    if reports[0] is not None and reports[1] is not None:
+        return [key for key in sorted(reports[0].keys() | reports[1].keys())
+                if not _close(*(json.dumps(r.get(key)) for r in reports))]
+    if _close(old, new):
+        return []
+    heads = [_NUMBER.split(line)[0].strip() or line.strip() for line in (old, new)]
+    return [heads[0] if heads[0] == heads[1] else " -> ".join(heads)]
+
+
+def _gaps(old: str, new: str) -> tuple[float, float]:
+    """``(weight, objective)`` changes between two stdout lines that agree
+    within :data:`TOLERANCE`; zero unless they are reports."""
+    reports = _report(old), _report(new)
+    if reports[0] is None or reports[1] is None:
         return 0.0, 0.0
     weights = max((abs(a - b) for a, b in zip(reports[0].get("weights", ()),
                                              reports[1].get("weights", ()))),
@@ -105,17 +130,25 @@ def _line_gaps(old: str, new: str):
 
 
 def _classify(old, new):
-    """``("identical" | "equal" | "different", (weight, objective) gaps)``
-    of one request's ``[exit, stdout, stderr]`` in two runs."""
+    """The class of one request's ``[exit, stdout, stderr]`` in two runs,
+    with its detail: ``("identical", None)``, ``("equal", (weight,
+    objective))``, the largest changes, or ``("different", moved)``, the
+    names of what moved (:func:`_moved`, the exit code, stderr or the
+    number of stdout lines)."""
     if old == new:
         return "identical", None
     lines = old[1].splitlines(), new[1].splitlines()
-    if old[0] != new[0] or old[2] != new[2] or len(lines[0]) != len(lines[1]):
-        return "different", None
-    gaps = [_line_gaps(a, b) for a, b in zip(*lines)]
-    if None in gaps:
-        return "different", None
-    return "equal", tuple(max(g[i] for g in gaps) for i in (0, 1))
+    moved = [f"exit {old[0]} -> {new[0]}"] if old[0] != new[0] else []
+    if old[2] != new[2]:
+        moved.append("stderr")
+    if len(lines[0]) != len(lines[1]):
+        moved.append("stdout lines")
+    for a, b in zip(*lines):
+        moved.extend(_moved(a, b))
+    if moved:
+        return "different", tuple(dict.fromkeys(moved))
+    gaps = [_gaps(a, b) for a, b in zip(*lines)]
+    return "equal", tuple(max((g[i] for g in gaps), default=0.0) for i in (0, 1))
 
 
 def compare(old_path: str, new_path: str) -> int:
@@ -128,12 +161,16 @@ def compare(old_path: str, new_path: str) -> int:
     counts = {"identical": 0, "equal": 0, "different": 0, "missing": 0}
     for key in sorted(runs[0].keys() | runs[1].keys()):
         if key not in runs[0] or key not in runs[1]:
-            label, gaps = "missing", None
+            label, found = "missing", None
         else:
-            label, gaps = _classify(runs[0][key], runs[1][key])
+            label, found = _classify(runs[0][key], runs[1][key])
         counts[label] += 1
-        detail = ("" if gaps is None else
-                  f"  weights {gaps[0]:.2e}  objective {gaps[1]:.2e} relative")
+        if label == "equal":
+            detail = f"  weights {found[0]:.2e}  objective {found[1]:.2e} relative"
+        elif label == "different":
+            detail = "  moved: " + "; ".join(found)
+        else:
+            detail = ""
         print(f"{label:<9}  {key}{detail}")
     print(", ".join(f"{n} {label}" for label, n in counts.items())
           + f" (tolerance {TOLERANCE:g})")

@@ -14,10 +14,10 @@ beats the answer or a lattice minimizer lies more than a step from it
 (report still emitted), 4 target outside the reachable span (``energy``), 5
 the solver did not converge (report still emitted; it wins over 3 when a
 result is both, since an unconverged answer is not even a local optimum), 6
-numerical failure (a Lyapunov solve or a Gramian failed its check, or the
-Gramian eigenvalues are large enough to overflow the score), 141 stdout closed
-before the output was written (``| head``; 128 + SIGPIPE, the status a shell
-reports for a process that the signal ended), with nothing printed.
+numerical failure (a Lyapunov solve or a Gramian failed its check), 141
+stdout closed before the output was written (``| head``; 128 + SIGPIPE, the
+status a shell reports for a process that the signal ended), with nothing
+printed.  ``check`` works in the unit of ``solve`` (``optimizer._in_unit``).
 
 Each command runs its BLAS on one thread.  A process started as ``python -m
 ctrlscore`` or as the ``ctrlscore`` script sets ``OPENBLAS_NUM_THREADS=1``
@@ -58,7 +58,7 @@ from .errors import (
 )
 from .linsys import node_labels
 from .modelfile import ModelFile, parse_model_text
-from .optimizer import grid_oracle, grid_units, solve
+from .optimizer import _in_model_units, _in_unit, grid_oracle, grid_units, solve
 from .scores import ObjectiveKind, closed_form_optimum
 from .simplex import SimplexWeights
 from .spectral import AssumptionReport, check_feasibility, heat_dirichlet_model
@@ -218,11 +218,7 @@ def _cmd_score(args) -> int:
         grid_units(args.grid_check)  # a bad step fails before any output
     kind = ObjectiveKind.from_string(args.kind)
     model_file, digest = _load(args.model)
-    try:
-        model = model_file.build(args.n)
-    except UnstableSystem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    model = model_file.build(args.n)
     caps = model_file.caps
 
     exit_code = EXIT_OK
@@ -267,12 +263,9 @@ def _cmd_score(args) -> int:
 
 def _cmd_check(args) -> int:
     model_file, digest = _load(args.model)
-    try:
-        model = model_file.build(args.n)
-    except UnstableSystem as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    report = check_feasibility(model, caps=model_file.caps)
+    model = model_file.build(args.n)
+    unit, exponent = _in_unit(model)
+    report = _in_model_units(check_feasibility(unit, caps=model_file.caps), exponent)
     witness = (
         " ".join(f"{w:.6f}" for w in report.witness.values)
         if report.witness is not None
@@ -327,11 +320,7 @@ def _cmd_heat_demo(args) -> int:
 
 def _cmd_energy(args) -> int:
     model_file, _ = _load(args.model)
-    try:
-        model_at = model_file.energy_model(args.n)
-    except UnstableSystem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    model_at = model_file.energy_model(args.n)
     values = _parse_float_list(args.p, "--p")
     total = values.sum()
     if abs(total - 1.0) > 1e-6:
@@ -486,6 +475,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except UnstableSystem as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (LyapunovSolveFailure, EigenFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

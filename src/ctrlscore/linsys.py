@@ -77,7 +77,7 @@ from .errors import (
 )
 from .simplex import weight_vector
 
-#: Default absolute tolerance for residuals, symmetry and eigenvalue clamping.
+#: Relative tolerance of Lyapunov residuals and of Gramian symmetry and PSD.
 DEFAULT_TOL = 1e-10
 
 #: Relative eigenvalue gap below which eigenvalues are treated as degenerate.
@@ -93,8 +93,14 @@ _STACK_BYTES = 1 << 20
 
 def nth_positive(top):
     """Whether ``top[..., -1]`` clears the positive floor
-    ``POSITIVE_FLOOR * max(1, top[..., 0])``."""
-    return top[..., -1] > POSITIVE_FLOOR * np.maximum(1.0, top[..., 0])
+    ``POSITIVE_FLOOR * top[..., 0]``, which scales with the model."""
+    return top[..., -1] > POSITIVE_FLOOR * top[..., 0]
+
+
+def _shared(values) -> bool:
+    """Whether a model keeps ``values`` uncopied: read-only, float64, own data."""
+    return (type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable)
 
 
 def node_labels(indices) -> tuple[int, ...]:
@@ -231,10 +237,10 @@ class NodeGramianFamily:
     """One controllability Gramian per node, and the score order.
 
     ``node_indices`` are 1-based labels (:func:`node_labels`).  ``gramians``
-    is a read-only float64 copy of the input, shape (m, d, d): ``gramians[i]``
-    belongs to node ``node_indices[i]``.  Each must be finite, symmetric and
-    positive semidefinite within tolerance; families built by
-    :func:`gramian_family` additionally satisfy the Lyapunov residual bound.
+    is a read-only float64 array (:func:`_shared`, else a copy), shape (m, d,
+    d): ``gramians[i]`` belongs to node ``node_indices[i]``.  Each must be
+    finite, symmetric and PSD within ``DEFAULT_TOL ||W_i||_F``; families built
+    by :func:`gramian_family` additionally satisfy the Lyapunov residual bound.
     No dynamics are kept, so a family can come from closed-form Gramians as
     well.  ``score_order`` is how many of the largest eigenvalues of ``W(p)``
     the scores select (``1 <= n <= d``); the whole spectrum, ``d``, when
@@ -254,7 +260,7 @@ class NodeGramianFamily:
         for idx, arr in zip(labels, arrays):
             if n == 0 or arr.shape != (n, n):
                 raise IndexMismatch(f"Gramian for node {idx} has shape {arr.shape}")
-        stack = np.stack(arrays)
+        stack = self.gramians if _shared(self.gramians) else np.stack(arrays)
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             node = labels[np.argmin(finite)]
@@ -264,8 +270,7 @@ class NodeGramianFamily:
         # The first failing node is reported, symmetry before PSD.  Norms
         # past about 1e154 read inf, which makes both tests pass.
         with np.errstate(over="ignore"):
-            tol = DEFAULT_TOL * np.array([max(1.0, float(np.linalg.norm(g)))
-                                          for g in stack])
+            tol = DEFAULT_TOL * np.array([np.linalg.norm(g) for g in stack])
             asymmetric = np.array([np.linalg.norm(g - g.T) for g in stack]) > tol
         indefinite = np.linalg.eigvalsh(stack)[:, 0] < -tol
         failed = np.flatnonzero(asymmetric | indefinite)
@@ -470,7 +475,7 @@ def _solve_lyapunov(system: StableLTISystem, input_weights: np.ndarray,
     ------
     LyapunovSolveFailure
         If ``dtrsyl`` rejects an argument, or the residual exceeds
-        ``DEFAULT_TOL * max(1, ||W||_F)``.
+        ``DEFAULT_TOL * ||A||_F ||W||_F``, the scale of the equation's terms.
     """
     from scipy.linalg.lapack import dtrsyl
 
@@ -485,9 +490,9 @@ def _solve_lyapunov(system: StableLTISystem, input_weights: np.ndarray,
     gram = vectors @ solved @ vectors.T
     gram = 0.5 * (gram + gram.T)
     residual = np.linalg.norm(a @ gram + gram @ a.T - rhs)
-    with np.errstate(over="ignore"):  # ||W||_F past about 1e154 reads inf
-        size = float(np.linalg.norm(gram))
-    if residual > DEFAULT_TOL * max(1.0, size):
+    with np.errstate(over="ignore"):  # a norm past about 1e154 reads inf
+        size = float(np.linalg.norm(a)) * float(np.linalg.norm(gram))
+    if residual > DEFAULT_TOL * size:
         raise LyapunovSolveFailure(
             f"Lyapunov residual {residual:.3e} exceeds tolerance for {subject}"
         )
@@ -558,8 +563,11 @@ def gramian_family(system: StableLTISystem, node_indices,
     the order and the node range are checked before the first Lyapunov
     solve."""
     indices = _checked_nodes(system, node_indices, score_order)
-    return NodeGramianFamily(indices, [node_gramian(system, i) for i in indices],
-                             score_order)
+    stack = np.empty((len(indices), system.n_dim, system.n_dim))
+    for row, node in enumerate(indices):
+        stack[row] = node_gramian(system, node)
+    stack.flags.writeable = False  # so the family keeps it, not a copy
+    return NodeGramianFamily(indices, stack, score_order)
 
 
 #: The weight at which a :func:`weighted_gramian_family` is evaluated.

@@ -26,20 +26,15 @@ on the projected-gradient residual
 
 of the scale-free objective ``h``: ``h = f`` for VCS and ``h = log g`` for
 AECS, whose gradient is ``grad g / g``.  Scaling every Gramian by a constant
-leaves ``r`` unchanged, so the stopping test does not depend on the units
-of the model.  ``r`` is the KKT stationarity measure for this constraint set
-and the only one the package computes (:func:`kkt_residual` reports it at
-any feasible point).  A Newton step that reaches :data:`GRAD_TOL` is
-followed by one more, which lands on the optimum to rounding.  A
-brute-force lattice enumeration (:func:`grid_oracle`) provides an
-independent check of the optimizer on small node sets.  It counts the
-lattice first and refuses one of more than :data:`GRID_BUDGET` points, then
-unranks it from those counts in blocks of :data:`_BLOCK_ROWS` points and
-evaluates one block at a time, so its memory is bounded by a block, not by
-the lattice.  Before any descent, :func:`solve` refuses a model whose
-eigenvalues could overflow the score's arithmetic
-(:func:`_check_score_range`), where a zero gradient read from an infinite
-term would stop the descent at a wrong point.
+leaves ``r`` unchanged.  ``r`` is the KKT stationarity measure for this
+constraint set and the only one the package computes (:func:`kkt_residual`
+reports it at any feasible point).  A Newton step that reaches
+:data:`GRAD_TOL` is followed by one more, which lands on the optimum to
+rounding.  :func:`solve` and :func:`kkt_residual` work in one unit of
+measure (:func:`_in_unit`); only the objectives and ``nth_eigenvalue`` go
+back to the caller's units.  A brute-force lattice enumeration of the
+caller's model, in bounded memory (:func:`grid_oracle`), checks the
+optimizer independently on small node sets.
 
 Multi-start behaviour: models that pass the commutation, n-spectrum and
 feasibility checks have a provably unique optimum and run a single start;
@@ -61,12 +56,12 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (BadGridStep, EigenFailure, Infeasible, InfeasiblePoint,
-                     NonConvexAmbiguous, TooLarge)
+from .errors import (BadGridStep, Infeasible, InfeasiblePoint, NonConvexAmbiguous,
+                     TooLarge)
 from .scores import ObjectiveKind, _Objective
 from .simplex import (SimplexWeights, project_capped_simplex, validate_caps,
                       weight_vector)
@@ -313,36 +308,35 @@ def _starting_points(count: int, caps: np.ndarray, seed: int,
     return points
 
 
-def _check_score_range(kind: ObjectiveKind, objective: _Objective) -> None:
-    """Raise :class:`EigenFailure` where an eigenvalue of ``W(p)`` could
-    overflow a formula of the score.
+def _in_unit(model):
+    """``(unit, exponent)``: ``model`` with every table or Gramian entry
+    times ``4**exponent``, its largest absolute entry in [1/4, 1) (``model``
+    itself where ``exponent`` is 0), not validated again, with no node factor.
 
-    On the simplex every eigenvalue of ``W(p)`` is at most the largest
-    table entry, or the largest Gramian 2-norm, itself at most ``d`` times
-    the largest Gramian entry.  Above 1 the magnitudes inside the formulas
-    of :data:`~ctrlscore.scores.SCORES` grow with the eigenvalues, so one
-    evaluation at that bound decides for every point; below 1 the positive
-    floor keeps them finite.  VCS overflows past about 1e154 and AECS past
-    about 1e77: there the descent would read an infinite term as a zero
-    gradient and stop at a wrong point.
-    """
-    model, score = objective.model, objective.score
-    if isinstance(model, SpectralModel):
-        bound = float(model.eigen_table.max())
-    else:
-        grams = model.gramians
-        bound = model.mode_count * float(max(grams.max(), -grams.min()))
-    top = np.float64(max(bound, 1.0))
-    with np.errstate(over="raise", invalid="raise"):  # inf / inf is invalid
-        try:
-            score.phi(top), score.s(top), score.divided(top, top)
-            finite = math.isfinite(bound)
-        except FloatingPointError:
-            finite = False
-    if not finite:
-        raise EigenFailure(
-            f"Gramian eigenvalues up to {bound:.3e} overflow the "
-            f"{kind.value.upper()} arithmetic; rescale the model's time unit")
+    Scaling by a power of the radix is exact (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 2.1), and by a power
+    of four keeps a family's Hessian roots exact; the minimizers do not move
+    (:data:`~ctrlscore.scores.SCORES`).  No eigenvalue of ``W(p)`` exceeds
+    ``d``, so no score formula overflows, and the positive floor, the
+    multi-start ``1e-6`` and the descent's constants are relative."""
+    field = "eigen_table" if isinstance(model, SpectralModel) else "gramians"
+    values = getattr(model, field)
+    top = max(float(values.max()), -float(values.min()))
+    exponent = -math.frexp(top)[1] // 2  # top = f * 2**e with 1/2 <= f < 1
+    if exponent == 0:
+        return model, 0
+    scaled = np.ldexp(values, 2 * exponent)
+    scaled.flags.writeable = False
+    unit = object.__new__(type(model))  # no __post_init__: no validation
+    vars(unit).update(node_indices=model.node_indices, score_order=model.score_order,
+                      **{field: scaled})
+    return unit, exponent
+
+
+def _in_model_units(report: AssumptionReport, exponent: int) -> AssumptionReport:
+    """``report`` with ``nth_eigenvalue`` back in the caller's units."""
+    nth = np.ldexp(report.nth_eigenvalue, -2 * exponent)
+    return replace(report, nth_eigenvalue=float(nth))
 
 
 def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResult:
@@ -368,9 +362,6 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         numpy integers pass), whether or not the solve draws from it.
     InvalidWeights
         If ``caps`` is not a nonnegative vector with one entry per node.
-    EigenFailure
-        If an eigenvalue of ``W(p)`` could overflow the score's arithmetic
-        (:func:`_check_score_range`), before any point is evaluated.
     Infeasible
         If no candidate weight vector keeps the n-th eigenvalue positive.
     NonConvexAmbiguous
@@ -385,8 +376,8 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         raise ValueError(f"seed must be >= 0, got {seed}")
     objective = _Objective(kind, model)
     caps_arr = validate_caps(caps, objective.node_count)
-    _check_score_range(kind, objective)
-    report = check_feasibility(model, caps=caps_arr)
+    unit, exponent = _in_unit(model)
+    report = _in_model_units(check_feasibility(unit, caps=caps_arr), exponent)
     if not report.feasible:
         raise Infeasible(
             f"no feasible weights found: best mu_{model.score_order} = "
@@ -396,13 +387,14 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
     n_starts = 1 if certified else UNCERTIFIED_STARTS
     starts = _starting_points(n_starts, caps_arr, seed, report.witness)
 
+    in_unit = _Objective(kind, unit)
     workers = min(os.cpu_count() or 1, n_starts)
     if workers == 1:
-        trajectories = [_descend(objective, s, caps_arr) for s in starts]
+        trajectories = [_descend(in_unit, s, caps_arr) for s in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             trajectories = list(
-                pool.map(lambda s: _descend(objective, s, caps_arr), starts)
+                pool.map(lambda s: _descend(in_unit, s, caps_arr), starts)
             )
 
     finite_idx = [i for i, t in enumerate(trajectories) if math.isfinite(t.value)]
@@ -410,8 +402,9 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         raise Infeasible("no start produced a finite objective value")
     converged_idx = [i for i in finite_idx if trajectories[i].converged]
     candidate_idx = converged_idx if converged_idx else finite_idx
-    best = trajectories[min(candidate_idx,
-                            key=lambda i: (trajectories[i].value, i))]
+    best_idx = min(candidate_idx, key=lambda i: (trajectories[i].value, i))
+    best = trajectories[best_idx]
+    reported = tuple(objective.value(t.point) for t in trajectories)
 
     warnings: list[str] = []
     if not certified:
@@ -433,14 +426,14 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
 
     result = ScoreResult(
         weights=SimplexWeights(best.point, caps_arr.copy()),
-        objective=float(best.value),
+        objective=reported[best_idx],
         kkt_residual=float(best.residual),
         iterations=best.iterations,
         assumption_report=report,
         uniqueness_certified=certified,
         converged=best.converged,
         warnings=tuple(warnings),
-        start_objectives=tuple(float(t.value) for t in trajectories),
+        start_objectives=reported,
         score_order=model.score_order,
     )
 
@@ -448,7 +441,7 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
     if len(values) > 1 and max(values) - min(values) > 1e-6:
         raise NonConvexAmbiguous(
             "starts disagree on the optimal value: "
-            + ", ".join(f"{v:.9g}" for v in values),
+            + ", ".join(f"{reported[i]:.9g}" for i in candidate_idx),
             result=result,
         )
     return result
@@ -594,7 +587,7 @@ def kkt_residual(kind: ObjectiveKind, model, weights, *, caps=None) -> float:
     InfeasiblePoint
         If the point leaves the capped simplex or the objective is infinite.
     """
-    objective = _Objective(kind, model)
+    objective = _Objective(kind, _in_unit(model)[0])
     if isinstance(weights, SimplexWeights) and caps is None:
         caps = weights.caps
     caps_arr = validate_caps(caps, objective.node_count)

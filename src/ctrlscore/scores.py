@@ -125,6 +125,11 @@ class _Objective:
         grad = -rows.sum(axis=0)
         return ObjectiveEvaluation(value, grad, None, pairs.near_degenerate, curvature)
 
+    def value(self, weights) -> float:
+        """The value alone at ``weights``, with the bits of :meth:`__call__`'s."""
+        pairs = self.model.eigenpairs(weights)
+        return float(self.score.phi(pairs.values).sum()) if pairs.positive else math.inf
+
     def stationarity_gradient(self, evaluation: ObjectiveEvaluation) -> np.ndarray:
         """The scale-free gradient the solver stops on: ``grad f`` for VCS
         and ``grad g / g`` for AECS (see :data:`SCORES`)."""

@@ -19,12 +19,10 @@ same arguments (``eigenvalues``, ``eigenpairs``, ``derivatives``,
 branch on the model type; the assumption checkers and the closed form do.
 The checkers read a family only through its (m, d, d) ``gramians``, so a
 family of closed-form Gramians is checked like one from Lyapunov solves.
-The commutation check does not form all m(m-1)/2 products: a rigorous
-bound per pair, ``2 ||W_i W_j||_F`` from the Gram matrix of the normalized
-squares ``W_i^2 / ||W_i||_F^2`` with an allowance for rounding, costs
-O(m d^3 + m^2 d^2), and only the pairs whose bound reaches the largest
-residual found are multiplied out, so the residual is the pairwise one to
-the bit.
+The commutation check multiplies out only the pairs that a rigorous bound
+cannot rule out.  The residuals' ``max(1, ...)`` and a table's n-spectrum
+entry are absolute, and relative in the unit of ``optimizer._in_unit``, in
+which ``solve`` and ``check`` call the checkers.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.  ``derivatives`` gives
 the rows and the Hessian, as a callable that builds a table's product only
@@ -44,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexMismatch
-from .linsys import Eigenpairs, NodeGramianFamily, node_labels, resolve_score_order
+from .linsys import (Eigenpairs, NodeGramianFamily, _shared, node_labels,
+                     resolve_score_order)
 from .simplex import SimplexWeights, central_point, validate_caps, weight_vector
 
 #: Default relative tolerance for the assumption checkers.
@@ -67,7 +66,8 @@ class SpectralModel:
         The evaluated nodes (1-based labels, order fixes the columns).
     eigen_table : ndarray, shape (K, m)
         Nonnegative entries; row ``k`` holds the eigenvalue contributed by
-        every node to shared eigenmode ``k``.  Stored as a read-only copy.
+        every node to shared eigenmode ``k``.  Stored read-only, as a copy
+        unless :func:`~ctrlscore.linsys._shared`.
     score_order : int, optional
         How many of the largest eigenvalues the score objectives use
         (``1 <= n <= K``); ``min(K, m)`` when omitted.
@@ -81,7 +81,8 @@ class SpectralModel:
 
     def __post_init__(self):
         indices = node_labels(self.node_indices)
-        table = np.array(self.eigen_table, dtype=float)
+        table = self.eigen_table
+        table = table if _shared(table) else np.array(table, dtype=float)
         if table.ndim != 2 or table.shape[1] != len(indices):
             raise IndexMismatch(
                 f"eigen table must have {len(indices)} columns, got shape {table.shape}"

@@ -366,26 +366,38 @@ def test_check_noncommuting_fails(tmp_path, capsys):
     assert residual > 0.0
 
 
-@pytest.mark.parametrize("unit, printed", [("1e-100", "inf"), ("1e-200", "nan")])
-def test_check_fails_a_commutator_residual_that_is_not_finite(tmp_path, capsys, unit,
-                                                              printed):
-    # The non-commuting system in slow time units: Gramian norms near 1e100
-    # or 1e200, where the residual overflows.
-    text = NON_COMMUTING.replace("-1 1\n0 -2", f"-{unit} {unit}\n0 -2{unit[1:]}")
-    assert f"0 -2{unit[1:]}" in text
-    path = write(tmp_path, "slow.csm", text)
-    code = main(["check", path])
+def _in_time_unit(text: str, unit: str) -> str:
+    """The non-commuting system with time measured in ``unit``: its Gramians
+    scale by ``1 / unit``."""
+    scaled = text.replace("-1 1\n0 -2", f"-{unit} {unit}\n0 -2{unit[1:]}")
+    assert f"0 -2{unit[1:]}" in scaled
+    return scaled
+
+
+@pytest.mark.parametrize("unit", ["1e-100", "1e-200"])
+def test_check_in_slow_time_units_keeps_its_verdict_with_a_finite_residual(tmp_path,
+                                                                           capsys, unit):
+    # Gramian norms near 1e100 or 1e200 once overflowed the residual to inf
+    # or NaN; in one unit of measure it is finite.
+    main(["check", write(tmp_path, "unit.csm", NON_COMMUTING)])
+    want = capsys.readouterr().out.splitlines()
+    code = main(["check", write(tmp_path, "slow.csm", _in_time_unit(NON_COMMUTING, unit))])
     captured = capsys.readouterr()
     assert code == 2
-    assert f"commuting: no (residual {printed})" in captured.out
     assert captured.err == ""
+    got = captured.out.splitlines()
+    assert got[1:3] == want[1:3] and got[5] == want[5]  # nodes, witness, n-spectrum
+    assert got[4].startswith("commuting: no (residual ")
+    residual = float(got[4].split("residual ")[1].rstrip(")"))
+    assert math.isfinite(residual) and residual > 1e-8
 
 
 @pytest.mark.parametrize("kind", ["vcs", "aecs"])
-@pytest.mark.parametrize("unit", ["1e-50", "1e-100", "1e-200"])
-def test_score_in_slow_time_units_is_right_or_exits_6(tmp_path, capsys, unit, kind):
-    # Gramian norms near 1/unit: past about 1e77 (AECS) or 1e154 (VCS) the
-    # score's arithmetic overflows, and AECS stopped at a wrong point.
+@pytest.mark.parametrize("unit", ["1e-200", "1e-100", "1e-50", "1e50", "1e100", "1e200"])
+def test_score_in_any_time_unit_is_right(tmp_path, capsys, unit, kind):
+    # Gramian norms near 1/unit.  Past about 1e77 (AECS) or 1e154 (VCS) the
+    # score's arithmetic once overflowed (exit 6), and below 1 the absolute
+    # positive floor made the model infeasible (exit 2).
     def run(text):
         path = write(tmp_path, "slow.csm", text)
         with warnings.catch_warnings(record=True) as caught:
@@ -393,21 +405,13 @@ def test_score_in_slow_time_units_is_right_or_exits_6(tmp_path, capsys, unit, ki
             code = main(["score", path, "--kind", kind, "--format", "json-lines"])
         captured = capsys.readouterr()
         assert not caught
-        return code, captured
+        assert code == 0 and captured.err == ""
+        return json.loads(captured.out)
 
-    code, captured = run(NON_COMMUTING)
-    assert code == 0
-    want = json.loads(captured.out)["weights"]
-    code, captured = run(NON_COMMUTING.replace("-1 1\n0 -2",
-                                               f"-{unit} {unit}\n0 -2{unit[1:]}"))
-    assert code in (0, 6)
-    if code == 0:
-        np.testing.assert_allclose(json.loads(captured.out)["weights"], want,
-                                   rtol=0, atol=1e-6)
-    else:
-        assert captured.out == ""
-        assert captured.err.startswith("error: Gramian eigenvalues up to ")
-        assert captured.err.count("\n") == 1
+    want = run(NON_COMMUTING)
+    got = run(_in_time_unit(NON_COMMUTING, unit))
+    np.testing.assert_allclose(got["weights"], want["weights"], rtol=0, atol=1e-9)
+    assert got["uniqueness_certified"] == want["uniqueness_certified"]
 
 
 def test_check_rank_deficient_feasibility_fails(tmp_path, capsys):

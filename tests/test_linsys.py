@@ -281,8 +281,7 @@ def test_factored_pass_matches_the_dense_node_by_node_reference(name):
     for count in (dim // 2, dim):
         family = dataclasses.replace(whole, score_order=count)
         pairs = family.eigenpairs(point)
-        # mu_n of the 1e-12 family is under the absolute positive floor.
-        assert pairs.positive == (name != "signed x 1e-12")
+        assert pairs.positive  # the floor is relative: no scale moves it
         rows, hessian = family.derivatives(pairs, divided)
         want = node_quadratic_rows(pairs.vectors, family.gramians)
         assert np.abs(rows - want).max() <= 1e-12 * np.abs(want).max()
@@ -578,6 +577,56 @@ def test_family_validation_names_the_first_failing_node():
         cs.NodeGramianFamily((1, 2, 3), (good, skew, negative))
     with pytest.raises(cs.EigenFailure, match="Gramian for node 2 is not PSD"):
         cs.NodeGramianFamily((1, 2, 3), (good, negative, skew))
+
+
+def test_a_family_keeps_a_read_only_stack_that_owns_its_data(rng):
+    stack = random_stable_family(rng, 3).gramians.copy()
+    stack.flags.writeable = False
+    assert cs.NodeGramianFamily((1, 2, 3), stack).gramians is stack
+    view = stack[:, :, :]  # read-only, but its data is the stack's
+    assert cs.NodeGramianFamily((1, 2, 3), view).gramians is not view
+    # gramian_family fills one stack that the family keeps: no list of
+    # Gramians beside a stacked copy, which doubled the peak.
+    system = cs.check_stability(random_stable_matrix(rng, 40))
+    tracemalloc.start()
+    try:
+        family = cs.gramian_family(system, range(1, 41))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * family.gramians.nbytes
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_family_tests_symmetry_and_psd_relative_to_each_gramian(scale):
+    # An absolute floor of DEFAULT_TOL let both pass at scale 1e-20.
+    skew = np.diag([1.0, 0.5])
+    skew[0, 1] = 1e-6
+    with pytest.raises(cs.EigenFailure, match="Gramian for node 2 is not symmetric"):
+        cs.NodeGramianFamily((1, 2), scale * np.stack([np.eye(2), skew]))
+    with pytest.raises(cs.EigenFailure, match="Gramian for node 2 is not PSD"):
+        cs.NodeGramianFamily((1, 2), scale * np.stack([np.eye(2), np.diag([1.0, -1e-6])]))
+    cs.NodeGramianFamily((1, 2), scale * np.stack([np.eye(2), np.diag([1.0, -1e-12])]))
+
+
+@pytest.mark.parametrize("time_unit", [1e-100, 1.0, 1e100])
+def test_a_perturbed_lyapunov_solution_fails_its_check_in_any_time_unit(monkeypatch,
+                                                                       time_unit):
+    # The residual is measured against ||A||_F ||W||_F, the scale of the
+    # equation's terms; against max(1, ||W||_F) a 1% error passed at 1e-100.
+    from scipy.linalg import lapack
+
+    solve = lapack.dtrsyl
+
+    def perturbed(*args, **kwargs):
+        solved, scale, info = solve(*args, **kwargs)
+        return 1.01 * solved, scale, info
+
+    system = cs.check_stability(time_unit * NON_NORMAL)
+    cs.node_gramian(system, 2)
+    monkeypatch.setattr(lapack, "dtrsyl", perturbed)
+    with pytest.raises(cs.LyapunovSolveFailure, match="exceeds tolerance for node 2"):
+        cs.node_gramian(system, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

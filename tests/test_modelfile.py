@@ -273,6 +273,23 @@ def test_parsed_table_holds_little_more_than_its_array():
     assert held <= 1.25 * parsed.table.nbytes
 
 
+def test_a_parsed_table_builds_its_model_without_a_copy():
+    # The payload is a read-only float64 array that owns its data, so the
+    # model keeps it; a copy would allocate the table's bytes again.
+    values = np.random.default_rng(0).random((200, 200))
+    text = _table_text(200, [" ".join(map(repr, row.tolist())) for row in values])
+    parsed = parse_model_text(text)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = parsed.build()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert model.eigen_table is parsed.table
+    assert peak < 0.25 * parsed.table.nbytes
+
+
 HEADER = "ctrlscore-model v1\n"
 
 

@@ -13,7 +13,7 @@ from conftest import (random_diagonal_model, random_stable_family, random_stable
 
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind
-from ctrlscore import optimizer
+from ctrlscore import linsys, optimizer
 from ctrlscore.optimizer import _descend, _lattice
 from ctrlscore.scores import _Objective
 from ctrlscore.simplex import central_point
@@ -462,21 +462,102 @@ def test_grid_oracle_counts_before_it_evaluates(monkeypatch):
                        step=0.25, caps=[0.6, 0.45, 0.2])
 
 
-@pytest.mark.parametrize("model, refused", [
-    (cs.SpectralModel((1, 2), np.diag([1e100, 2e100]), 2), {ObjectiveKind.AECS}),
+@pytest.mark.parametrize("model, weights", [
+    (cs.SpectralModel((1, 2), np.diag([1e100, 2e100]), 2),
+     {ObjectiveKind.VCS: [0.5, 0.5], ObjectiveKind.AECS: [2 - 2**0.5, 2**0.5 - 1]}),
     (cs.NodeGramianFamily((1, 2), np.stack([np.eye(3) * 1e300, np.eye(3)])),
-     set(ObjectiveKind)),
-    # d times the largest entry is inf: no probe of the formulas can pass.
+     dict.fromkeys(ObjectiveKind, [1.0, 0.0])),
+    # d times the largest entry is past the largest float.
     (cs.NodeGramianFamily((1, 2), np.stack([np.eye(3) * 1.5e308, np.eye(3)])),
-     set(ObjectiveKind)),
+     dict.fromkeys(ObjectiveKind, [1.0, 0.0])),
 ], ids=["table-1e100", "family-1e300", "family-past-max"])
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
-def test_solve_refuses_eigenvalues_that_overflow_the_score(kind, model, refused):
-    if kind in refused:
-        with pytest.raises(cs.EigenFailure, match=f"overflow the {kind.value.upper()} "):
-            cs.solve(kind, model)
-    else:
-        np.testing.assert_allclose(cs.solve(kind, model).weights.values, [0.5, 0.5])
+def test_solve_scores_eigenvalues_past_the_range_of_the_score_arithmetic(kind, model,
+                                                                        weights):
+    # Squares of 1e200 and logs of 1e308 stay finite in one unit of measure.
+    result = cs.solve(kind, model)
+    assert result.converged and result.uniqueness_certified
+    np.testing.assert_allclose(result.weights.values, weights[kind], rtol=0, atol=1e-12)
+
+
+_SPREAD_TABLE = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.25], [0.5, 0.5, 1.5]])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-15, 1e15, 1e200])
+@pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+def test_a_full_spectrum_table_solves_the_same_in_any_unit(kind, scale):
+    # Below 1 the old positive floor was absolute (Infeasible), above about
+    # 1e77 the old score arithmetic overflowed.
+    base = cs.solve(kind, cs.SpectralModel((1, 2, 3), _SPREAD_TABLE))
+    model = cs.SpectralModel((1, 2, 3), scale * _SPREAD_TABLE)
+    result = cs.solve(kind, model)
+    assert result.converged and result.uniqueness_certified
+    np.testing.assert_allclose(result.weights.values, base.weights.values,
+                               rtol=0, atol=1e-9)
+    assert cs.kkt_residual(kind, model, base.weights) <= 1e-9
+
+
+def test_in_unit_scales_by_a_power_of_four_into_a_quarter_to_one():
+    for top in (1.0, 0.25, 0.5 - 2**-60, 3.0, 1e-300, 5e-324, 1.7e308):
+        model = cs.SpectralModel((1, 2), [[top, 0.0], [0.0, top / 2]])
+        unit, exponent = optimizer._in_unit(model)
+        assert 0.25 <= unit.eigen_table.max() < 1.0
+        np.testing.assert_array_equal(unit.eigen_table,
+                                      np.ldexp(model.eigen_table, 2 * exponent))
+        assert (unit is model) == (exponent == 0)
+        assert not unit.eigen_table.flags.writeable
+        assert unit.node_indices == model.node_indices
+        assert unit.score_order == model.score_order
+
+
+def test_a_unit_family_builds_its_own_node_factor(rng):
+    family = random_stable_family(rng, 5)
+    family = cs.NodeGramianFamily(family.node_indices, 64.0 * family.gramians)
+    point = np.full(5, 0.2)
+    cs.evaluate(ObjectiveKind.AECS, family, point)  # builds the caller's factor
+    unit, exponent = optimizer._in_unit(family)
+    assert exponent != 0 and "_node_factor" not in vars(unit)
+    loadings = unit._factor()[0]
+    assert loadings is not family._factor()[0]
+    np.testing.assert_array_equal(linsys.node_factors(unit.gramians)[0], loadings)
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+def test_reported_numbers_are_in_the_callers_units(rng, kind):
+    family = random_stable_family(rng, 4)
+    family = cs.NodeGramianFamily(family.node_indices, 1e5 * family.gramians)
+    assert optimizer._in_unit(family)[1] != 0
+    result = cs.solve(kind, family, seed=3)
+    assert result.objective == cs.evaluate(kind, family, result.weights).value
+    witness = result.assumption_report.witness
+    assert result.assumption_report.nth_eigenvalue == float(
+        family.eigenpairs(witness).values[-1])
+    # mu_2 / mu_1 is at most 1e-18: the best mu_2 is 1e12, at weights (1, 0).
+    table = cs.SpectralModel((1, 2), [[1e30, 1e30], [1e12, 0.0]], 2)
+    with pytest.raises(cs.Infeasible, match=r"best mu_2 = 1\.000e\+12$"):
+        cs.solve(kind, table)
+
+
+#: The 6-state example of the ROADMAP: a non-convex top-3 VCS problem whose
+#: starts reach two local minima.
+_SIX = np.random.default_rng(0).standard_normal((6, 6))
+_SIX -= (np.linalg.eigvals(_SIX).real.max() + 0.5) * np.eye(6)
+
+
+@pytest.mark.parametrize("time_unit", [1.0, 1e-9, 1e9])
+def test_a_non_convex_family_is_ambiguous_in_any_time_unit(time_unit):
+    # In nanoseconds the commutator residual was once absolute and read
+    # 4.9e-19: the family was certified and ran one start.
+    family = cs.gramian_family(cs.check_stability(time_unit * _SIX), range(1, 7), 3)
+    with pytest.raises(cs.NonConvexAmbiguous) as caught:
+        cs.solve(ObjectiveKind.VCS, family)
+    result = caught.value.result
+    assert not result.assumption_report.commuting
+    assert len(result.start_objectives) == optimizer.UNCERTIFIED_STARTS
+    if time_unit == 1.0:
+        assert str(caught.value) == (
+            "starts disagree on the optimal value: 3.15697098, 3.15697098, "
+            "3.43648477, 2.99121239, 3.15697098, 2.99121239, 3.15697098, 2.99121239")
 
 
 def test_uncertified_solve_carries_warning(rng):
@@ -488,7 +569,7 @@ def test_uncertified_solve_carries_warning(rng):
 
 def test_projection_reexport():
     assert cs.project_capped_simplex is not None
-    from ctrlscore import optimizer
+    from ctrlscore import linsys, optimizer
     assert optimizer.project_capped_simplex is cs.project_capped_simplex
     start = central_point(np.ones(3))
     assert abs(start.values.sum() - 1.0) <= 1e-12

@@ -56,6 +56,25 @@ def test_compare_classes_a_table_request(new, label):
     assert request_outputs._classify(table(), new)[0] == label
 
 
+@pytest.mark.parametrize("new, moved", [
+    (run(exit_code=3, stderr="warning: starts disagree\n"), ("exit 0 -> 3", "stderr")),
+    (run(iterations=9, uniqueness_certified=True), ("uniqueness_certified",)),
+    (run(objective=107.5, weights=[0.3, 0.7]), ("objective", "weights")),
+    (run(grid=GRID.replace("-8.1e-02", "-9.1e-02")), ("grid-check: step=",)),
+    (run(grid=""), ("stdout lines",)),
+])
+def test_compare_names_what_moved(new, moved):
+    assert request_outputs._classify(run(), new) == ("different", moved)
+
+
+@pytest.mark.parametrize("new, moved", [
+    (table(objective="107.418770", iterations=9), ("objective:",)),
+    (table(weight="0.250001"), ("1  0.250000 -> 1  0.250001",)),
+])
+def test_compare_names_the_text_line_that_moved(new, moved):
+    assert request_outputs._classify(table(), new) == ("different", moved)
+
+
 def test_compare_reports_the_largest_changes_and_fails_on_a_difference(tmp_path, capsys):
     old = {"a/0/x": run(), "a/0/y": run(), "a/0/z": run()}
     new = {"a/0/x": run(), "a/0/y": run(weights=[0.25 + 2e-16, 0.75 - 2e-16]),
@@ -72,5 +91,6 @@ def test_compare_reports_the_largest_changes_and_fails_on_a_difference(tmp_path,
     del new["a/0/x"]
     paths[1].write_text(json.dumps(new))
     assert request_outputs.main(["--compare", *map(str, paths)]) == 1
-    assert capsys.readouterr().out.splitlines()[-1].startswith(
-        "0 identical, 1 equal, 1 different, 1 missing")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "different  a/0/z  moved: exit 0 -> 2"
+    assert lines[-1].startswith("0 identical, 1 equal, 1 different, 1 missing")

@@ -294,11 +294,18 @@ def test_a_residual_that_is_not_finite_fails_the_check(time_unit, nan):
     assert cs.check_commuting(slow_noncommuting_family(1.0))[0] is False
 
 
-def test_a_solve_with_an_overflowing_commutator_is_not_certified():
-    result = cs.solve(cs.ObjectiveKind.VCS, slow_noncommuting_family(1e-100))
+@pytest.mark.parametrize("time_unit", [1e-100, 1e-200])
+def test_a_solve_in_slow_time_units_checks_a_finite_commutator(time_unit):
+    # The solve checks the family in one unit of measure, where the residual
+    # that overflowed above does not, and fails the check as at unit time.
+    result = cs.solve(cs.ObjectiveKind.VCS, slow_noncommuting_family(time_unit))
+    base = cs.solve(cs.ObjectiveKind.VCS, slow_noncommuting_family(1.0))
     assert result.converged
     assert not result.uniqueness_certified
-    assert result.assumption_report.commutator_residual == np.inf
+    residual = result.assumption_report.commutator_residual
+    assert np.isfinite(residual) and residual > spectral.CHECK_TOL
+    np.testing.assert_allclose(result.weights.values, base.weights.values,
+                               rtol=0, atol=1e-9)
 
 
 def test_pruned_check_multiplies_few_pairs_of_a_dense_family(rng, monkeypatch):
