@@ -17,7 +17,7 @@ result is both, since an unconverged answer is not even a local optimum), 6
 numerical failure (a Lyapunov solve or a Gramian failed its check), 141
 stdout closed before the output was written (``| head``; 128 + SIGPIPE, the
 status a shell reports for a process that the signal ended), with nothing
-printed.  ``check`` works in the unit of ``solve`` (``optimizer._in_unit``).
+printed.
 
 Each command runs its BLAS on one thread.  A process started as ``python -m
 ctrlscore`` or as the ``ctrlscore`` script sets ``OPENBLAS_NUM_THREADS=1``
@@ -58,7 +58,7 @@ from .errors import (
 )
 from .linsys import node_labels
 from .modelfile import ModelFile, parse_model_text
-from .optimizer import _in_model_units, _in_unit, grid_oracle, grid_units, solve
+from .optimizer import grid_oracle, grid_units, solve
 from .scores import ObjectiveKind, closed_form_optimum
 from .simplex import SimplexWeights
 from .spectral import AssumptionReport, check_feasibility, heat_dirichlet_model
@@ -264,8 +264,7 @@ def _cmd_score(args) -> int:
 def _cmd_check(args) -> int:
     model_file, digest = _load(args.model)
     model = model_file.build(args.n)
-    unit, exponent = _in_unit(model)
-    report = _in_model_units(check_feasibility(unit, caps=model_file.caps), exponent)
+    report = check_feasibility(model, caps=model_file.caps)
     witness = (
         " ".join(f"{w:.6f}" for w in report.witness.values)
         if report.witness is not None

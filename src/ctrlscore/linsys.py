@@ -60,6 +60,7 @@ any Gramian exists.  Every other function reads ``model.score_order``.
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -95,6 +96,24 @@ def nth_positive(top):
     """Whether ``top[..., -1]`` clears the positive floor
     ``POSITIVE_FLOOR * top[..., 0]``, which scales with the model."""
     return top[..., -1] > POSITIVE_FLOOR * top[..., 0]
+
+
+def _binary_exponent(values: np.ndarray) -> int:
+    """``e`` with the largest absolute entry in ``[2**(e - 1), 2**e)``; 0 for zero."""
+    return math.frexp(max(float(values.max()), -float(values.min())))[1]
+
+
+def _binary_unit(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(unit, exponent)``: the binary unit of ``values``, ``values`` times
+    the power of two that puts its largest absolute entry in [1/2, 1), and
+    ``exponent`` with ``values = unit * 2**exponent``; zero stays zero.
+    Scaling by a power of the radix is exact (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 2.1), so
+    ``values * 2**k`` has the same unit to the bit.  Every relative test of
+    the package takes its norms and products on binary units, so its ratio
+    cannot overflow and does not depend on the unit of the model."""
+    exponent = _binary_exponent(values)
+    return np.ldexp(values, -exponent), exponent
 
 
 def _shared(values) -> bool:
@@ -239,8 +258,9 @@ class NodeGramianFamily:
     ``node_indices`` are 1-based labels (:func:`node_labels`).  ``gramians``
     is a read-only float64 array (:func:`_shared`, else a copy), shape (m, d,
     d): ``gramians[i]`` belongs to node ``node_indices[i]``.  Each must be
-    finite, symmetric and PSD within ``DEFAULT_TOL ||W_i||_F``; families built
-    by :func:`gramian_family` additionally satisfy the Lyapunov residual bound.
+    finite, symmetric and PSD within ``DEFAULT_TOL ||W_i||_F``, taken on its
+    binary unit (:func:`_binary_unit`); families built by
+    :func:`gramian_family` additionally satisfy the Lyapunov residual bound.
     No dynamics are kept, so a family can come from closed-form Gramians as
     well.  ``score_order`` is how many of the largest eigenvalues of ``W(p)``
     the scores select (``1 <= n <= d``); the whole spectrum, ``d``, when
@@ -265,19 +285,15 @@ class NodeGramianFamily:
         if not finite.all():
             node = labels[np.argmin(finite)]
             raise EigenFailure(f"Gramian for node {node} is not finite")
-        # The PSD test is one batched eigvalsh.  The norms stay per node:
-        # batched, they cost two stack-sized temporaries and were slower.
-        # The first failing node is reported, symmetry before PSD.  Norms
-        # past about 1e154 read inf, which makes both tests pass.
-        with np.errstate(over="ignore"):
-            tol = DEFAULT_TOL * np.array([np.linalg.norm(g) for g in stack])
-            asymmetric = np.array([np.linalg.norm(g - g.T) for g in stack]) > tol
-        indefinite = np.linalg.eigvalsh(stack)[:, 0] < -tol
-        failed = np.flatnonzero(asymmetric | indefinite)
-        if failed.size:
-            first = failed[0]
-            problem = "not symmetric" if asymmetric[first] else "not PSD"
-            raise EigenFailure(f"Gramian for node {labels[first]} is {problem}")
+        # One node at a time, on its binary unit, symmetry before PSD; batched,
+        # the units would cost a stack-sized temporary.
+        for node, gram in zip(labels, stack):
+            unit = _binary_unit(gram)[0]
+            tol = DEFAULT_TOL * np.linalg.norm(unit)
+            if np.linalg.norm(unit - unit.T) > tol:
+                raise EigenFailure(f"Gramian for node {node} is not symmetric")
+            if np.linalg.eigvalsh(unit)[0] < -tol:
+                raise EigenFailure(f"Gramian for node {node} is not PSD")
         stack.flags.writeable = False
         object.__setattr__(self, "gramians", stack)
         object.__setattr__(self, "node_indices", labels)
@@ -475,7 +491,8 @@ def _solve_lyapunov(system: StableLTISystem, input_weights: np.ndarray,
     ------
     LyapunovSolveFailure
         If ``dtrsyl`` rejects an argument, or the residual exceeds
-        ``DEFAULT_TOL * ||A||_F ||W||_F``, the scale of the equation's terms.
+        ``DEFAULT_TOL * ||A||_F ||W||_F``, the scale of the equation's
+        terms, compared on binary units (:func:`_binary_unit`).
     """
     from scipy.linalg.lapack import dtrsyl
 
@@ -490,9 +507,10 @@ def _solve_lyapunov(system: StableLTISystem, input_weights: np.ndarray,
     gram = vectors @ solved @ vectors.T
     gram = 0.5 * (gram + gram.T)
     residual = np.linalg.norm(a @ gram + gram @ a.T - rhs)
-    with np.errstate(over="ignore"):  # a norm past about 1e154 reads inf
-        size = float(np.linalg.norm(a)) * float(np.linalg.norm(gram))
-    if residual > DEFAULT_TOL * size:
+    a_unit, a_exponent = _binary_unit(a)
+    gram_unit, gram_exponent = _binary_unit(gram)
+    size = np.linalg.norm(a_unit) * np.linalg.norm(gram_unit)
+    if np.ldexp(residual, -a_exponent - gram_exponent) > DEFAULT_TOL * size:
         raise LyapunovSolveFailure(
             f"Lyapunov residual {residual:.3e} exceeds tolerance for {subject}"
         )

@@ -30,11 +30,12 @@ leaves ``r`` unchanged.  ``r`` is the KKT stationarity measure for this
 constraint set and the only one the package computes (:func:`kkt_residual`
 reports it at any feasible point).  A Newton step that reaches
 :data:`GRAD_TOL` is followed by one more, which lands on the optimum to
-rounding.  :func:`solve` and :func:`kkt_residual` work in one unit of
-measure (:func:`_in_unit`); only the objectives and ``nth_eigenvalue`` go
-back to the caller's units.  A brute-force lattice enumeration of the
-caller's model, in bounded memory (:func:`grid_oracle`), checks the
-optimizer independently on small node sets.
+rounding.  The descents of :func:`solve` and :func:`kkt_residual` work in
+one unit of measure (:func:`_in_unit`), and only the objectives go back to
+the caller's units; the checks run on the caller's model.  A brute-force
+lattice enumeration of the caller's model, in bounded memory
+(:func:`grid_oracle`), checks the optimizer independently on small node
+sets.
 
 Multi-start behaviour: models that pass the commutation, n-spectrum and
 feasibility checks have a provably unique optimum and run a single start;
@@ -56,12 +57,13 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BadGridStep, Infeasible, InfeasiblePoint, NonConvexAmbiguous,
                      TooLarge)
+from .linsys import _binary_exponent
 from .scores import ObjectiveKind, _Objective
 from .simplex import (SimplexWeights, project_capped_simplex, validate_caps,
                       weight_vector)
@@ -309,9 +311,9 @@ def _starting_points(count: int, caps: np.ndarray, seed: int,
 
 
 def _in_unit(model):
-    """``(unit, exponent)``: ``model`` with every table or Gramian entry
-    times ``4**exponent``, its largest absolute entry in [1/4, 1) (``model``
-    itself where ``exponent`` is 0), not validated again, with no node factor.
+    """``model`` with every table or Gramian entry times the power of four
+    that puts its largest absolute entry in [1/4, 1) (``model`` itself where
+    that power is 1), not validated again, with no node factor.
 
     Scaling by a power of the radix is exact (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, section 2.1), and by a power
@@ -321,22 +323,15 @@ def _in_unit(model):
     multi-start ``1e-6`` and the descent's constants are relative."""
     field = "eigen_table" if isinstance(model, SpectralModel) else "gramians"
     values = getattr(model, field)
-    top = max(float(values.max()), -float(values.min()))
-    exponent = -math.frexp(top)[1] // 2  # top = f * 2**e with 1/2 <= f < 1
+    exponent = -_binary_exponent(values) // 2
     if exponent == 0:
-        return model, 0
+        return model
     scaled = np.ldexp(values, 2 * exponent)
     scaled.flags.writeable = False
     unit = object.__new__(type(model))  # no __post_init__: no validation
     vars(unit).update(node_indices=model.node_indices, score_order=model.score_order,
                       **{field: scaled})
-    return unit, exponent
-
-
-def _in_model_units(report: AssumptionReport, exponent: int) -> AssumptionReport:
-    """``report`` with ``nth_eigenvalue`` back in the caller's units."""
-    nth = np.ldexp(report.nth_eigenvalue, -2 * exponent)
-    return replace(report, nth_eigenvalue=float(nth))
+    return unit
 
 
 def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResult:
@@ -376,8 +371,7 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         raise ValueError(f"seed must be >= 0, got {seed}")
     objective = _Objective(kind, model)
     caps_arr = validate_caps(caps, objective.node_count)
-    unit, exponent = _in_unit(model)
-    report = _in_model_units(check_feasibility(unit, caps=caps_arr), exponent)
+    report = check_feasibility(model, caps=caps_arr)
     if not report.feasible:
         raise Infeasible(
             f"no feasible weights found: best mu_{model.score_order} = "
@@ -387,7 +381,7 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
     n_starts = 1 if certified else UNCERTIFIED_STARTS
     starts = _starting_points(n_starts, caps_arr, seed, report.witness)
 
-    in_unit = _Objective(kind, unit)
+    in_unit = _Objective(kind, _in_unit(model))
     workers = min(os.cpu_count() or 1, n_starts)
     if workers == 1:
         trajectories = [_descend(in_unit, s, caps_arr) for s in starts]
@@ -587,7 +581,7 @@ def kkt_residual(kind: ObjectiveKind, model, weights, *, caps=None) -> float:
     InfeasiblePoint
         If the point leaves the capped simplex or the objective is infinite.
     """
-    objective = _Objective(kind, _in_unit(model)[0])
+    objective = _Objective(kind, _in_unit(model))
     if isinstance(weights, SimplexWeights) and caps is None:
         caps = weights.caps
     caps_arr = validate_caps(caps, objective.node_count)

@@ -20,9 +20,9 @@ branch on the model type; the assumption checkers and the closed form do.
 The checkers read a family only through its (m, d, d) ``gramians``, so a
 family of closed-form Gramians is checked like one from Lyapunov solves.
 The commutation check multiplies out only the pairs that a rigorous bound
-cannot rule out.  The residuals' ``max(1, ...)`` and a table's n-spectrum
-entry are absolute, and relative in the unit of ``optimizer._in_unit``, in
-which ``solve`` and ``check`` call the checkers.
+cannot rule out.  Every residual is an exact ratio of norms taken on
+binary units (:func:`~ctrlscore.linsys._binary_unit`), so the checkers run
+on the caller's model and give the same bits in any binary unit of time.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.  ``derivatives`` gives
 the rows and the Hessian, as a callable that builds a table's product only
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexMismatch
-from .linsys import (Eigenpairs, NodeGramianFamily, _shared, node_labels,
-                     resolve_score_order)
+from .linsys import (Eigenpairs, _binary_exponent, _binary_unit, _shared,
+                     node_labels, resolve_score_order)
 from .simplex import SimplexWeights, central_point, validate_caps, weight_vector
 
 #: Default relative tolerance for the assumption checkers.
@@ -192,81 +192,78 @@ def heat_dirichlet_model(node_indices, score_order: int | None = None) -> Spectr
 #: :func:`_commutator_bounds`: one (m, 8, d) buffer, not an (m, d, d) stack.
 _SQUARE_BLOCK = 8
 
-#: Norms for which :func:`_commutator_bounds` gives a finite bound.  Inside
-#: this range a Gramian's norm and its square ``W_i^2`` are accurate, since
-#: their terms do not underflow as a whole or overflow, and no pair's exact
-#: residual overflows, since ``(2 ||W_i||_F ||W_j||_F)^2 <= 2^1002``.  Zero
-#: is allowed too.
+#: Norms for which :func:`_commutator_bounds` gives a finite bound, and zero:
+#: inside, the squares ``W_i^2`` and their inner products are accurate, since
+#: their terms neither underflow as a whole nor overflow.
 _BOUND_NORMS = (2.0**-400, 2.0**250)
 
-#: Per state, the absolute allowance for gradual underflow in the exact
-#: residual's sum of squares, which can add ``d * 2^-537.5`` to its norm.
+#: Per state, the allowance for gradual underflow in the residual's sum of
+#: squares: ``d * 2^-537.5`` over binary-unit norms of at least 1/2 each.
 _UNDERFLOW = 2.0**-530
 
 
-def _commutator_scales(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(norms, den)``: ``norms[i] = ||W_i||_F`` and
-    ``den[i, j] = max(1, norms[i] * norms[j])``, the scale a pair's residual
-    and its bound both divide by."""
-    norms = np.array([np.linalg.norm(gram) for gram in grams])
-    return norms, np.fmax(1.0, np.multiply.outer(norms, norms))
+def _pair_residual(grams: np.ndarray, i: int, j: int) -> float:
+    """The exact residual ``||W_i W_j - W_j W_i||_F / (||W_i||_F ||W_j||_F)``
+    of one pair, taken on the binary units of ``W_i`` and ``W_j``; 0 where
+    either is zero."""
+    first, second = _binary_unit(grams[i])[0], _binary_unit(grams[j])[0]
+    den = np.linalg.norm(first) * np.linalg.norm(second)
+    cross = first @ second
+    return float(np.linalg.norm(cross - cross.T) / den) if den else 0.0
 
 
-def _pair_residual(grams: np.ndarray, i: int, j: int, den: float) -> float:
-    """The exact residual ``||W_i W_j - W_j W_i||_F / den`` of one pair."""
-    cross = grams[i] @ grams[j]
-    return float(np.linalg.norm(cross - cross.T) / den)
-
-
-def _commutator_bounds(grams: np.ndarray, norms: np.ndarray,
-                       den: np.ndarray) -> np.ndarray:
+def _commutator_bounds(grams: np.ndarray) -> np.ndarray:
     """An upper bound on :func:`_pair_residual` of every pair, as computed,
     or ``inf`` where none is given.
 
     For symmetric ``A`` and ``B``, ``[A, B] = AB - (AB)^T``, so
-    ``||[A, B]||_F <= 2 ||AB||_F = 2 sqrt(<A^2, B^2>_F)``.  With
-    ``U_i = W_i / n_i`` and ``n_i = ||W_i||_F``, the Gram matrix of squares
-    ``P[i, j] = <U_i^2, U_j^2>_F`` bounds every pair for O(m d^3 + m^2 d^2):
-    the squares are formed ``_SQUARE_BLOCK`` rows at a time, as
-    ``(W_i[block] W_i) / n_i^2`` in one reused buffer, and their inner
-    products summed one row of every square at a time.  The bound is::
+    ``||[A, B]||_F <= 2 ||AB||_F = 2 sqrt(<A^2, B^2>_F)``: a residual is at
+    most ``2 sqrt(P[i, j])`` for the Gram matrix of squares
+    ``P[i, j] = <W_i^2, W_j^2>_F / (n_i n_j)^2``.  With ``W_i = U_i 2^e_i``
+    for the binary unit ``U_i``, ``n_i = ||U_i||_F 2^e_i`` is the residual's
+    norm scaled back exactly, so both sides round the norms alike.  ``P``
+    costs O(m d^3 + m^2 d^2): the squares of the Gramians as given are
+    formed ``_SQUARE_BLOCK`` rows at a time, as ``(W_i[block] W_i) / n_i^2``
+    in one reused buffer, and their inner products summed one row of every
+    square at a time.  The bound is::
 
-        (n_i n_j (2 sqrt(max(P[i, j], 0) + tau) + sigma) + d * 2^-530) / den[i, j]
+        2 sqrt(max(P[i, j], 0) + tau) + sigma + 4 eps + d * 2^-530
 
-    The allowances cover rounding in the bound and in the exact residual,
-    with ``u = eps / 2`` and ``gamma_k = k u / (1 - k u)`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, §3.5), for any
-    summation order and for ``d^2 eps`` far below 1:
+    The allowances cover rounding in the bound and in the residual, with
+    ``u = eps / 2`` and ``gamma_k = k u / (1 - k u)`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, §3.5), for any summation order
+    and for ``d^2 eps`` far below 1:
 
-    * ``tau = 2 (d + 1)^2 eps``.  Forming ``U_i^2`` costs ``gamma_d`` and
-      two roundings (``n_i^2`` and the division) relative to
-      ``||U_i||_F^2 ~ 1``, and each inner product of ``d^2`` terms
+    * ``tau = 2 (d + 1)^2 eps``.  Forming ``W_i^2 / n_i^2`` costs
+      ``gamma_d`` and two roundings (``n_i^2`` and the division) relative to
+      ``||W_i||_F^2 / n_i^2 ~ 1``, and each inner product of ``d^2`` terms
       ``gamma_{d^2}``, so ``P`` is low by at most about
-      ``(d^2 + 2d + 6) u``.  The exact residual's sum of squares and square
-      root scale it by at most ``1 + (d^2 + 4) u / 2``, which under the
-      square root is ``(d^2 + 4) u`` more.  Both sum to ``(d^2 + d + 5) eps``.
-    * ``sigma = 2 (d + 4) eps``.  The product ``W_i W_j`` is off by
-      ``gamma_d n_i n_j`` per side of the commutator, and the bound's own
-      six roundings take ``6 u`` of a value below about 2.1: together
-      about ``(d + 6.3) eps``.
-    * ``d * 2^-530``, absolute, covers gradual underflow in the residual's
-      sum of squares; :data:`_BOUND_NORMS` keeps underflow and overflow
-      everywhere else below these terms.
+      ``(d^2 + 2d + 6) u``.  The residual's sum of squares and square root
+      scale it by at most ``1 + (d^2 + 4) u / 2``, which under the square
+      root is ``(d^2 + 4) u`` more.  Both sum to ``(d^2 + d + 5) eps``.
+    * ``sigma = 2 (d + 4) eps``.  The product ``U_i U_j`` is off by
+      ``gamma_d ||U_i||_F ||U_j||_F`` per side of the commutator, and the
+      bound's own roundings take at most ``6 u`` of a value below about
+      2.1: together about ``(d + 6.3) eps``.
+    * ``4 eps``: the product of the norms in the denominator and the
+      division round a residual below about 2.1 by ``2 u`` each.
+    * ``d * 2^-530``: gradual underflow (:data:`_UNDERFLOW`).
+      :data:`_BOUND_NORMS` keeps underflow and overflow in ``P`` below
+      these terms.
 
-    Floating-point division by the same ``den`` keeps the order, so the
-    residual as computed is at most the bound as computed.  A pair gets
-    ``inf``, and so an exact product, where a Gramian is not exactly
-    symmetric, a norm lies outside :data:`_BOUND_NORMS` or the bound is not
-    finite.
+    A pair gets ``inf``, and so an exact product, where a Gramian is not
+    exactly symmetric or a norm lies outside :data:`_BOUND_NORMS`.
     """
     m, d = grams.shape[:2]
     eps = np.finfo(float).eps
     tau = 2.0 * (d + 1) ** 2 * eps
-    sigma = 2.0 * (d + 4) * eps
+    allowance = 2.0 * (d + 4) * eps + 4.0 * eps + d * _UNDERFLOW
     squares = np.zeros((m, m))
     buffer = np.empty((m, _SQUARE_BLOCK, d))
     # Overflow and NaN arise only for norms outside _BOUND_NORMS: inf below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norms = np.array([np.ldexp(np.linalg.norm(unit), exponent)
+                          for unit, exponent in map(_binary_unit, grams)])
         scale = np.where(norms > 0.0, norms, 1.0)[:, None, None] ** 2
         for start in range(0, d, _SQUARE_BLOCK):
             block = buffer[:, :min(_SQUARE_BLOCK, d - start)]
@@ -276,13 +273,11 @@ def _commutator_bounds(grams: np.ndarray, norms: np.ndarray,
             # about 0.4 MB more of its buffers, which stays in the RSS.
             for row in range(block.shape[1]):
                 squares += block[:, row] @ block[:, row].T
-        products = np.multiply.outer(norms, norms)
-        bounds = (products * (2.0 * np.sqrt(np.maximum(squares, 0.0) + tau) + sigma)
-                  + d * _UNDERFLOW) / den
+        bounds = 2.0 * np.sqrt(np.maximum(squares, 0.0) + tau) + allowance
     low, high = _BOUND_NORMS
     bounded = (norms == 0.0) | ((norms >= low) & (norms <= high))
     bounded &= [np.array_equal(gram, gram.T) for gram in grams]
-    bounds[~np.outer(bounded, bounded) | ~np.isfinite(bounds)] = np.inf
+    bounds[~np.outer(bounded, bounded)] = np.inf
     return bounds
 
 
@@ -290,41 +285,33 @@ def check_commuting(family) -> tuple[bool, float]:
     """Largest normalized pairwise commutator residual of the family.
 
     Returns ``(residual <= CHECK_TOL, residual)`` with
-    ``residual = max_{i<j} ||W_i W_j - W_j W_i||_F / max(1, ||W_i||_F ||W_j||_F)``.
-    Spectral models commute by construction and report residual 0.
+    ``residual = max_{i<j} ||W_i W_j - W_j W_i||_F / (||W_i||_F ||W_j||_F)``
+    on the binary units of ``W_i`` and ``W_j`` (:func:`_pair_residual`), an
+    exact ratio, the same in every binary unit of time; a pair with a zero
+    Gramian has residual 0.  Spectral models commute by construction and
+    report residual 0.
 
     Only the pairs that can hold the maximum are multiplied out.  Every
     pair gets a rigorous upper bound on its residual as computed
     (:func:`_commutator_bounds`, O(m d^3 + m^2 d^2) for m Gramians of
     order d), and the pairs are visited in descending bound order, each
-    computed exactly as ``W_i @ W_j`` with ``i < j``, until a bound falls
-    below the largest residual found.  The maximizing pair is always
-    computed, and a maximum does not depend on order, so the residual is the
-    one the m(m-1)/2 products give, to the bit.  A pair whose residual is
-    not finite (its sum of squares overflows past Gramian norms of about
-    1e77, its product past about 1e154) ends the check: it fails, with that
-    residual.  On a dense non-commuting family a few percent of the pairs
-    are computed; a commuting family has large bounds and computes them
-    all.
+    computed exactly with ``i < j``, until a bound falls below the largest
+    residual found.  The maximizing pair is always computed, and a maximum
+    does not depend on order, so the residual is the one the m(m-1)/2
+    products give, to the bit.  On a dense non-commuting family about one
+    percent of the pairs are computed; a commuting family has large bounds
+    and computes them all.
     """
     if isinstance(family, SpectralModel):
         return True, 0.0
     grams = family.gramians
-    # Past Gramian norms of about 1e77 a residual can overflow to inf, and
-    # past about 1e154 to NaN; such a residual fails the check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms, den = _commutator_scales(grams)
-        rows, cols = np.triu_indices(len(grams), 1)
-        bounds = _commutator_bounds(grams, norms, den)[rows, cols]
-        worst = 0.0
-        for pair in np.argsort(-bounds, kind="stable"):
-            if bounds[pair] < worst:
-                break
-            i, j = int(rows[pair]), int(cols[pair])
-            residual = _pair_residual(grams, i, j, den[i, j])
-            if not np.isfinite(residual):
-                return False, residual
-            worst = max(worst, residual)
+    rows, cols = np.triu_indices(len(grams), 1)
+    bounds = _commutator_bounds(grams)[rows, cols]
+    worst = 0.0
+    for pair in np.argsort(-bounds, kind="stable"):
+        if bounds[pair] < worst:
+            break
+        worst = max(worst, _pair_residual(grams, int(rows[pair]), int(cols[pair])))
     return worst <= CHECK_TOL, worst
 
 
@@ -332,36 +319,36 @@ def check_n_spectrum(model) -> tuple[bool, float]:
     """Whether every node Gramian vanishes outside one fixed n-mode span,
     for ``n = model.score_order``.
 
-    For a spectral model the candidate span is the ``n`` rows with the
-    largest row sums (ties to the lowest row index) and the residual is the
-    largest table entry outside them.  For a matrix family the span is the
-    top eigenspace of ``sum_i W_i`` and the residual is
-    ``max_i ||W_i - Pi W_i Pi||_F / max(1, ||W_i||_F)`` for the orthogonal
-    projection ``Pi`` onto the span.
+    The residual is ``max_i ||W_i - Pi W_i Pi||_F / ||W_i||_F`` on the
+    binary unit of each ``W_i`` (0 for a zero ``W_i``), for the orthogonal
+    projection ``Pi`` onto the top ``n``-eigenspace of ``sum_i W_i``, summed
+    on a binary unit so that it cannot overflow.  A spectral model is the
+    family ``W_i = diag(t_i)`` of its columns: the span is the ``n`` rows
+    with the largest row sums (ties to the lowest row index), and column
+    ``t_i`` has residual ``||t_i[outside]||_2 / ||t_i||_2``.  The whole
+    spectrum has residual 0, with no copy of a table.
     """
     n = model.score_order
     if n == model.mode_count:
         return True, 0.0
     if isinstance(model, SpectralModel):
         table = model.eigen_table
-        selected = _select_rows(table.sum(axis=1), n)
-        outside = np.ones(table.shape[0], dtype=bool)
-        outside[selected] = False
-        residual = float(table[outside].max(initial=0.0))
-        return residual <= CHECK_TOL, residual
-
-    family: NodeGramianFamily = model
-    total = np.sum(family.gramians, axis=0)
-    _, vecs = np.linalg.eigh(total)
-    span = vecs[:, ::-1][:, :n]
-    projector = span @ span.T
+        outside = np.ones(len(table), dtype=bool)
+        outside[_select_rows(_binary_unit(table)[0].sum(axis=1), n)] = False
+        parts = ((unit, unit[outside]) for unit, _ in map(_binary_unit, table.T))
+    else:
+        grams = model.gramians
+        exponent = _binary_exponent(grams)
+        _, vecs = np.linalg.eigh(sum(np.ldexp(gram, -exponent) for gram in grams))
+        span = vecs[:, ::-1][:, :n]
+        projector = span @ span.T
+        parts = ((unit, unit - projector @ unit @ projector)
+                 for unit, _ in map(_binary_unit, grams))
     worst = 0.0
-    for gram in family.gramians:
-        kept = projector @ gram @ projector
-        worst = max(
-            worst,
-            float(np.linalg.norm(gram - kept) / max(1.0, np.linalg.norm(gram))),
-        )
+    for unit, part in parts:
+        size = np.linalg.norm(unit)
+        if size > 0.0:
+            worst = max(worst, float(np.linalg.norm(part) / size))
     return worst <= CHECK_TOL, worst
 
 

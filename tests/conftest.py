@@ -36,6 +36,15 @@ def random_stable_family(rng, dim: int, margin: float = 0.5) -> cs.NodeGramianFa
     return cs.gramian_family(system, range(1, dim + 1))
 
 
+def dominant_matrix(rng, dim: int) -> np.ndarray:
+    """Dense dynamics like the benchmark's: Gaussian coupling of scale
+    ``1/sqrt(d)``, each row made strictly dominant by its diagonal."""
+    dynamics = rng.normal(0.0, 1.0 / np.sqrt(dim), (dim, dim))
+    np.fill_diagonal(dynamics, 0.0)
+    dynamics -= np.diag(np.abs(dynamics).sum(axis=1) + rng.uniform(0.5, 1.5, dim))
+    return dynamics
+
+
 def random_diagonal_model(rng, size: int, low: float = 0.3,
                           high: float = 3.0) -> cs.SpectralModel:
     """Diagonal spectral table with entries bounded away from 0."""

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import dominant_matrix
+
 import ctrlscore
 from ctrlscore import cli, linsys, optimizer
 from ctrlscore.cli import (
@@ -378,7 +380,7 @@ def _in_time_unit(text: str, unit: str) -> str:
 def test_check_in_slow_time_units_keeps_its_verdict_with_a_finite_residual(tmp_path,
                                                                            capsys, unit):
     # Gramian norms near 1e100 or 1e200 once overflowed the residual to inf
-    # or NaN; in one unit of measure it is finite.
+    # or NaN; as a ratio on binary units it is the unit-time residual.
     main(["check", write(tmp_path, "unit.csm", NON_COMMUTING)])
     want = capsys.readouterr().out.splitlines()
     code = main(["check", write(tmp_path, "slow.csm", _in_time_unit(NON_COMMUTING, unit))])
@@ -389,7 +391,8 @@ def test_check_in_slow_time_units_keeps_its_verdict_with_a_finite_residual(tmp_p
     assert got[1:3] == want[1:3] and got[5] == want[5]  # nodes, witness, n-spectrum
     assert got[4].startswith("commuting: no (residual ")
     residual = float(got[4].split("residual ")[1].rstrip(")"))
-    assert math.isfinite(residual) and residual > 1e-8
+    assert residual == pytest.approx(float(want[4].split("residual ")[1].rstrip(")")),
+                                     rel=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["vcs", "aecs"])
@@ -412,6 +415,28 @@ def test_score_in_any_time_unit_is_right(tmp_path, capsys, unit, kind):
     got = run(_in_time_unit(NON_COMMUTING, unit))
     np.testing.assert_allclose(got["weights"], want["weights"], rtol=0, atol=1e-9)
     assert got["uniqueness_certified"] == want["uniqueness_certified"]
+
+
+def _dense_text(dynamics) -> str:
+    """A ``dense_lti`` model file with every state of ``dynamics`` a node."""
+    d = len(dynamics)
+    rows = "".join(" ".join(map(repr, row)) + "\n" for row in dynamics.tolist())
+    return (f"ctrlscore-model v1\nkind dense_lti\n"
+            f"nodes {' '.join(map(str, range(1, d + 1)))}\nmatrix {d}\n{rows}")
+
+
+def test_a_dense_system_at_time_unit_1e200_scores_to_its_unit_time_weights(tmp_path,
+                                                                          capsys):
+    # Its Gramian norms underflowed to 0 in their PSD tolerance: exit 6.
+    dynamics = dominant_matrix(np.random.default_rng(0), 30)
+    weights = []
+    for unit in (1.0, 1e200):
+        path = write(tmp_path, "dense.csm", _dense_text(unit * dynamics))
+        code = main(["score", path, "--kind", "vcs", "--format", "json-lines"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        weights.append(json.loads(captured.out)["weights"])
+    np.testing.assert_allclose(weights[1], weights[0], rtol=0, atol=1e-9)
 
 
 def test_check_rank_deficient_feasibility_fails(tmp_path, capsys):

@@ -15,7 +15,10 @@ solve is deterministic (``test_cli.py`` checks that), so each model and
 score kind is solved once and the result reused for its other cases; that
 keeps the file fast.  To record the file from a given source tree, run
 
-    PYTHONPATH=src python tests/test_golden_cli.py --capture
+    PYTHONPATH=src python tests/test_golden_cli.py --capture [CASE ...]
+
+With case ids, only those cases are recorded and the others kept.  Either
+way it prints ``changed: CASE`` for each recorded case whose output moved.
 """
 
 from __future__ import annotations
@@ -182,11 +185,24 @@ def test_cli_output_matches_golden(case, golden, solved, tmp_path):
     assert run_case(tmp_path, model, args, solved) == golden[case]
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--capture"]:
-        sys.exit("usage: python tests/test_golden_cli.py --capture")
+def capture(chosen: list[str]) -> None:
+    """Record the cases ``chosen``, or every case when it is empty, keep the
+    other recorded cases, and print the id of each case whose output
+    changed."""
+    cases = _cases()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     solved: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
-        captured = {case: run_case(pathlib.Path(tmp), model, args, solved)
-                    for case, (model, args) in sorted(_cases().items())}
-    GOLDEN.write_text(json.dumps(captured, indent=1, sort_keys=True) + "\n")
+        captured = {case: run_case(pathlib.Path(tmp), *cases[case], solved)
+                    for case in sorted(chosen or cases)}
+    for case, output in captured.items():
+        if old.get(case) != output:
+            print(f"changed: {case}")
+    kept = old if chosen else {}
+    GOLDEN.write_text(json.dumps({**kept, **captured}, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--capture"] or not set(sys.argv[2:]) <= set(_cases()):
+        sys.exit("usage: python tests/test_golden_cli.py --capture [CASE ...]")
+    capture(sys.argv[2:])

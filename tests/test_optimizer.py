@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_diagonal_model, random_stable_family, random_stable_matrix,
-                      serial_descents)
+from conftest import (dominant_matrix, random_diagonal_model, random_stable_family,
+                      random_stable_matrix, serial_descents)
 
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind
@@ -497,13 +498,31 @@ def test_a_full_spectrum_table_solves_the_same_in_any_unit(kind, scale):
     assert cs.kkt_residual(kind, model, base.weights) <= 1e-9
 
 
+@functools.cache
+def _dense30_weights(kind, time_unit):
+    dynamics = time_unit * dominant_matrix(np.random.default_rng(0), 30)
+    family = cs.gramian_family(cs.check_stability(dynamics), range(1, 31))
+    return cs.solve(kind, family).weights.values
+
+
+@pytest.mark.parametrize("time_unit", [1e-200, 1e-170, 1e170, 1e200])
+@pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+def test_a_dense_system_in_extreme_time_units_scores_to_its_unit_time_weights(
+        kind, time_unit):
+    # From about 1e154 on, a Gramian's norm underflowed to 0 in its PSD
+    # tolerance and the valid system raised EigenFailure.
+    np.testing.assert_allclose(_dense30_weights(kind, time_unit),
+                               _dense30_weights(kind, 1.0), rtol=0, atol=1e-9)
+
+
 def test_in_unit_scales_by_a_power_of_four_into_a_quarter_to_one():
     for top in (1.0, 0.25, 0.5 - 2**-60, 3.0, 1e-300, 5e-324, 1.7e308):
         model = cs.SpectralModel((1, 2), [[top, 0.0], [0.0, top / 2]])
-        unit, exponent = optimizer._in_unit(model)
-        assert 0.25 <= unit.eigen_table.max() < 1.0
+        unit = optimizer._in_unit(model)
+        exponent = math.frexp(unit.eigen_table[0, 0])[1] - math.frexp(top)[1]
+        assert 0.25 <= unit.eigen_table.max() < 1.0 and exponent % 2 == 0
         np.testing.assert_array_equal(unit.eigen_table,
-                                      np.ldexp(model.eigen_table, 2 * exponent))
+                                      np.ldexp(model.eigen_table, exponent))
         assert (unit is model) == (exponent == 0)
         assert not unit.eigen_table.flags.writeable
         assert unit.node_indices == model.node_indices
@@ -515,8 +534,8 @@ def test_a_unit_family_builds_its_own_node_factor(rng):
     family = cs.NodeGramianFamily(family.node_indices, 64.0 * family.gramians)
     point = np.full(5, 0.2)
     cs.evaluate(ObjectiveKind.AECS, family, point)  # builds the caller's factor
-    unit, exponent = optimizer._in_unit(family)
-    assert exponent != 0 and "_node_factor" not in vars(unit)
+    unit = optimizer._in_unit(family)
+    assert unit is not family and "_node_factor" not in vars(unit)
     loadings = unit._factor()[0]
     assert loadings is not family._factor()[0]
     np.testing.assert_array_equal(linsys.node_factors(unit.gramians)[0], loadings)
@@ -526,7 +545,7 @@ def test_a_unit_family_builds_its_own_node_factor(rng):
 def test_reported_numbers_are_in_the_callers_units(rng, kind):
     family = random_stable_family(rng, 4)
     family = cs.NodeGramianFamily(family.node_indices, 1e5 * family.gramians)
-    assert optimizer._in_unit(family)[1] != 0
+    assert optimizer._in_unit(family) is not family
     result = cs.solve(kind, family, seed=3)
     assert result.objective == cs.evaluate(kind, family, result.weights).value
     witness = result.assumption_report.witness

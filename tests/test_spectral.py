@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import (
+    dominant_matrix,
     eigenvector_family,
     random_commuting_family,
     random_diagonal_model,
@@ -142,23 +145,28 @@ def test_commuting_for_selfadjoint_eigenvector_nodes(rng):
 
 
 def slow_commuting_family(rng, dim):
-    """Commuting family whose Gramian norm products lie on both sides of 1."""
+    """Commuting family whose Gramian norms lie on both sides of 1."""
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     return eigenvector_family(basis, -rng.uniform(0.1, 1.0, dim))
 
 
+def binary_unit(gram):
+    """``gram`` times the power of two that puts its largest absolute entry
+    in [1/2, 1)."""
+    return np.ldexp(gram, -math.frexp(np.abs(gram).max())[1])
+
+
 def pairwise_residual(grams) -> float:
-    """The commutator residual from all m(m-1)/2 products, pair by pair."""
+    """The commutator residual from all m(m-1)/2 products, pair by pair:
+    the exact ratio on the binary units of both Gramians."""
     want = 0.0
     for i in range(len(grams)):
         for j in range(i + 1, len(grams)):
-            cross = grams[i] @ grams[j]
-            num = np.linalg.norm(cross - cross.T)
-            den = max(1.0, float(np.linalg.norm(grams[i]) * np.linalg.norm(grams[j])))
-            residual = float(num / den)
-            if not np.isfinite(residual):  # overflow: the check fails with it
-                return residual
-            want = max(want, residual)
+            first, second = binary_unit(grams[i]), binary_unit(grams[j])
+            den = np.linalg.norm(first) * np.linalg.norm(second)
+            if den > 0.0:
+                cross = first @ second
+                want = max(want, float(np.linalg.norm(cross - cross.T) / den))
     return want
 
 
@@ -170,21 +178,16 @@ def test_check_commuting_matches_the_pairwise_formula_to_the_bit(rng, commuting)
         slow = 0.4 * random_stable_matrix(rng, 6)
         family = cs.gramian_family(cs.check_stability(slow), range(1, 7))
     grams = family.gramians
-    norms = sorted(float(np.linalg.norm(g)) for g in grams)
-    assert norms[0] * norms[1] < 1.0 < norms[-2] * norms[-1]  # both sides of max
     ok, residual = cs.check_commuting(family)
     assert residual == pairwise_residual(grams)
     assert ok == commuting
 
 
 def dominant_family(rng, dim: int) -> cs.NodeGramianFamily:
-    """Node Gramians of a dense system like the benchmark's: Gaussian
-    coupling of scale 1/sqrt(d), each row made strictly dominant by its
-    diagonal, so the Gramians do not commute."""
-    dynamics = rng.normal(0.0, 1.0 / np.sqrt(dim), (dim, dim))
-    np.fill_diagonal(dynamics, 0.0)
-    dynamics -= np.diag(np.abs(dynamics).sum(axis=1) + rng.uniform(0.5, 1.5, dim))
-    return cs.gramian_family(cs.check_stability(dynamics), range(1, dim + 1))
+    """Node Gramians of a dense system like the benchmark's
+    (:func:`~conftest.dominant_matrix`), which do not commute."""
+    return cs.gramian_family(cs.check_stability(dominant_matrix(rng, dim)),
+                             range(1, dim + 1))
 
 
 def near_tolerance_family(rng, dim: int) -> cs.NodeGramianFamily:
@@ -222,8 +225,8 @@ def scaled_family(rng, scale: float) -> cs.NodeGramianFamily:
 
 
 #: Families for the pruned commutator check, each from the test's rng.
-#: Scaled by 1e150 every product overflows; by 1e-78 the residual's sum of
-#: squares underflows in part, inside the range where bounds prune.
+#: Scaled by 1e150 or 1e-150 the norms lie outside ``_BOUND_NORMS`` and every
+#: pair is computed; at 1e60, 1e-60 and 1e-78 the bounds prune.
 PRUNED_CHECK_FAMILIES = {
     "commuting": lambda rng: slow_commuting_family(rng, 6),
     "noncommuting": lambda rng: dominant_family(rng, 12),
@@ -244,9 +247,8 @@ PRUNED_CHECK_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(PRUNED_CHECK_FAMILIES))
 def test_pruned_check_matches_the_pairwise_loop_to_the_bit(rng, name):
     family = PRUNED_CHECK_FAMILIES[name](rng)
-    with np.errstate(over="ignore"):  # 1e150: both sides overflow alike
-        want = pairwise_residual(family.gramians)
-        ok, residual = cs.check_commuting(family)
+    want = pairwise_residual(family.gramians)
+    ok, residual = cs.check_commuting(family)
     assert residual == want
     assert ok == (want <= spectral.CHECK_TOL)
     if name == "near-tolerance":
@@ -258,12 +260,10 @@ def test_pruned_check_matches_the_pairwise_loop_to_the_bit(rng, name):
 @pytest.mark.parametrize("name", sorted(PRUNED_CHECK_FAMILIES))
 def test_every_exact_residual_is_at_most_its_bound(rng, name):
     grams = PRUNED_CHECK_FAMILIES[name](rng).gramians
-    norms, den = spectral._commutator_scales(grams)
-    bounds = spectral._commutator_bounds(grams, norms, den)
-    with np.errstate(over="ignore"):
-        for i in range(len(grams)):
-            for j in range(i + 1, len(grams)):
-                assert spectral._pair_residual(grams, i, j, den[i, j]) <= bounds[i, j]
+    bounds = spectral._commutator_bounds(grams)
+    for i in range(len(grams)):
+        for j in range(i + 1, len(grams)):
+            assert spectral._pair_residual(grams, i, j) <= bounds[i, j]
     if name in ("noncommuting", "zero-gramian", "scaled-1e-78"):
         assert np.isfinite(bounds).all()
     if name == "asymmetric":  # only Gramian 2 takes an exact product per pair
@@ -278,26 +278,29 @@ def slow_noncommuting_family(time_unit: float) -> cs.NodeGramianFamily:
     return cs.gramian_family(cs.check_stability(a), [1, 2])
 
 
-@pytest.mark.parametrize("time_unit, nan", [(1e-100, False), (1e-200, True)],
-                         ids=["sum-of-squares-overflows", "product-overflows"])
-def test_a_residual_that_is_not_finite_fails_the_check(time_unit, nan):
-    # Gramian norms near 1e100 overflow the residual's sum of squares (inf);
-    # near 1e200 the product itself, and inf - inf is NaN.  Either way the
-    # check fails with that residual, and numpy warns of nothing.
-    family = slow_noncommuting_family(time_unit)
-    ok, residual = cs.check_commuting(family)
-    assert not ok
-    assert np.isnan(residual) if nan else residual == np.inf
-    report = cs.check_feasibility(family)
-    assert not report.commuting and not report.all_pass()
-    assert np.isnan(report.commutator_residual) == nan
-    assert cs.check_commuting(slow_noncommuting_family(1.0))[0] is False
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+def test_a_scaled_family_reports_its_unit_time_residual(scale):
+    # Gramian norms near 1e100 once overflowed the residual's sum of squares
+    # to inf, and near 1e200 the product itself to NaN.  A ratio on binary
+    # units is finite at any scale; only the rounding of the scaling moves it.
+    grams = slow_noncommuting_family(1.0).gramians
+    ok, want = cs.check_commuting(family_of(grams))
+    report = cs.check_feasibility(family_of(scale * grams))
+    assert not ok and not report.commuting and not report.all_pass()
+    assert report.commutator_residual == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("power", [-1000, -300, 300, 1000])
+def test_a_family_scaled_by_a_power_of_two_has_the_same_residual_to_the_bit(power):
+    grams = slow_noncommuting_family(1.0).gramians
+    want = cs.check_commuting(family_of(grams))
+    assert cs.check_commuting(family_of(np.ldexp(grams, power))) == want
 
 
 @pytest.mark.parametrize("time_unit", [1e-100, 1e-200])
 def test_a_solve_in_slow_time_units_checks_a_finite_commutator(time_unit):
-    # The solve checks the family in one unit of measure, where the residual
-    # that overflowed above does not, and fails the check as at unit time.
+    # The solve checks the family as given, with a residual that is finite
+    # in any unit, and fails the check as at unit time.
     result = cs.solve(cs.ObjectiveKind.VCS, slow_noncommuting_family(time_unit))
     base = cs.solve(cs.ObjectiveKind.VCS, slow_noncommuting_family(1.0))
     assert result.converged
@@ -323,8 +326,7 @@ def test_pruned_check_multiplies_few_pairs_of_a_dense_family(rng, monkeypatch):
     assert len(calls) < 0.05 * (80 * 79 // 2)
     assert residual == pairwise_residual(family.gramians)
     # Each pair left out has a bound below the residual found.
-    grams = family.gramians
-    bounds = spectral._commutator_bounds(grams, *spectral._commutator_scales(grams))
+    bounds = spectral._commutator_bounds(family.gramians)
     skipped = np.triu(np.ones((80, 80), dtype=bool), 1)
     skipped[tuple(np.array(calls).T)] = False
     assert (bounds[skipped] < residual).all()
@@ -333,18 +335,62 @@ def test_pruned_check_multiplies_few_pairs_of_a_dense_family(rng, monkeypatch):
 def test_n_spectrum_heat_full_and_reduced():
     ok, residual = cs.check_n_spectrum(cs.heat_dirichlet_model([1, 2, 3]))
     assert ok and residual == 0.0
+    # Mode 3 lies wholly outside the two selected rows.
     ok, residual = cs.check_n_spectrum(cs.heat_dirichlet_model([1, 2, 3], 2))
     assert not ok
-    assert residual == pytest.approx(1.0 / (9.0 * TWO_PI_SQ), rel=1e-12)
+    assert residual == 1.0
 
 
 def test_n_spectrum_excess_rows_fixture():
-    # Two selected rows, a third row whose largest entry is the residual.
+    # Two selected rows; a column's residual is the norm of its entries in
+    # the third row over the column's norm.
     table = np.array([[1.0, 0.2], [0.1, 0.9], [0.03, 0.01]])
     model = cs.SpectralModel((1, 2), table, 2)
     ok, residual = cs.check_n_spectrum(model)
     assert not ok
-    assert residual == pytest.approx(0.03)
+    assert residual == pytest.approx(0.03 / np.sqrt(1.0109), rel=1e-15)
+
+
+def test_a_table_and_its_diagonal_gramians_have_one_n_spectrum_residual(rng):
+    table = rng.uniform(0.0, 1.0, (5, 4)) * np.array([1.0, 1e-3, 1e3, 1e-200])
+    family = cs.NodeGramianFamily((1, 2, 3, 4), [np.diag(col) for col in table.T], 3)
+    ok, residual = cs.check_n_spectrum(cs.SpectralModel((1, 2, 3, 4), table, 3))
+    assert not ok and residual > 0.1
+    assert residual == pytest.approx(cs.check_n_spectrum(family)[1], rel=1e-14)
+
+
+def _scaled_models(rng, power):
+    """A 3 x 3 table with ``n`` 2 and a d = 8 family with ``n`` 3, each
+    times ``2**power``."""
+    table = np.array([[1.0, 0.2, 0.1], [0.1, 0.9, 0.3], [0.05, 0.01, 0.4]])
+    grams = dominant_family(rng, 8).gramians
+    return (cs.SpectralModel((1, 2, 3), np.ldexp(table, power), 2),
+            cs.NodeGramianFamily(tuple(range(1, 9)), np.ldexp(grams, power), 3))
+
+
+@pytest.mark.parametrize("power", [-900, -300, 300, 900])
+def test_checks_give_the_same_report_to_the_bit_at_every_binary_scale(power):
+    for model, scaled in zip(_scaled_models(np.random.default_rng(5), 0),
+                             _scaled_models(np.random.default_rng(5), power)):
+        want, got = cs.check_feasibility(model), cs.check_feasibility(scaled)
+        assert got.nth_eigenvalue == pytest.approx(
+            np.ldexp(want.nth_eigenvalue, power), rel=1e-12)
+        assert np.array_equal(got.witness.values, want.witness.values)
+        for field in ("feasible", "commuting", "commutator_residual",
+                      "n_spectrum", "n_spectrum_residual"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert not want.n_spectrum
+
+
+@pytest.mark.parametrize("time_unit", [1.0, 1e-9, 1e9])
+def test_the_six_state_family_fails_the_commuting_check_in_every_time_unit(time_unit):
+    # At time unit 1e9 the residual read 4.9e-19 and the check passed.
+    raw = np.random.default_rng(0).standard_normal((6, 6))
+    dynamics = raw - (np.max(np.linalg.eigvals(raw).real) + 0.5) * np.eye(6)
+    report = cs.check_feasibility(
+        cs.gramian_family(cs.check_stability(time_unit * dynamics), range(1, 7), 3))
+    assert not report.commuting
+    assert report.commutator_residual == pytest.approx(0.556602603201, abs=1e-12)
 
 
 def test_feasibility_heat_barycenter():
