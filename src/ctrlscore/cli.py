@@ -200,6 +200,7 @@ def _load(path: str) -> tuple[ModelFile, str]:
         head = (raw[:exc.start].decode("utf-8") + "?").splitlines()
         raise ParseError(f"invalid UTF-8 byte 0x{raw[exc.start]:02x}",
                          len(head), len(head[-1])) from None
+    del raw  # with the digest and the text taken, the parse runs without it
     return parse_model_text(text), digest
 
 

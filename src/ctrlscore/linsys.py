@@ -30,7 +30,7 @@ the same arguments: ``eigenpairs(weights)``, the top ``score_order``
 eigenpairs, is the one decomposition of ``W(p)`` at a single point
 (``eigh``), which the feasibility check, the objective and the energy
 diagnostics all read; ``eigenvalues`` is the batch path of the lattice
-oracle (``eigvalsh``); ``derivatives`` returns both derivatives, ``(rows,
+oracle (``eigvalsh``); ``derivatives`` returns both derivatives, ``(gradient,
 hessian)``, from one pass over low-rank factors of the node Gramians per
 evaluation.  The Gramian of one input has fast-decaying eigenvalues (Penzl
 2000; Antoulas, Sorensen & Zhou 2002): on the benchmark's dense systems
@@ -60,6 +60,7 @@ any Gramian exists.  Every other function reads ``model.score_order``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -338,16 +339,19 @@ class NodeGramianFamily:
         """The selected eigenvectors as state-space columns."""
         return pairs.vectors
 
-    def derivatives(self, pairs: Eigenpairs, divided):
-        """``(rows, hessian)`` from one pass over the low-rank node factors
-        (:func:`_quadratic_forms`, O(m d K r + m K^2 r) for m nodes, state
-        dimension d, K selected eigenvectors and factor rank r).
+    def derivatives(self, pairs: Eigenpairs, score):
+        """``(gradient, hessian)`` of ``sum_k phi(mu_k(p))`` for the
+        :data:`~ctrlscore.scores.SCORES` entry ``score``, from one pass over
+        the low-rank node factors (:func:`_quadratic_forms`, O(m d K r +
+        m K^2 r) for m nodes, state dimension d, K selected eigenvectors and
+        factor rank r).
 
-        ``rows[k, i] = d mu_k / d p_i = z_k^T W_i z_k``, a fresh (K, m)
-        array.  For the whole spectrum, ``hessian()`` gives ``(matvec,
-        diagonal)`` of the m x m Hessian ``H`` of ``sum_k phi(mu_k(p))``,
-        formed here from the divided difference ``divided(a, b)`` of
-        ``phi'``: with ``Q_i = Z^T W_i Z``,
+        The pass gives the rows ``rows[k, i] = d mu_k / d p_i = z_k^T W_i
+        z_k`` as a fresh (K, m) array, which is divided in place by
+        ``s(mu_k)`` and summed: ``gradient = -sum_k rows[k] / s(mu_k)``.
+        For the whole spectrum, ``hessian()`` gives ``(matvec, diagonal)``
+        of the m x m Hessian ``H``, formed here from the divided difference
+        ``divided(a, b)`` of ``phi'``: with ``Q_i = Z^T W_i Z``,
         ``H[i, j] = sum_kl divided(mu_k, mu_l) Q_i[k, l] Q_j[k, l]``, the
         trace identities.  ``hessian`` is None for a partial selection,
         where this formula is not the Hessian, and where ``mu_n`` is not
@@ -358,17 +362,22 @@ class NodeGramianFamily:
         r, for the life of the family; nothing else reads it.  The pass
         gains nothing over dense products as r nears d."""
         factor = self._factor()
-        if pairs.following is not None or not pairs.positive:
-            return _quadratic_forms(pairs.vectors, factor)[0], None
         mu = pairs.values
-        # Row i of C holds the upper triangle of the symmetric Q_i, scaled
-        # in place by sqrt(divided), doubled off the diagonal, so H = C C^T.
-        upper = np.triu_indices(mu.size)
-        rows, coords = _quadratic_forms(pairs.vectors, factor, upper)
-        weights = divided(mu[:, None], mu[None, :]) * (2.0 - np.eye(mu.size))
-        coords *= np.sqrt(weights[upper])
-        hessian = coords @ coords.T
-        return rows, lambda: (hessian.__matmul__, hessian.diagonal())
+        hessian = None
+        if pairs.following is not None or not pairs.positive:
+            rows = _quadratic_forms(pairs.vectors, factor)[0]
+        else:
+            # Row i of C holds the upper triangle of the symmetric Q_i, scaled
+            # in place by sqrt(divided), doubled off the diagonal, so H = C C^T.
+            (first, second), flat, doubling = _triangle(mu.size)
+            rows, coords = _quadratic_forms(pairs.vectors, factor, flat)
+            coords *= np.sqrt(score.divided(mu[first], mu[second]) * doubling)
+            matrix = coords @ coords.T
+
+            def hessian():
+                return matrix.__matmul__, matrix.diagonal()
+        rows /= score.s(mu)[:, None]
+        return -rows.sum(axis=0), hessian
 
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`node_factors` of the Gramians, built on the first call and
@@ -437,16 +446,30 @@ def node_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _NODE_BLOCK = 8
 
 
-def _quadratic_forms(vectors: np.ndarray, factor, upper=None):
+@functools.cache
+def _triangle(size: int):
+    """``(upper, flat, doubling)`` for a ``size`` x ``size`` matrix: the
+    index pair of its upper triangle, the same entries as flat indices, and
+    1 on the diagonal and 2 off it, in that order.  Computed once per size
+    and read-only."""
+    upper = np.triu_indices(size)
+    flat = upper[0] * size + upper[1]
+    doubling = np.where(upper[0] == upper[1], 1.0, 2.0)
+    for array in (*upper, flat, doubling):
+        array.flags.writeable = False
+    return upper, flat, doubling
+
+
+def _quadratic_forms(vectors: np.ndarray, factor, flat=None):
     """``(rows, coords)`` for the columns ``z_k`` of ``vectors`` (d, K) and
     the node factors ``factor = (loadings, signs)`` of :func:`node_factors`.
 
     ``rows[k, i] = z_k^T W_i z_k``, shape (K, m), C-contiguous.  With the
-    index pair ``upper`` of a K x K triangle, row i of ``coords`` holds
-    ``Q_i = Z^T W_i Z`` at ``upper``; else ``coords`` is None.  A block of
+    flat indices ``flat`` of entries of a K x K matrix, row i of ``coords``
+    holds ``Q_i = Z^T W_i Z`` at ``flat``; else ``coords`` is None.  A block of
     :data:`_NODE_BLOCK` nodes takes ``M_i = F_i @ Z`` for each node, then
     ``Q_i = M_i^T S_i M_i``; ``rows`` is its diagonal, or
-    ``sum_a s_a M_i[a]**2`` without ``upper``.  Temporaries are bounded by
+    ``sum_a s_a M_i[a]**2`` without ``flat``.  Temporaries are bounded by
     ``_NODE_BLOCK`` x K x max(r, K).  The products are one matmul over the
     block's stack, which numpy runs node by node, so no entry depends on
     the block size, to the bit (a single product of the stacked factor
@@ -455,7 +478,7 @@ def _quadratic_forms(vectors: np.ndarray, factor, upper=None):
     loadings, signs = factor
     m = len(loadings)
     rows = np.empty((m, vectors.shape[1]))
-    coords = None if upper is None else np.empty((m, upper[0].size))
+    coords = None if flat is None else np.empty((m, flat.size))
     for start in range(0, m, _NODE_BLOCK):
         block = slice(start, start + _NODE_BLOCK)
         products = loadings[block] @ vectors
@@ -465,7 +488,7 @@ def _quadratic_forms(vectors: np.ndarray, factor, upper=None):
         else:
             forms = signed.transpose(0, 2, 1) @ products
             rows[block] = np.diagonal(forms, axis1=1, axis2=2)
-            coords[block] = forms[:, upper[0], upper[1]]
+            np.take(forms.reshape(len(forms), -1), flat, axis=1, out=coords[block])
     # The gradient sums rows over axis 0.  On the transposed view that axis
     # is contiguous and numpy would sum it pairwise; the C-contiguous copy
     # keeps the node-by-node order, and so the bits.

@@ -18,14 +18,19 @@ come from the model's methods (``SpectralModel`` in :mod:`ctrlscore.spectral`,
 
     d/dp_i sum_k phi(mu_k)  =  - sum_k  rows[k, i] / s(mu_k)
 
-An evaluation takes both derivatives from ``model.derivatives``: the rows,
-and the Hessian as None or a zero-argument callable giving
-``(matvec, diagonal)``.  The evaluation keeps the callable (``curvature``),
-the solver's Newton step calls it, and :func:`evaluate` builds every
-model's matrix from it the same way, one ``matvec`` column per node.  How
-the Hessian is made is the model's business: a Gramian family scored on its
-whole spectrum forms the m x m matrix in its one pass over the node
-Gramians, and a table's callable builds a product that is never formed.
+An evaluation takes both derivatives from ``model.derivatives(pairs,
+score)``, which reads ``s`` and ``divided`` from the score's entry in
+:data:`SCORES`: the gradient, formed where the rows are, and the Hessian as
+None or a zero-argument callable giving ``(matvec, diagonal)``.  A Gramian
+family divides its fresh rows in place and sums them; a table never copies
+its rows when all are selected, as its gradient is one product of a
+coefficient vector with the table itself.  The evaluation keeps the
+callable (``curvature``), the solver's Newton step calls it, and
+:func:`evaluate` builds every model's matrix from it the same way, one
+``matvec`` column per node.  How the Hessian is made is the model's
+business: a Gramian family scored on its whole spectrum forms the m x m
+matrix in its one pass over the node Gramians, and a table's callable
+builds a product that is never formed.
 Points where the n-th eigenvalue vanishes evaluate to ``+inf`` with no
 gradient, so boundary infeasibility acts as a barrier inside line searches.
 """
@@ -63,7 +68,7 @@ class ObjectiveKind(Enum):
 
 Score = namedtuple("Score", "phi s divided relative")
 #: Each score kind once: objective ``sum_k phi(mu_k)``, ``phi'(mu) = -1 / s(mu)``,
-#: ``divided(a, b)``, the divided difference of ``phi'`` for
+#: ``divided(a, b)``, the divided difference of ``phi'``, both read by
 #: ``model.derivatives``, and ``relative``:
 #: whether stationarity is measured on ``grad / value``.
 #: Scaling every Gramian by ``c`` shifts VCS by ``-n log c`` and divides AECS
@@ -113,16 +118,11 @@ class _Objective:
 
     def at(self, pairs: Eigenpairs) -> ObjectiveEvaluation:
         """Value, gradient and Hessian callable from the selected eigenpairs,
-        all read from ``model.derivatives``."""
+        both derivatives read from ``model.derivatives``."""
         if not pairs.positive:
             return ObjectiveEvaluation(math.inf, None, None, pairs.near_degenerate)
-        mu = pairs.values
-        rows, curvature = self.model.derivatives(pairs, self.score.divided)
-        value = float(self.score.phi(mu).sum())
-        # The rows are a fresh array on both models: dividing them in place
-        # gives the same bits without an n x m temporary (8 MB at n = m = 1000).
-        rows /= self.score.s(mu)[:, None]
-        grad = -rows.sum(axis=0)
+        grad, curvature = self.model.derivatives(pairs, self.score)
+        value = float(self.score.phi(pairs.values).sum())
         return ObjectiveEvaluation(value, grad, None, pairs.near_degenerate, curvature)
 
     def value(self, weights) -> float:

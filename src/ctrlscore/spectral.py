@@ -25,8 +25,9 @@ binary units (:func:`~ctrlscore.linsys._binary_unit`), so the checkers run
 on the caller's model and give the same bits in any binary unit of time.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.  ``derivatives`` gives
-the rows and the Hessian, as a callable that builds a table's product only
-when it is called.  Node labels are checked by
+the gradient and the Hessian, as a callable that builds a table's product
+only when it is called; a table with every row selected reads its table in
+place for both.  Node labels are checked by
 :func:`~ctrlscore.linsys.node_labels`, the heat model's too.  The score
 order is a field of the model, checked by
 :func:`~ctrlscore.linsys.resolve_score_order` in the constructor and read
@@ -119,25 +120,38 @@ class SpectralModel:
         selected = order[:n]
         return Eigenpairs(values[selected], following, selected=selected)
 
-    def derivatives(self, pairs: Eigenpairs, divided):
-        """``(rows, hessian)``: ``rows[k, i] = d mu_k / d p_i``, a fresh copy
-        of the selected table rows, and ``hessian()``, which gives
-        ``(matvec, diagonal)`` of the Hessian ``H`` of ``sum_k phi(mu_k(p))``
-        from the divided difference ``divided(a, b)`` of ``phi'``.  The
-        eigenvalues are affine in ``p``, so ``H = rows^T diag(phi''(mu)) rows``
-        with ``phi''(mu) = divided(mu, mu)``; it is never formed:
+    def derivatives(self, pairs: Eigenpairs, score):
+        """``(gradient, hessian)`` of ``sum_k phi(mu_k(p))`` for the
+        :data:`~ctrlscore.scores.SCORES` entry ``score``, from the rows
+        ``rows[k, i] = d mu_k / d p_i``, the selected table rows:
+        ``gradient = -sum_k rows[k] / s(mu_k)``, and ``hessian()``, which
+        gives ``(matvec, diagonal)`` of the Hessian ``H`` from the divided
+        difference ``divided(a, b)`` of ``phi'``.  The eigenvalues are affine
+        in ``p``, so ``H = rows^T diag(phi''(mu)) rows`` with
+        ``phi''(mu) = divided(mu, mu)``; it is never formed:
         ``H v = rows^T (phi''(mu) * (rows v))``, O(n m) per product.
-        ``hessian`` takes its own rows when called, so an evaluation that
-        keeps it holds no rows (n x m, 8 MB at n = m = 1000)."""
-        table = self.eigen_table
+
+        Where every row is selected, the rows are the table itself, read in
+        place, with the coefficients scattered into table-row order, so an
+        evaluation copies no rows (K x m, 8 MB at K = m = 1000).  A top-n
+        table gathers its n rows for the gradient and again for each call of
+        ``hessian``, so an evaluation that keeps the callable holds none."""
+        table, selected, mu = self.eigen_table, pairs.selected, pairs.values
+
+        def rows_with(coefficients):
+            if selected.size < len(table):
+                return table[selected], coefficients
+            spread = np.empty_like(coefficients)
+            spread[selected] = coefficients
+            return table, spread
 
         def hessian():
-            rows = table[pairs.selected]
-            curvature = divided(pairs.values, pairs.values)
+            rows, curvature = rows_with(score.divided(mu, mu))
             return (lambda v: (curvature * (rows @ v)) @ rows,
                     np.einsum("ki,k,ki->i", rows, curvature, rows))
 
-        return table[pairs.selected], hessian
+        rows, slope = rows_with(-1.0 / score.s(mu))
+        return slope @ rows, hessian
 
     def state_basis(self, pairs: Eigenpairs) -> np.ndarray:
         """Selector columns: the eigenvectors are the mode coordinates."""
@@ -202,19 +216,34 @@ _BOUND_NORMS = (2.0**-400, 2.0**250)
 _UNDERFLOW = 2.0**-530
 
 
-def _pair_residual(grams: np.ndarray, i: int, j: int) -> float:
+def _node_units(grams: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """``(exponents, norms)``, one per Gramian: the binary exponent ``e_i``
+    of ``W_i`` (:func:`~ctrlscore.linsys._binary_unit`), a Python int, on
+    which ``np.ldexp`` of a matrix is several times faster than on a numpy
+    integer, and the Frobenius norm of the binary unit ``W_i 2^-e_i``,
+    taken once for every pair."""
+    exponents = [_binary_exponent(gram) for gram in grams]
+    norms = np.array([np.linalg.norm(np.ldexp(gram, -exponent))
+                      for gram, exponent in zip(grams, exponents)])
+    return exponents, norms
+
+
+def _pair_residual(grams: np.ndarray, i: int, j: int, units) -> float:
     """The exact residual ``||W_i W_j - W_j W_i||_F / (||W_i||_F ||W_j||_F)``
-    of one pair, taken on the binary units of ``W_i`` and ``W_j``; 0 where
-    either is zero."""
-    first, second = _binary_unit(grams[i])[0], _binary_unit(grams[j])[0]
-    den = np.linalg.norm(first) * np.linalg.norm(second)
+    of one pair, taken on the binary units of ``W_i`` and ``W_j`` from
+    ``units = _node_units(grams)``; 0 where either is zero."""
+    exponents, norms = units
+    first = np.ldexp(grams[i], -exponents[i])
+    second = np.ldexp(grams[j], -exponents[j])
+    den = norms[i] * norms[j]
     cross = first @ second
     return float(np.linalg.norm(cross - cross.T) / den) if den else 0.0
 
 
-def _commutator_bounds(grams: np.ndarray) -> np.ndarray:
+def _commutator_bounds(grams: np.ndarray, units) -> np.ndarray:
     """An upper bound on :func:`_pair_residual` of every pair, as computed,
-    or ``inf`` where none is given.
+    or ``inf`` where none is given; ``units`` is :func:`_node_units` of
+    ``grams``.
 
     For symmetric ``A`` and ``B``, ``[A, B] = AB - (AB)^T``, so
     ``||[A, B]||_F <= 2 ||AB||_F = 2 sqrt(<A^2, B^2>_F)``: a residual is at
@@ -262,8 +291,7 @@ def _commutator_bounds(grams: np.ndarray) -> np.ndarray:
     buffer = np.empty((m, _SQUARE_BLOCK, d))
     # Overflow and NaN arise only for norms outside _BOUND_NORMS: inf below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        norms = np.array([np.ldexp(np.linalg.norm(unit), exponent)
-                          for unit, exponent in map(_binary_unit, grams)])
+        norms = np.ldexp(units[1], units[0])
         scale = np.where(norms > 0.0, norms, 1.0)[:, None, None] ** 2
         for start in range(0, d, _SQUARE_BLOCK):
             block = buffer[:, :min(_SQUARE_BLOCK, d - start)]
@@ -305,13 +333,15 @@ def check_commuting(family) -> tuple[bool, float]:
     if isinstance(family, SpectralModel):
         return True, 0.0
     grams = family.gramians
+    units = _node_units(grams)
     rows, cols = np.triu_indices(len(grams), 1)
-    bounds = _commutator_bounds(grams)[rows, cols]
+    bounds = _commutator_bounds(grams, units)[rows, cols]
     worst = 0.0
     for pair in np.argsort(-bounds, kind="stable"):
         if bounds[pair] < worst:
             break
-        worst = max(worst, _pair_residual(grams, int(rows[pair]), int(cols[pair])))
+        i, j = int(rows[pair]), int(cols[pair])
+        worst = max(worst, _pair_residual(grams, i, j, units))
     return worst <= CHECK_TOL, worst
 
 

@@ -6,10 +6,11 @@ the projection property of the discretized reachability operator, the top
 eigenvalues of a plain matrix, a Monte-Carlo average of the minimum energy,
 a joint diagonalizer that turns a commuting Gramian family into an
 eigenvalue table (with the two errors only it raises), the dense Hessians
-that the models' Hessian callables must agree with, the node-by-node
-derivative rows and Hessian from the dense Gramians that the factored
-evaluation pass must match to rounding, and a writer for the model-file
-format that the parser must read back.
+that the models' Hessian callables must agree with, a table's gradient and
+Hessian product from a copy of its rows, the node-by-node derivative rows
+and Hessian from the dense Gramians that the factored evaluation pass must
+match to rounding, and a writer for the model-file format that the parser
+must read back.
 """
 
 from __future__ import annotations
@@ -99,6 +100,25 @@ def reference_hessian(model, pairs, divided) -> np.ndarray:
     quadratic = np.array([z.T @ gram @ z for gram in model.gramians])
     return np.einsum("kl,ikl,jkl->ij", divided(mu[:, None], mu[None, :]),
                      quadratic, quadratic)
+
+
+def row_gradient(rows, mu, score) -> np.ndarray:
+    """The gradient ``-sum_k rows[k] / s(mu_k)`` of ``sum_k phi(mu_k)`` for
+    the derivative rows ``rows[k, i] = d mu_k / d p_i`` and the
+    ``SCORES`` entry ``score``, from a divided copy of the rows."""
+    return -(rows / score.s(mu)[:, None]).sum(axis=0)
+
+
+def table_derivatives(model: SpectralModel, pairs, score):
+    """``(gradient, matvec, diagonal)`` of a table's objective from a copy
+    of its selected rows: :func:`row_gradient`, ``v -> rows^T (phi''(mu) *
+    (rows v))`` and its diagonal ``sum_k phi''(mu_k) rows[k]**2``."""
+    rows = model.eigen_table[pairs.selected]
+    mu = pairs.values
+    curvature = score.divided(mu, mu)
+    return (row_gradient(rows, mu, score),
+            lambda v: rows.T @ (curvature * (rows @ v)),
+            (curvature[:, None] * rows**2).sum(axis=0))
 
 
 def node_quadratic_rows(vectors, stack) -> np.ndarray:

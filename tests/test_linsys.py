@@ -17,11 +17,26 @@ from conftest import (
     random_stable_family,
     random_stable_matrix,
 )
-from oracles import node_hessian, node_quadratic_rows, top_eigenvalues
+from oracles import (node_hessian, node_quadratic_rows, row_gradient,
+                     top_eigenvalues)
 
 import ctrlscore as cs
 from ctrlscore import linsys
 from ctrlscore.scores import SCORES
+
+
+def derivative_rows(family, pairs) -> np.ndarray:
+    """The rows ``rows[k, i] = d mu_k / d p_i`` of ``family.derivatives``,
+    read through its gradient ``-sum_k rows[k] / s(mu_k)``: a score whose
+    ``s`` is 1 at eigenvalue k and inf at the others gives ``-rows[k]``
+    exactly."""
+    rows = []
+    for k in range(pairs.values.size):
+        pick = np.full(pairs.values.size, np.inf)
+        pick[k] = 1.0
+        score = SCORES[cs.ObjectiveKind.VCS]._replace(s=lambda mu: pick)
+        rows.append(-family.derivatives(pairs, score)[0])
+    return np.array(rows)
 
 
 def test_scalar_system_accepted():
@@ -192,7 +207,7 @@ def test_derivative_rows_match_explicit_quadratic_forms(full, dim, subset, rotat
     count = dim if full or dim == 1 else int(rng.integers(1, dim))
     family = dataclasses.replace(family, score_order=count)
     pairs = family.eigenpairs(rng.dirichlet(np.ones(family.node_count)))
-    rows = family.derivatives(pairs, SCORES[cs.ObjectiveKind.VCS].divided)[0]
+    rows = derivative_rows(family, pairs)
     z = pairs.vectors
     want = np.array([[z[:, k] @ gram @ z[:, k] for gram in family.gramians]
                      for k in range(count)])
@@ -221,7 +236,7 @@ def test_derivative_rows_match_finite_differences(rng):
         bump[i] = step
         fd[:, i] = (family.eigenpairs(point + bump).values
                     - family.eigenpairs(point - bump).values) / (2 * step)
-    got = family.derivatives(pairs, SCORES[cs.ObjectiveKind.VCS].divided)[0]
+    got = derivative_rows(family, pairs)
     assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(got)
 
 
@@ -277,14 +292,17 @@ def test_factored_pass_matches_the_dense_node_by_node_reference(name):
         unscaled = linsys.node_factors(_signed_family(np.random.default_rng(7)).gramians)[1]
         assert np.array_equal(signs, unscaled)
     point = interior_point(rng, nodes, floor=0.5 / nodes)
-    divided = SCORES[cs.ObjectiveKind.AECS].divided
+    score = SCORES[cs.ObjectiveKind.AECS]
+    divided = score.divided
     for count in (dim // 2, dim):
         family = dataclasses.replace(whole, score_order=count)
         pairs = family.eigenpairs(point)
         assert pairs.positive  # the floor is relative: no scale moves it
-        rows, hessian = family.derivatives(pairs, divided)
+        rows = derivative_rows(family, pairs)
         want = node_quadratic_rows(pairs.vectors, family.gramians)
         assert np.abs(rows - want).max() <= 1e-12 * np.abs(want).max()
+        gradient, hessian = family.derivatives(pairs, score)
+        assert np.array_equal(gradient, row_gradient(rows, pairs.values, score))
         if count < dim or not pairs.positive:
             assert hessian is None
             continue
@@ -304,7 +322,7 @@ def test_blocked_and_single_block_factored_passes_agree_to_the_bit(rng, monkeypa
     # all nodes' rows.
     whole = random_stable_family(rng, nodes)
     point = interior_point(rng, nodes, floor=0.5 / nodes)
-    divided = SCORES[cs.ObjectiveKind.AECS].divided
+    score = SCORES[cs.ObjectiveKind.AECS]
     blocks = (linsys._NODE_BLOCK, nodes)
     for count in sorted({max(nodes // 2, 1), nodes}):
         family = dataclasses.replace(whole, score_order=count)
@@ -313,9 +331,8 @@ def test_blocked_and_single_block_factored_passes_agree_to_the_bit(rng, monkeypa
         passes = []
         for block in blocks:
             monkeypatch.setattr(linsys, "_NODE_BLOCK", block)
-            rows, hessian = family.derivatives(pairs, divided)
-            assert rows.flags.c_contiguous
-            passes.append((rows, None if hessian is None else hessian()[0].__self__))
+            gradient, hessian = family.derivatives(pairs, score)
+            passes.append((gradient, None if hessian is None else hessian()[0].__self__))
         (blocked, blocked_hessian), (single, single_hessian) = passes
         assert np.array_equal(blocked, single)
         if count < nodes:
@@ -327,7 +344,7 @@ def test_blocked_and_single_block_factored_passes_agree_to_the_bit(rng, monkeypa
 def test_two_threads_making_the_first_call_share_one_factor(rng, monkeypatch):
     family = random_stable_family(rng, 12)
     pairs = family.eigenpairs(interior_point(rng, 12))
-    divided = SCORES[cs.ObjectiveKind.VCS].divided
+    score = SCORES[cs.ObjectiveKind.VCS]
     built = []
     factor = linsys.node_factors
 
@@ -342,8 +359,8 @@ def test_two_threads_making_the_first_call_share_one_factor(rng, monkeypatch):
 
     def first_call():
         start.wait()
-        rows, hessian = family.derivatives(pairs, divided)
-        seen.append((family._factor(), rows, hessian()[0].__self__))
+        gradient, hessian = family.derivatives(pairs, score)
+        seen.append((family._factor(), gradient, hessian()[0].__self__))
 
     threads = [threading.Thread(target=first_call) for _ in range(2)]
     for thread in threads:
@@ -351,9 +368,9 @@ def test_two_threads_making_the_first_call_share_one_factor(rng, monkeypatch):
     for thread in threads:
         thread.join()
     assert len(built) == 1 and len(seen) == 2
-    (factor_a, rows_a, hessian_a), (factor_b, rows_b, hessian_b) = seen
+    (factor_a, gradient_a, hessian_a), (factor_b, gradient_b, hessian_b) = seen
     assert factor_a is factor_b
-    assert np.array_equal(rows_a, rows_b) and np.array_equal(hessian_a, hessian_b)
+    assert np.array_equal(gradient_a, gradient_b) and np.array_equal(hessian_a, hessian_b)
 
 
 def test_a_family_keeps_only_its_factor_of_the_largest_node_rank(rng):
@@ -378,8 +395,8 @@ def test_no_hessian_where_an_eigenvalue_is_not_positive():
     # Two 3-state blocks in a random orthonormal basis, both nodes inside
     # the first block: W(p) has rank 3, so its three smallest eigenvalues
     # round to about +-1e-17, where the divided differences turn negative.
-    # The whole spectrum is selected; the rows stay finite, the Hessian is
-    # None and no square root of a negative number is taken.
+    # The whole spectrum is selected; the gradient stays finite, the
+    # Hessian is None and no square root of a negative number is taken.
     rng = np.random.default_rng(0)
     core = np.zeros((6, 6))
     for block in (slice(0, 3), slice(3, 6)):
@@ -391,8 +408,8 @@ def test_no_hessian_where_an_eigenvalue_is_not_positive():
     for score in SCORES.values():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows, hessian = family.derivatives(pairs, score.divided)
-        assert rows.shape == (6, 2) and np.all(np.isfinite(rows))
+            gradient, hessian = family.derivatives(pairs, score)
+        assert gradient.shape == (2,) and np.all(np.isfinite(gradient))
         assert hessian is None
 
 

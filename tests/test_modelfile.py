@@ -273,6 +273,24 @@ def test_parsed_table_holds_little_more_than_its_array():
     assert held <= 1.25 * parsed.table.nbytes
 
 
+def test_loading_a_table_file_peaks_below_three_times_its_size(tmp_path):
+    # The file's bytes go once the digest and the text are taken, so the
+    # parse does not run beside them; with them the load peaked at 3.49
+    # times the file size.
+    values = np.random.default_rng(0).random((300, 300))
+    path = tmp_path / "table.csm"
+    path.write_text(_table_text(300, [" ".join(map(repr, row.tolist())) for row in values]))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        parsed, _ = cli._load(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(parsed.table, values)
+    assert peak < 3 * size
+
+
 def test_a_parsed_table_builds_its_model_without_a_copy():
     # The payload is a read-only float64 array that owns its data, so the
     # model keeps it; a copy would allocate the table's bytes again.

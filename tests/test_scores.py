@@ -15,7 +15,7 @@ from conftest import (
     random_stable_family,
 )
 
-from oracles import reference_hessian
+from oracles import reference_hessian, table_derivatives
 
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind
@@ -260,12 +260,29 @@ def test_an_evaluation_holds_one_node_block_beyond_its_hessian_coordinates(rng):
     assert peak < 2 * coordinates
 
 
+def _table_evaluation_peak(model, point) -> int:
+    """The traced peak of one AECS evaluation at ``point``, its
+    ``curvature()`` and one matvec, after a warm-up of the same."""
+    objective = _Objective(ObjectiveKind.AECS, model)
+    objective(point).curvature()[0](point)
+    tracemalloc.start()
+    try:
+        evaluation = objective(point)
+        matvec, _ = evaluation.curvature()
+        matvec(point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_a_table_evaluation_holds_no_copy_of_its_rows(rng):
-    # 300 rows of a 300-node table, the whole spectrum selected: the rows
-    # copy is 300 * 300 * 8 bytes = 0.72 MB.  The gradient divides that copy
-    # in place, so the call peaks below two copies.  The evaluation keeps its
-    # Hessian callable, which takes its own rows only when it is called, so
-    # what stays alive after the call is far less than one copy.
+    # 300 rows of a 300-node table, the whole spectrum selected: a rows copy
+    # is 300 * 300 * 8 bytes = 0.72 MB.  The gradient and the Newton
+    # products read the table in place, so the evaluation, its Hessian
+    # callable and one matvec together peak far below one copy (0.03 of
+    # one, against 1.10 where each took its own rows), and what the
+    # evaluation keeps alive after the call is less still.
     size = 300
     model = cs.SpectralModel(range(1, size + 1),
                              rng.uniform(0.1, 1.0, (size, size)), size)
@@ -275,12 +292,44 @@ def test_a_table_evaluation_holds_no_copy_of_its_rows(rng):
     tracemalloc.start()
     try:
         evaluation = objective(point)
-        held, peak = tracemalloc.get_traced_memory()
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert evaluation.curvature is not None
-    assert held < size * size * 8
-    assert peak < 2 * size * size * 8
+    assert held < 0.25 * size * size * 8
+    assert _table_evaluation_peak(model, point) < 0.25 * size * size * 8
+
+
+def test_a_top_n_table_evaluation_copies_its_selected_rows_only(rng):
+    # K = 400 rows of a 300-node table, 5 selected: one K x m copy is
+    # 0.96 MB, the 5 selected rows 12 kB.  The evaluation, its Hessian
+    # callable and one matvec may gather the selected rows, never a
+    # temporary the size of the table.
+    modes, size, order = 400, 300, 5
+    model = cs.SpectralModel(range(1, size + 1),
+                             rng.uniform(0.1, 1.0, (modes, size)), order)
+    point = np.full(size, 1.0 / size)
+    assert _table_evaluation_peak(model, point) < 0.1 * modes * size * 8
+
+
+@pytest.mark.parametrize("modes,order", [(40, 40), (40, 5)])
+def test_table_derivatives_match_the_row_copy_oracle(rng, modes, order):
+    # The gradient, the Hessian product and its diagonal of a full-spectrum
+    # and of a top-n table, against the same from a copy of the selected
+    # rows (oracles.table_derivatives), to 1e-13 relative.
+    size = 30
+    model = cs.SpectralModel(range(1, size + 1),
+                             rng.uniform(0.1, 1.0, (modes, size)), order)
+    for kind in ObjectiveKind:
+        point = interior_point(rng, size)
+        pairs = model.eigenpairs(point)
+        evaluation = _Objective(kind, model)(point)
+        gradient, product, diagonal = table_derivatives(model, pairs, SCORES[kind])
+        matvec, got_diagonal = evaluation.curvature()
+        np.testing.assert_allclose(evaluation.gradient, gradient, rtol=1e-13)
+        np.testing.assert_allclose(got_diagonal, diagonal, rtol=1e-13)
+        for v in rng.uniform(0.0, 1.0, (2, size)):
+            np.testing.assert_allclose(matvec(v), product(v), rtol=1e-13)
 
 
 def test_evaluate_gives_a_hessian_at_a_near_degenerate_point():

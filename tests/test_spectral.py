@@ -260,10 +260,11 @@ def test_pruned_check_matches_the_pairwise_loop_to_the_bit(rng, name):
 @pytest.mark.parametrize("name", sorted(PRUNED_CHECK_FAMILIES))
 def test_every_exact_residual_is_at_most_its_bound(rng, name):
     grams = PRUNED_CHECK_FAMILIES[name](rng).gramians
-    bounds = spectral._commutator_bounds(grams)
+    units = spectral._node_units(grams)
+    bounds = spectral._commutator_bounds(grams, units)
     for i in range(len(grams)):
         for j in range(i + 1, len(grams)):
-            assert spectral._pair_residual(grams, i, j) <= bounds[i, j]
+            assert spectral._pair_residual(grams, i, j, units) <= bounds[i, j]
     if name in ("noncommuting", "zero-gramian", "scaled-1e-78"):
         assert np.isfinite(bounds).all()
     if name == "asymmetric":  # only Gramian 2 takes an exact product per pair
@@ -326,7 +327,8 @@ def test_pruned_check_multiplies_few_pairs_of_a_dense_family(rng, monkeypatch):
     assert len(calls) < 0.05 * (80 * 79 // 2)
     assert residual == pairwise_residual(family.gramians)
     # Each pair left out has a bound below the residual found.
-    bounds = spectral._commutator_bounds(family.gramians)
+    bounds = spectral._commutator_bounds(family.gramians,
+                                         spectral._node_units(family.gramians))
     skipped = np.triu(np.ones((80, 80), dtype=bool), 1)
     skipped[tuple(np.array(calls).T)] = False
     assert (bounds[skipped] < residual).all()
