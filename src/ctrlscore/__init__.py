@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 
 #: Each public name and the submodule that defines it.  A name is imported
 #: on first use, so ``import ctrlscore`` loads neither numpy nor scipy; the
-#: CLI entry point relies on this to set the BLAS threading before numpy
-#: loads (see ``__main__``).
+#: CLI relies on this to set the BLAS threading before numpy loads (see
+#: ``cli``).
 _MODULE_OF = {
     "ReachabilityEllipsoid": "energy",
     "min_energy": "energy",

@@ -19,32 +19,38 @@ stdout closed before the output was written (``| head``; 128 + SIGPIPE, the
 status a shell reports for a process that the signal ended), with nothing
 printed.
 
-Each command runs its BLAS on one thread.  A process started as ``python -m
-ctrlscore`` or as the ``ctrlscore`` script sets ``OPENBLAS_NUM_THREADS=1``
-before numpy loads, unless the environment sets it (see ``__main__``), which
-reaches both OpenBLAS copies: numpy's and the one scipy loads for
-``dense_lti`` models.  Where numpy is loaded already, :func:`main` sets
-numpy's copy alone to one thread for the command and restores its count
-afterwards.
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` as a default, before
+it loads numpy.  OpenBLAS reads the variable once, when it loads, and starts
+its worker threads then.  Two copies load in a CLI process: numpy's
+(``numpy.libs/libscipy_openblas64_``) at the first numpy import, and scipy's
+(``scipy.libs/libscipy_openblas``) when a ``dense_lti`` model needs the
+Schur factor.  A command's matrices are small: from order 26 up OpenBLAS
+puts a second thread on ``eigh``, which gave no wall-time gain at these
+sizes and only spin-waited, about doubling the CPU time of a dense solve.
+``import ctrlscore`` loads no numpy, so any caller that imports this module
+before numpy (``python -m ctrlscore``, the ``ctrlscore`` script, an
+in-process worker) gets both copies on one thread from load time.  A count
+set in the environment already is kept for both copies, and a process that
+loaded numpy first keeps its BLAS as it is.  Output is the same at any
+count.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
-import functools
 import hashlib
-import importlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when OpenBLAS loads
 
-from .energy import min_energy, reachable_ellipsoid
-from .errors import (
+import numpy as np  # noqa: E402
+
+from .energy import min_energy, reachable_ellipsoid  # noqa: E402
+from .errors import (  # noqa: E402
     BadIndexSet,
     CtrlscoreError,
     EigenFailure,
@@ -56,12 +62,12 @@ from .errors import (
     TargetOutsideSpan,
     UnstableSystem,
 )
-from .linsys import node_labels
-from .modelfile import ModelFile, parse_model_text
-from .optimizer import grid_oracle, grid_units, solve
-from .scores import ObjectiveKind, closed_form_optimum
-from .simplex import SimplexWeights
-from .spectral import AssumptionReport, check_feasibility, heat_dirichlet_model
+from .linsys import node_labels  # noqa: E402
+from .modelfile import ModelFile, parse_model_text  # noqa: E402
+from .optimizer import grid_oracle, grid_units, solve  # noqa: E402
+from .scores import ObjectiveKind, closed_form_optimum  # noqa: E402
+from .simplex import SimplexWeights  # noqa: E402
+from .spectral import AssumptionReport, check_feasibility, heat_dirichlet_model  # noqa: E402
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -403,73 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _blas_thread_calls():
-    """``(set, get)`` for the thread count of the OpenBLAS that numpy links,
-    or None where it links another BLAS or the library cannot be opened.
-
-    These are the documented OpenBLAS calls that threadpoolctl also uses.
-    They are looked up through numpy's own extension module, whose
-    dependencies ``dlsym`` searches, so a bundled copy is found too.
-    """
-    try:
-        try:
-            core = importlib.import_module("numpy._core._multiarray_umath")
-        except ImportError:  # numpy 1.x
-            core = importlib.import_module("numpy.core._multiarray_umath")
-        lib = ctypes.CDLL(core.__file__)
-    except (ImportError, AttributeError, OSError):
-        return None
-    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                           ("openblas", "64_"), ("openblas", "")):
-        try:
-            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-        except AttributeError:
-            continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        return set_threads, get_threads
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the
-    previous count; a no-op where :func:`_blas_thread_calls` finds none.
-
-    A command's matrices are small.  From order 26 up, OpenBLAS puts a
-    second thread on ``eigh``, which gives no wall-time gain at these sizes
-    and spin-waits, so a dense solve used about twice the CPU time.  Output
-    is the same either way.  Only the CLI does this: library calls keep
-    their caller's BLAS threading.  The count is process-wide, so commands
-    run at once on threads of one process share it.
-
-    This is the lever for callers of :func:`main` whose numpy is loaded
-    already (tests, benchmark workers).  It comes too late to stop the
-    worker thread that OpenBLAS starts when it loads, and it does not reach
-    scipy's own OpenBLAS copy; a cold process gets both from
-    ``OPENBLAS_NUM_THREADS=1``, which ``__main__.run`` sets first.
-    """
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield
-        return
-    set_threads, get_threads = calls
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _one_blas_thread():
-            return args.handler(args)
+        return args.handler(args)
     except BrokenPipeError:  # the reader has gone: nobody to tell
         return EXIT_BROKEN_PIPE
     except ParseError as exc:

@@ -47,8 +47,9 @@ than ``1e-6`` raise :class:`~ctrlscore.errors.NonConvexAmbiguous` (with the
 merged result attached).  Several starts run on a thread pool with one
 worker per CPU, at most one per start; each start's descent is the same
 serial computation either way.  The pool is the only parallelism of a CLI
-command, which runs numpy's BLAS on one thread (:mod:`ctrlscore.cli`); a
-library call keeps whatever BLAS threading its caller set.
+command where :mod:`ctrlscore.cli` is imported before numpy, which then
+loads both OpenBLAS copies on one thread; a library call keeps whatever
+BLAS threading its caller set.
 """
 
 from __future__ import annotations

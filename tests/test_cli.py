@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -809,115 +810,45 @@ def test_dense_energy_errors_keep_their_messages_and_exit_codes(
     assert len(calls) == solves
 
 
-def blas_threads():
-    """``(set, get)`` of numpy's OpenBLAS thread count; skips elsewhere."""
-    calls = cli._blas_thread_calls()
-    if calls is None:
-        pytest.skip("numpy does not link OpenBLAS here")
-    return calls
-
-
-@pytest.fixture
-def outer_threads():
-    """Set numpy's OpenBLAS to more than one thread for the test and
-    restore the count after it; yields the count the library accepted."""
-    set_threads, get_threads = blas_threads()
-    before = get_threads()
-    set_threads(3)
-    try:
-        count = get_threads()
-        assert count > 1
-        yield count
-    finally:
-        set_threads(before)
-
-
-def test_commands_run_on_one_blas_thread_and_restore_the_count(
-        outer_threads, monkeypatch, capsys):
-    seen = []
-
-    def handler(args):
-        seen.append(cli._blas_thread_calls()[1]())
-        return cli.EXIT_OK
-
-    monkeypatch.setattr(cli, "_cmd_heat_demo", handler)
-    assert main(["heat-demo"]) == 0
-    assert seen == [1]
-    assert cli._blas_thread_calls()[1]() == outer_threads
-
-
-@pytest.mark.parametrize("error", [ctrlscore.ParseError("bad token"), RuntimeError("boom")])
-def test_blas_thread_count_restored_when_the_handler_raises(
-        outer_threads, monkeypatch, capsys, error):
-    def handler(args):
-        assert cli._blas_thread_calls()[1]() == 1
-        raise error
-
-    monkeypatch.setattr(cli, "_cmd_heat_demo", handler)
-    if isinstance(error, ctrlscore.CtrlscoreError):
-        assert main(["heat-demo"]) == cli.EXIT_PARSE
-    else:
-        with pytest.raises(RuntimeError, match="boom"):
-            main(["heat-demo"])
-    assert cli._blas_thread_calls()[1]() == outer_threads
-
-
-def _refuse_to_load(path):
-    raise OSError(f"cannot open {path}")
-
-
-# The first loader stands for a library without the OpenBLAS thread calls.
-@pytest.mark.parametrize("loader", [lambda path: object(), _refuse_to_load])
-def test_blas_lookup_without_openblas_finds_none(monkeypatch, loader):
-    monkeypatch.setattr(cli.ctypes, "CDLL", loader)
-    assert cli._blas_thread_calls.__wrapped__() is None
-
-
-def test_commands_leave_the_blas_alone_without_the_thread_calls(
-        outer_threads, monkeypatch, capsys):
-    get_threads = cli._blas_thread_calls()[1]
-    seen = []
-
-    def handler(args):
-        seen.append(get_threads())
-        return cli.EXIT_OK
-
-    monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
-    monkeypatch.setattr(cli, "_cmd_heat_demo", handler)
-    assert main(["heat-demo"]) == 0
-    assert seen == [outer_threads]
-
-
-def test_openblas_builds_find_the_thread_setter():
-    # A silent no-op would hide the gain on the Linux wheels CI installs.
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):  # numpy < 1.26 has no machine-readable config
-        pytest.skip("numpy does not report its BLAS")
-    if blas != "scipy-openblas":
-        pytest.skip(f"numpy links {blas}")
-    assert cli._blas_thread_calls() is not None
-
-
 #: Starts the CLI the way ``LAUNCH`` says, on this script's arguments, in a
-#: fresh interpreter; then prints numpy's OpenBLAS thread count, whether
-#: scipy loaded, the process's thread count and ``OPENBLAS_NUM_THREADS``.
+#: fresh interpreter; then prints the thread count of each loaded OpenBLAS
+#: copy by the directory that holds it (``numpy.libs``, ``scipy.libs``),
+#: whether scipy loaded, the process's thread count and
+#: ``OPENBLAS_NUM_THREADS``.  The counts are read through each library's
+#: ``*_get_num_threads*`` call, found from ``/proc/self/maps``.
 BLAS_COLD_START = """\
-import contextlib, io, json, os, re, runpy, sys
+import contextlib, ctypes, io, json, os, re, runpy, sys
 sys.argv = ["ctrlscore", *sys.argv[1:]]
 try:
     with contextlib.redirect_stdout(io.StringIO()):
         LAUNCH
 except SystemExit as exc:
     code = exc.code
-from ctrlscore import cli
-calls = cli._blas_thread_calls()
+
+def blas_threads():
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+    except OSError:
+        return {}
+    counts = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get_threads = getattr(lib, name, None)
+            if get_threads is not None:
+                get_threads.restype = ctypes.c_int
+                counts[os.path.basename(os.path.dirname(path))] = get_threads()
+                break
+    return counts
+
 try:
     with open("/proc/self/status", encoding="ascii") as status:
         threads = int(re.search(r"^Threads:\\s*(\\d+)", status.read(), re.M).group(1))
 except OSError:
     threads = None
-print(json.dumps({"exit": code, "blas": calls and calls[1](), "scipy": "scipy" in sys.modules,
+print(json.dumps({"exit": code, "blas": blas_threads(), "scipy": "scipy" in sys.modules,
                   "threads": threads, "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
 
@@ -953,9 +884,29 @@ def _cold_start(line, argv, blas_env):
         [sys.executable, "-c", BLAS_COLD_START.replace("LAUNCH", line), *argv],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(run.stdout)
-    if seen["blas"] is None:
-        pytest.skip("numpy does not link OpenBLAS here")
+    if not seen["blas"]:
+        pytest.skip("no OpenBLAS found in /proc/self/maps here")
     return seen
+
+
+def _scipy_bundles_openblas():
+    """Whether scipy ships its own OpenBLAS copy (as its wheels do)."""
+    site = Path(importlib.util.find_spec("scipy").origin).parents[1]
+    return any((site / "scipy.libs").glob("*openblas*"))
+
+
+def _assert_one_blas_thread(seen, command):
+    assert (seen["exit"], seen["scipy"]) == (0, command == "score dense")
+    assert set(seen["blas"].values()) == {1}
+    if command == "score dense" and _scipy_bundles_openblas():
+        assert seen["blas"]["scipy.libs"] == 1
+    if sys.platform.startswith("linux"):
+        assert seen["threads"] == 1
+
+
+def _argv(tmp_path, command):
+    return (["heat-demo"] if command == "heat-demo" else
+            ["score", write(tmp_path, "diag2.csm", DIAGONAL_DENSE), "--kind", "vcs"])
 
 
 PYTHON_M = 'runpy.run_module("ctrlscore", run_name="__main__")'
@@ -964,27 +915,29 @@ PYTHON_M = 'runpy.run_module("ctrlscore", run_name="__main__")'
 @pytest.mark.parametrize("launch", ["python -m", "script"])
 @pytest.mark.parametrize("command", ["heat-demo", "score dense"])
 def test_a_cold_cli_process_starts_no_blas_thread(tmp_path, launch, command):
-    # OpenBLAS sizes its thread pool when it loads; a count set after that
-    # (as ``cli._one_blas_thread`` does) leaves its spinning worker behind.
-    # A dense model also loads scipy's own OpenBLAS, which that lever never
-    # reaches.
+    # OpenBLAS sizes its thread pool when it loads, so a count set after
+    # that leaves its spinning worker behind.  A dense model also loads
+    # scipy's own OpenBLAS copy, which must start on one thread too.
     line = PYTHON_M if launch == "python -m" else _script_launch()
-    argv = (["heat-demo"] if command == "heat-demo" else
-            ["score", write(tmp_path, "diag2.csm", DIAGONAL_DENSE), "--kind", "vcs"])
-    seen = _cold_start(line, argv, {})
-    assert (seen["exit"], seen["scipy"]) == (0, command == "score dense")
-    assert seen["blas"] == 1
-    if sys.platform.startswith("linux"):
-        assert seen["threads"] == 1
+    _assert_one_blas_thread(_cold_start(line, _argv(tmp_path, command), {}), command)
 
 
-def test_a_cold_cli_process_keeps_a_blas_thread_count_the_user_set():
-    # The variable is a default: a count in the environment reaches OpenBLAS
-    # as it would without the CLI (which caps it at the CPU count), and
-    # numpy's copy is back at it after the command.
+@pytest.mark.parametrize("command", ["heat-demo", "score dense"])
+def test_an_in_process_caller_that_imports_the_cli_first_runs_one_blas_thread(
+        tmp_path, command):
+    # The benchmark worker's shape: the package first, which loads no numpy,
+    # then the CLI, whose import sets the default before numpy loads.
+    line = "import ctrlscore; from ctrlscore.cli import main; sys.exit(main(sys.argv[1:]))"
+    _assert_one_blas_thread(_cold_start(line, _argv(tmp_path, command), {}), command)
+
+
+def test_a_cold_cli_process_keeps_a_blas_thread_count_the_user_set(tmp_path):
+    # The variable is a default: a count in the environment reaches both
+    # OpenBLAS copies as it would without the CLI (which caps it at the CPU
+    # count).
     user = {"OPENBLAS_NUM_THREADS": "2"}
-    plain = _cold_start("sys.exit(0)", [], user)
-    seen = _cold_start(PYTHON_M, ["heat-demo"], user)
+    plain = _cold_start("import scipy.linalg; sys.exit(0)", [], user)
+    seen = _cold_start(PYTHON_M, _argv(tmp_path, "score dense"), user)
     assert (seen["exit"], seen["env"], seen["blas"]) == (0, "2", plain["blas"])
 
 

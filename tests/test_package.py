@@ -2,6 +2,10 @@
 on first use."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +51,32 @@ def test_an_unknown_name_is_an_attribute_error():
         ctrlscore.no_such_name  # noqa: B018
     with pytest.raises(ImportError, match="no_such_name"):
         from ctrlscore import no_such_name  # noqa: F401
+
+
+#: The library submodules, every one but the CLI's.
+LIBRARY_MODULES = ("energy", "errors", "linsys", "modelfile", "optimizer", "scores",
+                   "simplex", "spectral")
+
+# Runs in a fresh interpreter: this test process may have imported the CLI.
+LIBRARY_IMPORTS = """\
+import importlib, json, os, sys
+import ctrlscore
+ctrlscore.solve
+for module in sys.argv[1:]:
+    importlib.import_module("ctrlscore." + module)
+print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "cli": "ctrlscore.cli" in sys.modules}))
+"""
+
+
+def test_the_library_leaves_the_blas_thread_variable_alone():
+    # Only the CLI sets the one-thread default; a library caller keeps its own.
+    src = os.path.dirname(os.path.dirname(ctrlscore.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    run = subprocess.run([sys.executable, "-c", LIBRARY_IMPORTS, *LIBRARY_MODULES],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(run.stdout) == {"env": None, "cli": False}
+    assert sorted(LIBRARY_MODULES + ("__init__", "__main__", "cli")) == sorted(
+        name[:-3] for name in os.listdir(os.path.dirname(ctrlscore.__file__))
+        if name.endswith(".py"))
