@@ -941,6 +941,59 @@ def test_a_cold_cli_process_keeps_a_blas_thread_count_the_user_set(tmp_path):
     assert (seen["exit"], seen["env"], seen["blas"]) == (0, "2", plain["blas"])
 
 
+@pytest.mark.parametrize("command", ["heat-demo", "score dense"])
+def test_a_process_that_loaded_numpy_first_keeps_its_numpy_blas(tmp_path, command):
+    # The default is set when the CLI is imported, too late for a numpy that
+    # is loaded already: its copy keeps the count it started with.  A copy
+    # that loads after the import (scipy's, for a dense model) gets the
+    # default.
+    plain = _cold_start("import numpy; sys.exit(0)", [], {})
+    line = "import numpy; from ctrlscore.cli import main; sys.exit(main(sys.argv[1:]))"
+    seen = _cold_start(line, _argv(tmp_path, command), {})
+    assert (seen["exit"], seen["env"]) == (0, "1")
+    assert seen["blas"]["numpy.libs"] == plain["blas"]["numpy.libs"]
+    if command == "score dense" and _scipy_bundles_openblas():
+        assert seen["blas"]["scipy.libs"] == 1
+
+
+#: Runs ``LAUNCH`` in a fresh interpreter and prints ``OPENBLAS_NUM_THREADS``
+#: as it read when numpy was first imported, and the exit status, if any.
+NUMPY_LOAD_WATCH = """\
+import contextlib, io, json, os, runpy, sys
+seen = {}
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and "numpy" not in seen:
+            seen["numpy"] = os.environ.get("OPENBLAS_NUM_THREADS")
+sys.meta_path.insert(0, Watch())
+sys.argv = ["ctrlscore", "heat-demo"]
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        LAUNCH
+except SystemExit as exc:
+    seen["exit"] = exc.code
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("launch", ["python -m", "import cli"])
+@pytest.mark.parametrize("user", [None, "3"], ids=["unset", "user-set"])
+def test_the_cli_sets_its_default_before_numpy_loads(launch, user):
+    # OpenBLAS reads the variable once, as numpy loads it, so the default
+    # must already be in place then; a value the user set stays.
+    line = ('runpy.run_module("ctrlscore", run_name="__main__")' if launch == "python -m"
+            else "import ctrlscore.cli")
+    src = os.path.dirname(os.path.dirname(ctrlscore.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update({"OPENBLAS_NUM_THREADS": user} if user else {}, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_LOAD_WATCH.replace("LAUNCH", line)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(run.stdout)
+    assert seen.pop("exit", 0) == 0
+    assert seen == {"numpy": user or "1"}
+
+
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("command", ["heat-demo", "score"])
 def test_a_closed_stdout_ends_the_command_quietly(tmp_path, buffered, command):
