@@ -10,14 +10,19 @@ energy     minimum energy and reachable-ellipsoid data for given weights
 Exit codes: 0 success, 1 parse/usage error, 2 infeasible or unstable model
 (or failed checks for ``check``), 3 ambiguous result: starts that disagree
 on a non-convex model, or a ``--grid-check`` FAIL, where a lattice point
-beats the answer or a lattice minimizer lies more than a step from it
-(report still emitted), 4 target outside the reachable span (``energy``), 5
+beats the answer beyond rounding or a lattice minimizer lies more than a
+step from it (report still emitted), 4 target outside the reachable span, 5
 the solver did not converge (report still emitted; it wins over 3 when a
 result is both, since an unconverged answer is not even a local optimum), 6
 numerical failure (a Lyapunov solve or a Gramian failed its check), 141
 stdout closed before the output was written (``| head``; 128 + SIGPIPE, the
 status a shell reports for a process that the signal ended), with nothing
-printed.
+printed.  A command returns its verdict's code and raises every failure;
+:func:`main` alone maps a raised failure to its code and one stderr line
+(``_FAILURES``).  Only ``score`` reports two outcomes itself, ``Infeasible``
+(2) and ``NonConvexAmbiguous`` (3, with its report).  ``--grid-check``
+compares the scale-free objective (VCS, or the log of AECS), so no unit of
+the model moves its verdict.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` as a default, before
 it loads numpy.  OpenBLAS reads the variable once, when it loads, and starts
@@ -54,7 +59,9 @@ from .errors import (  # noqa: E402
     BadIndexSet,
     CtrlscoreError,
     EigenFailure,
+    IndexMismatch,
     Infeasible,
+    InvalidWeights,
     LyapunovSolveFailure,
     NonConvexAmbiguous,
     ParseError,
@@ -65,7 +72,7 @@ from .errors import (  # noqa: E402
 from .linsys import node_labels  # noqa: E402
 from .modelfile import ModelFile, parse_model_text  # noqa: E402
 from .optimizer import grid_oracle, grid_units, solve  # noqa: E402
-from .scores import ObjectiveKind, closed_form_optimum  # noqa: E402
+from .scores import SCORES, ObjectiveKind, closed_form_optimum  # noqa: E402
 from .simplex import SimplexWeights  # noqa: E402
 from .spectral import AssumptionReport, check_feasibility, heat_dirichlet_model  # noqa: E402
 
@@ -211,19 +218,29 @@ def _load(path: str) -> tuple[ModelFile, str]:
 
 
 def _parse_float_list(text: str, what: str) -> np.ndarray:
+    # a bad --p or --target fails as a bad weight vector or target does
+    error = InvalidWeights if what == "--p" else IndexMismatch
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ParseError(f"{what} must be a comma-separated list of numbers")
+        raise error(f"{what} must be a comma-separated list of numbers") from None
     if not values:
-        raise ParseError(f"{what} is empty")
+        raise error(f"{what} is empty")
     return np.asarray(values, dtype=float)
+
+
+def _oracle_agrees(kind: ObjectiveKind, objective: float, oracle: float) -> bool:
+    """Whether ``oracle`` beats ``objective`` by no more than rounding, on the
+    stopping test's scale-free objective: VCS, or the log of AECS (``SCORES``)."""
+    if SCORES[kind].relative:
+        return math.log(objective / oracle) <= 1e-9
+    return objective <= oracle + 1e-9
 
 
 def _cmd_score(args) -> int:
     if args.grid_check is not None:
         grid_units(args.grid_check)  # a bad step fails before any output
-    kind = ObjectiveKind.from_string(args.kind)
+    kind = ObjectiveKind(args.kind)
     model_file, digest = _load(args.model)
     model = model_file.build(args.n)
     caps = model_file.caps
@@ -246,7 +263,8 @@ def _cmd_score(args) -> int:
                                                caps=caps)
         gap = result.objective - grid_value
         distance = float(np.max(np.abs(result.weights.values - grid_weights.values)))
-        agree = result.objective <= grid_value + 1e-9 and distance <= args.grid_check
+        agree = (_oracle_agrees(kind, result.objective, grid_value)
+                 and distance <= args.grid_check)
         if not agree and exit_code == EXIT_OK:
             exit_code = EXIT_AMBIGUOUS
         grid_line = (
@@ -330,22 +348,14 @@ def _cmd_energy(args) -> int:
     values = _parse_float_list(args.p, "--p")
     total = values.sum()
     if abs(total - 1.0) > 1e-6:
-        print(f"error: weights sum to {total:.6g}, expected 1", file=sys.stderr)
-        return EXIT_PARSE
+        raise InvalidWeights(f"weights sum to {total:.6g}, expected 1")
     values = values / total
     weights = SimplexWeights(values, model_file.caps)
     target = _parse_float_list(args.target, "--target")
     model, weights = model_at(weights)
     pairs = model.eigenpairs(weights)
-    try:
-        energy_value = min_energy(model, weights, target, pairs=pairs)
-        ellipsoid = reachable_ellipsoid(model, weights, pairs=pairs)
-    except TargetOutsideSpan as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TARGET
-    except RankDeficient as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    energy_value = min_energy(model, weights, target, pairs=pairs)
+    ellipsoid = reachable_ellipsoid(model, weights, pairs=pairs)
     sys.stdout.write(
         f"energy {energy_value:.6f}\n"
         "semi-axes " + " ".join(f"{s:.6e}" for s in ellipsoid.semi_axes) + "\n"
@@ -409,22 +419,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: How :func:`main` ends a command that raised: the first row whose types
+#: match gives the exit code and the stderr prefix (None: a closed stdout
+#: leaves nobody to tell).  The last row matches all that ``main`` catches.
+_FAILURES = (
+    (BrokenPipeError, EXIT_BROKEN_PIPE, None),
+    (ParseError, EXIT_PARSE, "parse error: "),
+    ((UnstableSystem, RankDeficient), EXIT_INFEASIBLE, "error: "),
+    (TargetOutsideSpan, EXIT_TARGET, "error: "),
+    ((LyapunovSolveFailure, EigenFailure), EXIT_NUMERICAL, "error: "),
+    ((OSError, CtrlscoreError), EXIT_PARSE, "error: "),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except BrokenPipeError:  # the reader has gone: nobody to tell
-        return EXIT_BROKEN_PIPE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnstableSystem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (LyapunovSolveFailure, EigenFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (OSError, CtrlscoreError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, prefix = next((code, prefix) for types, code, prefix in _FAILURES
+                            if isinstance(exc, types))
+        if prefix is not None:
+            print(f"{prefix}{exc}", file=sys.stderr)
+        return code

@@ -96,7 +96,7 @@ class RankDeficient(CtrlscoreError):
 class ParseError(CtrlscoreError):
     """Model file could not be parsed; carries 1-based line/column."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
+    def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column

@@ -58,13 +58,6 @@ class ObjectiveKind(Enum):
     VCS = "vcs"
     AECS = "aecs"
 
-    @classmethod
-    def from_string(cls, text: str) -> "ObjectiveKind":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown score kind {text!r}; expected vcs or aecs")
-
 
 Score = namedtuple("Score", "phi s divided relative")
 #: Each score kind once: objective ``sum_k phi(mu_k)``, ``phi'(mu) = -1 / s(mu)``,

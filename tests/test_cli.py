@@ -14,13 +14,14 @@ import pytest
 from conftest import dominant_matrix
 
 import ctrlscore
-from ctrlscore import cli, linsys, optimizer
+from ctrlscore import cli, errors, linsys, optimizer
 from ctrlscore.cli import (
     DEFAULT_DEMO_ROWS,
     RunReport,
     main,
     truncate_toward_zero,
 )
+from ctrlscore.errors import IndexMismatch, InvalidWeights
 from ctrlscore.scores import _Objective
 
 HEAT4 = """\
@@ -782,6 +783,13 @@ DENSE2_CAPS = NON_COMMUTING.replace("matrix 2", "caps 0.6 0.6\nmatrix 2")
      r"error: UnstableSystem: spectral abscissa 0 >= 0"),
     (DENSE5, ["--p", "0.4,0.4", "--target", "1,0,0,0,0"], 1, 0,
      r"error: weights sum to 0\.8, expected 1"),
+    (DENSE5, ["--p=", "--target=1,0,0,0,0"], 1, 0, r"error: --p is empty"),
+    (DENSE5, ["--p=0.5,half", "--target=1"], 1, 0,
+     r"error: --p must be a comma-separated list of numbers"),
+    (DENSE5, ["--p=0.2,0.2,0.2,0.2,0.2", "--target= , "], 1, 0,
+     r"error: --target is empty"),
+    (DENSE5, ["--p=0.2,0.2,0.2,0.2,0.2", "--target=1,x"], 1, 0,
+     r"error: --target must be a comma-separated list of numbers"),
     (NON_COMMUTING, ["--p", "0.5,0.3,0.2", "--target", "1,1"], 1, 0,
      r"error: expected 2 weights, got 3"),
     (DENSE2_CAPS, ["--p", "0.5,0.3,0.2", "--target", "1,1"], 1, 0,
@@ -792,8 +800,9 @@ DENSE2_CAPS = NON_COMMUTING.replace("matrix 2", "caps 0.6 0.6\nmatrix 2")
      r"error: target leaves the top-1 span \(residual \S+ > 1e-08 \* \|\|x_f\|\|\)"),
     (NON_COMMUTING, ["--p", "1,0", "--target", "0,1"], 2, 1,
      r"error: eigenvalue 2 of the Gramian is not positive \(\S+\)"),
-], ids=["bad-n", "unstable", "weight-sum", "weight-count", "caps-count", "caps-bound",
-        "outside-span", "rank-deficient"])
+], ids=["bad-n", "unstable", "weight-sum", "p-empty", "p-word", "target-empty",
+        "target-word", "weight-count", "caps-count", "caps-bound", "outside-span",
+        "rank-deficient"])
 def test_dense_energy_errors_keep_their_messages_and_exit_codes(
         tmp_path, capsys, monkeypatch, text, argv, code, solves, message):
     # Input errors are found before the one Lyapunov solve, in the order
@@ -1013,3 +1022,114 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path, buffered, command):
     finally:
         os.close(writer)
     assert (run.returncode, run.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+def _diagonal_heat_table(scale: float) -> str:
+    """Heat modes 1..4 as a diagonal table, every entry times ``scale``."""
+    rows = ["  ".join(repr(scale / (2 * math.pi**2 * k**2)) if j == k else "0"
+                      for j in range(1, 5)) for k in range(1, 5)]
+    return ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2 3 4\nn 4\ntable 4 4\n"
+            + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+def test_grid_check_verdict_does_not_depend_on_units(tmp_path, capsys, scale):
+    # The AECS optimum (0.1, 0.2, 0.3, 0.4) is a lattice point, so the whole
+    # gap to the oracle is rounding, however large the objective's unit.
+    path = write(tmp_path, "diag4.csm", _diagonal_heat_table(scale))
+    code = main(["score", path, "--kind", "aecs", "--format", "csv",
+                 "--grid-check", "0.05"])
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:5] == ["1,0.100000", "2,0.200000", "3,0.300000",
+                                     "4,0.400000"]
+    assert out.splitlines()[-1].endswith("agreement=pass")
+    assert code == 0
+
+
+#: Model-file consistency errors, each with the line and column it names.
+CONSISTENCY_ERRORS = [
+    ("kind heat_dirichlet\nnodes 1 2\n  caps\n", 4, 3, "caps needs at least one value"),
+    ("kind dense_lti\nnodes 1\nmatrix 1 1\n-1\n", 4, 1,
+     "matrix takes one dimension argument"),
+    ("kind dense_lti\nnodes 1\nmatrix  0\n", 4, 9, "matrix dimension must be >= 1"),
+    ("kind spectral_table\nnodes 1\ntable 0 1\n", 4, 7, "table dimensions must be >= 1"),
+    ("kind heat_dirichlet\nn 1\n", 1, 1, "missing 'nodes' statement"),
+    ("kind dense_lti\nnodes 1\nmatrix 1\n-1\n table 1 1\n1\n", 6, 2,
+     "dense_lti cannot carry a 'table' block"),
+    ("kind dense_lti\n  nodes 1 3\nmatrix 2\n-1 0\n0 -2\n", 3, 3,
+     "node indices must be <= matrix dimension 2"),
+    ("kind spectral_table\nnodes 1\ntable 1 1\n1\n  matrix 1\n-1\n", 6, 3,
+     "spectral_table cannot carry a 'matrix' block"),
+    ("kind spectral_table\nnodes 1 2\n\n table 1 1\n1\n", 5, 2,
+     "table has 1 columns but 2 nodes"),
+    ("  kind heat_dirichlet\nnodes 1\ntable 1 1\n1\n", 2, 3,
+     "heat_dirichlet carries no matrix or table payload"),
+]
+
+
+@pytest.mark.parametrize("body, line, column, message", CONSISTENCY_ERRORS,
+                         ids=[case[3] for case in CONSISTENCY_ERRORS])
+def test_model_file_consistency_errors_name_their_statement(tmp_path, capsys, body,
+                                                            line, column, message):
+    path = write(tmp_path, "m.csm", "ctrlscore-model v1\n" + body)
+    assert main(["check", path]) == 1
+    assert capsys.readouterr() == (
+        "", f"parse error: line {line}, column {column}: {message}\n")
+
+
+def test_bad_energy_vectors_raise_the_library_classes_for_them():
+    with pytest.raises(InvalidWeights, match="^--p is empty$"):
+        cli._parse_float_list(" , ", "--p")
+    with pytest.raises(IndexMismatch, match="^--target must be a comma-separated"):
+        cli._parse_float_list("1,x", "--target")
+
+
+def test_a_non_finite_dynamics_matrix_is_an_unstable_system(monkeypatch, capsys):
+    # A model file cannot carry nan (the parser rejects it where it stands),
+    # so the command is replaced by one that hands it to the library.
+    def check_nan(args):
+        linsys.check_stability([[math.nan]])
+
+    monkeypatch.setattr(cli, "_cmd_check", check_nan)
+    assert main(["check", "unused.csm"]) == 2
+    assert capsys.readouterr() == ("", "error: dynamics matrix has non-finite entries\n")
+
+
+#: The documented exit code of each failure class whose code is not 1.
+EXIT_CODES = {
+    errors.UnstableSystem: 2,
+    errors.RankDeficient: 2,
+    errors.TargetOutsideSpan: 4,
+    errors.LyapunovSolveFailure: 6,
+    errors.EigenFailure: 6,
+}
+FAILURES = [value for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, errors.CtrlscoreError)]
+
+
+@pytest.mark.parametrize("error", [*FAILURES, OSError, BrokenPipeError],
+                         ids=lambda error: error.__name__)
+def test_main_maps_every_raised_failure_to_its_documented_exit_code(monkeypatch,
+                                                                    capsys, error):
+    exc = error("boom", 3, 5) if error is errors.ParseError else error("boom")
+
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_heat_demo", handler)
+    code = main(["heat-demo"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if error is BrokenPipeError:
+        assert (code, captured.err) == (cli.EXIT_BROKEN_PIPE, "")
+    elif error is errors.ParseError:
+        assert (code, captured.err) == (1, "parse error: line 3, column 5: boom\n")
+    else:
+        assert (code, captured.err) == (EXIT_CODES.get(error, 1), "error: boom\n")
+
+
+def test_every_class_of_the_errors_module_is_a_package_failure():
+    defined = [value for value in vars(errors).values()
+               if isinstance(value, type) and value.__module__ == errors.__name__]
+    assert FAILURES == defined and len(defined) == 20
+    assert set(EXIT_CODES) <= set(FAILURES)

@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+from ctrlscore import cli
 from ctrlscore.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,3 +33,10 @@ def test_readme_cli_example_prints_what_the_readme_shows(tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     assert main(argv[1:]) == 0
     assert capsys.readouterr() == (shown, "")
+
+
+def test_readme_exit_codes_are_the_cli_exit_codes():
+    paragraph = re.search(r"^Exit codes:(.*?)\n\n", README.read_text(),
+                          re.M | re.S).group(1)
+    shown = {int(span) for span in re.findall(r"`([^`]*)`", paragraph) if span.isdigit()}
+    assert shown == {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
