@@ -290,16 +290,16 @@ def _cmd_check(args) -> int:
     model_file, digest = _load(args.model)
     model = model_file.build(args.n)
     report = check_feasibility(model, caps=model_file.caps)
-    witness = (
-        " ".join(f"{w:.6f}" for w in report.witness.values)
-        if report.witness is not None
-        else "none"
-    )
+    if report.feasible:
+        witness = " ".join(f"{w:.6f}" for w in report.witness.values)
+        verdict, point = f"yes (witness {witness})", "witness"
+    else:
+        verdict, point = f"no ({report.reason})", "the central point"
     sys.stdout.write(
         f"model: {model_file.kind} (digest {digest[:16]})\n"
         f"finite node set: yes ({report.node_count} nodes, n={report.score_order})\n"
-        f"feasible: {'yes' if report.feasible else 'no'} (witness {witness})\n"
-        f"mu_n at witness: {report.nth_eigenvalue:.6e}\n"
+        f"feasible: {verdict}\n"
+        f"mu_n at {point}: {report.nth_eigenvalue:.6e}\n"
         f"commuting: {'yes' if report.commuting else 'no'} "
         f"(residual {report.commutator_residual:.6e})\n"
         f"n-spectrum: {'yes' if report.n_spectrum else 'no'} "

@@ -19,8 +19,8 @@ families and eigenvalue tables.  A caller that needs both diagnostics at one
 point decomposes ``W(p)`` once and hands the result to each as ``pairs``.
 :func:`min_energy` is the one energy formula: whether a target lies in the
 ellipsoid is ``min_energy(...) <= 1``.
-Both functions raise :class:`~ctrlscore.errors.RankDeficient` when a
-selected eigenvalue fails the positive floor.  This module loads no scipy.
+Both functions raise :class:`~ctrlscore.errors.RankDeficient` where the
+model's rule finds ``mu_n`` not positive.  This module loads no scipy.
 """
 
 from __future__ import annotations

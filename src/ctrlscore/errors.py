@@ -57,7 +57,7 @@ class InvalidWeights(CtrlscoreError, ValueError):
 
 
 class Infeasible(CtrlscoreError):
-    """No candidate weight vector keeps the n-th Gramian eigenvalue positive."""
+    """The n-th Gramian eigenvalue is not positive at the central point."""
 
 
 class InfeasiblePoint(CtrlscoreError):

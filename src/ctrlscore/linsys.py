@@ -30,15 +30,16 @@ the same arguments: ``eigenpairs(weights)``, the top ``score_order``
 eigenpairs, is the one decomposition of ``W(p)`` at a single point
 (``eigh``), which the feasibility check, the objective and the energy
 diagnostics all read; ``eigenvalues`` is the batch path of the lattice
-oracle (``eigvalsh``); ``derivatives`` returns both derivatives, ``(gradient,
-hessian)``, from one pass over low-rank factors of the node Gramians per
-evaluation.  The Gramian of one input has fast-decaying eigenvalues (Penzl
-2000; Antoulas, Sorensen & Zhou 2002): on the benchmark's dense systems
-every ``W_i`` has numerical rank at most 8 of d = 30 or 60.  So the first
-call factors each ``W_i ~= F_i^T S_i F_i`` with ``eigh`` (:func:`node_factors`)
-and keeps the factor, which is within ``d eps ||W_i||`` of ``W_i``
-(:data:`FACTOR_FLOOR`), no more than the rounding of a dense product.  Per
-block of nodes, ``M_i = F_i @ Z`` and ``Q_i = M_i^T S_i M_i = Z^T W_i Z``
+oracle (``eigvalsh``); ``positive`` is the rank test ``mu_n > d eps mu_1``
+(:data:`FACTOR_FLOOR`); ``derivatives`` returns both derivatives,
+``(gradient, hessian)``, from one pass over low-rank factors of the node
+Gramians per evaluation.  The Gramian of one input has fast-decaying
+eigenvalues (Penzl 2000; Antoulas, Sorensen & Zhou 2002): on the
+benchmark's dense systems every ``W_i`` has numerical rank at most 8 of
+d = 30 or 60.  So the first call factors each ``W_i ~= F_i^T S_i F_i`` with
+``eigh`` (:func:`node_factors`) and keeps the factor, which is within
+``d eps ||W_i||`` of ``W_i``, no more than the rounding of a dense product.
+Per block of nodes, ``M_i = F_i @ Z`` and ``Q_i = M_i^T S_i M_i = Z^T W_i Z``
 give the derivative rows and, for the whole spectrum, the m x m Hessian,
 which ``hessian`` wraps: O(m d K r + m K^2 r) for rank r, in place of
 O(m d^2 K + m d K^2).  The family keeps the factor, m x r x d floats for
@@ -85,18 +86,15 @@ DEFAULT_TOL = 1e-10
 #: Relative eigenvalue gap below which eigenvalues are treated as degenerate.
 DEGENERACY_GAP = 1e-8
 
-#: An eigenvalue counts as positive only above this relative floor.
-POSITIVE_FLOOR = 1e-12
+#: Eigenvalues of a symmetric matrix of order d at or below
+#: ``d * FACTOR_FLOOR * max|lambda|`` cannot be told from zero: that is the
+#: scale of ``eigh``'s own backward error (Golub & Van Loan, section 8.1).
+#: Node factors leave them out, and a family's ``mu_n`` must exceed it.
+FACTOR_FLOOR = float(np.finfo(float).eps)
 
 #: Bytes of the ``W(p)`` stack that :meth:`NodeGramianFamily.eigenvalues`
 #: holds at once.
 _STACK_BYTES = 1 << 20
-
-
-def nth_positive(top):
-    """Whether ``top[..., -1]`` clears the positive floor
-    ``POSITIVE_FLOOR * top[..., 0]``, which scales with the model."""
-    return top[..., -1] > POSITIVE_FLOOR * top[..., 0]
 
 
 def _binary_exponent(values: np.ndarray) -> int:
@@ -172,20 +170,17 @@ class Eigenpairs:
     """The ``n`` largest eigenvalues of one ``W(p)`` and their modes.
 
     ``values`` are descending.  ``following`` is eigenvalue ``n + 1``, or
-    None when the selection is the whole spectrum.  A spectral model names
-    its modes by the selected table rows (``selected``); a Gramian family by
-    the eigenvectors (``vectors``, one column per eigenvalue).
+    None when the selection is the whole spectrum.  ``positive`` is the
+    model's verdict on ``mu_n > 0`` (its ``positive`` method).  A spectral
+    model names its modes by the selected table rows (``selected``); a
+    Gramian family by the eigenvectors (``vectors``, one per column).
     """
 
     values: np.ndarray
     following: float | None
+    positive: bool
     selected: np.ndarray | None = None
     vectors: np.ndarray | None = None
-
-    @property
-    def positive(self) -> bool:
-        """Whether the smallest selected eigenvalue clears the positive floor."""
-        return nth_positive(self.values)
 
     @property
     def near_degenerate(self) -> bool:
@@ -324,6 +319,11 @@ class NodeGramianFamily:
             out[start:start + rows] = np.linalg.eigvalsh(mixed)[:, ::-1]
         return out
 
+    def positive(self, top) -> np.ndarray:
+        """Whether ``mu_n = top[..., -1]`` of one or a batch of top
+        eigenvalues exceeds ``d * FACTOR_FLOOR * mu_1``."""
+        return top[..., -1] > self.mode_count * FACTOR_FLOOR * top[..., 0]
+
     def eigenpairs(self, weights) -> Eigenpairs:
         """Top ``score_order`` eigenpairs of ``W(p)``.  ``vectors`` is a
         C-contiguous copy: numpy's matmul is slower on the reversed-column
@@ -333,7 +333,8 @@ class NodeGramianFamily:
         eigvals = eigvals[::-1]
         following = float(eigvals[n]) if n < eigvals.size else None
         vectors = np.ascontiguousarray(eigvecs[:, ::-1][:, :n])
-        return Eigenpairs(eigvals[:n], following, vectors=vectors)
+        top = eigvals[:n]
+        return Eigenpairs(top, following, bool(self.positive(top)), vectors=vectors)
 
     def state_basis(self, pairs: Eigenpairs) -> np.ndarray:
         """The selected eigenvectors as state-space columns."""
@@ -359,8 +360,8 @@ class NodeGramianFamily:
 
         The first call factors every node Gramian (:func:`node_factors`)
         and keeps the factor, m x r x d floats for the largest node rank
-        r, for the life of the family; nothing else reads it.  The pass
-        gains nothing over dense products as r nears d."""
+        r, for the life of the family; a copy in another unit takes it
+        scaled.  The pass gains nothing over dense products as r nears d."""
         factor = self._factor()
         mu = pairs.values
         hessian = None
@@ -393,13 +394,6 @@ class NodeGramianFamily:
         return factor
 
 
-#: Eigenvalues of a node Gramian ``W_i`` (order d) at or below
-#: ``d * FACTOR_FLOOR * max|lambda|`` are left out of its factor.  That is
-#: the scale of ``eigh``'s own backward error (Golub & Van Loan, section
-#: 8.1), so the factor differs from ``W_i`` by at most
-#: ``d * eps * ||W_i||_2``, no more than the rounding of a dense product.
-FACTOR_FLOOR = float(np.finfo(float).eps)
-
 _FACTOR_LOCK = threading.Lock()
 
 
@@ -409,13 +403,13 @@ def node_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``W_i ~= loadings[i].T @ diag(signs[i]) @ loadings[i]``.
 
     Row a of ``loadings[i]`` (m, r, d) is ``sqrt|lambda_a| v_a`` for an
-    eigenpair of ``W_i`` above the floor (:data:`FACTOR_FLOOR`), and
-    ``signs[i, a]`` (m, r) is the sign of ``lambda_a``, so an eigenvalue
-    inside the PSD tolerance but below zero keeps its sign.  ``r`` is the
-    largest rank over the nodes; a node of lower rank is padded with zero
-    rows of sign 0, so one node of full rank makes ``loadings`` as large as
-    ``stack``.  One ``eigh`` per node keeps the temporaries at d x d.
-    Both arrays are read-only.
+    eigenpair of ``W_i`` above the floor (:data:`FACTOR_FLOOR`), so the
+    factor is within ``d eps ||W_i||_2`` of ``W_i``; ``signs[i, a]`` (m, r)
+    is the sign of ``lambda_a``, so an eigenvalue inside the PSD tolerance
+    but below zero keeps its sign.  ``r`` is the largest rank over the
+    nodes; a node of lower rank is padded with zero rows of sign 0, so one
+    node of full rank makes ``loadings`` as large as ``stack``.  One
+    ``eigh`` per node keeps the temporaries at d x d.  Both are read-only.
     """
     count, dim = stack.shape[:2]
     kept = []

@@ -39,12 +39,13 @@ sets.
 
 Multi-start behaviour: models that pass the commutation, n-spectrum and
 feasibility checks have a provably unique optimum and run a single start;
-anything else runs :data:`UNCERTIFIED_STARTS`.  Start 0 is the witness of
-:func:`~ctrlscore.spectral.check_feasibility`, the rest are seeded Dirichlet
-samples projected onto the set; a start with an infinite objective is
-dropped with a warning.  Starts that disagree on the optimal value by more
-than ``1e-6`` raise :class:`~ctrlscore.errors.NonConvexAmbiguous` (with the
-merged result attached).  Several starts run on a thread pool with one
+anything else runs :data:`UNCERTIFIED_STARTS`.  Start 0 is the central
+point, the witness of :func:`~ctrlscore.spectral.check_feasibility`, the
+rest are seeded Dirichlet samples projected onto the set; a start with an
+infinite objective is dropped with a warning.  Starts that disagree on the
+optimal value by more than ``1e-6`` raise
+:class:`~ctrlscore.errors.NonConvexAmbiguous` (with the merged result
+attached).  Several starts run on a thread pool with one
 worker per CPU, at most one per start; each start's descent is the same
 serial computation either way.  The pool is the only parallelism of a CLI
 command where :mod:`ctrlscore.cli` is imported before numpy, which then
@@ -223,7 +224,8 @@ def _descend(objective: _Objective, start: np.ndarray,
     def line_search(direction, size, smallest):
         """``(trial, evaluation, size)`` for the first trial point
         ``project(p + size * direction)`` that passes, halving ``size`` down
-        to ``smallest``; None if none passes.
+        to ``smallest`` (0 for the gradient step, whose sizes scale as
+        ``1 / |grad|``) or until the trial stops moving; None if none passes.
 
         Armijo with a float-plateau safeguard: once the predicted decrease
         falls below the resolution of the objective value, Armijo can no
@@ -234,18 +236,19 @@ def _descend(objective: _Objective, start: np.ndarray,
         while size > smallest:
             trial = project_capped_simplex(point + size * direction, caps)
             moved = trial - point
-            if np.any(moved):
-                candidate = objective(trial)
-                predicted = ARMIJO_C * float(current.gradient @ moved)
-                if not candidate.feasible:
-                    ok = False
-                elif abs(predicted) >= plateau_tol:
-                    ok = candidate.value <= current.value + predicted
-                else:
-                    ok = (candidate.value <= current.value + plateau_tol
-                          and _kkt(objective, candidate, trial, caps)[1] < residual)
-                if ok:
-                    return trial, candidate, size
+            if not np.any(moved):
+                break  # nor does a shorter step move it
+            candidate = objective(trial)
+            predicted = ARMIJO_C * float(current.gradient @ moved)
+            if not candidate.feasible:
+                ok = False
+            elif abs(predicted) >= plateau_tol:
+                ok = candidate.value <= current.value + predicted
+            else:
+                ok = (candidate.value <= current.value + plateau_tol
+                      and _kkt(objective, candidate, trial, caps)[1] < residual)
+            if ok:
+                return trial, candidate, size
             size *= STEP_SHRINK
         return None
 
@@ -281,7 +284,7 @@ def _descend(objective: _Objective, start: np.ndarray,
                 step = float(dp @ dp) / curvature
         prev_point, prev_grad = point, grad
         if accepted is None:
-            accepted = line_search(-grad, min(step * 2.0, 1e12), 1e-18)
+            accepted = line_search(-grad, min(step * 2.0, 1e12), 0.0)
             if accepted is None:
                 warnings.append("line search stalled before reaching grad_tol")
                 break
@@ -313,15 +316,17 @@ def _starting_points(count: int, caps: np.ndarray, seed: int,
 
 def _in_unit(model):
     """``model`` with every table or Gramian entry times the power of four
-    that puts its largest absolute entry in [1/4, 1) (``model`` itself where
-    that power is 1), not validated again, with no node factor.
+    ``4**k`` that puts its largest absolute entry in [1/4, 1) (``model``
+    itself where ``k`` is 0), not validated again; a family's copy takes its
+    owner's node factor, built once, with the loadings times ``2**k``.
 
     Scaling by a power of the radix is exact (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, section 2.1), and by a power
-    of four keeps a family's Hessian roots exact; the minimizers do not move
-    (:data:`~ctrlscore.scores.SCORES`).  No eigenvalue of ``W(p)`` exceeds
-    ``d``, so no score formula overflows, and the positive floor, the
-    multi-start ``1e-6`` and the descent's constants are relative."""
+    of four keeps a family's Hessian roots and node factor exact; the
+    minimizers do not move (:data:`~ctrlscore.scores.SCORES`).  No
+    eigenvalue of ``W(p)`` exceeds ``d``, so no score formula overflows, and
+    the rank tests, the multi-start ``1e-6`` and the descent's constants
+    read the same in either unit."""
     field = "eigen_table" if isinstance(model, SpectralModel) else "gramians"
     values = getattr(model, field)
     exponent = -_binary_exponent(values) // 2
@@ -332,6 +337,9 @@ def _in_unit(model):
     unit = object.__new__(type(model))  # no __post_init__: no validation
     vars(unit).update(node_indices=model.node_indices, score_order=model.score_order,
                       **{field: scaled})
+    if field == "gramians":
+        loadings, signs = model._factor()
+        vars(unit)["_node_factor"] = (np.ldexp(loadings, exponent), signs)
     return unit
 
 
@@ -359,7 +367,8 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
     InvalidWeights
         If ``caps`` is not a nonnegative vector with one entry per node.
     Infeasible
-        If no candidate weight vector keeps the n-th eigenvalue positive.
+        If ``mu_n`` is not positive at the central point of the capped
+        simplex (:func:`check_feasibility`); the message says why.
     NonConvexAmbiguous
         If multi-starts disagree on the optimal value by more than 1e-6.
         The merged result is attached to the exception.
@@ -374,10 +383,7 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
     caps_arr = validate_caps(caps, objective.node_count)
     report = check_feasibility(model, caps=caps_arr)
     if not report.feasible:
-        raise Infeasible(
-            f"no feasible weights found: best mu_{model.score_order} = "
-            f"{report.nth_eigenvalue:.3e}"
-        )
+        raise Infeasible(f"no feasible weights: {report.reason}")
     certified = report.all_pass()
     n_starts = 1 if certified else UNCERTIFIED_STARTS
     starts = _starting_points(n_starts, caps_arr, seed, report.witness)

@@ -31,8 +31,9 @@ callable (``curvature``), the solver's Newton step calls it, and
 business: a Gramian family scored on its whole spectrum forms the m x m
 matrix in its one pass over the node Gramians, and a table's callable
 builds a product that is never formed.
-Points where the n-th eigenvalue vanishes evaluate to ``+inf`` with no
-gradient, so boundary infeasibility acts as a barrier inside line searches.
+Points where the model's rule (its ``positive`` method) finds the n-th
+eigenvalue not positive evaluate to ``+inf`` with no gradient; both scores
+grow without bound towards them, a barrier inside the line searches.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapsBind, NotDiagonal
-from .linsys import Eigenpairs, nth_positive
+from .linsys import Eigenpairs
 from .simplex import SimplexWeights, validate_caps
 from .spectral import SpectralModel
 
@@ -134,7 +135,7 @@ class _Objective:
         """Objective value at every row of ``batch`` (+inf where infeasible)."""
         batch = np.asarray(batch, dtype=float)
         top = self.model.eigenvalues(batch)[:, : self.model.score_order]
-        feasible = nth_positive(top)
+        feasible = self.model.positive(top)
         out = np.full(batch.shape[0], math.inf)
         out[feasible] = self.score.phi(top[feasible]).sum(axis=1)
         return out

@@ -14,11 +14,11 @@ checkers for the structural assumptions behind the uniqueness guarantee:
 
 The eigen logic lives on the model classes: ``SpectralModel`` and
 :class:`~ctrlscore.linsys.NodeGramianFamily` have the same methods with the
-same arguments (``eigenvalues``, ``eigenpairs``, ``derivatives``,
-``state_basis``), so the objective, the solver and the energy code never
-branch on the model type; the assumption checkers and the closed form do.
-The checkers read a family only through its (m, d, d) ``gramians``, so a
-family of closed-form Gramians is checked like one from Lyapunov solves.
+same arguments (``eigenvalues``, ``eigenpairs``, ``positive``,
+``derivatives``, ``state_basis``), so the objective, the solver and the
+energy code never branch on the model type; the checkers and the closed
+form do.  The checkers read a family only through its (m, d, d)
+``gramians``, so closed-form Gramians are checked like Lyapunov solves.
 The commutation check multiplies out only the pairs that a rigorous bound
 cannot rule out.  Every residual is an exact ratio of norms taken on
 binary units (:func:`~ctrlscore.linsys._binary_unit`), so the checkers run
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexMismatch
-from .linsys import (Eigenpairs, _binary_exponent, _binary_unit, _shared,
-                     node_labels, resolve_score_order)
+from .linsys import (FACTOR_FLOOR, Eigenpairs, _binary_exponent, _binary_unit,
+                     _shared, node_labels, resolve_score_order)
 from .simplex import SimplexWeights, central_point, validate_caps, weight_vector
 
 #: Default relative tolerance for the assumption checkers.
@@ -110,6 +110,12 @@ class SpectralModel:
         values = np.asarray(batch, dtype=float) @ self.eigen_table.T
         return np.sort(values, axis=-1)[:, ::-1]
 
+    def positive(self, top) -> np.ndarray:
+        """Whether ``mu_n = top[..., -1]`` of one or a batch of top
+        eigenvalues is positive: exactly ``mu_n > 0``, since every
+        ``mu_k = t_k . p`` is a sum of nonnegative products."""
+        return top[..., -1] > 0.0
+
     def eigenpairs(self, weights) -> Eigenpairs:
         """Top ``score_order`` eigenvalues of ``W(p)`` and the table rows
         giving them."""
@@ -118,7 +124,8 @@ class SpectralModel:
         order = _select_rows(values, n + 1)
         following = float(values[order[n]]) if n < order.size else None
         selected = order[:n]
-        return Eigenpairs(values[selected], following, selected=selected)
+        top = values[selected]
+        return Eigenpairs(top, following, bool(self.positive(top)), selected=selected)
 
     def derivatives(self, pairs: Eigenpairs, score):
         """``(gradient, hessian)`` of ``sum_k phi(mu_k(p))`` for the
@@ -165,9 +172,9 @@ class AssumptionReport:
     """Outcome of the executable assumption checks for one model.
 
     ``residual <= CHECK_TOL`` is what the booleans encode; residuals are kept so a
-    near-miss is visible.  ``witness`` is the first weight vector found with
-    ``mu_n > 0`` (None when infeasible), and ``nth_eigenvalue`` is ``mu_n``
-    there (the best value seen when infeasible).
+    near-miss is visible.  ``nth_eigenvalue`` is ``mu_n`` at the central
+    point, which is the ``witness`` when feasible (else None, and ``reason``
+    says why; it is empty when feasible).
     """
 
     feasible: bool
@@ -179,6 +186,7 @@ class AssumptionReport:
     n_spectrum_residual: float
     node_count: int
     score_order: int
+    reason: str
 
     def all_pass(self) -> bool:
         return self.feasible and self.commuting and self.n_spectrum
@@ -382,57 +390,47 @@ def check_n_spectrum(model) -> tuple[bool, float]:
     return worst <= CHECK_TOL, worst
 
 
-def _witness_candidates(caps: np.ndarray):
-    """Interior point first, then the greedy cap-saturating extreme patterns."""
-    yield central_point(caps)
-    m = caps.size
-    for lead in range(m):
-        values = np.zeros(m)
-        remaining = 1.0
-        for i in [lead] + [j for j in range(m) if j != lead]:
-            take = min(caps[i], remaining)
-            values[i] = take
-            remaining -= take
-            if remaining <= 0.0:
-                break
-        if remaining <= 1e-12:
-            yield SimplexWeights(values, caps.copy())
+def _shortfall(model, pairs: Eigenpairs) -> str:
+    """Why ``mu_n`` at the central point fails the model's rule: how many
+    table rows reach a node with a positive cap (the positive ``mu_k``),
+    against ``n``; or a family's ``mu_n``, ``mu_1`` and bound ``d eps mu_1``."""
+    n, mu, dim = model.score_order, pairs.values, model.mode_count
+    if isinstance(model, SpectralModel):
+        return (f"{np.count_nonzero(mu)} of n = {n} needed table rows have a "
+                "positive entry on a node with a positive cap")
+    bound = dim * FACTOR_FLOOR * mu[0]
+    return (f"mu_{n} = {mu[-1]:.3e} at the central point is not above d eps mu_1 "
+            f"= {dim} * {FACTOR_FLOOR:.3e} * {mu[0]:.3e} = {bound:.3e}")
 
 
 def check_feasibility(model, *, caps=None) -> AssumptionReport:
-    """Run all assumption checks on ``model`` at its score order and search
-    for a feasibility witness.
+    """Run all assumption checks on ``model`` at its score order, and decide
+    feasibility at one point, the central point of the capped simplex.
 
-    Tries the central point of the capped simplex and then each greedy
-    cap-saturating pattern, accepting the first weights with a strictly
-    positive n-th eigenvalue.  The eigenvalues come from
-    ``model.eigenpairs``, the decomposition the objective reads, so the
-    witness and ``nth_eigenvalue`` are what the solver sees at that point.
-    Infeasibility is reported, never raised.
+    That point weights exactly the nodes with a positive cap
+    (:func:`~ctrlscore.simplex.central_point`), where the rank of ``W(p)``,
+    a sum of PSD terms, and the support of every table row are largest, so
+    it is a witness whenever any point is.  The verdict is the model's rule
+    (``positive``) on ``model.eigenpairs``, the decomposition the objective
+    reads, so it and ``nth_eigenvalue`` are what the solver sees there.
+    Infeasibility is reported, with its ``reason``, never raised.
     """
     m = model.node_count
     caps_arr = validate_caps(caps, m)
-
-    witness = None
-    best_mu = -np.inf
-    for candidate in _witness_candidates(caps_arr):
-        pairs = model.eigenpairs(candidate)
-        mu_n = float(pairs.values[-1])
-        if pairs.positive:
-            witness, best_mu = candidate, mu_n
-            break
-        best_mu = max(best_mu, mu_n)
+    point = central_point(caps_arr)
+    pairs = model.eigenpairs(point)
 
     commuting, comm_residual = check_commuting(model)
     n_spec, spec_residual = check_n_spectrum(model)
     return AssumptionReport(
-        feasible=witness is not None,
-        witness=witness,
-        nth_eigenvalue=float(best_mu),
+        feasible=pairs.positive,
+        witness=point if pairs.positive else None,
+        nth_eigenvalue=float(pairs.values[-1]),
         commuting=commuting,
         commutator_residual=comm_residual,
         n_spectrum=n_spec,
         n_spectrum_residual=spec_residual,
         node_count=m,
         score_order=model.score_order,
+        reason="" if pairs.positive else _shortfall(model, pairs),
     )

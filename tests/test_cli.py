@@ -22,6 +22,7 @@ from ctrlscore.cli import (
     truncate_toward_zero,
 )
 from ctrlscore.errors import IndexMismatch, InvalidWeights
+from ctrlscore.modelfile import parse_model_text
 from ctrlscore.scores import _Objective
 
 HEAT4 = """\
@@ -164,6 +165,9 @@ def test_score_infeasible_exits_2(tmp_path, capsys):
     path = write(tmp_path, "rankdef.csm", RANK_DEFICIENT)
     code = main(["score", path, "--kind", "aecs"])
     assert code == 2
+    assert capsys.readouterr() == ("", (
+        "error: infeasible model: no feasible weights: 1 of n = 2 needed table "
+        "rows have a positive entry on a node with a positive cap\n"))
 
 
 def test_score_ambiguous_exits_3_with_report(tmp_path, capsys):
@@ -446,8 +450,48 @@ def test_check_rank_deficient_feasibility_fails(tmp_path, capsys):
     code = main(["check", path])
     out = capsys.readouterr().out
     assert code == 2
-    assert "feasible: no" in out
+    assert "feasible: no (1 of n = 2 needed table rows" in out
+    assert "\nmu_n at the central point: 0.000000e+00\n" in out
     assert "n-spectrum: yes" in out
+
+
+#: States 1, 3 and 5 form one dense block of the dynamics, and 2, 4 and 6
+#: the other, so nodes 1, 3 and 5 reach only three of the six states: W(p)
+#: has rank 3, and its three smallest eigenvalues round to within 1e-17 of
+#: zero, under the rank test's 6 eps mu_1 = 1.4e-16.
+BLOCKS = """\
+ctrlscore-model v1
+kind dense_lti
+nodes 1 3 5
+n {n}
+matrix 6
+-2 0 0.5 0 0.3 0
+0 -1.5 0 0.3 0 0.1
+0.4 0 -3 0 0.6 0
+0 0.2 0 -2 0 0.4
+0.2 0 0.7 0 -2.5 0
+0 0.5 0 0.1 0 -3
+"""
+
+
+@pytest.mark.parametrize("kind", ["vcs", "aecs"])
+def test_nodes_that_reach_r_of_d_states_are_feasible_at_n_r_only(tmp_path, capsys,
+                                                                 kind):
+    energy = ["--p", "0.4,0.3,0.3", "--target", "1,0,0,0,0,0"]
+    path = write(tmp_path, "blocks.csm", BLOCKS.format(n=6))
+    assert main(["score", path, "--kind", kind]) == 2
+    assert re.fullmatch(
+        r"error: infeasible model: no feasible weights: mu_6 = \S+ at the central "
+        r"point is not above d eps mu_1 = 6 \* 2\.220e-16 \* 1\.075e-01 "
+        r"= 1\.432e-16\n", capsys.readouterr().err)
+    assert main(["energy", path, *energy]) == 2
+    assert "is not positive" in capsys.readouterr().err
+    family = parse_model_text(BLOCKS.format(n=6)).build()
+    with pytest.raises(errors.RankDeficient):
+        ctrlscore.min_energy(family, [0.4, 0.3, 0.3], [1, 0, 0, 0, 0, 0])
+    path = write(tmp_path, "blocks.csm", BLOCKS.format(n=3))
+    assert main(["score", path, "--kind", kind]) == 0
+    assert main(["energy", path, *energy]) == 0
 
 
 def test_heat_demo_default_rows(capsys):

@@ -8,7 +8,10 @@ lattice grid check, and ``check`` and ``energy`` on spectral and dense
 models.  The banded table has a fifth, empty mode, so its score selects
 four of five eigenvalues.  ``check-dense24`` checks a dense family of 24
 nodes, where the commutator check computes only the pairs its bound cannot
-rule out.
+rule out.  The ``floor`` table has ``mu_2 / mu_1 = 1e-13`` at its optimum
+and is still feasible, as every table with ``n`` rows that reach a node;
+``check-unsupported`` is a table where only one row reaches a node with a
+positive cap, against ``n = 2``.
 
 The output formats only differ in how one solver result is printed, and a
 solve is deterministic (``test_cli.py`` checks that), so each model and
@@ -64,6 +67,26 @@ table 5 4
 0 0.2 1.0 0.4
 0 0 0.2 0.9
 0 0 0 0
+""",
+    "floor": """\
+ctrlscore-model v1
+kind spectral_table
+nodes 1 2
+n 2
+table 2 2
+1e6 0
+0 1e-7
+""",
+    "unsupported": """\
+ctrlscore-model v1
+kind spectral_table
+nodes 1 2 3
+n 2
+caps 1 0 1
+table 3 3
+1 0 0
+0 1 0
+0 0 0
 """,
     "dense5": """\
 ctrlscore-model v1
@@ -124,7 +147,11 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
                                           "--format", "csv", "--grid-check", "0.05"])
     cases["grid-dense3-vcs"] = ("dense3", ["score", "--kind", "vcs",
                                            "--format", "csv", "--grid-check", "0.05"])
+    for kind in ("vcs", "aecs"):
+        cases[f"score-floor-{kind}-json-lines"] = (
+            "floor", ["score", "--kind", kind, "--format", "json-lines"])
     cases["check-banded"] = ("banded", ["check"])
+    cases["check-unsupported"] = ("unsupported", ["check"])
     cases["check-dense5"] = ("dense5", ["check"])
     cases["check-dense24"] = ("dense24", ["check"])
     cases["energy-banded"] = ("banded", ["energy", "--p", "0.4,0.3,0.2,0.1",

@@ -313,6 +313,18 @@ def test_factored_pass_matches_the_dense_node_by_node_reference(name):
         assert np.array_equal(diagonal, np.diag(dense))
 
 
+@pytest.mark.parametrize("dim", [5, 20, 60])
+def test_node_factors_scale_by_a_power_of_four_to_the_bit(rng, dim):
+    # What lets the descent's copy of a family in another unit take its
+    # owner's factor, scaled, in place of a factorization of its own.
+    stack = random_stable_family(rng, dim).gramians
+    loadings, signs = linsys.node_factors(stack)
+    for exponent in (1, 2, -3, 5):
+        got = linsys.node_factors(np.ldexp(stack, 2 * exponent))
+        assert np.array_equal(got[0], np.ldexp(loadings, exponent))
+        assert np.array_equal(got[1], signs)
+
+
 @pytest.mark.parametrize("nodes", [1, 7, 8, 9, 17, 60])
 def test_blocked_and_single_block_factored_passes_agree_to_the_bit(rng, monkeypatch, nodes):
     # Node counts below, on and across the edges of the 8-node blocks, each

@@ -529,16 +529,23 @@ def test_in_unit_scales_by_a_power_of_four_into_a_quarter_to_one():
         assert unit.score_order == model.score_order
 
 
-def test_a_unit_family_builds_its_own_node_factor(rng):
+def test_a_unit_family_reuses_its_owners_node_factor(rng, monkeypatch):
     family = random_stable_family(rng, 5)
     family = cs.NodeGramianFamily(family.node_indices, 64.0 * family.gramians)
-    point = np.full(5, 0.2)
-    cs.evaluate(ObjectiveKind.AECS, family, point)  # builds the caller's factor
+    calls = []
+    factor = linsys.node_factors
+    monkeypatch.setattr(linsys, "node_factors",
+                        lambda stack: calls.append(stack) or factor(stack))
+    result = cs.solve(ObjectiveKind.AECS, family)
+    for kind in ObjectiveKind:
+        cs.kkt_residual(kind, family, result.weights)
+    assert len(calls) == 1 and calls[0] is family.gramians
     unit = optimizer._in_unit(family)
-    assert unit is not family and "_node_factor" not in vars(unit)
-    loadings = unit._factor()[0]
-    assert loadings is not family._factor()[0]
-    np.testing.assert_array_equal(linsys.node_factors(unit.gramians)[0], loadings)
+    assert unit is not family
+    loadings, signs = unit._factor()
+    assert signs is family._factor()[1]
+    want = factor(unit.gramians)
+    assert np.array_equal(want[0], loadings) and np.array_equal(want[1], signs)
 
 
 @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
@@ -551,10 +558,15 @@ def test_reported_numbers_are_in_the_callers_units(rng, kind):
     witness = result.assumption_report.witness
     assert result.assumption_report.nth_eigenvalue == float(
         family.eigenpairs(witness).values[-1])
-    # mu_2 / mu_1 is at most 1e-18: the best mu_2 is 1e12, at weights (1, 0).
+    # mu_2 = 1e12 p_1 is positive wherever p_1 is, though mu_2 / mu_1 is at
+    # most 1e-18: the optimum is (1, 0), with mu = (1e30, 1e12).
     table = cs.SpectralModel((1, 2), [[1e30, 1e30], [1e12, 0.0]], 2)
-    with pytest.raises(cs.Infeasible, match=r"best mu_2 = 1\.000e\+12$"):
-        cs.solve(kind, table)
+    result = cs.solve(kind, table)
+    assert result.converged and result.uniqueness_certified
+    np.testing.assert_allclose(result.weights.values, [1.0, 0.0], rtol=0, atol=1e-15)
+    want = (-math.log(1e30) - math.log(1e12) if kind is ObjectiveKind.VCS
+            else 1e-30 + 1e-12)
+    assert result.objective == pytest.approx(want, rel=1e-15)
 
 
 #: The 6-state example of the ROADMAP: a non-convex top-3 VCS problem whose
@@ -614,19 +626,63 @@ def test_caps_of_the_wrong_length_raise_invalid_weights(call):
         call()
 
 
+#: mu_2 / mu_1 is 1e-13 at the central point: once below a positive floor of
+#: 1e-12 mu_1, which read the table as infeasible (exit 2).
+_FLOOR_TABLE = np.array([[1e6, 0.0], [0.0, 1e-7]])
+_FLOOR_CAPS = {"no caps": None, "caps (1, 1 - 1e-8)": np.array([1.0, 1.0 - 1e-8])}
+
+
 @pytest.mark.parametrize("kind", [ObjectiveKind.VCS, ObjectiveKind.AECS])
 def test_solve_starts_at_the_feasibility_witness(kind):
-    # The central point (0.5, 0.5) has mu_2 / mu_1 = 1e-13, under the
-    # positive floor, so the witness is the greedy pattern (1e-8, 1 - 1e-8).
-    model = cs.SpectralModel((1, 2), np.array([[1e6, 0.0], [0.0, 1e-7]]), 2)
-    caps = np.array([1.0, 1.0 - 1e-8])
-    assert not cs.evaluate(kind, model, central_point(caps)).feasible
-    witness = cs.check_feasibility(model, caps=caps).witness
-    at_witness = cs.evaluate(kind, model, witness).value
+    model = cs.SpectralModel((1, 2), _FLOOR_TABLE, 2)
+    for caps in _FLOOR_CAPS.values():
+        report = cs.check_feasibility(model, caps=caps)
+        np.testing.assert_array_equal(report.witness.values, [0.5, 0.5])
+        assert report.nth_eigenvalue == 5e-8 and report.reason == ""
+        result = cs.solve(kind, model, caps=caps)
+        assert result.converged and result.uniqueness_certified
+        assert result.start_objectives == (result.objective,)
+        assert result.objective <= cs.evaluate(kind, model, report.witness).value
+        closed = cs.closed_form_optimum(kind, model, caps=caps)
+        np.testing.assert_allclose(result.weights.values, closed.values,
+                                   rtol=0, atol=1e-12)
+        if kind is ObjectiveKind.VCS:
+            np.testing.assert_array_equal(result.weights.values, [0.5, 0.5])
+            assert result.objective == pytest.approx(3.688879454, abs=1e-9)
+        else:
+            assert result.weights.values[0] == pytest.approx(3.162e-7, rel=1e-3)
+
+
+_FLOOR_SCALES = {**{f"2**{k}": 2.0**k for k in range(-60, 61, 20)},
+                 "1e-100": 1e-100, "1e100": 1e100}
+
+
+@pytest.mark.parametrize("caps", list(_FLOOR_CAPS.values()), ids=list(_FLOOR_CAPS))
+@pytest.mark.parametrize("scale", list(_FLOOR_SCALES.values()), ids=list(_FLOOR_SCALES))
+@pytest.mark.parametrize("kind", [ObjectiveKind.VCS, ObjectiveKind.AECS])
+def test_an_ill_conditioned_table_solves_at_every_scale(kind, scale, caps):
+    model = cs.SpectralModel((1, 2), scale * _FLOOR_TABLE, 2)
     result = cs.solve(kind, model, caps=caps)
-    assert cs.evaluate(kind, model, result.weights).feasible
-    assert math.isfinite(result.objective)
-    assert result.objective <= at_witness
+    assert result.converged and result.uniqueness_certified
+    closed = cs.closed_form_optimum(kind, model, caps=caps)
+    np.testing.assert_allclose(result.weights.values, closed.values, rtol=0, atol=1e-12)
+    # VCS shifts by -2 log(scale), AECS divides by scale.
+    if kind is ObjectiveKind.VCS:
+        want = 3.688879454113936 - 2.0 * math.log(scale)
+        assert result.objective == pytest.approx(want, rel=1e-12, abs=1e-12)
+    else:
+        want = cs.evaluate(kind, cs.SpectralModel((1, 2), _FLOOR_TABLE, 2),
+                           closed).value / scale
+        assert result.objective == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", list(_FLOOR_SCALES.values()), ids=list(_FLOOR_SCALES))
+@pytest.mark.parametrize("kind", [ObjectiveKind.VCS, ObjectiveKind.AECS])
+def test_a_table_with_mu_2_over_mu_1_below_1e_18_solves_at_every_scale(kind, scale):
+    model = cs.SpectralModel((1, 2), scale * np.array([[1e30, 1e30], [1e12, 0.0]]), 2)
+    result = cs.solve(kind, model)
+    assert result.converged and result.uniqueness_certified
+    np.testing.assert_allclose(result.weights.values, [1.0, 0.0], rtol=0, atol=1e-15)
 
 
 def test_projected_cg_solves_the_newton_system_on_the_free_face(rng):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dominant_matrix,
@@ -13,7 +15,8 @@ from conftest import (
 from oracles import NotCommuting, spectral_model_from_gramians, top_eigenvalues
 
 import ctrlscore as cs
-from ctrlscore import spectral
+from ctrlscore import linsys, spectral
+from ctrlscore.scores import _Objective
 
 TWO_PI_SQ = 2.0 * np.pi**2
 
@@ -409,6 +412,61 @@ def test_feasibility_rank_deficient_table():
     assert not report.feasible
     assert report.witness is None
     assert report.nth_eigenvalue == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**31 - 1))
+def test_a_table_is_feasible_exactly_when_n_rows_reach_a_capped_node(modes, nodes,
+                                                                    seed):
+    # Entries span 26 orders of magnitude, so a ratio floor on mu_n would
+    # misread some tables; zeroed entries and zero caps shrink the support.
+    rng = np.random.default_rng(seed)
+    table = 10.0 ** rng.uniform(-13.0, 13.0, (modes, nodes))
+    table[rng.random((modes, nodes)) < 0.5] = 0.0
+    caps = rng.choice([0.0, 0.4, 1.0], nodes)
+    if caps.sum() < 1.0:
+        caps[rng.integers(nodes)] = 1.0
+    order = int(rng.integers(1, modes + 1))
+    model = cs.SpectralModel(tuple(range(1, nodes + 1)), table, order)
+    supported = np.count_nonzero(table[:, caps > 0].any(axis=1))
+    feasible = supported >= order
+    report = cs.check_feasibility(model, caps=caps)
+    point = cs.central_point(caps)
+    np.testing.assert_array_equal(point.values > 0, caps > 0)
+    assert report.feasible == feasible
+    assert (report.witness is None) != feasible
+    assert (report.reason == "") == feasible
+    if not feasible:
+        assert report.reason.startswith(f"{supported} of n = {order} needed table rows")
+    for kind in cs.ObjectiveKind:
+        objective = _Objective(kind, model)
+        assert math.isfinite(objective.batch_values(point.values[None])[0]) == feasible
+        assert cs.evaluate(kind, model, point).feasible == feasible
+    target = model.state_basis(model.eigenpairs(point))[:, 0]
+    if feasible:
+        assert cs.min_energy(model, point, target) > 0.0
+    else:
+        with pytest.raises(cs.RankDeficient):
+            cs.min_energy(model, point, target)
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+def test_a_family_counts_mu_n_positive_above_d_eps_mu_1(factor):
+    # W(p) = diag(p_1, c p_2) at the central point has mu = (1/2, c/2): the
+    # rule reads c / 2 > 2 eps / 2, so c = 2 eps is the edge.
+    c = factor * 2.0 * linsys.FACTOR_FLOOR
+    family = cs.NodeGramianFamily((1, 2), [np.diag([1.0, 0.0]), np.diag([0.0, c])])
+    report = cs.check_feasibility(family)
+    assert report.feasible == (factor > 1.0)
+    assert report.nth_eigenvalue == c / 2
+    if factor <= 1.0:
+        assert report.reason == (
+            f"mu_2 = {c / 2:.3e} at the central point is not above d eps mu_1 = "
+            f"2 * 2.220e-16 * 5.000e-01 = 2.220e-16")
+        with pytest.raises(cs.Infeasible, match=r"not above d eps mu_1 = 2 \* "):
+            cs.solve(cs.ObjectiveKind.VCS, family)
+    else:
+        assert cs.solve(cs.ObjectiveKind.VCS, family).converged
 
 
 def test_feasibility_random_diagonal_formula(rng):
