@@ -28,6 +28,7 @@ _MODULE_OF = {
     "reachable_ellipsoid": "energy",
     "unit_ball_log_volume": "energy",
     "BadGridStep": "errors",
+    "BeyondDoubleRange": "errors",
     "BadIndexSet": "errors",
     "CapsBind": "errors",
     "CtrlscoreError": "errors",

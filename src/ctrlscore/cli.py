@@ -14,7 +14,8 @@ beats the answer beyond rounding or a lattice minimizer lies more than a
 step from it (report still emitted), 4 target outside the reachable span, 5
 the solver did not converge (report still emitted; it wins over 3 when a
 result is both, since an unconverged answer is not even a local optimum), 6
-numerical failure (a Lyapunov solve or a Gramian failed its check), 141
+numerical failure (a Lyapunov solve or a Gramian failed its check, or a
+feasible model's score is not finite in double precision), 141
 stdout closed before the output was written (``| head``; 128 + SIGPIPE, the
 status a shell reports for a process that the signal ended), with nothing
 printed.  A command returns its verdict's code and raises every failure;
@@ -57,6 +58,7 @@ import numpy as np  # noqa: E402
 from .energy import min_energy, reachable_ellipsoid  # noqa: E402
 from .errors import (  # noqa: E402
     BadIndexSet,
+    BeyondDoubleRange,
     CtrlscoreError,
     EigenFailure,
     IndexMismatch,
@@ -427,7 +429,8 @@ _FAILURES = (
     (ParseError, EXIT_PARSE, "parse error: "),
     ((UnstableSystem, RankDeficient), EXIT_INFEASIBLE, "error: "),
     (TargetOutsideSpan, EXIT_TARGET, "error: "),
-    ((LyapunovSolveFailure, EigenFailure), EXIT_NUMERICAL, "error: "),
+    ((LyapunovSolveFailure, EigenFailure, BeyondDoubleRange), EXIT_NUMERICAL,
+     "error: "),
     ((OSError, CtrlscoreError), EXIT_PARSE, "error: "),
 )
 

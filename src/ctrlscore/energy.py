@@ -19,8 +19,10 @@ families and eigenvalue tables.  A caller that needs both diagnostics at one
 point decomposes ``W(p)`` once and hands the result to each as ``pairs``.
 :func:`min_energy` is the one energy formula: whether a target lies in the
 ellipsoid is ``min_energy(...) <= 1``.
-Both functions raise :class:`~ctrlscore.errors.RankDeficient` where the
-model's rule finds ``mu_n`` not positive.  This module loads no scipy.
+Both functions raise :class:`~ctrlscore.errors.RankDeficient` where
+``mu_n`` fails the model's rule (its ``positive`` method), with the reason
+that :func:`~ctrlscore.spectral.check_feasibility` gives at the central
+point, stated at the caller's weights.  This module loads no scipy.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from .errors import IndexMismatch, RankDeficient, TargetOutsideSpan
 from .linsys import Eigenpairs
+from .spectral import _shortfall
 
 #: Relative tolerance for the target-in-span residual.
 SPAN_TOL = 1e-8
@@ -67,7 +70,7 @@ def min_energy(model, weights, target, *, pairs: Eigenpairs | None = None) -> fl
     IndexMismatch
         If the target is not a finite 1-d vector of the state dimension.
     RankDeficient
-        If a selected eigenvalue is not positive.
+        If ``mu_n`` fails the model's rule.
     TargetOutsideSpan
         If the target sticks out of the selected span.
     """
@@ -85,10 +88,7 @@ def min_energy(model, weights, target, *, pairs: Eigenpairs | None = None) -> fl
     if norm == 0.0:
         return 0.0
     if not pairs.positive:
-        raise RankDeficient(
-            f"eigenvalue {model.score_order} of the Gramian is not positive "
-            f"({mu[-1]:.3e})"
-        )
+        raise RankDeficient(_shortfall(model, pairs, central=False))
     coeffs = basis.T @ target
     residual = float(np.linalg.norm(target - basis @ coeffs))
     if residual > SPAN_TOL * norm:
@@ -112,15 +112,13 @@ def reachable_ellipsoid(model, weights, *,
     Raises
     ------
     RankDeficient
-        If fewer than ``n`` eigenvalues are positive.
+        If ``mu_n`` fails the model's rule.
     """
     n = model.score_order
     if pairs is None:
         pairs = model.eigenpairs(weights)
     if not pairs.positive:
-        raise RankDeficient(
-            f"Gramian has fewer than {n} positive eigenvalues"
-        )
+        raise RankDeficient(_shortfall(model, pairs, central=False))
     mu, basis = pairs.values, model.state_basis(pairs)
     log_volume = unit_ball_log_volume(n) + 0.5 * float(np.log(mu).sum())
     semi_axes = np.sqrt(mu)

@@ -60,6 +60,11 @@ class Infeasible(CtrlscoreError):
     """The n-th Gramian eigenvalue is not positive at the central point."""
 
 
+class BeyondDoubleRange(CtrlscoreError):
+    """The model is feasible, but its score is not finite in double
+    precision at the central point: ``mu_n`` and ``mu_1`` lie too far apart."""
+
+
 class InfeasiblePoint(CtrlscoreError):
     """The supplied point lies outside the feasible region."""
 
@@ -89,7 +94,7 @@ class TargetOutsideSpan(CtrlscoreError):
 
 
 class RankDeficient(CtrlscoreError):
-    """The Gramian has fewer positive eigenvalues than the score order: the
+    """``mu_n`` fails the model's positivity rule at the given weights: the
     reachable ellipsoid is flat and the minimum energy unbounded."""
 
 

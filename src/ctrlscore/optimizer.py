@@ -63,8 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadGridStep, Infeasible, InfeasiblePoint, NonConvexAmbiguous,
-                     TooLarge)
+from .errors import (BadGridStep, BeyondDoubleRange, Infeasible, InfeasiblePoint,
+                     NonConvexAmbiguous, TooLarge)
 from .linsys import _binary_exponent
 from .scores import ObjectiveKind, _Objective
 from .simplex import (SimplexWeights, project_capped_simplex, validate_caps,
@@ -317,8 +317,11 @@ def _starting_points(count: int, caps: np.ndarray, seed: int,
 def _in_unit(model):
     """``model`` with every table or Gramian entry times the power of four
     ``4**k`` that puts its largest absolute entry in [1/4, 1) (``model``
-    itself where ``k`` is 0), not validated again; a family's copy takes its
-    owner's node factor, built once, with the loadings times ``2**k``.
+    itself where ``k`` is 0), not validated again.  A sparse table's copy
+    holds its nonzeros alone, the values times ``4**k`` and the owner's
+    rows and columns, with no K x m array (its ``eigen_table`` is None); a
+    family's copy takes its owner's node factor, built once, with the
+    loadings times ``2**k``.
 
     Scaling by a power of the radix is exact (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, section 2.1), and by a power
@@ -326,17 +329,22 @@ def _in_unit(model):
     minimizers do not move (:data:`~ctrlscore.scores.SCORES`).  No
     eigenvalue of ``W(p)`` exceeds ``d``, so no score formula overflows, and
     the rank tests, the multi-start ``1e-6`` and the descent's constants
-    read the same in either unit."""
+    read the same in either unit.  Entries below the double range of the
+    unit flush to zero; :func:`solve` reports what that breaks."""
+    sparse = getattr(model, "_nonzeros", None)
     field = "eigen_table" if isinstance(model, SpectralModel) else "gramians"
-    values = getattr(model, field)
-    exponent = -_binary_exponent(values) // 2
+    values = getattr(model, field) if sparse is None else sparse.values
+    exponent = -_binary_exponent(values) // 2 if values.size else 0
     if exponent == 0:
         return model
     scaled = np.ldexp(values, 2 * exponent)
     scaled.flags.writeable = False
     unit = object.__new__(type(model))  # no __post_init__: no validation
-    vars(unit).update(node_indices=model.node_indices, score_order=model.score_order,
-                      **{field: scaled})
+    vars(unit).update(vars(model))
+    if sparse is None:
+        vars(unit)[field] = scaled
+    else:
+        vars(unit).update(eigen_table=None, _nonzeros=sparse._replace(values=scaled))
     if field == "gramians":
         loadings, signs = model._factor()
         vars(unit)["_node_factor"] = (np.ldexp(loadings, exponent), signs)
@@ -369,6 +377,11 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
     Infeasible
         If ``mu_n`` is not positive at the central point of the capped
         simplex (:func:`check_feasibility`); the message says why.
+    BeyondDoubleRange
+        If the model is feasible but no start has a finite score in the
+        unit of :func:`_in_unit`: its ``mu_n`` lies too far below ``mu_1``
+        at the central point for double precision, or an entry flushed to
+        zero in the unit.  The message gives both eigenvalues.
     NonConvexAmbiguous
         If multi-starts disagree on the optimal value by more than 1e-6.
         The merged result is attached to the exception.
@@ -399,8 +412,12 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
             )
 
     finite_idx = [i for i, t in enumerate(trajectories) if math.isfinite(t.value)]
-    if not finite_idx:
-        raise Infeasible("no start produced a finite objective value")
+    if not finite_idx:  # start 0, the witness, is feasible in the model's units
+        mu = model.eigenpairs(report.witness).values
+        raise BeyondDoubleRange(
+            f"the {kind.value} score is not finite in double precision at the "
+            f"central point, where mu_{model.score_order} = {mu[-1]:.3e} and "
+            f"mu_1 = {mu[0]:.3e}")
     converged_idx = [i for i in finite_idx if trajectories[i].converged]
     candidate_idx = converged_idx if converged_idx else finite_idx
     best_idx = min(candidate_idx, key=lambda i: (trajectories[i].value, i))

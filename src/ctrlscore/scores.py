@@ -22,10 +22,11 @@ An evaluation takes both derivatives from ``model.derivatives(pairs,
 score)``, which reads ``s`` and ``divided`` from the score's entry in
 :data:`SCORES`: the gradient, formed where the rows are, and the Hessian as
 None or a zero-argument callable giving ``(matvec, diagonal)``.  A Gramian
-family divides its fresh rows in place and sums them; a table never copies
-its rows when all are selected, as its gradient is one product of a
-coefficient vector with the table itself.  The evaluation keeps the
-callable (``curvature``), the solver's Newton step calls it, and
+family divides its fresh rows in place and sums them; a table's gradient is
+one product of a coefficient vector with its nonzeros, or with a dense
+table itself where all rows are selected, so it copies no rows.  The
+evaluation keeps the callable (``curvature``), the solver's Newton step
+calls it, and
 :func:`evaluate` builds every model's matrix from it the same way, one
 ``matvec`` column per node.  How the Hessian is made is the model's
 business: a Gramian family scored on its whole spectrum forms the m x m
@@ -33,7 +34,9 @@ matrix in its one pass over the node Gramians, and a table's callable
 builds a product that is never formed.
 Points where the model's rule (its ``positive`` method) finds the n-th
 eigenvalue not positive evaluate to ``+inf`` with no gradient; both scores
-grow without bound towards them, a barrier inside the line searches.
+grow without bound towards them, a barrier inside the line searches.  So
+do points where the value or the gradient is not finite in double
+precision, with no floating-point warning.
 """
 
 from __future__ import annotations
@@ -80,10 +83,10 @@ class ObjectiveEvaluation:
     """Objective value with derivatives at one weight vector.
 
     ``value`` is ``+inf`` (and ``gradient`` is None) when the n-th eigenvalue
-    is not positive.  ``curvature`` is the Hessian callable of
-    ``model.derivatives``, which gives ``(matvec, diagonal)``, or None where
-    the model gives no Hessian.  ``hessian`` is the m x m matrix, which only
-    :func:`evaluate` builds.
+    is not positive, or the value or gradient is not finite.  ``curvature``
+    is the Hessian callable of ``model.derivatives``, which gives
+    ``(matvec, diagonal)``, or None where the model gives no Hessian.
+    ``hessian`` is the m x m matrix, which only :func:`evaluate` builds.
     ``near_degenerate`` flags a (near-)tie between eigenvalues n and n+1,
     where the selection gradient is only approximate.
     """
@@ -113,11 +116,15 @@ class _Objective:
     def at(self, pairs: Eigenpairs) -> ObjectiveEvaluation:
         """Value, gradient and Hessian callable from the selected eigenpairs,
         both derivatives read from ``model.derivatives``."""
-        if not pairs.positive:
-            return ObjectiveEvaluation(math.inf, None, None, pairs.near_degenerate)
-        grad, curvature = self.model.derivatives(pairs, self.score)
-        value = float(self.score.phi(pairs.values).sum())
-        return ObjectiveEvaluation(value, grad, None, pairs.near_degenerate, curvature)
+        if pairs.positive:
+            # 1 / s(mu_n) overflows where mu_n is too small beside mu_1
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                grad, curvature = self.model.derivatives(pairs, self.score)
+                value = float(self.score.phi(pairs.values).sum())
+            if math.isfinite(value) and np.isfinite(grad).all():
+                return ObjectiveEvaluation(value, grad, None, pairs.near_degenerate,
+                                           curvature)
+        return ObjectiveEvaluation(math.inf, None, None, pairs.near_degenerate)
 
     def value(self, weights) -> float:
         """The value alone at ``weights``, with the bits of :meth:`__call__`'s."""

@@ -26,8 +26,10 @@ on the caller's model and give the same bits in any binary unit of time.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.  ``derivatives`` gives
 the gradient and the Hessian, as a callable that builds a table's product
-only when it is called; a table with every row selected reads its table in
-place for both.  Node labels are checked by
+only when it is called.  A sparse table (at most :data:`_SPARSE_SHARE` of
+its entries nonzero) reads only its nonzeros for both, found once when the
+model is made; a denser one with every row selected reads its table in
+place.  Node labels are checked by
 :func:`~ctrlscore.linsys.node_labels`, the heat model's too.  The score
 order is a field of the model, checked by
 :func:`~ctrlscore.linsys.resolve_score_order` in the constructor and read
@@ -38,6 +40,7 @@ in ``1..m``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +60,34 @@ def _select_rows(values: np.ndarray, count: int) -> np.ndarray:
     return order[:count]
 
 
+#: A table whose nonzero entries are at most this share of its K x m entries
+#: is evaluated on them alone (:func:`_nonzeros`), a denser one by BLAS on
+#: the whole table.  Timed on random tables with a full diagonal, one BLAS
+#: thread, an evaluation with its Hessian diagonal and ten Hessian products
+#: (a descent makes about eight per evaluation) is faster on the nonzeros up
+#: to a share of about 1/14 at K = m = 1000 and 1/40 at K = m = 120; the
+#: evaluation alone up to about 1/9 at both.  1/16 sits below the crossover
+#: of the large tables, where the time is; below m = 100 a pass takes tens
+#: of microseconds either way.
+_SPARSE_SHARE = 1 / 16
+
+#: A sparse table: its nonzero ``values`` at ``(rows, cols)`` in row-major
+#: order, and its ``shape``.
+Nonzeros = namedtuple("Nonzeros", "rows cols values shape")
+
+
+def _nonzeros(table: np.ndarray) -> Nonzeros | None:
+    """The table's nonzeros, read-only, or None above :data:`_SPARSE_SHARE`."""
+    nonzero = table != 0.0  # several times faster to scan than the floats
+    if np.count_nonzero(nonzero) > _SPARSE_SHARE * table.size:
+        return None
+    rows, cols = divmod(np.flatnonzero(nonzero), table.shape[1])
+    values = table[rows, cols]
+    for part in (rows, cols, values):
+        part.flags.writeable = False
+    return Nonzeros(rows, cols, values, table.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Eigenvalue table of a commuting node-Gramian family.
@@ -73,7 +104,10 @@ class SpectralModel:
         How many of the largest eigenvalues the score objectives use
         (``1 <= n <= K``); ``min(K, m)`` when omitted.
 
-    Two models are equal only if they are the same object.
+    A table with at most :data:`_SPARSE_SHARE` of its entries nonzero also
+    keeps them (:class:`Nonzeros`, found once by the constructor), and
+    ``eigenpairs`` and ``derivatives`` read them alone.  Two models are
+    equal only if they are the same object.
     """
 
     node_indices: tuple[int, ...]
@@ -92,13 +126,15 @@ class SpectralModel:
             raise IndexMismatch("eigen table entries must be finite and >= 0")
         table.flags.writeable = False
         object.__setattr__(self, "eigen_table", table)
+        object.__setattr__(self, "_nonzeros", _nonzeros(table))
         object.__setattr__(self, "node_indices", indices)
         order = min(table.shape) if self.score_order is None else self.score_order
         object.__setattr__(self, "score_order", resolve_score_order(order, len(table)))
 
     @property
     def mode_count(self) -> int:
-        return self.eigen_table.shape[0]
+        table = self.eigen_table
+        return (self._nonzeros.shape if table is None else table.shape)[0]
 
     @property
     def node_count(self) -> int:
@@ -120,7 +156,12 @@ class SpectralModel:
         """Top ``score_order`` eigenvalues of ``W(p)`` and the table rows
         giving them."""
         n = self.score_order
-        values = self.eigen_table @ weight_vector(weights, self.node_count)
+        point, nonzeros = weight_vector(weights, self.node_count), self._nonzeros
+        if nonzeros is None:
+            values = self.eigen_table @ point
+        else:
+            rows, cols, entries, (count, _) = nonzeros
+            values = np.bincount(rows, entries * point[cols], count)
         order = _select_rows(values, n + 1)
         following = float(values[order[n]]) if n < order.size else None
         selected = order[:n]
@@ -136,14 +177,23 @@ class SpectralModel:
         difference ``divided(a, b)`` of ``phi'``.  The eigenvalues are affine
         in ``p``, so ``H = rows^T diag(phi''(mu)) rows`` with
         ``phi''(mu) = divided(mu, mu)``; it is never formed:
-        ``H v = rows^T (phi''(mu) * (rows v))``, O(n m) per product.
+        ``H v = rows^T (phi''(mu) * (rows v))``.
 
-        Where every row is selected, the rows are the table itself, read in
-        place, with the coefficients scattered into table-row order, so an
-        evaluation copies no rows (K x m, 8 MB at K = m = 1000).  A top-n
-        table gathers its n rows for the gradient and again for each call of
-        ``hessian``, so an evaluation that keeps the callable holds none."""
-        table, selected, mu = self.eigen_table, pairs.selected, pairs.values
+        A sparse table reads its nonzeros alone, O(nnz) per product: a
+        top-n table gathers those of its n rows once, the coefficients are
+        scattered into table-row order, and each product is one
+        ``np.bincount`` over the nonzeros.  A table with at most one nonzero
+        in each row and column, such as every heat table, gets the bits of
+        the dense products, as each sum has one term.  A dense table
+        multiplies by BLAS, O(n m) per product.  Where every row is selected
+        it reads the table in place, with the coefficients in table-row
+        order, so an evaluation copies no rows; a top-n table gathers its n
+        rows for the gradient and again for each call of ``hessian``, so an
+        evaluation that keeps the callable holds none."""
+        selected, mu, nonzeros = pairs.selected, pairs.values, self._nonzeros
+        if nonzeros is not None:
+            return _sparse_derivatives(nonzeros, selected, mu, score)
+        table = self.eigen_table
 
         def rows_with(coefficients):
             if selected.size < len(table):
@@ -165,6 +215,39 @@ class SpectralModel:
         basis = np.zeros((self.mode_count, pairs.selected.size))
         basis[pairs.selected, np.arange(pairs.selected.size)] = 1.0
         return basis
+
+
+def _sparse_derivatives(nonzeros: Nonzeros, selected: np.ndarray, mu: np.ndarray,
+                        score):
+    """:meth:`SpectralModel.derivatives` on a table's nonzeros, those of the
+    selected rows where the selection is partial.  Each product keeps the
+    dense path's order of operations: ``(c * (T v)) * t`` for the Hessian
+    product and ``(t * c) * t``, as ``np.einsum`` forms it, for its
+    diagonal."""
+    rows, cols, entries, (count, width) = nonzeros
+    if selected.size < count:
+        keep = np.zeros(count, dtype=bool)
+        keep[selected] = True
+        keep = keep[rows]
+        rows, cols, entries = rows[keep], cols[keep], entries[keep]
+
+    def by_row(coefficients):
+        spread = np.zeros(count)
+        spread[selected] = coefficients
+        return spread
+
+    def hessian():
+        curvature = by_row(score.divided(mu, mu))
+
+        def matvec(v):
+            image = curvature * np.bincount(rows, entries * v[cols], count)
+            return np.bincount(cols, image[rows] * entries, width)
+
+        diagonal = np.bincount(cols, entries * curvature[rows] * entries, width)
+        return matvec, diagonal
+
+    slope = by_row(-1.0 / score.s(mu))
+    return np.bincount(cols, slope[rows] * entries, width), hessian
 
 
 @dataclass(frozen=True)
@@ -390,16 +473,21 @@ def check_n_spectrum(model) -> tuple[bool, float]:
     return worst <= CHECK_TOL, worst
 
 
-def _shortfall(model, pairs: Eigenpairs) -> str:
-    """Why ``mu_n`` at the central point fails the model's rule: how many
-    table rows reach a node with a positive cap (the positive ``mu_k``),
-    against ``n``; or a family's ``mu_n``, ``mu_1`` and bound ``d eps mu_1``."""
+def _shortfall(model, pairs: Eigenpairs, central: bool = True) -> str:
+    """Why ``mu_n`` fails the model's rule (its ``positive`` method) at the
+    central point, or with ``central`` False at the caller's weights: how
+    many table rows reach a node with a positive cap or weight (the
+    positive ``mu_k``), against ``n``; or a family's ``mu_n``, ``mu_1`` and
+    bound ``d eps mu_1``.  :class:`~ctrlscore.errors.Infeasible` and
+    :class:`~ctrlscore.errors.RankDeficient` give this reason."""
     n, mu, dim = model.score_order, pairs.values, model.mode_count
     if isinstance(model, SpectralModel):
+        support = "cap" if central else "weight"
         return (f"{np.count_nonzero(mu)} of n = {n} needed table rows have a "
-                "positive entry on a node with a positive cap")
+                f"positive entry on a node with a positive {support}")
     bound = dim * FACTOR_FLOOR * mu[0]
-    return (f"mu_{n} = {mu[-1]:.3e} at the central point is not above d eps mu_1 "
+    where = "the central point" if central else "these weights"
+    return (f"mu_{n} = {mu[-1]:.3e} at {where} is not above d eps mu_1 "
             f"= {dim} * {FACTOR_FLOOR:.3e} * {mu[0]:.3e} = {bound:.3e}")
 
 

@@ -8,6 +8,7 @@ active sets of the small QP, derivatives by central differences.
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 import ctrlscore as cs
+from ctrlscore import spectral
 from ctrlscore.optimizer import _descend, _starting_points
 from ctrlscore.scores import _Objective
 
@@ -80,6 +82,15 @@ ORDER_BUILDERS = {
         (1, 2, 3), [np.diag(row) for row in np.diag([3.0, 2.0, 1.0])], score_order=order),
     "dense_file": lambda order: cs.parse_model_text(DENSE_DIAGONAL_FILE).build(order),
 }
+
+
+def table_model(table, order=None, *, sparse: bool) -> cs.SpectralModel:
+    """A model of ``table`` that reads its nonzeros alone, or with
+    ``sparse`` False its whole table, whatever its share of nonzeros."""
+    with mock.patch.object(spectral, "_SPARSE_SHARE", 1.0 if sparse else -1.0):
+        model = cs.SpectralModel(range(1, np.shape(table)[1] + 1), table, order)
+    assert (model._nonzeros is not None) == sparse
+    return model
 
 
 def interior_point(rng, size: int, floor: float = 0.08) -> np.ndarray:

@@ -485,7 +485,9 @@ def test_nodes_that_reach_r_of_d_states_are_feasible_at_n_r_only(tmp_path, capsy
         r"point is not above d eps mu_1 = 6 \* 2\.220e-16 \* 1\.075e-01 "
         r"= 1\.432e-16\n", capsys.readouterr().err)
     assert main(["energy", path, *energy]) == 2
-    assert "is not positive" in capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: mu_6 = \S+ at these weights is not above d eps mu_1 = "
+        r"6 \* 2\.220e-16 \* 1\.172e-01 = 1\.561e-16\n", capsys.readouterr().err)
     family = parse_model_text(BLOCKS.format(n=6)).build()
     with pytest.raises(errors.RankDeficient):
         ctrlscore.min_energy(family, [0.4, 0.3, 0.3], [1, 0, 0, 0, 0, 0])
@@ -745,6 +747,42 @@ def test_a_gramian_that_fails_its_check_is_a_numerical_failure(tmp_path, capsys,
     assert capsys.readouterr() == ("", "error: Gramian for node 2 is not finite\n")
 
 
+def _two_mode_table(first: str, second: str) -> str:
+    return ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2\ntable 2 2\n"
+            f"{first} 0\n0 {second}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("first, second, kind", [
+    ("1", "1e-160", "aecs"),
+    ("1", "1e-310", "vcs"),
+    ("1", "1e-310", "aecs"),
+    ("1e30", "1e-290", "vcs"),
+    ("1e30", "1e-290", "aecs"),
+    ("1e300", "1e-300", "vcs"),
+    ("1e300", "1e-300", "aecs"),
+])
+def test_a_table_beyond_the_double_range_is_a_numerical_failure(tmp_path, capsys,
+                                                                first, second, kind):
+    # Each is feasible, but in the unit of its largest entry 1 / s(mu_2)
+    # overflows or mu_2 flushes to zero.  These once exited 1 with "point
+    # must be finite" or 2 with "no start produced a finite objective value",
+    # after RuntimeWarnings.
+    path = write(tmp_path, "range.csm", _two_mode_table(first, second))
+    assert main(["score", path, "--kind", kind]) == cli.EXIT_NUMERICAL
+    mu_2, mu_1 = float(second) / 2, float(first) / 2
+    assert capsys.readouterr() == ("", (
+        f"error: the {kind} score is not finite in double precision at the "
+        f"central point, where mu_2 = {mu_2:.3e} and mu_1 = {mu_1:.3e}\n"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_table_inside_the_double_range_still_scores(tmp_path, capsys):
+    path = write(tmp_path, "range.csm", _two_mode_table("1", "1e-160"))
+    assert main(["score", path, "--kind", "vcs", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "node,weight\n1,0.500000\n2,0.500000\n"
+
+
 def test_an_unconverged_score_exits_5_with_its_report(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "heat4.csm", HEAT4)
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
@@ -843,7 +881,8 @@ DENSE2_CAPS = NON_COMMUTING.replace("matrix 2", "caps 0.6 0.6\nmatrix 2")
     (NON_COMMUTING, ["--p", "1,0", "--target", "0,1", "--n", "1"], 4, 1,
      r"error: target leaves the top-1 span \(residual \S+ > 1e-08 \* \|\|x_f\|\|\)"),
     (NON_COMMUTING, ["--p", "1,0", "--target", "0,1"], 2, 1,
-     r"error: eigenvalue 2 of the Gramian is not positive \(\S+\)"),
+     r"error: mu_2 = \S+ at these weights is not above d eps mu_1 = "
+     r"2 \* 2\.220e-16 \* \S+ = \S+"),
 ], ids=["bad-n", "unstable", "weight-sum", "p-empty", "p-word", "target-empty",
         "target-word", "weight-count", "caps-count", "caps-bound", "outside-span",
         "rank-deficient"])
@@ -1146,6 +1185,7 @@ EXIT_CODES = {
     errors.TargetOutsideSpan: 4,
     errors.LyapunovSolveFailure: 6,
     errors.EigenFailure: 6,
+    errors.BeyondDoubleRange: 6,
 }
 FAILURES = [value for value in vars(errors).values()
             if isinstance(value, type) and issubclass(value, errors.CtrlscoreError)]
@@ -1175,5 +1215,5 @@ def test_main_maps_every_raised_failure_to_its_documented_exit_code(monkeypatch,
 def test_every_class_of_the_errors_module_is_a_package_failure():
     defined = [value for value in vars(errors).values()
                if isinstance(value, type) and value.__module__ == errors.__name__]
-    assert FAILURES == defined and len(defined) == 20
+    assert FAILURES == defined and len(defined) == 21
     assert set(EXIT_CODES) <= set(FAILURES)

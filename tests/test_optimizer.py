@@ -515,18 +515,51 @@ def test_a_dense_system_in_extreme_time_units_scores_to_its_unit_time_weights(
                                _dense30_weights(kind, 1.0), rtol=0, atol=1e-9)
 
 
-def test_in_unit_scales_by_a_power_of_four_into_a_quarter_to_one():
-    for top in (1.0, 0.25, 0.5 - 2**-60, 3.0, 1e-300, 5e-324, 1.7e308):
-        model = cs.SpectralModel((1, 2), [[top, 0.0], [0.0, top / 2]])
-        unit = optimizer._in_unit(model)
-        exponent = math.frexp(unit.eigen_table[0, 0])[1] - math.frexp(top)[1]
-        assert 0.25 <= unit.eigen_table.max() < 1.0 and exponent % 2 == 0
-        np.testing.assert_array_equal(unit.eigen_table,
-                                      np.ldexp(model.eigen_table, exponent))
-        assert (unit is model) == (exponent == 0)
+def _unit_table(unit) -> np.ndarray:
+    """The table a unit copy scores, read-only: its ``eigen_table``, or the
+    table of its nonzeros where it holds no K x m array."""
+    if unit.eigen_table is not None:
         assert not unit.eigen_table.flags.writeable
+        return unit.eigen_table
+    rows, cols, values, shape = unit._nonzeros
+    assert not values.flags.writeable
+    table = np.zeros(shape)
+    table[rows, cols] = values
+    return table
+
+
+@pytest.mark.parametrize("modes", [2, 16], ids=["dense", "sparse"])
+def test_in_unit_scales_by_a_power_of_four_into_a_quarter_to_one(modes):
+    # A 16 x 2 table has 2 of its 32 entries nonzero, below the sparse share.
+    for top in (1.0, 0.25, 0.5 - 2**-60, 3.0, 1e-300, 5e-324, 1.7e308):
+        table = np.zeros((modes, 2))
+        table[0, 0], table[1, 1] = top, top / 2
+        model = cs.SpectralModel((1, 2), table)
+        assert (model._nonzeros is None) == (modes == 2)
+        unit = optimizer._in_unit(model)
+        scaled = _unit_table(unit)
+        exponent = math.frexp(scaled[0, 0])[1] - math.frexp(top)[1]
+        assert 0.25 <= scaled.max() < 1.0 and exponent % 2 == 0
+        np.testing.assert_array_equal(scaled, np.ldexp(model.eigen_table, exponent))
+        assert (unit is model) == (exponent == 0)
+        assert (unit.eigen_table is None) == (unit is not model and modes == 16)
         assert unit.node_indices == model.node_indices
         assert unit.score_order == model.score_order
+        assert unit.mode_count == model.mode_count
+
+
+def test_a_heat_solve_on_2000_modes_holds_no_table_sized_array():
+    # The unit copy of a sparse table holds its nonzeros alone.  When it
+    # scaled the whole 2000 x 2000 table the solve peaked at 31 MiB traced.
+    model = cs.heat_dirichlet_model(range(1, 2001))
+    tracemalloc.start()
+    try:
+        result = cs.solve(ObjectiveKind.AECS, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged and result.uniqueness_certified
+    assert peak < 2**20
 
 
 def test_a_unit_family_reuses_its_owners_node_factor(rng, monkeypatch):

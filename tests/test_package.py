@@ -11,18 +11,19 @@ import pytest
 
 import ctrlscore
 
-#: The package's public names when ``__init__`` still imported them eagerly.
+#: The package's public names: those of the eager ``__init__`` it replaced,
+#: and ``BeyondDoubleRange``, added since.
 PUBLIC_NAMES = (
-    "AssumptionReport", "BadGridStep", "BadIndexSet", "CapsBind", "CtrlscoreError",
-    "EigenFailure", "EmptyFeasibleSet", "EmptyIndexSet", "IndexMismatch", "Infeasible",
-    "InfeasiblePoint", "InvalidWeights", "LyapunovSolveFailure", "ModelFile",
-    "NodeGramianFamily", "NonConvexAmbiguous", "NonSquare", "NotDiagonal",
-    "ObjectiveEvaluation", "ObjectiveKind", "ParseError", "RankDeficient",
-    "ReachabilityEllipsoid", "ScoreResult", "SimplexWeights", "SpectralModel",
-    "StableLTISystem", "TargetOutsideSpan", "TooLarge", "UnstableSystem",
-    "assemble_gramian", "central_point", "check_commuting", "check_feasibility",
-    "check_n_spectrum", "check_stability", "closed_form_optimum", "evaluate",
-    "gramian_family", "grid_oracle", "heat_dirichlet_model", "kkt_residual",
+    "AssumptionReport", "BadGridStep", "BadIndexSet", "BeyondDoubleRange", "CapsBind",
+    "CtrlscoreError", "EigenFailure", "EmptyFeasibleSet", "EmptyIndexSet",
+    "IndexMismatch", "Infeasible", "InfeasiblePoint", "InvalidWeights",
+    "LyapunovSolveFailure", "ModelFile", "NodeGramianFamily", "NonConvexAmbiguous",
+    "NonSquare", "NotDiagonal", "ObjectiveEvaluation", "ObjectiveKind", "ParseError",
+    "RankDeficient", "ReachabilityEllipsoid", "ScoreResult", "SimplexWeights",
+    "SpectralModel", "StableLTISystem", "TargetOutsideSpan", "TooLarge",
+    "UnstableSystem", "assemble_gramian", "central_point", "check_commuting",
+    "check_feasibility", "check_n_spectrum", "check_stability", "closed_form_optimum",
+    "evaluate", "gramian_family", "grid_oracle", "heat_dirichlet_model", "kkt_residual",
     "min_energy", "node_gramian", "parse_model_text", "project_capped_simplex",
     "reachable_ellipsoid", "solve", "unit_ball_log_volume",
 )

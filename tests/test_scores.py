@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ORDER_BUILDERS,
@@ -13,6 +15,7 @@ from conftest import (
     random_commuting_family,
     random_diagonal_model,
     random_stable_family,
+    table_model,
 )
 
 from oracles import reference_hessian, table_derivatives
@@ -330,6 +333,88 @@ def test_table_derivatives_match_the_row_copy_oracle(rng, modes, order):
         np.testing.assert_allclose(got_diagonal, diagonal, rtol=1e-13)
         for v in rng.uniform(0.0, 1.0, (2, size)):
             np.testing.assert_allclose(matvec(v), product(v), rtol=1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.floats(1 / 50, 1 / 8), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_table_on_its_nonzeros_matches_the_dense_formulas(modes, size, density, full,
+                                                            capped, seed):
+    # Tables with K, m <= 40 and 1/50 to 1/8 of their entries nonzero (more
+    # where n rows need one each), scored on all their rows or on fewer:
+    # the value, gradient, Hessian product and Hessian diagonal of the
+    # nonzero path against the row-copy oracle, to 1e-13 relative, at a
+    # point inside the simplex or a capped simplex.
+    rng = np.random.default_rng(seed)
+    order = modes if full or modes == 1 else int(rng.integers(1, modes))
+    table = np.zeros((modes, size))
+    needed = rng.choice(modes, order, replace=False)
+    table[needed, rng.integers(0, size, order)] = 1.0
+    extra = round(density * modes * size) - order
+    if extra > 0:
+        table.flat[rng.choice(modes * size, extra, replace=False)] = 1.0
+    scales = 2.0 ** rng.integers(-20, 21, table.shape)
+    table *= rng.uniform(0.5, 1.0, table.shape) * scales
+    model = table_model(table, order, sparse=True)
+    raw = rng.uniform(0.1, 1.0, size)
+    caps = np.minimum(1.0, 2.0 * raw / raw.sum()) if capped else np.ones(size)
+    point = 0.5 * (cs.central_point(caps).values
+                   + cs.project_capped_simplex(rng.dirichlet(np.ones(size)), caps))
+    pairs = model.eigenpairs(point)
+    mu = table[pairs.selected] @ point
+    assert pairs.positive
+    np.testing.assert_allclose(pairs.values, mu, rtol=1e-13)
+    for kind in ObjectiveKind:
+        score = SCORES[kind]
+        evaluation = _Objective(kind, model)(point)
+        terms = score.phi(mu)
+        assert abs(evaluation.value - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+        gradient, product, diagonal = table_derivatives(model, pairs, score)
+        matvec, got_diagonal = evaluation.curvature()
+        np.testing.assert_allclose(evaluation.gradient, gradient, rtol=1e-13)
+        np.testing.assert_allclose(got_diagonal, diagonal, rtol=1e-13)
+        for v in rng.uniform(0.0, 1.0, (2, size)):
+            np.testing.assert_allclose(matvec(v), product(v), rtol=1e-13)
+
+
+def _permuted_diagonal(rng, modes: int, size: int, count: int, power: int) -> np.ndarray:
+    """A K x m table with ``count`` nonzeros, at most one in each row and
+    column, times ``2**power``."""
+    table = np.zeros((modes, size))
+    rows = rng.choice(modes, count, replace=False)
+    cols = rng.choice(size, count, replace=False)
+    table[rows, cols] = np.ldexp(rng.uniform(0.1, 1.0, count), power)
+    return table
+
+
+@pytest.mark.parametrize("power", [-60, 0, 60])
+@pytest.mark.parametrize("modes, size, count",
+                         [(30, 30, 30), (40, 25, 22), (20, 35, 18)])
+def test_a_table_with_one_nonzero_per_row_and_column_keeps_its_bits(rng, power, modes,
+                                                                    size, count):
+    # Every sum of the nonzero path then has one term, as has every sum of
+    # the dense path: the evaluation, its Hessian and the whole solve give
+    # the same bits on both, at binary scales far from 1.
+    table = _permuted_diagonal(rng, modes, size, count, power)
+    sparse, dense = (table_model(table, count, sparse=flag) for flag in (True, False))
+    point = interior_point(rng, size, 0.01)
+    got, want = sparse.eigenpairs(point), dense.eigenpairs(point)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.selected, want.selected)
+    for kind in ObjectiveKind:
+        got, want = (_Objective(kind, model)(point) for model in (sparse, dense))
+        assert got.value == want.value
+        assert np.array_equal(got.gradient, want.gradient)
+        (got_matvec, got_diagonal), (want_matvec, want_diagonal) = (
+            got.curvature(), want.curvature())
+        assert np.array_equal(got_diagonal, want_diagonal)
+        for v in rng.standard_normal((2, size)):
+            assert np.array_equal(got_matvec(v), want_matvec(v))
+        got, want = (cs.solve(kind, model) for model in (sparse, dense))
+        assert got.converged and got.uniqueness_certified
+        assert np.array_equal(got.weights.values, want.weights.values)
+        assert (got.objective, got.kkt_residual, got.iterations) == (
+            want.objective, want.kkt_residual, want.iterations)
 
 
 def test_evaluate_gives_a_hessian_at_a_near_degenerate_point():
