@@ -3,7 +3,11 @@
 A model file is a line-oriented text format with an explicit schema version.
 ``#`` starts a comment that runs to the end of the line, on statement and
 payload rows alike; blank lines are ignored.  Tokens are separated by any
-whitespace, tabs included.  Grammar (EBNF, also documented in the README):
+whitespace, tabs included.  ``EOL`` is any line boundary of Python's
+``str.splitlines()``: ``\\n``, ``\\r\\n``, ``\\r``, ``\\x0b``, ``\\x0c``,
+``\\x1c``, ``\\x1d``, ``\\x1e``, ``\\x85``, ``\\u2028`` or ``\\u2029``; line
+numbers count these boundaries.  Grammar (EBNF, also documented in the
+README):
 
     file    = header { line } ;
     header  = "ctrlscore-model" "v" INT EOL ;
@@ -33,20 +37,23 @@ raise :class:`~ctrlscore.errors.ParseError` with a 1-based line and column,
 those of the statement when a rule fails; the column is a 1-based
 character offset (a tab counts as one character).
 
-A ``matrix`` or ``table`` payload becomes one read-only float64 array, read
-by a single ``np.loadtxt`` call over the block's rows.  When that call
-fails or its result is the wrong shape or not finite, a row-by-row loop
-reads the same rows again: it finds the error's line and column, and it
-reads the spellings that only ``float()`` takes (``1_000``, non-ASCII
-digits).
+The text is read one line at a time (:func:`_lines`); no list of its lines
+is made.  A ``matrix`` or ``table`` payload becomes one read-only float64
+array: a single ``np.loadtxt`` call takes the block's rows as they are
+read and fills an array of exactly the block's size, so a parse holds the
+text and that array and little else.  When that call fails, or its result
+is the wrong shape or not finite, a row-by-row loop reads the block again
+from its first line: it finds the error's line and column, and it reads
+the spellings that only ``float()`` takes (``1_000``, non-ASCII digits).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, dropwhile, islice
 
 import numpy as np
 
@@ -155,29 +162,60 @@ def _to_float(token: str, line: int, col: int) -> float:
     return value
 
 
-def _read_rows(lines, nrows: int, ncols: int, what: str,
-               last_line: int) -> np.ndarray:
-    """Take the next ``nrows`` lines of ``lines`` as a read-only
-    ``(nrows, ncols)`` array.
+def _lines(text: str):
+    """``(lineno, body)`` for each line of ``text`` that holds more than
+    whitespace once its comment is cut off; ``lineno`` is 1-based.
 
-    One ``np.loadtxt`` call reads a well-formed block.  Any other block goes
-    through the row loop, which raises at the first bad row or token, or
-    returns the values of tokens that only ``float()`` reads.  Token columns
-    are only worked out for the error message.
+    The lines are those of ``text.splitlines()``, read one at a time: each
+    piece of ``text`` up to and including a line feed is split on its own,
+    which cuts where the whole text would be cut, as a line feed always
+    ends a line (``\\r\\n`` is one boundary, and it ends with the feed)."""
+    lineno = 0
+    start = 0
+    size = len(text)
+    while start < size:
+        end = text.find("\n", start) + 1 or size
+        for raw in text[start:end].splitlines():
+            lineno += 1
+            body = raw.split("#", 1)[0]
+            if body and not body.isspace():
+                yield lineno, body
+        start = end
+
+
+def _read_rows(text: str, lines, nrows: int, ncols: int, what: str,
+               header_line: int) -> np.ndarray:
+    """Take the next ``nrows`` entries of ``lines``, the iterator of
+    :func:`_lines` over ``text`` that has just yielded the block's statement
+    at ``header_line``, as a read-only ``(nrows, ncols)`` array.
+
+    ``np.loadtxt`` reads the bodies as they come, into one array of
+    ``nrows`` rows; ``islice`` keeps it from taking the next statement.
+    When that call fails, or its result is the wrong shape or not finite,
+    ``lines`` skips the rest of the block, and the row loop reads the block
+    again from its first line through a new :func:`_lines` over ``text``:
+    it raises at the first bad row or token, or returns the values of
+    tokens that only ``float()`` reads.  Token columns are only worked out
+    for the error message.
     """
-    block = list(islice(lines, nrows))
-    if len(block) == nrows:
+    block = islice(lines, nrows)
+    first = next(block, None)
+    if first is not None:  # loadtxt warns where it gets no rows
         try:
-            data = np.loadtxt([body for _, body in block], dtype=float,
-                              comments=None, ndmin=2)
+            data = np.loadtxt(chain((first[1],), (body for _, body in block)),
+                              dtype=float, comments=None, ndmin=2, max_rows=nrows)
         except ValueError:
             data = None
         if (data is not None and data.shape == (nrows, ncols)
                 and np.isfinite(data).all()):
             data.flags.writeable = False
             return data
+        deque(block, maxlen=0)  # leave ``lines`` after the block
     rows = []
-    for lineno, body in block:
+    last_line = header_line
+    again = dropwhile(lambda entry: entry[0] <= header_line, _lines(text))
+    for lineno, body in islice(again, nrows):
+        last_line = lineno
         values = body.split()
         if len(values) != ncols:
             raise ParseError(
@@ -205,14 +243,10 @@ def _read_rows(lines, nrows: int, ncols: int, what: str,
 
 def parse_model_text(text: str) -> ModelFile:
     """Parse and validate a model file; raises ParseError on any defect."""
-    bodies = (raw.split("#", 1)[0] for raw in text.splitlines())
-    numbered = [(lineno, body) for lineno, body in enumerate(bodies, start=1)
-                if body.strip()]
-    if not numbered:
+    lines = _lines(text)
+    lineno, body = next(lines, (1, None))
+    if body is None:
         raise ParseError("empty model file", 1, 1)
-    last_line = numbered[-1][0]
-    lines = iter(numbered)
-    lineno, body = next(lines)
     tokens = _tokens(body)
     if tokens[0][0] != "ctrlscore-model":
         raise ParseError("expected header 'ctrlscore-model v<INT>'",
@@ -267,7 +301,7 @@ def parse_model_text(text: str) -> ModelFile:
             dim = _to_int(tokens[1][0], lineno, tokens[1][1])
             if dim < 1:
                 raise ParseError("matrix dimension must be >= 1", lineno, tokens[1][1])
-            matrix = _read_rows(lines, dim, dim, "matrix", last_line)
+            matrix = _read_rows(text, lines, dim, dim, "matrix", lineno)
         elif word == "table":
             if len(tokens) != 3:
                 raise ParseError("table takes row and column counts", lineno, col)
@@ -275,7 +309,7 @@ def parse_model_text(text: str) -> ModelFile:
             ncols = _to_int(tokens[2][0], lineno, tokens[2][1])
             if nrows < 1 or ncols < 1:
                 raise ParseError("table dimensions must be >= 1", lineno, tokens[1][1])
-            table = _read_rows(lines, nrows, ncols, "table", last_line)
+            table = _read_rows(text, lines, nrows, ncols, "table", lineno)
         else:
             raise ParseError(f"unknown statement {word!r}", lineno, col)
 

@@ -187,13 +187,16 @@ def _newton_direction(evaluation, point: np.ndarray, target: np.ndarray,
     bounds exactly, so exact comparisons find the held coordinates.  None
     where the model gives no Hessian, eigenvalues ``n`` and ``n + 1``
     (nearly) tie, the face has no room, or a free coordinate has no
-    curvature."""
+    curvature.  None also where the Hessian's diagonal is not finite, as
+    when ``mu_n^4`` underflows in the AECS curvature: its products would
+    read ``inf * 0``."""
     if evaluation.near_degenerate or evaluation.curvature is None:
         return None
     matvec, diagonal = evaluation.curvature()
     free = ~(((point == 0.0) & (target == 0.0))
              | ((point == caps) & (target == caps)))
-    if np.count_nonzero(free) < 2 or not np.all(diagonal[free] > 0.0):
+    if (np.count_nonzero(free) < 2 or not np.all(diagonal[free] > 0.0)
+            or not np.isfinite(diagonal).all()):
         return None
     return _projected_cg(matvec, diagonal, evaluation.gradient, free)
 
@@ -381,7 +384,9 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         If the model is feasible but no start has a finite score in the
         unit of :func:`_in_unit`: its ``mu_n`` lies too far below ``mu_1``
         at the central point for double precision, or an entry flushed to
-        zero in the unit.  The message gives both eigenvalues.
+        zero in the unit.  Also if the best start's score, finite in that
+        unit, overflows in the model's own units.  The message gives both
+        eigenvalues, at the central point or at that start's optimum.
     NonConvexAmbiguous
         If multi-starts disagree on the optimal value by more than 1e-6.
         The merged result is attached to the exception.
@@ -411,18 +416,23 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
                 pool.map(lambda s: _descend(in_unit, s, caps_arr), starts)
             )
 
+    def beyond_range(point, where: str) -> BeyondDoubleRange:
+        mu = model.eigenpairs(point).values
+        return BeyondDoubleRange(
+            f"the {kind.value} score is not finite in double precision at "
+            f"{where}, where mu_{model.score_order} = {mu[-1]:.3e} and "
+            f"mu_1 = {mu[0]:.3e}")
+
     finite_idx = [i for i, t in enumerate(trajectories) if math.isfinite(t.value)]
     if not finite_idx:  # start 0, the witness, is feasible in the model's units
-        mu = model.eigenpairs(report.witness).values
-        raise BeyondDoubleRange(
-            f"the {kind.value} score is not finite in double precision at the "
-            f"central point, where mu_{model.score_order} = {mu[-1]:.3e} and "
-            f"mu_1 = {mu[0]:.3e}")
+        raise beyond_range(report.witness, "the central point")
     converged_idx = [i for i in finite_idx if trajectories[i].converged]
     candidate_idx = converged_idx if converged_idx else finite_idx
     best_idx = min(candidate_idx, key=lambda i: (trajectories[i].value, i))
     best = trajectories[best_idx]
     reported = tuple(objective.value(t.point) for t in trajectories)
+    if not math.isfinite(reported[best_idx]):
+        raise beyond_range(best.point, "the optimum")
 
     warnings: list[str] = []
     if not certified:

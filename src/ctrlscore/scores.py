@@ -102,6 +102,23 @@ class ObjectiveEvaluation:
         return math.isfinite(self.value)
 
 
+def _unchecked():
+    """An ``np.errstate`` under which a value or derivative that leaves
+    double precision, where ``mu_n`` is too small beside ``mu_1``, comes out
+    ``inf`` or ``nan`` without a warning; the callers test for it."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+def _quiet_hessian(curvature: Callable) -> Callable:
+    """``curvature`` that forms its Hessian under :func:`_unchecked`: the
+    AECS divided differences ``(a + b) / (a b)^2`` leave double precision
+    before the value does."""
+    def hessian():
+        with _unchecked():
+            return curvature()
+    return hessian
+
+
 class _Objective:
     """Reusable evaluator of one score objective on one model."""
 
@@ -117,19 +134,22 @@ class _Objective:
         """Value, gradient and Hessian callable from the selected eigenpairs,
         both derivatives read from ``model.derivatives``."""
         if pairs.positive:
-            # 1 / s(mu_n) overflows where mu_n is too small beside mu_1
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            with _unchecked():
                 grad, curvature = self.model.derivatives(pairs, self.score)
                 value = float(self.score.phi(pairs.values).sum())
             if math.isfinite(value) and np.isfinite(grad).all():
                 return ObjectiveEvaluation(value, grad, None, pairs.near_degenerate,
-                                           curvature)
+                                           curvature and _quiet_hessian(curvature))
         return ObjectiveEvaluation(math.inf, None, None, pairs.near_degenerate)
 
     def value(self, weights) -> float:
-        """The value alone at ``weights``, with the bits of :meth:`__call__`'s."""
+        """The value alone at ``weights``, with the bits of :meth:`__call__`'s;
+        ``inf`` where it overflows."""
         pairs = self.model.eigenpairs(weights)
-        return float(self.score.phi(pairs.values).sum()) if pairs.positive else math.inf
+        if not pairs.positive:
+            return math.inf
+        with _unchecked():
+            return float(self.score.phi(pairs.values).sum())
 
     def stationarity_gradient(self, evaluation: ObjectiveEvaluation) -> np.ndarray:
         """The scale-free gradient the solver stops on: ``grad f`` for VCS
@@ -165,7 +185,8 @@ def evaluate(kind: ObjectiveKind, model, weights) -> ObjectiveEvaluation:
     if evaluation.curvature is None:
         return evaluation
     matvec, _ = evaluation.curvature()
-    hess = np.column_stack([matvec(unit) for unit in np.eye(model.node_count)])
+    with _unchecked():
+        hess = np.column_stack([matvec(unit) for unit in np.eye(model.node_count)])
     return dataclasses.replace(evaluation, hessian=0.5 * (hess + hess.T))
 
 

@@ -783,6 +783,26 @@ def test_a_table_inside_the_double_range_still_scores(tmp_path, capsys):
     assert capsys.readouterr().out == "node,weight\n1,0.500000\n2,0.500000\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_aecs_table_whose_hessian_underflows_still_scores(tmp_path, capsys):
+    # mu_2^4 underflows at the central point; the Hessian once warned there.
+    path = write(tmp_path, "range.csm", _two_mode_table("1", "1e-80"))
+    assert main(["score", path, "--kind", "aecs", "--format", "csv"]) == 0
+    assert capsys.readouterr() == ("node,weight\n1,0.000000\n2,1.000000\n", "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_score_that_overflows_in_the_files_units_is_a_numerical_failure(tmp_path,
+                                                                          capsys):
+    path = write(tmp_path, "range.csm", (
+        "ctrlscore-model v1\nkind spectral_table\nnodes 1 2 3\ntable 3 3\n"
+        "1e-309 0 0\n0 2e-309 0\n0 0 3e-309\n"))
+    assert main(["score", path, "--kind", "aecs"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", (
+        "error: the aecs score is not finite in double precision at the optimum, "
+        "where mu_3 = 4.377e-310 and mu_1 = 7.582e-310\n"))
+
+
 def test_an_unconverged_score_exits_5_with_its_report(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "heat4.csm", HEAT4)
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)

@@ -9,7 +9,7 @@ from oracles import dump_model_text, model_file_from_spectral
 
 import ctrlscore as cs
 from ctrlscore import cli, linsys, simplex
-from ctrlscore.modelfile import parse_model_text
+from ctrlscore.modelfile import _lines, parse_model_text
 
 HEAT_TEXT = """\
 ctrlscore-model v1
@@ -257,6 +257,104 @@ def test_payload_parse_matches_the_float_rule(data):
     payload = parsed.table if table else parsed.dynamics
     assert payload.dtype == np.float64 and not payload.flags.writeable
     assert np.array_equal(payload.view(np.uint64), expected.view(np.uint64))
+
+
+#: Every line boundary of ``str.splitlines``; ``\r\n`` is one.
+_BOUNDARIES = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("eol", _BOUNDARIES, ids=repr)
+@pytest.mark.parametrize("text", [HEAT_TEXT, DENSE_TEXT, TABLE_TEXT],
+                         ids=["heat", "dense", "table"])
+def test_every_splitlines_boundary_ends_a_line(text, eol):
+    expected = parse_model_text(text)
+    assert parse_model_text(text.replace("\n", eol)) == expected
+    # the boundary and the line feed in turn
+    lines = text.splitlines()
+    mixed = "".join(line + ("\n" if i % 2 else eol) for i, line in enumerate(lines))
+    assert parse_model_text(mixed) == expected
+    # the line feed after the boundary ends a blank line, or with \r one \r\n
+    assert parse_model_text(text.replace("\n", eol + "\n")) == expected
+
+
+@pytest.mark.parametrize("eol", _BOUNDARIES, ids=repr)
+def test_an_error_after_any_boundary_is_on_the_line_splitlines_counts(eol):
+    # The table's second row, bad at its second token, is line 6 where each
+    # boundary ends one line, and line 11 where a line feed follows each
+    # boundary: each of the five lines before it gains an empty one, except
+    # after \r, where the two make one \r\n.
+    rows = ["1 0", "0 x"]
+    text = _table_text(2, rows).replace("\n", eol)
+    with pytest.raises(cs.ParseError) as info:
+        parse_model_text(text)
+    assert (info.value.line, info.value.column) == (6, 3)
+    doubled = _table_text(2, rows).replace("\n", eol + "\n")
+    with pytest.raises(cs.ParseError) as info:
+        parse_model_text(doubled)
+    assert (info.value.line, info.value.column) == (6 if eol == "\r" else 11, 3)
+    assert doubled.splitlines()[info.value.line - 1] == "0 x"
+
+
+_LINE_PIECES = st.sampled_from(_BOUNDARIES + ["\n", "#", " ", "\t", "a", "1 2"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LINE_PIECES, max_size=30).map("".join))
+def test_the_line_reader_yields_the_nonblank_bodies_of_splitlines(text):
+    bodies = [(lineno, raw.split("#", 1)[0])
+              for lineno, raw in enumerate(text.splitlines(), 1)]
+    assert list(_lines(text)) == [(lineno, body) for lineno, body in bodies
+                                  if body.strip()]
+
+
+@pytest.mark.parametrize("rows", [["1 0", "0 2"], ["1_0 0", "0 \uff12"]],
+                         ids=["loadtxt", "row-loop"])
+def test_statements_after_a_payload_block_still_parse(rows):
+    # The block reader takes its rows alone, also where the row loop reads
+    # them again after loadtxt fails on a spelling only float() reads.
+    table = _table_text(2, rows) + "n 1\ncaps 0.5 0.75\n"
+    parsed = parse_model_text(table)
+    assert parsed.score_order == 1 and parsed.caps == (0.5, 0.75)
+    np.testing.assert_array_equal(parsed.table, [[10.0, 0.0], [0.0, 2.0]]
+                                  if "_" in rows[0] else [[1.0, 0.0], [0.0, 2.0]])
+    dense = ("ctrlscore-model v1\nkind dense_lti\nnodes 1\nmatrix 2\n"
+             + "".join(f"-{row}\n" for row in rows) + "n 1\n")
+    assert parse_model_text(dense).score_order == 1
+
+
+def test_a_bad_token_deep_in_a_large_block_keeps_its_line_and_column():
+    rows = ["1 2 3"] * 1000
+    rows[899] = "1 2e x"
+    with pytest.raises(cs.ParseError) as info:
+        parse_model_text(_table_text(3, rows))
+    assert (info.value.line, info.value.column) == (904, 3)
+    assert str(info.value).endswith("expected number, got '2e'")
+
+
+def test_loading_a_large_sparse_table_peaks_near_its_text_and_array(tmp_path):
+    # Short tokens, as in a diagonal table: the text is about half the
+    # array.  The parse reads one line at a time into one array of the
+    # block's size; with the text split into a list of lines and a growing
+    # loadtxt result it peaked at 16.8 MiB, for a 3.8 MiB text and a
+    # 7.6 MiB array.
+    size = 1000
+    rows = []
+    for k in range(size):
+        tokens = ["0.0"] * size
+        tokens[k] = repr(1.0 + k / size)
+        rows.append(" ".join(tokens))
+    text = _table_text(size, rows)
+    path = tmp_path / "diag.csm"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        parsed, _ = cli._load(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.table.shape == (size, size)
+    assert peak < len(text) + parsed.table.nbytes + 1.5 * 2**20
 
 
 def test_parsed_table_holds_little_more_than_its_array():

@@ -718,6 +718,40 @@ def test_a_table_with_mu_2_over_mu_1_below_1e_18_solves_at_every_scale(kind, sca
     np.testing.assert_allclose(result.weights.values, [1.0, 0.0], rtol=0, atol=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("small", [1e-80, 1e-100, 1e-150])
+def test_an_aecs_hessian_that_underflows_takes_the_gradient_step(small):
+    # At the central point (a b)^2 = mu_1^2 mu_2^2 underflows in the unit, so
+    # the AECS curvature is infinite there; forming it once warned "divide by
+    # zero".  The gradient steps move the weight to node 2, where it is finite.
+    model = cs.SpectralModel((1, 2), [[1.0, 0.0], [0.0, small]])
+    point = central_point(np.ones(2))
+    evaluation = _Objective(ObjectiveKind.AECS, optimizer._in_unit(model))(point)
+    assert evaluation.feasible
+    assert not np.isfinite(evaluation.curvature()[1]).all()
+    assert optimizer._newton_direction(evaluation, point, point, np.ones(2)) is None
+    result = cs.solve(ObjectiveKind.AECS, model)
+    assert result.converged and result.uniqueness_certified
+    closed = cs.closed_form_optimum(ObjectiveKind.AECS, model)
+    np.testing.assert_allclose(result.weights.values, closed.values, rtol=0, atol=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_optimum_that_overflows_in_the_callers_units_is_beyond_double_range():
+    # Finite in the unit, the AECS optimum S^2 / scale, S = sum_i i^(-1/2),
+    # passes the largest float at scale 1e-309; it once warned "overflow" and
+    # reported inf.
+    diagonal = np.diag([1.0, 2.0, 3.0])
+    closed = sum(i**-0.5 for i in (1, 2, 3)) ** 2
+    result = cs.solve(ObjectiveKind.AECS, cs.SpectralModel((1, 2, 3), 1e-305 * diagonal))
+    assert result.objective == pytest.approx(closed / 1e-305, rel=1e-9)
+    with pytest.raises(cs.BeyondDoubleRange) as info:
+        cs.solve(ObjectiveKind.AECS, cs.SpectralModel((1, 2, 3), 1e-309 * diagonal))
+    assert str(info.value) == (
+        "the aecs score is not finite in double precision at the optimum, "
+        "where mu_3 = 4.377e-310 and mu_1 = 7.582e-310")
+
+
 def test_projected_cg_solves_the_newton_system_on_the_free_face(rng):
     # Dense KKT reference: [H_FF 1; 1^T 0] [s; nu] = [-g_F; 0].
     factor = rng.standard_normal((8, 8))

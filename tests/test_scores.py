@@ -425,6 +425,21 @@ def test_evaluate_gives_a_hessian_at_a_near_degenerate_point():
     np.testing.assert_array_equal(got.hessian, [[16.0, 0.0], [0.0, 0.0]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("modes", [2, 40], ids=["dense", "sparse"])
+def test_an_aecs_hessian_past_the_double_range_is_not_finite_without_a_warning(modes):
+    # mu_2^4 underflows, so the curvature 2 / mu_2^3 is infinite: the value
+    # and gradient stay finite, and the Hessian reads inf or nan, as the
+    # descent's Newton test expects, where it once warned "divide by zero".
+    table = np.zeros((modes, 2))
+    table[0, 0], table[1, 1] = 1.0, 1e-90
+    evaluation = cs.evaluate(ObjectiveKind.AECS, cs.SpectralModel((1, 2), table),
+                             [0.5, 0.5])
+    assert evaluation.feasible and np.isfinite(evaluation.gradient).all()
+    assert not np.isfinite(evaluation.curvature()[1]).all()
+    assert not np.isfinite(evaluation.hessian).all()
+
+
 @pytest.mark.parametrize("order", [2.5, 3.9, 0, -1, 4, np.int64(2)])
 @pytest.mark.parametrize("builder", ORDER_BUILDERS)
 def test_one_score_order_rule(builder, order):
