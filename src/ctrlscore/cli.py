@@ -74,7 +74,7 @@ from .errors import (  # noqa: E402
 from .linsys import node_labels  # noqa: E402
 from .modelfile import ModelFile, parse_model_text  # noqa: E402
 from .optimizer import grid_oracle, grid_units, solve  # noqa: E402
-from .scores import SCORES, ObjectiveKind, closed_form_optimum  # noqa: E402
+from .scores import ObjectiveKind, closed_form_optimum, scale_free_gap  # noqa: E402
 from .simplex import SimplexWeights  # noqa: E402
 from .spectral import AssumptionReport, check_feasibility, heat_dirichlet_model  # noqa: E402
 
@@ -233,10 +233,9 @@ def _parse_float_list(text: str, what: str) -> np.ndarray:
 
 def _oracle_agrees(kind: ObjectiveKind, objective: float, oracle: float) -> bool:
     """Whether ``oracle`` beats ``objective`` by no more than rounding, on the
-    stopping test's scale-free objective: VCS, or the log of AECS (``SCORES``)."""
-    if SCORES[kind].relative:
-        return math.log(objective / oracle) <= 1e-9
-    return objective <= oracle + 1e-9
+    stopping test's scale-free objective: VCS, or the log of AECS
+    (:func:`~ctrlscore.scores.scale_free_gap`)."""
+    return scale_free_gap(kind, objective, oracle) <= 1e-9
 
 
 def _cmd_score(args) -> int:

@@ -26,7 +26,10 @@ Gramians and its score order, nothing more: :func:`gramian_family` builds
 one from a :class:`StableLTISystem`, and closed-form Gramians build one
 directly, without dynamics and without scipy.  It carries the eigen methods
 of ``W(p)`` that :class:`~ctrlscore.spectral.SpectralModel` also has, with
-the same arguments: ``eigenpairs(weights)``, the top ``score_order``
+the same arguments (a table that is sparse by the rule of
+:func:`~ctrlscore.spectral._sparse` reads its nonzeros in them, and holds
+them alone where it was given them; a family always reads its dense
+stack): ``eigenpairs(weights)``, the top ``score_order``
 eigenpairs, is the one decomposition of ``W(p)`` at a single point
 (``eigh``), which the feasibility check, the objective and the energy
 diagnostics all read; ``eigenvalues`` is the batch path of the lattice
@@ -113,6 +116,20 @@ def _binary_unit(values: np.ndarray) -> tuple[np.ndarray, int]:
     cannot overflow and does not depend on the unit of the model."""
     exponent = _binary_exponent(values)
     return np.ldexp(values, -exponent), exponent
+
+
+def _psd_within(unit: np.ndarray, tol: float) -> bool:
+    """Whether the symmetric ``unit`` is PSD within ``tol``: whether
+    ``unit + tol I`` has a Cholesky factor, which holds where its least
+    eigenvalue is above ``-tol`` by more than rounding and fails where it
+    is below.  A zero ``unit``, whose ``tol`` is 0, passes."""
+    if not tol:
+        return True
+    try:
+        np.linalg.cholesky(unit + tol * np.eye(len(unit)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _shared(values) -> bool:
@@ -216,6 +233,14 @@ class StableLTISystem:
     def n_dim(self) -> int:
         return self.dynamics.shape[0]
 
+    @functools.cached_property
+    def _unit_norm(self) -> tuple[int, float]:
+        """``(exponent, norm)``: the binary exponent of ``dynamics`` and the
+        Frobenius norm of its binary unit (:func:`_binary_unit`), which
+        every Lyapunov residual check reads; taken once per system."""
+        unit, exponent = _binary_unit(self.dynamics)
+        return exponent, float(np.linalg.norm(unit))
+
 
 def check_stability(a_matrix) -> StableLTISystem:
     """Validate stability of ``A`` and return it with its real Schur factor.
@@ -255,7 +280,8 @@ class NodeGramianFamily:
     is a read-only float64 array (:func:`_shared`, else a copy), shape (m, d,
     d): ``gramians[i]`` belongs to node ``node_indices[i]``.  Each must be
     finite, symmetric and PSD within ``DEFAULT_TOL ||W_i||_F``, taken on its
-    binary unit (:func:`_binary_unit`); families built by
+    binary unit (:func:`_binary_unit`), PSD by a Cholesky factor
+    (:func:`_psd_within`), which a zero Gramian passes; families built by
     :func:`gramian_family` additionally satisfy the Lyapunov residual bound.
     No dynamics are kept, so a family can come from closed-form Gramians as
     well.  ``score_order`` is how many of the largest eigenvalues of ``W(p)``
@@ -288,7 +314,7 @@ class NodeGramianFamily:
             tol = DEFAULT_TOL * np.linalg.norm(unit)
             if np.linalg.norm(unit - unit.T) > tol:
                 raise EigenFailure(f"Gramian for node {node} is not symmetric")
-            if np.linalg.eigvalsh(unit)[0] < -tol:
+            if not _psd_within(unit, tol):
                 raise EigenFailure(f"Gramian for node {node} is not PSD")
         stack.flags.writeable = False
         object.__setattr__(self, "gramians", stack)
@@ -500,9 +526,12 @@ def _solve_lyapunov(system: StableLTISystem, input_weights: np.ndarray,
     LAPACK's ``dtrsyl`` and returns ``W = Z Y Z^T``.  These are the steps
     scipy's dense Lyapunov solver takes after its own ``schur`` call, so the
     result is the same to the bit, without re-factoring ``A`` for every
-    solve.  ``dtrsyl`` reports ``info == 1`` when it had to perturb
-    near-singular eigenvalue sums; such a solution is accepted only if it
-    passes the residual check below, and nothing is printed.
+    solve; the right-hand side is one product, of ``Z^T`` and the rows of
+    ``Z`` scaled by ``-q``.  ``dtrsyl`` reports ``info == 1`` when it had to
+    perturb near-singular eigenvalue sums; such a solution is accepted only
+    if it passes the residual check below, and nothing is printed.  The
+    residual ``P + P^T + diag(q)`` takes one product, ``P = A W``, and the
+    norm of the binary unit of ``A`` is taken once per system.
 
     Raises
     ------
@@ -513,9 +542,11 @@ def _solve_lyapunov(system: StableLTISystem, input_weights: np.ndarray,
     """
     from scipy.linalg.lapack import dtrsyl
 
-    rhs = -np.diag(input_weights)
     a, form, vectors = system.dynamics, system.schur_form, system.schur_vectors
-    solved, scale, info = dtrsyl(form, form, vectors.T @ (rhs @ vectors), tranb="T")
+    # Z^T (-diag q) Z with the rows of Z scaled in C order, which sums the
+    # product in the order of scipy's (-diag q) @ Z, to the bit.
+    rhs = vectors.T @ np.multiply(vectors, -input_weights[:, None], order="C")
+    solved, scale, info = dtrsyl(form, form, rhs, tranb="T")
     if info < 0:
         raise LyapunovSolveFailure(
             f"Lyapunov solve failed for {subject}: dtrsyl argument {-info} is illegal"
@@ -523,10 +554,13 @@ def _solve_lyapunov(system: StableLTISystem, input_weights: np.ndarray,
     solved *= scale
     gram = vectors @ solved @ vectors.T
     gram = 0.5 * (gram + gram.T)
-    residual = np.linalg.norm(a @ gram + gram @ a.T - rhs)
-    a_unit, a_exponent = _binary_unit(a)
+    product = a @ gram  # W A^T is its transpose, as W is symmetric
+    terms = product + product.T
+    terms[np.diag_indices_from(terms)] += input_weights
+    residual = np.linalg.norm(terms)
+    a_exponent, a_norm = system._unit_norm
     gram_unit, gram_exponent = _binary_unit(gram)
-    size = np.linalg.norm(a_unit) * np.linalg.norm(gram_unit)
+    size = a_norm * np.linalg.norm(gram_unit)
     if np.ldexp(residual, -a_exponent - gram_exponent) > DEFAULT_TOL * size:
         raise LyapunovSolveFailure(
             f"Lyapunov residual {residual:.3e} exceeds tolerance for {subject}"

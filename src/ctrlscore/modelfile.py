@@ -37,14 +37,20 @@ raise :class:`~ctrlscore.errors.ParseError` with a 1-based line and column,
 those of the statement when a rule fails; the column is a 1-based
 character offset (a tab counts as one character).
 
-The text is read one line at a time (:func:`_lines`); no list of its lines
-is made.  A ``matrix`` or ``table`` payload becomes one read-only float64
-array: a single ``np.loadtxt`` call takes the block's rows as they are
-read and fills an array of exactly the block's size, so a parse holds the
-text and that array and little else.  When that call fails, or its result
-is the wrong shape or not finite, a row-by-row loop reads the block again
-from its first line: it finds the error's line and column, and it reads
-the spellings that only ``float()`` takes (``1_000``, non-ASCII digits).
+The text is read one line at a time (:func:`_lines`), cut at each line
+feed and carriage return; no list of its lines is made.  A ``matrix``
+payload becomes one read-only float64 array: a single ``np.loadtxt`` call
+takes the block's rows as they are read and fills an array of exactly the
+block's size.  A ``table`` payload is read by ``np.loadtxt`` in chunks of
+at most :data:`_CHUNK_ENTRIES` entries (:func:`_load_table`).  A sparse
+table, by the rule of :func:`~ctrlscore.spectral._sparse`, becomes its
+read-only :class:`~ctrlscore.spectral.Nonzeros` alone, and no K x m array
+is made; a denser one becomes one read-only array, allocated at the first
+chunk that breaks the rule.  So a parse holds the text and the payload
+and little else.  When a call fails, or its result is the wrong shape or
+not finite, a row-by-row loop reads the block again from its first line:
+it finds the error's line and column, and it reads the spellings that
+only ``float()`` takes (``1_000``, non-ASCII digits).
 """
 
 from __future__ import annotations
@@ -61,7 +67,8 @@ from .errors import CtrlscoreError, ParseError
 from .linsys import (UNIT_WEIGHT, NodeGramianFamily, check_stability, gramian_family,
                      node_labels, resolve_score_order, weighted_gramian_family)
 from .simplex import SimplexWeights, validate_caps
-from .spectral import SpectralModel, heat_dirichlet_model
+from .spectral import (Nonzeros, SpectralModel, _dense, _nonzeros, _sparse,
+                       heat_dirichlet_model)
 
 SCHEMA_VERSION = 1
 MODEL_KINDS = ("dense_lti", "spectral_table", "heat_dirichlet")
@@ -71,8 +78,11 @@ MODEL_KINDS = ("dense_lti", "spectral_table", "heat_dirichlet")
 class ModelFile:
     """Parsed, validated model file content.
 
-    ``dynamics`` and ``table`` are read-only float64 arrays.  Equality
-    compares them by value, and a ``ModelFile`` is not hashable.
+    ``dynamics`` is a read-only float64 array.  ``table`` is one too, or,
+    for a table with at most :data:`~ctrlscore.spectral._SPARSE_SHARE` of
+    its entries nonzero, its read-only
+    :class:`~ctrlscore.spectral.Nonzeros` alone.  Equality compares the
+    payloads by value, in either form, and a ``ModelFile`` is not hashable.
     """
 
     schema_version: int
@@ -81,15 +91,15 @@ class ModelFile:
     score_order: int | None = None
     caps: tuple[float, ...] | None = None
     dynamics: np.ndarray | None = None
-    table: np.ndarray | None = None
+    table: np.ndarray | Nonzeros | None = None
 
     def __eq__(self, other):
         if not isinstance(other, ModelFile):
             return NotImplemented
         scalars = ("schema_version", "kind", "node_indices", "score_order", "caps")
         return (all(getattr(self, name) == getattr(other, name) for name in scalars)
-                and all(np.array_equal(getattr(self, name), getattr(other, name))
-                        for name in ("dynamics", "table")))
+                and np.array_equal(self.dynamics, other.dynamics)
+                and _same_table(self.table, other.table))
 
     def build(self, score_order: int | None = None) -> SpectralModel | NodeGramianFamily:
         """Construct the solver-side model object.
@@ -137,6 +147,18 @@ class ModelFile:
         return at
 
 
+def _same_table(first, second) -> bool:
+    """Whether two ``ModelFile.table`` payloads hold the same values."""
+    if isinstance(first, Nonzeros) and isinstance(second, Nonzeros):
+        return (tuple(first.shape) == tuple(second.shape)
+                and all(map(np.array_equal, first[:3], second[:3])))
+    if isinstance(first, Nonzeros):
+        first = _dense(first)
+    if isinstance(second, Nonzeros):
+        second = _dense(second)
+    return np.array_equal(first, second)
+
+
 _TOKEN = re.compile(r"\S+")
 
 
@@ -167,14 +189,23 @@ def _lines(text: str):
     whitespace once its comment is cut off; ``lineno`` is 1-based.
 
     The lines are those of ``text.splitlines()``, read one at a time: each
-    piece of ``text`` up to and including a line feed is split on its own,
-    which cuts where the whole text would be cut, as a line feed always
-    ends a line (``\\r\\n`` is one boundary, and it ends with the feed)."""
+    piece of ``text`` up to and including a line feed or a carriage return
+    (with the line feed after it, ``\\r\\n`` being one boundary) is split
+    on its own, which cuts where the whole text would be cut, as either
+    always ends a line.  The next of each is looked up again only once the
+    pieces have passed it, so the text is scanned once for each."""
     lineno = 0
     start = 0
     size = len(text)
+    feed = ret = -1
     while start < size:
-        end = text.find("\n", start) + 1 or size
+        if feed < start:
+            feed = text.find("\n", start) % (size + 1)  # not found: size
+        if ret < start:
+            ret = text.find("\r", start) % (size + 1)
+        end = min(feed, ret) + 1
+        if end == ret + 1 and text.startswith("\n", end):
+            end += 1
         for raw in text[start:end].splitlines():
             lineno += 1
             body = raw.split("#", 1)[0]
@@ -183,34 +214,101 @@ def _lines(text: str):
         start = end
 
 
+#: Most entries of a ``table`` block that one ``np.loadtxt`` call reads:
+#: 512 KiB as float64.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _load_chunk(block, nrows: int, ncols: int) -> np.ndarray | None:
+    """The next ``nrows`` bodies of ``block`` as a finite ``(nrows, ncols)``
+    array, or None where ``np.loadtxt`` fails on them, they run out first or
+    an entry is not finite."""
+    chunk = islice(block, nrows)
+    first = next(chunk, None)
+    if first is None:  # loadtxt warns where it gets no rows
+        return None
+    try:
+        data = np.loadtxt(chain((first[1],), (body for _, body in chunk)),
+                          dtype=float, comments=None, ndmin=2, max_rows=nrows)
+    except ValueError:
+        return None
+    if data.shape != (nrows, ncols) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _load_table(block, nrows: int, ncols: int) -> np.ndarray | Nonzeros | None:
+    """A ``table`` block read from ``block`` in chunks of at most
+    :data:`_CHUNK_ENTRIES` entries, as ``_nonzeros(table) or table`` of its
+    read-only array ``table``, or None where a chunk fails
+    (:func:`_load_chunk`).
+
+    While the entries read so far that are not ``+0.0`` are few enough for
+    :func:`~ctrlscore.spectral._sparse` over the whole table, each chunk
+    leaves only their flat positions and values.  The first chunk with more
+    allocates the array, scatters into it what was kept (``-0.0`` too, so
+    it gets the bits of the text) and is copied in, as is every later
+    chunk: a dense table peaks at its array, one chunk and at most 1/8 of
+    the array of kept entries, a sparse one at its nonzeros and a chunk.
+    Kept entries become the nonzeros without their ``-0.0``, which are
+    ``_nonzeros`` of the array to the bit: the same positions, values and
+    row-major order."""
+    step = max(1, _CHUNK_ENTRIES // ncols)
+    kept, count, table = [], 0, None
+    for start in range(0, nrows, step):
+        data = _load_chunk(block, min(step, nrows - start), ncols)
+        if data is None:
+            return None
+        if table is None:
+            flat = np.flatnonzero(data.view(np.uint64) != 0)  # a mask scans faster
+            count += flat.size
+            if _sparse(count, nrows * ncols):
+                kept.append((flat + start * ncols, data.reshape(-1)[flat]))
+                continue
+            table = np.zeros((nrows, ncols))
+            for flat, values in kept:
+                table.reshape(-1)[flat] = values
+            kept = None
+        table[start:start + len(data)] = data
+    if table is not None:
+        table.flags.writeable = False
+        return _nonzeros(table) or table
+    flat, values = (np.concatenate(part) for part in zip(*kept))
+    nonzero = values != 0.0
+    if not nonzero.all():
+        flat, values = flat[nonzero], values[nonzero]
+    rows, cols = divmod(flat, ncols)
+    for part in (rows, cols, values):
+        part.flags.writeable = False
+    return Nonzeros(rows, cols, values, (nrows, ncols))
+
+
 def _read_rows(text: str, lines, nrows: int, ncols: int, what: str,
-               header_line: int) -> np.ndarray:
+               header_line: int) -> np.ndarray | Nonzeros:
     """Take the next ``nrows`` entries of ``lines``, the iterator of
     :func:`_lines` over ``text`` that has just yielded the block's statement
-    at ``header_line``, as a read-only ``(nrows, ncols)`` array.
+    at ``header_line``, as a read-only ``(nrows, ncols)`` array, or for a
+    ``table`` as :func:`_load_table` gives it.
 
-    ``np.loadtxt`` reads the bodies as they come, into one array of
-    ``nrows`` rows; ``islice`` keeps it from taking the next statement.
-    When that call fails, or its result is the wrong shape or not finite,
-    ``lines`` skips the rest of the block, and the row loop reads the block
-    again from its first line through a new :func:`_lines` over ``text``:
-    it raises at the first bad row or token, or returns the values of
-    tokens that only ``float()`` reads.  Token columns are only worked out
-    for the error message.
+    ``np.loadtxt`` reads the bodies as they come: a ``matrix`` in one call,
+    into one array of ``nrows`` rows, a ``table`` in chunks; ``islice``
+    keeps it from taking the next statement.  When a call fails, or its
+    result is the wrong shape or not finite, ``lines`` skips the rest of
+    the block, and the row loop reads the block again from its first line
+    through a new :func:`_lines` over ``text``: it raises at the first bad
+    row or token, or returns the values of tokens that only ``float()``
+    reads.  Token columns are only worked out for the error message.
     """
     block = islice(lines, nrows)
-    first = next(block, None)
-    if first is not None:  # loadtxt warns where it gets no rows
-        try:
-            data = np.loadtxt(chain((first[1],), (body for _, body in block)),
-                              dtype=float, comments=None, ndmin=2, max_rows=nrows)
-        except ValueError:
-            data = None
-        if (data is not None and data.shape == (nrows, ncols)
-                and np.isfinite(data).all()):
+    if what == "table":
+        data = _load_table(block, nrows, ncols)
+    else:
+        data = _load_chunk(block, nrows, ncols)
+        if data is not None:
             data.flags.writeable = False
-            return data
-        deque(block, maxlen=0)  # leave ``lines`` after the block
+    if data is not None:
+        return data
+    deque(block, maxlen=0)  # leave ``lines`` after the block
     rows = []
     last_line = header_line
     again = dropwhile(lambda entry: entry[0] <= header_line, _lines(text))
@@ -238,6 +336,8 @@ def _read_rows(text: str, lines, nrows: int, ncols: int, what: str,
         )
     data = np.array(rows, dtype=float)
     data.flags.writeable = False
+    if what == "table":
+        return _nonzeros(data) or data
     return data
 
 
@@ -351,9 +451,10 @@ def parse_model_text(text: str) -> ModelFile:
                 f"table has {table.shape[1]} columns but {len(nodes)} nodes",
                 *where("table"),
             )
-        if (table < 0).any():
+        values = table.values if isinstance(table, Nonzeros) else table
+        if (values < 0).any():
             raise ParseError("table entries must be >= 0", *where("table"))
-        modes = len(table)
+        modes = table.shape[0]
     else:  # heat_dirichlet
         if matrix is not None or table is not None:
             raise ParseError(

@@ -43,9 +43,10 @@ anything else runs :data:`UNCERTIFIED_STARTS`.  Start 0 is the central
 point, the witness of :func:`~ctrlscore.spectral.check_feasibility`, the
 rest are seeded Dirichlet samples projected onto the set; a start with an
 infinite objective is dropped with a warning.  Starts that disagree on the
-optimal value by more than ``1e-6`` raise
-:class:`~ctrlscore.errors.NonConvexAmbiguous` (with the merged result
-attached).  Several starts run on a thread pool with one
+optimal value by more than ``1e-6`` on the scale-free objective (VCS, or
+the log of AECS: :func:`~ctrlscore.scores.scale_free_gap`), which no unit
+of the model moves, raise :class:`~ctrlscore.errors.NonConvexAmbiguous`
+(with the merged result attached).  Several starts run on a thread pool with one
 worker per CPU, at most one per start; each start's descent is the same
 serial computation either way.  The pool is the only parallelism of a CLI
 command where :mod:`ctrlscore.cli` is imported before numpy, which then
@@ -66,7 +67,7 @@ import numpy as np
 from .errors import (BadGridStep, BeyondDoubleRange, Infeasible, InfeasiblePoint,
                      NonConvexAmbiguous, TooLarge)
 from .linsys import _binary_exponent
-from .scores import ObjectiveKind, _Objective
+from .scores import ObjectiveKind, _Objective, scale_free_gap
 from .simplex import (SimplexWeights, project_capped_simplex, validate_caps,
                       weight_vector)
 from .spectral import AssumptionReport, SpectralModel, check_feasibility
@@ -225,10 +226,12 @@ def _descend(objective: _Objective, start: np.ndarray,
     iterations = 0
 
     def line_search(direction, size, smallest):
-        """``(trial, evaluation, size)`` for the first trial point
+        """``(trial, evaluation, size, pair)`` for the first trial point
         ``project(p + size * direction)`` that passes, halving ``size`` down
         to ``smallest`` (0 for the gradient step, whose sizes scale as
         ``1 / |grad|``) or until the trial stops moving; None if none passes.
+        ``pair`` is the trial's :func:`_kkt` where the search computed it,
+        else None.
 
         Armijo with a float-plateau safeguard: once the predicted decrease
         falls below the resolution of the objective value, Armijo can no
@@ -243,22 +246,26 @@ def _descend(objective: _Objective, start: np.ndarray,
                 break  # nor does a shorter step move it
             candidate = objective(trial)
             predicted = ARMIJO_C * float(current.gradient @ moved)
+            pair = None
             if not candidate.feasible:
                 ok = False
             elif abs(predicted) >= plateau_tol:
                 ok = candidate.value <= current.value + predicted
             else:
-                ok = (candidate.value <= current.value + plateau_tol
-                      and _kkt(objective, candidate, trial, caps)[1] < residual)
+                ok = candidate.value <= current.value + plateau_tol
+                if ok:
+                    pair = _kkt(objective, candidate, trial, caps)
+                    ok = pair[1] < residual
             if ok:
-                return trial, candidate, size
+                return trial, candidate, size, pair
             size *= STEP_SHRINK
         return None
 
     newton_step = finishing = False
+    pair = None  # the current point's _kkt, where a line search computed it
     for _ in range(MAX_ITERS):
         grad = current.gradient
-        target, residual = _kkt(objective, current, point, caps)
+        target, residual = pair or _kkt(objective, current, point, caps)
         # A Newton step that reached the tolerance is inside the quadratic
         # region, so one more lands on the optimum to rounding: the finish.
         if residual <= GRAD_TOL and (finishing or not newton_step):
@@ -292,11 +299,11 @@ def _descend(objective: _Objective, start: np.ndarray,
                 warnings.append("line search stalled before reaching grad_tol")
                 break
             step = accepted[2]
-        point, current, _ = accepted
+        point, current, _, pair = accepted
     else:
         # Only this exit has moved the point since the last residual.
         warnings.append("MaxItersExceeded: returning best iterate")
-        residual = _kkt(objective, current, point, caps)[1]
+        residual = (pair or _kkt(objective, current, point, caps))[1]
 
     converged = residual <= GRAD_TOL
     return _Trajectory(point, current.value, residual, iterations, converged,
@@ -388,8 +395,9 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         unit, overflows in the model's own units.  The message gives both
         eigenvalues, at the central point or at that start's optimum.
     NonConvexAmbiguous
-        If multi-starts disagree on the optimal value by more than 1e-6.
-        The merged result is attached to the exception.
+        If multi-starts disagree on the optimal value by more than 1e-6,
+        VCS as it is and AECS by its log (:func:`scale_free_gap`).  The
+        merged result is attached to the exception.
     """
     try:
         seed = operator.index(seed)
@@ -466,7 +474,7 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
     )
 
     values = [trajectories[i].value for i in candidate_idx]
-    if len(values) > 1 and max(values) - min(values) > 1e-6:
+    if len(values) > 1 and scale_free_gap(kind, max(values), min(values)) > 1e-6:
         raise NonConvexAmbiguous(
             "starts disagree on the optimal value: "
             + ", ".join(f"{reported[i]:.9g}" for i in candidate_idx),

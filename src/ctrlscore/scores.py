@@ -53,7 +53,7 @@ import numpy as np
 from .errors import CapsBind, NotDiagonal
 from .linsys import Eigenpairs
 from .simplex import SimplexWeights, validate_caps
-from .spectral import SpectralModel
+from .spectral import SpectralModel, _coordinates
 
 
 class ObjectiveKind(Enum):
@@ -76,6 +76,16 @@ SCORES = {
     ObjectiveKind.AECS: Score(lambda mu: 1.0 / mu, lambda mu: mu**2,
                               lambda a, b: (a + b) / (a * b) ** 2, True),
 }
+
+
+def scale_free_gap(kind: ObjectiveKind, value: float, other: float) -> float:
+    """How far ``value`` lies above ``other`` on the scale-free objective of
+    :data:`SCORES`: the difference of two VCS values, the log of the ratio
+    of two AECS values.  No unit of the model moves it, as scaling every
+    Gramian shifts VCS and divides AECS by a constant."""
+    if SCORES[kind].relative:
+        return math.log(value / other)
+    return value - other
 
 
 @dataclass(frozen=True)
@@ -210,23 +220,26 @@ def closed_form_optimum(kind: ObjectiveKind, model: SpectralModel,
     """
     if not isinstance(model, SpectralModel):
         raise NotDiagonal("closed form requires a spectral model")
-    table = model.eigen_table
     m = model.node_count
     if model.score_order != m:
         raise NotDiagonal(
             f"closed form requires score order == node count, got {model.score_order} != {m}"
         )
+    rows, cols, entries, _ = model._nonzeros or _coordinates(model.eigen_table)
+    counts = np.bincount(cols, minlength=m)
+    order = np.argsort(cols, kind="stable")  # each column's entries, by row
+    firsts = np.cumsum(counts) - counts
     diag_coeffs = np.empty(m)
     used_rows = set()
     for col in range(m):
-        nonzero = np.nonzero(table[:, col])[0]
-        if nonzero.size != 1:
-            raise NotDiagonal(f"column {col} has {nonzero.size} nonzero rows")
-        row = int(nonzero[0])
+        if counts[col] != 1:
+            raise NotDiagonal(f"column {col} has {counts[col]} nonzero rows")
+        entry = order[firsts[col]]
+        row = int(rows[entry])
         if row in used_rows:
             raise NotDiagonal(f"row {row} is shared by several columns")
         used_rows.add(row)
-        diag_coeffs[col] = table[row, col]
+        diag_coeffs[col] = entries[entry]
     caps_arr = validate_caps(caps, m)
     if kind is ObjectiveKind.VCS:
         values = np.full(m, 1.0 / m)

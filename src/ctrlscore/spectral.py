@@ -27,9 +27,12 @@ on the caller's model and give the same bits in any binary unit of time.
 batch of points, one per row, for the lattice oracle.  ``derivatives`` gives
 the gradient and the Hessian, as a callable that builds a table's product
 only when it is called.  A sparse table (at most :data:`_SPARSE_SHARE` of
-its entries nonzero) reads only its nonzeros for both, found once when the
-model is made; a denser one with every row selected reads its table in
-place.  Node labels are checked by
+its entries nonzero, by the one rule :func:`_sparse`, which the model-file
+parser applies too) reads only its nonzeros for both: given as
+:class:`Nonzeros`, as the parser hands over a sparse table, the model
+keeps them alone and holds no K x m array; given an array, it finds them
+once when it is made.  A denser table with every row selected reads its
+array in place.  Node labels are checked by
 :func:`~ctrlscore.linsys.node_labels`, the heat model's too.  The score
 order is a field of the model, checked by
 :func:`~ctrlscore.linsys.resolve_score_order` in the constructor and read
@@ -61,7 +64,7 @@ def _select_rows(values: np.ndarray, count: int) -> np.ndarray:
 
 
 #: A table whose nonzero entries are at most this share of its K x m entries
-#: is evaluated on them alone (:func:`_nonzeros`), a denser one by BLAS on
+#: is evaluated on them alone (:func:`_sparse`), a denser one by BLAS on
 #: the whole table.  Timed on random tables with a full diagonal, one BLAS
 #: thread, an evaluation with its Hessian diagonal and ten Hessian products
 #: (a descent makes about eight per evaluation) is faster on the nonzeros up
@@ -76,16 +79,70 @@ _SPARSE_SHARE = 1 / 16
 Nonzeros = namedtuple("Nonzeros", "rows cols values shape")
 
 
-def _nonzeros(table: np.ndarray) -> Nonzeros | None:
-    """The table's nonzeros, read-only, or None above :data:`_SPARSE_SHARE`."""
-    nonzero = table != 0.0  # several times faster to scan than the floats
-    if np.count_nonzero(nonzero) > _SPARSE_SHARE * table.size:
-        return None
-    rows, cols = divmod(np.flatnonzero(nonzero), table.shape[1])
+def _sparse(count: int, size: int) -> bool:
+    """The sparse rule: whether a table of ``size`` entries, ``count`` of
+    them nonzero, is kept and evaluated as its nonzeros alone.  The
+    model-file parser and :class:`SpectralModel` both apply it."""
+    return count <= _SPARSE_SHARE * size
+
+
+def _coordinates(table: np.ndarray, nonzero=None) -> Nonzeros:
+    """Every nonzero of ``table`` (where ``nonzero`` is true, if given),
+    read-only, in row-major order."""
+    rows, cols = divmod(np.flatnonzero(table if nonzero is None else nonzero),
+                        table.shape[1])
     values = table[rows, cols]
     for part in (rows, cols, values):
         part.flags.writeable = False
     return Nonzeros(rows, cols, values, table.shape)
+
+
+def _nonzeros(table: np.ndarray) -> Nonzeros | None:
+    """The table's nonzeros, or None where :func:`_sparse` keeps it whole."""
+    nonzero = table != 0.0  # several times faster to scan than the floats
+    if not _sparse(np.count_nonzero(nonzero), table.size):
+        return None
+    return _coordinates(table, nonzero)
+
+
+def _dense(nonzeros: Nonzeros) -> np.ndarray:
+    """The K x m table of ``nonzeros``, zero elsewhere."""
+    rows, cols, values, shape = nonzeros
+    table = np.zeros(shape)
+    table[rows, cols] = values
+    return table
+
+
+def _kept(part, dtype) -> np.ndarray:
+    """``part`` as a read-only array of ``dtype``: itself where it is one
+    that owns its data, else a copy."""
+    if not (type(part) is np.ndarray and part.dtype == dtype
+            and part.flags.owndata and not part.flags.writeable):
+        part = np.array(part, dtype=dtype)
+        part.flags.writeable = False
+    return part
+
+
+def _checked_nonzeros(nonzeros: Nonzeros, width: int) -> Nonzeros:
+    """``nonzeros`` of a table with ``width`` columns, each part kept by
+    :func:`_kept`; raises :class:`~ctrlscore.errors.IndexMismatch` on a
+    shape with another width, parts of unequal length, an entry that is not
+    finite or is negative, or a position outside the shape."""
+    rows, cols, values, shape = nonzeros
+    shape = tuple(map(int, shape))
+    if len(shape) != 2 or shape[1] != width:
+        raise IndexMismatch(f"eigen table must have {width} columns, got shape {shape}")
+    rows, cols = _kept(rows, np.intp), _kept(cols, np.intp)
+    values = _kept(values, np.float64)
+    if not (rows.ndim == cols.ndim == values.ndim == 1
+            and rows.size == cols.size == values.size):
+        raise IndexMismatch("eigen table nonzeros need one row and column per value")
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise IndexMismatch("eigen table entries must be finite and >= 0")
+    for part, bound in ((rows, shape[0]), (cols, shape[1])):
+        if part.size and (part.min() < 0 or part.max() >= bound):
+            raise IndexMismatch(f"eigen table nonzeros lie outside its shape {shape}")
+    return Nonzeros(rows, cols, values, shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,40 +153,50 @@ class SpectralModel:
     ----------
     node_indices : tuple of int
         The evaluated nodes (1-based labels, order fixes the columns).
-    eigen_table : ndarray, shape (K, m)
+    eigen_table : ndarray, shape (K, m), or None
         Nonnegative entries; row ``k`` holds the eigenvalue contributed by
         every node to shared eigenmode ``k``.  Stored read-only, as a copy
-        unless :func:`~ctrlscore.linsys._shared`.
+        unless :func:`~ctrlscore.linsys._shared`.  None where the model was
+        given the table's :class:`Nonzeros` alone.
     score_order : int, optional
         How many of the largest eigenvalues the score objectives use
         (``1 <= n <= K``); ``min(K, m)`` when omitted.
 
-    A table with at most :data:`_SPARSE_SHARE` of its entries nonzero also
-    keeps them (:class:`Nonzeros`, found once by the constructor), and
-    ``eigenpairs`` and ``derivatives`` read them alone.  Two models are
-    equal only if they are the same object.
+    The table is given as an array or as its :class:`Nonzeros`, which the
+    model-file parser hands over for a sparse table; the constructor checks
+    either form the same way.  Given nonzeros, the model keeps them alone,
+    read-only, and holds no K x m array.  Given an array with at most
+    :data:`_SPARSE_SHARE` of its entries nonzero (:func:`_sparse`), it also
+    keeps its nonzeros, found once.  Either way ``eigenpairs`` and
+    ``derivatives`` then read the nonzeros alone.  Two models are equal
+    only if they are the same object.
     """
 
     node_indices: tuple[int, ...]
-    eigen_table: np.ndarray
+    eigen_table: np.ndarray | Nonzeros | None
     score_order: int | None = None
 
     def __post_init__(self):
         indices = node_labels(self.node_indices)
         table = self.eigen_table
-        table = table if _shared(table) else np.array(table, dtype=float)
-        if table.ndim != 2 or table.shape[1] != len(indices):
-            raise IndexMismatch(
-                f"eigen table must have {len(indices)} columns, got shape {table.shape}"
-            )
-        if not np.all(np.isfinite(table)) or np.any(table < 0):
-            raise IndexMismatch("eigen table entries must be finite and >= 0")
-        table.flags.writeable = False
+        if isinstance(table, Nonzeros):
+            nonzeros = _checked_nonzeros(table, len(indices))
+            table, shape = None, nonzeros.shape
+        else:
+            table = table if _shared(table) else np.array(table, dtype=float)
+            if table.ndim != 2 or table.shape[1] != len(indices):
+                raise IndexMismatch(
+                    f"eigen table must have {len(indices)} columns, got shape {table.shape}"
+                )
+            if not np.all(np.isfinite(table)) or np.any(table < 0):
+                raise IndexMismatch("eigen table entries must be finite and >= 0")
+            table.flags.writeable = False
+            nonzeros, shape = _nonzeros(table), table.shape
         object.__setattr__(self, "eigen_table", table)
-        object.__setattr__(self, "_nonzeros", _nonzeros(table))
+        object.__setattr__(self, "_nonzeros", nonzeros)
         object.__setattr__(self, "node_indices", indices)
-        order = min(table.shape) if self.score_order is None else self.score_order
-        object.__setattr__(self, "score_order", resolve_score_order(order, len(table)))
+        order = min(shape) if self.score_order is None else self.score_order
+        object.__setattr__(self, "score_order", resolve_score_order(order, shape[0]))
 
     @property
     def mode_count(self) -> int:
@@ -143,7 +210,10 @@ class SpectralModel:
     def eigenvalues(self, batch) -> np.ndarray:
         """All ``K`` eigenvalues of ``W(p)`` for each row ``p`` of ``batch``,
         descending along the last axis."""
-        values = np.asarray(batch, dtype=float) @ self.eigen_table.T
+        table = self.eigen_table
+        if table is None:  # the lattice oracle's small tables: a local copy
+            table = _dense(self._nonzeros)
+        values = np.asarray(batch, dtype=float) @ table.T
         return np.sort(values, axis=-1)[:, ::-1]
 
     def positive(self, top) -> np.ndarray:
@@ -436,6 +506,43 @@ def check_commuting(family) -> tuple[bool, float]:
     return worst <= CHECK_TOL, worst
 
 
+#: Entries of the dense row block in which :func:`_unit_row_sums` sums rows.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _unit_row_sums(nonzeros: Nonzeros) -> np.ndarray:
+    """``_binary_unit(table)[0].sum(axis=1)`` for the table of ``nonzeros``,
+    to the bit, with no K x m array: each row is summed as a dense row, in
+    blocks of at most :data:`_BLOCK_ENTRIES` entries (one row where a row
+    is longer), as numpy sums every row of a whole table alike."""
+    rows, cols, values, (count, width) = nonzeros
+    exponent = _binary_exponent(values) if values.size else 0
+    order = np.argsort(rows, kind="stable")
+    step = max(1, _BLOCK_ENTRIES // width)
+    starts = np.arange(0, count, step)
+    bounds = np.searchsorted(rows[order], [*starts, count])
+    sums = np.empty(count)
+    buffer = np.empty((min(step, count), width))
+    for start, first, last in zip(starts, bounds[:-1], bounds[1:]):
+        entries = order[first:last]
+        block = buffer[:min(step, count - start)]
+        block.fill(0.0)
+        block[rows[entries] - start, cols[entries]] = values[entries]
+        sums[start:start + len(block)] = np.ldexp(block, -exponent, out=block).sum(axis=1)
+    return sums
+
+
+def _columns(nonzeros: Nonzeros):
+    """Each column of the table of ``nonzeros`` in turn, as a dense vector."""
+    rows, cols, values, (count, width) = nonzeros
+    order = np.argsort(cols, kind="stable")
+    bounds = np.searchsorted(cols[order], np.arange(width + 1))
+    for first, last in zip(bounds[:-1], bounds[1:]):
+        column = np.zeros(count)
+        column[rows[order[first:last]]] = values[order[first:last]]
+        yield column
+
+
 def check_n_spectrum(model) -> tuple[bool, float]:
     """Whether every node Gramian vanishes outside one fixed n-mode span,
     for ``n = model.score_order``.
@@ -447,16 +554,22 @@ def check_n_spectrum(model) -> tuple[bool, float]:
     family ``W_i = diag(t_i)`` of its columns: the span is the ``n`` rows
     with the largest row sums (ties to the lowest row index), and column
     ``t_i`` has residual ``||t_i[outside]||_2 / ||t_i||_2``.  The whole
-    spectrum has residual 0, with no copy of a table.
+    spectrum has residual 0, with no copy of a table.  A table given as
+    nonzeros is read a block of rows and a column at a time
+    (:func:`_unit_row_sums`, :func:`_columns`), with the bits of the array.
     """
     n = model.score_order
     if n == model.mode_count:
         return True, 0.0
     if isinstance(model, SpectralModel):
         table = model.eigen_table
-        outside = np.ones(len(table), dtype=bool)
-        outside[_select_rows(_binary_unit(table)[0].sum(axis=1), n)] = False
-        parts = ((unit, unit[outside]) for unit, _ in map(_binary_unit, table.T))
+        if table is None:
+            sums, columns = _unit_row_sums(model._nonzeros), _columns(model._nonzeros)
+        else:
+            sums, columns = _binary_unit(table)[0].sum(axis=1), table.T
+        outside = np.ones(len(sums), dtype=bool)
+        outside[_select_rows(sums, n)] = False
+        parts = ((unit, unit[outside]) for unit, _ in map(_binary_unit, columns))
     else:
         grams = model.gramians
         exponent = _binary_exponent(grams)

@@ -7,7 +7,10 @@ active sets of the small QP, derivatives by central differences.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import pathlib
+import sys
 from unittest import mock
 
 import numpy as np
@@ -19,6 +22,16 @@ import ctrlscore as cs
 from ctrlscore import spectral
 from ctrlscore.optimizer import _descend, _starting_points
 from ctrlscore.scores import _Objective
+
+
+def perfbench_gen():
+    """The benchmark's input generator, ``perfbench/gen.py``, as a module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up here
+    spec.loader.exec_module(gen)
+    return gen
 
 
 @pytest.fixture

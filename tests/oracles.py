@@ -9,8 +9,8 @@ eigenvalue table (with the two errors only it raises), the dense Hessians
 that the models' Hessian callables must agree with, a table's gradient and
 Hessian product from a copy of its rows, the node-by-node derivative rows
 and Hessian from the dense Gramians that the factored evaluation pass must
-match to rounding, and a writer for the model-file format that the parser
-must read back.
+match to rounding, the array of a table given as its nonzeros, and a
+writer for the model-file format that the parser must read back.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ctrlscore.linsys import (
 )
 from ctrlscore.modelfile import SCHEMA_VERSION, ModelFile
 from ctrlscore.simplex import weight_vector
-from ctrlscore.spectral import CHECK_TOL, SpectralModel, check_commuting
+from ctrlscore.spectral import CHECK_TOL, Nonzeros, SpectralModel, check_commuting
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +82,18 @@ def finite_horizon_gramian(system: StableLTISystem, family: NodeGramianFamily,
     return 0.5 * (gram + gram.T)
 
 
+def dense_table(table) -> np.ndarray:
+    """The K x m array of a table: a ``SpectralModel``'s, or a
+    ``ModelFile.table``, which is an array or its ``Nonzeros``."""
+    if isinstance(table, SpectralModel):
+        table = table._nonzeros if table.eigen_table is None else table.eigen_table
+    if not isinstance(table, Nonzeros):
+        return table
+    dense = np.zeros(table.shape)
+    dense[table.rows, table.cols] = table.values
+    return dense
+
+
 def reference_hessian(model, pairs, divided) -> np.ndarray:
     """The dense Hessian of ``sum_k phi(mu_k(p))`` at ``pairs``, from the
     divided difference ``divided(a, b)`` of ``phi'``.
@@ -92,7 +104,7 @@ def reference_hessian(model, pairs, divided) -> np.ndarray:
     """
     mu = pairs.values
     if isinstance(model, SpectralModel):
-        rows = model.eigen_table[pairs.selected]
+        rows = dense_table(model)[pairs.selected]
         return rows.T @ (divided(mu, mu)[:, None] * rows)
     z = pairs.vectors
     quadratic = np.array([z.T @ gram @ z for gram in model.gramians])
@@ -111,7 +123,7 @@ def table_derivatives(model: SpectralModel, pairs, score):
     """``(gradient, matvec, diagonal)`` of a table's objective from a copy
     of its selected rows: :func:`row_gradient`, ``v -> rows^T (phi''(mu) *
     (rows v))`` and its diagonal ``sum_k phi''(mu_k) rows[k]**2``."""
-    rows = model.eigen_table[pairs.selected]
+    rows = dense_table(model)[pairs.selected]
     mu = pairs.values
     curvature = score.divided(mu, mu)
     return (row_gradient(rows, mu, score),
@@ -369,7 +381,7 @@ def model_file_from_spectral(model: SpectralModel, caps=None) -> ModelFile:
         node_indices=model.node_indices,
         score_order=model.score_order,
         caps=caps_tuple,
-        table=model.eigen_table,
+        table=model._nonzeros if model.eigen_table is None else model.eigen_table,
     )
 
 
@@ -386,6 +398,7 @@ def dump_model_text(model: ModelFile) -> str:
         out.append(f"matrix {len(model.dynamics)}")
         out.extend(" ".join(repr(float(x)) for x in row) for row in model.dynamics)
     if model.table is not None:
-        out.append(f"table {len(model.table)} {len(model.table[0])}")
-        out.extend(" ".join(repr(float(x)) for x in row) for row in model.table)
+        table = dense_table(model.table)
+        out.append(f"table {len(table)} {len(table[0])}")
+        out.extend(" ".join(repr(float(x)) for x in row) for row in table)
     return "\n".join(out) + "\n"

@@ -713,3 +713,43 @@ def test_check_stability_leaves_the_callers_matrix_writeable():
     assert not system.dynamics.flags.writeable
     a[0, 0] = 5.0
     assert system.dynamics[0, 0] == -1.0
+
+
+@pytest.mark.parametrize("dim", [16, 17])
+def test_a_weighted_gramian_is_bit_identical_to_scipy(dim):
+    # The right-hand side scales the rows of the Schur vectors in C order:
+    # scaled in their own Fortran order, the product summed in another
+    # order than scipy's, and every case here differed.
+    from scipy.linalg import solve_continuous_lyapunov
+
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim)) / math.sqrt(dim) - 2.0 * np.eye(dim)
+        weights = rng.uniform(0.0, 1.0, dim)
+        got = linsys._solve_lyapunov(cs.check_stability(a), weights, "W(p)")
+        want = solve_continuous_lyapunov(a, -np.diag(weights))
+        assert np.array_equal(got, 0.5 * (want + want.T))
+
+
+@pytest.mark.parametrize("least, psd", [(-2.0, False), (-0.5, True), (0.5, True),
+                                        (2.0, True)])
+def test_the_psd_test_holds_at_the_tolerance(least, psd):
+    # W = Q diag(1, 0.5, least * tol) Q^T, with tol = DEFAULT_TOL ||W||_F of
+    # its binary unit, which W is: its largest entry lies in [1/2, 1).
+    basis, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+    tol = linsys.DEFAULT_TOL * math.sqrt(1.25)
+    gram = basis @ np.diag([1.0, 0.5, least * tol]) @ basis.T
+    gram = 0.5 * (gram + gram.T)
+    assert linsys._binary_exponent(gram) == 0
+    stack = np.stack([np.eye(3), gram])
+    if psd:
+        cs.NodeGramianFamily((1, 2), stack)
+    else:
+        with pytest.raises(cs.EigenFailure, match="Gramian for node 2 is not PSD"):
+            cs.NodeGramianFamily((1, 2), stack)
+
+
+def test_zero_and_singular_gramians_are_psd():
+    singular = np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]) / 9.0
+    family = cs.NodeGramianFamily((1, 2, 3), [np.zeros((3, 3)), singular, np.eye(3)])
+    assert np.array_equal(family.gramians[0], np.zeros((3, 3)))

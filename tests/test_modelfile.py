@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dump_model_text, model_file_from_spectral
+from conftest import perfbench_gen
+from oracles import dense_table, dump_model_text, model_file_from_spectral
+from test_golden_cli import MODELS as GOLDEN_MODELS
 
 import ctrlscore as cs
 from ctrlscore import cli, linsys, simplex
 from ctrlscore.modelfile import _lines, parse_model_text
+from ctrlscore.spectral import Nonzeros, _nonzeros
 
 HEAT_TEXT = """\
 ctrlscore-model v1
@@ -255,8 +259,23 @@ def test_payload_parse_matches_the_float_rule(data):
         return
     assert expected is not None
     payload = parsed.table if table else parsed.dynamics
-    assert payload.dtype == np.float64 and not payload.flags.writeable
-    assert np.array_equal(payload.view(np.uint64), expected.view(np.uint64))
+    assert_same_bits(payload, (_nonzeros(expected) or expected) if table else expected)
+
+
+def _parts(payload):
+    """The arrays of a payload: itself, or the three of its nonzeros."""
+    return payload[:3] if isinstance(payload, Nonzeros) else (payload,)
+
+
+def assert_same_bits(payload, want):
+    """``payload`` is read-only and has the form, dtypes, shape and bits of
+    ``want``."""
+    assert type(payload) is type(want)
+    if isinstance(want, Nonzeros):
+        assert payload.shape == want.shape
+    for got, part in zip(_parts(payload), _parts(want), strict=True):
+        assert got.dtype == part.dtype and not got.flags.writeable
+        assert np.array_equal(got.view(np.uint64), part.view(np.uint64))
 
 
 #: Every line boundary of ``str.splitlines``; ``\r\n`` is one.
@@ -332,29 +351,163 @@ def test_a_bad_token_deep_in_a_large_block_keeps_its_line_and_column():
     assert str(info.value).endswith("expected number, got '2e'")
 
 
-def test_loading_a_large_sparse_table_peaks_near_its_text_and_array(tmp_path):
-    # Short tokens, as in a diagonal table: the text is about half the
-    # array.  The parse reads one line at a time into one array of the
-    # block's size; with the text split into a list of lines and a growing
-    # loadtxt result it peaked at 16.8 MiB, for a 3.8 MiB text and a
-    # 7.6 MiB array.
-    size = 1000
+def _reference_table(text: str) -> np.ndarray:
+    """The table block of a model file read by ``float()`` token by token."""
+    lines = [line.split("#", 1)[0] for line in text.splitlines()]
+    lines = [line for line in lines if line.strip()]
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == "table")
+    nrows = int(lines[at].split()[1])
+    return np.array([[float(token) for token in line.split()]
+                     for line in lines[at + 1:at + 1 + nrows]])
+
+
+def _tables():
+    """``(name, text)`` of every table file of the benchmark, at seeds 0 and
+    1, and of the golden CLI cases."""
+    gen = perfbench_gen()
+    for workload in gen.WORKLOADS:
+        for seed in (0, 1):
+            for model in gen.build(workload, seed)[0].values():
+                if model.kind == "spectral_table":
+                    yield f"{workload}/{seed}/{model.name}", model.text()
+    for name, text in GOLDEN_MODELS.items():
+        if "spectral_table" in text:
+            yield f"golden/{name}", text
+
+
+def test_every_benchmark_and_golden_table_parses_to_its_nonzeros_or_its_array():
+    names = []
+    for name, text in _tables():
+        values = _reference_table(text)
+        assert_same_bits(parse_model_text(text).table, _nonzeros(values) or values)
+        names.append(name)
+    assert "spectral-large/1/diag1000" in names and "golden/banded" in names
+
+
+@pytest.mark.parametrize("fill", ["0.0", "-0.0"])
+def test_a_table_sparse_in_its_first_chunks_and_dense_later_gives_its_array(fill):
+    # 65 rows of 1000 make a chunk.  The first 130 rows have one nonzero
+    # each, the rest are full, so the reader keeps nonzeros for two chunks,
+    # then scatters them into the array; a -0.0 it kept keeps its sign.
+    rng = np.random.default_rng(3)
+    rows = []
+    for k in range(200):
+        if k < 130:
+            tokens = [fill] * 1000
+            tokens[k] = "2.5"
+        else:
+            tokens = [str(v) for v in rng.integers(1, 9, 1000) / 4]
+        rows.append(" ".join(tokens))
+    text = _table_text(1000, rows)
+    values = _reference_table(text)
+    assert_same_bits(parse_model_text(text).table, values)
+
+
+def test_negative_zeros_count_toward_the_switch_but_not_the_nonzeros():
+    # Every entry but the diagonal reads -0.0: the reader keeps them all,
+    # so it switches to the array, but the table has 100 nonzeros of 10^4.
+    rows = [" ".join("7.0" if i == k else "-0.0" for i in range(100)) for k in range(100)]
+    text = _table_text(100, rows)
+    table = parse_model_text(text).table
+    assert isinstance(table, Nonzeros) and table.values.size == 100
+    assert_same_bits(table, _nonzeros(_reference_table(text)))
+
+
+@pytest.mark.parametrize("fill", ["0.0", "1.0"], ids=["sparse", "dense"])
+@pytest.mark.parametrize("row", [2, 900])
+def test_a_bad_token_in_any_chunk_keeps_its_line_and_column(fill, row):
+    # Row 2 is in the first chunk of 65 rows, row 900 in the fourteenth.
+    rows = [" ".join(["1.0" if i == k else fill for i in range(1000)])
+            for k in range(1000)]
+    tokens = rows[row - 1].split()
+    tokens[500] = "1.0e"
+    rows[row - 1] = " ".join(tokens)
+    with pytest.raises(cs.ParseError) as info:
+        parse_model_text(_table_text(1000, rows))
+    assert (info.value.line, info.value.column) == (4 + row, 4 * 500 + 1)
+    assert str(info.value).endswith("expected number, got '1.0e'")
+    # and a file that ends before the row
+    text = _table_text(1000, rows[:row - 1]).replace(f"table {row - 1} ", "table 1000 ")
+    with pytest.raises(cs.ParseError) as info:
+        parse_model_text(text)
+    assert (info.value.line, info.value.column) == (3 + row, 1)
+    assert str(info.value).endswith(f"expected 1000 rows, file ended after {row - 1}")
+
+
+def test_model_files_compare_their_tables_by_value_in_either_form():
+    text = _diagonal_text(40)
+    parsed = parse_model_text(text)
+    assert isinstance(parsed.table, Nonzeros)
+    assert parsed == parse_model_text(text)
+    assert parsed != parse_model_text(text.replace("1.5", "1.25"))
+    values = dense_table(parsed.table)
+    assert np.array_equal(values, _reference_table(text))
+    as_array = dataclasses.replace(parsed, table=values)
+    assert parsed == as_array and as_array == parsed
+    values[0, 1] = 1.0
+    assert parsed != dataclasses.replace(parsed, table=values)
+    assert parsed != dataclasses.replace(parsed, table=None)
+
+
+def _diagonal_text(size: int, eol: str = "\n") -> str:
+    """A ``size`` x ``size`` diagonal table, as the benchmark writes one:
+    short zero tokens, so the text is about half the dense array."""
     rows = []
     for k in range(size):
         tokens = ["0.0"] * size
         tokens[k] = repr(1.0 + k / size)
         rows.append(" ".join(tokens))
-    text = _table_text(size, rows)
-    path = tmp_path / "diag.csm"
-    path.write_text(text)
+    return _table_text(size, rows).replace("\n", eol)
+
+
+def _traced_load(path):
+    """``(model, peak, held)``: the model that ``cli._load`` and ``build``
+    make of the file at ``path``, the traced peak of both, and what the
+    model alone holds once the parsed file is gone."""
     tracemalloc.start()
     try:
         parsed, _ = cli._load(str(path))
+        model = parsed.build()
         peak = tracemalloc.get_traced_memory()[1]
+        del parsed
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert parsed.table.shape == (size, size)
-    assert peak < len(text) + parsed.table.nbytes + 1.5 * 2**20
+    return model, peak, held
+
+
+def test_loading_a_large_sparse_table_peaks_near_its_text(tmp_path):
+    # The file's bytes and its text coexist while it is decoded; after
+    # that the parse reads the rows in chunks and keeps the nonzeros alone.
+    # Read into one K x m array that the model kept, the load peaked at
+    # 12.5 MiB beside a 3.8 MiB text, and the model held 7.6 MiB.
+    size = 1000
+    text = _diagonal_text(size)
+    path = tmp_path / "diag.csm"
+    path.write_text(text)
+    model, peak, held = _traced_load(path)
+    assert model.eigen_table is None and model._nonzeros.values.size == size
+    assert peak < 2 * len(text) + 0.5 * 2**20
+    assert held < 2**20
+
+
+def test_line_endings_give_the_same_file_and_peak(tmp_path):
+    # Lines that end in a carriage return alone were split by one
+    # ``splitlines`` call over the whole text, and the load peaked 3.8 MiB
+    # higher than with line feeds.
+    loads = {}
+    for name, eol in (("lf", "\n"), ("cr", "\r"), ("crlf", "\r\n")):
+        path = tmp_path / f"{name}.csm"
+        path.write_bytes(_diagonal_text(1000, eol).encode())
+        tracemalloc.start()
+        try:
+            parsed, _ = cli._load(str(path))
+            loads[name] = parsed, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert loads["cr"][0] == loads["lf"][0] == loads["crlf"][0]
+    peaks = [peak for _, peak in loads.values()]
+    assert max(peaks) - min(peaks) < 0.5 * 2**20
 
 
 def test_parsed_table_holds_little_more_than_its_array():
@@ -472,3 +625,24 @@ def test_spectral_model_serialization_round_trip():
     assert rebuilt.node_indices == model.node_indices
     assert rebuilt.score_order == model.score_order
     assert reparsed.caps == (0.9, 0.9, 0.9)
+
+
+@pytest.mark.parametrize("order, code", [(None, 0), (500, 3)])
+def test_scoring_a_sparse_table_file_allocates_no_array_of_its_size(
+        tmp_path, monkeypatch, capsys, order, code):
+    # The 1000 x 1000 array would take 7.6 MiB.  With n = 500 the spectrum
+    # check reads the table too, fails, and the eight starts of the
+    # non-convex problem disagree.
+    path = tmp_path / "diag.csm"
+    path.write_text(_diagonal_text(1000))
+    loaded = cli._load(str(path))
+    monkeypatch.setattr(cli, "_load", lambda _: loaded)
+    argv = ["score", str(path), "--kind", "vcs"] + ([] if order is None else ["--n", "500"])
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "node  weight" in capsys.readouterr().out
+    assert peak < 2**20

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dominant_matrix, random_diagonal_model, random_stable_family,
-                      random_stable_matrix, serial_descents)
+from conftest import (dominant_matrix, perfbench_gen, random_diagonal_model,
+                      random_stable_family, random_stable_matrix, serial_descents)
 
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind
@@ -767,3 +768,37 @@ def test_projected_cg_solves_the_newton_system_on_the_free_face(rng):
     assert np.all(got[~free] == 0.0)
     assert abs(got.sum()) <= 1e-12
     np.testing.assert_allclose(got[free], want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("span", [8, 10, 12])
+def test_a_convex_family_in_uneven_state_units_is_not_ambiguous(span):
+    # The benchmark's d = 30 family with its states in units that span
+    # 2^span, W_i -> S W_i S: full-spectrum AECS stays convex, yet its
+    # eight starts, which all reach the same 9 digits, once differed by
+    # more than an absolute 1e-6 in value and raised NonConvexAmbiguous.
+    gen = perfbench_gen()
+    a = np.array(gen._dense(random.Random("dense-lti"), 30))
+    family = cs.gramian_family(cs.check_stability(a), range(1, 31))
+    scale = np.ldexp(1.0, [round(j * span / 29) for j in range(30)])
+    scaled = cs.NodeGramianFamily(range(1, 31),
+                                  scale[:, None] * family.gramians * scale[None, :])
+    result = cs.solve(ObjectiveKind.AECS, scaled)
+    assert result.converged and not result.uniqueness_certified
+    spread = max(result.start_objectives) / min(result.start_objectives)
+    assert 1.0 <= spread <= 1.0 + 1e-6
+
+
+def test_a_descent_takes_each_kkt_pair_once(monkeypatch):
+    # A trial that the line search accepts on its residual already has its
+    # pair, and the next step reads it: this descent took 3 of its 13
+    # pairs twice.
+    seen = []
+    kkt = optimizer._kkt
+
+    def counted(objective, evaluation, point, caps):
+        seen.append(point.tobytes())
+        return kkt(objective, evaluation, point, caps)
+
+    monkeypatch.setattr(optimizer, "_kkt", counted)
+    cs.solve(ObjectiveKind.AECS, cs.heat_dirichlet_model(range(1, 13)))
+    assert len(seen) == len(set(seen)) == 10

@@ -543,3 +543,102 @@ def test_spectral_model_leaves_the_callers_table_writeable():
     assert not model.eigen_table.flags.writeable
     table[0, 0] = 9.0
     assert model.eigen_table[0, 0] == 1.0
+
+
+def _table_file(table, order=None) -> str:
+    """A spectral_table file of ``table`` with nodes 1..m."""
+    rows, width = np.shape(table)
+    nodes = " ".join(map(str, range(1, width + 1)))
+    lines = "".join(" ".join(map(repr, row)) + "\n" for row in np.asarray(table).tolist())
+    n = "" if order is None else f"n {order}\n"
+    return (f"ctrlscore-model v1\nkind spectral_table\nnodes {nodes}\n{n}"
+            f"table {rows} {width}\n{lines}")
+
+
+def _parsed_and_array(table, order=None):
+    """The model of a parsed file of ``table``, which keeps its nonzeros
+    alone, and the model of the array, which keeps the array."""
+    parsed = cs.parse_model_text(_table_file(table, order)).build()
+    assert parsed.eigen_table is None
+    array = cs.SpectralModel(parsed.node_indices, table, order)
+    assert array.eigen_table is not None
+    return parsed, array
+
+
+def _banded(rng, size: int, width: int) -> np.ndarray:
+    """A table with ``2 width + 1`` nonzeros in most rows."""
+    table = np.zeros((size, size))
+    for k in range(size):
+        low, high = max(0, k - width), min(size, k + width + 1)
+        table[k, low:high] = rng.uniform(0.0, 0.3, high - low)
+        table[k, k] = rng.uniform(0.5, 1.5)
+    return table
+
+
+#: Seven nonzeros in 40 x 3 entries, at most 1/16 of them: a sparse table
+#: small enough for the lattice.
+_SPARSE_SMALL = np.zeros((40, 3))
+for _row, _col, _value in [(0, 0, 1.0), (1, 1, 0.5), (2, 2, 0.25), (3, 0, 0.3),
+                           (4, 1, 0.2), (5, 2, 0.1), (6, 0, 0.05)]:
+    _SPARSE_SMALL[_row, _col] = _value
+
+
+@pytest.mark.parametrize("kind", list(cs.ObjectiveKind))
+def test_the_lattice_oracle_gives_the_arrays_bits_on_a_parsed_sparse_table(kind):
+    parsed, array = _parsed_and_array(_SPARSE_SMALL, 3)
+    got = cs.grid_oracle(kind, parsed, step=0.05)
+    want = cs.grid_oracle(kind, array, step=0.05)
+    assert np.array_equal(got[0].values, want[0].values) and got[1] == want[1]
+
+
+@pytest.mark.parametrize("table, order", [
+    (_SPARSE_SMALL, 2),
+    (_banded(np.random.default_rng(5), 300, 2), 150),
+    (_banded(np.random.default_rng(6), 300, 2)[:, :40], 7),
+], ids=["small", "banded", "tall"])
+def test_a_top_n_spectrum_check_gives_the_arrays_bits_on_a_parsed_sparse_table(
+        table, order):
+    parsed, array = _parsed_and_array(table, order)
+    got = spectral.check_n_spectrum(parsed)
+    assert got == spectral.check_n_spectrum(array) and got[1] > 0.0
+
+
+def test_the_closed_form_gives_the_arrays_bits_on_a_parsed_sparse_table():
+    table = np.diag(np.geomspace(0.1, 10.0, 40))[::-1]
+    parsed, array = _parsed_and_array(table)
+    for kind in cs.ObjectiveKind:
+        assert np.array_equal(cs.closed_form_optimum(kind, parsed).values,
+                              cs.closed_form_optimum(kind, array).values)
+    shared = table.copy()
+    shared[0, :2] = 1.0
+    twice = table.copy()
+    twice[1, 0] = 1.0
+    for bad in (shared, twice):
+        parsed, array = _parsed_and_array(bad)
+        with pytest.raises(cs.NotDiagonal) as want:
+            cs.closed_form_optimum(cs.ObjectiveKind.VCS, array)
+        with pytest.raises(cs.NotDiagonal, match=f"^{want.value}$"):
+            cs.closed_form_optimum(cs.ObjectiveKind.VCS, parsed)
+
+
+def test_a_model_of_nonzeros_holds_them_alone_and_checks_them():
+    rows, cols = np.array([0, 2]), np.array([1, 0])
+    model = cs.SpectralModel((4, 7), spectral.Nonzeros(rows, cols, [2.0, 3.0], (3, 2)))
+    assert model.eigen_table is None and model.mode_count == 3
+    assert model.score_order == 2 and model.node_indices == (4, 7)
+    assert all(not part.flags.writeable for part in model._nonzeros[:3])
+    assert rows.flags.writeable
+    good = (rows, cols, [2.0, 3.0], (3, 2))
+    for change, error, message in [
+        ({}, cs.BadIndexSet, "distinct"),
+        ({3: (3, 3)}, cs.IndexMismatch, "must have 2 columns"),
+        ({2: [2.0, np.inf]}, cs.IndexMismatch, "finite and >= 0"),
+        ({2: [2.0, -3.0]}, cs.IndexMismatch, "finite and >= 0"),
+        ({0: [0, 3]}, cs.IndexMismatch, "outside its shape"),
+        ({1: [-1, 0]}, cs.IndexMismatch, "outside its shape"),
+        ({2: [2.0]}, cs.IndexMismatch, "one row and column per value"),
+    ]:
+        parts = [change.get(i, part) for i, part in enumerate(good)]
+        labels = (4, 4) if not change else (4, 7)
+        with pytest.raises(error, match=message):
+            cs.SpectralModel(labels, spectral.Nonzeros(*parts))
