@@ -41,16 +41,20 @@ The text is read one line at a time (:func:`_lines`), cut at each line
 feed and carriage return; no list of its lines is made.  A ``matrix``
 payload becomes one read-only float64 array: a single ``np.loadtxt`` call
 takes the block's rows as they are read and fills an array of exactly the
-block's size.  A ``table`` payload is read by ``np.loadtxt`` in chunks of
-at most :data:`_CHUNK_ENTRIES` entries (:func:`_load_table`).  A sparse
-table, by the rule of :func:`~ctrlscore.spectral._sparse`, becomes its
-read-only :class:`~ctrlscore.spectral.Nonzeros` alone, and no K x m array
-is made; a denser one becomes one read-only array, allocated at the first
-chunk that breaks the rule.  So a parse holds the text and the payload
-and little else.  When a call fails, or its result is the wrong shape or
-not finite, a row-by-row loop reads the block again from its first line:
-it finds the error's line and column, and it reads the spellings that
-only ``float()`` takes (``1_000``, non-ASCII digits).
+block's size.  A ``table`` payload is read in chunks of at most
+:data:`_CHUNK_ENTRIES` entries (:func:`_load_table`).  A sparse table, by
+the rule of :func:`~ctrlscore.spectral._sparse`, becomes its read-only
+:class:`~ctrlscore.spectral.Nonzeros` alone, and no K x m array is made; a
+denser one becomes one read-only array, allocated at the first chunk that
+breaks the rule.  While the table can still be sparse, a byte scan of each
+chunk's text (:func:`_scan_chunk`) finds its tokens, skips those spelled
+``0.0`` or ``0`` and reads only the others, by ``float()``; a chunk the
+scan does not take, and every chunk after the array is allocated, goes to
+``np.loadtxt``.  So a parse holds the text and the payload and little
+else.  When a call fails, or its result is the wrong shape or not finite,
+a row-by-row loop reads the block again from its first line: it finds the
+error's line and column, and it reads the spellings that only ``float()``
+takes (``1_000``, non-ASCII digits).
 """
 
 from __future__ import annotations
@@ -214,27 +218,93 @@ def _lines(text: str):
         start = end
 
 
-#: Most entries of a ``table`` block that one ``np.loadtxt`` call reads:
-#: 512 KiB as float64.
-_CHUNK_ENTRIES = 1 << 16
+#: Most entries of a ``table`` block that one step of :func:`_load_table`
+#: reads, by a byte scan of their text (:func:`_scan_chunk`) or by one
+#: ``np.loadtxt`` call: 128 KiB as float64.  The scan holds a few byte
+#: masks of the chunk's text and an index of its token starts: at 2^16
+#: entries they took the traced parse peak of the benchmark's diagonal
+#: 1000 x 1000 table to 2.05 MiB (``np.loadtxt`` alone: 1.12 MiB), at
+#: 2^14 to 0.56 MiB, at about the same speed.
+_CHUNK_ENTRIES = 1 << 14
+
+#: Which bytes below the space may stand in a chunk's text: those that
+#: ``str.split()`` splits on inside one line (tab and unit separator;
+#: every other ASCII whitespace byte ends a line) and the line feed that
+#: joins the chunk's bodies.  Any other is part of a token.
+_BLANK = np.zeros(32, dtype=bool)
+_BLANK[[ord("\t"), ord("\x1f"), ord("\n")]] = True
 
 
-def _load_chunk(block, nrows: int, ncols: int) -> np.ndarray | None:
-    """The next ``nrows`` bodies of ``block`` as a finite ``(nrows, ncols)``
-    array, or None where ``np.loadtxt`` fails on them, they run out first or
-    an entry is not finite."""
-    chunk = islice(block, nrows)
-    first = next(chunk, None)
+def _load_chunk(bodies, nrows: int, ncols: int) -> np.ndarray | None:
+    """The next ``nrows`` of the iterable ``bodies`` as a finite ``(nrows,
+    ncols)`` array, or None where ``np.loadtxt`` fails on them, they run out
+    first or an entry is not finite."""
+    bodies = iter(bodies)
+    first = next(bodies, None)
     if first is None:  # loadtxt warns where it gets no rows
         return None
     try:
-        data = np.loadtxt(chain((first[1],), (body for _, body in chunk)),
-                          dtype=float, comments=None, ndmin=2, max_rows=nrows)
+        data = np.loadtxt(chain((first,), bodies), dtype=float, comments=None,
+                          ndmin=2, max_rows=nrows)
     except ValueError:
         return None
     if data.shape != (nrows, ncols) or not np.isfinite(data).all():
         return None
     return data
+
+
+def _scan_chunk(bodies: list[str], ncols: int, count: int,
+                size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(flat, values)`` of the entries of a chunk of table rows that are
+    not ``+0.0``: their flat positions in the chunk and their values, read
+    from the text of ``bodies`` with no float made for the rest.
+
+    The bodies are joined by line feeds and scanned as bytes: a token
+    starts at a byte above the space that follows one at or below it.  A
+    token spelled ``0.0`` or ``0`` is ``+0.0`` under any float rule and is
+    skipped; every other token is read by ``float()``, the grammar's rule.
+    None, before any ``float()`` call, where the text is not ASCII, holds a
+    control byte that is not a separator (:data:`_BLANK`), a row does not
+    have ``ncols`` tokens, or the other tokens break the sparse rule: over
+    the chunk's own entries (``np.loadtxt`` reads a denser chunk faster
+    than ``float()`` reads its tokens one by one), or with the ``count``
+    entries kept so far over the ``size`` entries of the table; and None
+    where one of them is not a finite number.  Then :func:`_load_chunk`
+    reads the chunk."""
+    # a line feed before the first token and three after the last, so that
+    # every shifted view of the bytes below has a byte for each token start
+    text = "\n".join(["", *bodies, "", "", ""])
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    if not _BLANK[raw[raw < 32]].all():
+        return None
+    first = raw[1:] > 32  # at i: a token starts at byte i + 1
+    first &= raw[:-1] <= 32
+    starts = np.flatnonzero(first)
+    breaks = np.cumsum([len(body) + 1 for body in bodies], dtype=np.intp)
+    if not np.array_equal(np.searchsorted(starts, breaks - 1),
+                          np.arange(ncols, (len(bodies) + 1) * ncols, ncols)):
+        return None
+    # at i: the token at byte i + 1, if one starts there, is 0.0 or 0;
+    # built in place, so the scan holds few arrays of the chunk's size
+    zero = raw[2:-2] == ord(".")
+    zero &= raw[3:-1] == ord("0")
+    zero &= raw[4:] <= 32
+    zero |= raw[2:-2] <= 32
+    zero &= raw[1:-3] == ord("0")
+    other = np.flatnonzero(first[:-3] > zero)  # starts of the other tokens
+    if not (_sparse(other.size, starts.size) and _sparse(count + other.size, size)):
+        return None
+    try:
+        values = np.array([float(_TOKEN.match(text, at).group())
+                           for at in (other + 1).tolist()], dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    kept = values.view(np.uint64) != 0
+    return np.searchsorted(starts, other[kept]), values[kept]
 
 
 def _load_table(block, nrows: int, ncols: int) -> np.ndarray | Nonzeros | None:
@@ -245,18 +315,32 @@ def _load_table(block, nrows: int, ncols: int) -> np.ndarray | Nonzeros | None:
 
     While the entries read so far that are not ``+0.0`` are few enough for
     :func:`~ctrlscore.spectral._sparse` over the whole table, each chunk
-    leaves only their flat positions and values.  The first chunk with more
-    allocates the array, scatters into it what was kept (``-0.0`` too, so
-    it gets the bits of the text) and is copied in, as is every later
-    chunk: a dense table peaks at its array, one chunk and at most 1/8 of
-    the array of kept entries, a sparse one at its nonzeros and a chunk.
-    Kept entries become the nonzeros without their ``-0.0``, which are
+    leaves only their flat positions and values.  :func:`_scan_chunk` finds
+    them in the chunk's text, reading only the tokens not spelled ``0.0``
+    or ``0``; where it cannot, ``np.loadtxt`` reads the chunk and a mask
+    finds them.  The first chunk with more allocates the array, scatters
+    into it what was kept (``-0.0`` too, so it gets the bits of the text)
+    and is copied in, as is every later chunk, read by ``np.loadtxt``: a
+    dense table peaks at its array, one chunk and at most 1/8 of the array
+    of kept entries, a sparse one at its nonzeros and a chunk.  Kept
+    entries become the nonzeros without their ``-0.0``, which are
     ``_nonzeros`` of the array to the bit: the same positions, values and
     row-major order."""
     step = max(1, _CHUNK_ENTRIES // ncols)
     kept, count, table = [], 0, None
     for start in range(0, nrows, step):
-        data = _load_chunk(block, min(step, nrows - start), ncols)
+        size = min(step, nrows - start)
+        bodies = (body for _, body in islice(block, size))
+        if table is None:
+            bodies = list(bodies)
+            found = (_scan_chunk(bodies, ncols, count, nrows * ncols)
+                     if len(bodies) == size else None)
+            if found is not None:
+                flat, values = found
+                count += flat.size
+                kept.append((flat + start * ncols, values))
+                continue
+        data = _load_chunk(bodies, size, ncols)
         if data is None:
             return None
         if table is None:
@@ -303,7 +387,7 @@ def _read_rows(text: str, lines, nrows: int, ncols: int, what: str,
     if what == "table":
         data = _load_table(block, nrows, ncols)
     else:
-        data = _load_chunk(block, nrows, ncols)
+        data = _load_chunk((body for _, body in block), nrows, ncols)
         if data is not None:
             data.flags.writeable = False
     if data is not None:

@@ -11,7 +11,7 @@ from oracles import dense_table, dump_model_text, model_file_from_spectral
 from test_golden_cli import MODELS as GOLDEN_MODELS
 
 import ctrlscore as cs
-from ctrlscore import cli, linsys, simplex
+from ctrlscore import cli, linsys, modelfile, simplex, spectral
 from ctrlscore.modelfile import _lines, parse_model_text
 from ctrlscore.spectral import Nonzeros, _nonzeros
 
@@ -384,17 +384,22 @@ def test_every_benchmark_and_golden_table_parses_to_its_nonzeros_or_its_array():
     assert "spectral-large/1/diag1000" in names and "golden/banded" in names
 
 
-@pytest.mark.parametrize("fill", ["0.0", "-0.0"])
-def test_a_table_sparse_in_its_first_chunks_and_dense_later_gives_its_array(fill):
-    # 65 rows of 1000 make a chunk.  The first 130 rows have one nonzero
-    # each, the rest are full, so the reader keeps nonzeros for two chunks,
-    # then scatters them into the array; a -0.0 it kept keeps its sign.
+@pytest.mark.parametrize("fill,signed", [("0.0", False), ("-0.0", False), ("0.0", True)],
+                         ids=["0.0", "-0.0", "0.0-and-one-signed"])
+def test_a_table_sparse_in_its_first_chunks_and_dense_later_gives_its_array(fill, signed):
+    # The first 130 rows have one nonzero each, the rest are full.  The
+    # reader keeps what it reads while the table could still be sparse: the
+    # scan reads the chunks of 0.0 rows, np.loadtxt those of -0.0 rows and
+    # of full ones.  Then it scatters what it kept into the array, and a
+    # -0.0 it kept, scanned or loaded, keeps its sign.
     rng = np.random.default_rng(3)
     rows = []
     for k in range(200):
         if k < 130:
             tokens = [fill] * 1000
             tokens[k] = "2.5"
+            if signed:
+                tokens[(k + 500) % 1000] = "-0.0"
         else:
             tokens = [str(v) for v in rng.integers(1, 9, 1000) / 4]
         rows.append(" ".join(tokens))
@@ -432,6 +437,141 @@ def test_a_bad_token_in_any_chunk_keeps_its_line_and_column(fill, row):
         parse_model_text(text)
     assert (info.value.line, info.value.column) == (3 + row, 1)
     assert str(info.value).endswith(f"expected 1000 rows, file ended after {row - 1}")
+
+
+#: How a ``+0.0`` or ``-0.0`` entry may be spelled; the scan skips the
+#: first two unread, and ``float()`` reads the others.
+_ZERO_SPELLINGS = ["0", "0.0", "-0.0", "0.00", "+0.0", "0e0"]
+_NONZERO_TOKENS = st.one_of(st.floats(1e-300, 1e300).map(repr),
+                            st.floats(1e-6, 1e6).map(lambda x: "%e" % x),
+                            st.sampled_from(["+.5", "5.", "2", "1e-320"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_sparse_table_in_any_spelling_parses_to_its_float_reading(data):
+    """Mostly-zero tables, with every zero spelling, separator, comment and
+    line ending the scan meets, read in chunks of any size, give
+    ``_nonzeros(values) or values`` of their ``float()`` reading to the
+    bit, in the same form."""
+    nrows = data.draw(st.integers(1, 12), label="nrows")
+    ncols = data.draw(st.integers(1, 12), label="ncols")
+    other = data.draw(st.sampled_from([0, 1, 4, 16]), label="one entry in")
+    entry = st.integers(1, other).flatmap(
+        lambda k: _NONZERO_TOKENS if k == 1 else st.sampled_from(_ZERO_SPELLINGS)
+    ) if other else st.sampled_from(_ZERO_SPELLINGS)
+    rows = [data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    for token in ("1_0", "\u0663"):  # float() reads both, np.loadtxt neither
+        if data.draw(st.booleans(), label=token):
+            rows[data.draw(st.integers(0, nrows - 1))][
+                data.draw(st.integers(0, ncols - 1))] = token
+    separators = st.sampled_from([" ", "\t", "\x1f"])
+    endings = st.sampled_from(["\n"] + _BOUNDARIES)
+    lines = [f"table {nrows} {ncols}"]
+    for row in rows:
+        seps = data.draw(st.lists(separators, min_size=ncols + 1, max_size=ncols + 1))
+        line = seps[0] + "".join(t + s for t, s in zip(row, seps[1:]))
+        if data.draw(st.booleans(), label="comment after the row"):
+            line += "# 1 x"
+        lines.append(line)
+        if data.draw(st.booleans(), label="comment line"):
+            lines.append("  # 2.5 0.0")
+    head = "ctrlscore-model v1\nkind spectral_table\nnodes "
+    text = head + " ".join(map(str, range(1, ncols + 1))) + "\n" + "".join(
+        line + data.draw(endings) for line in lines)
+    chunk = data.draw(st.sampled_from([1, 3, 16, modelfile._CHUNK_ENTRIES]), label="chunk")
+    # a larger share lets the scan read chunks of these small tables that
+    # hold more than 1/16 nonzero tokens; the reference's _nonzeros reads
+    # the same share
+    share = data.draw(st.sampled_from([spectral._SPARSE_SHARE, 0.5, 1.0]), label="share")
+
+    values = np.array([[float(token) for token in row] for row in rows])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modelfile, "_CHUNK_ENTRIES", chunk)
+        patch.setattr(spectral, "_SPARSE_SHARE", share)
+        assert_same_bits(parse_model_text(text).table, _nonzeros(values) or values)
+
+
+def test_a_sparse_table_is_read_without_loadtxt_and_a_dense_one_with_it(monkeypatch):
+    real = np.loadtxt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt read a sparse table")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    text = _diagonal_text(1000)
+    assert_same_bits(parse_model_text(text).table, _nonzeros(_reference_table(text)))
+
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(kwargs["max_rows"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", count)
+    values = np.random.default_rng(1).random((20, 30))
+    text = _table_text(30, [" ".join(map(repr, row.tolist())) for row in values])
+    assert_same_bits(parse_model_text(text).table, values)
+    assert calls == [20]
+
+
+@pytest.mark.parametrize("row", [2, 900], ids=["first-chunk", "late-chunk"])
+@pytest.mark.parametrize("bad,column,message", [
+    ("0.0x", 2001, "expected number, got '0.0x'"),
+    ("0.0\x01", 2001, "expected number, got '0.0\\x01'"),
+    ("1e999", 2001, "expected a finite number, got '1e999'"),
+    ("nan", 2001, "expected a finite number, got 'nan'"),
+    ("short", 1, "table: expected 1000 entries per row, got 999"),
+    ("long", 1, "table: expected 1000 entries per row, got 1001"),
+], ids=["0.0x", "0.0-control", "1e999", "nan", "short", "long"])
+def test_an_error_in_a_scanned_chunk_keeps_its_line_and_column(
+        monkeypatch, bad, column, message, row):
+    # A diagonal 1000 x 1000 table, the 501st token of one row replaced, or
+    # dropped, or doubled.  Each chunk before the row's is scanned and
+    # kept; the row's chunk fails the scan, np.loadtxt and then the row loop.
+    tokens = [["1.5" if i == k else "0.0" for i in range(1000)] for k in range(1000)]
+    if bad == "short":
+        del tokens[row - 1][500]
+    elif bad == "long":
+        tokens[row - 1].insert(500, "0.0")
+    else:
+        tokens[row - 1][500] = bad
+    scanned = []
+    scan = modelfile._scan_chunk
+
+    def spy(*args):
+        found = scan(*args)
+        scanned.append(found is not None)
+        return found
+
+    monkeypatch.setattr(modelfile, "_scan_chunk", spy)
+    with pytest.raises(cs.ParseError) as info:
+        parse_model_text(_table_text(1000, [" ".join(line) for line in tokens]))
+    assert (info.value.line, info.value.column) == (4 + row, column)
+    assert str(info.value).endswith(message)
+    assert scanned == [True] * ((row - 1) // (modelfile._CHUNK_ENTRIES // 1000)) + [False]
+
+
+def test_scanning_the_benchmark_diagonal_table_peaks_below_reading_it_by_loadtxt(tmp_path):
+    # Read by np.loadtxt in chunks of 2^16 entries, the parse of diag1000's
+    # 3.8 MiB text peaked at 1.12 MiB beside it; scanned in chunks of 2^16
+    # entries, at 2.05 MiB, and of 2^14, at 0.56 MiB.  The load peaks where
+    # the file's bytes and its text coexist (7.67 MiB), above the parse.
+    gen = perfbench_gen()
+    text = gen.build("spectral-large", 0)[0]["diag1000"].text()
+    tracemalloc.start()
+    try:
+        parse_model_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.12 * 2**20
+    path = tmp_path / "diag1000.csm"
+    path.write_text(text)
+    model, peak, _ = _traced_load(path)
+    assert model._nonzeros.values.size == 1000
+    assert peak <= 2 * len(text) + 2**16
 
 
 def test_model_files_compare_their_tables_by_value_in_either_form():
