@@ -38,32 +38,30 @@ those of the statement when a rule fails; the column is a 1-based
 character offset (a tab counts as one character).
 
 The text is read one line at a time (:func:`_lines`), cut at each line
-feed and carriage return; no list of its lines is made.  A ``matrix``
-payload becomes one read-only float64 array: a single ``np.loadtxt`` call
-takes the block's rows as they are read and fills an array of exactly the
-block's size.  A ``table`` payload is read in chunks of at most
-:data:`_CHUNK_ENTRIES` entries (:func:`_load_table`).  A sparse table, by
-the rule of :func:`~ctrlscore.spectral._sparse`, becomes its read-only
-:class:`~ctrlscore.spectral.Nonzeros` alone, and no K x m array is made; a
-denser one becomes one read-only array, allocated at the first chunk that
-breaks the rule.  While the table can still be sparse, a byte scan of each
-chunk's text (:func:`_scan_chunk`) finds its tokens, skips those spelled
-``0.0`` or ``0`` and reads only the others, by ``float()``; a chunk the
-scan does not take, and every chunk after the array is allocated, goes to
-``np.loadtxt``.  So a parse holds the text and the payload and little
-else.  When a call fails, or its result is the wrong shape or not finite,
-a row-by-row loop reads the block again from its first line: it finds the
-error's line and column, and it reads the spellings that only ``float()``
-takes (``1_000``, non-ASCII digits).
+feed and carriage return; no list of its lines is made.  A ``matrix`` or
+``table`` payload is read in chunks of at most :data:`_CHUNK_ENTRIES`
+entries (:func:`_read_rows`), each by the first reader that takes it: a
+byte scan of the chunk's text (:func:`_scan_chunk`), for a table that can
+still be sparse, which finds its tokens, skips those spelled ``0.0`` or
+``0`` and reads only the others, by ``float()``; ``np.loadtxt``; and a
+row loop over the chunk alone, which raises at its first bad row or
+token with that line and column, and reads the spellings that only
+``float()`` takes (``1_000``, non-ASCII digits).  What the chunks hold
+that is not ``+0.0`` is kept as positions and values while it is sparse,
+by the rule of :func:`~ctrlscore.spectral._sparse`; the first chunk that
+breaks the rule allocates the block's array.  So no block allocates more
+than its text has shown, and a parse holds the text and the payload and
+little else.  A matrix becomes one read-only float64 array.  A sparse
+table becomes its read-only :class:`~ctrlscore.spectral.Nonzeros` alone,
+and no K x m array is made; a denser one becomes one read-only array.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain, dropwhile, islice
+from itertools import islice
 
 import numpy as np
 
@@ -218,13 +216,14 @@ def _lines(text: str):
         start = end
 
 
-#: Most entries of a ``table`` block that one step of :func:`_load_table`
-#: reads, by a byte scan of their text (:func:`_scan_chunk`) or by one
-#: ``np.loadtxt`` call: 128 KiB as float64.  The scan holds a few byte
-#: masks of the chunk's text and an index of its token starts: at 2^16
-#: entries they took the traced parse peak of the benchmark's diagonal
-#: 1000 x 1000 table to 2.05 MiB (``np.loadtxt`` alone: 1.12 MiB), at
-#: 2^14 to 0.56 MiB, at about the same speed.
+#: Most entries of a ``matrix`` or ``table`` block that one step of
+#: :func:`_read_rows` reads, by a byte scan of their text
+#: (:func:`_scan_chunk`), by one ``np.loadtxt`` call or, where neither
+#: takes them, by ``float()`` (:func:`_float_rows`): 128 KiB as float64.
+#: The scan holds a few byte masks of the chunk's text and an index of its
+#: token starts: at 2^16 entries they took the traced parse peak of the
+#: benchmark's diagonal 1000 x 1000 table to 2.05 MiB (``np.loadtxt``
+#: alone: 1.12 MiB), at 2^14 to 0.56 MiB, at about the same speed.
 _CHUNK_ENTRIES = 1 << 14
 
 #: Which bytes below the space may stand in a chunk's text: those that
@@ -235,21 +234,44 @@ _BLANK = np.zeros(32, dtype=bool)
 _BLANK[[ord("\t"), ord("\x1f"), ord("\n")]] = True
 
 
-def _load_chunk(bodies, nrows: int, ncols: int) -> np.ndarray | None:
-    """The next ``nrows`` of the iterable ``bodies`` as a finite ``(nrows,
-    ncols)`` array, or None where ``np.loadtxt`` fails on them, they run out
-    first or an entry is not finite."""
-    bodies = iter(bodies)
-    first = next(bodies, None)
-    if first is None:  # loadtxt warns where it gets no rows
-        return None
+def _load_chunk(bodies: list[str], ncols: int) -> np.ndarray | None:
+    """The rows ``bodies`` as a finite ``(len(bodies), ncols)`` array, or
+    None where ``np.loadtxt`` fails on them or an entry is not finite."""
     try:
-        data = np.loadtxt(chain((first,), bodies), dtype=float, comments=None,
-                          ndmin=2, max_rows=nrows)
+        data = np.loadtxt(bodies, dtype=float, comments=None, ndmin=2,
+                          max_rows=len(bodies))
     except ValueError:
         return None
-    if data.shape != (nrows, ncols) or not np.isfinite(data).all():
+    if data.shape != (len(bodies), ncols) or not np.isfinite(data).all():
         return None
+    return data
+
+
+def _float_rows(chunk, ncols: int, what: str) -> np.ndarray:
+    """The rows of ``chunk``, ``(lineno, body)`` pairs, read token by token
+    by ``float()`` into a ``(len(chunk), ncols)`` array, one row at a time;
+    raises at the first bad row or token.  The array is allocated once a
+    row has shown ``ncols`` tokens, so a header's ``ncols`` alone allocates
+    nothing.  Token columns are only worked out for the error message."""
+    data = np.empty((0, ncols))
+    for at, (lineno, body) in enumerate(chunk):
+        values = body.split()
+        if len(values) != ncols:
+            raise ParseError(
+                f"{what}: expected {ncols} entries per row, got {len(values)}",
+                lineno, _tokens(body)[0][1],
+            )
+        if not at:
+            data = np.empty((len(chunk), ncols))
+        try:
+            row = tuple(map(float, values))
+            finite = all(map(math.isfinite, row))
+        except ValueError:
+            finite = False
+        if not finite:
+            for token, col in _tokens(body):
+                _to_float(token, lineno, col)  # raises at the first bad token
+        data[at] = row
     return data
 
 
@@ -307,56 +329,76 @@ def _scan_chunk(bodies: list[str], ncols: int, count: int,
     return np.searchsorted(starts, other[kept]), values[kept]
 
 
-def _load_table(block, nrows: int, ncols: int) -> np.ndarray | Nonzeros | None:
-    """A ``table`` block read from ``block`` in chunks of at most
-    :data:`_CHUNK_ENTRIES` entries, as ``_nonzeros(table) or table`` of its
-    read-only array ``table``, or None where a chunk fails
-    (:func:`_load_chunk`).
+def _filled(kept, nrows: int, ncols: int) -> np.ndarray:
+    """A zero ``(nrows, ncols)`` array with each ``(flat, values)`` of
+    ``kept`` put at its flat positions."""
+    array = np.zeros((nrows, ncols))
+    for flat, values in kept:
+        array.reshape(-1)[flat] = values
+    return array
 
-    While the entries read so far that are not ``+0.0`` are few enough for
-    :func:`~ctrlscore.spectral._sparse` over the whole table, each chunk
-    leaves only their flat positions and values.  :func:`_scan_chunk` finds
-    them in the chunk's text, reading only the tokens not spelled ``0.0``
-    or ``0``; where it cannot, ``np.loadtxt`` reads the chunk and a mask
-    finds them.  The first chunk with more allocates the array, scatters
-    into it what was kept (``-0.0`` too, so it gets the bits of the text)
-    and is copied in, as is every later chunk, read by ``np.loadtxt``: a
-    dense table peaks at its array, one chunk and at most 1/8 of the array
-    of kept entries, a sparse one at its nonzeros and a chunk.  Kept
-    entries become the nonzeros without their ``-0.0``, which are
-    ``_nonzeros`` of the array to the bit: the same positions, values and
-    row-major order."""
+
+def _read_rows(lines, nrows: int, ncols: int, what: str,
+               header_line: int) -> np.ndarray | Nonzeros:
+    """The ``nrows`` rows that ``lines``, the iterator of :func:`_lines`,
+    yields after the block's statement at ``header_line``: a ``matrix`` as
+    its read-only array, a ``table`` as ``_nonzeros(table) or table`` of
+    its read-only array ``table``.
+
+    The rows are read in chunks of at most :data:`_CHUNK_ENTRIES` entries,
+    each by the first reader that takes it: :func:`_scan_chunk`, for a
+    table that can still be sparse; ``np.loadtxt`` (:func:`_load_chunk`);
+    and :func:`_float_rows`, which raises at the chunk's first bad row or
+    token.  A block cut short by the end of the file raises once its last
+    rows are read.  While the entries read so far that are not ``+0.0``
+    are few enough for :func:`~ctrlscore.spectral._sparse` over the whole
+    block, each chunk leaves only their flat positions and values.  The
+    first chunk with more allocates the array, scatters into it what was
+    kept (``-0.0`` too, so it gets the bits of the text) and is copied in,
+    as is every later chunk: a dense block peaks at its array, one chunk
+    and at most 1/8 of the array of kept entries, a sparse one at its
+    nonzeros and a chunk.  A matrix that stays sparse is filled at the
+    end.  A table's kept entries without their ``-0.0`` are ``_nonzeros``
+    of the array to the bit: the same positions, values and row-major
+    order."""
     step = max(1, _CHUNK_ENTRIES // ncols)
-    kept, count, table = [], 0, None
+    kept, count, array = [], 0, None
+    last_line = header_line
     for start in range(0, nrows, step):
         size = min(step, nrows - start)
-        bodies = (body for _, body in islice(block, size))
-        if table is None:
-            bodies = list(bodies)
-            found = (_scan_chunk(bodies, ncols, count, nrows * ncols)
-                     if len(bodies) == size else None)
+        chunk = list(islice(lines, size))
+        if len(chunk) < size:
+            _float_rows(chunk, ncols, what)  # raises at a bad row before the end
+            raise ParseError(
+                f"{what}: expected {nrows} rows, file ended after {start + len(chunk)}",
+                chunk[-1][0] if chunk else last_line, 1,
+            )
+        last_line = chunk[-1][0]
+        bodies = [body for _, body in chunk]
+        if array is None and what == "table":
+            found = _scan_chunk(bodies, ncols, count, nrows * ncols)
             if found is not None:
                 flat, values = found
                 count += flat.size
                 kept.append((flat + start * ncols, values))
                 continue
-        data = _load_chunk(bodies, size, ncols)
+        data = _load_chunk(bodies, ncols)
         if data is None:
-            return None
-        if table is None:
+            data = _float_rows(chunk, ncols, what)
+        if array is None:
             flat = np.flatnonzero(data.view(np.uint64) != 0)  # a mask scans faster
             count += flat.size
             if _sparse(count, nrows * ncols):
                 kept.append((flat + start * ncols, data.reshape(-1)[flat]))
                 continue
-            table = np.zeros((nrows, ncols))
-            for flat, values in kept:
-                table.reshape(-1)[flat] = values
+            array = _filled(kept, nrows, ncols)
             kept = None
-        table[start:start + len(data)] = data
-    if table is not None:
-        table.flags.writeable = False
-        return _nonzeros(table) or table
+        array[start:start + size] = data
+    if array is None and what == "matrix":
+        array = _filled(kept, nrows, ncols)
+    if array is not None:
+        array.flags.writeable = False
+        return array if what == "matrix" else _nonzeros(array) or array
     flat, values = (np.concatenate(part) for part in zip(*kept))
     nonzero = values != 0.0
     if not nonzero.all():
@@ -365,64 +407,6 @@ def _load_table(block, nrows: int, ncols: int) -> np.ndarray | Nonzeros | None:
     for part in (rows, cols, values):
         part.flags.writeable = False
     return Nonzeros(rows, cols, values, (nrows, ncols))
-
-
-def _read_rows(text: str, lines, nrows: int, ncols: int, what: str,
-               header_line: int) -> np.ndarray | Nonzeros:
-    """Take the next ``nrows`` entries of ``lines``, the iterator of
-    :func:`_lines` over ``text`` that has just yielded the block's statement
-    at ``header_line``, as a read-only ``(nrows, ncols)`` array, or for a
-    ``table`` as :func:`_load_table` gives it.
-
-    ``np.loadtxt`` reads the bodies as they come: a ``matrix`` in one call,
-    into one array of ``nrows`` rows, a ``table`` in chunks; ``islice``
-    keeps it from taking the next statement.  When a call fails, or its
-    result is the wrong shape or not finite, ``lines`` skips the rest of
-    the block, and the row loop reads the block again from its first line
-    through a new :func:`_lines` over ``text``: it raises at the first bad
-    row or token, or returns the values of tokens that only ``float()``
-    reads.  Token columns are only worked out for the error message.
-    """
-    block = islice(lines, nrows)
-    if what == "table":
-        data = _load_table(block, nrows, ncols)
-    else:
-        data = _load_chunk((body for _, body in block), nrows, ncols)
-        if data is not None:
-            data.flags.writeable = False
-    if data is not None:
-        return data
-    deque(block, maxlen=0)  # leave ``lines`` after the block
-    rows = []
-    last_line = header_line
-    again = dropwhile(lambda entry: entry[0] <= header_line, _lines(text))
-    for lineno, body in islice(again, nrows):
-        last_line = lineno
-        values = body.split()
-        if len(values) != ncols:
-            raise ParseError(
-                f"{what}: expected {ncols} entries per row, got {len(values)}",
-                lineno, _tokens(body)[0][1],
-            )
-        try:
-            row = tuple(map(float, values))
-            finite = all(map(math.isfinite, row))
-        except ValueError:
-            finite = False
-        if not finite:
-            for token, col in _tokens(body):
-                _to_float(token, lineno, col)  # raises at the first bad token
-        rows.append(row)
-    if len(rows) < nrows:
-        raise ParseError(
-            f"{what}: expected {nrows} rows, file ended after {len(rows)}",
-            last_line, 1,
-        )
-    data = np.array(rows, dtype=float)
-    data.flags.writeable = False
-    if what == "table":
-        return _nonzeros(data) or data
-    return data
 
 
 def parse_model_text(text: str) -> ModelFile:
@@ -485,15 +469,16 @@ def parse_model_text(text: str) -> ModelFile:
             dim = _to_int(tokens[1][0], lineno, tokens[1][1])
             if dim < 1:
                 raise ParseError("matrix dimension must be >= 1", lineno, tokens[1][1])
-            matrix = _read_rows(text, lines, dim, dim, "matrix", lineno)
+            matrix = _read_rows(lines, dim, dim, "matrix", lineno)
         elif word == "table":
             if len(tokens) != 3:
                 raise ParseError("table takes row and column counts", lineno, col)
             nrows = _to_int(tokens[1][0], lineno, tokens[1][1])
             ncols = _to_int(tokens[2][0], lineno, tokens[2][1])
             if nrows < 1 or ncols < 1:
-                raise ParseError("table dimensions must be >= 1", lineno, tokens[1][1])
-            table = _read_rows(text, lines, nrows, ncols, "table", lineno)
+                raise ParseError("table dimensions must be >= 1", lineno,
+                                 tokens[1 if nrows < 1 else 2][1])
+            table = _read_rows(lines, nrows, ncols, "table", lineno)
         else:
             raise ParseError(f"unknown statement {word!r}", lineno, col)
 

@@ -1156,6 +1156,7 @@ CONSISTENCY_ERRORS = [
      "matrix takes one dimension argument"),
     ("kind dense_lti\nnodes 1\nmatrix  0\n", 4, 9, "matrix dimension must be >= 1"),
     ("kind spectral_table\nnodes 1\ntable 0 1\n", 4, 7, "table dimensions must be >= 1"),
+    ("kind spectral_table\nnodes 1\ntable 3 0\n", 4, 9, "table dimensions must be >= 1"),
     ("kind heat_dirichlet\nn 1\n", 1, 1, "missing 'nodes' statement"),
     ("kind dense_lti\nnodes 1\nmatrix 1\n-1\n table 1 1\n1\n", 6, 2,
      "dense_lti cannot carry a 'table' block"),
@@ -1170,8 +1171,16 @@ CONSISTENCY_ERRORS = [
 ]
 
 
+def _message_ids(cases):
+    """Each case's message as its id, with its column where an earlier case
+    has the same message."""
+    messages = [case[3] for case in cases]
+    return [message if messages.index(message) == at else f"{message} at column {column}"
+            for at, (_, _, column, message) in enumerate(cases)]
+
+
 @pytest.mark.parametrize("body, line, column, message", CONSISTENCY_ERRORS,
-                         ids=[case[3] for case in CONSISTENCY_ERRORS])
+                         ids=_message_ids(CONSISTENCY_ERRORS))
 def test_model_file_consistency_errors_name_their_statement(tmp_path, capsys, body,
                                                             line, column, message):
     path = write(tmp_path, "m.csm", "ctrlscore-model v1\n" + body)

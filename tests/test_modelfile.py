@@ -202,25 +202,39 @@ _SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x1f", "\xa0",
                                "\u2000", "\u3000"])
 
 
-def _reference_payload(rows, ncols, nonnegative):
-    """The README rule: ``ncols`` tokens per row, each finite under
-    ``float()`` (and >= 0 in a table); None where it rejects."""
-    if any(len(row) != ncols for row in rows):
-        return None
-    try:
-        values = np.array([[float(token) for token in row] for row in rows])
-    except ValueError:
-        return None
-    if not np.isfinite(values).all() or (nonnegative and (values < 0).any()):
-        return None
-    return values
+def _float_reading(rows, gaps, ncols, what):
+    """The README rule on payload rows whose tokens ``rows`` are spaced by
+    ``gaps`` (one more gap than tokens), the first row on line 5:
+    ``(values, None)`` where every row has ``ncols`` tokens that
+    ``float()`` reads as finite (and >= 0 in a table), else ``(None,
+    (line, column, message))`` of the first bad row or token."""
+    for line, (row, seps) in enumerate(zip(rows, gaps), 5):
+        columns = [1 + len(seps[0]) + sum(len(t) + len(s) for t, s in zip(row[:j], seps[1:]))
+                   for j in range(len(row))]
+        if len(row) != ncols:
+            return None, (line, columns[0],
+                          f"{what}: expected {ncols} entries per row, got {len(row)}")
+        for token, column in zip(row, columns):
+            try:
+                value = float(token)
+            except ValueError:
+                return None, (line, column, f"expected number, got {token!r}")
+            if not np.isfinite(value):
+                return None, (line, column, f"expected a finite number, got {token!r}")
+    values = np.array([[float(token) for token in row] for row in rows])
+    if what == "table" and (values < 0).any():
+        return None, (4, 1, "table entries must be >= 0")
+    return values, None
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_payload_parse_matches_the_float_rule(data):
     """A block parses exactly when every row has ``ncols`` tokens that
-    ``float()`` reads as finite, and then to the same bits."""
+    ``float()`` reads as finite, and then to the same bits; else it fails
+    at the first bad row or token, with the same line, column and message.
+    Read in chunks of 1, 3 or 16 entries, a block spans several chunks,
+    and a defect or a token that only ``float()`` reads can land in any."""
     table = data.draw(st.booleans(), label="table")
     nrows = data.draw(st.integers(1, 4), label="nrows")
     ncols = data.draw(st.integers(1, 4), label="ncols") if table else nrows
@@ -240,24 +254,29 @@ def test_payload_parse_matches_the_float_rule(data):
         # drop minus signs except on -0.0, so the tokens decide, not the sign rule
         rows = [[t.lstrip("-") if t.startswith("-") and t != "-0.0" else t
                  for t in row] for row in rows]
-    lines = []
-    for row in rows:
-        seps = data.draw(st.lists(_SEPARATORS, min_size=len(row) + 1,
-                                  max_size=len(row) + 1))
-        lines.append(seps[0] + "".join(t + s for t, s in zip(row, seps[1:])))
+    gaps = [data.draw(st.lists(_SEPARATORS, min_size=len(row) + 1, max_size=len(row) + 1))
+            for row in rows]
+    lines = [seps[0] + "".join(t + s for t, s in zip(row, seps[1:]))
+             for row, seps in zip(rows, gaps)]
     if table:
         text = _table_text(ncols, lines)
     else:
         text = ("ctrlscore-model v1\nkind dense_lti\nnodes 1\n"
                 f"matrix {nrows}\n" + "".join(line + "\n" for line in lines))
+    chunk = data.draw(st.sampled_from([1, 3, 16]), label="chunk")
 
-    expected = _reference_payload(rows, ncols, nonnegative=table)
-    try:
-        parsed = parse_model_text(text)
-    except cs.ParseError:
-        assert expected is None
-        return
-    assert expected is not None
+    expected, error = _float_reading(rows, gaps, ncols, "table" if table else "matrix")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modelfile, "_CHUNK_ENTRIES", chunk)
+        try:
+            parsed = parse_model_text(text)
+        except cs.ParseError as exc:
+            assert error is not None
+            line, column, message = error
+            assert (exc.line, exc.column) == (line, column)
+            assert str(exc) == f"line {line}, column {column}: {message}"
+            return
+    assert error is None
     payload = parsed.table if table else parsed.dynamics
     assert_same_bits(payload, (_nonzeros(expected) or expected) if table else expected)
 
@@ -331,7 +350,7 @@ def test_the_line_reader_yields_the_nonblank_bodies_of_splitlines(text):
                          ids=["loadtxt", "row-loop"])
 def test_statements_after_a_payload_block_still_parse(rows):
     # The block reader takes its rows alone, also where the row loop reads
-    # them again after loadtxt fails on a spelling only float() reads.
+    # a chunk that loadtxt fails on, for a spelling only float() reads.
     table = _table_text(2, rows) + "n 1\ncaps 0.5 0.75\n"
     parsed = parse_model_text(table)
     assert parsed.score_order == 1 and parsed.caps == (0.5, 0.75)
@@ -421,16 +440,19 @@ def test_negative_zeros_count_toward_the_switch_but_not_the_nonzeros():
 @pytest.mark.parametrize("fill", ["0.0", "1.0"], ids=["sparse", "dense"])
 @pytest.mark.parametrize("row", [2, 900])
 def test_a_bad_token_in_any_chunk_keeps_its_line_and_column(fill, row):
-    # Row 2 is in the first chunk of 65 rows, row 900 in the fourteenth.
+    # At 2^14 entries a chunk is 16 rows: row 2 is in the first, row 900 in
+    # the 57th.
     rows = [" ".join(["1.0" if i == k else fill for i in range(1000)])
             for k in range(1000)]
     tokens = rows[row - 1].split()
     tokens[500] = "1.0e"
     rows[row - 1] = " ".join(tokens)
-    with pytest.raises(cs.ParseError) as info:
-        parse_model_text(_table_text(1000, rows))
-    assert (info.value.line, info.value.column) == (4 + row, 4 * 500 + 1)
-    assert str(info.value).endswith("expected number, got '1.0e'")
+    for count in (1000, row):  # the bad token comes first in a file cut after it
+        text = _table_text(1000, rows[:count]).replace(f"table {count} ", "table 1000 ")
+        with pytest.raises(cs.ParseError) as info:
+            parse_model_text(text)
+        assert (info.value.line, info.value.column) == (4 + row, 4 * 500 + 1)
+        assert str(info.value).endswith("expected number, got '1.0e'")
     # and a file that ends before the row
     text = _table_text(1000, rows[:row - 1]).replace(f"table {row - 1} ", "table 1000 ")
     with pytest.raises(cs.ParseError) as info:
@@ -572,6 +594,78 @@ def test_scanning_the_benchmark_diagonal_table_peaks_below_reading_it_by_loadtxt
     model, peak, _ = _traced_load(path)
     assert model._nonzeros.values.size == 1000
     assert peak <= 2 * len(text) + 2**16
+
+
+def _traced_parse(text):
+    """``(parsed, peak)``: the model file of ``text`` and the traced peak
+    of its parse."""
+    tracemalloc.start()
+    try:
+        parsed = parse_model_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return parsed, peak
+
+
+@pytest.mark.parametrize("row", [992, 1000], ids=["full-chunk", "last-row"])
+def test_a_token_only_float_reads_sends_one_chunk_through_the_row_loop(monkeypatch, row):
+    # The benchmark's diag1000 with one 0.0 of a row replaced by an
+    # Arabic-Indic zero, which float() reads and the scan and np.loadtxt do
+    # not.  The float() row loop reads that row's chunk alone: 16 rows, or
+    # the last 8 (1000 = 62 x 16 + 8); the scan keeps reading the others,
+    # so the parse gets the same nonzeros at about the same peak.
+    gen = perfbench_gen()
+    plain = gen.build("spectral-large", 0)[0]["diag1000"].text()
+    lines = plain.split("\n")
+    tokens = lines[3 + row].split(" ")
+    tokens[tokens.index("0.0")] = "\u0660"
+    lines[3 + row] = " ".join(tokens)
+    odd = "\n".join(lines)
+    read = []
+    float_rows = modelfile._float_rows
+
+    def spy(chunk, *args):
+        read.append([lineno for lineno, _ in chunk])
+        return float_rows(chunk, *args)
+
+    monkeypatch.setattr(modelfile, "_float_rows", spy)
+    parse_model_text(odd), parse_model_text(plain)  # warm up
+    read.clear()
+    expected, plain_peak = _traced_parse(plain)
+    parsed, peak = _traced_parse(odd)
+    assert_same_bits(parsed.table, expected.table)
+    assert isinstance(parsed.table, Nonzeros)
+    assert peak <= plain_peak + 2**16
+    step = modelfile._CHUNK_ENTRIES // 1000
+    first = (row - 1) // step * step + 1
+    assert read == [list(range(4 + first, 5 + min(first + step - 1, 1000)))]
+    assert len(read[0]) == (16 if row == 992 else 8)
+
+
+@pytest.mark.parametrize("kind,block,row,message", [
+    ("dense_lti", "matrix 400000", " ".join(["-1"] * 400000),
+     "matrix: expected 400000 rows, file ended after 1"),
+    ("spectral_table", "table 20000 20000", " ".join(["1"] * 20000),
+     "table: expected 20000 rows, file ended after 1"),
+    ("spectral_table", "table 1 1000000000000", "1 2",
+     "table: expected 1000000000000 entries per row, got 2"),
+], ids=["matrix", "table", "table-columns"])
+def test_a_block_header_that_overstates_its_block_ends_in_a_parse_error(
+        tmp_path, capsys, kind, block, row, message):
+    # One row under a header that claims a block of 1.6e11, 4e8 or 1e12
+    # entries: the reader holds what the row has shown, then finds the file
+    # ended or the row short.
+    text = f"ctrlscore-model v1\nkind {kind}\nnodes 1\n{block}\n{row}\n"
+    with pytest.raises(cs.ParseError) as info:
+        parse_model_text(text)
+    assert (info.value.line, info.value.column) == (5, 1)
+    assert str(info.value).endswith(message)
+    path = tmp_path / "overstated.csm"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"parse error: {info.value}\n"
 
 
 def test_model_files_compare_their_tables_by_value_in_either_form():
