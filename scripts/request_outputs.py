@@ -6,9 +6,13 @@ model files to a temporary directory, and runs each request in this process
 through ``ctrlscore.cli.main`` with ``OPENBLAS_NUM_THREADS=1``.  The output
 maps ``workload/seed/request`` to ``[exit, stdout, stderr]``, with the
 temporary directory written as ``<dir>``, so two checkouts that behave the
-same give byte-identical files.  ``--root`` names the checkout whose
-``src`` and ``perfbench/gen.py`` are used (default: the one holding this
-script); the generator is only read.
+same give byte-identical files.  Beside the workloads' own requests it runs
+one ``check MODEL --n K-1`` for each generated ``spectral_table`` and
+``heat_dirichlet`` model, ``K`` its row count (:func:`_top_n_checks`):
+every benchmark request scores the whole spectrum, where the top-n
+spectrum check returns before it reads the table.  ``--root`` names the
+checkout whose ``src`` and ``perfbench/gen.py`` are used (default: the one
+holding this script); the generator is only read.
 
 Run, for a change against its parent checked out at ``../parent``:
     python3 scripts/request_outputs.py change.json
@@ -56,6 +60,19 @@ def _load_gen(root: str):
     sys.modules[spec.name] = gen  # dataclasses look their module up here
     spec.loader.exec_module(gen)
     return gen
+
+
+def _top_n_checks(models, directory: str) -> list[tuple[str, list[str]]]:
+    """``(rid, argv)`` of ``check MODEL --n K-1`` for each table and heat
+    model of ``models``, ``K`` its row count, under ``directory``."""
+    checks = []
+    for model in models.values():
+        if model.kind != "dense_lti":
+            order = len(model.rows or model.nodes) - 1
+            path = os.path.join(directory, model.name + ".csm")
+            checks.append((f"{model.name}-check-n{order}",
+                           ["check", path, "--n", str(order)]))
+    return checks
 
 
 def _run(main, argv: list[str]) -> tuple[int, str, str]:
@@ -203,9 +220,10 @@ def main(argv=None) -> int:
             models, requests = gen.build(workload, seed)
             with tempfile.TemporaryDirectory() as directory:
                 gen.write(models, directory)
-                for request in requests:
-                    code, out, err = _run(cli.main, request.argv(directory))
-                    outputs[f"{workload}/{seed}/{request.rid}"] = [
+                runs = [(request.rid, request.argv(directory)) for request in requests]
+                for rid, argv in runs + _top_n_checks(models, directory):
+                    code, out, err = _run(cli.main, argv)
+                    outputs[f"{workload}/{seed}/{rid}"] = [
                         code, out.replace(directory, "<dir>"),
                         err.replace(directory, "<dir>")]
     with open(args.out, "w", encoding="utf-8") as handle:

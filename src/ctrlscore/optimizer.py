@@ -70,7 +70,7 @@ from .linsys import _binary_exponent
 from .scores import ObjectiveKind, _Objective, scale_free_gap
 from .simplex import (SimplexWeights, project_capped_simplex, validate_caps,
                       weight_vector)
-from .spectral import AssumptionReport, SpectralModel, check_feasibility
+from .spectral import AssumptionReport, Nonzeros, SpectralModel, check_feasibility
 
 _EPS = float(np.finfo(float).eps)
 #: A descent stops once the scale-free projected-gradient residual is at most
@@ -327,11 +327,11 @@ def _starting_points(count: int, caps: np.ndarray, seed: int,
 def _in_unit(model):
     """``model`` with every table or Gramian entry times the power of four
     ``4**k`` that puts its largest absolute entry in [1/4, 1) (``model``
-    itself where ``k`` is 0), not validated again.  A sparse table's copy
-    holds its nonzeros alone, the values times ``4**k`` and the owner's
-    rows and columns, with no K x m array (its ``eigen_table`` is None); a
-    family's copy takes its owner's node factor, built once, with the
-    loadings times ``2**k``.
+    itself where ``k`` is 0), not validated again.  A table held as its
+    :class:`~ctrlscore.spectral.Nonzeros` keeps that form in the copy, the
+    values times ``4**k`` with the owner's rows and columns; a family's
+    copy takes its owner's node factor, built once, with the loadings
+    times ``2**k``.
 
     Scaling by a power of the radix is exact (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, section 2.1), and by a power
@@ -341,9 +341,10 @@ def _in_unit(model):
     the rank tests, the multi-start ``1e-6`` and the descent's constants
     read the same in either unit.  Entries below the double range of the
     unit flush to zero; :func:`solve` reports what that breaks."""
-    sparse = getattr(model, "_nonzeros", None)
     field = "eigen_table" if isinstance(model, SpectralModel) else "gramians"
-    values = getattr(model, field) if sparse is None else sparse.values
+    table = getattr(model, field)
+    sparse = isinstance(table, Nonzeros)
+    values = table.values if sparse else table
     exponent = -_binary_exponent(values) // 2 if values.size else 0
     if exponent == 0:
         return model
@@ -351,10 +352,7 @@ def _in_unit(model):
     scaled.flags.writeable = False
     unit = object.__new__(type(model))  # no __post_init__: no validation
     vars(unit).update(vars(model))
-    if sparse is None:
-        vars(unit)[field] = scaled
-    else:
-        vars(unit).update(eigen_table=None, _nonzeros=sparse._replace(values=scaled))
+    vars(unit)[field] = table._replace(values=scaled) if sparse else scaled
     if field == "gramians":
         loadings, signs = model._factor()
         vars(unit)["_node_factor"] = (np.ldexp(loadings, exponent), signs)

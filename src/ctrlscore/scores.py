@@ -53,7 +53,7 @@ import numpy as np
 from .errors import CapsBind, NotDiagonal
 from .linsys import Eigenpairs
 from .simplex import SimplexWeights, validate_caps
-from .spectral import SpectralModel, _coordinates
+from .spectral import Nonzeros, SpectralModel, _coordinates
 
 
 class ObjectiveKind(Enum):
@@ -225,7 +225,8 @@ def closed_form_optimum(kind: ObjectiveKind, model: SpectralModel,
         raise NotDiagonal(
             f"closed form requires score order == node count, got {model.score_order} != {m}"
         )
-    rows, cols, entries, _ = model._nonzeros or _coordinates(model.eigen_table)
+    table = model.eigen_table
+    rows, cols, entries, _ = table if isinstance(table, Nonzeros) else _coordinates(table)
     counts = np.bincount(cols, minlength=m)
     order = np.argsort(cols, kind="stable")  # each column's entries, by row
     firsts = np.cumsum(counts) - counts

@@ -26,14 +26,16 @@ on the caller's model and give the same bits in any binary unit of time.
 ``eigenpairs`` decomposes ``W(p)`` at one point; ``eigenvalues`` takes only a
 batch of points, one per row, for the lattice oracle.  ``derivatives`` gives
 the gradient and the Hessian, as a callable that builds a table's product
-only when it is called.  A sparse table (at most :data:`_SPARSE_SHARE` of
-its entries nonzero, by the one rule :func:`_sparse`, which the model-file
-parser applies too) reads only its nonzeros for both: given as
-:class:`Nonzeros`, as the parser hands over a sparse table, the model
-keeps them alone and holds no K x m array; given an array, it finds them
-once when it is made.  A denser table with every row selected reads its
-array in place.  Node labels are checked by
-:func:`~ctrlscore.linsys.node_labels`, the heat model's too.  The score
+only when it is called.  A table's form is a function of the table
+alone: one with at most :data:`_SPARSE_SHARE` of its entries nonzero, by
+the one rule :func:`_sparse`, which the model-file parser applies too, is
+held as its :class:`Nonzeros`, as the parser hands it over, and every
+reader but the lattice oracle's batch ``eigenvalues`` works on them alone,
+with no K x m array; a denser one is held as its array, which a table with
+every row selected reads in place.  The heat model is given as its
+diagonal's nonzeros, so from 16 nodes on no m x m array is made.  Node
+labels are checked by :func:`~ctrlscore.linsys.node_labels`, the heat
+model's too.  The score
 order is a field of the model, checked by
 :func:`~ctrlscore.linsys.resolve_score_order` in the constructor and read
 by ``eigenpairs`` and every checker here; a table's default is
@@ -127,7 +129,8 @@ def _checked_nonzeros(nonzeros: Nonzeros, width: int) -> Nonzeros:
     """``nonzeros`` of a table with ``width`` columns, each part kept by
     :func:`_kept`; raises :class:`~ctrlscore.errors.IndexMismatch` on a
     shape with another width, parts of unequal length, an entry that is not
-    finite or is negative, or a position outside the shape."""
+    finite or is negative, a position outside the shape, or positions that
+    are not strictly increasing in row-major order, as a repeat is not."""
     rows, cols, values, shape = nonzeros
     shape = tuple(map(int, shape))
     if len(shape) != 2 or shape[1] != width:
@@ -142,6 +145,10 @@ def _checked_nonzeros(nonzeros: Nonzeros, width: int) -> Nonzeros:
     for part, bound in ((rows, shape[0]), (cols, shape[1])):
         if part.size and (part.min() < 0 or part.max() >= bound):
             raise IndexMismatch(f"eigen table nonzeros lie outside its shape {shape}")
+    step = np.diff(rows)
+    if np.any((step < 0) | ((step == 0) & (np.diff(cols) <= 0))):
+        raise IndexMismatch("eigen table nonzeros must lie in strictly increasing "
+                            "row-major order, each position once")
     return Nonzeros(rows, cols, values, shape)
 
 
@@ -153,55 +160,58 @@ class SpectralModel:
     ----------
     node_indices : tuple of int
         The evaluated nodes (1-based labels, order fixes the columns).
-    eigen_table : ndarray, shape (K, m), or None
+    eigen_table : ndarray, shape (K, m), or Nonzeros
         Nonnegative entries; row ``k`` holds the eigenvalue contributed by
-        every node to shared eigenmode ``k``.  Stored read-only, as a copy
-        unless :func:`~ctrlscore.linsys._shared`.  None where the model was
-        given the table's :class:`Nonzeros` alone.
+        every node to shared eigenmode ``k``.  A sparse table is held as
+        its :class:`Nonzeros` alone, a denser one as its array, read-only
+        either way.
     score_order : int, optional
         How many of the largest eigenvalues the score objectives use
         (``1 <= n <= K``); ``min(K, m)`` when omitted.
 
-    The table is given as an array or as its :class:`Nonzeros`, which the
-    model-file parser hands over for a sparse table; the constructor checks
-    either form the same way.  Given nonzeros, the model keeps them alone,
-    read-only, and holds no K x m array.  Given an array with at most
-    :data:`_SPARSE_SHARE` of its entries nonzero (:func:`_sparse`), it also
-    keeps its nonzeros, found once.  Either way ``eigenpairs`` and
-    ``derivatives`` then read the nonzeros alone.  Two models are equal
-    only if they are the same object.
+    The table is given as an array or as its :class:`Nonzeros`, in the
+    row-major order the model-file parser hands them over; the constructor
+    checks either form the same way and keeps the form that
+    :func:`_sparse` gives the table, whatever it was given.  A sparse array
+    is reduced to its nonzeros, with no copy of the array; nonzeros of a
+    denser table are filled into one.  A kept array is a copy unless
+    :func:`~ctrlscore.linsys._shared`.  Every reader dispatches on that one
+    field, and ``dataclasses.replace`` remakes the model from it.  Two
+    models are equal only if they are the same object.
     """
 
     node_indices: tuple[int, ...]
-    eigen_table: np.ndarray | Nonzeros | None
+    eigen_table: np.ndarray | Nonzeros
     score_order: int | None = None
 
     def __post_init__(self):
         indices = node_labels(self.node_indices)
         table = self.eigen_table
         if isinstance(table, Nonzeros):
-            nonzeros = _checked_nonzeros(table, len(indices))
-            table, shape = None, nonzeros.shape
+            table = _checked_nonzeros(table, len(indices))
+            if not _sparse(table.values.size, table.shape[0] * table.shape[1]):
+                table = _dense(table)
         else:
-            table = table if _shared(table) else np.array(table, dtype=float)
-            if table.ndim != 2 or table.shape[1] != len(indices):
+            array = np.asarray(table, dtype=float)
+            if array.ndim != 2 or array.shape[1] != len(indices):
                 raise IndexMismatch(
-                    f"eigen table must have {len(indices)} columns, got shape {table.shape}"
+                    f"eigen table must have {len(indices)} columns, got shape {array.shape}"
                 )
-            if not np.all(np.isfinite(table)) or np.any(table < 0):
+            if not np.all(np.isfinite(array)) or np.any(array < 0):
                 raise IndexMismatch("eigen table entries must be finite and >= 0")
+            table = _nonzeros(array)
+            if table is None:
+                table = array if _shared(array) else np.array(array)
+        if not isinstance(table, Nonzeros):
             table.flags.writeable = False
-            nonzeros, shape = _nonzeros(table), table.shape
         object.__setattr__(self, "eigen_table", table)
-        object.__setattr__(self, "_nonzeros", nonzeros)
         object.__setattr__(self, "node_indices", indices)
-        order = min(shape) if self.score_order is None else self.score_order
-        object.__setattr__(self, "score_order", resolve_score_order(order, shape[0]))
+        order = min(table.shape) if self.score_order is None else self.score_order
+        object.__setattr__(self, "score_order", resolve_score_order(order, table.shape[0]))
 
     @property
     def mode_count(self) -> int:
-        table = self.eigen_table
-        return (self._nonzeros.shape if table is None else table.shape)[0]
+        return self.eigen_table.shape[0]
 
     @property
     def node_count(self) -> int:
@@ -211,8 +221,8 @@ class SpectralModel:
         """All ``K`` eigenvalues of ``W(p)`` for each row ``p`` of ``batch``,
         descending along the last axis."""
         table = self.eigen_table
-        if table is None:  # the lattice oracle's small tables: a local copy
-            table = _dense(self._nonzeros)
+        if isinstance(table, Nonzeros):  # the lattice oracle's small tables
+            table = _dense(table)
         values = np.asarray(batch, dtype=float) @ table.T
         return np.sort(values, axis=-1)[:, ::-1]
 
@@ -226,12 +236,12 @@ class SpectralModel:
         """Top ``score_order`` eigenvalues of ``W(p)`` and the table rows
         giving them."""
         n = self.score_order
-        point, nonzeros = weight_vector(weights, self.node_count), self._nonzeros
-        if nonzeros is None:
-            values = self.eigen_table @ point
-        else:
-            rows, cols, entries, (count, _) = nonzeros
+        point, table = weight_vector(weights, self.node_count), self.eigen_table
+        if isinstance(table, Nonzeros):
+            rows, cols, entries, (count, _) = table
             values = np.bincount(rows, entries * point[cols], count)
+        else:
+            values = table @ point
         order = _select_rows(values, n + 1)
         following = float(values[order[n]]) if n < order.size else None
         selected = order[:n]
@@ -260,10 +270,9 @@ class SpectralModel:
         order, so an evaluation copies no rows; a top-n table gathers its n
         rows for the gradient and again for each call of ``hessian``, so an
         evaluation that keeps the callable holds none."""
-        selected, mu, nonzeros = pairs.selected, pairs.values, self._nonzeros
-        if nonzeros is not None:
-            return _sparse_derivatives(nonzeros, selected, mu, score)
-        table = self.eigen_table
+        selected, mu, table = pairs.selected, pairs.values, self.eigen_table
+        if isinstance(table, Nonzeros):
+            return _sparse_derivatives(table, selected, mu, score)
 
         def rows_with(coefficients):
             if selected.size < len(table):
@@ -353,13 +362,17 @@ def heat_dirichlet_model(node_indices, score_order: int | None = None) -> Spectr
     single Gramian eigenvalue ``1 / (2 pi^2 k^2)`` on its own mode.  The
     table is therefore diagonal with one row per requested node and all
     unlisted modes carry exactly zero, so truncation at ``K = len(I)`` rows
-    is lossless.
+    is lossless.  It is given to the model as its diagonal's
+    :class:`Nonzeros`, so a table of 16 nodes or more, sparse by
+    :func:`_sparse`, is never made as an m x m array.
 
     ``score_order`` lies in ``1..len(I)``, as for any table; it defaults to
     the node count, the regime in which the optimum is unique.
     """
     indices = node_labels(node_indices)
-    table = np.diag(1.0 / (2.0 * np.pi**2 * np.array(indices, dtype=float)**2))
+    diagonal = np.arange(len(indices))
+    values = 1.0 / (2.0 * np.pi**2 * np.array(indices, dtype=float)**2)
+    table = Nonzeros(diagonal, diagonal, values, (len(indices), len(indices)))
     return SpectralModel(indices, table, score_order)
 
 
@@ -506,41 +519,31 @@ def check_commuting(family) -> tuple[bool, float]:
     return worst <= CHECK_TOL, worst
 
 
-#: Entries of the dense row block in which :func:`_unit_row_sums` sums rows.
-_BLOCK_ENTRIES = 1 << 16
+def _outside(sums: np.ndarray, n: int) -> np.ndarray:
+    """Whether each row lies outside the ``n`` rows with the largest
+    ``sums``, ties to the lowest row index."""
+    outside = np.ones(len(sums), dtype=bool)
+    outside[_select_rows(sums, n)] = False
+    return outside
 
 
-def _unit_row_sums(nonzeros: Nonzeros) -> np.ndarray:
-    """``_binary_unit(table)[0].sum(axis=1)`` for the table of ``nonzeros``,
-    to the bit, with no K x m array: each row is summed as a dense row, in
-    blocks of at most :data:`_BLOCK_ENTRIES` entries (one row where a row
-    is longer), as numpy sums every row of a whole table alike."""
+def _sparse_n_spectrum(nonzeros: Nonzeros, n: int) -> tuple[bool, float]:
+    """:func:`check_n_spectrum` of a table held as its nonzeros, each sum
+    one ``np.bincount`` over them, O(nnz): the row sums on the binary unit
+    of the table, and each column's squares, in all and outside the span,
+    on the binary unit of that column.  An all-zero column has residual 0."""
     rows, cols, values, (count, width) = nonzeros
-    exponent = _binary_exponent(values) if values.size else 0
-    order = np.argsort(rows, kind="stable")
-    step = max(1, _BLOCK_ENTRIES // width)
-    starts = np.arange(0, count, step)
-    bounds = np.searchsorted(rows[order], [*starts, count])
-    sums = np.empty(count)
-    buffer = np.empty((min(step, count), width))
-    for start, first, last in zip(starts, bounds[:-1], bounds[1:]):
-        entries = order[first:last]
-        block = buffer[:min(step, count - start)]
-        block.fill(0.0)
-        block[rows[entries] - start, cols[entries]] = values[entries]
-        sums[start:start + len(block)] = np.ldexp(block, -exponent, out=block).sum(axis=1)
-    return sums
-
-
-def _columns(nonzeros: Nonzeros):
-    """Each column of the table of ``nonzeros`` in turn, as a dense vector."""
-    rows, cols, values, (count, width) = nonzeros
-    order = np.argsort(cols, kind="stable")
-    bounds = np.searchsorted(cols[order], np.arange(width + 1))
-    for first, last in zip(bounds[:-1], bounds[1:]):
-        column = np.zeros(count)
-        column[rows[order[first:last]]] = values[order[first:last]]
-        yield column
+    if not values.size:
+        return True, 0.0
+    outside = _outside(np.bincount(rows, _binary_unit(values)[0], count), n)
+    top = np.zeros(width)
+    np.maximum.at(top, cols, values)
+    squares = np.ldexp(values, -np.frexp(top)[1][cols]) ** 2
+    total = np.bincount(cols, squares, width)
+    part = np.bincount(cols, np.where(outside[rows], squares, 0.0), width)
+    held = total > 0.0
+    worst = float(np.max(np.sqrt(part[held]) / np.sqrt(total[held]), initial=0.0))
+    return worst <= CHECK_TOL, worst
 
 
 def check_n_spectrum(model) -> tuple[bool, float]:
@@ -554,22 +557,18 @@ def check_n_spectrum(model) -> tuple[bool, float]:
     family ``W_i = diag(t_i)`` of its columns: the span is the ``n`` rows
     with the largest row sums (ties to the lowest row index), and column
     ``t_i`` has residual ``||t_i[outside]||_2 / ||t_i||_2``.  The whole
-    spectrum has residual 0, with no copy of a table.  A table given as
-    nonzeros is read a block of rows and a column at a time
-    (:func:`_unit_row_sums`, :func:`_columns`), with the bits of the array.
+    spectrum has residual 0, with no copy of a table.  A table held as its
+    nonzeros is read through them alone (:func:`_sparse_n_spectrum`).
     """
     n = model.score_order
     if n == model.mode_count:
         return True, 0.0
     if isinstance(model, SpectralModel):
         table = model.eigen_table
-        if table is None:
-            sums, columns = _unit_row_sums(model._nonzeros), _columns(model._nonzeros)
-        else:
-            sums, columns = _binary_unit(table)[0].sum(axis=1), table.T
-        outside = np.ones(len(sums), dtype=bool)
-        outside[_select_rows(sums, n)] = False
-        parts = ((unit, unit[outside]) for unit, _ in map(_binary_unit, columns))
+        if isinstance(table, Nonzeros):
+            return _sparse_n_spectrum(table, n)
+        outside = _outside(_binary_unit(table)[0].sum(axis=1), n)
+        parts = ((unit, unit[outside]) for unit, _ in map(_binary_unit, table.T))
     else:
         grams = model.gramians
         exponent = _binary_exponent(grams)

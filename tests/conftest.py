@@ -102,7 +102,7 @@ def table_model(table, order=None, *, sparse: bool) -> cs.SpectralModel:
     ``sparse`` False its whole table, whatever its share of nonzeros."""
     with mock.patch.object(spectral, "_SPARSE_SHARE", 1.0 if sparse else -1.0):
         model = cs.SpectralModel(range(1, np.shape(table)[1] + 1), table, order)
-    assert (model._nonzeros is not None) == sparse
+    assert isinstance(model.eigen_table, spectral.Nonzeros) == sparse
     return model
 
 

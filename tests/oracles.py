@@ -86,12 +86,31 @@ def dense_table(table) -> np.ndarray:
     """The K x m array of a table: a ``SpectralModel``'s, or a
     ``ModelFile.table``, which is an array or its ``Nonzeros``."""
     if isinstance(table, SpectralModel):
-        table = table._nonzeros if table.eigen_table is None else table.eigen_table
+        table = table.eigen_table
     if not isinstance(table, Nonzeros):
         return table
     dense = np.zeros(table.shape)
     dense[table.rows, table.cols] = table.values
     return dense
+
+
+def n_spectrum_residual(table, n: int) -> float:
+    """The top-n spectrum residual of a table by its definition, on the
+    dense table, one column at a time: the ``n`` rows with the largest sums
+    of the table over its largest entry's power of two (ties to the lowest
+    row) span the modes, and column ``t`` leaves
+    ``||t[outside]||_2 / ||t||_2``, taken on ``t`` over its own largest
+    entry's power of two so that no square overflows."""
+    table = dense_table(table)
+    sums = np.ldexp(table, -math.frexp(table.max())[1]).sum(axis=1)
+    outside = np.ones(len(table), dtype=bool)
+    outside[np.argsort(-sums, kind="stable")[:n]] = False
+    worst = 0.0
+    for column in table.T:
+        if column.max() > 0.0:
+            unit = np.ldexp(column, -math.frexp(column.max())[1])
+            worst = max(worst, np.linalg.norm(unit[outside]) / np.linalg.norm(unit))
+    return float(worst)
 
 
 def reference_hessian(model, pairs, divided) -> np.ndarray:
@@ -381,7 +400,7 @@ def model_file_from_spectral(model: SpectralModel, caps=None) -> ModelFile:
         node_indices=model.node_indices,
         score_order=model.score_order,
         caps=caps_tuple,
-        table=model._nonzeros if model.eigen_table is None else model.eigen_table,
+        table=model.eigen_table,
     )
 
 

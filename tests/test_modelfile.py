@@ -592,7 +592,7 @@ def test_scanning_the_benchmark_diagonal_table_peaks_below_reading_it_by_loadtxt
     path = tmp_path / "diag1000.csm"
     path.write_text(text)
     model, peak, _ = _traced_load(path)
-    assert model._nonzeros.values.size == 1000
+    assert model.eigen_table.values.size == 1000
     assert peak <= 2 * len(text) + 2**16
 
 
@@ -720,7 +720,7 @@ def test_loading_a_large_sparse_table_peaks_near_its_text(tmp_path):
     path = tmp_path / "diag.csm"
     path.write_text(text)
     model, peak, held = _traced_load(path)
-    assert model.eigen_table is None and model._nonzeros.values.size == size
+    assert isinstance(model.eigen_table, Nonzeros) and model.eigen_table.values.size == size
     assert peak < 2 * len(text) + 0.5 * 2**20
     assert held < 2**20
 

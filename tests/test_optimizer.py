@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (dominant_matrix, perfbench_gen, random_diagonal_model,
                       random_stable_family, random_stable_matrix, serial_descents)
+from oracles import dense_table
 
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind
@@ -19,6 +20,7 @@ from ctrlscore import linsys, optimizer
 from ctrlscore.optimizer import _descend, _lattice
 from ctrlscore.scores import _Objective
 from ctrlscore.simplex import central_point
+from ctrlscore.spectral import Nonzeros
 
 HEAT_TABLE = {
     (1, 2, 3, 4): (0.10, 0.20, 0.30, 0.40),
@@ -517,16 +519,11 @@ def test_a_dense_system_in_extreme_time_units_scores_to_its_unit_time_weights(
 
 
 def _unit_table(unit) -> np.ndarray:
-    """The table a unit copy scores, read-only: its ``eigen_table``, or the
-    table of its nonzeros where it holds no K x m array."""
-    if unit.eigen_table is not None:
-        assert not unit.eigen_table.flags.writeable
-        return unit.eigen_table
-    rows, cols, values, shape = unit._nonzeros
-    assert not values.flags.writeable
-    table = np.zeros(shape)
-    table[rows, cols] = values
-    return table
+    """The table a model or its unit copy scores, as an array: its
+    ``eigen_table``, or the table of the nonzeros it holds, read-only."""
+    table = unit.eigen_table
+    assert not (table.values if isinstance(table, Nonzeros) else table).flags.writeable
+    return dense_table(table)
 
 
 @pytest.mark.parametrize("modes", [2, 16], ids=["dense", "sparse"])
@@ -536,14 +533,14 @@ def test_in_unit_scales_by_a_power_of_four_into_a_quarter_to_one(modes):
         table = np.zeros((modes, 2))
         table[0, 0], table[1, 1] = top, top / 2
         model = cs.SpectralModel((1, 2), table)
-        assert (model._nonzeros is None) == (modes == 2)
+        assert isinstance(model.eigen_table, Nonzeros) == (modes == 16)
         unit = optimizer._in_unit(model)
         scaled = _unit_table(unit)
         exponent = math.frexp(scaled[0, 0])[1] - math.frexp(top)[1]
         assert 0.25 <= scaled.max() < 1.0 and exponent % 2 == 0
-        np.testing.assert_array_equal(scaled, np.ldexp(model.eigen_table, exponent))
+        np.testing.assert_array_equal(scaled, np.ldexp(_unit_table(model), exponent))
         assert (unit is model) == (exponent == 0)
-        assert (unit.eigen_table is None) == (unit is not model and modes == 16)
+        assert isinstance(unit.eigen_table, Nonzeros) == (modes == 16)
         assert unit.node_indices == model.node_indices
         assert unit.score_order == model.score_order
         assert unit.mode_count == model.mode_count

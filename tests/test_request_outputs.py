@@ -1,11 +1,13 @@
-"""``scripts/request_outputs.py --compare``: how two runs of one request are
-classed."""
+"""``scripts/request_outputs.py``: how ``--compare`` classes two runs of one
+request, and the top-n checks it runs beside the workloads' requests."""
 
 import importlib.util
 import json
 import pathlib
 
 import pytest
+
+from conftest import perfbench_gen
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "request_outputs.py"
 _spec = importlib.util.spec_from_file_location("request_outputs", SCRIPT)
@@ -94,3 +96,20 @@ def test_compare_reports_the_largest_changes_and_fails_on_a_difference(tmp_path,
     lines = capsys.readouterr().out.splitlines()
     assert lines[2] == "different  a/0/z  moved: exit 0 -> 2"
     assert lines[-1].startswith("0 identical, 1 equal, 1 different, 1 missing")
+
+
+def test_every_table_and_heat_model_gets_one_top_n_check():
+    # Every benchmark request scores the whole spectrum, where the top-n
+    # spectrum check returns before it reads a table.
+    gen = perfbench_gen()
+    models, _ = gen.build("spectral-large", 0)
+    checks = dict(request_outputs._top_n_checks(models, "<dir>"))
+    assert checks == {
+        "heat40-check-n39": ["check", "<dir>/heat40.csm", "--n", "39"],
+        "heat200-check-n199": ["check", "<dir>/heat200.csm", "--n", "199"],
+        "diag1000-check-n999": ["check", "<dir>/diag1000.csm", "--n", "999"],
+        "banded300-check-n299": ["check", "<dir>/banded300.csm", "--n", "299"],
+    }
+    models, _ = gen.build("diagnostics", 0)
+    assert [rid for rid, _ in request_outputs._top_n_checks(models, "<dir>")] == [
+        "heat5-check-n4"]

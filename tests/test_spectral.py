@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from conftest import (
     random_diagonal_model,
     random_stable_matrix,
 )
-from oracles import NotCommuting, spectral_model_from_gramians, top_eigenvalues
+from oracles import (NotCommuting, dense_table, n_spectrum_residual,
+                     spectral_model_from_gramians, top_eigenvalues)
 
 import ctrlscore as cs
 from ctrlscore import linsys, spectral
@@ -41,6 +44,46 @@ def test_mode_squared_scaling():
     modes = [3, 1, 40, 7, 1000]
     entries = [1.0 / (2.0 * np.pi**2 * k**2) for k in modes]  # one mode at a time
     assert np.array_equal(cs.heat_dirichlet_model(modes).eigen_table, np.diag(entries))
+
+
+def test_a_heat_model_is_its_array_to_15_nodes_and_its_diagonal_from_16():
+    for size, sparse in ((15, False), (16, True)):
+        table = cs.heat_dirichlet_model(range(1, size + 1)).eigen_table
+        assert isinstance(table, spectral.Nonzeros) == sparse
+        want = np.diag(1.0 / (2.0 * np.pi**2 * np.arange(1.0, size + 1.0)**2))
+        assert np.array_equal(dense_table(table), want)
+
+
+def test_a_heat_model_of_5000_nodes_builds_no_table_sized_array():
+    # Built by np.diag and kept beside its nonzeros, heat 1..5000 peaked at
+    # 405.7 MiB traced and kept 191 MiB.
+    tracemalloc.start()
+    try:
+        model = cs.heat_dirichlet_model(range(1, 5001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    for kind in cs.ObjectiveKind:
+        result = cs.solve(kind, model)
+        assert result.converged
+        np.testing.assert_allclose(result.weights.values,
+                                   cs.closed_form_optimum(kind, model).values,
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_a_model_of_a_writeable_sparse_array_keeps_its_nonzeros_alone():
+    # The array was copied and kept beside its nonzeros: 30.6 MiB.
+    table = np.diag(np.arange(1.0, 2001.0))
+    tracemalloc.start()
+    try:
+        model = cs.SpectralModel(range(1, 2001), table)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2**20
+    assert isinstance(model.eigen_table, spectral.Nonzeros)
+    assert table.flags.writeable
 
 
 def test_empty_and_bad_index_sets():
@@ -356,21 +399,44 @@ def test_n_spectrum_excess_rows_fixture():
     assert residual == pytest.approx(0.03 / np.sqrt(1.0109), rel=1e-15)
 
 
+def _sparse_tables(rng):
+    """``(table, n)`` of sparse tables small enough for a Gramian family,
+    each with a residual strictly between 0 and 1: the lattice's 40 x 3, a
+    48-mode tridiagonal band and a 60 x 5 table with two nonzeros in each
+    column, its columns scaled from 1e-150 to 1e150."""
+    band = np.diag(rng.uniform(0.5, 1.5, 48))
+    band += np.diag(rng.uniform(0.0, 0.3, 47), 1) + np.diag(rng.uniform(0.0, 0.3, 47), -1)
+    scattered = np.zeros((60, 5))
+    scattered[np.arange(5), np.arange(5)] = rng.uniform(2.0, 3.0, 5)
+    scattered[np.arange(10, 60, 10), np.arange(5)] = rng.uniform(0.5, 1.0, 5)
+    return [(_SPARSE_SMALL, 4), (band, 47),
+            (scattered * np.array([1e-150, 1e-3, 1.0, 1e3, 1e150]), 9)]
+
+
 def test_a_table_and_its_diagonal_gramians_have_one_n_spectrum_residual(rng):
-    table = rng.uniform(0.0, 1.0, (5, 4)) * np.array([1.0, 1e-3, 1e3, 1e-200])
-    family = cs.NodeGramianFamily((1, 2, 3, 4), [np.diag(col) for col in table.T], 3)
-    ok, residual = cs.check_n_spectrum(cs.SpectralModel((1, 2, 3, 4), table, 3))
-    assert not ok and residual > 0.1
-    assert residual == pytest.approx(cs.check_n_spectrum(family)[1], rel=1e-14)
+    # The Gramian family's residual comes from an eigendecomposition of
+    # sum_i W_i, not from the table's rows: a dense table, then sparse ones
+    # that the model holds as nonzeros.
+    dense = (rng.uniform(0.0, 1.0, (5, 4)) * np.array([1.0, 1e-3, 1e3, 1e-200]), 3)
+    for table, order in [dense, *_sparse_tables(rng)]:
+        labels = tuple(range(1, table.shape[1] + 1))
+        model = cs.SpectralModel(labels, table, order)
+        assert isinstance(model.eigen_table, spectral.Nonzeros) == (table is not dense[0])
+        family = cs.NodeGramianFamily(labels, [np.diag(col) for col in table.T], order)
+        ok, residual = cs.check_n_spectrum(model)
+        assert not ok and 0.1 < residual < 1.0
+        assert residual == pytest.approx(cs.check_n_spectrum(family)[1], rel=1e-14)
 
 
 def _scaled_models(rng, power):
-    """A 3 x 3 table with ``n`` 2 and a d = 8 family with ``n`` 3, each
-    times ``2**power``."""
+    """A 3 x 3 table with ``n`` 2, a d = 8 family with ``n`` 3 and the
+    sparse 40 x 3 table, held as its nonzeros, with ``n`` 4, each times
+    ``2**power``."""
     table = np.array([[1.0, 0.2, 0.1], [0.1, 0.9, 0.3], [0.05, 0.01, 0.4]])
     grams = dominant_family(rng, 8).gramians
     return (cs.SpectralModel((1, 2, 3), np.ldexp(table, power), 2),
-            cs.NodeGramianFamily(tuple(range(1, 9)), np.ldexp(grams, power), 3))
+            cs.NodeGramianFamily(tuple(range(1, 9)), np.ldexp(grams, power), 3),
+            cs.SpectralModel((1, 2, 3), np.ldexp(_SPARSE_SMALL, power), 4))
 
 
 @pytest.mark.parametrize("power", [-900, -300, 300, 900])
@@ -556,12 +622,13 @@ def _table_file(table, order=None) -> str:
 
 
 def _parsed_and_array(table, order=None):
-    """The model of a parsed file of ``table``, which keeps its nonzeros
-    alone, and the model of the array, which keeps the array."""
+    """The model of a parsed file of ``table`` and the model of the array:
+    each holds the table's nonzeros alone, found by the parser's scan of
+    the text and by the constructor's scan of the array."""
     parsed = cs.parse_model_text(_table_file(table, order)).build()
-    assert parsed.eigen_table is None
     array = cs.SpectralModel(parsed.node_indices, table, order)
-    assert array.eigen_table is not None
+    for model in (parsed, array):
+        assert isinstance(model.eigen_table, spectral.Nonzeros)
     return parsed, array
 
 
@@ -603,6 +670,23 @@ def test_a_top_n_spectrum_check_gives_the_arrays_bits_on_a_parsed_sparse_table(
     assert got == spectral.check_n_spectrum(array) and got[1] > 0.0
 
 
+@pytest.mark.parametrize("table, order", [
+    (_banded(np.random.default_rng(5), 300, 2), 150),
+    (np.diag(np.geomspace(1e-300, 1e300, 300)), 150),
+    (_banded(np.random.default_rng(6), 300, 2) * np.geomspace(1e-300, 1e300, 300), 150),
+], ids=["banded300", "diagonal", "banded-scaled"])
+def test_a_top_n_check_on_nonzeros_matches_the_dense_per_column_reference(table, order):
+    # The check sums over the nonzeros by np.bincount; the reference takes
+    # each column of the dense table in turn.  Squares of 1e300 would
+    # overflow without the binary units.
+    model = cs.SpectralModel(tuple(range(1, 301)), table, order)
+    assert isinstance(model.eigen_table, spectral.Nonzeros)
+    ok, residual = cs.check_n_spectrum(model)
+    want = n_spectrum_residual(table, order)
+    assert not ok and 0.0 < want <= 1.0
+    assert residual == pytest.approx(want, rel=1e-15)
+
+
 def test_the_closed_form_gives_the_arrays_bits_on_a_parsed_sparse_table():
     table = np.diag(np.geomspace(0.1, 10.0, 40))[::-1]
     parsed, array = _parsed_and_array(table)
@@ -621,22 +705,48 @@ def test_the_closed_form_gives_the_arrays_bits_on_a_parsed_sparse_table():
             cs.closed_form_optimum(cs.ObjectiveKind.VCS, parsed)
 
 
+@pytest.mark.parametrize("build, order", [
+    (lambda: cs.parse_model_text(_table_file(_SPARSE_SMALL, 3)).build(), 2),
+    (lambda: cs.heat_dirichlet_model(range(1, 41)), 5),
+], ids=["parsed", "heat40"])
+def test_replace_makes_a_table_model_at_another_order(build, order):
+    # A parsed sparse table raised IndexMismatch: its eigen_table was None.
+    model = build()
+    other = dataclasses.replace(model, score_order=order)
+    assert other.score_order == order and other.node_indices == model.node_indices
+    assert all(a is b for a, b in zip(other.eigen_table[:3], model.eigen_table[:3]))
+    point = cs.central_point(np.ones(model.node_count))
+    got, want = other.eigenpairs(point), model.eigenpairs(point)
+    assert np.array_equal(got.values, want.values[:order])
+
+
 def test_a_model_of_nonzeros_holds_them_alone_and_checks_them():
+    # Two nonzeros in 40 x 2 entries are sparse; in 3 x 2 they are not, and
+    # the model fills them into its array.
     rows, cols = np.array([0, 2]), np.array([1, 0])
-    model = cs.SpectralModel((4, 7), spectral.Nonzeros(rows, cols, [2.0, 3.0], (3, 2)))
-    assert model.eigen_table is None and model.mode_count == 3
+    model = cs.SpectralModel((4, 7), spectral.Nonzeros(rows, cols, [2.0, 3.0], (40, 2)))
+    assert isinstance(model.eigen_table, spectral.Nonzeros) and model.mode_count == 40
     assert model.score_order == 2 and model.node_indices == (4, 7)
-    assert all(not part.flags.writeable for part in model._nonzeros[:3])
+    assert all(not part.flags.writeable for part in model.eigen_table[:3])
     assert rows.flags.writeable
-    good = (rows, cols, [2.0, 3.0], (3, 2))
+    small = cs.SpectralModel((4, 7), spectral.Nonzeros(rows, cols, [2.0, 3.0], (3, 2)))
+    assert np.array_equal(small.eigen_table, [[0.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
+    assert not small.eigen_table.flags.writeable
+    good = (rows, cols, [2.0, 3.0], (40, 2))
     for change, error, message in [
         ({}, cs.BadIndexSet, "distinct"),
         ({3: (3, 3)}, cs.IndexMismatch, "must have 2 columns"),
         ({2: [2.0, np.inf]}, cs.IndexMismatch, "finite and >= 0"),
         ({2: [2.0, -3.0]}, cs.IndexMismatch, "finite and >= 0"),
-        ({0: [0, 3]}, cs.IndexMismatch, "outside its shape"),
+        ({0: [0, 40]}, cs.IndexMismatch, "outside its shape"),
         ({1: [-1, 0]}, cs.IndexMismatch, "outside its shape"),
         ({2: [2.0]}, cs.IndexMismatch, "one row and column per value"),
+        # A repeated position, which readers summed or overwrote, and one
+        # out of row-major order.
+        ({0: [0, 0, 1], 1: [0, 0, 1], 2: [1.0, 2.0, 3.0], 3: (2, 2)}, cs.IndexMismatch,
+         "row-major order"),
+        ({0: [0, 0], 1: [1, 1]}, cs.IndexMismatch, "row-major order"),
+        ({0: [2, 0], 1: [0, 1]}, cs.IndexMismatch, "row-major order"),
     ]:
         parts = [change.get(i, part) for i, part in enumerate(good)]
         labels = (4, 4) if not change else (4, 7)
