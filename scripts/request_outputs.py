@@ -10,9 +10,12 @@ same give byte-identical files.  Beside the workloads' own requests it runs
 one ``check MODEL --n K-1`` for each generated ``spectral_table`` and
 ``heat_dirichlet`` model, ``K`` its row count (:func:`_top_n_checks`):
 every benchmark request scores the whole spectrum, where the top-n
-spectrum check returns before it reads the table.  ``--root`` names the
-checkout whose ``src`` and ``perfbench/gen.py`` are used (default: the one
-holding this script); the generator is only read.
+spectrum check returns before it reads the table.  It also runs the
+``heat-demo`` requests of :data:`HEAT_DEMOS`, keyed ``heat-demo/NAME``, so
+the closed form's table reader sees a heat table held as an array and one
+held as its nonzeros; no benchmark request reaches it.  ``--root`` names
+the checkout whose ``src`` and ``perfbench/gen.py`` are used (default: the
+one holding this script); the generator is only read.
 
 Run, for a change against its parent checked out at ``../parent``:
     python3 scripts/request_outputs.py change.json
@@ -46,6 +49,14 @@ import sys
 import tempfile
 
 SEEDS = (0, 1)
+
+#: ``heat-demo`` requests by name: the default rows, node sets of 4 whose
+#: tables are held as arrays, and one set of 20 nodes, whose table is held
+#: as its nonzeros (a heat table is from 16 nodes on).
+HEAT_DEMOS = {
+    "default": ["heat-demo"],
+    "nodes1-20": ["heat-demo", "--rows", ",".join(map(str, range(1, 21)))],
+}
 
 #: Relative tolerance of ``--compare``, about 4500 units in the last place:
 #: far above the rounding a reordered sum leaves, far below a changed answer.
@@ -226,6 +237,8 @@ def main(argv=None) -> int:
                     outputs[f"{workload}/{seed}/{rid}"] = [
                         code, out.replace(directory, "<dir>"),
                         err.replace(directory, "<dir>")]
+    for name, argv in HEAT_DEMOS.items():
+        outputs[f"heat-demo/{name}"] = list(_run(cli.main, argv))
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(outputs, handle, indent=1, sort_keys=True)
         handle.write("\n")

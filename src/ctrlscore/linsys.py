@@ -67,7 +67,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,19 +407,13 @@ class NodeGramianFamily:
 
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`node_factors` of the Gramians, built on the first call and
-        kept.  The lock keeps two starts of the pool that make the first
-        call together from factoring twice; later calls do not take it."""
+        kept.  The descent's unit copy (:func:`~ctrlscore.spectral._in_unit`)
+        makes that call before any start of the pool runs."""
         factor = self.__dict__.get("_node_factor")
         if factor is None:
-            with _FACTOR_LOCK:
-                factor = self.__dict__.get("_node_factor")
-                if factor is None:
-                    factor = node_factors(self.gramians)
-                    object.__setattr__(self, "_node_factor", factor)
+            factor = node_factors(self.gramians)
+            object.__setattr__(self, "_node_factor", factor)
         return factor
-
-
-_FACTOR_LOCK = threading.Lock()
 
 
 def node_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,11 +31,12 @@ constraint set and the only one the package computes (:func:`kkt_residual`
 reports it at any feasible point).  A Newton step that reaches
 :data:`GRAD_TOL` is followed by one more, which lands on the optimum to
 rounding.  The descents of :func:`solve` and :func:`kkt_residual` work in
-one unit of measure (:func:`_in_unit`), and only the objectives go back to
-the caller's units; the checks run on the caller's model.  A brute-force
-lattice enumeration of the caller's model, in bounded memory
-(:func:`grid_oracle`), checks the optimizer independently on small node
-sets.
+one unit of measure (:func:`~ctrlscore.spectral._in_unit`, which also
+builds a family's node factor before any start runs), and only the
+objectives go back to the caller's units; the checks run on the caller's
+model.  A brute-force lattice enumeration of the caller's model, in
+bounded memory (:func:`grid_oracle`), checks the optimizer independently
+on small node sets.
 
 Multi-start behaviour: models that pass the commutation, n-spectrum and
 feasibility checks have a provably unique optimum and run a single start;
@@ -66,11 +67,10 @@ import numpy as np
 
 from .errors import (BadGridStep, BeyondDoubleRange, Infeasible, InfeasiblePoint,
                      NonConvexAmbiguous, TooLarge)
-from .linsys import _binary_exponent
 from .scores import ObjectiveKind, _Objective, scale_free_gap
 from .simplex import (SimplexWeights, project_capped_simplex, validate_caps,
                       weight_vector)
-from .spectral import AssumptionReport, Nonzeros, SpectralModel, check_feasibility
+from .spectral import AssumptionReport, _in_unit, check_feasibility
 
 _EPS = float(np.finfo(float).eps)
 #: A descent stops once the scale-free projected-gradient residual is at most
@@ -324,41 +324,6 @@ def _starting_points(count: int, caps: np.ndarray, seed: int,
     return points
 
 
-def _in_unit(model):
-    """``model`` with every table or Gramian entry times the power of four
-    ``4**k`` that puts its largest absolute entry in [1/4, 1) (``model``
-    itself where ``k`` is 0), not validated again.  A table held as its
-    :class:`~ctrlscore.spectral.Nonzeros` keeps that form in the copy, the
-    values times ``4**k`` with the owner's rows and columns; a family's
-    copy takes its owner's node factor, built once, with the loadings
-    times ``2**k``.
-
-    Scaling by a power of the radix is exact (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, section 2.1), and by a power
-    of four keeps a family's Hessian roots and node factor exact; the
-    minimizers do not move (:data:`~ctrlscore.scores.SCORES`).  No
-    eigenvalue of ``W(p)`` exceeds ``d``, so no score formula overflows, and
-    the rank tests, the multi-start ``1e-6`` and the descent's constants
-    read the same in either unit.  Entries below the double range of the
-    unit flush to zero; :func:`solve` reports what that breaks."""
-    field = "eigen_table" if isinstance(model, SpectralModel) else "gramians"
-    table = getattr(model, field)
-    sparse = isinstance(table, Nonzeros)
-    values = table.values if sparse else table
-    exponent = -_binary_exponent(values) // 2 if values.size else 0
-    if exponent == 0:
-        return model
-    scaled = np.ldexp(values, 2 * exponent)
-    scaled.flags.writeable = False
-    unit = object.__new__(type(model))  # no __post_init__: no validation
-    vars(unit).update(vars(model))
-    vars(unit)[field] = table._replace(values=scaled) if sparse else scaled
-    if field == "gramians":
-        loadings, signs = model._factor()
-        vars(unit)["_node_factor"] = (np.ldexp(loadings, exponent), signs)
-    return unit
-
-
 def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResult:
     """Minimize a score objective over the capped simplex.
 
@@ -387,11 +352,12 @@ def solve(kind: ObjectiveKind, model, *, caps=None, seed: int = 0) -> ScoreResul
         simplex (:func:`check_feasibility`); the message says why.
     BeyondDoubleRange
         If the model is feasible but no start has a finite score in the
-        unit of :func:`_in_unit`: its ``mu_n`` lies too far below ``mu_1``
-        at the central point for double precision, or an entry flushed to
-        zero in the unit.  Also if the best start's score, finite in that
-        unit, overflows in the model's own units.  The message gives both
-        eigenvalues, at the central point or at that start's optimum.
+        unit of :func:`~ctrlscore.spectral._in_unit`: its ``mu_n`` lies too
+        far below ``mu_1`` at the central point for double precision, or an
+        entry flushed to zero in the unit.  Also if the best start's score,
+        finite in that unit, overflows in the model's own units.  The
+        message gives both eigenvalues, at the central point or at that
+        start's optimum.
     NonConvexAmbiguous
         If multi-starts disagree on the optimal value by more than 1e-6,
         VCS as it is and AECS by its log (:func:`scale_free_gap`).  The

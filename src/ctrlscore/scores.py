@@ -53,7 +53,7 @@ import numpy as np
 from .errors import CapsBind, NotDiagonal
 from .linsys import Eigenpairs
 from .simplex import SimplexWeights, validate_caps
-from .spectral import Nonzeros, SpectralModel, _coordinates
+from .spectral import SpectralModel, _diagonal_entries
 
 
 class ObjectiveKind(Enum):
@@ -225,22 +225,7 @@ def closed_form_optimum(kind: ObjectiveKind, model: SpectralModel,
         raise NotDiagonal(
             f"closed form requires score order == node count, got {model.score_order} != {m}"
         )
-    table = model.eigen_table
-    rows, cols, entries, _ = table if isinstance(table, Nonzeros) else _coordinates(table)
-    counts = np.bincount(cols, minlength=m)
-    order = np.argsort(cols, kind="stable")  # each column's entries, by row
-    firsts = np.cumsum(counts) - counts
-    diag_coeffs = np.empty(m)
-    used_rows = set()
-    for col in range(m):
-        if counts[col] != 1:
-            raise NotDiagonal(f"column {col} has {counts[col]} nonzero rows")
-        entry = order[firsts[col]]
-        row = int(rows[entry])
-        if row in used_rows:
-            raise NotDiagonal(f"row {row} is shared by several columns")
-        used_rows.add(row)
-        diag_coeffs[col] = entries[entry]
+    diag_coeffs = _diagonal_entries(model)
     caps_arr = validate_caps(caps, m)
     if kind is ObjectiveKind.VCS:
         values = np.full(m, 1.0 / m)

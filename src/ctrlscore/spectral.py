@@ -16,9 +16,12 @@ The eigen logic lives on the model classes: ``SpectralModel`` and
 :class:`~ctrlscore.linsys.NodeGramianFamily` have the same methods with the
 same arguments (``eigenvalues``, ``eigenpairs``, ``positive``,
 ``derivatives``, ``state_basis``), so the objective, the solver and the
-energy code never branch on the model type; the checkers and the closed
-form do.  The checkers read a family only through its (m, d, d)
-``gramians``, so closed-form Gramians are checked like Lyapunov solves.
+energy code never branch on the model type.  Only this module and
+:mod:`~ctrlscore.linsys` read a model's storage: here the checkers, the
+closed form's table reader (:func:`_diagonal_entries`) and the descent's
+copy in another unit (:func:`_in_unit`) do.  The checkers read a family
+only through its (m, d, d) ``gramians``, so closed-form Gramians are
+checked like Lyapunov solves.
 The commutation check multiplies out only the pairs that a rigorous bound
 cannot rule out.  Every residual is an exact ratio of norms taken on
 binary units (:func:`~ctrlscore.linsys._binary_unit`), so the checkers run
@@ -45,12 +48,13 @@ in ``1..m``.
 
 from __future__ import annotations
 
+import copy
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexMismatch
+from .errors import IndexMismatch, NotDiagonal
 from .linsys import (FACTOR_FLOOR, Eigenpairs, _binary_exponent, _binary_unit,
                      _shared, node_labels, resolve_score_order)
 from .simplex import SimplexWeights, central_point, validate_caps, weight_vector
@@ -327,6 +331,69 @@ def _sparse_derivatives(nonzeros: Nonzeros, selected: np.ndarray, mu: np.ndarray
 
     slope = by_row(-1.0 / score.s(mu))
     return np.bincount(cols, slope[rows] * entries, width), hessian
+
+
+def _in_unit(model):
+    """``model`` with every table or Gramian entry times the power of four
+    ``4**k`` that puts its largest absolute entry in [1/4, 1) (``model``
+    itself where ``k`` is 0), not validated again.  A table held as its
+    :class:`Nonzeros` keeps that form in the copy, the values times
+    ``4**k`` with the owner's rows and columns.  A family's node factor is
+    built here, also where ``k`` is 0, and its copy takes the owner's with
+    the loadings times ``2**k``, so no descent builds shared state.
+
+    Scaling by a power of the radix is exact (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 2.1), and by a power
+    of four keeps a family's Hessian roots and node factor exact; the
+    minimizers do not move (:data:`~ctrlscore.scores.SCORES`).  No
+    eigenvalue of ``W(p)`` exceeds ``d``, so no score formula overflows, and
+    the rank tests, the multi-start ``1e-6`` and the descent's constants
+    read the same in either unit.  Entries below the double range of the
+    unit flush to zero; :func:`~ctrlscore.optimizer.solve` reports what
+    that breaks."""
+    if isinstance(model, SpectralModel):
+        field, table = "eigen_table", model.eigen_table
+    else:
+        field, table = "gramians", model.gramians
+        loadings, signs = model._factor()  # before any start runs
+    sparse = isinstance(table, Nonzeros)
+    values = table.values if sparse else table
+    exponent = -_binary_exponent(values) // 2 if values.size else 0
+    if exponent == 0:
+        return model
+    scaled = np.ldexp(values, 2 * exponent)
+    scaled.flags.writeable = False
+    unit = copy.copy(model)  # no __post_init__: no validation
+    object.__setattr__(unit, field, table._replace(values=scaled) if sparse else scaled)
+    if field == "gramians":
+        object.__setattr__(unit, "_node_factor", (np.ldexp(loadings, exponent), signs))
+    return unit
+
+
+def _diagonal_entries(model: SpectralModel) -> np.ndarray:
+    """Each column's one nonzero table entry, where every column has exactly
+    one nonzero row and no two columns share a row.
+
+    Raises
+    ------
+    NotDiagonal
+        At the first column, in column order, that has zero or several
+        nonzero rows or whose row an earlier column holds.
+    """
+    table = model.eigen_table
+    rows, cols, entries, (_, m) = (table if isinstance(table, Nonzeros)
+                                   else _coordinates(table))
+    counts = np.bincount(cols, minlength=m)
+    column_rows, diagonal = np.zeros(m, dtype=np.intp), np.zeros(m)
+    column_rows[cols], diagonal[cols] = rows, entries  # right where counts are 1
+    held = set()
+    for col, row in enumerate(column_rows.tolist()):
+        if counts[col] != 1:
+            raise NotDiagonal(f"column {col} has {counts[col]} nonzero rows")
+        if row in held:
+            raise NotDiagonal(f"row {row} is shared by several columns")
+        held.add(row)
+    return diagonal
 
 
 @dataclass(frozen=True)

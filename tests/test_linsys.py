@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import threading
-import time
 import tracemalloc
 import warnings
 
@@ -21,7 +20,7 @@ from oracles import (node_hessian, node_quadratic_rows, row_gradient,
                      top_eigenvalues)
 
 import ctrlscore as cs
-from ctrlscore import linsys
+from ctrlscore import linsys, optimizer, spectral
 from ctrlscore.scores import SCORES
 
 
@@ -353,36 +352,36 @@ def test_blocked_and_single_block_factored_passes_agree_to_the_bit(rng, monkeypa
             assert np.array_equal(blocked_hessian, single_hessian)
 
 
-def test_two_threads_making_the_first_call_share_one_factor(rng, monkeypatch):
-    family = random_stable_family(rng, 12)
-    pairs = family.eigenpairs(interior_point(rng, 12))
-    score = SCORES[cs.ObjectiveKind.VCS]
-    built = []
-    factor = linsys.node_factors
+@pytest.mark.parametrize("top", [0.5, 32.0], ids=["k=0", "k=-3"])
+def test_solve_factors_a_family_once_on_the_calling_thread_before_any_start(
+        rng, monkeypatch, top):
+    # A dense family is uncertified, so eight starts run, on the pool with
+    # two CPUs.  The unit copy builds the node factor before the pool
+    # starts, so no start builds state that the others share.  With the
+    # largest Gramian entry at 1/2 the copy is the family itself (k = 0),
+    # which once left the factor to the first start that needed it.
+    family = random_stable_family(rng, 5)
+    family = cs.NodeGramianFamily(family.node_indices,
+                                  family.gramians * (top / family.gramians.max()))
+    events = []
+    factor, descend = linsys.node_factors, optimizer._descend
 
-    def slow_factor(stack):
-        built.append(stack)
-        time.sleep(0.05)  # both threads are past their first look by now
-        return factor(stack)
+    def record(event, call):
+        def recorded(*args):
+            events.append((event, threading.current_thread()))
+            return call(*args)
+        return recorded
 
-    monkeypatch.setattr(linsys, "node_factors", slow_factor)
-    start = threading.Barrier(2)
-    seen = []
-
-    def first_call():
-        start.wait()
-        gradient, hessian = family.derivatives(pairs, score)
-        seen.append((family._factor(), gradient, hessian()[0].__self__))
-
-    threads = [threading.Thread(target=first_call) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert len(built) == 1 and len(seen) == 2
-    (factor_a, gradient_a, hessian_a), (factor_b, gradient_b, hessian_b) = seen
-    assert factor_a is factor_b
-    assert np.array_equal(gradient_a, gradient_b) and np.array_equal(hessian_a, hessian_b)
+    monkeypatch.setattr(linsys, "node_factors", record("factor", factor))
+    monkeypatch.setattr(optimizer, "_descend", record("start", descend))
+    monkeypatch.setattr(optimizer.os, "cpu_count", lambda: 2)
+    result = cs.solve(cs.ObjectiveKind.VCS, family)
+    assert not result.uniqueness_certified
+    assert [event for event, _ in events] == ["factor"] + ["start"] * 8
+    main = threading.current_thread()
+    assert events[0][1] is main
+    assert any(thread is not main for _, thread in events[1:])
+    assert (spectral._in_unit(family) is family) == (top == 0.5)
 
 
 def test_a_family_keeps_only_its_factor_of_the_largest_node_rank(rng):

@@ -165,6 +165,24 @@ def test_parse_errors_carry_position(text, line, column):
     assert info.value.column == column
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("ctrlscore-model v1\nkind heat_dirichlet\nnodes\n",
+     "nodes needs at least one index", 3, 1),
+    ("ctrlscore-model v1\nkind spectral_table\nnodes 1 2\ntable 1\n",
+     "table takes row and column counts", 4, 1),
+])
+def test_statement_refusals_carry_message_and_position(text, message, line, column):
+    with pytest.raises(cs.ParseError) as info:
+        parse_model_text(text)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
+def test_a_model_file_is_unequal_to_other_types():
+    parsed = parse_model_text(HEAT_TEXT)
+    assert parsed == parse_model_text(HEAT_TEXT)
+    assert (parsed == 3) is False and parsed != "model"
+
+
 _FUZZ_PIECES = ["0", "1", "-2", "0.5", "1e-3", "nan", "x", "#", "v", "v1", " ",
                 "\t", "\n", "\r\n", "\x0c", "\u3000", "kind", "nodes", "n",
                 "caps", "matrix", "table", "dense_lti", "spectral_table"]

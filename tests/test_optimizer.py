@@ -20,7 +20,7 @@ from ctrlscore import linsys, optimizer
 from ctrlscore.optimizer import _descend, _lattice
 from ctrlscore.scores import _Objective
 from ctrlscore.simplex import central_point
-from ctrlscore.spectral import Nonzeros
+from ctrlscore.spectral import Nonzeros, _in_unit
 
 HEAT_TABLE = {
     (1, 2, 3, 4): (0.10, 0.20, 0.30, 0.40),
@@ -119,6 +119,12 @@ def test_kkt_residual_rejects_infeasible_point():
         cs.kkt_residual(ObjectiveKind.AECS, model, np.array([0.8, 0.8]))
     with pytest.raises(cs.InfeasiblePoint):
         cs.kkt_residual(ObjectiveKind.AECS, model, np.array([1.0, 0.0]))
+
+
+def test_kkt_residual_rejects_weights_that_are_not_a_vector():
+    model = cs.heat_dirichlet_model([1, 2])
+    with pytest.raises(cs.InvalidWeights, match="^weights must be a 1-d vector$"):
+        cs.kkt_residual(ObjectiveKind.AECS, model, np.array([[0.5, 0.5]]))
 
 
 def _diagonal_model(m):
@@ -534,7 +540,7 @@ def test_in_unit_scales_by_a_power_of_four_into_a_quarter_to_one(modes):
         table[0, 0], table[1, 1] = top, top / 2
         model = cs.SpectralModel((1, 2), table)
         assert isinstance(model.eigen_table, Nonzeros) == (modes == 16)
-        unit = optimizer._in_unit(model)
+        unit = _in_unit(model)
         scaled = _unit_table(unit)
         exponent = math.frexp(scaled[0, 0])[1] - math.frexp(top)[1]
         assert 0.25 <= scaled.max() < 1.0 and exponent % 2 == 0
@@ -571,7 +577,7 @@ def test_a_unit_family_reuses_its_owners_node_factor(rng, monkeypatch):
     for kind in ObjectiveKind:
         cs.kkt_residual(kind, family, result.weights)
     assert len(calls) == 1 and calls[0] is family.gramians
-    unit = optimizer._in_unit(family)
+    unit = _in_unit(family)
     assert unit is not family
     loadings, signs = unit._factor()
     assert signs is family._factor()[1]
@@ -583,7 +589,7 @@ def test_a_unit_family_reuses_its_owners_node_factor(rng, monkeypatch):
 def test_reported_numbers_are_in_the_callers_units(rng, kind):
     family = random_stable_family(rng, 4)
     family = cs.NodeGramianFamily(family.node_indices, 1e5 * family.gramians)
-    assert optimizer._in_unit(family) is not family
+    assert _in_unit(family) is not family
     result = cs.solve(kind, family, seed=3)
     assert result.objective == cs.evaluate(kind, family, result.weights).value
     witness = result.assumption_report.witness
@@ -724,7 +730,7 @@ def test_an_aecs_hessian_that_underflows_takes_the_gradient_step(small):
     # zero".  The gradient steps move the weight to node 2, where it is finite.
     model = cs.SpectralModel((1, 2), [[1.0, 0.0], [0.0, small]])
     point = central_point(np.ones(2))
-    evaluation = _Objective(ObjectiveKind.AECS, optimizer._in_unit(model))(point)
+    evaluation = _Objective(ObjectiveKind.AECS, _in_unit(model))(point)
     assert evaluation.feasible
     assert not np.isfinite(evaluation.curvature()[1]).all()
     assert optimizer._newton_direction(evaluation, point, point, np.ones(2)) is None

@@ -1,5 +1,6 @@
 """``scripts/request_outputs.py``: how ``--compare`` classes two runs of one
-request, and the top-n checks it runs beside the workloads' requests."""
+request, and the top-n checks and ``heat-demo`` requests it runs beside the
+workloads' requests."""
 
 import importlib.util
 import json
@@ -8,6 +9,10 @@ import pathlib
 import pytest
 
 from conftest import perfbench_gen
+
+import ctrlscore as cs
+from ctrlscore import cli
+from ctrlscore.spectral import Nonzeros
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "request_outputs.py"
 _spec = importlib.util.spec_from_file_location("request_outputs", SCRIPT)
@@ -113,3 +118,16 @@ def test_every_table_and_heat_model_gets_one_top_n_check():
     models, _ = gen.build("diagnostics", 0)
     assert [rid for rid, _ in request_outputs._top_n_checks(models, "<dir>")] == [
         "heat5-check-n4"]
+
+
+def test_the_heat_demos_reach_both_table_forms():
+    # No benchmark request runs the closed form, so these are the only
+    # requests whose outputs go through its table reader.
+    forms = set()
+    for argv in request_outputs.HEAT_DEMOS.values():
+        args = cli.build_parser().parse_args(argv)
+        for nodes in cli._parse_demo_rows(args.rows):
+            model = cs.heat_dirichlet_model(nodes)
+            forms.add(isinstance(model.eigen_table, Nonzeros))
+    assert request_outputs.HEAT_DEMOS["default"] == ["heat-demo"]
+    assert forms == {False, True}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -183,6 +184,29 @@ def test_closed_form_errors():
     heat = cs.heat_dirichlet_model([1, 2, 3, 4])
     with pytest.raises(cs.CapsBind):
         cs.closed_form_optimum(ObjectiveKind.AECS, heat, caps=[0.05, 1, 1, 1])
+
+
+@pytest.mark.parametrize("model, message", [
+    (cs.NodeGramianFamily((1, 2), np.stack([np.eye(2), np.eye(2)])),
+     "closed form requires a spectral model"),
+    (cs.heat_dirichlet_model((1, 2, 3), 2),
+     "closed form requires score order == node count, got 2 != 3"),
+    # Column 1 shares column 0's row before column 2 is found empty.
+    (cs.SpectralModel((1, 2, 3), [[1, 2, 0], [0, 0, 0], [0, 0, 0]]),
+     "row 0 is shared by several columns"),
+    (cs.SpectralModel((1, 2), [[1.0, 0.5], [0.0, 1.0]]), "column 1 has 2 nonzero rows"),
+    (cs.SpectralModel((1, 2, 3), np.eye(40, 3)[:, [0, 2, 2]] * [1, 0, 1]),
+     "column 1 has 0 nonzero rows"),
+], ids=["family", "top-n", "shared-row-first", "two-rows", "sparse-empty-column"])
+def test_closed_form_refusals(model, message):
+    with pytest.raises(cs.NotDiagonal, match=f"^{re.escape(message)}$"):
+        cs.closed_form_optimum(ObjectiveKind.AECS, model)
+
+
+def test_a_value_where_mu_n_is_not_positive_is_infinite():
+    model = cs.SpectralModel((1, 2), [[1.0, 0.0], [0.0, 1.0]])
+    for kind in ObjectiveKind:
+        assert _Objective(kind, model).value([1.0, 0.0]) == math.inf
 
 
 def _assert_full_spectrum_cross_check(family, kind, result):

@@ -51,6 +51,16 @@ def test_weight_validation():
         SimplexWeights(np.array([0.7, 0.3]), np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SimplexWeights([[0.5, 0.5]]), "values must be a nonempty 1-d vector"),
+    (lambda: SimplexWeights([np.nan, 1.0]), "values must be finite"),
+    (lambda: project_capped_simplex([np.nan, 1.0], [1, 1]), "point must be finite"),
+], ids=["2-d", "nan-values", "nan-point"])
+def test_vector_refusals(call, message):
+    with pytest.raises(cs.InvalidWeights, match=f"^{message}$"):
+        call()
+
+
 def test_central_point_with_tight_caps():
     w = central_point(np.array([0.2, 0.5, 0.9]))
     assert abs(w.values.sum() - 1.0) < 1e-12
