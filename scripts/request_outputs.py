@@ -28,7 +28,9 @@ one line each, then the counts: ``identical`` (byte for byte), ``equal``
 numbers, each number within :data:`TOLERANCE` of the other, relative to
 ``max(1, |a|, |b|)``, and a report's iteration count free to differ, in
 JSON and in table form) or ``different``.  An ``equal`` line gives the
-largest weight and objective change.  A ``different`` line names what
+largest weight and objective change, and ``iterations A -> B`` where the
+count moved; a line before the counts gives the iteration totals of both
+files, over every request that prints a count in both.  A ``different`` line names what
 moved: the exit code, stderr, the keys of a JSON report that differ beyond
 the tolerance, or the text before the first number of a stdout line that
 does (``commuting: no (residual``).  It exits 1 when a request differs or
@@ -114,16 +116,35 @@ def _close(old: str, new: str) -> bool:
                     for a, b in zip(*numbers)))
 
 
-def _report(line: str) -> dict | None:
-    """The JSON report on a stdout line, without its iteration count."""
+def _json_report(line: str) -> dict | None:
+    """The JSON report on a stdout line, or None."""
     try:
         report = json.loads(line)
     except ValueError:
         return None
-    if not isinstance(report, dict):
-        return None
-    report.pop("iterations", None)
+    return report if isinstance(report, dict) else None
+
+
+def _report(line: str) -> dict | None:
+    """The JSON report on a stdout line, without its iteration count."""
+    report = _json_report(line)
+    if report is not None:
+        report.pop("iterations", None)
     return report
+
+
+def _iterations(stdout: str) -> int | None:
+    """The iteration count a request printed, in JSON or in table form,
+    summed over its reports; None where it printed none."""
+    total = None
+    for line in stdout.splitlines():
+        if line.startswith(_TABLE_ITERATIONS):
+            count = int(line[len(_TABLE_ITERATIONS):])
+        else:
+            count = (_json_report(line) or {}).get("iterations")
+        if count is not None:
+            total = (total or 0) + count
+    return total
 
 
 def _moved(old: str, new: str) -> list[str]:
@@ -187,19 +208,28 @@ def compare(old_path: str, new_path: str) -> int:
         with open(path, encoding="utf-8") as handle:
             runs.append(json.load(handle))
     counts = {"identical": 0, "equal": 0, "different": 0, "missing": 0}
+    totals = [0, 0]
     for key in sorted(runs[0].keys() | runs[1].keys()):
+        iterations = [None, None]
         if key not in runs[0] or key not in runs[1]:
             label, found = "missing", None
         else:
             label, found = _classify(runs[0][key], runs[1][key])
+            iterations = [_iterations(run[key][1]) for run in runs]
+            if None not in iterations:
+                totals = [t + n for t, n in zip(totals, iterations)]
         counts[label] += 1
         if label == "equal":
             detail = f"  weights {found[0]:.2e}  objective {found[1]:.2e} relative"
+            if iterations[0] != iterations[1]:
+                detail += f"  iterations {iterations[0]} -> {iterations[1]}"
         elif label == "different":
             detail = "  moved: " + "; ".join(found)
         else:
             detail = ""
         print(f"{label:<9}  {key}{detail}")
+    print(f"iterations {totals[0]} -> {totals[1]} over every request that "
+          "reports them in both files")
     print(", ".join(f"{n} {label}" for label, n in counts.items())
           + f" (tolerance {TOLERANCE:g})")
     return 1 if counts["different"] or counts["missing"] else 0

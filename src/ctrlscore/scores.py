@@ -63,18 +63,21 @@ class ObjectiveKind(Enum):
     AECS = "aecs"
 
 
-Score = namedtuple("Score", "phi s divided relative")
+Score = namedtuple("Score", "phi s divided relative power")
 #: Each score kind once: objective ``sum_k phi(mu_k)``, ``phi'(mu) = -1 / s(mu)``,
 #: ``divided(a, b)``, the divided difference of ``phi'``, both read by
-#: ``model.derivatives``, and ``relative``:
-#: whether stationarity is measured on ``grad / value``.
+#: ``model.derivatives``, ``relative``:
+#: whether stationarity is measured on ``grad / value``, and ``power``: the
+#: exponent ``a`` of the multiplicative step ``p_i <- p_i (-grad_i)^a``,
+#: renormalized, that opens a full-spectrum descent (1 for VCS, D-optimal
+#: design; 1/2 for AECS, A-optimal design).
 #: Scaling every Gramian by ``c`` shifts VCS by ``-n log c`` and divides AECS
 #: by ``c``, so ``grad f`` and ``grad g / g`` are the scale-free gradients.
 SCORES = {
     ObjectiveKind.VCS: Score(lambda mu: -np.log(mu), lambda mu: mu,
-                             lambda a, b: 1.0 / (a * b), False),
+                             lambda a, b: 1.0 / (a * b), False, 1.0),
     ObjectiveKind.AECS: Score(lambda mu: 1.0 / mu, lambda mu: mu**2,
-                              lambda a, b: (a + b) / (a * b) ** 2, True),
+                              lambda a, b: (a + b) / (a * b) ** 2, True, 0.5),
 }
 
 

@@ -9,8 +9,10 @@ eigenvalue table (with the two errors only it raises), the dense Hessians
 that the models' Hessian callables must agree with, a table's gradient and
 Hessian product from a copy of its rows, the node-by-node derivative rows
 and Hessian from the dense Gramians that the factored evaluation pass must
-match to rounding, the array of a table given as its nonzeros, and a
-writer for the model-file format that the parser must read back.
+match to rounding, the array of a table given as its nonzeros, a writer
+for the model-file format that the parser must read back, and the
+multiplicative algorithm of optimal design, the reference solver of
+full-spectrum scores without caps.
 """
 
 from __future__ import annotations
@@ -421,3 +423,53 @@ def dump_model_text(model: ModelFile) -> str:
         out.append(f"table {len(table)} {len(table[0])}")
         out.extend(" ".join(repr(float(x)) for x in row) for row in table)
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# optimal design
+# ---------------------------------------------------------------------------
+
+#: The reference design algorithm stops at this relative equivalence gap.
+DESIGN_GAP = 1e-10
+
+
+def multiplicative_design(gramians, kind: str, max_iters: int = 10_000):
+    """``(weights, objective)`` of the full-spectrum score ``kind``
+    (``"vcs"`` or ``"aecs"``) over the simplex, for node Gramians ``W_i``
+    stacked as an m x d x d array, by the classical multiplicative
+    algorithm of optimal design from the uniform point.
+
+    VCS, ``-log det W(p)``, is D-optimal design, updated by
+    ``p_i <- p_i tr(W^-1 W_i) / d`` (Titterington 1976; Silvey, Titterington
+    & Torsney, Comm. Statist. 1978).  AECS, ``tr W(p)^-1``, is A-optimal
+    design, updated by ``p_i <- p_i sqrt(tr(W^-2 W_i))``, renormalized
+    (Fellman 1974; Yu, Ann. Statist. 2010).  Both are monotone.  Each stops
+    once the relative Kiefer-Wolfowitz equivalence gap ``max_i s_i / (p @ s)
+    - 1`` is at most :data:`DESIGN_GAP`, with ``s_i = tr(W^-1 W_i)``, whose
+    mean ``p @ s`` is ``d``, or ``s_i = tr(W^-2 W_i)``, whose mean is
+    ``tr W^-1``.  numpy only, and no package code.
+    """
+    stack = np.asarray(gramians, dtype=float)
+    size, dim = stack.shape[:2]
+    weights = np.full(size, 1.0 / size)
+    for _ in range(max_iters):
+        mixed = np.einsum("i,ijk->jk", weights, stack)
+        inverse = np.linalg.inv(mixed)
+        weighting = inverse if kind == "vcs" else inverse @ inverse
+        slopes = np.einsum("jk,ijk->i", weighting, stack)
+        if slopes.max() <= (1.0 + DESIGN_GAP) * (weights @ slopes):
+            if kind == "vcs":
+                return weights, -np.linalg.slogdet(mixed)[1]
+            return weights, float(np.trace(inverse))
+        weights = weights * (slopes / dim if kind == "vcs" else np.sqrt(slopes))
+        weights /= weights.sum()
+    raise AssertionError(f"no equivalence gap of {DESIGN_GAP} in {max_iters} steps")
+
+
+def table_gramians(table) -> np.ndarray:
+    """The node Gramians of a table, ``diag(T[:, i])`` stacked."""
+    dense = dense_table(table)
+    stack = np.zeros((dense.shape[1], dense.shape[0], dense.shape[0]))
+    modes = np.arange(dense.shape[0])
+    stack[:, modes, modes] = dense.T
+    return stack

@@ -804,7 +804,9 @@ def test_a_score_that_overflows_in_the_files_units_is_a_numerical_failure(tmp_pa
 
 
 def test_an_unconverged_score_exits_5_with_its_report(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "heat4.csm", HEAT4)
+    # Caps below 1 take the descent without multiplicative steps, one of
+    # which would reach this optimum.
+    path = write(tmp_path, "heat4.csm", HEAT4 + "caps 0.9 0.9 0.9 0.9\n")
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
     code = main(["score", path, "--kind", "aecs", "--format", "json-lines"])
     captured = capsys.readouterr()

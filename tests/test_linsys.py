@@ -374,7 +374,8 @@ def test_solve_factors_a_family_once_on_the_calling_thread_before_any_start(
 
     monkeypatch.setattr(linsys, "node_factors", record("factor", factor))
     monkeypatch.setattr(optimizer, "_descend", record("start", descend))
-    monkeypatch.setattr(optimizer.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     result = cs.solve(cs.ObjectiveKind.VCS, family)
     assert not result.uniqueness_certified
     assert [event for event, _ in events] == ["factor"] + ["start"] * 8
@@ -382,6 +383,26 @@ def test_solve_factors_a_family_once_on_the_calling_thread_before_any_start(
     assert events[0][1] is main
     assert any(thread is not main for _, thread in events[1:])
     assert (spectral._in_unit(family) is family) == (top == 0.5)
+
+
+def test_a_process_allowed_one_cpu_runs_its_starts_serially(rng, monkeypatch):
+    # The pool is sized by the CPUs the process may run on: pinned to one
+    # CPU, os.cpu_count() still read the machine's 2, and a pooled pass cost
+    # more CPU time than a serial one.
+    threads = []
+    descend = optimizer._descend
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return descend(*args)
+
+    monkeypatch.setattr(optimizer, "_descend", recorded)
+    monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(optimizer.os, "cpu_count", lambda: 2)
+    result = cs.solve(cs.ObjectiveKind.VCS, random_stable_family(rng, 5))
+    assert not result.uniqueness_certified
+    assert threads == [threading.current_thread()] * 8
 
 
 def test_a_family_keeps_only_its_factor_of_the_largest_node_rank(rng):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (dominant_matrix, perfbench_gen, random_diagonal_model,
                       random_stable_family, random_stable_matrix, serial_descents)
-from oracles import dense_table
+from oracles import dense_table, multiplicative_design, table_gramians
 
 import ctrlscore as cs
 from ctrlscore import ObjectiveKind
@@ -48,6 +48,37 @@ def test_solve_matches_closed_form_per_coordinate():
         result = cs.solve(ObjectiveKind.AECS, model)
         closed = cs.closed_form_optimum(ObjectiveKind.AECS, model)
         assert np.max(np.abs(result.weights.values - closed.values)) <= 1e-8
+
+
+def _gen_family(workload: str, name: str) -> cs.NodeGramianFamily:
+    model = perfbench_gen().build(workload, 0)[0][name]
+    return cs.gramian_family(cs.check_stability(np.array(model.rows)), model.nodes)
+
+
+_DESIGNS = {
+    "heat1-4": lambda: cs.heat_dirichlet_model(range(1, 5)),
+    "heat1-40": lambda: cs.heat_dirichlet_model(range(1, 41)),
+    "diagonal": lambda: cs.SpectralModel((1, 2, 3, 4), np.diag([0.5, 1.5, 2.5, 7.0]), 4),
+    "dense5": lambda: _gen_family("diagnostics", "dense5"),
+    "dense30": lambda: _gen_family("dense-lti", "dense30"),
+}
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", sorted(_DESIGNS))
+def test_solve_agrees_with_the_multiplicative_design_algorithm(name, kind):
+    # Full-spectrum scores without caps are D- and A-optimal design, which
+    # the reference solves by its own multiplicative algorithm.
+    model = _DESIGNS[name]()
+    if isinstance(model, cs.SpectralModel):
+        gramians = table_gramians(model)
+    else:
+        gramians = model.gramians
+    weights, objective = multiplicative_design(gramians, kind.value)
+    result = cs.solve(kind, model)
+    assert result.converged
+    assert result.objective == pytest.approx(objective, rel=1e-12)
+    np.testing.assert_allclose(result.weights.values, weights, rtol=0, atol=1e-9)
 
 
 def test_solve_separable_vcs_uniform():
@@ -182,12 +213,13 @@ def test_aecs_stopping_test_does_not_depend_on_units(scale):
 
 
 def test_descent_is_monotone_within_float_tolerance(monkeypatch):
-    # Six modes: Newton finishes four modes from this kind of start in ten
-    # steps, and the replay below needs a longer descent.
-    model = cs.heat_dirichlet_model(range(1, 7))
-    objective = _Objective(ObjectiveKind.AECS, model)
-    caps = np.ones(6)
-    start = np.array([0.7, 0.06, 0.06, 0.06, 0.06, 0.06])
+    # A random start on a dense family: its descent takes multiplicative
+    # steps, then Newton steps, and the replay below needs a long one (one
+    # multiplicative step finishes a heat table from any start).
+    family = random_stable_family(np.random.default_rng(0), 5)
+    objective = _Objective(ObjectiveKind.AECS, family)
+    caps = np.ones(5)
+    start = np.random.default_rng(0).dirichlet(np.ones(5))
     full = _descend(objective, start, caps)
     assert full.converged and full.iterations > 10
     # The descent is deterministic, so stopping after k steps replays the
@@ -200,6 +232,73 @@ def test_descent_is_monotone_within_float_tolerance(monkeypatch):
     assert values[-1] == full.value
     tol = 64 * np.finfo(float).eps * (1.0 + np.abs(values[:-1]))
     assert np.all(np.diff(values) <= tol)
+
+
+@pytest.mark.parametrize("model", [
+    cs.heat_dirichlet_model(range(1, 7)),
+    cs.SpectralModel((1, 2, 3), np.diag([0.5, 1.5, 2.5]), 3),
+], ids=["heat1-6", "diagonal"])
+def test_one_multiplicative_aecs_step_reaches_a_diagonal_tables_closed_form(model):
+    # With one row per node the AECS slopes are 1 / (d_i p_i^2), so the step
+    # p_i sqrt(s_i) = 1 / sqrt(d_i) lands on the closed form from any start.
+    # The VCS slopes 1 / p_i are equal at the central point: ratio 1, no step.
+    caps = np.ones(model.node_count)
+    start = central_point(caps).values
+    for kind, steps in ((ObjectiveKind.AECS, 1), (ObjectiveKind.VCS, 0)):
+        objective = _Objective(kind, model)
+        point, _, taken = optimizer._multiplicative_steps(
+            objective, start, objective(start), caps)
+        assert taken == steps
+        closed = cs.closed_form_optimum(kind, model).values
+        np.testing.assert_allclose(point, closed, rtol=0, atol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+def test_every_multiplicative_step_lowers_the_objective(kind, monkeypatch):
+    family = random_stable_family(np.random.default_rng(0), 5)
+    objective = _Objective(kind, family)
+    caps = np.ones(5)
+    start = np.random.default_rng(1).dirichlet(np.ones(5))
+    first = objective(start)
+    point, last, steps = optimizer._multiplicative_steps(objective, start, first, caps)
+    assert steps >= 3
+    slope = -last.gradient
+    assert np.max(slope) <= optimizer.EQUIVALENCE_RATIO * (point @ slope)
+    # Deterministic, so stopping after k steps replays the k-th step.
+    values = [first.value]
+    for k in range(1, steps + 1):
+        monkeypatch.setattr(optimizer, "MAX_ITERS", k)
+        _, evaluation, taken = optimizer._multiplicative_steps(objective, start, first,
+                                                               caps)
+        assert taken == k
+        values.append(evaluation.value)
+    assert values[-1] == last.value
+    assert np.all(np.diff(values) < 0.0)
+
+
+def test_no_multiplicative_step_off_a_convex_uncapped_problem():
+    # Top-n scores are not convex, a cap below 1 leaves the simplex, and a
+    # zero node Gramian has slope 0, which no power of it can move.
+    family = random_stable_family(np.random.default_rng(0), 5)
+    zeroed = family.gramians.copy()
+    zeroed[0] = 0.0
+    ones, capped = np.ones(5), np.full(5, 0.9)
+    cases = [
+        (cs.NodeGramianFamily(family.node_indices, family.gramians, 3), ones),
+        (family, capped),
+        (cs.NodeGramianFamily(family.node_indices, zeroed), ones),
+    ]
+    start = np.random.default_rng(1).dirichlet(np.ones(5))
+    for model, caps in cases:
+        for kind in ObjectiveKind:
+            objective = _Objective(kind, model)
+            point = cs.project_capped_simplex(start, caps)
+            evaluation = objective(point)
+            assert evaluation.feasible
+            after, then, steps = optimizer._multiplicative_steps(objective, point,
+                                                                 evaluation, caps)
+            assert after is point and then is evaluation and steps == 0
+    assert cs.evaluate(ObjectiveKind.VCS, cases[2][0], start).gradient[0] == 0.0
 
 
 def test_iterates_stay_feasible():
@@ -260,10 +359,12 @@ def test_infeasible_model_raises():
 
 
 def test_max_iters_flagged_not_raised(monkeypatch):
+    # Caps below 1 take the descent without multiplicative steps, one of
+    # which would reach this optimum.
     monkeypatch.setattr(optimizer, "MAX_ITERS", 2)
     monkeypatch.setattr(optimizer, "GRAD_TOL", 1e-14)
     model = cs.heat_dirichlet_model([1, 2, 3, 4])
-    result = cs.solve(ObjectiveKind.AECS, model)
+    result = cs.solve(ObjectiveKind.AECS, model, caps=np.full(4, 0.9))
     assert not result.converged
     assert any("MaxItersExceeded" in w or "grad_tol" in w for w in result.warnings)
     assert math.isfinite(result.objective)
@@ -794,7 +895,8 @@ def test_a_convex_family_in_uneven_state_units_is_not_ambiguous(span):
 def test_a_descent_takes_each_kkt_pair_once(monkeypatch):
     # A trial that the line search accepts on its residual already has its
     # pair, and the next step reads it: this descent took 3 of its 13
-    # pairs twice.
+    # pairs twice.  Caps below 1 keep it free of multiplicative steps, one
+    # of which would reach this optimum.
     seen = []
     kkt = optimizer._kkt
 
@@ -803,5 +905,6 @@ def test_a_descent_takes_each_kkt_pair_once(monkeypatch):
         return kkt(objective, evaluation, point, caps)
 
     monkeypatch.setattr(optimizer, "_kkt", counted)
-    cs.solve(ObjectiveKind.AECS, cs.heat_dirichlet_model(range(1, 13)))
+    cs.solve(ObjectiveKind.AECS, cs.heat_dirichlet_model(range(1, 13)),
+             caps=np.full(12, 0.9))
     assert len(seen) == len(set(seen)) == 10

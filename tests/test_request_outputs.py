@@ -93,6 +93,8 @@ def test_compare_reports_the_largest_changes_and_fails_on_a_difference(tmp_path,
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split() == ["equal", "a/0/y", "weights", "2.22e-16", "objective",
                                 "0.00e+00", "relative"]
+    assert lines[-2] == ("iterations 21 -> 21 over every request that reports "
+                         "them in both files")
     assert lines[-1] == "2 identical, 1 equal, 0 different, 0 missing (tolerance 1e-12)"
     new["a/0/z"] = run(exit_code=2)
     del new["a/0/x"]
@@ -101,6 +103,24 @@ def test_compare_reports_the_largest_changes_and_fails_on_a_difference(tmp_path,
     lines = capsys.readouterr().out.splitlines()
     assert lines[2] == "different  a/0/z  moved: exit 0 -> 2"
     assert lines[-1].startswith("0 identical, 1 equal, 1 different, 1 missing")
+
+
+def test_compare_shows_the_iterations_that_moved_and_their_totals(tmp_path, capsys):
+    old = {"a/0/x": run(), "a/0/y": table(), "a/0/z": run(), "b/0/w": [0, "ok\n", ""]}
+    new = {"a/0/x": run(iterations=9), "a/0/y": table(iterations=2),
+           "a/0/z": run(iterations=8, exit_code=3), "b/0/w": [0, "ok\n", ""]}
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, outputs in zip(paths, (old, new)):
+        path.write_text(json.dumps(outputs))
+    assert request_outputs.main(["--compare", *map(str, paths)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("relative  iterations 7 -> 9")
+    assert lines[1].endswith("relative  iterations 7 -> 2")
+    assert lines[2] == "different  a/0/z  moved: exit 0 -> 3"
+    assert lines[3] == "identical  b/0/w"
+    # The different request's counts are in the totals; b/0/w prints none.
+    assert lines[4] == ("iterations 21 -> 19 over every request that reports "
+                        "them in both files")
 
 
 def test_every_table_and_heat_model_gets_one_top_n_check():
